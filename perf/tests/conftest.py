@@ -1,0 +1,10 @@
+"""Makes the program importable for ``pytest perf/tests`` (run explicitly;
+tier-1 ``testpaths`` does not include this directory)."""
+
+import os
+import sys
+
+ROOT = os.path.dirname(os.path.dirname(os.path.dirname(os.path.abspath(__file__))))
+for path in (ROOT, os.path.join(ROOT, "src")):
+    if path not in sys.path:
+        sys.path.insert(0, path)
