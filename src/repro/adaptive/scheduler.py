@@ -13,7 +13,7 @@ Policy
 1. **Probe** — step 0 runs the first scheme in ``probe_order``, step 1
    the other (when the run is long enough to amortise the probe).
 2. **Measure** — between ``decide`` calls the scheduler reads the live
-   event-counter delta from ``stepper.counters`` and the wall-clock
+   event-counter delta from ``stepper.total_events()`` and the wall-clock
    delta, giving an events/sec rate for whichever scheme just ran.
 3. **Exploit** — from step 2 on, pick the scheme with the best measured
    rate; the incumbent keeps the slot unless the challenger's rate
@@ -126,7 +126,7 @@ class AdaptiveScheduler:
             return
         scheme, events_before, t_before = self._pending
         self._pending = None
-        d_events = stepper.counters.total_events - events_before
+        d_events = stepper.total_events() - events_before
         d_t = time.perf_counter() - t_before
         if d_events <= 0 or d_t <= 0.0:
             return  # empty or unmeasurable step: keep the old rate
@@ -221,6 +221,6 @@ class AdaptiveScheduler:
         )
         self.decisions.append((step, decision))
         self._pending = (
-            scheme, stepper.counters.total_events, time.perf_counter()
+            scheme, stepper.total_events(), time.perf_counter()
         )
         return decision

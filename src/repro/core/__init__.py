@@ -6,10 +6,11 @@ Public entry points:
 * :class:`repro.core.simulation.Simulation` — facade: build from a
   :class:`repro.core.config.SimulationConfig` (or a problem factory from
   :mod:`repro.core.problems`) and run either scheme;
-* :func:`repro.core.over_particles.run_over_particles` — depth-first
-  history tracking (paper §V-A, Listing 1);
-* :func:`repro.core.over_events.run_over_events` — breadth-first event
-  passes (paper §V-B, Listing 2);
+* :func:`repro.core.stepper.run_stepped` — the one census driver behind
+  it: depth-first history tracking (:mod:`repro.core.over_particles`,
+  paper §V-A, Listing 1) or breadth-first event passes
+  (:mod:`repro.core.over_events`, §V-B, Listing 2), chosen per census
+  step;
 * :mod:`repro.core.validation` — conservation checks.
 
 Both schemes consume identical per-particle random streams and produce
@@ -28,8 +29,7 @@ from repro.core.problems import (
     PAPER_TIMESTEP_S,
 )
 from repro.core.simulation import Simulation, TransportResult
-from repro.core.over_particles import run_over_particles
-from repro.core.over_events import run_over_events
+from repro.core.stepper import run_stepped
 from repro.core.validation import energy_balance_error, population_accounted
 
 __all__ = [
@@ -47,8 +47,7 @@ __all__ = [
     "PAPER_TIMESTEP_S",
     "Simulation",
     "TransportResult",
-    "run_over_particles",
-    "run_over_events",
+    "run_stepped",
     "energy_balance_error",
     "population_accounted",
 ]

@@ -45,39 +45,35 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.core.config import Scheme, SimulationConfig
-from repro.core.counters import Counters, EventPassStats
+from repro.core.books import ReplicaBooks
+from repro.core.config import SimulationConfig
+from repro.core.counters import EventPassStats
 from repro.kernels import EVENT_KERNELS, KernelDispatch, Workspace
 from repro.kernels.batch import EventKind, split_counts
 from repro.mesh.structured import StructuredMesh
-from repro.mesh.tally import EnergyDepositionTally
 from repro.particles.arena import ParticleArena, ParticleRecord
 from repro.physics.fission import sample_secondary_energy, secondary_id
 from repro.physics.importance import clone_id
 from repro.rng.distributions import sample_isotropic_direction, sample_mean_free_paths
 from repro.rng.stream import ParticleRNG, VectorParticleRNG
 
-__all__ = ["run_over_events"]
-
 
 class _EventContext:
     """Run-wide state for the Over Events driver."""
 
     def __init__(self, config: SimulationConfig, mesh: StructuredMesh,
-                 tally: EnergyDepositionTally, store: ParticleArena,
-                 dispatch: KernelDispatch, ws: Workspace, lanes=None,
-                 provider=None):
+                 books: ReplicaBooks, store: ParticleArena,
+                 dispatch: KernelDispatch, ws: Workspace, provider=None):
         self.config = config
         self.mesh = mesh
-        self.tally = tally
+        #: Every count, sum and tally flush is attributed through the
+        #: run's replica books; ``config`` supplies the uniform fields
+        #: only (mesh, materials, scheme options).  The kernel dispatches
+        #: stay fused across all replicas.
+        self.books = books
         self.store = store
         self.dispatch = dispatch
         self.ws = ws
-        #: Ensemble fusion state (repro.ensemble.EnsembleLanes) or None.
-        #: When set, counters/tallies/seeds/cutoffs are attributed per
-        #: replica through the helpers below; the kernel dispatches stay
-        #: fused across all replicas.
-        self.lanes = lanes
         #: The cross-section backend.  All material data and lookups go
         #: through it; the driver never touches tables directly.
         self.provider = (
@@ -88,97 +84,29 @@ class _EventContext:
         self.mat_molar = self.provider.mat_molar
         self.mat_nu = self.provider.mat_nu
         self.mat_fissile = self.provider.mat_fissile
-        self.counters = Counters(nparticles=len(store))
         n = len(store)
         self.micro_s = np.zeros(n, dtype=np.float64)
         self.micro_c = np.zeros(n, dtype=np.float64)
         self.micro_f = np.zeros(n, dtype=np.float64)
         self.mat_idx = self.material_map[store.celly, store.cellx]
-        self.coll_pp = np.zeros(n, dtype=np.int64)
-        self.facet_pp = np.zeros(n, dtype=np.int64)
-        seed = config.seed if lanes is None else lanes.seeds[lanes.rep]
-        self.rng = VectorParticleRNG(seed, store.particle_id, store.rng_counter)
+        self.rng = VectorParticleRNG(
+            books.lane_seeds(), store.particle_id, store.rng_counter
+        )
         self.pending_children: list[ParticleRecord] = []
-        self.pending_rep: list[int] = []
+        #: Parent lane of each pending child (it inherits that replica).
+        self.pending_parents: list[int] = []
         # Bin-reuse hoist state: the energy (bitwise) and material at each
         # particle's last bin search.  NaN / -1 mean "never searched".
         self.last_e = np.full(n, np.nan)
         self.last_mat = np.full(n, -1, dtype=np.int64)
 
-    # ------------------------------------------------------------------
-    # Attribution helpers.  A plain run charges the single counters/tally
-    # pair; a fused ensemble run charges each replica's own books so every
-    # member stays bit-identical to its standalone serial run.
-    def cadd(self, name: str, idx: np.ndarray, per: int = 1) -> None:
-        """Add ``per`` per selected particle to an integer counter."""
-        if self.lanes is None:
-            c = self.counters
-            setattr(c, name, getattr(c, name) + per * int(idx.size))
-            return
-        lanes = self.lanes
-        counts = np.bincount(lanes.rep[idx], minlength=lanes.nreplicas)
-        for r in np.nonzero(counts)[0]:
-            c = lanes.counters[r]
-            setattr(c, name, getattr(c, name) + per * int(counts[r]))
-
-    def csum(self, name: str, idx: np.ndarray, values: np.ndarray) -> None:
-        """Accumulate a float reduction over the selected particles.
-
-        Per-replica sums run over each replica's subsequence in storage
-        order — the same operands in the same order as that replica's
-        standalone run, hence bitwise-equal partial sums.
-        """
-        if self.lanes is None:
-            c = self.counters
-            setattr(c, name, getattr(c, name) + float(values.sum()))
-            return
-        rep = self.lanes.rep[idx]
-        for r in np.unique(rep):
-            c = self.lanes.counters[r]
-            setattr(c, name, getattr(c, name) + float(values[rep == r].sum()))
-
     def flush(self, idx: np.ndarray) -> None:
-        """Batched tally flush (the §VI-G separate tally loop), split by
-        replica when fused — each replica's scatter-add sees exactly the
-        subsequence its standalone run would."""
+        """Batched tally flush of the selected lanes' deposit registers
+        (the §VI-G separate tally loop)."""
         store = self.store
-        if self.lanes is None:
-            self.tally.flush_vec(
-                store.cellx[idx], store.celly[idx], store.deposit_buffer[idx]
-            )
-            self.counters.tally_flushes += idx.size
-            return
-        rep = self.lanes.rep[idx]
-        for r in np.unique(rep):
-            sel = idx[rep == r]
-            self.lanes.tallies[r].flush_vec(
-                store.cellx[sel], store.celly[sel], store.deposit_buffer[sel]
-            )
-            self.lanes.counters[r].tally_flushes += sel.size
-
-    def counters_for(self, pi) -> Counters:
-        """The Counters a scalar event on particle ``pi`` charges."""
-        if self.lanes is None:
-            return self.counters
-        return self.lanes.counters[int(self.lanes.rep[pi])]
-
-    def seed_for(self, pi) -> int:
-        """The RNG key word 0 for particle ``pi`` (its replica's seed)."""
-        if self.lanes is None:
-            return self.config.seed
-        return int(self.lanes.seeds[int(self.lanes.rep[pi])])
-
-    def ecut_at(self, idx: np.ndarray):
-        """Energy cutoff, scalar or per-lane (kernels broadcast either)."""
-        if self.lanes is None:
-            return self.config.energy_cutoff_ev
-        return self.lanes.ecut[self.lanes.rep[idx]]
-
-    def wcut_at(self, idx: np.ndarray):
-        """Weight cutoff, scalar or per-lane."""
-        if self.lanes is None:
-            return self.config.weight_cutoff
-        return self.lanes.wcut[self.lanes.rep[idx]]
+        self.books.flush(
+            idx, (store.cellx, store.celly), store.deposit_buffer
+        )
 
     # ------------------------------------------------------------------
     def refresh_micro(self, idx: np.ndarray) -> None:
@@ -212,7 +140,7 @@ class _EventContext:
                     self.micro_f[fresh] = lk.micro_f
                 for cache_field, _grid, bins in lk.searches:
                     getattr(store, cache_field)[fresh] = bins
-                self.cadd(
+                self.books.cadd(
                     "xs_binary_probes", fresh,
                     k * prov.binary_probe_estimate(mi),
                 )
@@ -220,8 +148,8 @@ class _EventContext:
                 self.last_mat[fresh] = mi
             if not prov.mat_fissile[mi]:
                 self.micro_f[sel] = 0.0
-            self.cadd("xs_lookups", sel, k)
-            self.cadd("xs_bin_reuses", sel[reuse], k)
+            self.books.cadd("xs_lookups", sel, k)
+            self.books.cadd("xs_bin_reuses", sel[reuse], k)
 
     def macroscopic(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
         """(Σ_s, Σ_a, Σ_f, Σ_t) arrays from the cached microscopic values.
@@ -258,9 +186,8 @@ class _EventContext:
             n_children = int(counts[j])
             if n_children <= 0:
                 continue
-            c = self.counters_for(pi)
-            seed_pi = self.seed_for(pi)
-            rep_pi = 0 if self.lanes is None else int(self.lanes.rep[pi])
+            c = self.books.counters_for(pi)
+            seed_pi = self.books.seed_for(pi)
             c.fissions += 1
             for k in range(n_children):
                 cid = secondary_id(
@@ -297,7 +224,7 @@ class _EventContext:
                 c.secondaries_banked += 1
                 c.rng_draws += 3
                 self.pending_children.append(child)
-                self.pending_rep.append(rep_pi)
+                self.pending_parents.append(pi)
 
     def absorb_children(self) -> None:
         """Append banked secondaries to the population between passes."""
@@ -312,30 +239,16 @@ class _EventContext:
         self.mat_idx = np.concatenate(
             [self.mat_idx, self.material_map[chunk.celly, chunk.cellx]]
         )
-        self.coll_pp = np.concatenate(
-            [self.coll_pp, np.zeros(n_new, dtype=np.int64)]
-        )
-        self.facet_pp = np.concatenate(
-            [self.facet_pp, np.zeros(n_new, dtype=np.int64)]
-        )
         self.last_e = np.concatenate([self.last_e, np.full(n_new, np.nan)])
         self.last_mat = np.concatenate(
             [self.last_mat, np.full(n_new, -1, dtype=np.int64)]
         )
-        if self.lanes is not None:
-            rep_new = np.asarray(self.pending_rep, dtype=np.int64)
-            self.lanes.rep = np.concatenate([self.lanes.rep, rep_new])
-            if hasattr(self.store, "replica_id"):
-                self.store.replica_id[len(self.store) - n_new:] = rep_new
-        self.pending_rep = []
+        self.books.inherit(np.asarray(self.pending_parents, dtype=np.int64))
+        self.pending_parents = []
         # Extend the RNG with the live counters (the store's counter field
-        # is only synchronised at the end of the run).
-        seed = (
-            self.config.seed if self.lanes is None
-            else self.lanes.seeds[self.lanes.rep]
-        )
+        # is only synchronised at the end of the step).
         self.rng = VectorParticleRNG(
-            seed,
+            self.books.lane_seeds(),
             np.concatenate([self.rng.particle_ids, chunk.particle_id]),
             np.concatenate([self.rng.counters, chunk.rng_counter]),
         )
@@ -364,7 +277,7 @@ class _EventContext:
         u_angle = self.rng.next_uniform(cmask)
         u_sense = self.rng.next_uniform(cmask)
         u_mfp = self.rng.next_uniform(cmask)
-        self.cadd("rng_draws", c, 3)
+        self.books.cadd("rng_draws", c, 3)
         a_ratio = self.mat_a[self.mat_idx[c]]
         (e_new, w_new, ox_new, oy_new, mfp_new, dep, term, below) = self.dispatch.run(
             "collide",
@@ -379,8 +292,8 @@ class _EventContext:
             u_angle,
             u_sense,
             u_mfp,
-            self.ecut_at(c),
-            self.wcut_at(c),
+            self.books.ecut_at(c),
+            self.books.wcut_at(c),
             defer_weight_cutoff=config.use_russian_roulette,
         )
         store.energy[c] = e_new
@@ -389,8 +302,8 @@ class _EventContext:
         store.omega_y[c] = oy_new
         store.mfp_to_collision[c] = mfp_new
         store.deposit_buffer[c] += dep
-        self.cadd("collisions", c)
-        self.coll_pp[c] += 1
+        self.books.cadd("collisions", c)
+        self.books.coll_pp[c] += 1
 
         # ---- fission banking (extension) ------------------------------
         fissile_here = self.mat_fissile[self.mat_idx[c]] & (sigma_t[c] > 0.0)
@@ -399,7 +312,7 @@ class _EventContext:
             fis_mask[c[fissile_here]] = True
             u_fission = self.rng.next_uniform(fis_mask)
             sel = c[fissile_here]
-            self.cadd("rng_draws", sel)
+            self.books.cadd("rng_draws", sel)
             counts = self.dispatch.run(
                 "fission_bank",
                 sel.size,
@@ -421,7 +334,7 @@ class _EventContext:
             self.flush(dead)
             store.deposit_buffer[dead] = 0.0
             store.alive[dead] = False
-            self.cadd("terminations", dead)
+            self.books.cadd("terminations", dead)
 
         # ---- Russian roulette (extension) ------------------------------
         if config.use_russian_roulette and below.any():
@@ -429,18 +342,18 @@ class _EventContext:
             r_mask[c[below]] = True
             u_roulette = self.rng.next_uniform(r_mask)
             sel = c[below]
-            self.cadd("rng_draws", sel)
+            self.books.cadd("rng_draws", sel)
             w = store.weight[sel]
             survive, restored = self.dispatch.run(
-                "roulette", sel.size, w, u_roulette, self.wcut_at(sel)
+                "roulette", sel.size, w, u_roulette, self.books.wcut_at(sel)
             )
             # With per-lane cutoffs ``restored`` is an array aligned with
             # ``sel``; slice it down to the survivor lanes.
             restored_s = restored[survive] if np.ndim(restored) else restored
             killed = sel[~survive]
             if killed.size:
-                self.cadd("roulette_kills", killed)
-                self.csum(
+                self.books.cadd("roulette_kills", killed)
+                self.books.csum(
                     "roulette_loss_energy", killed,
                     store.weight[killed] * store.energy[killed],
                 )
@@ -448,11 +361,11 @@ class _EventContext:
                 self.flush(killed)
                 store.deposit_buffer[killed] = 0.0
                 store.alive[killed] = False
-                self.cadd("terminations", killed)
+                self.books.cadd("terminations", killed)
             survivors = sel[survive]
             if survivors.size:
-                self.cadd("roulette_survivals", survivors)
-                self.csum(
+                self.books.cadd("roulette_survivals", survivors)
+                self.books.csum(
                     "roulette_gain_energy", survivors,
                     (restored_s - store.weight[survivors])
                     * store.energy[survivors],
@@ -500,12 +413,12 @@ class _EventContext:
             store.cellx[f], store.celly[f],
             store.omega_x[f], store.omega_y[f], ax, self.mesh, config.boundary,
         )
-        self.cadd("facets", f)
-        self.facet_pp[f] += 1
+        self.books.cadd("facets", f)
+        self.books.facet_pp[f] += 1
         gone = f[escaped]
         if gone.size:
-            self.cadd("escapes", gone)
-            self.csum(
+            self.books.cadd("escapes", gone)
+            self.books.csum(
                 "escaped_energy", gone,
                 store.weight[gone] * store.energy[gone],
             )
@@ -519,8 +432,8 @@ class _EventContext:
         store.local_density[crossed] = self.mesh.density_at_vec(
             store.cellx[crossed], store.celly[crossed]
         )
-        self.cadd("density_reads", crossed)
-        self.cadd("reflections", f[reflected])
+        self.books.cadd("density_reads", crossed)
+        self.books.cadd("reflections", f[reflected])
         # Multi-material extension: particles entering a different
         # material must refresh their cached microscopic values.
         if crossed.size:
@@ -547,7 +460,7 @@ class _EventContext:
                 imp_mask = np.zeros(len(store), dtype=bool)
                 imp_mask[sel] = True
                 u_imp = self.rng.next_uniform(imp_mask)
-                self.cadd("rng_draws", sel)
+                self.books.cadd("rng_draws", sel)
                 r = ratios[changed_r]
 
                 # splits (entering higher importance)
@@ -559,16 +472,12 @@ class _EventContext:
                     ):
                         if n <= 1:
                             continue
-                        cc = self.counters_for(pi)
-                        rep_pi = (
-                            0 if self.lanes is None
-                            else int(self.lanes.rep[pi])
-                        )
+                        cc = self.books.counters_for(pi)
                         cc.splits += 1
                         w_each = float(store.weight[pi]) / int(n)
                         for k in range(int(n) - 1):
                             cid = clone_id(
-                                self.seed_for(pi),
+                                self.books.seed_for(pi),
                                 int(store.particle_id[pi]),
                                 int(ctr),
                                 k,
@@ -595,7 +504,7 @@ class _EventContext:
                             )
                             cc.clones_banked += 1
                             self.pending_children.append(child)
-                            self.pending_rep.append(rep_pi)
+                            self.pending_parents.append(pi)
                         store.weight[pi] = w_each
 
                 # roulette (entering lower importance)
@@ -605,9 +514,9 @@ class _EventContext:
                     survive = u_imp[down] < r[down]
                     surv = dsel[survive]
                     if surv.size:
-                        self.cadd("roulette_survivals", surv)
+                        self.books.cadd("roulette_survivals", surv)
                         boosted = store.weight[surv] / r[down][survive]
-                        self.csum(
+                        self.books.csum(
                             "roulette_gain_energy", surv,
                             (boosted - store.weight[surv])
                             * store.energy[surv],
@@ -615,14 +524,14 @@ class _EventContext:
                         store.weight[surv] = boosted
                     dead_i = dsel[~survive]
                     if dead_i.size:
-                        self.cadd("roulette_kills", dead_i)
-                        self.csum(
+                        self.books.cadd("roulette_kills", dead_i)
+                        self.books.csum(
                             "roulette_loss_energy", dead_i,
                             store.weight[dead_i] * store.energy[dead_i],
                         )
                         store.weight[dead_i] = 0.0
                         store.alive[dead_i] = False
-                        self.cadd("terminations", dead_i)
+                        self.books.cadd("terminations", dead_i)
 
     def handle_census(self, zmask, dist, sigma_a, sigma_f, sigma_t) -> None:
         """handle_census(): fly remaining lanes to the end of the timestep."""
@@ -642,7 +551,7 @@ class _EventContext:
         self.flush(z)
         store.deposit_buffer[z] = 0.0
         store.censused[z] = True
-        self.cadd("census_events", z)
+        self.books.cadd("census_events", z)
 
 
 def _event_pass(ctx: _EventContext, handlers: dict, active: np.ndarray,
@@ -653,7 +562,6 @@ def _event_pass(ctx: _EventContext, handlers: dict, active: np.ndarray,
     store = ctx.store
     ws = ctx.ws
     dispatch = ctx.dispatch
-    counters = ctx.counters
     mesh = ctx.mesh
 
     # foreach(particle): calculate_time_to_events()
@@ -699,29 +607,10 @@ def _event_pass(ctx: _EventContext, handlers: dict, active: np.ndarray,
         n_facet=n_event[EventKind.FACET],
         n_census=n_event[EventKind.CENSUS],
     )
-    counters.oe_passes.append(stats)
-    if ctx.lanes is not None:
-        lanes = ctx.lanes
-        rep = lanes.rep
-        act = np.bincount(rep[active], minlength=lanes.nreplicas)
-        col = np.bincount(
-            rep[masks[EventKind.COLLISION]], minlength=lanes.nreplicas
-        )
-        fac = np.bincount(
-            rep[masks[EventKind.FACET]], minlength=lanes.nreplicas
-        )
-        cen = np.bincount(
-            rep[masks[EventKind.CENSUS]], minlength=lanes.nreplicas
-        )
-        # A replica with no active lanes this pass has already finished:
-        # its standalone run would not see the pass at all.
-        for r in np.nonzero(act)[0]:
-            lanes.counters[r].oe_passes.append(EventPassStats(
-                n_active=int(act[r]),
-                n_collision=int(col[r]),
-                n_facet=int(fac[r]),
-                n_census=int(cen[r]),
-            ))
+    ctx.books.record_pass(
+        stats, active, masks[EventKind.COLLISION], masks[EventKind.FACET],
+        masks[EventKind.CENSUS],
+    )
     if pass_span is not None:
         pass_span.attrs["active"] = stats.n_active
         pass_span.attrs["collisions"] = stats.n_collision
@@ -738,67 +627,3 @@ def _event_pass(ctx: _EventContext, handlers: dict, active: np.ndarray,
     # ---- fission secondaries join the population -------------------------
     ctx.absorb_children()
 
-
-def run_over_events(
-    config: SimulationConfig,
-    arena: ParticleArena | None = None,
-    tally: EnergyDepositionTally | None = None,
-    recorder=None,
-    lanes=None,
-    provider=None,
-    probe=None,
-):
-    """Run the full calculation with the Over Events scheme.
-
-    Parameters
-    ----------
-    config:
-        The simulation specification.
-    arena:
-        A pre-sampled :class:`ParticleArena` (shard views from the worker
-        pool, scheme-equivalence tests); sampled from the config's source
-        when omitted.  Advanced in place.
-    tally:
-        An existing tally to accumulate into; a fresh one when omitted.
-    recorder:
-        Optional :class:`repro.obs.Recorder` receiving the span tree
-        (run → timestep → event_pass → kernel:*).  Purely observational:
-        the physics is bit-identical with or without it.
-    lanes:
-        Optional :class:`repro.ensemble.EnsembleLanes` fusing N replicas
-        into the one arena: per-lane RNG seeds/cutoffs/dt and per-replica
-        counter/tally attribution, while every kernel dispatch stays one
-        fused call across all replicas.  ``config`` then supplies the
-        uniform fields only (mesh, materials, scheme options).
-
-    Returns
-    -------
-    TransportResult
-        Tally, counters, the final arena (including any fission
-        secondaries), and wall-clock time.  ``counters.kernel_profile``
-        carries the per-kernel call/item/time table from the dispatch
-        layer; ``counters.workspace_allocations`` / ``workspace_reuses``
-        record the buffer churn of the pass loop.
-
-    .. deprecated::
-        This entry point is a thin compatibility shim: the census loop,
-        source emission and result wiring now live in the unified
-        stepper (:func:`repro.core.stepper.run_stepped`), which runs a
-        fixed over-events plan bit-identically (including the fused
-        ensemble-lanes path).  New call sites should use ``run_stepped``
-        directly.
-    """
-    # Imported here to avoid a circular import with stepper.py (which
-    # owns the census loop but borrows this module's pass machinery).
-    from repro.core.stepper import SwitchPlan, run_stepped
-
-    return run_stepped(
-        config,
-        SwitchPlan.fixed(Scheme.OVER_EVENTS),
-        arena=arena,
-        tally=tally,
-        recorder=recorder,
-        lanes=lanes,
-        provider=provider,
-        probe=probe,
-    )

@@ -51,32 +51,30 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.core.config import SearchStrategy, Scheme, SimulationConfig
-from repro.core.counters import Counters
+from repro.core.books import ReplicaBooks
+from repro.core.config import SearchStrategy, SimulationConfig
 from repro.kernels import EVENT_KERNELS, KernelDispatch, Workspace
 from repro.kernels import xs as kernel_xs
 from repro.kernels.batch import EventKind, split_counts
 from repro.mesh.structured import StructuredMesh
-from repro.mesh.tally import EnergyDepositionTally
 from repro.particles.arena import ParticleArena, ParticleRecord
 from repro.physics.fission import sample_secondary_energy, secondary_id
 from repro.physics.importance import clone_id
 from repro.rng.distributions import sample_isotropic_direction, sample_mean_free_paths
 from repro.rng.stream import ParticleRNG, VectorParticleRNG
-from repro.xs.lookup import LookupStats
-
-__all__ = ["run_over_particles"]
 
 
 class _SweepContext:
     """Shared run state threaded through every block (one per run)."""
 
     def __init__(self, config: SimulationConfig, mesh: StructuredMesh,
-                 tally: EnergyDepositionTally, dispatch: KernelDispatch,
+                 books: ReplicaBooks, dispatch: KernelDispatch,
                  ws: Workspace, provider=None):
-        self.config = config
         self.mesh = mesh
-        self.tally = tally
+        #: The run's replica books.  A block never spans replicas, so its
+        #: whole attribution is :meth:`bind` — the block then charges the
+        #: bound replica's config/counters/tally directly.
+        self.books = books
         self.dispatch = dispatch
         self.ws = ws
         #: The cross-section backend.  All material data and lookups go
@@ -90,10 +88,7 @@ class _SweepContext:
         self.mat_molar = self.provider.mat_molar
         self.mat_nu = self.provider.mat_nu
         self.mat_fissile = self.provider.mat_fissile
-        self.counters = Counters()
-        self.lookup_stats = LookupStats()
-        self.coll_pp: list[int] = []
-        self.facet_pp: list[int] = []
+        self.bind(0)
         #: Banked offspring as ``(parent_index, parent_counter, child_index,
         #: ParticleRecord)``.  Sorting by the first three fields before the
         #: bank joins the arena reproduces exactly the order in which a
@@ -102,6 +97,12 @@ class _SweepContext:
         #: Optional event trace: (history_index, EventKind int, flat cell).
         #: Consumed by :mod:`repro.simexec` for discrete-event replay.
         self.trace: list[tuple[int, int, int]] | None = None
+
+    def bind(self, r: int) -> None:
+        """Point the context at replica ``r``'s row of the books (O(1))."""
+        self.config = self.books.members[r]
+        self.counters = self.books.counters[r]
+        self.tally = self.books.tallies[r]
 
     def material_at(self, cellx: int, celly: int) -> int:
         return int(self.material_map[celly, cellx])
@@ -209,7 +210,7 @@ class _Block:
         """Refresh microscopic cross sections for the given lanes with
         exact per-strategy search accounting."""
         ctx = self.ctx
-        stats = ctx.lookup_stats
+        counters = ctx.counters
         strategy = ctx.config.search
         run = ctx.dispatch.run
         prov = ctx.provider
@@ -229,13 +230,13 @@ class _Block:
             for cache_field, grid, new_bins in lk.searches:
                 bins_arr = caches[cache_field]
                 if strategy is SearchStrategy.CACHED_LINEAR:
-                    stats.linear_probes += int(
+                    counters.xs_linear_probes += int(
                         kernel_xs.linear_walk_probes(
                             grid, e, bins_arr[sel], new_bins
                         ).sum()
                     )
                 else:
-                    stats.binary_probes += int(
+                    counters.xs_binary_probes += int(
                         kernel_xs.bisection_probes(grid, e).sum()
                     )
                 bins_arr[sel] = new_bins
@@ -243,7 +244,7 @@ class _Block:
             self.micro_c[sel] = lk.micro_c
             if lk.micro_f is not None:
                 self.micro_f[sel] = lk.micro_f
-            stats.lookups += len(lk.searches) * sel.size
+            counters.xs_lookups += len(lk.searches) * sel.size
 
     def macroscopic(self):
         """(Σ_s, Σ_a, Σ_f, Σ_t) block arrays from the cached microscopics,
@@ -363,7 +364,7 @@ class _Block:
         self.deposit[c] += dep
         counters.collisions += c.size
         for lane in c:
-            ctx.coll_pp[self.idx[lane]] += 1
+            ctx.books.coll_pp[self.idx[lane]] += 1
         self.trace_events(c, EventKind.COLLISION, self.cellx[c], self.celly[c])
 
         # ---- fission banking (multiplying media extension) -------------
@@ -505,7 +506,7 @@ class _Block:
         )
         counters.facets += f.size
         for lane in f:
-            ctx.facet_pp[self.idx[lane]] += 1
+            ctx.books.facet_pp[self.idx[lane]] += 1
         self.trace_events(f, EventKind.FACET, old_cx_f, old_cy_f)
         gone = f[escaped]
         if gone.size:
@@ -668,62 +669,3 @@ class _Block:
         arena.alive[idx] = self.alive
         arena.rng_counter[idx] = self.rng.counters
 
-
-def run_over_particles(
-    config: SimulationConfig,
-    arena: ParticleArena | None = None,
-    tally: EnergyDepositionTally | None = None,
-    trace: list | None = None,
-    recorder=None,
-):
-    """Run the full calculation with the Over Particles scheme.
-
-    Parameters
-    ----------
-    config:
-        The simulation specification; ``config.op_block_size`` sets how
-        many histories advance together (1 = classic depth-first order;
-        final particle states are bit-identical for every block size).
-    arena:
-        A pre-sampled :class:`ParticleArena` (shard views from the worker
-        pool, scheme-equivalence tests); sampled from the config's source
-        when omitted.  Advanced in place.
-    tally:
-        An existing tally to accumulate into; a fresh one when omitted.
-    trace:
-        Optional list to receive the event trace
-        ``(history_index, event_kind, flat_cell)`` — the input of the
-        discrete-event parallel replay in :mod:`repro.simexec`.  Entries
-        from different histories interleave when the block size exceeds
-        one, but each history's own events appear in its execution order,
-        which is all the trace consumer (it groups by history) requires.
-    recorder:
-        Optional :class:`repro.obs.Recorder` receiving the span tree
-        (run → timestep → census_wave → kernel:*).  Purely observational:
-        the physics is bit-identical with or without it.
-
-    Returns
-    -------
-    TransportResult
-        Tally, counters, the final arena (including any fission
-        secondaries), and wall-clock time.
-
-    .. deprecated::
-        This entry point is a thin compatibility shim: the census loop,
-        source emission and result wiring now live in the unified
-        stepper (:func:`repro.core.stepper.run_stepped`), which runs a
-        fixed over-particles plan bit-identically.  New call sites
-        should use ``run_stepped`` directly.
-    """
-    # Imported here to avoid a circular import with stepper.py (which
-    # owns the census loop but borrows this module's sweep machinery).
-    from repro.core.stepper import SwitchPlan, run_stepped
-
-    return run_stepped(
-        config,
-        SwitchPlan.fixed(Scheme.OVER_PARTICLES),
-        arena=arena,
-        tally=tally,
-        trace=trace,
-        recorder=recorder,
-    )

@@ -49,8 +49,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from repro.core.books import ReplicaBooks
 from repro.core.config import Scheme, SimulationConfig
-from repro.core.counters import Counters
 from repro.kernels import KernelDispatch, Workspace
 from repro.mesh.structured import StructuredMesh
 from repro.mesh.tally import EnergyDepositionTally
@@ -62,7 +62,6 @@ __all__ = [
     "StepDecision",
     "SwitchPlan",
     "CensusStepper",
-    "census_dt_reset",
     "drive_census_loop",
     "run_stepped",
     "validate_scheme_options",
@@ -166,20 +165,6 @@ class SwitchPlan:
         return self.decisions[min(step, len(self.decisions) - 1)]
 
 
-def census_dt_reset(dt_to_census, alive, dt, lanes=None) -> None:
-    """Re-arm the census clocks of surviving histories at a boundary.
-
-    The census-boundary scaffolding formerly copy-pasted across both 2-D
-    drivers and the 3-D driver; ``lanes`` switches to per-replica dt for
-    fused ensemble runs.
-    """
-    if lanes is None:
-        dt_to_census[alive] = dt
-    else:
-        dt_lane = lanes.dt[lanes.rep]
-        dt_to_census[alive] = dt_lane[alive]
-
-
 def drive_census_loop(recorder, ntimesteps, run_attrs, begin_step,
                       run_step) -> None:
     """THE census loop.  All transport drivers route through here.
@@ -203,10 +188,14 @@ def drive_census_loop(recorder, ntimesteps, run_attrs, begin_step,
 class _OPStrategy:
     """Blocked lock-step depth-first transport for one census step.
 
-    Thin scheduling shell around the legacy ``_SweepContext`` /
-    ``_Block`` machinery (still owned by ``over_particles.py``); the
-    context persists across steps so a pure-OP plan replays the legacy
-    driver's exact object lifecycle.
+    Replica-segment scheduling around the ``_SweepContext`` / ``_Block``
+    machinery owned by ``over_particles.py``: each round sweeps every
+    replica's lanes in blocks (a plain run is one segment), then drains
+    the fission bank.  Blocks are cut from one replica's lanes in its own
+    storage order — the order of that replica's standalone arena — so no
+    block spans replicas, the context rebinds once per segment, and every
+    replica sees exactly the block waves, bank drains and tally flushes
+    of its standalone run.
     """
 
     scheme = Scheme.OVER_PARTICLES
@@ -214,18 +203,12 @@ class _OPStrategy:
     def __init__(self, stepper: "CensusStepper"):
         from repro.core.over_particles import _SweepContext
 
-        if stepper.lanes is not None:
-            raise ValueError(
-                "fused ensemble lanes require the over_events strategy "
-                "(the fused OP path lives in repro.ensemble.op)"
-            )
         self.stepper = stepper
-        ctx = _SweepContext(stepper.run_config, stepper.mesh,
-                            stepper.tally, stepper.dispatch, stepper.ws,
-                            provider=stepper.provider)
-        ctx.trace = stepper.trace
-        ctx.counters = stepper.counters
-        self.ctx = ctx
+        self.ctx = _SweepContext(
+            stepper.run_config, stepper.mesh, stepper.books,
+            stepper.dispatch, stepper.ws, provider=stepper.provider,
+        )
+        self.ctx.trace = stepper.trace
 
     def begin_step(self, step: int) -> None:
         pass
@@ -235,38 +218,39 @@ class _OPStrategy:
 
         stepper = self.stepper
         arena = stepper.arena
+        books = stepper.books
         ctx = self.ctx
-        ctx.coll_pp = stepper.coll_pp
-        ctx.facet_pp = stepper.facet_pp
         block_size = decision.block_size or stepper.run_config.op_block_size
-        cursor = 0
-        while cursor < len(arena):
-            hi = min(cursor + block_size, len(arena))
-            idx = cursor + np.nonzero(arena.alive[cursor:hi])[0]
-            if idx.size:
-                with rec.span(
-                    "census_wave", lo=cursor, hi=hi, lanes=int(idx.size),
-                ):
-                    _Block(ctx, arena, idx).run()
-            cursor = hi
+        lo = 0
+        while lo < len(arena):
+            hi = len(arena)
+            for r, lanes in books.segments(lo, hi):
+                ctx.bind(r)
+                for cursor in range(0, lanes.size, block_size):
+                    block = lanes[cursor:cursor + block_size]
+                    idx = block[arena.alive[block]]
+                    if idx.size:
+                        with rec.span(
+                            "census_wave", lo=int(block[0]),
+                            hi=int(block[-1]) + 1, lanes=int(idx.size),
+                        ):
+                            _Block(ctx, arena, idx).run()
+            lo = hi
             # Drain the fission bank within the timestep: offspring join
             # the population in the deterministic (parent, event, child)
-            # order and are tracked in turn.
-            if cursor == len(arena) and ctx.bank:
+            # order, inherit their parent's replica, and are tracked in
+            # the next round.
+            if ctx.bank:
                 ctx.bank.sort(key=lambda entry: entry[:3])
-                children = [entry[3] for entry in ctx.bank]
-                arena.append_records(children)
-                grow = np.zeros(len(children), dtype=np.int64)
-                ctx.coll_pp = np.concatenate([ctx.coll_pp, grow])
-                ctx.facet_pp = np.concatenate([ctx.facet_pp, grow])
+                arena.append_records([entry[3] for entry in ctx.bank])
+                books.inherit(np.array(
+                    [entry[0] for entry in ctx.bank], dtype=np.int64
+                ))
                 ctx.bank = []
 
     def end_step(self) -> None:
         # Block writeback already synchronised every RNG counter into the
-        # arena; only the shared per-particle books need rebinding (they
-        # may have grown with banked children).
-        self.stepper.coll_pp = self.ctx.coll_pp
-        self.stepper.facet_pp = self.ctx.facet_pp
+        # arena; the OE context's positional caches are now stale.
         self.stepper.oe_dirty = True
 
 
@@ -296,15 +280,9 @@ class _OEStrategy:
         if self.ctx is not None and not stepper.oe_dirty:
             return self.ctx
         ctx = _EventContext(
-            stepper.run_config, stepper.mesh, stepper.tally, stepper.arena,
-            stepper.dispatch, stepper.ws, lanes=stepper.lanes,
-            provider=stepper.provider,
+            stepper.run_config, stepper.mesh, stepper.books, stepper.arena,
+            stepper.dispatch, stepper.ws, provider=stepper.provider,
         )
-        # Charge the shared books (the provider instance is shared too, so
-        # cross-section data is built exactly once per run).
-        ctx.counters = stepper.counters
-        ctx.coll_pp = stepper.coll_pp
-        ctx.facet_pp = stepper.facet_pp
         self.handlers = {
             "collide": ctx.handle_collisions,
             "cross_facet": ctx.handle_facets,
@@ -349,29 +327,27 @@ class _OEStrategy:
         # an OE→OP hand-off read the right streams; the final step's
         # write is bitwise the legacy end-of-run write.
         ctx.store.rng_counter[...] = ctx.rng.counters
-        self.stepper.coll_pp = ctx.coll_pp
-        self.stepper.facet_pp = ctx.facet_pp
 
 
 class CensusStepper:
     """Owns the census loop, source emission, census-boundary
-    bookkeeping and the shared result books; delegates each step's
-    transport to a scheme strategy picked by the plan."""
+    bookkeeping and the run's replica books; delegates each step's
+    transport to a scheme strategy picked by the plan.
+
+    ``books`` carries the R >= 1 replicas sharing ``arena`` (an ensemble
+    passes its own); a run given none is one replica of ``config`` —
+    there is no other path."""
 
     def __init__(self, config: SimulationConfig, *, arena=None, tally=None,
-                 trace=None, recorder=None, lanes=None, provider=None,
+                 trace=None, recorder=None, books=None, provider=None,
                  probe=None):
         self.config = config
         self.rec = NULL_RECORDER if recorder is None else recorder
         #: Live-plane publisher (repro.obs.live); NULL_PROBE when off.
         self.probe = NULL_PROBE if probe is None else probe
-        self.lanes = lanes
         self.trace = trace
         self.mesh = StructuredMesh(
             config.nx, config.ny, config.width, config.height, config.density
-        )
-        self.tally = tally if tally is not None else EnergyDepositionTally(
-            config.nx, config.ny
         )
         #: The cross-section backend, built exactly once per run and
         #: threaded into every context (and the source sampler).
@@ -402,18 +378,19 @@ class CensusStepper:
             recorder=self.rec if self.rec.enabled else None
         )
         self.ws = Workspace()
-        self.counters = Counters(nparticles=len(arena))
-        self.coll_pp = np.zeros(len(arena), dtype=np.int64)
-        self.facet_pp = np.zeros(len(arena), dtype=np.int64)
-        if lanes is None:
-            self.counters.rng_draws += 4 * len(arena)  # birth draws
-        else:
-            birth = np.bincount(lanes.rep, minlength=lanes.nreplicas)
-            for r in range(lanes.nreplicas):
-                lanes.counters[r].rng_draws += 4 * int(birth[r])
-        #: Dead histories parked by compact-at-switch, re-appended before
-        #: the result is built so population accounting and fingerprints
-        #: match an uncompacted run.
+        #: Per-replica counters/tallies, per-lane replica and work arrays,
+        #: and the run totals (``counters`` / ``tally`` below).
+        self.books = books or ReplicaBooks(
+            (self.run_config,), np.zeros(len(arena), dtype=np.int64),
+            lambda: EnergyDepositionTally(config.nx, config.ny), tally,
+        )
+        self.counters = self.books.totals
+        self.tally = self.books.tally
+        self.books.charge_births(4)
+        #: Dead histories parked by compact-at-switch (arena rows and
+        #: their books rows), re-appended before the result is built so
+        #: population accounting and fingerprints match an uncompacted
+        #: run.
         self.morgue: list[tuple] = []
         #: True while the arena may disagree with the OE context's
         #: positional caches (set by OP steps and boundary maintenance).
@@ -425,20 +402,14 @@ class CensusStepper:
     def alive_count(self) -> int:
         return int(self.arena.alive.sum())
 
+    def total_events(self) -> int:
+        """Events executed so far, over every replica."""
+        return self.books.live_totals()[0]
+
     def _probe_step(self, step: int) -> None:
         """Publish this shard's in-progress counter totals to the live
-        plane (fused ensemble lanes keep per-replica counters, so sum
-        them in; OP's xs stats fold only at finalisation and appear at
-        shard commit instead — live totals jump there, monotonically)."""
-        c = self.counters
-        events = c.total_events
-        xs = c.xs_lookups
-        probes = c.xs_binary_probes + c.xs_linear_probes
-        if self.lanes is not None:
-            for rc in self.lanes.counters:
-                events += rc.total_events
-                xs += rc.xs_lookups
-                probes += rc.xs_binary_probes + rc.xs_linear_probes
+        plane."""
+        events, xs, probes = self.books.live_totals()
         self.probe.step_complete(
             step=step,
             alive=self.alive_count(),
@@ -469,27 +440,16 @@ class CensusStepper:
                 "switch-boundary sort/compact is incompatible with event "
                 "tracing (traces address histories by arena index)"
             )
-        if self.lanes is not None:
-            raise ValueError(
-                "switch-boundary sort/compact is unsupported under fused "
-                "ensemble lanes"
-            )
         if decision.sort_key is not None:
-            order = self.arena.sort_by(decision.sort_key)
-            self.coll_pp = self.coll_pp[order]
-            self.facet_pp = self.facet_pp[order]
+            self.books.permute(self.arena.sort_by(decision.sort_key))
             self.oe_dirty = True
         if decision.compact:
             dead = np.nonzero(~self.arena.alive)[0]
             if dead.size:
-                self.morgue.append((
-                    self.arena.subset(dead),
-                    self.coll_pp[dead].copy(),
-                    self.facet_pp[dead].copy(),
-                ))
-                alive = np.nonzero(self.arena.alive)[0]
-                self.coll_pp = self.coll_pp[alive]
-                self.facet_pp = self.facet_pp[alive]
+                self.morgue.append(
+                    (self.arena.subset(dead), self.books.take(dead))
+                )
+                self.books.permute(np.nonzero(self.arena.alive)[0])
                 self.arena.compact()
                 self.oe_dirty = True
 
@@ -523,9 +483,8 @@ class CensusStepper:
             state["decision"] = decision
             self._apply_boundary(decision)
             if step > 0:
-                census_dt_reset(
-                    self.arena.dt_to_census, self.arena.alive, config.dt,
-                    self.lanes,
+                self.books.rearm_census(
+                    self.arena.dt_to_census, self.arena.alive
                 )
             strategy = self._strategy(decision.scheme)
             strategy.begin_step(step)
@@ -548,57 +507,19 @@ class CensusStepper:
     # ------------------------------------------------------------------
     def _finalize(self) -> None:
         arena = self.arena
-        counters = self.counters
-        tally = self.tally
+        books = self.books
         # Dead histories parked by compact-at-switch rejoin the
         # population (storage order differs from an uncompacted run, but
         # fingerprints sort by particle_id, so parity is unaffected).
-        for dead_arena, dead_coll, dead_facet in self.morgue:
+        for dead_arena, dead_rows in self.morgue:
             arena.extend(dead_arena)
-            self.coll_pp = np.concatenate([self.coll_pp, dead_coll])
-            self.facet_pp = np.concatenate([self.facet_pp, dead_facet])
+            books.append(dead_rows)
         self.morgue = []
-        op = self._strategies.get(Scheme.OVER_PARTICLES)
-        if op is not None:
-            # The OP sweep accumulates lookup statistics out-of-band;
-            # fold them into the shared books (OE charges its own lookups
-            # directly, so += composes correctly for mixed schedules).
-            stats = op.ctx.lookup_stats
-            counters.xs_lookups += stats.lookups
-            counters.xs_binary_probes += stats.binary_probes
-            counters.xs_linear_probes += stats.linear_probes
-        lanes = self.lanes
-        if lanes is not None:
-            rep = lanes.rep
-            for r in range(lanes.nreplicas):
-                sel = rep == r
-                rc = lanes.counters[r]
-                rc.nparticles = int(sel.sum())
-                rc.collisions_per_particle = self.coll_pp[sel]
-                rc.facets_per_particle = self.facet_pp[sel]
-                rc.tally_conflict_probability = (
-                    lanes.tallies[r].conflict_probability()
-                )
-                # The fused run's tally is the exact sum of the
-                # per-replica scatter-adds.
-                tally.deposition += lanes.tallies[r].deposition
-                tally.flush_counts += lanes.tallies[r].flush_counts
-                tally.flushes += lanes.tallies[r].flushes
-            for fname in Counters._SCALAR_FIELDS:
-                if fname == "nparticles":
-                    continue
-                setattr(counters, fname, getattr(counters, fname) + sum(
-                    getattr(lanes.counters[r], fname)
-                    for r in range(lanes.nreplicas)
-                ))
-        counters.nparticles = len(arena)
-        counters.collisions_per_particle = np.asarray(
-            self.coll_pp, dtype=np.int64
-        )
-        counters.facets_per_particle = np.asarray(
-            self.facet_pp, dtype=np.int64
-        )
-        counters.tally_conflict_probability = tally.conflict_probability()
+        counters = books.fold()
+        for c, t in zip(
+            books.counters + [counters], books.tallies + [books.tally]
+        ):
+            c.tally_conflict_probability = t.conflict_probability()
         counters.kernel_profile = self.dispatch.profile()
         counters.workspace_allocations = self.ws.allocations
         counters.workspace_reuses = self.ws.reuses
@@ -621,17 +542,23 @@ def _coerce_plan(config: SimulationConfig, plan):
 
 
 def run_stepped(config: SimulationConfig, plan=None, *, arena=None,
-                tally=None, trace=None, recorder=None, lanes=None,
+                tally=None, trace=None, recorder=None, books=None,
                 provider=None, probe=None):
-    """Run the unified census stepper.
+    """Run the unified census stepper — the one 2-D transport driver.
 
     ``plan`` is a :class:`Scheme` (``AUTO`` builds a live
     :class:`repro.adaptive.AdaptiveScheduler`), a :class:`SwitchPlan`,
     or any object with ``decide(step, stepper) -> StepDecision``.
 
-    Restricted to a fixed-scheme plan this reproduces the legacy
-    ``run_over_particles`` / ``run_over_events`` drivers bit-for-bit;
-    those entry points are now thin shims over this function.
+    ``arena`` is a pre-sampled population advanced in place (pool shard
+    views, scheme-equivalence tests; sampled from the config's source
+    when omitted), ``tally`` an existing tally to accumulate into,
+    ``trace`` a list receiving the Over Particles event trace
+    ``(history_index, event_kind, flat_cell)`` for :mod:`repro.simexec`,
+    ``recorder`` / ``probe`` the purely observational telemetry hooks.
+    ``books`` (:class:`~repro.core.books.ReplicaBooks`) fuses R replicas
+    into ``arena``: ``config`` then supplies the uniform fields only and
+    the per-replica results stay on the books.
     """
     from repro.core.simulation import TransportResult
 
@@ -641,15 +568,9 @@ def run_stepped(config: SimulationConfig, plan=None, *, arena=None,
             config, plan if plan is not None else Scheme.OVER_PARTICLES
         )
     plan = _coerce_plan(config, plan)
-    if lanes is not None:
-        if getattr(plan, "fixed_scheme", None) is not Scheme.OVER_EVENTS:
-            raise ValueError(
-                "fused ensemble lanes require a pure over_events plan "
-                "(the fused OP path lives in repro.ensemble.op)"
-            )
     stepper = CensusStepper(
         config, arena=arena, tally=tally, trace=trace, recorder=recorder,
-        lanes=lanes, provider=provider, probe=probe,
+        books=books, provider=provider, probe=probe,
     )
     stepper.run(plan)
     return TransportResult(

@@ -93,8 +93,7 @@ def run_coupled(
     # The transport drivers advance censused populations when ntimesteps>1;
     # for host-driven stepping we run one timestep at a time against a
     # persistent tally and difference it per step.
-    from repro.core.over_events import run_over_events
-    from repro.core.over_particles import run_over_particles
+    from repro.core.stepper import run_stepped
 
     step_cfg = config.with_(ntimesteps=1)
     if heat_dt <= 0:
@@ -110,13 +109,8 @@ def run_coupled(
     population = None  # ParticleArena, carried between steps
     total = 0.0
 
-    driver = (
-        run_over_particles
-        if scheme is Scheme.OVER_PARTICLES
-        else run_over_events
-    )
     for step in range(nsteps):
-        result = driver(step_cfg, arena=population)
+        result = run_stepped(step_cfg, scheme, arena=population)
         population = result.arena
         population.dt_to_census[population.alive] = step_cfg.dt
 

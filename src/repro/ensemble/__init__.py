@@ -16,7 +16,6 @@ from repro.ensemble.engine import (
     run_ensemble,
     run_ensemble_looped,
 )
-from repro.ensemble.lanes import EnsembleLanes
 from repro.ensemble.spec import (
     FUSIBLE_FIELDS,
     SWEEPABLE_PARAMS,
@@ -26,7 +25,6 @@ from repro.ensemble.spec import (
 )
 
 __all__ = [
-    "EnsembleLanes",
     "EnsembleResult",
     "EnsembleSpec",
     "FUSIBLE_FIELDS",

@@ -3,11 +3,12 @@
 ``run_ensemble`` samples every member's source into one
 :class:`~repro.particles.arena.EnsembleArena` (replica-major, each
 history keeping the exact ``(seed, particle_id)`` RNG key it would have
-standalone), runs one fused transport — Over Events passes or
-segment-scheduled Over Particles blocks across ``replicas × histories``
-lanes — and returns both the fused totals and per-replica results whose
-counters, tallies and population fingerprints are bit-identical to N
-standalone serial runs.
+standalone) and hands it, with the members'
+:class:`~repro.core.books.ReplicaBooks`, to the same census stepper
+every plain run uses — any scheme or switch plan, across
+``replicas × histories`` lanes — and returns both the fused totals and
+per-replica results whose counters, tallies and population fingerprints
+are bit-identical to N standalone serial runs.
 
 With ``nworkers > 1`` the fused arena is re-homed into shared memory and
 sharded across the existing fault-tolerant worker pool by *replica
@@ -24,11 +25,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from repro.core.books import ReplicaBooks
 from repro.core.config import Scheme, SimulationConfig
 from repro.core.counters import Counters
-from repro.core.over_events import run_over_events
-from repro.ensemble.lanes import EnsembleLanes
-from repro.ensemble.op import run_over_particles_fused
+from repro.core.stepper import run_stepped, validate_scheme_options
 from repro.ensemble.spec import EnsembleSpec, validate_members
 from repro.mesh.structured import StructuredMesh
 from repro.mesh.tally import EnergyDepositionTally
@@ -118,15 +118,11 @@ class EnsembleJob:
     def run_ranges(self, scheme, population, ranges, recorder=None,
                    probe=None):
         """Run the fused transport over replica-aligned shard ranges;
-        returns the pool payload dict plus per-replica books.
-
-        ``probe`` feeds the live plane: OE publishes per census step via
-        the stepper, the fused OP driver at shard commit only (its
-        per-replica counters fold at finalisation)."""
+        returns the pool payload dict plus per-replica books."""
         t0 = time.perf_counter()
         bounds = np.asarray(self.bounds, dtype=np.int64)
         tally = EnergyDepositionTally(self.nx, self.ny)
-        counters = None
+        counters = Counters()
         arena_out = None
         replica_counters: dict[int, Counters] = {}
         replica_tallies: dict[int, EnergyDepositionTally] = {}
@@ -139,32 +135,18 @@ class EnsembleJob:
                     f"ensemble shard [{lo}, {hi}) does not align with "
                     "replica boundaries"
                 )
-            sub = self.members[r0:r1]
             view = population.view(lo, hi).copy()
             view.replica_id -= r0
-            lanes = EnsembleLanes(sub, view.replica_id, self.nx, self.ny)
-            if scheme is Scheme.OVER_EVENTS:
-                res = run_over_events(
-                    sub[0], arena=view, lanes=lanes, recorder=recorder,
-                    probe=probe,
-                )
-            else:
-                res = run_over_particles_fused(
-                    sub, view, lanes, recorder=recorder
-                )
-            if probe is not None and probe.enabled:
-                probe.commit_shard(res.counters, hi - lo)
+            res, books = _run_fused(
+                self.members[r0:r1], view, scheme, recorder=recorder,
+                probe=probe,
+            )
             res.arena.replica_id += r0
-            for k in range(len(sub)):
-                replica_counters[r0 + k] = lanes.counters[k]
-                replica_tallies[r0 + k] = lanes.tallies[k]
-            tally.deposition += res.tally.deposition
-            tally.flush_counts += res.tally.flush_counts
-            tally.flushes += res.tally.flushes
-            if counters is None:
-                counters = res.counters
-            else:
-                counters.merge_disjoint(res.counters)
+            for k in range(r1 - r0):
+                replica_counters[r0 + k] = books.counters[k]
+                replica_tallies[r0 + k] = books.tallies[k]
+            tally.merge(res.tally)
+            counters.merge_disjoint(res.counters)
             if arena_out is None:
                 arena_out = res.arena
             else:
@@ -172,7 +154,7 @@ class EnsembleJob:
             histories += hi - lo
         return {
             "tally": tally,
-            "counters": counters if counters is not None else Counters(),
+            "counters": counters,
             "arena": arena_out,
             "busy_s": time.perf_counter() - t0,
             "histories": histories,
@@ -182,34 +164,32 @@ class EnsembleJob:
         }
 
 
+def _run_fused(members, arena, scheme, *, recorder=None, provider=None,
+               probe=None):
+    """Advance ``arena`` (an :class:`EnsembleArena` whose ``replica_id``
+    indexes ``members``) through the census stepper; returns the fused
+    ``TransportResult`` and the members' books."""
+    base = members[0]
+    histories = len(arena)
+    books = ReplicaBooks(
+        members, arena.replica_id,
+        lambda: EnergyDepositionTally(base.nx, base.ny),
+    )
+    res = run_stepped(
+        base, scheme, arena=arena, books=books, recorder=recorder,
+        provider=provider, probe=probe,
+    )
+    if probe is not None and probe.enabled:
+        probe.commit_shard(res.counters, histories)
+    # The books tracked every banked child's replica; publish it.
+    res.arena.replica_id[...] = books.rep
+    return res, books
+
+
 def _expand(spec_or_members) -> tuple[SimulationConfig, ...]:
     if isinstance(spec_or_members, EnsembleSpec):
         return spec_or_members.members()
     return validate_members(spec_or_members)
-
-
-def _fused_from_replicas(replica_counters, replica_tallies, arena, nx, ny):
-    """Fold per-replica books into fused totals (replica-major order)."""
-    nrep = len(replica_counters)
-    tally = EnergyDepositionTally(nx, ny)
-    counters = Counters()
-    for r in range(nrep):
-        tally.deposition += replica_tallies[r].deposition
-        tally.flush_counts += replica_tallies[r].flush_counts
-        tally.flushes += replica_tallies[r].flushes
-    for fname in Counters._SCALAR_FIELDS:
-        setattr(counters, fname, sum(
-            getattr(replica_counters[r], fname) for r in range(nrep)
-        ))
-    counters.collisions_per_particle = np.concatenate([
-        replica_counters[r].collisions_per_particle for r in range(nrep)
-    ]) if nrep else np.zeros(0, dtype=np.int64)
-    counters.facets_per_particle = np.concatenate([
-        replica_counters[r].facets_per_particle for r in range(nrep)
-    ]) if nrep else np.zeros(0, dtype=np.int64)
-    counters.tally_conflict_probability = tally.conflict_probability()
-    counters.arena_nbytes = arena.nbytes()
-    return counters, tally
 
 
 def run_ensemble(
@@ -233,7 +213,9 @@ def run_ensemble(
         An :class:`~repro.ensemble.spec.EnsembleSpec` or an explicit
         sequence of member configs (validated fusible).
     scheme:
-        Traversal order for the fused run.
+        Traversal order for the fused run: a fixed :class:`Scheme`,
+        ``Scheme.AUTO`` or a :class:`~repro.core.stepper.SwitchPlan`,
+        exactly as in ``Simulation.run``.
     nworkers:
         ``1`` runs fused in-process; ``> 1`` shards the fused arena by
         replica blocks across the fault-tolerant worker pool.
@@ -247,20 +229,23 @@ def run_ensemble(
     live:
         Optional :class:`repro.obs.live.LiveAggregator` attaching the
         live observability plane (purely observational; see
-        ``run_pool``).  The serial OE path streams per census step; the
-        fused OP path reports at completion.
+        ``run_pool``); counter totals stream per census step.
     """
+    from repro.parallel.pool import _result_scheme
+
     t0 = time.perf_counter()
     rec = NULL_RECORDER if recorder is None else recorder
     members = _expand(spec_or_members)
     nrep = len(members)
     base = members[0]
+    validate_scheme_options(base, scheme)
+    label = _result_scheme(scheme)
     if live is not None:
         live.update_run(
             problem=getattr(base, "name", "") or "",
             nparticles=int(sum(m.nparticles for m in members)),
             ntimesteps=int(base.ntimesteps),
-            scheme=scheme.value,
+            scheme=label.value,
             nworkers=int(nworkers),
             replicas=nrep,
             mode="ensemble",
@@ -276,7 +261,6 @@ def run_ensemble(
         )
     else:
         run_members = members
-    run_base = run_members[0]
     mesh = StructuredMesh(
         base.nx, base.ny, base.width, base.height, base.density
     )
@@ -294,34 +278,24 @@ def run_ensemble(
     ).astype(np.int64)
 
     with rec.span(
-        "ensemble_run", replicas=nrep, scheme=scheme.name,
+        "ensemble_run", replicas=nrep, scheme=label.name,
         nworkers=nworkers,
     ):
         if nworkers <= 1:
-            lanes = EnsembleLanes(
-                run_members, fused.replica_id, base.nx, base.ny
+            fused_result, books = _run_fused(
+                run_members, fused, scheme,
+                recorder=rec if rec.enabled else None,
+                provider=provider,
+                probe=live.probe(0) if live is not None else None,
             )
-            inner_rec = rec if rec.enabled else None
-            probe = live.probe(0) if live is not None else None
-            if scheme is Scheme.OVER_EVENTS:
-                fused_result = run_over_events(
-                    run_base, arena=fused, lanes=lanes, recorder=inner_rec,
-                    provider=provider, probe=probe,
-                )
-            else:
-                fused_result = run_over_particles_fused(
-                    run_members, fused, lanes, recorder=inner_rec,
-                    provider=provider,
-                )
-            if probe is not None:
-                probe.commit_shard(fused_result.counters, len(fused))
             final = fused_result.arena
-            replica_counters = list(lanes.counters)
-            replica_tallies = list(lanes.tallies)
+            replica_counters = books.counters
+            replica_tallies = books.tallies
             fused_counters = fused_result.counters
             fused_tally = fused_result.tally
         else:
-            final, replica_counters, replica_tallies = _run_ensemble_pool(
+            (final, replica_counters, replica_tallies, fused_counters,
+             fused_tally) = _run_ensemble_pool(
                 run_members, fused, bounds, scheme, nworkers,
                 max_retries=max_retries,
                 shard_timeout=shard_timeout,
@@ -329,9 +303,6 @@ def run_ensemble(
                 fault_plan=fault_plan,
                 recorder=rec,
                 live=live,
-            )
-            fused_counters, fused_tally = _fused_from_replicas(
-                replica_counters, replica_tallies, final, base.nx, base.ny
             )
 
     replicas = []
@@ -361,7 +332,7 @@ def run_ensemble(
         live.mark_done()
     return EnsembleResult(
         members=members,
-        scheme=scheme,
+        scheme=label,
         replicas=replicas,
         counters=fused_counters,
         tally=fused_tally,
@@ -419,8 +390,13 @@ def _run_ensemble_pool(
                 slot.proc.join(5.0)
         shared_pop.close(unlink=True)
 
+    # Reduce in shard-id order, like ``run_pool``: the merged counters
+    # carry every shard's kernel profile, workspace churn and pass
+    # structure, and the per-particle arrays line up with ``final``.
     replica_counters: list = [None] * nrep
     replica_tallies: list = [None] * nrep
+    counters = Counters()
+    tally = EnergyDepositionTally(base.nx, base.ny)
     final = None
     for sid in sorted(results):
         payload = results[sid]
@@ -428,14 +404,15 @@ def _run_ensemble_pool(
             final = payload["arena"]
         else:
             final.extend(payload["arena"])
+        counters.merge_disjoint(payload["counters"])
+        tally.merge(payload["tally"])
         for r, c in payload["replica_counters"].items():
             replica_counters[r] = c
         for r, t in payload["replica_tallies"].items():
             replica_tallies[r] = t
-    # Restore replica-major order (stable — within-replica order, which
-    # parity depends on, is preserved).
-    final.sort_by("replica_id")
-    return final, replica_counters, replica_tallies
+    counters.tally_conflict_probability = tally.conflict_probability()
+    counters.arena_nbytes = final.nbytes()
+    return final, replica_counters, replica_tallies, counters, tally
 
 
 @dataclass

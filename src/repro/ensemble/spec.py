@@ -6,7 +6,7 @@ Fusion requires the members to share everything the fused kernel
 dispatches treat as uniform — mesh geometry, material set, particle
 count, traversal options.  Only the per-lane quantities (RNG seed,
 cutoffs, timestep length, source spectrum) may differ; they are gathered
-into :class:`~repro.ensemble.lanes.EnsembleLanes` arrays indexed by each
+into :class:`~repro.core.books.ReplicaBooks` arrays indexed by each
 particle's ``replica_id``.
 """
 

@@ -15,8 +15,8 @@ import time
 
 import numpy as np
 
+from repro.core.books import ReplicaBooks
 from repro.core.counters import Counters
-from repro.rng.stream import VectorParticleRNG
 from repro.volume.driver3 import (
     Transport3DResult,
     _sample_source_3d,
@@ -26,7 +26,6 @@ from repro.volume.mesh3 import StructuredMesh3D, Tally3D
 from repro.volume.problems3 import Volume3DConfig
 
 __all__ = [
-    "EnsembleLanes3",
     "Replica3Result",
     "population_fingerprint_3d",
     "run_ensemble_3d",
@@ -72,21 +71,6 @@ def validate_members_3d(members) -> tuple[Volume3DConfig, ...]:
     return members
 
 
-class EnsembleLanes3:
-    """Replica-indexed books for one fused 3-D run (static population)."""
-
-    def __init__(self, members, rep: np.ndarray):
-        self.members = tuple(members)
-        self.nreplicas = len(self.members)
-        self.rep = np.asarray(rep, dtype=np.int64).copy()
-        self.seeds = np.array([m.seed for m in self.members], dtype=np.uint64)
-        self.counters = [Counters() for _ in self.members]
-        base = self.members[0]
-        self.tallies = [
-            Tally3D(base.nx, base.ny, base.nz) for _ in self.members
-        ]
-
-
 @dataclasses.dataclass
 class Replica3Result:
     """One member's unfused 3-D result."""
@@ -119,27 +103,24 @@ def run_ensemble_3d(members, recorder=None) -> Ensemble3Result:
         base.nx, base.ny, base.nz,
         base.width, base.height, base.depth, base.density,
     )
-    arenas = [_sample_source_3d(m, mesh)[0] for m in members]
+    arenas = [_sample_source_3d(m, mesh) for m in members]
     sizes = [len(a) for a in arenas]
     fused = arenas[0]
     for extra in arenas[1:]:
         fused.extend(extra)
     rep = np.repeat(np.arange(nrep, dtype=np.int64), sizes)
-    lanes = EnsembleLanes3(members, rep)
-    rng = VectorParticleRNG(
-        lanes.seeds[rep], fused.particle_id, fused.rng_counter
+    books = ReplicaBooks(
+        members, rep, lambda: Tally3D(base.nx, base.ny, base.nz)
     )
-    result = run_over_events_3d(
-        base, recorder, arena=fused, rng=rng, lanes=lanes
-    )
+    result = run_over_events_3d(base, recorder, arena=fused, books=books)
     replicas = []
     for r in range(nrep):
         sel = np.nonzero(rep == r)[0]
         replicas.append(Replica3Result(
             replica=r,
             config=members[r],
-            counters=lanes.counters[r],
-            tally=lanes.tallies[r],
+            counters=books.counters[r],
+            tally=books.tallies[r],
             arena=result.arena.subset(sel),
         ))
     return Ensemble3Result(

@@ -10,8 +10,10 @@ from repro.kernels.audit import (
     AUDITED_PACKAGES,
     CENSUS_AUDITED_PACKAGES,
     CENSUS_LOOP_HOME,
+    SINGLE_PATH_PACKAGES,
     audit_census_loops,
     audit_particle_construction,
+    audit_single_path,
     audit_vec_definitions,
     audit_xs_table_access,
 )
@@ -27,8 +29,9 @@ def main(argv=None) -> int:
         action="store_true",
         help="fail if any *_vec physics implementation exists outside "
         "repro/kernels, any hot path constructs AoS particle records, "
-        "or any driver re-implements the census loop outside "
-        "repro/core/stepper.py",
+        "any driver re-implements the census loop outside "
+        "repro/core/stepper.py, or any driver forks on whether it has "
+        "replica books",
     )
     args = parser.parse_args(argv)
     if not args.check:
@@ -39,6 +42,7 @@ def main(argv=None) -> int:
         + audit_particle_construction()
         + audit_census_loops()
         + audit_xs_table_access()
+        + audit_single_path()
     )
     if violations:
         for v in violations:
@@ -57,6 +61,9 @@ def main(argv=None) -> int:
           f"({census_pkgs} audited)")
     print("OK: no direct cross-section table access outside repro/xs "
           "(all packages audited)")
+    single_pkgs = ", ".join(SINGLE_PATH_PACKAGES)
+    print(f"OK: no None test on the replica books and no *_vec kernel "
+          f"alias ({single_pkgs} audited)")
     return 0
 
 

@@ -3,13 +3,12 @@
 ``python -m repro.kernels --check`` scans ``repro/physics``, ``repro/xs``
 and ``repro/rng`` for function definitions (module- or class-level) whose
 name ends in ``_vec``.  Those used to be the hand-maintained vectorised
-twins of the scalar physics; they are now deprecated aliases of the batch
-kernels in this package.  The audit fails CI if a real implementation
-creeps back.
+twins of the scalar physics; callers now use the batch kernels in this
+package by name.  The audit fails CI if a real implementation — or a
+``*_vec = <kernel>`` alias of one — creeps back.
 
 Permitted:
 
-* plain name aliases (``collide_vec = kernels.collide`` — no ``def``);
 * thin delegating wrappers whose body is a single ``return <call>`` (plus
   an optional docstring) — public-API shims that cannot drift;
 * an explicit allowlist for genuine batch primitives that predate the
@@ -34,6 +33,7 @@ __all__ = [
     "audit_particle_construction",
     "audit_census_loops",
     "audit_xs_table_access",
+    "audit_single_path",
     "AUDITED_PACKAGES",
     "ALLOWED_VEC_DEFS",
     "ARENA_AUDITED_PACKAGES",
@@ -45,6 +45,8 @@ __all__ = [
     "FORBIDDEN_XS_NAMES",
     "XS_TABLE_ATTRS",
     "ALLOWED_XS_TABLE_FILES",
+    "SINGLE_PATH_PACKAGES",
+    "BOOKS_NAME_PARTS",
 ]
 
 #: Packages that must not define ``*_vec`` implementations.
@@ -101,6 +103,14 @@ ALLOWED_XS_TABLE_FILES = frozenset({
     "particles/source.py",
 })
 
+#: Packages that must keep one execution path: every run carries replica
+#: books (:class:`repro.core.books.ReplicaBooks`), so no driver may fork
+#: on whether it has them.
+SINGLE_PATH_PACKAGES = ("core", "volume", "ensemble")
+
+#: Substrings marking a name as the run's replica books.
+BOOKS_NAME_PARTS = ("lanes", "books")
+
 
 def _is_thin_wrapper(node: ast.FunctionDef) -> bool:
     """True when the body is (docstring +) a single ``return <call>``."""
@@ -123,6 +133,24 @@ def _vec_defs(tree: ast.AST):
                 yield node
 
 
+def _vec_aliases(tree: ast.AST):
+    """``<name>_vec = <name or attribute>`` assignments (plain aliases)."""
+    for node in ast.walk(tree):
+        if (
+            isinstance(node, ast.Assign)
+            and len(node.targets) == 1
+            and isinstance(node.targets[0], ast.Name)
+            and node.targets[0].id.endswith("_vec")
+            and isinstance(node.value, (ast.Name, ast.Attribute))
+        ):
+            yield node
+
+
+_VEC_ALIAS_MESSAGE = (
+    "= <kernel> alias — call the batch kernel by its repro.kernels name"
+)
+
+
 def audit_vec_definitions(package_root: str | Path | None = None) -> list[str]:
     """Return violation messages (empty list means the audit passes)."""
     if package_root is None:
@@ -140,8 +168,62 @@ def audit_vec_definitions(package_root: str | Path | None = None) -> list[str]:
                     continue
                 violations.append(
                     f"{rel}:{node.lineno}: def {node.name} — vectorised "
-                    "physics must live in repro/kernels (alias or thin "
-                    "wrapper only)"
+                    "physics must live in repro/kernels (thin wrapper "
+                    "only)"
+                )
+            for node in _vec_aliases(tree):
+                violations.append(
+                    f"{rel}:{node.lineno}: {node.targets[0].id} "
+                    + _VEC_ALIAS_MESSAGE
+                )
+    return violations
+
+
+def _is_books_name(node: ast.AST) -> bool:
+    name = node.id if isinstance(node, ast.Name) else (
+        node.attr if isinstance(node, ast.Attribute) else ""
+    )
+    return any(part in name for part in BOOKS_NAME_PARTS)
+
+
+def audit_single_path(package_root: str | Path | None = None) -> list[str]:
+    """Reject a second execution path in :data:`SINGLE_PATH_PACKAGES`.
+
+    A plain run is one replica through the same books as an ensemble, so
+    an ``is None`` / ``is not None`` test on them is a serial-vs-fused
+    fork re-appearing; so is a ``*_vec = <kernel>`` alias naming a second
+    way to reach a kernel.  Returns violation messages (empty list means
+    the audit passes).
+    """
+    if package_root is None:
+        package_root = Path(__file__).resolve().parent.parent
+    package_root = Path(package_root)
+    violations: list[str] = []
+    for pkg in SINGLE_PATH_PACKAGES:
+        for path in sorted((package_root / pkg).rglob("*.py")):
+            rel = path.relative_to(package_root).as_posix()
+            tree = ast.parse(path.read_text(), filename=str(path))
+            for node in ast.walk(tree):
+                if not isinstance(node, ast.Compare):
+                    continue
+                operands = [node.left, *node.comparators]
+                if (
+                    any(isinstance(op, (ast.Is, ast.IsNot)) for op in node.ops)
+                    and any(
+                        isinstance(o, ast.Constant) and o.value is None
+                        for o in operands
+                    )
+                    and any(_is_books_name(o) for o in operands)
+                ):
+                    violations.append(
+                        f"{rel}:{node.lineno}: None test on the replica "
+                        "books — every run carries books; there is no "
+                        "second path to select"
+                    )
+            for node in _vec_aliases(tree):
+                violations.append(
+                    f"{rel}:{node.lineno}: {node.targets[0].id} "
+                    + _VEC_ALIAS_MESSAGE
                 )
     return violations
 

@@ -69,6 +69,13 @@ class EnergyDepositionTally:
         np.add.at(self.flush_counts, (iy, ix), 1)
         self.flushes += int(len(ix))
 
+    def merge(self, other: "EnergyDepositionTally") -> None:
+        """Add another tally's deposits and flush histogram into this one
+        (the reduce of privatise-then-reduce, §VI-F)."""
+        self.deposition += other.deposition
+        self.flush_counts += other.flush_counts
+        self.flushes += other.flushes
+
     def total(self) -> float:
         """Total deposited energy over the mesh."""
         return float(self.deposition.sum())

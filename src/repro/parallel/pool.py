@@ -1101,9 +1101,7 @@ def _reduce(config, scheme, options, shards, results, dispatcher, t0,
         r = results[sid]
         if rec.enabled and "telemetry" in r:
             rec.merge_payload(r["telemetry"])
-        tally.deposition += r["tally"].deposition
-        tally.flush_counts += r["tally"].flush_counts
-        tally.flushes += r["tally"].flushes
+        tally.merge(r["tally"])
         merged.merge_disjoint(r["counters"])
         final = 0
         if r["arena"] is not None:

@@ -234,10 +234,6 @@ class _FieldArena:
             order = np.lexsort((self.cellx, self.celly))
         elif key == "particle_id":
             order = np.argsort(self.particle_id, kind="stable")
-        elif key == "replica_id" and hasattr(self, "replica_id"):
-            # Stable: restores replica-major blocks while preserving the
-            # within-replica order every parity argument relies on.
-            order = np.argsort(self.replica_id, kind="stable")
         else:
             raise ValueError(
                 f"unknown sort key {key!r}; use energy, cell or particle_id"
@@ -529,8 +525,8 @@ class EnsembleArena(ParticleArena):
     @classmethod
     def from_records(cls, records) -> "EnsembleArena":
         """Build from plain :class:`ParticleRecord` tuples (19 fields);
-        ``replica_id`` defaults to 0 — the banking driver assigns the
-        parent's replica right after the append."""
+        ``replica_id`` defaults to 0 — the run's replica books track each
+        child's replica and the engine publishes it when the run ends."""
         arena = cls(len(records))
         for j, (name, _) in enumerate(ParticleArena.FIELDS):
             getattr(arena, name)[...] = [r[j] for r in records]
@@ -550,25 +546,6 @@ class EnsembleArena(ParticleArena):
             out.replica_id[off:off + n] = r
             off += n
         return out
-
-    def replica_segments(self) -> list[tuple[int, int, int]]:
-        """Contiguous ``(replica, lo, hi)`` runs, in storage order.
-
-        On a freshly fused (or ``sort_by("replica_id")``-restored) arena
-        each replica appears exactly once; mid-run — after children are
-        appended — a replica may own several runs.  Segment-wise
-        iteration is what keeps Over Particles blocks from ever spanning
-        a replica boundary.
-        """
-        if self.n == 0:
-            return []
-        rep = self.replica_id
-        cuts = np.nonzero(rep[1:] != rep[:-1])[0] + 1
-        bounds = np.concatenate(([0], cuts, [self.n]))
-        return [
-            (int(rep[lo]), int(lo), int(hi))
-            for lo, hi in zip(bounds[:-1], bounds[1:])
-        ]
 
 
 # ---------------------------------------------------------------------------

@@ -23,19 +23,18 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from repro.kernels import batch
+from repro.kernels.xs import search_bins
 from repro.mesh.structured import StructuredMesh
 from repro.particles.arena import ParticleArena
 from repro.particles.particle import Particle
 from repro.rng.stream import ParticleRNG, VectorParticleRNG
 from repro.rng.distributions import (
     sample_isotropic_direction,
-    sample_isotropic_direction_vec,
     sample_mean_free_paths,
-    sample_mean_free_paths_vec,
     sample_position_in_box,
-    sample_position_in_box_vec,
 )
-from repro.xs.lookup import binary_search_bin, binary_search_bin_vec
+from repro.xs.lookup import binary_search_bin
 from repro.xs.tables import CrossSectionTable
 
 __all__ = ["SourceRegion", "sample_source", "sample_source_aos", "sample_source_soa"]
@@ -108,15 +107,15 @@ def sample_source(
     u2 = rng.next_uniform()
     u3 = rng.next_uniform()
     u4 = rng.next_uniform()
-    x, y = sample_position_in_box_vec(
+    x, y = batch.sample_position_in_box(
         u1, u2, region.x0, region.x1, region.y0, region.y1
     )
     arena.x[...] = x
     arena.y[...] = y
-    ox, oy = sample_isotropic_direction_vec(u3)
+    ox, oy = batch.sample_isotropic_direction(u3)
     arena.omega_x[...] = ox
     arena.omega_y[...] = oy
-    arena.mfp_to_collision[...] = sample_mean_free_paths_vec(u4)
+    arena.mfp_to_collision[...] = batch.sample_mean_free_paths(u4)
     arena.energy[...] = region.energy_ev
     arena.weight[...] = region.weight
     arena.dt_to_census[...] = dt
@@ -129,9 +128,9 @@ def sample_source(
         for field, bins in provider.source_bins_batch(0, arena.energy).items():
             getattr(arena, field)[...] = bins
     if scatter_table is not None:
-        arena.scatter_bin[...] = binary_search_bin_vec(scatter_table, arena.energy)
+        arena.scatter_bin[...] = search_bins(scatter_table, arena.energy)
     if capture_table is not None:
-        arena.capture_bin[...] = binary_search_bin_vec(capture_table, arena.energy)
+        arena.capture_bin[...] = search_bins(capture_table, arena.energy)
     return arena
 
 

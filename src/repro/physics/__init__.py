@@ -19,12 +19,10 @@ from repro.physics.constants import (
     NEUTRON_MASS_KG,
     EV_TO_J,
     speed_from_energy_ev,
-    speed_from_energy_ev_vec,
 )
 from repro.physics.events import (
     EventKind,
     distance_to_facet,
-    distance_to_facet_vec,
     distance_to_collision,
     distance_to_census,
 )
@@ -35,10 +33,8 @@ __all__ = [
     "NEUTRON_MASS_KG",
     "EV_TO_J",
     "speed_from_energy_ev",
-    "speed_from_energy_ev_vec",
     "EventKind",
     "distance_to_facet",
-    "distance_to_facet_vec",
     "distance_to_collision",
     "distance_to_census",
     "elastic_scatter_kinematics",

@@ -33,10 +33,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.kernels import batch as _batch
-
-__all__ = ["CollisionOutcome", "elastic_scatter_kinematics",
-           "elastic_scatter_kinematics_vec", "collide", "collide_vec"]
+__all__ = ["CollisionOutcome", "elastic_scatter_kinematics", "collide"]
 
 
 @dataclass(frozen=True)
@@ -44,7 +41,7 @@ class CollisionOutcome:
     """Everything a collision changes, in one value.
 
     Scalar fields for the Over Particles scheme; the vectorised driver uses
-    :func:`collide_vec` directly on arrays.
+    :func:`repro.kernels.batch.collide` directly on arrays.
 
     ``below_weight_cutoff`` is only set when the caller deferred the
     weight-cutoff decision (Russian roulette mode): the history survived
@@ -92,10 +89,6 @@ def elastic_scatter_kinematics(
     return e_frac, mu_lab, sin_lab
 
 
-# Deprecated alias of the batch kernel.
-elastic_scatter_kinematics_vec = _batch.elastic_scatter_kinematics
-
-
 def collide(
     energy: float,
     weight: float,
@@ -139,7 +132,7 @@ def collide(
     new_oy = omega_y * mu_lab + omega_x * sin_lab * sense
 
     # --- re-sample the optical distance to the next collision.
-    # numpy's log for bit-parity with collide_vec (libm may differ by 1 ulp).
+    # numpy's log for bit-parity with the batch kernel (libm may differ by 1 ulp).
     mfp = float(-np.log(1.0 - u_mfp))
 
     # --- variance-reduction termination (weight or energy cutoff, §IV-E):
@@ -165,8 +158,3 @@ def collide(
         terminated=terminated,
         below_weight_cutoff=below_weight,
     )
-
-
-# Deprecated alias of the batch kernel; returns
-# (energy, weight, ox, oy, mfp, deposit, terminated, below_weight) arrays.
-collide_vec = _batch.collide

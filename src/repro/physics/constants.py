@@ -13,14 +13,12 @@ from __future__ import annotations
 
 import math
 
-from repro.kernels import batch as _batch
 from repro.kernels.batch import NEUTRON_MASS_KG, EV_TO_J  # noqa: F401
 
 __all__ = [
     "NEUTRON_MASS_KG",
     "EV_TO_J",
     "speed_from_energy_ev",
-    "speed_from_energy_ev_vec",
 ]
 
 # Precomputed 2 eV/m_n so the hot path is a multiply and a sqrt.
@@ -36,7 +34,3 @@ def speed_from_energy_ev(energy_ev: float) -> float:
     if energy_ev < 0:
         raise ValueError("energy must be non-negative")
     return math.sqrt(_TWO_EV_OVER_MASS * energy_ev)
-
-
-# Deprecated alias of the batch kernel (no negativity check).
-speed_from_energy_ev_vec = _batch.speed_from_energy

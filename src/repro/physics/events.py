@@ -24,17 +24,13 @@ from repro.kernels.batch import (  # noqa: F401  (re-exported constants)
     HUGE_DISTANCE,
     PARALLEL_EPS,
 )
-from repro.kernels import batch as _batch
 
 __all__ = [
     "EventKind",
     "distance_to_facet",
-    "distance_to_facet_vec",
     "distance_to_collision",
-    "distance_to_collision_vec",
     "distance_to_census",
     "select_event",
-    "select_event_vec",
     "HUGE_DISTANCE",
     "PARALLEL_EPS",
 ]
@@ -97,9 +93,3 @@ def select_event(d_collision: float, d_facet: float, d_census: float) -> EventKi
     if d_facet <= d_census:
         return EventKind.FACET
     return EventKind.CENSUS
-
-
-# Deprecated aliases: the batch kernels are the single implementation.
-distance_to_facet_vec = _batch.distance_to_facet
-distance_to_collision_vec = _batch.distance_to_collision
-select_event_vec = _batch.select_events

@@ -11,11 +11,10 @@ arithmetic.
 
 from __future__ import annotations
 
-from repro.kernels import batch as _batch
 from repro.mesh.boundary import BoundaryCondition
 from repro.mesh.structured import StructuredMesh
 
-__all__ = ["cross_facet", "cross_facet_vec"]
+__all__ = ["cross_facet"]
 
 
 def cross_facet(
@@ -77,8 +76,3 @@ def cross_facet(
                     return cellx, celly, omega_x, omega_y, False, True
                 return cellx, celly, omega_x, -omega_y, True, False
             return cellx, celly - 1, omega_x, omega_y, False, False
-
-
-# Deprecated alias of the batch kernel; returns new cell indices,
-# directions, the reflected mask and the escaped mask.
-cross_facet_vec = _batch.cross_facet

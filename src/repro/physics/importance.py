@@ -24,7 +24,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.kernels import batch as _batch
 from repro.kernels.batch import MAX_SPLIT  # noqa: F401  (re-exported)
 from repro.rng.threefry import threefry2x64
 
@@ -32,7 +31,6 @@ __all__ = [
     "SPLIT_ID_DOMAIN",
     "MAX_SPLIT",
     "split_count",
-    "split_count_vec",
     "clone_id",
 ]
 
@@ -50,10 +48,6 @@ def split_count(ratio: float, u: float) -> int:
     if ratio <= 1.0:
         return 1
     return int(min(np.floor(ratio + u), MAX_SPLIT))
-
-
-# Deprecated alias of the batch kernel.
-split_count_vec = _batch.split_counts
 
 
 def clone_id(seed: int, parent_id: int, parent_counter: int, clone_index: int) -> int:

@@ -25,9 +25,7 @@ from repro.rng.threefry import (
 from repro.rng.stream import ParticleRNG, VectorParticleRNG, uniform_from_bits
 from repro.rng.distributions import (
     sample_isotropic_direction,
-    sample_isotropic_direction_vec,
     sample_mean_free_paths,
-    sample_mean_free_paths_vec,
 )
 
 __all__ = [
@@ -38,7 +36,5 @@ __all__ = [
     "VectorParticleRNG",
     "uniform_from_bits",
     "sample_isotropic_direction",
-    "sample_isotropic_direction_vec",
     "sample_mean_free_paths",
-    "sample_mean_free_paths_vec",
 ]

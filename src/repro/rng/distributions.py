@@ -18,15 +18,10 @@ import math
 
 import numpy as np
 
-from repro.kernels import batch as _batch
-
 __all__ = [
     "sample_position_in_box",
-    "sample_position_in_box_vec",
     "sample_isotropic_direction",
-    "sample_isotropic_direction_vec",
     "sample_mean_free_paths",
-    "sample_mean_free_paths_vec",
 ]
 
 
@@ -35,10 +30,6 @@ def sample_position_in_box(
 ) -> tuple[float, float]:
     """Map two uniforms to a point in the axis-aligned box ``[x0,x1]×[y0,y1]``."""
     return x0 + u1 * (x1 - x0), y0 + u2 * (y1 - y0)
-
-
-# Deprecated alias of the batch kernel.
-sample_position_in_box_vec = _batch.sample_position_in_box
 
 
 def sample_isotropic_direction(u: float) -> tuple[float, float]:
@@ -52,10 +43,6 @@ def sample_isotropic_direction(u: float) -> tuple[float, float]:
     return float(np.cos(theta)), float(np.sin(theta))
 
 
-# Deprecated alias of the batch kernel.
-sample_isotropic_direction_vec = _batch.sample_isotropic_direction
-
-
 def sample_mean_free_paths(u: float) -> float:
     """Sample the optical distance to the next collision, ``-ln(1 - u)``.
 
@@ -66,7 +53,3 @@ def sample_mean_free_paths(u: float) -> float:
     """
     # numpy's log for bit-parity with the vectorised path.
     return float(-np.log(1.0 - u))
-
-
-# Deprecated alias of the batch kernel.
-sample_mean_free_paths_vec = _batch.sample_mean_free_paths

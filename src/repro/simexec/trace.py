@@ -12,8 +12,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.core.config import SimulationConfig
-from repro.core.over_particles import run_over_particles
+from repro.core.config import Scheme, SimulationConfig
+from repro.core.stepper import run_stepped
 from repro.physics.events import EventKind
 
 __all__ = ["EventTrace", "record_trace", "synthetic_trace"]
@@ -62,7 +62,7 @@ def record_trace(config: SimulationConfig) -> tuple[EventTrace, object]:
     counters/tally without a second run.
     """
     raw: list[tuple[int, int, int]] = []
-    result = run_over_particles(config, trace=raw)
+    result = run_stepped(config, Scheme.OVER_PARTICLES, trace=raw)
 
     n = result.counters.nparticles
     per_history_kinds: list[list[int]] = [[] for _ in range(n)]

@@ -17,11 +17,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.kernels import batch3 as _batch3
 from repro.physics.collision import elastic_scatter_kinematics
 from repro.volume.kinematics3 import rotate_direction
 
-__all__ = ["Collision3Outcome", "collide3", "collide3_vec"]
+__all__ = ["Collision3Outcome", "collide3"]
 
 
 @dataclass(frozen=True)
@@ -82,8 +81,3 @@ def collide3(
         deposit=deposit,
         terminated=terminated,
     )
-
-
-# Deprecated alias of the batch kernel; returns
-# (energy, weight, ox, oy, oz, mfp, deposit, terminated) arrays.
-collide3_vec = _batch3.collide3

@@ -27,24 +27,23 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from repro.core.books import ReplicaBooks
 from repro.core.counters import Counters
-from repro.core.stepper import census_dt_reset, drive_census_loop
-from repro.kernels import KernelDispatch
+from repro.core.stepper import drive_census_loop
+from repro.kernels import KernelDispatch, batch, batch3
 from repro.kernels.dispatch import KERNEL_TABLE_3D
 from repro.obs.spans import NULL_RECORDER
 from repro.particles.arena import ParticleArena3
-from repro.physics.constants import speed_from_energy_ev, speed_from_energy_ev_vec
+from repro.physics.constants import speed_from_energy_ev
 from repro.physics.events import (
     EventKind,
     distance_to_collision,
-    distance_to_collision_vec,
     select_event,
 )
 from repro.rng.stream import ParticleRNG, VectorParticleRNG
 from repro.volume.collision3 import collide3
 from repro.volume.events3 import distance_to_facet_3d
 from repro.volume.facet3 import cross_facet_3d
-from repro.volume.kinematics3 import sample_isotropic_direction_3d_vec
 from repro.volume.mesh3 import StructuredMesh3D, Tally3D
 from repro.volume.problems3 import Volume3DConfig
 from repro.xs.macroscopic import macroscopic_cross_section
@@ -115,8 +114,8 @@ def _sample_source_3d(config: Volume3DConfig, mesh: StructuredMesh3D):
 
     Bit-identical to the retired scalar loop: the vector RNG consumes the
     same per-history counters, and every kinematics helper has an
-    element-wise-identical ``_vec`` twin.  Returns the arena plus the
-    vector RNG (the Over Events driver keeps drawing from it)."""
+    element-wise-identical batch twin.  The arena's ``rng_counter``
+    carries every stream's position on to the drivers."""
     src = config.source
     n = config.nparticles
     arena = ParticleArena3(n)
@@ -125,7 +124,7 @@ def _sample_source_3d(config: Volume3DConfig, mesh: StructuredMesh3D):
     arena.x[...] = src.x0 + u[0] * (src.x1 - src.x0)
     arena.y[...] = src.y0 + u[1] * (src.y1 - src.y0)
     arena.z[...] = src.z0 + u[2] * (src.z1 - src.z0)
-    ox, oy, oz = sample_isotropic_direction_3d_vec(u[3], u[4])
+    ox, oy, oz = batch3.sample_isotropic_direction_3d(u[3], u[4])
     arena.ox[...] = ox
     arena.oy[...] = oy
     arena.oz[...] = oz
@@ -139,7 +138,7 @@ def _sample_source_3d(config: Volume3DConfig, mesh: StructuredMesh3D):
     arena.dt[...] = config.dt
     arena.density[...] = mesh.density_at_vec(cx, cy, cz)
     arena.rng_counter[...] = rng.counters
-    return arena, rng
+    return arena
 
 
 # ---------------------------------------------------------------------------
@@ -164,7 +163,7 @@ def run_over_particles_3d(
     )
     tally = Tally3D(config.nx, config.ny, config.nz)
     provider = config.resolved_provider()
-    arena, _ = _sample_source_3d(config, mesh)
+    arena = _sample_source_3d(config, mesh)
     counters = Counters(nparticles=len(arena))
     counters.rng_draws += 6 * len(arena)
     coll_pp = np.zeros(len(arena), dtype=np.int64)
@@ -173,7 +172,7 @@ def run_over_particles_3d(
 
     def begin_step(step: int) -> None:
         if step > 0:
-            census_dt_reset(arena.dt, arena.alive, config.dt)
+            arena.dt[arena.alive] = config.dt
 
     def run_step(step: int) -> None:
         for i in range(len(arena)):
@@ -320,28 +319,20 @@ def _track_history_3d(
 # ---------------------------------------------------------------------------
 
 def run_over_events_3d(
-    config: Volume3DConfig, recorder=None, *, arena=None, rng=None,
-    lanes=None,
+    config: Volume3DConfig, recorder=None, *, arena=None, books=None,
 ) -> Transport3DResult:
     """Breadth-first 3-D transport (the Listing 2 passes in one more axis).
 
     ``recorder`` receives the span tree (run → timestep → event_pass →
     kernel:*); physics is bit-identical with or without it.
 
-    ``arena``/``rng``/``lanes`` support seed-only ensemble fusion: the
-    caller passes a pre-fused population whose RNG carries per-lane
-    seeds, plus replica-indexed lanes (``rep`` array and per-replica
-    Counters/Tally3D books).  The 3-D scheme has no fission or variance
-    reduction, so the population is static and the only per-member
-    quantity is the seed; every event site attributes to both the fused
-    and the per-replica books.  When they are ``None`` the serial path
-    is byte-for-byte the pre-existing one.
-
-    .. deprecated::
-        The census loop and census-boundary dt re-arm now live in the
-        unified stepper (:mod:`repro.core.stepper`); this entry point is
-        kept as the compatibility surface and contributes only the 3-D
-        per-step transport body.
+    ``arena``/``books`` support seed-only ensemble fusion: the caller
+    passes a pre-fused population plus the
+    :class:`~repro.core.books.ReplicaBooks` of its members (per-lane
+    replica index, per-replica Counters/Tally3D).  The 3-D scheme has no
+    fission or variance reduction, so the population is static and the
+    only per-member quantity is the seed.  A run given neither is one
+    replica of ``config`` through the same books.
     """
     t0 = time.perf_counter()
     rec = NULL_RECORDER if recorder is None else recorder
@@ -349,61 +340,25 @@ def run_over_events_3d(
         config.nx, config.ny, config.nz,
         config.width, config.height, config.depth, config.density,
     )
-    tally = Tally3D(config.nx, config.ny, config.nz)
     provider = config.resolved_provider()
-    if arena is None:
-        a, rng = _sample_source_3d(config, mesh)
-    else:
-        if rng is None:
-            raise ValueError("a pre-fused arena needs its fused rng")
-        a = arena
+    a = arena if arena is not None else _sample_source_3d(config, mesh)
     n = len(a)
-    counters = Counters(nparticles=n)
-    rep = None if lanes is None else lanes.rep
-
-    def cadd(name, idx, per=1):
-        """Count ``per`` per selected lane, fused + per-replica."""
-        setattr(counters, name, getattr(counters, name) + per * int(idx.size))
-        if lanes is not None and idx.size:
-            hits = np.bincount(rep[idx], minlength=lanes.nreplicas)
-            for r in np.nonzero(hits)[0]:
-                rc = lanes.counters[r]
-                setattr(rc, name, getattr(rc, name) + per * int(hits[r]))
-
-    def csum(name, idx, values):
-        setattr(counters, name, getattr(counters, name) + float(values.sum()))
-        if lanes is not None and idx.size:
-            for r in np.unique(rep[idx]):
-                rc = lanes.counters[r]
-                setattr(
-                    rc, name,
-                    getattr(rc, name) + float(values[rep[idx] == r].sum()),
-                )
+    books = books or ReplicaBooks(
+        (config,), np.zeros(n, dtype=np.int64),
+        lambda: Tally3D(config.nx, config.ny, config.nz),
+    )
+    rng = VectorParticleRNG(books.lane_seeds(), a.particle_id, a.rng_counter)
+    cadd = books.cadd
+    cells = (a.cellx, a.celly, a.cellz)
 
     def flush3(idx):
         """Deposit flush, attributed per replica in subsequence order."""
-        if lanes is None:
-            tally.flush_vec(
-                a["cellx"][idx], a["celly"][idx], a["cellz"][idx],
-                a["deposit"][idx],
-            )
-        else:
-            for r in np.unique(rep[idx]):
-                s = idx[rep[idx] == r]
-                lanes.tallies[r].flush_vec(
-                    a["cellx"][s], a["celly"][s], a["cellz"][s],
-                    a["deposit"][s],
-                )
+        books.flush(idx, cells, a.deposit)
         a["deposit"][idx] = 0.0
-        cadd("tally_flushes", idx)
 
-    counters.rng_draws += 6 * n
-    if lanes is not None:
-        births = np.bincount(rep, minlength=lanes.nreplicas)
-        for r in range(lanes.nreplicas):
-            lanes.counters[r].rng_draws += 6 * int(births[r])
-    coll_pp = np.zeros(n, dtype=np.int64)
-    facet_pp = np.zeros(n, dtype=np.int64)
+    books.charge_births(6)
+    coll_pp = books.coll_pp
+    facet_pp = books.facet_pp
     molar = float(provider.mat_molar[0])
     a_ratio = float(provider.mat_a[0])
     nlookups = provider.lookups_per_refresh(0)
@@ -430,7 +385,7 @@ def run_over_events_3d(
 
     def run_step(step: int) -> None:
                 if step > 0:
-                    census_dt_reset(a["dt"], a["alive"], config.dt)
+                    books.rearm_census(a["dt"], a["alive"])
                 a["censused"][:] = ~a["alive"]
                 refresh(np.nonzero(a["alive"])[0])
 
@@ -443,8 +398,8 @@ def run_over_events_3d(
                         sigma_s = macroscopic_cross_section(micro_s, a["density"], molar)
                         sigma_a = macroscopic_cross_section(micro_c, a["density"], molar)
                         sigma_t = sigma_s + sigma_a
-                        speed = speed_from_energy_ev_vec(a["energy"])
-                        d_coll = distance_to_collision_vec(a["mfp"], sigma_t)
+                        speed = batch.speed_from_energy(a["energy"])
+                        d_coll = batch.distance_to_collision(a["mfp"], sigma_t)
                         x_lo = a["cellx"] * mesh.dx
                         x_hi = (a["cellx"] + 1) * mesh.dx
                         y_lo = a["celly"] * mesh.dy
@@ -525,7 +480,7 @@ def run_over_events_3d(
                             gone = f[escaped]
                             if gone.size:
                                 cadd("escapes", gone)
-                                csum(
+                                books.csum(
                                     "escaped_energy", gone,
                                     a["weight"][gone] * a["energy"][gone],
                                 )
@@ -562,25 +517,12 @@ def run_over_events_3d(
         begin_step, run_step,
     )
 
-    counters.collisions_per_particle = coll_pp
-    counters.facets_per_particle = facet_pp
+    counters = books.fold()
     counters.kernel_profile = dispatch.profile()
     counters.arena_nbytes = a.nbytes()
     a["rng_counter"] = rng.counters
-    if lanes is not None:
-        # Fused tally = sum of the per-replica books (the flushes went to
-        # the replica tallies so each stays bit-identical to standalone).
-        for r in range(lanes.nreplicas):
-            tally.deposition += lanes.tallies[r].deposition
-            tally.flushes += lanes.tallies[r].flushes
-        for r in range(lanes.nreplicas):
-            sel = rep == r
-            rc = lanes.counters[r]
-            rc.nparticles = int(sel.sum())
-            rc.collisions_per_particle = coll_pp[sel]
-            rc.facets_per_particle = facet_pp[sel]
     return Transport3DResult(
-        config=config, tally=tally, counters=counters, arena=a,
+        config=config, tally=books.tally, counters=counters, arena=a,
         wallclock_s=time.perf_counter() - t0,
         scheme="over_events_3d",
     )

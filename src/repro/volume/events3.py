@@ -8,10 +8,9 @@ the event structure does not change with dimensionality.
 
 from __future__ import annotations
 
-from repro.kernels import batch3 as _batch3
 from repro.kernels.batch import HUGE_DISTANCE, PARALLEL_EPS
 
-__all__ = ["distance_to_facet_3d", "distance_to_facet_3d_vec"]
+__all__ = ["distance_to_facet_3d"]
 
 
 def distance_to_facet_3d(
@@ -48,7 +47,3 @@ def distance_to_facet_3d(
     if dist_y <= dist_z:
         return dist_y, 1
     return dist_z, 2
-
-
-# Deprecated alias of the batch kernel.
-distance_to_facet_3d_vec = _batch3.distance_to_facet_3d

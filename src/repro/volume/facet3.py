@@ -7,11 +7,10 @@ stays at one or two operations.
 
 from __future__ import annotations
 
-from repro.kernels import batch3 as _batch3
 from repro.mesh.boundary import BoundaryCondition
 from repro.volume.mesh3 import StructuredMesh3D
 
-__all__ = ["cross_facet_3d", "cross_facet_3d_vec"]
+__all__ = ["cross_facet_3d"]
 
 
 def cross_facet_3d(
@@ -45,7 +44,3 @@ def cross_facet_3d(
     new_cells = list(cells)
     new_cells[axis] += 1 if forward else -1
     return (*new_cells, ox, oy, oz, False, False)
-
-
-# Deprecated alias of the batch kernel.
-cross_facet_3d_vec = _batch3.cross_facet_3d

@@ -16,13 +16,9 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.kernels import batch3 as _batch3
-
 __all__ = [
     "sample_isotropic_direction_3d",
-    "sample_isotropic_direction_3d_vec",
     "rotate_direction",
-    "rotate_direction_vec",
 ]
 
 #: Below this pole margin the rotation uses the polar-axis special case.
@@ -38,10 +34,6 @@ def sample_isotropic_direction_3d(u1: float, u2: float) -> tuple[float, float, f
     s = float(np.sqrt(max(0.0, 1.0 - w * w)))
     phi = 2.0 * np.pi * u2
     return float(s * np.cos(phi)), float(s * np.sin(phi)), w
-
-
-# Deprecated alias of the batch kernel.
-sample_isotropic_direction_3d_vec = _batch3.sample_isotropic_direction_3d
 
 
 def rotate_direction(
@@ -62,7 +54,3 @@ def rotate_direction(
     nv = mu * v + s * (v * w * cosp + u * sinp) / denom
     nw = mu * w - s * denom * cosp
     return nu, nv, nw
-
-
-# Deprecated alias of the batch kernel (same pole special-case).
-rotate_direction_vec = _batch3.rotate_direction

@@ -110,6 +110,11 @@ class Tally3D:
         np.add.at(self.deposition, (iz, iy, ix), energy)
         self.flushes += int(len(ix))
 
+    def merge(self, other: "Tally3D") -> None:
+        """Add another tally's deposits and flush count into this one."""
+        self.deposition += other.deposition
+        self.flushes += other.flushes
+
     def total(self) -> float:
         """Total deposited energy."""
         return float(self.deposition.sum())

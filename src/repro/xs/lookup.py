@@ -21,11 +21,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.kernels import xs as _kernel_xs
 from repro.xs.tables import CrossSectionTable
 
-__all__ = ["LookupStats", "binary_search_bin", "cached_linear_search_bin",
-           "binary_search_bin_vec"]
+__all__ = ["LookupStats", "binary_search_bin", "cached_linear_search_bin"]
 
 
 @dataclass
@@ -129,8 +127,3 @@ def cached_linear_search_bin(
     if stats is not None:
         stats.linear_probes += probes
     return b
-
-
-# Deprecated alias of the batch kernel (same bisection via searchsorted,
-# identical clamping).
-binary_search_bin_vec = _kernel_xs.search_bins

@@ -36,7 +36,7 @@ import numpy as np
 
 from repro.kernels import xs as kernel_xs
 from repro.xs.ce import build_union_grid, default_ce_materials
-from repro.xs.lookup import LookupStats, binary_search_bin, binary_search_bin_vec
+from repro.xs.lookup import LookupStats, binary_search_bin
 from repro.xs.macroscopic import AVOGADRO, BARNS_TO_M2
 
 __all__ = [
@@ -345,18 +345,18 @@ class MultigroupProvider(XsProvider):
     def birth_bins_batch(self, mi: int, e: np.ndarray) -> dict:
         mat = self.materials[mi]
         bins = {
-            "scatter_bin": binary_search_bin_vec(mat.scatter, e),
-            "capture_bin": binary_search_bin_vec(mat.capture, e),
+            "scatter_bin": kernel_xs.search_bins(mat.scatter, e),
+            "capture_bin": kernel_xs.search_bins(mat.capture, e),
         }
         if mat.fissile:
-            bins["fission_bin"] = binary_search_bin_vec(mat.fission, e)
+            bins["fission_bin"] = kernel_xs.search_bins(mat.fission, e)
         return bins
 
     def source_bins_batch(self, mi: int, e: np.ndarray) -> dict:
         mat = self.materials[mi]
         return {
-            "scatter_bin": binary_search_bin_vec(mat.scatter, e),
-            "capture_bin": binary_search_bin_vec(mat.capture, e),
+            "scatter_bin": kernel_xs.search_bins(mat.scatter, e),
+            "capture_bin": kernel_xs.search_bins(mat.capture, e),
         }
 
     def nbytes(self) -> int:
@@ -418,7 +418,7 @@ class ContinuousEnergyProvider(XsProvider):
         return {"scatter_bin": binary_search_bin(self.grids[mi], energy)}
 
     def birth_bins_batch(self, mi: int, e: np.ndarray) -> dict:
-        return {"scatter_bin": binary_search_bin_vec(self.grids[mi], e)}
+        return {"scatter_bin": kernel_xs.search_bins(self.grids[mi], e)}
 
     def union_points(self, mi: int) -> int:
         """Union-grid size for material ``mi`` (bench/telemetry surface)."""

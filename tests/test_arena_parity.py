@@ -31,7 +31,7 @@ from repro.core import (
     scatter_problem,
     stream_problem,
 )
-from repro.core.over_events import run_over_events
+from repro.core.stepper import run_stepped
 from repro.mesh.structured import StructuredMesh
 from repro.parallel import FaultPlan, KillWorker, ScheduleKind
 from repro.particles.arena import (
@@ -286,7 +286,9 @@ def test_sort_between_timesteps_is_physics_invariant(key):
         population = None
         result = None
         for _ in range(3):
-            result = run_over_events(cfg, arena=population)
+            result = run_stepped(
+                cfg, Scheme.OVER_EVENTS, arena=population
+            )
             population = result.arena
             population.dt_to_census[population.alive] = cfg.dt
             if sort_key is not None:

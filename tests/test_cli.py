@@ -190,6 +190,18 @@ def test_ensemble_run_serve_metrics(capsys):
     assert "live metrics:" in capsys.readouterr().out
 
 
+def test_ensemble_run_scheme_auto(capsys):
+    rc = main([
+        "ensemble", "run", "--problem", "csp", "--nx", "16",
+        "--particles", "12", "--replicas", "3", "--timesteps", "3",
+        "--scheme", "auto", "--compare-looped",
+    ])
+    assert rc == 0
+    out = capsys.readouterr().out
+    assert "16x16 mesh, auto," in out
+    assert "per-replica parity vs looped: BIT-IDENTICAL" in out
+
+
 def test_run3d_serve_metrics(capsys):
     rc = main([
         "run3d", "--problem", "csp3", "--n", "8", "--particles", "10",

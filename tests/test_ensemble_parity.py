@@ -13,7 +13,11 @@ per-replica books against looped ``Simulation.run`` baselines:
 * invariance knobs: the Over Particles block size must not leak into
   results, and neither may the order members are listed in;
 * the spec layer: sweep expansion, fusibility validation, and the fused
-  totals equalling the per-replica sums.
+  totals equalling the per-replica sums;
+* the one execution path: a one-replica ensemble *is* the plain run
+  (every deterministic fact, 2-D and 3-D), AUTO and adversarial switch
+  plans run under an ensemble, pooled totals keep their kernel profile,
+  and the audit that no driver forks on having books stays clean.
 
 This file is the CI ``ensemble-parity`` job; the fault-plan cases are
 also ``chaos``-marked so the chaos job re-runs them.
@@ -24,11 +28,14 @@ import pytest
 
 from repro.core import (
     Scheme,
+    Simulation,
     csp_problem,
     scatter_problem,
     stream_problem,
 )
+from repro.core.config import SimulationConfig
 from repro.core.counters import Counters
+from repro.core.stepper import StepDecision, SwitchPlan
 from repro.ensemble import (
     EnsembleSpec,
     SweepSpec,
@@ -37,7 +44,10 @@ from repro.ensemble import (
     run_ensemble_looped,
     validate_members,
 )
+from repro.kernels.audit import audit_single_path
 from repro.parallel import FaultPlan, KillWorker
+from repro.particles.source import SourceRegion
+from repro.xs.materials import fissile_fuel, hydrogenous_moderator
 
 PROBLEMS = {
     "stream": stream_problem,
@@ -301,3 +311,231 @@ def test_validate_members_3d_is_seed_only():
     validate_members_3d([base, base.with_(seed=base.seed + 1)])
     with pytest.raises(ValueError, match="nparticles"):
         validate_members_3d([base, base.with_(nparticles=41)])
+
+
+# ---------------------------------------------------------------------------
+# One execution path: R = 1 is the plain run
+# ---------------------------------------------------------------------------
+
+def _fissile_problem(**kw):
+    """Moderated source streaming into a fissile block: two materials,
+    and secondaries that must inherit their parent's replica."""
+    nx = 32
+    density = np.full((nx, nx), 1e-30)
+    density[12:20, 12:20] = 400.0
+    mmap = np.zeros((nx, nx), dtype=np.int64)
+    mmap[12:20, 12:20] = 1
+    return SimulationConfig(
+        name="fission", nx=nx, ny=nx, width=1.0, height=1.0,
+        density=density, material_map=mmap,
+        materials=(hydrogenous_moderator(2500), fissile_fuel(2500)),
+        source=SourceRegion(x0=0.05, x1=0.15, y0=0.45, y1=0.55,
+                            energy_ev=1e6),
+        nparticles=80, dt=1e-7, ntimesteps=3, seed=3, xs_nentries=2500,
+        **kw,
+    )
+
+
+def _kernel_totals(counters):
+    profile = counters.kernel_profile
+    return (
+        {name: (row[0], row[1]) for name, row in profile.items()},
+        counters.workspace_allocations,
+        counters.workspace_reuses,
+    )
+
+
+_PLAIN_CASES = [
+    pytest.param(PROBLEMS[p], {}, scheme, id=f"{p}-{scheme.value}")
+    for p in sorted(PROBLEMS) for scheme in SCHEMES
+] + [
+    pytest.param(csp_problem, {"xs_mode": "ce"}, Scheme.OVER_EVENTS,
+                 id="csp-ce-over_events"),
+    pytest.param(_fissile_problem, None, Scheme.OVER_EVENTS,
+                 id="fissile-over_events"),
+    pytest.param(_fissile_problem, None, Scheme.OVER_PARTICLES,
+                 id="fissile-over_particles"),
+]
+
+
+@pytest.mark.parametrize("factory, overrides, scheme", _PLAIN_CASES)
+def test_one_replica_ensemble_is_the_plain_run(factory, overrides, scheme):
+    """``run_ensemble(EnsembleSpec(cfg, 1))`` replica 0 and
+    ``Simulation(cfg).run`` agree on every deterministic fact — counters,
+    per-particle work, tallies, final population, kernel calls/items,
+    workspace churn and probe counts — because they are the same path."""
+    if overrides is None:
+        cfg = factory()
+    else:
+        cfg = factory(nx=NX, nparticles=NPARTICLES, ntimesteps=TIMESTEPS,
+                      **overrides)
+    plain = Simulation(cfg).run(scheme)
+    fused = run_ensemble(EnsembleSpec(cfg, 1), scheme)
+    (rr,) = fused.replicas
+    if factory is _fissile_problem:
+        assert plain.counters.secondaries_banked > 0
+    for counters in (rr.counters, fused.counters):
+        assert counters.snapshot() == plain.counters.snapshot()
+        assert np.array_equal(counters.collisions_per_particle,
+                              plain.counters.collisions_per_particle)
+        assert np.array_equal(counters.facets_per_particle,
+                              plain.counters.facets_per_particle)
+        assert _kernel_totals(counters) == _kernel_totals(plain.counters)
+        assert counters.oe_passes == plain.counters.oe_passes
+        assert (counters.tally_conflict_probability
+                == plain.counters.tally_conflict_probability)
+    for tally in (rr.tally, fused.tally):
+        assert np.array_equal(tally.deposition, plain.tally.deposition)
+        assert np.array_equal(tally.flush_counts, plain.tally.flush_counts)
+        assert tally.flushes == plain.tally.flushes
+    for name, _ in type(plain.arena).FIELDS:
+        assert np.array_equal(
+            getattr(rr.arena, name), getattr(plain.arena, name)
+        ), name
+    assert rr.fingerprint() == population_fingerprint(plain.arena)
+    assert fused.scheme is plain.scheme
+
+
+def test_one_member_ensemble_3d_is_the_plain_run():
+    from repro.ensemble.volume import (
+        population_fingerprint_3d,
+        run_ensemble_3d,
+    )
+    from repro.volume import csp3_problem, run_over_events_3d
+
+    cfg = csp3_problem(n=8, nparticles=40, ntimesteps=2)
+    plain = run_over_events_3d(cfg)
+    ens = run_ensemble_3d([cfg])
+    (rr,) = ens.replicas
+    for counters in (rr.counters, ens.fused.counters):
+        assert counters.snapshot() == plain.counters.snapshot()
+        assert np.array_equal(counters.collisions_per_particle,
+                              plain.counters.collisions_per_particle)
+        assert np.array_equal(counters.facets_per_particle,
+                              plain.counters.facets_per_particle)
+        assert _kernel_totals(counters) == _kernel_totals(plain.counters)
+    for tally in (rr.tally, ens.fused.tally):
+        assert np.array_equal(tally.deposition, plain.tally.deposition)
+        assert tally.flushes == plain.tally.flushes
+    for name, _ in type(plain.arena).FIELDS:
+        assert np.array_equal(rr.arena[name], plain.arena[name]), name
+    assert rr.fingerprint() == population_fingerprint_3d(plain.arena)
+
+
+# ---------------------------------------------------------------------------
+# Any scheme or switch plan runs under an ensemble
+# ---------------------------------------------------------------------------
+
+#: Physics counters that are invariant under the switch schedule (the
+#: probe counters price traversal order and legitimately differ).
+PHYSICS_COUNTERS = (
+    "collisions", "facets", "census_events", "terminations",
+    "reflections", "tally_flushes", "density_reads", "xs_lookups",
+    "rng_draws",
+)
+
+
+def _adversarial_plan(ntimesteps: int) -> SwitchPlan:
+    """Switch scheme at every census boundary, sorting and compacting
+    the fused population at the switches."""
+    keys = ("energy", "cell", None, "particle_id")
+    return SwitchPlan(tuple(
+        StepDecision(
+            scheme=SCHEMES[step % 2],
+            block_size=7 if step % 2 == 0 else None,
+            sort_key=keys[step % len(keys)],
+            compact=(step % 2 == 1),
+        )
+        for step in range(ntimesteps)
+    ))
+
+
+@pytest.mark.parametrize("plan", [Scheme.AUTO, _adversarial_plan(4)],
+                         ids=["auto", "switch-every-step"])
+@pytest.mark.parametrize("nworkers", [1, 2])
+def test_switching_ensemble_matches_standalone_members(plan, nworkers):
+    base = csp_problem(nx=NX, nparticles=NPARTICLES, ntimesteps=4)
+    spec = EnsembleSpec(base, 3, seed_stride=3)
+    fused = run_ensemble(spec, plan, nworkers=nworkers)
+    assert fused.scheme is Scheme.AUTO
+    for rr, member in zip(fused.replicas, spec.members()):
+        solo = Simulation(member).run(Scheme.OVER_EVENTS)
+        assert rr.fingerprint() == population_fingerprint(solo.arena)
+        for name in PHYSICS_COUNTERS:
+            assert getattr(rr.counters, name) == getattr(
+                solo.counters, name
+            ), (rr.replica, name)
+        assert np.allclose(rr.tally.deposition, solo.tally.deposition,
+                           rtol=1e-10, atol=1e-30)
+        assert np.array_equal(rr.tally.flush_counts,
+                              solo.tally.flush_counts)
+        assert len(rr.arena) == rr.counters.nparticles
+    assert fused.counters.collisions == sum(
+        rr.counters.collisions for rr in fused.replicas
+    )
+
+
+def test_unknown_ensemble_scheme_is_rejected():
+    spec = _spec("stream")
+    with pytest.raises(ValueError, match="unknown scheme"):
+        run_ensemble(spec, "over_events")
+
+
+# ---------------------------------------------------------------------------
+# Pooled totals keep their profile
+# ---------------------------------------------------------------------------
+
+def test_pooled_totals_carry_kernel_profile_and_passes():
+    """The pooled reduce merges shard counters instead of re-summing
+    scalars: kernel calls/items, workspace churn and pass structure are
+    the disjoint merge of the shards' in-process fused runs (passes are
+    per shard, so they are not those of one arena-wide run), and the
+    per-replica-attributed ``xs_bin_reuses`` equals the in-process run's.
+    """
+    spec = EnsembleSpec(
+        csp_problem(nx=64, nparticles=60, ntimesteps=2), 4
+    )
+    members = spec.members()
+    pooled = run_ensemble(spec, Scheme.OVER_EVENTS, nworkers=2).counters
+    whole = run_ensemble(spec, Scheme.OVER_EVENTS).counters
+    shards = [
+        run_ensemble(block, Scheme.OVER_EVENTS).counters
+        for block in (members[:2], members[2:])
+    ]
+    assert pooled.kernel_profile and pooled.oe_passes
+    for name, (calls, items, _seconds) in pooled.kernel_profile.items():
+        assert calls == sum(s.kernel_profile[name][0] for s in shards)
+        assert items == sum(s.kernel_profile[name][1] for s in shards)
+    assert pooled.workspace_allocations == sum(
+        s.workspace_allocations for s in shards
+    )
+    assert len(pooled.oe_passes) == sum(len(s.oe_passes) for s in shards)
+    assert pooled.xs_bin_reuses == whole.xs_bin_reuses
+    assert pooled.snapshot() == whole.snapshot()
+
+
+# ---------------------------------------------------------------------------
+# The single path stays single
+# ---------------------------------------------------------------------------
+
+def test_single_path_audit_clean():
+    assert audit_single_path() == []
+
+
+def test_single_path_audit_flags_forks_and_aliases(tmp_path):
+    (tmp_path / "core").mkdir()
+    (tmp_path / "volume").mkdir()
+    (tmp_path / "ensemble").mkdir()
+    (tmp_path / "core" / "driver.py").write_text(
+        "def run(lanes=None, books=None):\n"
+        "    if lanes is None:\n"
+        "        return 0\n"
+        "    return 1 if self.books is not None else 2\n"
+        "collide_vec = batch.collide\n"
+        "arena = None\n"
+        "ok = arena is None\n"
+    )
+    violations = audit_single_path(tmp_path)
+    assert len(violations) == 3
+    assert sum("None test" in v for v in violations) == 2
+    assert sum("collide_vec" in v for v in violations) == 1

@@ -436,13 +436,14 @@ def test_importance_map_validation():
 
 
 def test_split_helpers():
-    from repro.physics.importance import MAX_SPLIT, clone_id, split_count, split_count_vec
+    from repro.kernels import batch
+    from repro.physics.importance import MAX_SPLIT, clone_id, split_count
 
     assert split_count(1.0, 0.99) == 1
     assert split_count(2.0, 0.0) == 2
     assert split_count(2.5, 0.6) == 3
     assert split_count(1e9, 0.5) == MAX_SPLIT
-    v = split_count_vec(np.array([0.5, 2.0, 2.5]), np.array([0.9, 0.0, 0.6]))
+    v = batch.split_counts(np.array([0.5, 2.0, 2.5]), np.array([0.9, 0.0, 0.6]))
     assert list(v) == [1, 2, 3]
     a = clone_id(7, 5, 10, 0)
     assert a == clone_id(7, 5, 10, 0)

@@ -15,9 +15,9 @@ Two families of guarantees:
 import numpy as np
 import pytest
 
-from repro.core import csp_problem, scatter_problem, stream_problem
+from repro.core import Scheme, csp_problem, scatter_problem, stream_problem
 from repro.core.config import SearchStrategy
-from repro.core.over_particles import run_over_particles
+from repro.core.stepper import run_stepped
 from repro.kernels import batch
 from repro.kernels import xs as kxs
 from repro.mesh.boundary import BoundaryCondition
@@ -250,7 +250,7 @@ def test_op_block_size_invariance(problem):
     cfg = _PROBLEMS[problem](nx=48, nparticles=25)
     reference = None
     for block in (1, 7, 64, cfg.nparticles + 3):
-        result = run_over_particles(cfg.with_(op_block_size=block))
+        result = run_stepped(cfg.with_(op_block_size=block), Scheme.OVER_PARTICLES)
         state = _final_state(result)
         snapshot = result.counters.snapshot()
         deposition = result.tally.deposition
@@ -270,7 +270,7 @@ def test_op_block_size_invariance_binary_search():
         search=SearchStrategy.BINARY
     )
     runs = [
-        run_over_particles(cfg.with_(op_block_size=block))
+        run_stepped(cfg.with_(op_block_size=block), Scheme.OVER_PARTICLES)
         for block in (1, 64)
     ]
     assert _final_state(runs[0]) == _final_state(runs[1])
@@ -281,15 +281,15 @@ def test_op_block_size_invariance_binary_search():
 
 def test_op_multi_timestep_block_invariance():
     cfg = stream_problem(nx=48, nparticles=25).with_(ntimesteps=3)
-    a = run_over_particles(cfg.with_(op_block_size=1))
-    b = run_over_particles(cfg.with_(op_block_size=64))
+    a = run_stepped(cfg.with_(op_block_size=1), Scheme.OVER_PARTICLES)
+    b = run_stepped(cfg.with_(op_block_size=64), Scheme.OVER_PARTICLES)
     assert _final_state(a) == _final_state(b)
     assert a.counters.snapshot() == b.counters.snapshot()
 
 
 def test_op_kernel_profile_attached():
     cfg = scatter_problem(nx=48, nparticles=25)
-    result = run_over_particles(cfg)
+    result = run_stepped(cfg, Scheme.OVER_PARTICLES)
     profile = result.counters.kernel_profile
     assert {"distances", "select_events", "collide", "xs_lookup"} <= set(profile)
     for calls, items, seconds in profile.values():

@@ -5,11 +5,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.kernels import batch
 from repro.physics.collision import (
     collide,
-    collide_vec,
     elastic_scatter_kinematics,
-    elastic_scatter_kinematics_vec,
 )
 
 UNIT = st.floats(min_value=0.0, max_value=1.0, exclude_max=True, allow_nan=False)
@@ -60,7 +59,7 @@ def test_heavy_target_small_energy_loss():
 def test_hydrogen_mean_energy_fraction_is_half():
     """<E'/E> = 1/2 for A=1 with isotropic CM scattering."""
     mu = np.linspace(-0.9999, 0.9999, 20001)
-    e_frac, _, _ = elastic_scatter_kinematics_vec(mu, 1.0)
+    e_frac, _, _ = batch.elastic_scatter_kinematics(mu, 1.0)
     assert e_frac.mean() == pytest.approx(0.5, abs=1e-3)
 
 
@@ -68,7 +67,7 @@ def test_hydrogen_mean_energy_fraction_is_half():
 @settings(max_examples=200, deadline=None)
 def test_kinematics_vec_matches_scalar(mu, a):
     s = elastic_scatter_kinematics(mu, a)
-    v = elastic_scatter_kinematics_vec(np.array([mu]), a)
+    v = batch.elastic_scatter_kinematics(np.array([mu]), a)
     assert s[0] == v[0][0] and s[1] == v[1][0] and s[2] == v[2][0]
 
 
@@ -143,7 +142,7 @@ def test_mfp_resampled_from_third_draw():
 def test_collide_vec_bit_identical_to_scalar(u1, u2, u3, w):
     s = _collide(u1, u2, u3, weight=w)
     arr = lambda v: np.array([v], dtype=np.float64)
-    e, wt, ox, oy, mfp, dep, term, below = collide_vec(
+    e, wt, ox, oy, mfp, dep, term, below = batch.collide(
         arr(1.0e6), arr(w), arr(1.0), arr(0.0), arr(1.0), arr(10.0),
         1.0, arr(u1), arr(u2), arr(u3), 1e-2, 1e-3,
     )

@@ -5,16 +5,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.kernels import batch
 from repro.physics.events import (
     EventKind,
     HUGE_DISTANCE,
     distance_to_census,
     distance_to_collision,
-    distance_to_collision_vec,
     distance_to_facet,
-    distance_to_facet_vec,
     select_event,
-    select_event_vec,
 )
 
 BOUNDS = (0.0, 1.0, 0.0, 1.0)
@@ -80,7 +78,7 @@ def test_facet_vec_matches_scalar():
     ox, oy = np.cos(th), np.sin(th)
     lo = np.zeros(n)
     hi = np.ones(n)
-    dv, av = distance_to_facet_vec(x, y, ox, oy, lo, hi, lo, hi)
+    dv, av = batch.distance_to_facet(x, y, ox, oy, lo, hi, lo, hi)
     for i in range(n):
         ds, as_ = distance_to_facet(x[i], y[i], ox[i], oy[i], 0.0, 1.0, 0.0, 1.0)
         assert dv[i] == ds
@@ -97,7 +95,7 @@ def test_zero_direction_component_never_hits():
 def test_collision_distance():
     assert distance_to_collision(2.0, 4.0) == pytest.approx(0.5)
     assert distance_to_collision(2.0, 0.0) == HUGE_DISTANCE
-    v = distance_to_collision_vec(np.array([2.0, 2.0]), np.array([4.0, 0.0]))
+    v = batch.distance_to_collision(np.array([2.0, 2.0]), np.array([4.0, 0.0]))
     assert v[0] == pytest.approx(0.5)
     assert v[1] == HUGE_DISTANCE
 
@@ -116,7 +114,7 @@ def test_select_event_tie_breaks():
     """Ties resolve collision < facet < census, in both code paths."""
     assert select_event(1.0, 1.0, 1.0) is EventKind.COLLISION
     assert select_event(2.0, 1.0, 1.0) is EventKind.FACET
-    ev = select_event_vec(
+    ev = batch.select_events(
         np.array([1.0, 2.0]), np.array([1.0, 1.0]), np.array([1.0, 1.0])
     )
     assert list(ev) == [int(EventKind.COLLISION), int(EventKind.FACET)]
@@ -130,5 +128,5 @@ def test_select_event_tie_breaks():
 @settings(max_examples=300, deadline=None)
 def test_select_event_vec_matches_scalar(dc, df, dz):
     s = select_event(dc, df, dz)
-    v = select_event_vec(np.array([dc]), np.array([df]), np.array([dz]))
+    v = batch.select_events(np.array([dc]), np.array([df]), np.array([dz]))
     assert int(s) == v[0]

@@ -5,9 +5,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.kernels import batch
 from repro.mesh.structured import StructuredMesh
-from repro.physics.facet import cross_facet, cross_facet_vec
-from repro.physics.constants import speed_from_energy_ev, speed_from_energy_ev_vec
+from repro.physics.facet import cross_facet
+from repro.physics.constants import speed_from_energy_ev
 from repro.physics.variance import (
     russian_roulette,
     should_terminate,
@@ -75,7 +76,7 @@ def test_cross_facet_vec_matches_scalar(mesh):
     th = rng.uniform(0.01, 2 * np.pi, n)
     ox, oy = np.cos(th), np.sin(th)
     axis = rng.integers(0, 2, n)
-    vcx, vcy, vox, voy, vre, ves = cross_facet_vec(cx, cy, ox, oy, axis, mesh)
+    vcx, vcy, vox, voy, vre, ves = batch.cross_facet(cx, cy, ox, oy, axis, mesh)
     for i in range(n):
         scx, scy, sox, soy, sre, ses = cross_facet(
             int(cx[i]), int(cy[i]), float(ox[i]), float(oy[i]), int(axis[i]), mesh
@@ -101,7 +102,7 @@ def test_speed_thermal():
 
 def test_speed_vec_parity():
     e = np.array([1.0, 1e3, 1e6])
-    v = speed_from_energy_ev_vec(e)
+    v = batch.speed_from_energy(e)
     for i in range(3):
         assert v[i] == speed_from_energy_ev(float(e[i]))
 

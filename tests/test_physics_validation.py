@@ -125,7 +125,7 @@ def test_source_directions_isotropic():
 
 def test_hydrogen_scatter_energy_uniform():
     """A=1 isotropic-CM elastic scattering: E'/E is uniform on [0, 1]."""
-    from repro.physics.collision import collide_vec
+    from repro.kernels import batch
 
     n = 20000
     rng = np.random.default_rng(0)
@@ -133,7 +133,7 @@ def test_hydrogen_scatter_energy_uniform():
     u2 = rng.uniform(0, 1, n)
     u3 = rng.uniform(0, 1, n)
     ones = np.ones(n)
-    e, *_ = collide_vec(
+    e, *_ = batch.collide(
         ones * 1e6, ones, ones, np.zeros(n), np.zeros(n), ones * 10.0,
         1.0, u1, u2, u3, 0.0, 0.0,
     )

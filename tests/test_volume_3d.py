@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.kernels import batch3
 from repro.mesh.boundary import BoundaryCondition
 from repro.volume import (
     StructuredMesh3D,
@@ -17,13 +18,11 @@ from repro.volume import (
     scatter3_problem,
     stream3_problem,
 )
-from repro.volume.events3 import distance_to_facet_3d, distance_to_facet_3d_vec
-from repro.volume.facet3 import cross_facet_3d, cross_facet_3d_vec
+from repro.volume.events3 import distance_to_facet_3d
+from repro.volume.facet3 import cross_facet_3d
 from repro.volume.kinematics3 import (
     rotate_direction,
-    rotate_direction_vec,
     sample_isotropic_direction_3d,
-    sample_isotropic_direction_3d_vec,
 )
 
 UNIT = st.floats(min_value=0.0, max_value=1.0, exclude_max=True, allow_nan=False)
@@ -38,13 +37,13 @@ UNIT = st.floats(min_value=0.0, max_value=1.0, exclude_max=True, allow_nan=False
 def test_isotropic_3d_unit_norm(u1, u2):
     x, y, z = sample_isotropic_direction_3d(u1, u2)
     assert x * x + y * y + z * z == pytest.approx(1.0, abs=1e-12)
-    vx, vy, vz = sample_isotropic_direction_3d_vec(np.array([u1]), np.array([u2]))
+    vx, vy, vz = batch3.sample_isotropic_direction_3d(np.array([u1]), np.array([u2]))
     assert (x, y, z) == (vx[0], vy[0], vz[0])
 
 
 def test_isotropic_3d_statistics():
     u = np.random.default_rng(0).uniform(0, 1, (2, 50000))
-    x, y, z = sample_isotropic_direction_3d_vec(u[0], u[1])
+    x, y, z = batch3.sample_isotropic_direction_3d(u[0], u[1])
     for comp in (x, y, z):
         assert abs(comp.mean()) < 0.02
         assert abs(np.abs(comp).mean() - 0.5) < 0.02  # E|Ω_i| = 1/2
@@ -71,10 +70,10 @@ def test_rotation_vec_matches_scalar():
     rng = np.random.default_rng(1)
     n = 300
     u1, u2 = rng.uniform(0, 1, (2, n))
-    u, v, w = sample_isotropic_direction_3d_vec(u1, u2)
+    u, v, w = batch3.sample_isotropic_direction_3d(u1, u2)
     mu = rng.uniform(-1, 1, n)
     phi = rng.uniform(0, 2 * np.pi, n)
-    nu, nv, nw = rotate_direction_vec(u, v, w, mu, phi)
+    nu, nv, nw = batch3.rotate_direction(u, v, w, mu, phi)
     for i in range(n):
         s = rotate_direction(u[i], v[i], w[i], mu[i], phi[i])
         assert s == (nu[i], nv[i], nw[i])
@@ -120,7 +119,7 @@ def test_facet_3d_scalar_vec_parity(x, y, z, u1, u2):
     b = (0.0, 1.0, 0.0, 1.0, 0.0, 1.0)
     ds, as_ = distance_to_facet_3d(x, y, z, ox, oy, oz, *b)
     arr = lambda v: np.array([v])
-    dv, av = distance_to_facet_3d_vec(
+    dv, av = batch3.distance_to_facet_3d(
         arr(x), arr(y), arr(z), arr(ox), arr(oy), arr(oz),
         arr(0.0), arr(1.0), arr(0.0), arr(1.0), arr(0.0), arr(1.0),
     )
@@ -144,9 +143,9 @@ def test_cross_facet_3d_vec_parity():
     n = 200
     cx, cy, cz = rng.integers(0, 4, (3, n))
     u1, u2 = rng.uniform(0, 1, (2, n))
-    ox, oy, oz = sample_isotropic_direction_3d_vec(u1, u2)
+    ox, oy, oz = batch3.sample_isotropic_direction_3d(u1, u2)
     axis = rng.integers(0, 3, n)
-    vec = cross_facet_3d_vec(cx, cy, cz, ox, oy, oz, axis, m)
+    vec = batch3.cross_facet_3d(cx, cy, cz, ox, oy, oz, axis, m)
     for i in range(n):
         s = cross_facet_3d(
             int(cx[i]), int(cy[i]), int(cz[i]),

@@ -5,10 +5,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.kernels import xs as kxs
 from repro.xs.lookup import (
     LookupStats,
     binary_search_bin,
-    binary_search_bin_vec,
     cached_linear_search_bin,
 )
 from repro.xs.tables import CrossSectionTable, make_capture_table
@@ -64,7 +64,7 @@ def test_clamping_below_and_above(table):
 def test_vectorised_binary_matches_scalar(table):
     rng = np.random.default_rng(1)
     e = rng.uniform(1e-6, 3e7, 500)
-    bins = binary_search_bin_vec(table, e)
+    bins = kxs.search_bins(table, e)
     for i in range(500):
         assert bins[i] == binary_search_bin(table, float(e[i]))
 
