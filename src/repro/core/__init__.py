@@ -10,7 +10,8 @@ Public entry points:
   it: depth-first history tracking (:mod:`repro.core.over_particles`,
   paper §V-A, Listing 1) or breadth-first event passes
   (:mod:`repro.core.over_events`, §V-B, Listing 2), chosen per census
-  step;
+  step — two traversal orders of the one event pass in
+  :mod:`repro.core.event_pass`;
 * :mod:`repro.core.validation` — conservation checks.
 
 Both schemes consume identical per-particle random streams and produce

@@ -9,10 +9,12 @@ the per-lane arrays that say which replica a history belongs to and how
 much work it did.  It is the *only* implementation of
 
 * count / sum / flush attribution (:meth:`cadd`, :meth:`csum`,
-  :meth:`flush`, :meth:`record_pass`), used by the 2-D Over Events
-  handlers and the 3-D driver; the Over Particles strategy binds one
-  replica's row per block (:meth:`segments` — a block never spans
-  replicas, so its whole attribution is one O(1) rebind);
+  :meth:`flush`, :meth:`record_pass`), used by the one 2-D event pass
+  (:mod:`repro.core.event_pass`) and the 3-D driver.  An Over Events
+  pass charges the books themselves, lane by lane; an Over Particles
+  block never spans replicas (:meth:`segments`), so it charges that
+  replica's whole-batch :class:`ReplicaSink` (``books.sinks[r]``) — the
+  same verbs without the split;
 * child-replica inheritance and the lock-step growth, permutation and
   compaction of the per-lane arrays;
 * birth-draw charging, live totals for the probe and the scheduler;
@@ -23,9 +25,9 @@ each charge sees exactly that replica's subsequence, in storage order.
 
 ``R = 1`` costs nothing: the sole replica's counters and tally *are* the
 run totals (same objects, so the fold has nothing to sum) and every
-attribution method takes the whole-batch branch without touching
-``rep``.  That size test on ``nreplicas`` lives in this type only — the
-drivers never ask how many replicas they carry.
+attribution method hands the whole batch to the sole replica's sink
+without touching ``rep``.  That size test on ``nreplicas`` lives in this
+type only — the drivers never ask how many replicas they carry.
 """
 
 from __future__ import annotations
@@ -34,7 +36,50 @@ import numpy as np
 
 from repro.core.counters import Counters, EventPassStats
 
-__all__ = ["ReplicaBooks"]
+__all__ = ["ReplicaBooks", "ReplicaSink"]
+
+
+class ReplicaSink:
+    """Whole-batch attribution to one replica's books.
+
+    Every lane it is handed belongs to the replica, so a count is a
+    size, a sum is one plain sum, a flush is one scatter-add, and the
+    per-lane parameters are the member's scalars.  Same verbs as
+    :class:`ReplicaBooks` (which delegates here when it carries a single
+    replica), so the event handlers charge either without knowing which.
+    """
+
+    def __init__(self, member, counters: Counters, tally):
+        self.member = member
+        self.counters = counters
+        self.tally = tally
+
+    def lane_seeds(self) -> int:
+        return self.member.seed
+
+    def seed_for(self, pi) -> int:
+        return self.member.seed
+
+    def counters_for(self, pi) -> Counters:
+        return self.counters
+
+    def ecut_at(self, idx: np.ndarray) -> float:
+        return self.member.energy_cutoff_ev
+
+    def wcut_at(self, idx: np.ndarray) -> float:
+        return self.member.weight_cutoff
+
+    def cadd(self, name: str, idx: np.ndarray, per: int = 1) -> None:
+        c = self.counters
+        setattr(c, name, getattr(c, name) + per * int(idx.size))
+
+    def csum(self, name: str, idx: np.ndarray, values: np.ndarray) -> None:
+        c = self.counters
+        setattr(c, name, getattr(c, name) + float(values.sum()))
+
+    def flush(self, idx: np.ndarray, cells, deposit: np.ndarray) -> None:
+        self.tally.flush_vec(*(c[idx] for c in cells), deposit[idx])
+        self.counters.tally_flushes += idx.size
 
 
 class ReplicaBooks:
@@ -91,19 +136,25 @@ class ReplicaBooks:
         else:
             self.counters = [Counters() for _ in self.members]
             self.tallies = [tally_factory() for _ in self.members]
+        #: One whole-batch sink per replica (an Over Particles block
+        #: charges ``sinks[r]``; with one replica every verb below does).
+        self.sinks = [
+            ReplicaSink(m, c, t)
+            for m, c, t in zip(self.members, self.counters, self.tallies)
+        ]
 
     # ------------------------------------------------------------------
     # Per-lane parameters
     def lane_seeds(self):
         """RNG key word 0 for every lane: scalar, or one per lane."""
         if self.nreplicas == 1:
-            return self.members[0].seed
+            return self.sinks[0].lane_seeds()
         return self.seeds[self.rep]
 
     def seed_for(self, pi) -> int:
         """RNG key word 0 of lane ``pi`` (its replica's seed)."""
         if self.nreplicas == 1:
-            return self.members[0].seed
+            return self.sinks[0].seed_for(pi)
         return int(self.seeds[self.rep[pi]])
 
     def counters_for(self, pi) -> Counters:
@@ -113,13 +164,13 @@ class ReplicaBooks:
     def ecut_at(self, idx: np.ndarray):
         """Energy cutoff, scalar or per lane (kernels broadcast either)."""
         if self.nreplicas == 1:
-            return self.members[0].energy_cutoff_ev
+            return self.sinks[0].ecut_at(idx)
         return self.ecut[self.rep[idx]]
 
     def wcut_at(self, idx: np.ndarray):
         """Weight cutoff, scalar or per lane."""
         if self.nreplicas == 1:
-            return self.members[0].weight_cutoff
+            return self.sinks[0].wcut_at(idx)
         return self.wcut[self.rep[idx]]
 
     def rearm_census(self, dt_to_census: np.ndarray, alive: np.ndarray) -> None:
@@ -135,9 +186,7 @@ class ReplicaBooks:
     def cadd(self, name: str, idx: np.ndarray, per: int = 1) -> None:
         """Add ``per`` per selected lane to an integer counter."""
         if self.nreplicas == 1:
-            c = self.totals
-            setattr(c, name, getattr(c, name) + per * int(idx.size))
-            return
+            return self.sinks[0].cadd(name, idx, per)
         counts = np.bincount(self.rep[idx], minlength=self.nreplicas)
         for r in np.nonzero(counts)[0]:
             c = self.counters[r]
@@ -151,9 +200,7 @@ class ReplicaBooks:
         standalone run, hence bitwise-equal partial sums.
         """
         if self.nreplicas == 1:
-            c = self.totals
-            setattr(c, name, getattr(c, name) + float(values.sum()))
-            return
+            return self.sinks[0].csum(name, idx, values)
         rep = self.rep[idx]
         for r in np.unique(rep):
             c = self.counters[r]
@@ -165,9 +212,7 @@ class ReplicaBooks:
         per mesh axis), split by replica — each replica's scatter-add
         sees exactly the subsequence its standalone run would."""
         if self.nreplicas == 1:
-            self.tally.flush_vec(*(c[idx] for c in cells), deposit[idx])
-            self.totals.tally_flushes += idx.size
-            return
+            return self.sinks[0].flush(idx, cells, deposit)
         rep = self.rep[idx]
         for r in np.unique(rep):
             sel = idx[rep == r]

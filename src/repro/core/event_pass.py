@@ -1,0 +1,557 @@
+"""The one event pass — paper Listings 1 and 2 share it.
+
+Over Particles (§V-A) and Over Events (§V-B) differ only in *traversal
+order*; what happens at a collision, a facet or census is the same
+physics.  This module is the single implementation of that physics for
+the 2-D drivers: :meth:`WorkingSet.event_pass` advances every active lane
+of a *lane working set* by exactly one event (``distances →
+select_events → masks → handlers``), and the three handlers — with the
+fission, Russian roulette and importance-map extensions (§IX) and the
+record builders of the children they spawn — exist here and nowhere else
+(the kernel audit enforces that).
+
+A :class:`WorkingSet` is a :class:`~repro.particles.arena.ParticleArena`
+plus what a pass needs beside it: the positional caches (``micro_s/c/f``,
+``mat_idx``), a :class:`~repro.rng.stream.VectorParticleRNG` over the
+lanes' streams, the lane → run-arena index ``gidx`` and an attribution
+*sink* with the :class:`~repro.core.books.ReplicaBooks` verbs.  Over
+Events builds one over the run arena in place and passes until every lane
+is censused or dead; Over Particles gathers a block of lanes into a
+private arena, passes over *that* until no lane is active, and scatters
+it back.  ``active`` is ``alive & ~censused`` in both.
+
+What legitimately differs between the schemes is handed in by the
+strategies in :mod:`repro.core.stepper`, never tested for here:
+
+1. ``refresh`` — the cross-section refresh and its search accounting
+   (:func:`repro.core.over_particles.exact_refresh` /
+   :class:`repro.core.over_events.HoistedRefresh`);
+2. when, and in what order, the one child bank
+   (:attr:`PassContext.bank`) joins the population
+   (:meth:`PassContext.join_bank`);
+3. ``book_pass`` — whether a pass books an ``EventPassStats`` row;
+4. ``trace`` — the Over Particles event-trace hook of :mod:`repro.simexec`.
+
+No per-particle object is ever constructed on this path: children are
+banked as :class:`~repro.particles.arena.ParticleRecord` field tuples.
+"""
+
+from __future__ import annotations
+
+import numpy as np
+
+from repro.kernels import EVENT_KERNELS
+from repro.kernels.batch import EventKind, split_counts
+from repro.particles.arena import ParticleRecord
+from repro.physics.fission import sample_secondary_energy, secondary_id
+from repro.physics.importance import clone_id
+from repro.rng.distributions import sample_isotropic_direction, sample_mean_free_paths
+from repro.rng.stream import ParticleRNG, VectorParticleRNG
+
+__all__ = ["PassContext", "WorkingSet"]
+
+
+class PassContext:
+    """Run-wide state shared by every lane working set of one run."""
+
+    def __init__(self, config, mesh, books, dispatch, ws, provider):
+        #: Supplies the uniform fields only (boundary, extensions);
+        #: per-replica parameters come from the sink.
+        self.config = config
+        self.mesh = mesh
+        self.books = books
+        self.dispatch = dispatch
+        self.ws = ws
+        #: The cross-section backend.  All material data and lookups go
+        #: through it; the pass never touches tables directly.
+        self.provider = provider
+        self.material_map = config.resolved_material_map()
+        #: THE child bank: ``(parent run-arena index, parent RNG counter
+        #: at the event, child index, ParticleRecord)`` per fission
+        #: secondary or importance clone, in the order they were spawned.
+        #: Sorting by the first three fields gives the order a
+        #: one-history-at-a-time traversal would have appended them in.
+        self.bank: list[tuple[int, int, int, ParticleRecord]] = []
+
+    def join_bank(self, arena) -> None:
+        """Append the banked children to the run ``arena`` in bank order;
+        each inherits its parent's replica."""
+        bank, self.bank = self.bank, []
+        arena.append_records([entry[3] for entry in bank])
+        self.books.inherit(
+            np.array([entry[0] for entry in bank], dtype=np.int64)
+        )
+
+
+class WorkingSet:
+    """One lane working set, and the event pass over it.
+
+    ``arena`` holds the lanes' particle state (the run arena itself, or a
+    gathered copy of some of its rows), ``gidx[i]`` is the run-arena row
+    of lane ``i``, and ``sink`` is charged every count, sum and tally
+    flush.  Sink verbs take lane indices: a per-lane sink (the run's
+    :class:`~repro.core.books.ReplicaBooks`) therefore needs the in-place
+    working set, where lane ``i`` *is* run-arena row ``i``; a whole-batch
+    :class:`~repro.core.books.ReplicaSink` only reads their number.
+    """
+
+    def __init__(self, ctx: PassContext, arena, gidx: np.ndarray, sink,
+                 refresh, trace=None):
+        self.ctx = ctx
+        self.arena = arena
+        self.gidx = gidx
+        self.sink = sink
+        #: ``refresh(work, idx)`` re-reads the microscopic cross sections
+        #: of lanes ``idx`` into ``micro_s/c/f`` and their cached bins,
+        #: charging the lookups its own way.
+        self.refresh = refresh
+        #: ``trace(kind, run-arena rows, cells_x, cells_y)`` or ``None``.
+        self.trace = trace
+        n = len(arena)
+        self.micro_s = np.zeros(n)
+        self.micro_c = np.zeros(n)
+        self.micro_f = np.zeros(n)
+        self.mat_idx = ctx.material_map[arena.celly, arena.cellx]
+        self.rng = VectorParticleRNG(
+            sink.lane_seeds(), arena.particle_id, arena.rng_counter
+        )
+        self.handlers = {
+            "collide": self.handle_collisions,
+            "cross_facet": self.handle_facets,
+            "census": self.handle_census,
+        }
+
+    def grow(self) -> np.ndarray:
+        """Extend the caches over lanes appended to the arena (children
+        joining an in-place working set mid-step); returns the new lanes."""
+        arena = self.arena
+        old = self.mat_idx.size
+        new = np.arange(old, len(arena))
+        zeros = np.zeros(new.size)
+        self.micro_s = np.concatenate([self.micro_s, zeros])
+        self.micro_c = np.concatenate([self.micro_c, zeros])
+        self.micro_f = np.concatenate([self.micro_f, zeros])
+        self.mat_idx = np.concatenate([
+            self.mat_idx,
+            self.ctx.material_map[arena.celly[new], arena.cellx[new]],
+        ])
+        self.gidx = np.concatenate([self.gidx, new])
+        # Carry the live counters over: the arena's counter field is only
+        # synchronised by :meth:`sync_rng`.
+        self.rng = VectorParticleRNG(
+            self.sink.lane_seeds(),
+            np.concatenate([self.rng.particle_ids, arena.particle_id[new]]),
+            np.concatenate([self.rng.counters, arena.rng_counter[new]]),
+        )
+        return new
+
+    def sync_rng(self) -> None:
+        """Write the live RNG counters into the arena (in place — the
+        fields are views of one shared buffer and are never rebound)."""
+        self.arena.rng_counter[...] = self.rng.counters
+
+    def active(self) -> np.ndarray:
+        """``alive & ~censused`` — the lanes the next pass advances."""
+        arena = self.arena
+        active = self.ctx.ws.bool_("active", len(arena))
+        np.logical_not(arena.censused, out=active)
+        np.logical_and(arena.alive, active, out=active)
+        return active
+
+    def flush(self, idx: np.ndarray) -> None:
+        """Tally flush of the selected lanes' deposit registers — the
+        atomic read-modify-write of §VI-A, batched per event kind (the
+        separate tally loop of §VI-G)."""
+        arena = self.arena
+        self.sink.flush(idx, (arena.cellx, arena.celly), arena.deposit_buffer)
+        arena.deposit_buffer[idx] = 0.0
+
+    # ------------------------------------------------------------------
+    def event_pass(self, active: np.ndarray, book_pass=None) -> None:
+        """Advance every ``active`` lane by exactly one event.
+
+        ``book_pass(active, masks, n_event)``, when given, books the
+        pass occupancy before the handlers run.  The pass allocates no
+        full-length temporaries: distances, macroscopic cross sections,
+        event codes and masks live in the run's workspace buffers.
+        """
+        ctx = self.ctx
+        a = self.arena
+        ws = ctx.ws
+        run = ctx.dispatch.run
+        n = len(a)
+        # foreach(particle): calculate_time_to_events() — from the cached
+        # microscopics, with the exact arithmetic chain of
+        # :func:`repro.xs.macroscopic.macroscopic_cross_section`.
+        m = ctx.provider.macroscopic_into(
+            ws, n, self.mat_idx, self.micro_s, self.micro_c, self.micro_f,
+            a.local_density,
+        )
+        dist = run(
+            "distances", n, ws, a.energy, a.mfp_to_collision, m.sigma_t,
+            a.x, a.y, a.omega_x, a.omega_y, a.cellx, a.celly,
+            ctx.mesh.dx, ctx.mesh.dy, a.dt_to_census,
+        )
+        event = run(
+            "select_events", n, dist.d_collision, dist.d_facet,
+            dist.d_census,
+            out=ws.i64("event", n), scratch=ws.bool_("ev_scratch", n),
+        )
+        masks = {}
+        n_event = {}
+        for kind in EVENT_KERNELS:
+            mask = ws.bool_("mask_" + kind.name, n)
+            np.equal(event, int(kind), out=mask)
+            np.logical_and(mask, active, out=mask)
+            masks[kind] = mask
+            n_event[kind] = int(mask.sum())
+        if book_pass is not None:
+            book_pass(active, masks, n_event)
+        # One handler per event kind, via the shared mapping.
+        for kind, kernel_name in EVENT_KERNELS.items():
+            if n_event[kind]:
+                self.handlers[kernel_name](
+                    masks[kind], dist, m.sigma_a, m.sigma_f, m.sigma_t
+                )
+
+    # ------------------------------------------------------------------
+    # Event handlers — one per entry in the shared EVENT_KERNELS mapping,
+    # all with the same signature so the pass dispatches uniformly.
+
+    def handle_collisions(self, cmask, dist, sigma_a, sigma_f, sigma_t) -> None:
+        """foreach(colliding_particle): handle_collision()"""
+        ctx = self.ctx
+        a = self.arena
+        sink = self.sink
+        config = ctx.config
+        prov = ctx.provider
+        c = np.nonzero(cmask)[0]
+        d = dist.d_collision[c]
+        sp = dist.speed[c]
+        a.x[c] = a.x[c] + a.omega_x[c] * d
+        a.y[c] = a.y[c] + a.omega_y[c] * d
+        a.dt_to_census[c] = np.maximum(0.0, a.dt_to_census[c] - d / sp)
+        weight_before = a.weight[c].copy()
+        counters_at_event = self.rng.counters[c].copy()
+        u_angle = self.rng.next_uniform(cmask)
+        u_sense = self.rng.next_uniform(cmask)
+        u_mfp = self.rng.next_uniform(cmask)
+        sink.cadd("rng_draws", c, 3)
+        (e_new, w_new, ox_new, oy_new, mfp_new, dep, term, below) = ctx.dispatch.run(
+            "collide",
+            c.size,
+            a.energy[c],
+            a.weight[c],
+            a.omega_x[c],
+            a.omega_y[c],
+            sigma_a[c],
+            sigma_t[c],
+            prov.mat_a[self.mat_idx[c]],
+            u_angle,
+            u_sense,
+            u_mfp,
+            sink.ecut_at(c),
+            sink.wcut_at(c),
+            defer_weight_cutoff=config.use_russian_roulette,
+        )
+        a.energy[c] = e_new
+        a.weight[c] = w_new
+        a.omega_x[c] = ox_new
+        a.omega_y[c] = oy_new
+        a.mfp_to_collision[c] = mfp_new
+        a.deposit_buffer[c] += dep
+        sink.cadd("collisions", c)
+        # Lanes are distinct histories, so the fancy-index add is exact.
+        ctx.books.coll_pp[self.gidx[c]] += 1
+        if self.trace is not None:
+            self.trace(
+                EventKind.COLLISION, self.gidx[c], a.cellx[c], a.celly[c]
+            )
+
+        # ---- fission banking (multiplying media extension) -------------
+        fissile_here = prov.mat_fissile[self.mat_idx[c]] & (sigma_t[c] > 0.0)
+        if fissile_here.any():
+            sel = c[fissile_here]
+            fis_mask = np.zeros(len(a), dtype=bool)
+            fis_mask[sel] = True
+            u_fission = self.rng.next_uniform(fis_mask)
+            sink.cadd("rng_draws", sel)
+            counts = ctx.dispatch.run(
+                "fission_bank",
+                sel.size,
+                weight_before[fissile_here],
+                prov.mat_nu[self.mat_idx[sel]],
+                sigma_f[sel],
+                sigma_t[sel],
+                u_fission,
+            )
+            self.bank_secondaries(sel, counts, counters_at_event[fissile_here])
+
+        dead = c[term]
+        if dead.size:
+            self.flush(dead)
+            a.alive[dead] = False
+            sink.cadd("terminations", dead)
+
+        # ---- Russian roulette (extension) ------------------------------
+        if config.use_russian_roulette and below.any():
+            sel = c[below]
+            r_mask = np.zeros(len(a), dtype=bool)
+            r_mask[sel] = True
+            u_roulette = self.rng.next_uniform(r_mask)
+            sink.cadd("rng_draws", sel)
+            survive, restored = ctx.dispatch.run(
+                "roulette", sel.size, a.weight[sel], u_roulette,
+                sink.wcut_at(sel),
+            )
+            # With per-lane cutoffs ``restored`` is an array aligned with
+            # ``sel``; slice it down to the survivor lanes.
+            restored_s = restored[survive] if np.ndim(restored) else restored
+            killed = sel[~survive]
+            if killed.size:
+                sink.cadd("roulette_kills", killed)
+                sink.csum(
+                    "roulette_loss_energy", killed,
+                    a.weight[killed] * a.energy[killed],
+                )
+                a.weight[killed] = 0.0
+                self.flush(killed)
+                a.alive[killed] = False
+                sink.cadd("terminations", killed)
+            survivors = sel[survive]
+            if survivors.size:
+                sink.cadd("roulette_survivals", survivors)
+                sink.csum(
+                    "roulette_gain_energy", survivors,
+                    (restored_s - a.weight[survivors]) * a.energy[survivors],
+                )
+                a.weight[survivors] = restored_s
+
+        # The energy changed: refresh the cached microscopic values.
+        surv = c[a.alive[c]]
+        if surv.size:
+            self.refresh(self, surv)
+
+    def bank_secondaries(self, parents, counts, counters_at_event) -> None:
+        """Bank the fission secondaries of the given parent lanes.
+
+        A child's identity derives deterministically from its parent's
+        (id and event counter), so every traversal order banks
+        bit-identical children.  Birth consumes three draws from the
+        child's own stream: direction, energy, first optical distance.
+        """
+        ctx = self.ctx
+        a = self.arena
+        prov = ctx.provider
+        for j, pi in enumerate(parents):
+            n_children = int(counts[j])
+            if n_children <= 0:
+                continue
+            counters = self.sink.counters_for(pi)
+            seed = self.sink.seed_for(pi)
+            counters.fissions += 1
+            mi = int(self.mat_idx[pi])
+            for k in range(n_children):
+                cid = secondary_id(
+                    seed, int(a.particle_id[pi]), int(counters_at_event[j]), k
+                )
+                rng = ParticleRNG(seed, cid)
+                u_dir = rng.next_uniform()
+                u_energy = rng.next_uniform()
+                u_mfp = rng.next_uniform()
+                ox, oy = sample_isotropic_direction(u_dir)
+                energy = sample_secondary_energy(
+                    u_energy, float(prov.mat_fission_energy_ev[mi])
+                )
+                # Birth initialisation of the cached bins (like the source
+                # sampler's) — a history's first counted lookup then walks
+                # from the right line.
+                child = ParticleRecord(
+                    x=float(a.x[pi]),
+                    y=float(a.y[pi]),
+                    omega_x=ox,
+                    omega_y=oy,
+                    energy=energy,
+                    weight=1.0,
+                    cellx=int(a.cellx[pi]),
+                    celly=int(a.celly[pi]),
+                    particle_id=cid,
+                    dt_to_census=float(a.dt_to_census[pi]),
+                    mfp_to_collision=sample_mean_free_paths(u_mfp),
+                    rng_counter=rng.counter,
+                    local_density=float(a.local_density[pi]),
+                    **prov.birth_bins(mi, energy),
+                )
+                counters.fission_injected_energy += 1.0 * energy
+                counters.secondaries_banked += 1
+                counters.rng_draws += 3
+                ctx.bank.append(
+                    (int(self.gidx[pi]), int(counters_at_event[j]), k, child)
+                )
+
+    def handle_facets(self, fmask, dist, sigma_a, sigma_f, sigma_t) -> None:
+        """foreach(particle_encountering_facet): handle_facet()"""
+        ctx = self.ctx
+        a = self.arena
+        sink = self.sink
+        config = ctx.config
+        f = np.nonzero(fmask)[0]
+        old_cx_f = a.cellx[f].copy()
+        old_cy_f = a.celly[f].copy()
+        d = dist.d_facet[f]
+        sp = dist.speed[f]
+        st = sigma_t[f]
+        a.x[f] = a.x[f] + a.omega_x[f] * d
+        a.y[f] = a.y[f] + a.omega_y[f] * d
+        a.dt_to_census[f] = np.maximum(0.0, a.dt_to_census[f] - d / sp)
+        a.mfp_to_collision[f] = np.maximum(0.0, a.mfp_to_collision[f] - d * st)
+        # Snap the hit coordinate exactly onto the facet plane so rounding
+        # never strands a particle outside its cell.
+        ax = dist.axis[f]
+        hit_x = ax == 0
+        fx = f[hit_x]
+        a.x[fx] = np.where(a.omega_x[fx] > 0.0, dist.x_hi[fx], dist.x_lo[fx])
+        fy = f[~hit_x]
+        a.y[fy] = np.where(a.omega_y[fy] > 0.0, dist.y_hi[fy], dist.y_lo[fy])
+        # Performed unconditionally at every facet.
+        self.flush(f)
+        new_cx, new_cy, new_ox, new_oy, reflected, escaped = ctx.dispatch.run(
+            "cross_facet",
+            f.size,
+            a.cellx[f], a.celly[f],
+            a.omega_x[f], a.omega_y[f], ax, ctx.mesh, config.boundary,
+        )
+        sink.cadd("facets", f)
+        ctx.books.facet_pp[self.gidx[f]] += 1
+        if self.trace is not None:
+            self.trace(EventKind.FACET, self.gidx[f], old_cx_f, old_cy_f)
+        gone = f[escaped]
+        if gone.size:
+            sink.cadd("escapes", gone)
+            sink.csum("escaped_energy", gone, a.weight[gone] * a.energy[gone])
+            a.alive[gone] = False
+        stay = ~escaped
+        a.cellx[f[stay]] = new_cx[stay]
+        a.celly[f[stay]] = new_cy[stay]
+        a.omega_x[f[stay]] = new_ox[stay]
+        a.omega_y[f[stay]] = new_oy[stay]
+        crossed = f[stay & ~reflected]
+        # Load the destination cell's density — the random read.
+        a.local_density[crossed] = ctx.mesh.density_at_vec(
+            a.cellx[crossed], a.celly[crossed]
+        )
+        sink.cadd("density_reads", crossed)
+        sink.cadd("reflections", f[reflected])
+        if crossed.size:
+            new_mat = ctx.material_map[a.celly[crossed], a.cellx[crossed]]
+            changed = crossed[new_mat != self.mat_idx[crossed]]
+            self.mat_idx[crossed] = new_mat
+            if changed.size:
+                # Entered a different material: the cached microscopic
+                # values are stale (multi-material extension).
+                self.refresh(self, changed)
+
+        # ---- importance splitting / roulette (VR extension) ------------
+        imap = config.importance_map
+        if imap is None or not crossed.size:
+            return
+        cross_in_f = stay & ~reflected
+        ratios = (
+            imap[a.celly[crossed], a.cellx[crossed]]
+            / imap[old_cy_f[cross_in_f], old_cx_f[cross_in_f]]
+        )
+        changed_r = ratios != 1.0
+        sel = crossed[changed_r]
+        if not sel.size:
+            return
+        counters_before = self.rng.counters[sel].copy()
+        imp_mask = np.zeros(len(a), dtype=bool)
+        imp_mask[sel] = True
+        u_imp = self.rng.next_uniform(imp_mask)
+        sink.cadd("rng_draws", sel)
+        r = ratios[changed_r]
+
+        # splits (entering higher importance)
+        up = r > 1.0
+        if up.any():
+            n_after = split_counts(r[up], u_imp[up])
+            for pi, nsplit, ctr in zip(sel[up], n_after, counters_before[up]):
+                if nsplit > 1:
+                    self.bank_clones(pi, int(nsplit), int(ctr))
+
+        # roulette (entering lower importance)
+        down = ~up
+        if down.any():
+            dsel = sel[down]
+            survive = u_imp[down] < r[down]
+            surv = dsel[survive]
+            if surv.size:
+                sink.cadd("roulette_survivals", surv)
+                boosted = a.weight[surv] / r[down][survive]
+                sink.csum(
+                    "roulette_gain_energy", surv,
+                    (boosted - a.weight[surv]) * a.energy[surv],
+                )
+                a.weight[surv] = boosted
+            dead_i = dsel[~survive]
+            if dead_i.size:
+                sink.cadd("roulette_kills", dead_i)
+                sink.csum(
+                    "roulette_loss_energy", dead_i,
+                    a.weight[dead_i] * a.energy[dead_i],
+                )
+                a.weight[dead_i] = 0.0
+                a.alive[dead_i] = False
+                sink.cadd("terminations", dead_i)
+
+    def bank_clones(self, pi, nsplit: int, ctr: int) -> None:
+        """Split lane ``pi`` ``nsplit`` ways: bank ``nsplit - 1`` clones of
+        its current state and share the weight equally."""
+        a = self.arena
+        counters = self.sink.counters_for(pi)
+        seed = self.sink.seed_for(pi)
+        counters.splits += 1
+        w_each = float(a.weight[pi]) / nsplit
+        for k in range(nsplit - 1):
+            clone = ParticleRecord(
+                x=float(a.x[pi]),
+                y=float(a.y[pi]),
+                omega_x=float(a.omega_x[pi]),
+                omega_y=float(a.omega_y[pi]),
+                energy=float(a.energy[pi]),
+                weight=w_each,
+                cellx=int(a.cellx[pi]),
+                celly=int(a.celly[pi]),
+                particle_id=clone_id(seed, int(a.particle_id[pi]), ctr, k),
+                dt_to_census=float(a.dt_to_census[pi]),
+                mfp_to_collision=float(a.mfp_to_collision[pi]),
+                rng_counter=0,
+                local_density=float(a.local_density[pi]),
+                scatter_bin=int(a.scatter_bin[pi]),
+                capture_bin=int(a.capture_bin[pi]),
+                fission_bin=int(a.fission_bin[pi]),
+            )
+            counters.clones_banked += 1
+            self.ctx.bank.append((int(self.gidx[pi]), ctr, k, clone))
+        a.weight[pi] = w_each
+
+    def handle_census(self, zmask, dist, sigma_a, sigma_f, sigma_t) -> None:
+        """handle_census(): fly remaining lanes to the end of the timestep."""
+        a = self.arena
+        z = np.nonzero(zmask)[0]
+        new_x, new_y, new_mfp = self.ctx.dispatch.run(
+            "census",
+            z.size,
+            a.x[z], a.y[z],
+            a.omega_x[z], a.omega_y[z],
+            a.mfp_to_collision[z], sigma_t[z], dist.d_census[z],
+        )
+        a.x[z] = new_x
+        a.y[z] = new_y
+        a.mfp_to_collision[z] = new_mfp
+        a.dt_to_census[z] = 0.0
+        self.flush(z)
+        a.censused[z] = True
+        self.sink.cadd("census_events", z)
+        if self.trace is not None:
+            self.trace(EventKind.CENSUS, self.gidx[z], a.cellx[z], a.celly[z])

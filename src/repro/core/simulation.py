@@ -65,28 +65,6 @@ class TransportResult:
     #: (:mod:`repro.parallel.pool`); ``None`` for serial runs.
     pool: "PoolRunInfo | None" = None
 
-    # ------------------------------------------------------------------
-    @property
-    def particles(self):
-        """Removed — the ``particles | store`` union collapsed into
-        :attr:`arena`."""
-        raise AttributeError(
-            "TransportResult.particles was removed: the population now "
-            "lives in result.arena (ParticleArena). Use "
-            "result.arena.as_particles() for a detached AoS list, or "
-            "result.arena.proxy(i) for a per-index view."
-        )
-
-    @property
-    def store(self):
-        """Removed — the ``particles | store`` union collapsed into
-        :attr:`arena`."""
-        raise AttributeError(
-            "TransportResult.store was removed: the population now lives "
-            "in result.arena (ParticleArena), which is a ParticleStore "
-            "subclass — use result.arena directly."
-        )
-
     def in_flight_energy_ev(self) -> float:
         """Weighted energy still carried by live particles."""
         alive = self.arena.alive

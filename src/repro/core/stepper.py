@@ -51,6 +51,9 @@ import numpy as np
 
 from repro.core.books import ReplicaBooks
 from repro.core.config import Scheme, SimulationConfig
+from repro.core.event_pass import PassContext, WorkingSet
+from repro.core.over_events import HoistedRefresh, run_passes
+from repro.core.over_particles import run_block, trace_hook
 from repro.kernels import KernelDispatch, Workspace
 from repro.mesh.structured import StructuredMesh
 from repro.mesh.tally import EnergyDepositionTally
@@ -188,44 +191,43 @@ def drive_census_loop(recorder, ntimesteps, run_attrs, begin_step,
 class _OPStrategy:
     """Blocked lock-step depth-first transport for one census step.
 
-    Replica-segment scheduling around the ``_SweepContext`` / ``_Block``
-    machinery owned by ``over_particles.py``: each round sweeps every
-    replica's lanes in blocks (a plain run is one segment), then drains
-    the fission bank.  Blocks are cut from one replica's lanes in its own
-    storage order — the order of that replica's standalone arena — so no
-    block spans replicas, the context rebinds once per segment, and every
-    replica sees exactly the block waves, bank drains and tally flushes
-    of its standalone run.
+    Replica-segment scheduling of :func:`repro.core.over_particles.run_block`
+    (gather a block, run the one event pass over it until no lane is
+    active, scatter it back): each round sweeps every replica's lanes in
+    blocks (a plain run is one segment), then drains the child bank.
+    Blocks are cut from one replica's lanes in its own storage order —
+    the order of that replica's standalone arena — so no block spans
+    replicas, every block charges its replica's whole-batch sink, and
+    every replica sees exactly the block passes, bank drains and tally
+    flushes of its standalone run.
+
+    What this strategy hands the shared pass: exact search accounting
+    (``exact_refresh``), the event-trace hook, no pass booking, and the
+    bank joined *sorted*, at round end.
     """
 
     scheme = Scheme.OVER_PARTICLES
 
     def __init__(self, stepper: "CensusStepper"):
-        from repro.core.over_particles import _SweepContext
-
         self.stepper = stepper
-        self.ctx = _SweepContext(
-            stepper.run_config, stepper.mesh, stepper.books,
-            stepper.dispatch, stepper.ws, provider=stepper.provider,
+        self.trace = (
+            trace_hook(stepper.trace, stepper.mesh.nx)
+            if stepper.trace is not None else None
         )
-        self.ctx.trace = stepper.trace
 
     def begin_step(self, step: int) -> None:
         pass
 
     def run_step(self, step: int, decision: StepDecision, rec) -> None:
-        from repro.core.over_particles import _Block
-
         stepper = self.stepper
         arena = stepper.arena
         books = stepper.books
-        ctx = self.ctx
+        ctx = stepper.pass_ctx
         block_size = decision.block_size or stepper.run_config.op_block_size
         lo = 0
         while lo < len(arena):
             hi = len(arena)
             for r, lanes in books.segments(lo, hi):
-                ctx.bind(r)
                 for cursor in range(0, lanes.size, block_size):
                     block = lanes[cursor:cursor + block_size]
                     idx = block[arena.alive[block]]
@@ -234,99 +236,64 @@ class _OPStrategy:
                             "census_wave", lo=int(block[0]),
                             hi=int(block[-1]) + 1, lanes=int(idx.size),
                         ):
-                            _Block(ctx, arena, idx).run()
+                            run_block(
+                                ctx, arena, idx, books.sinks[r], self.trace
+                            )
             lo = hi
-            # Drain the fission bank within the timestep: offspring join
-            # the population in the deterministic (parent, event, child)
-            # order, inherit their parent's replica, and are tracked in
-            # the next round.
+            # Drain the bank within the timestep: offspring join the
+            # population in the deterministic (parent, event, child)
+            # order a one-history-at-a-time traversal would have banked
+            # them in, and are tracked in the next round.
             if ctx.bank:
                 ctx.bank.sort(key=lambda entry: entry[:3])
-                arena.append_records([entry[3] for entry in ctx.bank])
-                books.inherit(np.array(
-                    [entry[0] for entry in ctx.bank], dtype=np.int64
-                ))
-                ctx.bank = []
+                ctx.join_bank(arena)
 
     def end_step(self) -> None:
-        # Block writeback already synchronised every RNG counter into the
-        # arena; the OE context's positional caches are now stale.
+        # Every block synchronised its RNG counters into the arena on the
+        # way out; the OE working set's positional caches are now stale.
         self.stepper.oe_dirty = True
 
 
 class _OEStrategy:
     """Breadth-first event-pass transport for one census step.
 
-    Wraps the legacy ``_EventContext`` / ``_event_pass`` machinery (still
-    owned by ``over_events.py``).  The context persists across
-    consecutive OE steps — preserving the cross-timestep bin-reuse cache
-    a pure-OE run relies on — and is rebuilt whenever another strategy
-    (or boundary maintenance) touched the population, because its
-    positional caches (micro-XS arrays, material index, RNG gather)
-    would be stale.
+    Runs the one event pass over the run arena in place
+    (:func:`repro.core.over_events.run_passes`).  The working set
+    persists across consecutive OE steps — preserving the cross-timestep
+    bin-reuse cache a pure-OE run relies on — and is rebuilt whenever
+    another strategy (or boundary maintenance) touched the population,
+    because its positional caches (micro-XS arrays, material index, RNG
+    gather) would be stale.
+
+    What this strategy hands the shared pass: the bin-reuse hoist with
+    estimated probes (``HoistedRefresh``), the run's books as a per-lane
+    sink, an ``EventPassStats`` row per pass, and the bank joined in
+    insertion order after every pass.
     """
 
     scheme = Scheme.OVER_EVENTS
 
     def __init__(self, stepper: "CensusStepper"):
         self.stepper = stepper
-        self.ctx = None
-        self.handlers = None
-
-    def _ensure_ctx(self):
-        from repro.core.over_events import _EventContext
-
-        stepper = self.stepper
-        if self.ctx is not None and not stepper.oe_dirty:
-            return self.ctx
-        ctx = _EventContext(
-            stepper.run_config, stepper.mesh, stepper.books, stepper.arena,
-            stepper.dispatch, stepper.ws, provider=stepper.provider,
-        )
-        self.handlers = {
-            "collide": ctx.handle_collisions,
-            "cross_facet": ctx.handle_facets,
-            "census": ctx.handle_census,
-        }
-        self.ctx = ctx
-        stepper.oe_dirty = False
-        return ctx
+        self.work = None
 
     def begin_step(self, step: int) -> None:
-        ctx = self._ensure_ctx()
-        store = ctx.store
-        store.censused[:] = ~store.alive
+        stepper = self.stepper
+        if self.work is None or stepper.oe_dirty:
+            self.work = WorkingSet(
+                stepper.pass_ctx, stepper.arena,
+                np.arange(len(stepper.arena)), stepper.books,
+                HoistedRefresh(),
+            )
+            stepper.oe_dirty = False
 
     def run_step(self, step: int, decision: StepDecision, rec) -> None:
-        from repro.core.over_events import _event_pass
-
-        ctx = self.ctx
-        ws = self.stepper.ws
-        store = ctx.store
-        # Refresh the cached microscopic cross sections for every live
-        # history (Over Particles does the same at each history start).
-        ctx.refresh_micro(np.nonzero(store.alive)[0])
-        npass = 0
-        while True:
-            n = len(store)
-            active = ws.bool_("active", n)
-            np.logical_not(store.censused, out=active)
-            np.logical_and(store.alive, active, out=active)
-            if not active.any():
-                break
-            with rec.span("event_pass", index=npass) as pass_span:
-                _event_pass(ctx, self.handlers, active, n, pass_span)
-            npass += 1
-            store = ctx.store
+        run_passes(self.work, rec)
 
     def end_step(self) -> None:
-        ctx = self.ctx
-        # In-place write — the arena's fields are views of one shared
-        # buffer and must never be rebound.  Synchronising every step
-        # (not just at run end, as the legacy driver did) is what makes
-        # an OE→OP hand-off read the right streams; the final step's
-        # write is bitwise the legacy end-of-run write.
-        ctx.store.rng_counter[...] = ctx.rng.counters
+        # Synchronising every step (not just at run end) is what makes
+        # an OE→OP hand-off read the right streams.
+        self.work.sync_rng()
 
 
 class CensusStepper:
@@ -387,6 +354,12 @@ class CensusStepper:
         self.counters = self.books.totals
         self.tally = self.books.tally
         self.books.charge_births(4)
+        #: Run-wide state of the one event pass, shared by both
+        #: strategies (so there is one child bank).
+        self.pass_ctx = PassContext(
+            self.run_config, self.mesh, self.books, self.dispatch, self.ws,
+            self.provider,
+        )
         #: Dead histories parked by compact-at-switch (arena rows and
         #: their books rows), re-appended before the result is built so
         #: population accounting and fingerprints match an uncompacted
@@ -486,6 +459,9 @@ class CensusStepper:
                 self.books.rearm_census(
                     self.arena.dt_to_census, self.arena.alive
                 )
+            # A pass advances ``alive & ~censused``, whichever strategy
+            # runs it: every live history is in flight again.
+            self.arena.censused[:] = ~self.arena.alive
             strategy = self._strategy(decision.scheme)
             strategy.begin_step(step)
             state["strategy"] = strategy

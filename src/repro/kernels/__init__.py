@@ -4,7 +4,8 @@ Both execution schemes (Over Particles in blocks, Over Events over the
 whole population) drive the same batch kernels through a dispatch table
 with per-kernel call/wall-clock accounting:
 
-    drivers (core/over_particles, core/over_events, volume/driver3)
+    drivers (core/event_pass — the one 2-D pass both schemes run —
+             and volume/driver3)
         │
         ▼
     KernelDispatch  — name→kernel table, per-kernel counters/timers

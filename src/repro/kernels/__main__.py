@@ -30,8 +30,9 @@ def main(argv=None) -> int:
         help="fail if any *_vec physics implementation exists outside "
         "repro/kernels, any hot path constructs AoS particle records, "
         "any driver re-implements the census loop outside "
-        "repro/core/stepper.py, or any driver forks on whether it has "
-        "replica books",
+        "repro/core/stepper.py, any driver forks on whether it has "
+        "replica books, or the 2-D event handlers exist in a second "
+        "module of repro/core",
     )
     args = parser.parse_args(argv)
     if not args.check:
@@ -62,8 +63,9 @@ def main(argv=None) -> int:
     print("OK: no direct cross-section table access outside repro/xs "
           "(all packages audited)")
     single_pkgs = ", ".join(SINGLE_PATH_PACKAGES)
-    print(f"OK: no None test on the replica books and no *_vec kernel "
-          f"alias ({single_pkgs} audited)")
+    print(f"OK: no None test on the replica books, no *_vec kernel "
+          f"alias and one copy of the 2-D event handlers "
+          f"({single_pkgs} audited)")
     return 0
 
 

@@ -47,6 +47,9 @@ __all__ = [
     "ALLOWED_XS_TABLE_FILES",
     "SINGLE_PATH_PACKAGES",
     "BOOKS_NAME_PARTS",
+    "EVENT_PASS_PACKAGE",
+    "EVENT_HANDLER_DEFS",
+    "EVENT_DISPATCH_NAMES",
 ]
 
 #: Packages that must not define ``*_vec`` implementations.
@@ -110,6 +113,20 @@ SINGLE_PATH_PACKAGES = ("core", "volume", "ensemble")
 
 #: Substrings marking a name as the run's replica books.
 BOOKS_NAME_PARTS = ("lanes", "books")
+
+#: The package whose 2-D drivers share one event pass.
+EVENT_PASS_PACKAGE = "core"
+
+#: Event-handler definitions that may exist in one module only.
+EVENT_HANDLER_DEFS = ("handle_collisions", "handle_facets", "handle_census")
+
+#: Kernel names of the pass body and the handlers: a string literal
+#: naming one marks a ``dispatch.run`` call site (or a handler table),
+#: and all of those belong to the one pass.
+EVENT_DISPATCH_NAMES = (
+    "distances", "select_events", "collide", "cross_facet", "census",
+    "roulette", "fission_bank",
+)
 
 
 def _is_thin_wrapper(node: ast.FunctionDef) -> bool:
@@ -192,8 +209,9 @@ def audit_single_path(package_root: str | Path | None = None) -> list[str]:
     A plain run is one replica through the same books as an ensemble, so
     an ``is None`` / ``is not None`` test on them is a serial-vs-fused
     fork re-appearing; so is a ``*_vec = <kernel>`` alias naming a second
-    way to reach a kernel.  Returns violation messages (empty list means
-    the audit passes).
+    way to reach a kernel, and so is a second copy of the 2-D event
+    handlers (see :func:`_audit_one_event_pass`).  Returns violation
+    messages (empty list means the audit passes).
     """
     if package_root is None:
         package_root = Path(__file__).resolve().parent.parent
@@ -225,7 +243,38 @@ def audit_single_path(package_root: str | Path | None = None) -> list[str]:
                     f"{rel}:{node.lineno}: {node.targets[0].id} "
                     + _VEC_ALIAS_MESSAGE
                 )
-    return violations
+    return violations + _audit_one_event_pass(package_root)
+
+
+def _audit_one_event_pass(package_root: Path) -> list[str]:
+    """Over Particles blocks and Over Events passes run the same event
+    handlers: a handler definition (:data:`EVENT_HANDLER_DEFS`) or a
+    dispatch-name literal (:data:`EVENT_DISPATCH_NAMES`) found in a second
+    module of :data:`EVENT_PASS_PACKAGE` is the pass forking again."""
+    homes: dict[str, dict[str, int]] = {}
+    for path in sorted((package_root / EVENT_PASS_PACKAGE).rglob("*.py")):
+        rel = path.relative_to(package_root).as_posix()
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if (
+                isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+                and node.name in EVENT_HANDLER_DEFS
+            ):
+                found = f"def {node.name}"
+            elif (
+                isinstance(node, ast.Constant)
+                and node.value in EVENT_DISPATCH_NAMES
+            ):
+                found = repr(node.value)
+            else:
+                continue
+            homes.setdefault(found, {}).setdefault(rel, node.lineno)
+    return [
+        f"{rel}:{lineno}: {found} also occurs in "
+        f"{', '.join(m for m in modules if m != rel)} — the event "
+        "handlers and their kernel dispatches live in one module"
+        for found, modules in sorted(homes.items()) if len(modules) > 1
+        for rel, lineno in modules.items()
+    ]
 
 
 def _call_name(node: ast.Call) -> str | None:

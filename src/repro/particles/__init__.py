@@ -16,8 +16,6 @@ This reproduction commits to one canonical SoA representation:
 * :class:`repro.particles.particle.Particle` — the detached AoS record
   (the scalar reference representation, produced by
   :meth:`ParticleArena.as_particles`);
-* :class:`repro.particles.soa.ParticleStore` — the plain SoA base the
-  arena extends;
 * :mod:`repro.particles.source` — bounded-region source sampling (§IV-F)
   emitting vectorised straight into an arena.
 """
@@ -31,7 +29,6 @@ from repro.particles.arena import (
     Particle3View,
 )
 from repro.particles.particle import Particle
-from repro.particles.soa import ParticleStore
 from repro.particles.source import (
     SourceRegion,
     sample_source,
@@ -45,7 +42,6 @@ __all__ = [
     "ParticleArena3",
     "ParticleRecord",
     "ParticleRecord3",
-    "ParticleStore",
     "ParticleView",
     "Particle3View",
     "SourceRegion",

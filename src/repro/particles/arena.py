@@ -23,10 +23,11 @@ ports) keep one device-resident store:
   literature uses to keep event batches coherent — are arena methods
   (:meth:`append_records`, :meth:`compact`, :meth:`sort_by`).
 
-:class:`ParticleArena` extends :class:`repro.particles.soa.ParticleStore`
-(same field names and dtypes), so everything written against the store API
-keeps working; :class:`ParticleArena3` carries the 3-D volume extension's
-field set on the same machinery.
+:class:`ParticleArena` is the 2-D population (float fields ``float64``,
+cell indices and cached bins ``int64``, ``alive``/``censused`` boolean
+masks, ``particle_id``/``rng_counter`` the ``uint64`` Threefry key and
+counter words); :class:`ParticleArena3` carries the 3-D volume
+extension's field set on the same machinery.
 """
 
 from __future__ import annotations
@@ -36,7 +37,6 @@ from multiprocessing import resource_tracker, shared_memory
 import numpy as np
 
 from repro.particles.particle import Particle
-from repro.particles.soa import _FLOAT_FIELDS, _INT_FIELDS, ParticleStore
 
 __all__ = [
     "EnsembleArena",
@@ -171,6 +171,12 @@ class _FieldArena:
         for name, _ in self.FIELDS:
             getattr(out, name)[...] = getattr(self, name)[indices]
         return out
+
+    def assign(self, indices: np.ndarray, other: "_FieldArena") -> None:
+        """Scatter ``other``'s particles into the slots ``indices`` — the
+        inverse of :meth:`subset` (a gathered block writing back)."""
+        for name, _ in self.FIELDS:
+            getattr(self, name)[indices] = getattr(other, name)
 
     def extend(self, other: "_FieldArena") -> None:
         """Append another arena's particles in place (the population
@@ -355,17 +361,33 @@ def shard_handle_nbytes(handle) -> int:
 
 
 # ---------------------------------------------------------------------------
-# The 2-D transport arena (the ParticleStore field set)
+# The 2-D transport arena
 # ---------------------------------------------------------------------------
 
-class ParticleArena(_FieldArena, ParticleStore):
-    """The canonical 2-D particle population.
+_FLOAT_FIELDS = (
+    "x",
+    "y",
+    "omega_x",
+    "omega_y",
+    "energy",
+    "weight",
+    "mfp_to_collision",
+    "dt_to_census",
+    "local_density",
+    "deposit_buffer",
+)
+_INT_FIELDS = ("cellx", "celly", "scatter_bin", "capture_bin", "fission_bin")
+#: :class:`Particle` attributes its constructor does not take.
+_AOS_CACHED_FIELDS = (
+    "alive", "scatter_bin", "capture_bin", "fission_bin", "local_density",
+    "deposit_buffer",
+)
 
-    Field names and dtypes are exactly :class:`ParticleStore`'s, so the
-    arena is a drop-in store; on top it adds the single-buffer layout,
-    shared-memory sharding, record appends, compaction/sort hooks, and
-    the per-index :class:`ParticleView` proxy.
-    """
+
+class ParticleArena(_FieldArena):
+    """The canonical 2-D particle population: the single-buffer layout,
+    shared-memory sharding, record appends, compaction/sort hooks, the
+    per-index :class:`ParticleView` proxy and lossless AoS conversion."""
 
     FIELDS = (
         tuple((name, np.float64) for name in _FLOAT_FIELDS)
@@ -378,12 +400,23 @@ class ParticleArena(_FieldArena, ParticleStore):
         )
     )
 
-    def __init__(self, n: int):
-        _FieldArena.__init__(self, n)
-
     def _init_defaults(self) -> None:
         self.alive[...] = True
         self.particle_id[...] = np.arange(self.n, dtype=np.uint64)
+
+    def active_mask(self) -> np.ndarray:
+        """Particles still being advanced this timestep."""
+        return self.alive & ~self.censused
+
+    @staticmethod
+    def bytes_per_particle_aos() -> int:
+        """Bytes of one AoS record as the C mini-app would lay it out.
+
+        10 doubles + 4 ints + id/counter + flag, padded — used by the cache
+        model to contrast AoS (one or two lines per history) against SoA
+        (one line *per field* per particle).
+        """
+        return 10 * 8 + 4 * 8 + 2 * 8 + 8  # 136 bytes, ~2-3 cache lines
 
     # -- AoS escape hatches -------------------------------------------
     def proxy(self, index: int) -> "ParticleView":
@@ -396,10 +429,32 @@ class ParticleArena(_FieldArena, ParticleStore):
         """Iterate :class:`ParticleView` proxies over the population."""
         return (ParticleView(self, i) for i in range(self.n))
 
-    def as_particles(self) -> list[Particle]:
-        """Materialise AoS :class:`Particle` copies (lossless; mutating
-        them does not write back — use :meth:`proxy` for that)."""
-        return self.to_particles()
+    @classmethod
+    def from_particles(cls, particles: list[Particle]) -> "ParticleArena":
+        """Pack AoS records into an arena (census flags cleared)."""
+        arena = cls(len(particles))
+        for name in Particle.__slots__:
+            getattr(arena, name)[...] = [getattr(p, name) for p in particles]
+        return arena
+
+    def to_particles(self) -> list[Particle]:
+        """Materialise AoS :class:`Particle` copies (lossless, except the
+        census flags AoS does not represent; mutating them does not write
+        back — use :meth:`proxy` for that)."""
+        columns = {
+            name: getattr(self, name).tolist() for name in Particle.__slots__
+        }
+        out = []
+        for i in range(self.n):
+            state = {name: column[i] for name, column in columns.items()}
+            cached = {name: state.pop(name) for name in _AOS_CACHED_FIELDS}
+            p = Particle(**state)
+            for name, value in cached.items():
+                setattr(p, name, value)
+            out.append(p)
+        return out
+
+    as_particles = to_particles
 
 
 class ParticleView:
@@ -494,11 +549,6 @@ class ParticleRecord(tuple):
         return super().__new__(
             cls, (values[name] for name, _ in ParticleArena.FIELDS)
         )
-
-    @property
-    def energy_weight(self) -> tuple[float, float]:
-        names = [name for name, _ in ParticleArena.FIELDS]
-        return self[names.index("energy")], self[names.index("weight")]
 
 
 # ---------------------------------------------------------------------------

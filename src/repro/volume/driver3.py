@@ -79,24 +79,6 @@ class Transport3DResult:
     #: string, unlike the 2-D result's Scheme enum.
     scheme: str | None = None
 
-    @property
-    def particles(self):
-        """Removed — both drivers now return :attr:`arena`."""
-        raise AttributeError(
-            "Transport3DResult.particles was removed: the population now "
-            "lives in result.arena (ParticleArena3). Use "
-            "result.arena.proxy(i) for a per-index view."
-        )
-
-    @property
-    def arrays(self):
-        """Removed — both drivers now return :attr:`arena`."""
-        raise AttributeError(
-            "Transport3DResult.arrays was removed: the population now "
-            "lives in result.arena (ParticleArena3); address its fields "
-            "by name, e.g. result.arena['energy']."
-        )
-
     def in_flight_energy_ev(self) -> float:
         """Weighted energy carried by live particles."""
         alive = self.arena.alive

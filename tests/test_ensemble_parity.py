@@ -10,6 +10,9 @@ per-replica books against looped ``Simulation.run`` baselines:
   tally deposition, and population fingerprints — across three problems,
   both schemes, serial and pooled (replica-block shards), including a
   pooled run with a deterministic worker kill injected (chaos-marked);
+  serially also under an every-step OP↔OE switch plan and on a
+  two-replica ensemble (different seeds *and* weight cutoffs) that
+  exercises fission, Russian roulette and importance splitting at once;
 * invariance knobs: the Over Particles block size must not leak into
   results, and neither may the order members are listed in;
 * the spec layer: sweep expansion, fusibility validation, and the fused
@@ -65,7 +68,31 @@ NREPLICAS = 5
 TIMESTEPS = 2
 
 
+#: Switch scheme at every census boundary (no population maintenance, so
+#: every deterministic fact of a replica must survive fusion).
+EVERY_STEP_SWITCH = SwitchPlan(tuple(
+    StepDecision(scheme=SCHEMES[step % 2],
+                 block_size=7 if step % 2 == 0 else None)
+    for step in range(3)
+))
+
+
 def _spec(problem: str) -> EnsembleSpec:
+    if problem == "vr":
+        # Every §IX extension at once: a fissile block, Russian roulette
+        # and an importance map that splits (clone ids are seeded per
+        # replica) and roulettes; two replicas that share neither seed
+        # nor weight cutoff.
+        imap = np.ones((32, 32))
+        imap[:, 8:16] = 2.0
+        imap[:, 16:24] = 4.0
+        imap[:, 24:] = 0.5
+        base = _fissile_problem(importance_map=imap,
+                                use_russian_roulette=True)
+        return EnsembleSpec(
+            base, 2, seed_stride=3,
+            sweeps=(SweepSpec("weight_cutoff", 0.05, 0.2, 2),),
+        )
     base = PROBLEMS[problem](
         nx=NX, nparticles=NPARTICLES, ntimesteps=TIMESTEPS
     )
@@ -100,16 +127,27 @@ def _assert_replica_parity(fused, looped):
 
 
 # ---------------------------------------------------------------------------
-# Serial fused vs looped — 3 problems × 2 schemes
+# Serial fused vs looped — (3 problems + every extension) × (2 schemes +
+# switching every step)
 # ---------------------------------------------------------------------------
 
-@pytest.mark.parametrize("problem", sorted(PROBLEMS))
-@pytest.mark.parametrize("scheme", SCHEMES, ids=lambda s: s.value)
+@pytest.mark.parametrize("problem", sorted(PROBLEMS) + ["vr"])
+@pytest.mark.parametrize(
+    "scheme", SCHEMES + (EVERY_STEP_SWITCH,),
+    ids=lambda s: getattr(s, "value", "switch-every-step"),
+)
 def test_serial_fused_matches_looped(problem, scheme):
     spec = _spec(problem)
     fused = run_ensemble(spec, scheme)
     looped = run_ensemble_looped(spec, scheme)
     _assert_replica_parity(fused, looped)
+    if problem == "vr":
+        cuts = {m.weight_cutoff for m in spec.members()}
+        assert len(cuts) == 2
+        for rr in fused.replicas:
+            c = rr.counters
+            assert c.clones_banked and c.secondaries_banked
+            assert c.roulette_kills and c.roulette_survivals
 
 
 # ---------------------------------------------------------------------------
@@ -539,3 +577,34 @@ def test_single_path_audit_flags_forks_and_aliases(tmp_path):
     assert len(violations) == 3
     assert sum("None test" in v for v in violations) == 2
     assert sum("collide_vec" in v for v in violations) == 1
+
+
+def test_single_path_audit_flags_a_second_event_pass(tmp_path):
+    """Handler definitions and kernel dispatch names may live in one
+    module of ``core/`` only: a second copy is the pass forking again."""
+    (tmp_path / "core").mkdir()
+    (tmp_path / "volume").mkdir()
+    (tmp_path / "ensemble").mkdir()
+    one_pass = (
+        "def handle_collisions(): run('collide'); run('fission_bank')\n"
+        "def handle_facets(): run('cross_facet')\n"
+        "def handle_census(): run('census')\n"
+        "def event_pass(): run('distances'); run('select_events')\n"
+    )
+    (tmp_path / "core" / "event_pass.py").write_text(one_pass)
+    (tmp_path / "core" / "stepper.py").write_text(
+        '"""Mentions "census" and handle_census() in prose only."""\n'
+        "span = 'census_wave'\n"
+    )
+    assert audit_single_path(tmp_path) == []
+    (tmp_path / "core" / "over_particles.py").write_text(
+        "class _Block:\n"
+        "    def handle_census(self): self.run('census')\n"
+        "    def roulette(self): self.run('roulette')\n"
+    )
+    violations = audit_single_path(tmp_path)
+    # Both homes of each duplicated name are reported.
+    assert len(violations) == 4
+    assert sum("def handle_census" in v for v in violations) == 2
+    assert sum("'census'" in v for v in violations) == 2
+    assert not any("roulette" in v for v in violations)

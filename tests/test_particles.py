@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from repro.mesh.structured import StructuredMesh
+from repro.particles.arena import ParticleArena
 from repro.particles.particle import Particle
-from repro.particles.soa import ParticleStore
 from repro.particles.source import (
     SourceRegion,
     sample_source_aos,
@@ -39,7 +39,7 @@ def test_store_roundtrip_preserves_everything():
     particles[5].alive = False
     particles[7].deposit_buffer = 3.25
     particles[7].scatter_bin = 11
-    store = ParticleStore.from_particles(particles)
+    store = ParticleArena.from_particles(particles)
     back = store.to_particles()
     for a, b in zip(particles, back):
         for field in (
@@ -52,19 +52,19 @@ def test_store_roundtrip_preserves_everything():
 
 
 def test_store_active_mask():
-    s = ParticleStore(4)
+    s = ParticleArena(4)
     s.alive[1] = False
     s.censused[2] = True
     assert np.array_equal(s.active_mask(), [True, False, False, True])
 
 
 def test_store_nbytes_positive():
-    assert ParticleStore(100).nbytes() > 100 * 10 * 8
+    assert ParticleArena(100).nbytes() > 100 * 10 * 8
 
 
 def test_store_negative_count():
     with pytest.raises(ValueError):
-        ParticleStore(-1)
+        ParticleArena(-1)
 
 
 # ---------------------------------------------------------------------------
@@ -133,4 +133,4 @@ def test_sampling_deterministic_in_seed():
 
 
 def test_bytes_per_particle_aos():
-    assert ParticleStore.bytes_per_particle_aos() == 136
+    assert ParticleArena.bytes_per_particle_aos() == 136

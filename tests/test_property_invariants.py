@@ -27,8 +27,8 @@ from repro.parallel import (
 from repro.parallel import pool as pool_mod
 from repro.mesh.boundary import BoundaryCondition
 from repro.mesh.tally import EnergyDepositionTally
+from repro.particles.arena import ParticleArena
 from repro.particles.particle import Particle
-from repro.particles.soa import ParticleStore
 from repro.particles.source import SourceRegion
 
 SLOW = settings(
@@ -108,7 +108,7 @@ def test_weights_and_energies_stay_physical(seed):
 
 
 # ---------------------------------------------------------------------------
-# ParticleStore round-trip
+# ParticleArena AoS round-trip
 # ---------------------------------------------------------------------------
 
 particle_strategy = st.builds(
@@ -131,7 +131,7 @@ particle_strategy = st.builds(
 @given(particles=st.lists(particle_strategy, min_size=0, max_size=20))
 @settings(max_examples=50, deadline=None)
 def test_store_roundtrip_property(particles):
-    store = ParticleStore.from_particles(particles)
+    store = ParticleArena.from_particles(particles)
     back = store.to_particles()
     assert len(back) == len(particles)
     for a, b in zip(particles, back):
@@ -145,9 +145,9 @@ def test_store_roundtrip_property(particles):
 )
 @settings(max_examples=50, deadline=None)
 def test_store_extend_property(n1, n2):
-    a = ParticleStore(n1)
-    b = ParticleStore(n2)
-    b.particle_id = b.particle_id + np.uint64(1000)
+    a = ParticleArena(n1)
+    b = ParticleArena(n2)
+    b.particle_id += np.uint64(1000)
     a.extend(b)
     assert len(a) == n1 + n2
     assert a.x.shape == (n1 + n2,)
