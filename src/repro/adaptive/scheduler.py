@@ -136,7 +136,7 @@ class AdaptiveScheduler:
         opt = self.options
         if step < 2 and len(self._rates) < 2:
             probe = opt.probe_order[step % 2]
-            if step == 1 and stepper.run_config.ntimesteps < 3:
+            if step == 1 and stepper.config.ntimesteps < 3:
                 # Too short to amortise a second probe: stay put.
                 incumbent = self.decisions[-1][1].scheme
                 return incumbent, "short-run"
@@ -148,7 +148,12 @@ class AdaptiveScheduler:
         )
         if self._rates.get(challenger) is None:
             return challenger, "probe"
-        if self._strikes.get(challenger, 0) >= opt.max_challenges:
+        if (
+            self._strikes.get(challenger, 0) >= opt.max_challenges
+            # The incumbent's probe step was unmeasurable (the population
+            # died during it): there is no rate to challenge.
+            or incumbent not in self._rates
+        ):
             return incumbent, "hold"
         inc_rate = self._rates[incumbent].events_per_s
         # The incumbent's rate refreshes every step for free; the
@@ -205,7 +210,7 @@ class AdaptiveScheduler:
         block_size = None
         compact = False
         if scheme is Scheme.OVER_PARTICLES and alive > 0:
-            base_block = stepper.run_config.op_block_size
+            base_block = stepper.config.op_block_size
             shaped = max(self.options.min_block_size, alive)
             if shaped != base_block:
                 block_size = shaped

@@ -199,8 +199,8 @@ def build_parser() -> argparse.ArgumentParser:
         type=int,
         default=None,
         metavar="PORT",
-        help="serve the live plane over HTTP (/metrics, /snapshot, "
-        "/healthz); the 3-D drivers publish once at completion",
+        help="serve the live plane over HTTP while the run steps "
+        "(/metrics, /snapshot, /healthz; 0 = ephemeral port)",
     )
 
     ensemble = sub.add_parser(
@@ -710,15 +710,7 @@ def _cmd_ensemble_run(args: argparse.Namespace) -> int:
 
 
 def _cmd_run3d(args: argparse.Namespace) -> int:
-    from repro.volume import (
-        csp3_problem,
-        energy_balance_error_3d,
-        population_accounted_3d,
-        run_over_events_3d,
-        run_over_particles_3d,
-        scatter3_problem,
-        stream3_problem,
-    )
+    from repro.volume import csp3_problem, scatter3_problem, stream3_problem
 
     factory = {
         "stream3": stream3_problem,
@@ -728,11 +720,6 @@ def _cmd_run3d(args: argparse.Namespace) -> int:
     cfg = factory(
         n=args.n, nparticles=args.particles, seed=args.seed,
         xs_mode=args.xs_mode,
-    )
-    driver = (
-        run_over_particles_3d
-        if Scheme(args.scheme) is Scheme.OVER_PARTICLES
-        else run_over_events_3d
     )
     recorder = None
     if args.telemetry:
@@ -745,28 +732,11 @@ def _cmd_run3d(args: argparse.Namespace) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     try:
-        if live is not None:
-            live.update_run(
-                problem=cfg.name, nparticles=int(cfg.nparticles),
-                ntimesteps=1, scheme=args.scheme, nworkers=0, mode="run3d",
-            )
-        result = driver(cfg, recorder=recorder)
-        if live is not None:
-            # The 3-D drivers are not probe-threaded per census step;
-            # publish the final totals so the endpoint still reports the
-            # finished run truthfully.
-            rc = result.counters
-            live.observe_worker(
-                0,
-                events=int(rc.total_events),
-                alive=int(result.arena.alive.sum()),
-                xs_lookups=int(rc.xs_lookups),
-                xs_probes=int(rc.xs_binary_probes + rc.xs_linear_probes),
-                histories=int(cfg.nparticles),
-                shards=1,
-                steps=1,
-            )
-            live.mark_done()
+        # The same stepper as ``run``, over one more axis: the live plane
+        # is fed per census step by the same probe.
+        result = Simulation(cfg).run(
+            Scheme(args.scheme), recorder=recorder, live=live
+        )
     finally:
         if server is not None:
             server.close()
@@ -775,8 +745,8 @@ def _cmd_run3d(args: argparse.Namespace) -> int:
           f"scheme={args.scheme}")
     print(f"events: collisions={c.collisions} facets={c.facets} "
           f"census={c.census_events}")
-    print(f"energy balance error: {energy_balance_error_3d(result):.2e}")
-    print(f"population accounted: {population_accounted_3d(result)}")
+    print(f"energy balance error: {energy_balance_error(result):.2e}")
+    print(f"population accounted: {population_accounted(result)}")
     print(f"host wall-clock: {result.wallclock_s:.3f} s")
     if args.profile_kernels:
         from repro.kernels import format_profile

@@ -9,8 +9,8 @@ the per-lane arrays that say which replica a history belongs to and how
 much work it did.  It is the *only* implementation of
 
 * count / sum / flush attribution (:meth:`cadd`, :meth:`csum`,
-  :meth:`flush`, :meth:`record_pass`), used by the one 2-D event pass
-  (:mod:`repro.core.event_pass`) and the 3-D driver.  An Over Events
+  :meth:`flush`, :meth:`record_pass`), used by the one event pass
+  (:mod:`repro.core.event_pass`), 2-D and 3-D.  An Over Events
   pass charges the books themselves, lane by lane; an Over Particles
   block never spans replicas (:meth:`segments`), so it charges that
   replica's whole-batch :class:`ReplicaSink` (``books.sinks[r]``) — the

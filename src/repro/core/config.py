@@ -11,11 +11,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from enum import Enum
+from typing import ClassVar
 
 import numpy as np
 
 from repro.mesh.boundary import BoundaryCondition
-from repro.particles.source import SourceRegion
+from repro.particles.source import DRAWS_PER_BIRTH, SourceRegion
 from repro.physics.variance import DEFAULT_ENERGY_CUTOFF_EV, DEFAULT_WEIGHT_CUTOFF
 
 __all__ = ["Scheme", "Layout", "SearchStrategy", "SimulationConfig"]
@@ -152,6 +153,9 @@ class SimulationConfig:
     xs_mode: str = "multigroup"
     ce_materials: tuple | None = None
 
+    #: RNG draws a history consumes at birth (x, y, angle, first mfp).
+    BIRTH_DRAWS: ClassVar[int] = DRAWS_PER_BIRTH
+
     def __post_init__(self) -> None:
         if self.nparticles < 1:
             raise ValueError("need at least one particle")
@@ -204,6 +208,20 @@ class SimulationConfig:
     def with_(self, **changes) -> "SimulationConfig":
         """Return a copy with the given fields replaced."""
         return replace(self, **changes)
+
+    def build_mesh(self):
+        """The mesh this config describes."""
+        from repro.mesh.structured import StructuredMesh
+
+        return StructuredMesh(
+            self.nx, self.ny, self.width, self.height, self.density
+        )
+
+    def build_tally(self):
+        """An empty energy-deposition tally over the mesh."""
+        from repro.mesh.tally import EnergyDepositionTally
+
+        return EnergyDepositionTally(self.nx, self.ny)
 
     def total_source_energy_ev(self) -> float:
         """Weighted energy injected per timestep — the conservation budget."""

@@ -1,10 +1,10 @@
-"""The one event pass — paper Listings 1 and 2 share it.
+"""The one event pass — paper Listings 1 and 2 share it, in any dimension.
 
 Over Particles (§V-A) and Over Events (§V-B) differ only in *traversal
 order*; what happens at a collision, a facet or census is the same
-physics.  This module is the single implementation of that physics for
-the 2-D drivers: :meth:`WorkingSet.event_pass` advances every active lane
-of a *lane working set* by exactly one event (``distances →
+physics.  This module is the single implementation of that physics, for
+2-D and 3-D runs alike: :meth:`WorkingSet.event_pass` advances every
+active lane of a *lane working set* by exactly one event (``distances →
 select_events → masks → handlers``), and the three handlers — with the
 fission, Russian roulette and importance-map extensions (§IX) and the
 record builders of the children they spawn — exist here and nowhere else
@@ -32,15 +32,26 @@ strategies in :mod:`repro.core.stepper`, never tested for here:
 3. ``book_pass`` — whether a pass books an ``EventPassStats`` row;
 4. ``trace`` — the Over Particles event-trace hook of :mod:`repro.simexec`.
 
+The number of dimensions is not tested for either — it is data (§IV-C:
+the geometry changes the constants, not the character).  The arena names
+its per-axis fields in tuples (``pos``, ``omega``, ``cells``) that the
+handlers walk; the mesh carries one ``delta`` per axis; the run's row of
+:data:`repro.kernels.dispatch.PASS_KERNELS` names the geometry and
+direction-algebra kernels behind each role (:attr:`PassContext.run`), all
+with one calling convention: flat per-axis arguments in, per-axis results
+out.  (The §IX extensions bank 2-D records; they stay out of scope in 3-D.)
+
 No per-particle object is ever constructed on this path: children are
 banked as :class:`~repro.particles.arena.ParticleRecord` field tuples.
 """
 
 from __future__ import annotations
 
+from functools import partial
+
 import numpy as np
 
-from repro.kernels import EVENT_KERNELS
+from repro.kernels import EVENT_KERNELS, PASS_KERNELS
 from repro.kernels.batch import EventKind, split_counts
 from repro.particles.arena import ParticleRecord
 from repro.physics.fission import sample_secondary_energy, secondary_id
@@ -49,6 +60,16 @@ from repro.rng.distributions import sample_isotropic_direction, sample_mean_free
 from repro.rng.stream import ParticleRNG, VectorParticleRNG
 
 __all__ = ["PassContext", "WorkingSet"]
+
+
+def _unprofiled(kernel, nitems, *args):
+    """``kernel`` with the ``dispatch.run`` calling convention, run directly."""
+    return kernel(*args)
+
+
+def _at(arrays, idx) -> list:
+    """Gather lanes ``idx`` of every per-axis array."""
+    return [a[idx] for a in arrays]
 
 
 class PassContext:
@@ -66,6 +87,18 @@ class PassContext:
         #: through it; the pass never touches tables directly.
         self.provider = provider
         self.material_map = config.resolved_material_map()
+        #: This run's kernel per role, ``run[role](nitems, *args)``: the
+        #: table entry its dimension row names, dispatched (timed and
+        #: profiled).  A row that leaves ``census`` out gets the shared
+        #: census kernel straight from the table, unprofiled (see
+        #: :data:`~repro.kernels.dispatch.PASS_KERNELS` for why).
+        self.run = {
+            role: partial(dispatch.run, name)
+            for role, name in PASS_KERNELS[len(mesh.deltas)].items()
+        }
+        self.run.setdefault(
+            "census", partial(_unprofiled, dispatch.table["census"])
+        )
         #: THE child bank: ``(parent run-arena index, parent RNG counter
         #: at the event, child index, ParticleRecord)`` per fission
         #: secondary or importance clone, in the order they were spawned.
@@ -107,11 +140,14 @@ class WorkingSet:
         self.refresh = refresh
         #: ``trace(kind, run-arena rows, cells_x, cells_y)`` or ``None``.
         self.trace = trace
+        #: The arena's per-axis field tuples (re-read when it grows: an
+        #: append re-homes its fields).
+        self.pos, self.omega, self.cells = arena.pos, arena.omega, arena.cells
         n = len(arena)
         self.micro_s = np.zeros(n)
         self.micro_c = np.zeros(n)
         self.micro_f = np.zeros(n)
-        self.mat_idx = ctx.material_map[arena.celly, arena.cellx]
+        self.mat_idx = ctx.material_map[self.cells[::-1]]
         self.rng = VectorParticleRNG(
             sink.lane_seeds(), arena.particle_id, arena.rng_counter
         )
@@ -125,6 +161,7 @@ class WorkingSet:
         """Extend the caches over lanes appended to the arena (children
         joining an in-place working set mid-step); returns the new lanes."""
         arena = self.arena
+        self.pos, self.omega, self.cells = arena.pos, arena.omega, arena.cells
         old = self.mat_idx.size
         new = np.arange(old, len(arena))
         zeros = np.zeros(new.size)
@@ -133,7 +170,7 @@ class WorkingSet:
         self.micro_f = np.concatenate([self.micro_f, zeros])
         self.mat_idx = np.concatenate([
             self.mat_idx,
-            self.ctx.material_map[arena.celly[new], arena.cellx[new]],
+            self.ctx.material_map[tuple(_at(self.cells[::-1], new))],
         ])
         self.gidx = np.concatenate([self.gidx, new])
         # Carry the live counters over: the arena's counter field is only
@@ -163,7 +200,7 @@ class WorkingSet:
         atomic read-modify-write of §VI-A, batched per event kind (the
         separate tally loop of §VI-G)."""
         arena = self.arena
-        self.sink.flush(idx, (arena.cellx, arena.celly), arena.deposit_buffer)
+        self.sink.flush(idx, self.cells, arena.deposit_buffer)
         arena.deposit_buffer[idx] = 0.0
 
     # ------------------------------------------------------------------
@@ -178,7 +215,6 @@ class WorkingSet:
         ctx = self.ctx
         a = self.arena
         ws = ctx.ws
-        run = ctx.dispatch.run
         n = len(a)
         # foreach(particle): calculate_time_to_events() — from the cached
         # microscopics, with the exact arithmetic chain of
@@ -187,12 +223,12 @@ class WorkingSet:
             ws, n, self.mat_idx, self.micro_s, self.micro_c, self.micro_f,
             a.local_density,
         )
-        dist = run(
-            "distances", n, ws, a.energy, a.mfp_to_collision, m.sigma_t,
-            a.x, a.y, a.omega_x, a.omega_y, a.cellx, a.celly,
-            ctx.mesh.dx, ctx.mesh.dy, a.dt_to_census,
+        dist = ctx.run["distances"](
+            n, ws, a.energy, a.mfp_to_collision, m.sigma_t,
+            *self.pos, *self.omega, *self.cells, *ctx.mesh.deltas,
+            a.dt_to_census,
         )
-        event = run(
+        event = ctx.dispatch.run(
             "select_events", n, dist.d_collision, dist.d_facet,
             dist.d_census,
             out=ws.i64("event", n), scratch=ws.bool_("ev_scratch", n),
@@ -228,27 +264,26 @@ class WorkingSet:
         c = np.nonzero(cmask)[0]
         d = dist.d_collision[c]
         sp = dist.speed[c]
-        a.x[c] = a.x[c] + a.omega_x[c] * d
-        a.y[c] = a.y[c] + a.omega_y[c] * d
+        omega = self.omega
+        for p, o in zip(self.pos, omega):
+            p[c] = p[c] + o[c] * d
         a.dt_to_census[c] = np.maximum(0.0, a.dt_to_census[c] - d / sp)
         weight_before = a.weight[c].copy()
         counters_at_event = self.rng.counters[c].copy()
         u_angle = self.rng.next_uniform(cmask)
-        u_sense = self.rng.next_uniform(cmask)
+        u_turn = self.rng.next_uniform(cmask)
         u_mfp = self.rng.next_uniform(cmask)
         sink.cadd("rng_draws", c, 3)
-        (e_new, w_new, ox_new, oy_new, mfp_new, dep, term, below) = ctx.dispatch.run(
-            "collide",
+        e_new, w_new, *o_new, mfp_new, dep, term, below = ctx.run["collide"](
             c.size,
             a.energy[c],
             a.weight[c],
-            a.omega_x[c],
-            a.omega_y[c],
+            *_at(omega, c),
             sigma_a[c],
             sigma_t[c],
             prov.mat_a[self.mat_idx[c]],
             u_angle,
-            u_sense,
+            u_turn,
             u_mfp,
             sink.ecut_at(c),
             sink.wcut_at(c),
@@ -256,17 +291,15 @@ class WorkingSet:
         )
         a.energy[c] = e_new
         a.weight[c] = w_new
-        a.omega_x[c] = ox_new
-        a.omega_y[c] = oy_new
+        for o, new in zip(omega, o_new):
+            o[c] = new
         a.mfp_to_collision[c] = mfp_new
         a.deposit_buffer[c] += dep
         sink.cadd("collisions", c)
         # Lanes are distinct histories, so the fancy-index add is exact.
         ctx.books.coll_pp[self.gidx[c]] += 1
         if self.trace is not None:
-            self.trace(
-                EventKind.COLLISION, self.gidx[c], a.cellx[c], a.celly[c]
-            )
+            self.trace(EventKind.COLLISION, self.gidx[c], *_at(self.cells, c))
 
         # ---- fission banking (multiplying media extension) -------------
         fissile_here = prov.mat_fissile[self.mat_idx[c]] & (sigma_t[c] > 0.0)
@@ -395,55 +428,56 @@ class WorkingSet:
         a = self.arena
         sink = self.sink
         config = ctx.config
+        imap = config.importance_map
+        pos, omega, cells = self.pos, self.omega, self.cells
         f = np.nonzero(fmask)[0]
-        old_cx_f = a.cellx[f].copy()
-        old_cy_f = a.celly[f].copy()
+        # The departure cells, for the trace hook and the importance ratios.
+        old_cells = (
+            _at(cells, f) if imap is not None or self.trace is not None
+            else ()
+        )
         d = dist.d_facet[f]
         sp = dist.speed[f]
         st = sigma_t[f]
-        a.x[f] = a.x[f] + a.omega_x[f] * d
-        a.y[f] = a.y[f] + a.omega_y[f] * d
+        for p, o in zip(pos, omega):
+            p[f] = p[f] + o[f] * d
         a.dt_to_census[f] = np.maximum(0.0, a.dt_to_census[f] - d / sp)
         a.mfp_to_collision[f] = np.maximum(0.0, a.mfp_to_collision[f] - d * st)
         # Snap the hit coordinate exactly onto the facet plane so rounding
         # never strands a particle outside its cell.
         ax = dist.axis[f]
-        hit_x = ax == 0
-        fx = f[hit_x]
-        a.x[fx] = np.where(a.omega_x[fx] > 0.0, dist.x_hi[fx], dist.x_lo[fx])
-        fy = f[~hit_x]
-        a.y[fy] = np.where(a.omega_y[fy] > 0.0, dist.y_hi[fy], dist.y_lo[fy])
+        for i, (p, o) in enumerate(zip(pos, omega)):
+            hit = f[ax == i]
+            p[hit] = np.where(o[hit] > 0.0, dist.hi[i][hit], dist.lo[i][hit])
         # Performed unconditionally at every facet.
         self.flush(f)
-        new_cx, new_cy, new_ox, new_oy, reflected, escaped = ctx.dispatch.run(
-            "cross_facet",
+        *moved, reflected, escaped = ctx.run["cross_facet"](
             f.size,
-            a.cellx[f], a.celly[f],
-            a.omega_x[f], a.omega_y[f], ax, ctx.mesh, config.boundary,
+            *_at(cells, f), *_at(omega, f), ax, ctx.mesh, config.boundary,
         )
         sink.cadd("facets", f)
         ctx.books.facet_pp[self.gidx[f]] += 1
         if self.trace is not None:
-            self.trace(EventKind.FACET, self.gidx[f], old_cx_f, old_cy_f)
+            self.trace(EventKind.FACET, self.gidx[f], *old_cells)
         gone = f[escaped]
         if gone.size:
             sink.cadd("escapes", gone)
             sink.csum("escaped_energy", gone, a.weight[gone] * a.energy[gone])
             a.alive[gone] = False
         stay = ~escaped
-        a.cellx[f[stay]] = new_cx[stay]
-        a.celly[f[stay]] = new_cy[stay]
-        a.omega_x[f[stay]] = new_ox[stay]
-        a.omega_y[f[stay]] = new_oy[stay]
+        kept = f[stay]
+        # The kernel returns the new cell indices, then the new directions.
+        for field, new in zip(cells + omega, moved):
+            field[kept] = new[stay]
         crossed = f[stay & ~reflected]
         # Load the destination cell's density — the random read.
         a.local_density[crossed] = ctx.mesh.density_at_vec(
-            a.cellx[crossed], a.celly[crossed]
+            *_at(cells, crossed)
         )
         sink.cadd("density_reads", crossed)
         sink.cadd("reflections", f[reflected])
-        if crossed.size:
-            new_mat = ctx.material_map[a.celly[crossed], a.cellx[crossed]]
+        if crossed.size and ctx.provider.nmaterials > 1:
+            new_mat = ctx.material_map[tuple(_at(cells[::-1], crossed))]
             changed = crossed[new_mat != self.mat_idx[crossed]]
             self.mat_idx[crossed] = new_mat
             if changed.size:
@@ -452,13 +486,12 @@ class WorkingSet:
                 self.refresh(self, changed)
 
         # ---- importance splitting / roulette (VR extension) ------------
-        imap = config.importance_map
         if imap is None or not crossed.size:
             return
         cross_in_f = stay & ~reflected
         ratios = (
-            imap[a.celly[crossed], a.cellx[crossed]]
-            / imap[old_cy_f[cross_in_f], old_cx_f[cross_in_f]]
+            imap[tuple(_at(cells[::-1], crossed))]
+            / imap[tuple(_at(old_cells[::-1], cross_in_f))]
         )
         changed_r = ratios != 1.0
         sel = crossed[changed_r]
@@ -538,20 +571,19 @@ class WorkingSet:
     def handle_census(self, zmask, dist, sigma_a, sigma_f, sigma_t) -> None:
         """handle_census(): fly remaining lanes to the end of the timestep."""
         a = self.arena
+        pos = self.pos
         z = np.nonzero(zmask)[0]
-        new_x, new_y, new_mfp = self.ctx.dispatch.run(
-            "census",
+        *new_pos, new_mfp = self.ctx.run["census"](
             z.size,
-            a.x[z], a.y[z],
-            a.omega_x[z], a.omega_y[z],
+            *_at(pos, z), *_at(self.omega, z),
             a.mfp_to_collision[z], sigma_t[z], dist.d_census[z],
         )
-        a.x[z] = new_x
-        a.y[z] = new_y
+        for p, new in zip(pos, new_pos):
+            p[z] = new
         a.mfp_to_collision[z] = new_mfp
         a.dt_to_census[z] = 0.0
         self.flush(z)
         a.censused[z] = True
         self.sink.cadd("census_events", z)
         if self.trace is not None:
-            self.trace(EventKind.CENSUS, self.gidx[z], a.cellx[z], a.celly[z])
+            self.trace(EventKind.CENSUS, self.gidx[z], *_at(self.cells, z))

@@ -10,8 +10,12 @@ wiring.  This module hoists all of that into one place:
   timestep spans).  Every driver routes through it; the
   ``repro.kernels`` audit rejects any new ``range(ntimesteps)`` loop
   outside this module.
-* :class:`CensusStepper` / :func:`run_stepped` — the full 2-D transport
-  driver.  Each census step's transport is delegated to a pluggable
+* :class:`CensusStepper` / :func:`run_stepped` — the full transport
+  driver, for a 2-D :class:`~repro.core.config.SimulationConfig` and a
+  3-D :class:`~repro.volume.problems3.Volume3DConfig` alike (the config
+  builds the mesh and the tally and names the births' draw count; the
+  source region's axes pick the arena the population is emitted into).
+  Each census step's transport is delegated to a pluggable
   scheme strategy (OP blocked lock-step or OE breadth-first) chosen per
   step by a *plan*, so the scheme becomes a per-census-step decision
   rather than a per-run constant.
@@ -55,8 +59,7 @@ from repro.core.event_pass import PassContext, WorkingSet
 from repro.core.over_events import HoistedRefresh, run_passes
 from repro.core.over_particles import run_block, trace_hook
 from repro.kernels import KernelDispatch, Workspace
-from repro.mesh.structured import StructuredMesh
-from repro.mesh.tally import EnergyDepositionTally
+from repro.kernels.dispatch import KERNEL_TABLES
 from repro.obs.live import NULL_PROBE
 from repro.obs.spans import NULL_RECORDER
 from repro.particles.source import sample_source
@@ -223,7 +226,7 @@ class _OPStrategy:
         arena = stepper.arena
         books = stepper.books
         ctx = stepper.pass_ctx
-        block_size = decision.block_size or stepper.run_config.op_block_size
+        block_size = decision.block_size or stepper.config.op_block_size
         lo = 0
         while lo < len(arena):
             hi = len(arena)
@@ -313,27 +316,14 @@ class CensusStepper:
         #: Live-plane publisher (repro.obs.live); NULL_PROBE when off.
         self.probe = NULL_PROBE if probe is None else probe
         self.trace = trace
-        self.mesh = StructuredMesh(
-            config.nx, config.ny, config.width, config.height, config.density
-        )
+        #: The config supplies what depends on the dimension: the mesh,
+        #: the tally type and the births' draw count.
+        self.mesh = config.build_mesh()
         #: The cross-section backend, built exactly once per run and
         #: threaded into every context (and the source sampler).
         self.provider = (
             provider if provider is not None else config.resolved_provider()
         )
-        # Multigroup contexts see a config with the resolved material set
-        # (legacy contract: tables are built once per run and travel with
-        # the config to pool workers); other backends rebuild from the
-        # config's own fields.
-        from repro.xs.provider import XsMode
-
-        if self.provider.mode is XsMode.MULTIGROUP:
-            self.run_config = (
-                config if config.materials is not None
-                else config.with_(materials=self.provider.materials)
-            )
-        else:
-            self.run_config = config
         if arena is None:
             arena = sample_source(
                 self.mesh, config.source, config.nparticles, config.seed,
@@ -342,22 +332,23 @@ class CensusStepper:
             )
         self.arena = arena
         self.dispatch = KernelDispatch(
-            recorder=self.rec if self.rec.enabled else None
+            KERNEL_TABLES[len(self.mesh.deltas)],
+            recorder=self.rec if self.rec.enabled else None,
         )
         self.ws = Workspace()
         #: Per-replica counters/tallies, per-lane replica and work arrays,
         #: and the run totals (``counters`` / ``tally`` below).
         self.books = books or ReplicaBooks(
-            (self.run_config,), np.zeros(len(arena), dtype=np.int64),
-            lambda: EnergyDepositionTally(config.nx, config.ny), tally,
+            (config,), np.zeros(len(arena), dtype=np.int64),
+            config.build_tally, tally,
         )
         self.counters = self.books.totals
         self.tally = self.books.tally
-        self.books.charge_births(4)
+        self.books.charge_births(config.BIRTH_DRAWS)
         #: Run-wide state of the one event pass, shared by both
         #: strategies (so there is one child bank).
         self.pass_ctx = PassContext(
-            self.run_config, self.mesh, self.books, self.dispatch, self.ws,
+            config, self.mesh, self.books, self.dispatch, self.ws,
             self.provider,
         )
         #: Dead histories parked by compact-at-switch (arena rows and
@@ -520,7 +511,8 @@ def _coerce_plan(config: SimulationConfig, plan):
 def run_stepped(config: SimulationConfig, plan=None, *, arena=None,
                 tally=None, trace=None, recorder=None, books=None,
                 provider=None, probe=None):
-    """Run the unified census stepper — the one 2-D transport driver.
+    """Run the unified census stepper — the one transport driver, in two
+    dimensions or three.
 
     ``plan`` is a :class:`Scheme` (``AUTO`` builds a live
     :class:`repro.adaptive.AdaptiveScheduler`), a :class:`SwitchPlan`,

@@ -30,7 +30,6 @@ from repro.core.config import Scheme, SimulationConfig
 from repro.core.counters import Counters
 from repro.core.stepper import run_stepped, validate_scheme_options
 from repro.ensemble.spec import EnsembleSpec, validate_members
-from repro.mesh.structured import StructuredMesh
 from repro.mesh.tally import EnergyDepositionTally
 from repro.obs.spans import NULL_RECORDER
 from repro.particles.arena import EnsembleArena
@@ -171,10 +170,7 @@ def _run_fused(members, arena, scheme, *, recorder=None, provider=None,
     ``TransportResult`` and the members' books."""
     base = members[0]
     histories = len(arena)
-    books = ReplicaBooks(
-        members, arena.replica_id,
-        lambda: EnergyDepositionTally(base.nx, base.ny),
-    )
+    books = ReplicaBooks(members, arena.replica_id, base.build_tally)
     res = run_stepped(
         base, scheme, arena=arena, books=books, recorder=recorder,
         provider=provider, probe=probe,
@@ -261,9 +257,7 @@ def run_ensemble(
         )
     else:
         run_members = members
-    mesh = StructuredMesh(
-        base.nx, base.ny, base.width, base.height, base.density
-    )
+    mesh = base.build_mesh()
     with rec.span("ensemble_source", replicas=nrep):
         member_arenas = [
             sample_source(

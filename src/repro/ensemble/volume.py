@@ -1,10 +1,10 @@
 """Seed-only ensemble fusion for the 3-D volume extension.
 
-The 3-D scheme has no fission or variance reduction, so the population
-is static and replica blocks never fragment: fusion is just
-concatenation plus a per-lane seed array on the counter-based RNG.
-Members may differ **only** in seed — the 3-D driver reads cutoffs and
-timestep from the single config, so nothing else is per-lane.
+A 3-D run has no fission or variance reduction, so the population is
+static and replica blocks never fragment: fusion is concatenation plus
+the members' :class:`~repro.core.books.ReplicaBooks`, run through the
+same census stepper as a 2-D ensemble.  Members may differ **only** in
+seed.
 """
 
 from __future__ import annotations
@@ -17,12 +17,10 @@ import numpy as np
 
 from repro.core.books import ReplicaBooks
 from repro.core.counters import Counters
-from repro.volume.driver3 import (
-    Transport3DResult,
-    _sample_source_3d,
-    run_over_events_3d,
-)
-from repro.volume.mesh3 import StructuredMesh3D, Tally3D
+from repro.core.simulation import TransportResult
+from repro.particles.arena import ParticleArena3
+from repro.volume.driver3 import _sample_source_3d, run_over_events_3d
+from repro.volume.mesh3 import Tally3D
 from repro.volume.problems3 import Volume3DConfig
 
 __all__ = [
@@ -34,7 +32,7 @@ __all__ = [
 
 #: Per-history state hashed into a 3-D replica fingerprint.
 STATE_FIELDS_3D = (
-    "x", "y", "z", "ox", "oy", "oz", "energy", "weight",
+    "x", "y", "z", "omega_x", "omega_y", "omega_z", "energy", "weight",
     "rng_counter", "alive", "cellx", "celly", "cellz",
 )
 
@@ -44,7 +42,7 @@ def population_fingerprint_3d(arena) -> str:
     order = np.argsort(arena.particle_id, kind="stable")
     h = hashlib.sha256()
     for name in STATE_FIELDS_3D:
-        h.update(np.ascontiguousarray(arena[name][order]).tobytes())
+        h.update(np.ascontiguousarray(getattr(arena, name)[order]).tobytes())
     return h.hexdigest()
 
 
@@ -89,7 +87,7 @@ class Replica3Result:
 class Ensemble3Result:
     members: tuple
     replicas: list
-    fused: Transport3DResult
+    fused: TransportResult
     wallclock_s: float
 
 
@@ -97,32 +95,23 @@ def run_ensemble_3d(members, recorder=None) -> Ensemble3Result:
     """Fuse seed-only 3-D members into one breadth-first dispatch."""
     t0 = time.perf_counter()
     members = validate_members_3d(members)
-    nrep = len(members)
     base = members[0]
-    mesh = StructuredMesh3D(
-        base.nx, base.ny, base.nz,
-        base.width, base.height, base.depth, base.density,
-    )
-    arenas = [_sample_source_3d(m, mesh) for m in members]
-    sizes = [len(a) for a in arenas]
-    fused = arenas[0]
-    for extra in arenas[1:]:
-        fused.extend(extra)
-    rep = np.repeat(np.arange(nrep, dtype=np.int64), sizes)
-    books = ReplicaBooks(
-        members, rep, lambda: Tally3D(base.nx, base.ny, base.nz)
-    )
+    mesh = base.build_mesh()
+    fused = ParticleArena3.fuse([_sample_source_3d(m, mesh) for m in members])
+    # Seed-only members emit equally many histories.
+    rep = np.repeat(np.arange(len(members), dtype=np.int64), base.nparticles)
+    books = ReplicaBooks(members, rep, base.build_tally)
     result = run_over_events_3d(base, recorder, arena=fused, books=books)
-    replicas = []
-    for r in range(nrep):
-        sel = np.nonzero(rep == r)[0]
-        replicas.append(Replica3Result(
+    replicas = [
+        Replica3Result(
             replica=r,
-            config=members[r],
+            config=member,
             counters=books.counters[r],
             tally=books.tallies[r],
-            arena=result.arena.subset(sel),
-        ))
+            arena=result.arena.subset(np.nonzero(rep == r)[0]),
+        )
+        for r, member in enumerate(members)
+    ]
     return Ensemble3Result(
         members=members,
         replicas=replicas,

@@ -4,8 +4,8 @@ Both execution schemes (Over Particles in blocks, Over Events over the
 whole population) drive the same batch kernels through a dispatch table
 with per-kernel call/wall-clock accounting:
 
-    drivers (core/event_pass — the one 2-D pass both schemes run —
-             and volume/driver3)
+    drivers (core/event_pass — the one pass both schemes run, in
+             two dimensions or three)
         │
         ▼
     KernelDispatch  — name→kernel table, per-kernel counters/timers
@@ -25,6 +25,7 @@ from repro.kernels.batch import EventKind, HUGE_DISTANCE, PARALLEL_EPS
 from repro.kernels.dispatch import (
     EVENT_KERNELS,
     KERNEL_TABLE,
+    PASS_KERNELS,
     KernelDispatch,
     KernelStat,
     format_profile,
@@ -40,6 +41,7 @@ __all__ = [
     "PARALLEL_EPS",
     "EVENT_KERNELS",
     "KERNEL_TABLE",
+    "PASS_KERNELS",
     "KernelDispatch",
     "KernelStat",
     "format_profile",

@@ -31,8 +31,8 @@ def main(argv=None) -> int:
         "repro/kernels, any hot path constructs AoS particle records, "
         "any driver re-implements the census loop outside "
         "repro/core/stepper.py, any driver forks on whether it has "
-        "replica books, or the 2-D event handlers exist in a second "
-        "module of repro/core",
+        "replica books, or the event handlers or their kernel dispatches "
+        "exist outside repro/core/event_pass.py",
     )
     args = parser.parse_args(argv)
     if not args.check:
@@ -56,7 +56,7 @@ def main(argv=None) -> int:
     print(f"OK: no *_vec physics implementations outside repro/kernels "
           f"({pkgs} audited)")
     print(f"OK: no AoS particle construction in hot paths "
-          f"({arena_pkgs} audited)")
+          f"({arena_pkgs} audited), no per-index history walk in volume")
     census_pkgs = ", ".join(CENSUS_AUDITED_PACKAGES)
     print(f"OK: no census loops outside {CENSUS_LOOP_HOME} "
           f"({census_pkgs} audited)")
@@ -64,7 +64,7 @@ def main(argv=None) -> int:
           "(all packages audited)")
     single_pkgs = ", ".join(SINGLE_PATH_PACKAGES)
     print(f"OK: no None test on the replica books, no *_vec kernel "
-          f"alias and one copy of the 2-D event handlers "
+          f"alias and one event pass in any dimension "
           f"({single_pkgs} audited)")
     return 0
 

@@ -20,7 +20,12 @@ A second audit guards the storage layer: the hot driver packages
 AoS particle records — ``Particle(...)``/``Particle3(...)`` calls are
 rejected so the population stays in the SoA
 :class:`~repro.particles.arena.ParticleArena` (secondaries are banked as
-:class:`~repro.particles.arena.ParticleRecord` tuples instead).
+:class:`~repro.particles.arena.ParticleRecord` tuples instead) — and
+``repro/volume`` must not walk histories through ``arena.proxy(i)``.
+
+The single-path audit keeps one execution path and one event pass: no
+fork on the replica books, and no event handler or event-kernel dispatch
+name (2-D or 3-D) outside ``core/event_pass.py``.
 """
 
 from __future__ import annotations
@@ -47,7 +52,8 @@ __all__ = [
     "ALLOWED_XS_TABLE_FILES",
     "SINGLE_PATH_PACKAGES",
     "BOOKS_NAME_PARTS",
-    "EVENT_PASS_PACKAGE",
+    "PROXY_AUDITED_PACKAGES",
+    "EVENT_PASS_HOME",
     "EVENT_HANDLER_DEFS",
     "EVENT_DISPATCH_NAMES",
 ]
@@ -114,18 +120,25 @@ SINGLE_PATH_PACKAGES = ("core", "volume", "ensemble")
 #: Substrings marking a name as the run's replica books.
 BOOKS_NAME_PARTS = ("lanes", "books")
 
-#: The package whose 2-D drivers share one event pass.
-EVENT_PASS_PACKAGE = "core"
+#: Packages that must not walk histories one index at a time: the 3-D
+#: per-history tracker is gone, and ``arena.proxy(i)`` is how it read them.
+PROXY_AUDITED_PACKAGES = ("volume",)
 
-#: Event-handler definitions that may exist in one module only.
+#: The one module of :data:`SINGLE_PATH_PACKAGES` that implements the
+#: event pass, in any dimension.  (The per-dimension kernel rows it reads
+#: live beside the kernel tables, in ``kernels/dispatch.py``.)
+EVENT_PASS_HOME = "core/event_pass.py"
+
+#: Event-handler definitions that may exist in that module only.
 EVENT_HANDLER_DEFS = ("handle_collisions", "handle_facets", "handle_census")
 
-#: Kernel names of the pass body and the handlers: a string literal
-#: naming one marks a ``dispatch.run`` call site (or a handler table),
-#: and all of those belong to the one pass.
+#: Kernel names of the pass body and the handlers, 2-D and 3-D: a string
+#: literal naming one marks a ``dispatch.run`` call site (or a handler
+#: table), and all of those belong to the one pass.
 EVENT_DISPATCH_NAMES = (
     "distances", "select_events", "collide", "cross_facet", "census",
     "roulette", "fission_bank",
+    "facet_distances_3d", "collide_3d", "cross_facet_3d",
 )
 
 
@@ -209,8 +222,8 @@ def audit_single_path(package_root: str | Path | None = None) -> list[str]:
     A plain run is one replica through the same books as an ensemble, so
     an ``is None`` / ``is not None`` test on them is a serial-vs-fused
     fork re-appearing; so is a ``*_vec = <kernel>`` alias naming a second
-    way to reach a kernel, and so is a second copy of the 2-D event
-    handlers (see :func:`_audit_one_event_pass`).  Returns violation
+    way to reach a kernel, and so is a second copy of the event handlers
+    (see :func:`_audit_one_event_pass`).  Returns violation
     messages (empty list means the audit passes).
     """
     if package_root is None:
@@ -247,34 +260,48 @@ def audit_single_path(package_root: str | Path | None = None) -> list[str]:
 
 
 def _audit_one_event_pass(package_root: Path) -> list[str]:
-    """Over Particles blocks and Over Events passes run the same event
+    """Every traversal order and every dimension runs the same event
     handlers: a handler definition (:data:`EVENT_HANDLER_DEFS`) or a
-    dispatch-name literal (:data:`EVENT_DISPATCH_NAMES`) found in a second
-    module of :data:`EVENT_PASS_PACKAGE` is the pass forking again."""
-    homes: dict[str, dict[str, int]] = {}
-    for path in sorted((package_root / EVENT_PASS_PACKAGE).rglob("*.py")):
-        rel = path.relative_to(package_root).as_posix()
-        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
-            if (
-                isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
-                and node.name in EVENT_HANDLER_DEFS
-            ):
-                found = f"def {node.name}"
-            elif (
-                isinstance(node, ast.Constant)
-                and node.value in EVENT_DISPATCH_NAMES
-            ):
-                found = repr(node.value)
-            else:
+    dispatch-name literal (:data:`EVENT_DISPATCH_NAMES`, the ``__all__``
+    of a reference module aside) outside :data:`EVENT_PASS_HOME` is the
+    pass forking again."""
+    violations: list[str] = []
+    for pkg in SINGLE_PATH_PACKAGES:
+        for path in sorted((package_root / pkg).rglob("*.py")):
+            rel = path.relative_to(package_root).as_posix()
+            if rel == EVENT_PASS_HOME:
                 continue
-            homes.setdefault(found, {}).setdefault(rel, node.lineno)
-    return [
-        f"{rel}:{lineno}: {found} also occurs in "
-        f"{', '.join(m for m in modules if m != rel)} — the event "
-        "handlers and their kernel dispatches live in one module"
-        for found, modules in sorted(homes.items()) if len(modules) > 1
-        for rel, lineno in modules.items()
-    ]
+            tree = ast.parse(path.read_text(), filename=str(path))
+            exported = {
+                id(item)
+                for node in ast.walk(tree)
+                if isinstance(node, ast.Assign)
+                and any(
+                    isinstance(t, ast.Name) and t.id == "__all__"
+                    for t in node.targets
+                )
+                for item in ast.walk(node.value)
+            }
+            for node in ast.walk(tree):
+                if (
+                    isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+                    and node.name in EVENT_HANDLER_DEFS
+                ):
+                    found = f"def {node.name}"
+                elif (
+                    isinstance(node, ast.Constant)
+                    and node.value in EVENT_DISPATCH_NAMES
+                    and id(node) not in exported
+                ):
+                    found = repr(node.value)
+                else:
+                    continue
+                violations.append(
+                    f"{rel}:{node.lineno}: {found} — the event handlers "
+                    f"and their kernel dispatches live in {EVENT_PASS_HOME} "
+                    "only, for every scheme and dimension"
+                )
+    return violations
 
 
 def _call_name(node: ast.Call) -> str | None:
@@ -293,7 +320,8 @@ def audit_particle_construction(
     """Reject AoS particle construction in the hot driver packages.
 
     Scans :data:`ARENA_AUDITED_PACKAGES` for calls to any name in
-    :data:`FORBIDDEN_PARTICLE_CTORS`; returns violation messages (empty
+    :data:`FORBIDDEN_PARTICLE_CTORS`, and :data:`PROXY_AUDITED_PACKAGES`
+    for ``<arena>.proxy(...)`` calls; returns violation messages (empty
     list means the audit passes).  New population entries must be banked
     as ``ParticleRecord`` tuples and appended to the arena.
     """
@@ -309,6 +337,16 @@ def audit_particle_construction(
                 if not isinstance(node, ast.Call):
                     continue
                 name = _call_name(node)
+                if (
+                    pkg in PROXY_AUDITED_PACKAGES
+                    and name == "proxy"
+                    and isinstance(node.func, ast.Attribute)
+                ):
+                    violations.append(
+                        f"{rel}:{node.lineno}: .proxy(...) — no per-index "
+                        "history walk here; the population advances "
+                        "through the one event pass"
+                    )
                 if name not in FORBIDDEN_PARTICLE_CTORS:
                     continue
                 if (rel, node.lineno) in ALLOWED_PARTICLE_CTORS:

@@ -41,6 +41,7 @@ __all__ = [
     "distances",
     "Distances",
     "elastic_scatter_kinematics",
+    "apply_cutoffs",
     "collide",
     "cross_facet",
     "census",
@@ -181,26 +182,24 @@ def select_events(
 class Distances:
     """Per-pass distance budgets, resident in workspace buffers.
 
+    ``lo`` / ``hi`` hold each lane's cell bounds, one array per mesh axis.
     Views are only valid until the next :func:`distances` call on the same
     workspace — the drivers consume them within the pass.
     """
 
     __slots__ = (
-        "speed", "d_collision", "d_facet", "axis", "d_census",
-        "x_lo", "x_hi", "y_lo", "y_hi",
+        "speed", "d_collision", "d_facet", "axis", "d_census", "lo", "hi",
     )
 
     def __init__(self, speed, d_collision, d_facet, axis, d_census,
-                 x_lo=None, x_hi=None, y_lo=None, y_hi=None):
+                 lo=(), hi=()):
         self.speed = speed
         self.d_collision = d_collision
         self.d_facet = d_facet
         self.axis = axis
-        self.x_lo = x_lo
-        self.x_hi = x_hi
-        self.y_lo = y_lo
-        self.y_hi = y_hi
         self.d_census = d_census
+        self.lo = lo
+        self.hi = hi
 
 
 def distances(
@@ -247,7 +246,7 @@ def distances(
     )
     d_census = np.multiply(dt_to_census, speed, out=ws.f64("d_census", n))
     return Distances(speed, d_coll, d_facet, axis, d_census,
-                     x_lo=x_lo, x_hi=x_hi, y_lo=y_lo, y_hi=y_hi)
+                     lo=(x_lo, y_lo), hi=(x_hi, y_hi))
 
 
 # --------------------------------------------------------------------------
@@ -273,6 +272,23 @@ def elastic_scatter_kinematics(
     return e_frac, mu_lab, sin_lab
 
 
+def apply_cutoffs(
+    energy, weight, energy_cutoff_ev, weight_cutoff, defer_weight_cutoff
+) -> tuple[np.ndarray, np.ndarray]:
+    """Post-collision cutoffs: ``(terminated, below_weight)`` masks.
+
+    With ``defer_weight_cutoff`` (Russian roulette mode) the energy cutoff
+    still terminates, but a sub-cutoff weight is *reported* rather than
+    terminated — the driver plays the roulette with its own draw.
+    """
+    below_weight = weight < weight_cutoff
+    if defer_weight_cutoff:
+        terminated = energy < energy_cutoff_ev
+        return terminated, below_weight & ~terminated
+    terminated = (energy < energy_cutoff_ev) | below_weight
+    return terminated, np.zeros_like(terminated)
+
+
 def collide(
     energy: np.ndarray,
     weight: np.ndarray,
@@ -294,9 +310,8 @@ def collide(
     below_weight)`` arrays.  ``a_ratio`` may be a scalar or a per-lane
     array (multi-material populations).
 
-    With ``defer_weight_cutoff`` (Russian roulette mode) the energy cutoff
-    still terminates here, but a sub-cutoff weight is *reported* rather
-    than terminated — the driver plays the roulette with its own draw.
+    The cutoffs (scalars or per-lane arrays) are applied by
+    :func:`apply_cutoffs`.
     """
     p_absorb = np.where(sigma_t > 0.0, sigma_a / np.where(sigma_t > 0.0, sigma_t, 1.0), 0.0)
     deposit = weight * energy * p_absorb
@@ -312,13 +327,10 @@ def collide(
 
     mfp = -np.log(1.0 - u_mfp)
 
-    below_weight = weight < weight_cutoff
-    if defer_weight_cutoff:
-        terminated = new_energy < energy_cutoff_ev
-        below_weight = below_weight & ~terminated
-    else:
-        terminated = (new_energy < energy_cutoff_ev) | below_weight
-        below_weight = np.zeros_like(terminated)
+    terminated, below_weight = apply_cutoffs(
+        new_energy, weight, energy_cutoff_ev, weight_cutoff,
+        defer_weight_cutoff,
+    )
     deposit = deposit + np.where(terminated, weight * new_energy, 0.0)
     weight = np.where(terminated, 0.0, weight)
 
@@ -385,25 +397,19 @@ def cross_facet(
 # Census kernel.
 
 
-def census(
-    x: np.ndarray,
-    y: np.ndarray,
-    omega_x: np.ndarray,
-    omega_y: np.ndarray,
-    mfp_to_collision: np.ndarray,
-    sigma_t: np.ndarray,
-    d_census: np.ndarray,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Fly each lane to the end of the timestep.
+def census(*args: np.ndarray) -> tuple[np.ndarray, ...]:
+    """Fly each lane to the end of the timestep, in any dimension.
 
-    Returns ``(new_x, new_y, new_mfp)``: the position advanced by the
+    ``args`` is ``(*position, *direction, mfp_to_collision, sigma_t,
+    d_census)`` with one position and one direction array per axis.
+    Returns ``(*new_position, new_mfp)``: the position advanced by the
     census distance and the optical budget decremented by the distance
     flown (clamped at zero).
     """
-    new_x = x + d_census * omega_x
-    new_y = y + d_census * omega_y
-    new_mfp = np.maximum(0.0, mfp_to_collision - d_census * sigma_t)
-    return new_x, new_y, new_mfp
+    *axes, mfp_to_collision, sigma_t, d_census = args
+    ndim = len(axes) // 2
+    new_pos = [p + d_census * o for p, o in zip(axes[:ndim], axes[ndim:])]
+    return (*new_pos, np.maximum(0.0, mfp_to_collision - d_census * sigma_t))
 
 
 # --------------------------------------------------------------------------

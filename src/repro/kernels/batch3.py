@@ -1,10 +1,11 @@
 """Batch kernels for the 3-D volume extension.
 
-The 3-D driver shares the event structure (and most physics) with the
-2-D kernels in :mod:`repro.kernels.batch`; only the direction algebra and
-the extra axis differ.  These are the batch implementations moved from
-``volume/*`` — the volume modules keep their scalar reference forms and
-alias their old ``*_vec`` names here.
+A 3-D run is the one event pass (:mod:`repro.core.event_pass`) over one
+more axis: it shares the dimension-independent kernels of
+:mod:`repro.kernels.batch` and dispatches these for the geometry and the
+direction algebra, with the calling convention of their 2-D twins (flat
+per-axis arguments, workspace buffers, per-lane cutoffs).  The volume
+modules keep the scalar reference forms the tests pin these against.
 
 ``mesh`` arguments are duck-typed (``nx``/``ny``/``nz``) to keep this
 module free of imports from :mod:`repro.volume` (which imports us).
@@ -17,12 +18,17 @@ import numpy as np
 from repro.kernels.batch import (
     HUGE_DISTANCE,
     PARALLEL_EPS,
+    Distances,
+    apply_cutoffs,
+    distance_to_collision,
     elastic_scatter_kinematics,
+    speed_from_energy,
 )
 from repro.mesh.boundary import BoundaryCondition
 
 __all__ = [
     "distance_to_facet_3d",
+    "distances_3d",
     "cross_facet_3d",
     "sample_isotropic_direction_3d",
     "rotate_direction",
@@ -34,27 +40,65 @@ _POLE_EPS = 1.0e-10
 
 
 def distance_to_facet_3d(
-    x, y, z, ox, oy, oz, x_lo, x_hi, y_lo, y_hi, z_lo, z_hi
+    x, y, z, ox, oy, oz, x_lo, x_hi, y_lo, y_hi, z_lo, z_hi,
+    dist=(None, None, None), axis=None,
 ):
     """Distance to the nearest facet of each 3-D cell: ``(d, axis)`` with
-    axis 0/1/2 for x/y/z, ties picking the lowest axis."""
-    def axis_dist(p, o, lo, hi):
-        d = np.full_like(p, HUGE_DISTANCE)
+    axis 0/1/2 for x/y/z, ties picking the lowest axis.  ``dist`` (one
+    buffer per axis) and ``axis`` accept workspace buffers; the distance
+    is written into ``dist[0]``."""
+    def axis_dist(p, o, lo, hi, d):
+        if d is None:
+            d = np.full_like(p, HUGE_DISTANCE)
+        else:
+            d.fill(HUGE_DISTANCE)
         pos = o > PARALLEL_EPS
         neg = o < -PARALLEL_EPS
         d[pos] = (hi[pos] - p[pos]) / o[pos]
         d[neg] = (lo[neg] - p[neg]) / o[neg]
         return d
 
-    dist_x = axis_dist(x, ox, x_lo, x_hi)
-    dist_y = axis_dist(y, oy, y_lo, y_hi)
-    dist_z = axis_dist(z, oz, z_lo, z_hi)
+    dist_x = axis_dist(x, ox, x_lo, x_hi, dist[0])
+    dist_y = axis_dist(y, oy, y_lo, y_hi, dist[1])
+    dist_z = axis_dist(z, oz, z_lo, z_hi, dist[2])
 
-    d = np.minimum(np.minimum(dist_x, dist_y), dist_z)
-    axis = np.full(x.shape, 2, dtype=np.int64)
+    if axis is None:
+        axis = np.full(x.shape, 2, dtype=np.int64)
+    else:
+        axis.fill(2)
     axis[dist_y <= dist_z] = 1
     axis[(dist_x <= dist_y) & (dist_x <= dist_z)] = 0
-    return d, axis
+    np.minimum(dist_x, dist_y, out=dist_x)
+    return np.minimum(dist_x, dist_z, out=dist_x), axis
+
+
+def distances_3d(
+    ws, energy, mfp_to_collision, sigma_t, x, y, z, ox, oy, oz,
+    cellx, celly, cellz, dx, dy, dz, dt_to_census,
+) -> Distances:
+    """Composite kernel, the 3-D twin of :func:`repro.kernels.batch.distances`
+    (same calling convention, one more axis): speed and the collision,
+    nearest-facet and census distance budgets of a population slice,
+    entirely in buffers of the workspace ``ws``."""
+    n = energy.shape[0]
+    speed = speed_from_energy(energy, out=ws.f64("speed", n))
+    d_coll = distance_to_collision(
+        mfp_to_collision, sigma_t, out=ws.f64("d_coll", n)
+    )
+    tmp = ws.i64("cell_tmp", n)
+    lo, hi = [], []
+    for name, cell, delta in (("x", cellx, dx), ("y", celly, dy), ("z", cellz, dz)):
+        lo.append(np.multiply(cell, delta, out=ws.f64(name + "_lo", n)))
+        np.add(cell, 1, out=tmp)
+        hi.append(np.multiply(tmp, delta, out=ws.f64(name + "_hi", n)))
+    d_facet, axis = distance_to_facet_3d(
+        x, y, z, ox, oy, oz, lo[0], hi[0], lo[1], hi[1], lo[2], hi[2],
+        dist=[ws.f64("dist_" + name, n) for name in "xyz"],
+        axis=ws.i64("axis", n),
+    )
+    d_census = np.multiply(dt_to_census, speed, out=ws.f64("d_census", n))
+    return Distances(speed, d_coll, d_facet, axis, d_census,
+                     lo=tuple(lo), hi=tuple(hi))
 
 
 def cross_facet_3d(
@@ -123,15 +167,18 @@ def collide3(
     oz,
     sigma_a,
     sigma_t,
-    a_ratio: float,
+    a_ratio,
     u_angle,
     u_azimuth,
     u_mfp,
-    energy_cutoff_ev: float,
-    weight_cutoff: float,
+    energy_cutoff_ev,
+    weight_cutoff,
+    defer_weight_cutoff: bool = False,
 ):
-    """Apply one 3-D collision per lane; returns
-    ``(energy, weight, ox, oy, oz, mfp, deposit, terminated)`` arrays."""
+    """Apply one 3-D collision per lane, with the calling convention of
+    :func:`repro.kernels.batch.collide` (scalar or per-lane ``a_ratio``
+    and cutoffs, ``defer_weight_cutoff``); returns ``(energy, weight,
+    ox, oy, oz, mfp, deposit, terminated, below_weight)`` arrays."""
     p_absorb = np.where(
         sigma_t > 0.0, sigma_a / np.where(sigma_t > 0.0, sigma_t, 1.0), 0.0
     )
@@ -147,8 +194,12 @@ def collide3(
 
     mfp = -np.log(1.0 - u_mfp)
 
-    terminated = (new_energy < energy_cutoff_ev) | (weight < weight_cutoff)
+    terminated, below_weight = apply_cutoffs(
+        new_energy, weight, energy_cutoff_ev, weight_cutoff,
+        defer_weight_cutoff,
+    )
     deposit = deposit + np.where(terminated, weight * new_energy, 0.0)
     weight = np.where(terminated, 0.0, weight)
 
-    return new_energy, weight, nox, noy, noz, mfp, deposit, terminated
+    return (new_energy, weight, nox, noy, noz, mfp, deposit, terminated,
+            below_weight)

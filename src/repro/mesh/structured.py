@@ -50,6 +50,8 @@ class StructuredMesh:
         self.height = float(height)
         self.dx = self.width / self.nx
         self.dy = self.height / self.ny
+        #: Cell extents, one per axis.
+        self.deltas = (self.dx, self.dy)
         if density is None:
             self.density = np.zeros((self.ny, self.nx), dtype=np.float64)
         else:

@@ -183,16 +183,15 @@ def _pool_section(pool) -> dict | None:
 def build_run_telemetry(result, recorder: Recorder | None = None):
     """Assemble the artifact from a transport result and its recorder.
 
-    Works for both the 2-D :class:`~repro.core.simulation.TransportResult`
-    and the 3-D :class:`~repro.volume.driver3.Transport3DResult` (which
-    has no pool or scheme fields — those sections are ``None``/omitted).
+    Works for 2-D and 3-D runs alike — both return a
+    :class:`~repro.core.simulation.TransportResult`; the ``getattr``
+    defaults below cover the fields only one of the two configs has.
     """
     config = result.config
     c = result.counters
     scheme = getattr(result, "scheme", None)
     meta = {
         "problem": getattr(config, "name", "unknown"),
-        # 2-D results carry a Scheme enum; 3-D results a plain string.
         "scheme": getattr(scheme, "value", scheme),
         "nx": getattr(config, "nx", None),
         "ny": getattr(config, "ny", None),

@@ -75,7 +75,6 @@ import numpy as np
 
 from repro.core.config import Scheme, SimulationConfig
 from repro.core.counters import Counters
-from repro.mesh.structured import StructuredMesh
 from repro.mesh.tally import EnergyDepositionTally
 from repro.obs.live import FlightSpiller, LiveBoard, load_flight_dump
 from repro.obs.spans import NULL_RECORDER, Recorder
@@ -1257,9 +1256,7 @@ def run_pool(
         run_config = config.with_(materials=provider.materials)
     else:
         run_config = config
-    mesh = StructuredMesh(
-        config.nx, config.ny, config.width, config.height, config.density
-    )
+    mesh = config.build_mesh()
     with rec.span("source_sampling", nparticles=config.nparticles):
         population = sample_source(
             mesh, config.source, config.nparticles, config.seed, config.dt,

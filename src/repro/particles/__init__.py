@@ -24,9 +24,7 @@ from repro.particles.arena import (
     ParticleArena,
     ParticleArena3,
     ParticleRecord,
-    ParticleRecord3,
     ParticleView,
-    Particle3View,
 )
 from repro.particles.particle import Particle
 from repro.particles.source import (
@@ -41,9 +39,7 @@ __all__ = [
     "ParticleArena",
     "ParticleArena3",
     "ParticleRecord",
-    "ParticleRecord3",
     "ParticleView",
-    "Particle3View",
     "SourceRegion",
     "sample_source",
     "sample_source_aos",

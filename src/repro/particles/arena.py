@@ -26,8 +26,9 @@ ports) keep one device-resident store:
 :class:`ParticleArena` is the 2-D population (float fields ``float64``,
 cell indices and cached bins ``int64``, ``alive``/``censused`` boolean
 masks, ``particle_id``/``rng_counter`` the ``uint64`` Threefry key and
-counter words); :class:`ParticleArena3` carries the 3-D volume
-extension's field set on the same machinery.
+counter words) and names its per-axis fields in the ``pos`` / ``omega`` /
+``cells`` tuples; :class:`ParticleArena3` is the same population with one
+more axis.
 """
 
 from __future__ import annotations
@@ -43,9 +44,7 @@ __all__ = [
     "ParticleArena",
     "ParticleArena3",
     "ParticleRecord",
-    "ParticleRecord3",
     "ParticleView",
-    "Particle3View",
     "shard_handle_nbytes",
 ]
 
@@ -237,7 +236,7 @@ class _FieldArena:
         if key == "energy":
             order = np.argsort(self.energy, kind="stable")
         elif key == "cell":
-            order = np.lexsort((self.cellx, self.celly))
+            order = np.lexsort(self.cells)
         elif key == "particle_id":
             order = np.argsort(self.particle_id, kind="stable")
         else:
@@ -400,9 +399,29 @@ class ParticleArena(_FieldArena):
         )
     )
 
+    #: Field names of the per-axis state, one entry per mesh axis.
+    POSITION = ("x", "y")
+    DIRECTION = ("omega_x", "omega_y")
+    CELL = ("cellx", "celly")
+
     def _init_defaults(self) -> None:
         self.alive[...] = True
         self.particle_id[...] = np.arange(self.n, dtype=np.uint64)
+
+    @property
+    def pos(self) -> tuple:
+        """Position components, one array per axis."""
+        return tuple(getattr(self, name) for name in self.POSITION)
+
+    @property
+    def omega(self) -> tuple:
+        """Direction cosines, one array per axis."""
+        return tuple(getattr(self, name) for name in self.DIRECTION)
+
+    @property
+    def cells(self) -> tuple:
+        """Cell indices, one array per axis."""
+        return tuple(getattr(self, name) for name in self.CELL)
 
     def active_mask(self) -> np.ndarray:
         """Particles still being advanced this timestep."""
@@ -455,6 +474,19 @@ class ParticleArena(_FieldArena):
         return out
 
     as_particles = to_particles
+
+    @classmethod
+    def fuse(cls, arenas) -> "ParticleArena":
+        """Concatenate member populations, in order, into one arena of
+        this type (the members' own fields are copied)."""
+        out = cls(sum(len(a) for a in arenas))
+        off = 0
+        for a in arenas:
+            n = len(a)
+            for name, _ in a.FIELDS:
+                getattr(out, name)[off:off + n] = getattr(a, name)
+            off += n
+        return out
 
 
 class ParticleView:
@@ -586,15 +618,10 @@ class EnsembleArena(ParticleArena):
     def fuse(cls, arenas) -> "EnsembleArena":
         """Concatenate member populations replica-major, tagging each
         block with its replica index."""
-        total = sum(len(a) for a in arenas)
-        out = cls(total)
-        off = 0
-        for r, a in enumerate(arenas):
-            n = len(a)
-            for name, _ in ParticleArena.FIELDS:
-                getattr(out, name)[off:off + n] = getattr(a, name)
-            out.replica_id[off:off + n] = r
-            off += n
+        out = super().fuse(arenas)
+        out.replica_id[...] = np.repeat(
+            np.arange(len(arenas)), [len(a) for a in arenas]
+        )
         return out
 
 
@@ -602,96 +629,14 @@ class EnsembleArena(ParticleArena):
 # The 3-D volume-extension arena
 # ---------------------------------------------------------------------------
 
-_FIELDS_3D = (
-    ("x", np.float64), ("y", np.float64), ("z", np.float64),
-    ("ox", np.float64), ("oy", np.float64), ("oz", np.float64),
-    ("energy", np.float64), ("weight", np.float64),
-    ("mfp", np.float64), ("dt", np.float64),
-    ("density", np.float64), ("deposit", np.float64),
-    ("cellx", np.int64), ("celly", np.int64), ("cellz", np.int64),
-    ("alive", np.bool_), ("censused", np.bool_),
-    ("particle_id", np.uint64), ("rng_counter", np.uint64),
-)
+class ParticleArena3(ParticleArena):
+    """The 3-D population: :class:`ParticleArena`'s fields plus one more
+    axis (``z``, ``omega_z``, ``cellz``) — same vocabulary, same
+    machinery, so the one event pass runs over it unchanged."""
 
-
-class ParticleArena3(_FieldArena):
-    """SoA arena for the 3-D volume drivers (one more axis, same
-    machinery).  Supports item access (``arena["x"]``) because the 3-D
-    Over Events kernels address fields by name."""
-
-    FIELDS = _FIELDS_3D
-
-    def _init_defaults(self) -> None:
-        self.alive[...] = True
-        self.particle_id[...] = np.arange(self.n, dtype=np.uint64)
-
-    def __getitem__(self, name: str) -> np.ndarray:
-        return getattr(self, name)
-
-    def __setitem__(self, name: str, value) -> None:
-        getattr(self, name)[...] = value
-
-    def proxy(self, index: int) -> "Particle3View":
-        """Per-index AoS proxy (the 3-D depth-first driver's record)."""
-        if not 0 <= index < self.n:
-            raise IndexError(f"particle {index} of {self.n}")
-        return Particle3View(self, index)
-
-    def proxies(self):
-        return (Particle3View(self, i) for i in range(self.n))
-
-
-class ParticleRecord3(tuple):
-    """Field tuple for :class:`ParticleArena3` (arena field order)."""
-
-    __slots__ = ()
-
-    def __new__(cls, **kw):
-        kw.setdefault("deposit", 0.0)
-        kw.setdefault("alive", True)
-        kw.setdefault("censused", False)
-        return super().__new__(
-            cls, (kw[name] for name, _ in ParticleArena3.FIELDS)
-        )
-
-
-class Particle3View:
-    """Per-index proxy over :class:`ParticleArena3` slots, attribute-
-    compatible with the retired ``Particle3`` AoS record (``mfp`` is
-    exposed as ``mfp_to_collision``, ``dt`` as ``dt_to_census``, …)."""
-
-    __slots__ = ("_arena", "_index")
-
-    #: proxy attribute → arena field
-    _ALIASES = {
-        "mfp_to_collision": "mfp",
-        "dt_to_census": "dt",
-        "local_density": "density",
-        "deposit_buffer": "deposit",
-    }
-
-    def __init__(self, arena: ParticleArena3, index: int):
-        object.__setattr__(self, "_arena", arena)
-        object.__setattr__(self, "_index", index)
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return (
-            f"Particle3View(i={self._index}, id={self.particle_id}, "
-            f"alive={self.alive})"
-        )
-
-
-def _view3_property(field: str) -> property:
-    def _get(self):
-        return getattr(self._arena, field)[self._index].item()
-
-    def _set(self, value):
-        getattr(self._arena, field)[self._index] = value
-
-    return property(_get, _set)
-
-
-for _name, _ in ParticleArena3.FIELDS:
-    setattr(Particle3View, _name, _view3_property(_name))
-for _alias, _field in Particle3View._ALIASES.items():
-    setattr(Particle3View, _alias, _view3_property(_field))
+    FIELDS = ParticleArena.FIELDS + (
+        ("z", np.float64), ("omega_z", np.float64), ("cellz", np.int64),
+    )
+    POSITION = ("x", "y", "z")
+    DIRECTION = ("omega_x", "omega_y", "omega_z")
+    CELL = ("cellx", "celly", "cellz")

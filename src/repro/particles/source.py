@@ -9,6 +9,10 @@ exactly four draws at birth, in a fixed order:
 3. isotropic direction angle,
 4. optical distance (mean free paths) to its first collision.
 
+A region with one more axis (:class:`repro.volume.problems3.SourceBox3D`)
+follows the same protocol — one draw per position axis, one fewer than
+that for the direction, one optical distance: six.
+
 Because the RNG is counter-based and keyed per particle, the scalar (AoS)
 and vectorised samplers produce bit-identical particles.  The canonical
 path is :func:`sample_source`, which emits vectorised, in place, into a
@@ -23,10 +27,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.kernels import batch
+from repro.kernels import batch, batch3
 from repro.kernels.xs import search_bins
 from repro.mesh.structured import StructuredMesh
-from repro.particles.arena import ParticleArena
+from repro.particles.arena import ParticleArena, ParticleArena3
 from repro.particles.particle import Particle
 from repro.rng.stream import ParticleRNG, VectorParticleRNG
 from repro.rng.distributions import (
@@ -41,6 +45,13 @@ __all__ = ["SourceRegion", "sample_source", "sample_source_aos", "sample_source_
 
 #: Draws consumed per particle at birth (x, y, angle, first mfp).
 DRAWS_PER_BIRTH = 4
+
+#: Per number of source-region axes: the arena type the population is
+#: emitted into and the isotropic direction sampler its direction draws feed.
+_EMISSION = {
+    2: (ParticleArena, batch.sample_isotropic_direction),
+    3: (ParticleArena3, batch3.sample_isotropic_direction_3d),
+}
 
 
 @dataclass(frozen=True)
@@ -64,6 +75,11 @@ class SourceRegion:
     energy_ev: float
     weight: float = 1.0
 
+    @property
+    def bounds(self) -> tuple:
+        """``(lo, hi)`` of the emission box along each axis."""
+        return (self.x0, self.x1), (self.y0, self.y1)
+
     def __post_init__(self) -> None:
         if not (self.x0 < self.x1 and self.y0 < self.y1):
             raise ValueError("source region must have positive extent")
@@ -84,7 +100,8 @@ def sample_source(
     capture_table: CrossSectionTable | None = None,
     provider=None,
 ) -> ParticleArena:
-    """Emit ``nparticles`` directly into a fresh :class:`ParticleArena`.
+    """Emit ``nparticles`` directly into a fresh :class:`ParticleArena`
+    (a :class:`ParticleArena3` for a 3-D ``mesh`` and ``region``).
 
     All field fills are vectorised, in place, into the arena's single
     buffer — no per-particle object is ever constructed.  Each history's
@@ -98,31 +115,26 @@ def sample_source(
     ``capture_table`` kwargs are the legacy spelling of the same seeding,
     kept for the AoS parity oracle and existing tests.
     """
-    arena = ParticleArena(nparticles)
+    arena_type, sample_direction = _EMISSION[len(region.bounds)]
+    arena = arena_type(nparticles)
     arena.particle_id[...] = np.arange(
         start_id, start_id + nparticles, dtype=np.uint64
     )
     rng = VectorParticleRNG(seed, arena.particle_id)
-    u1 = rng.next_uniform()
-    u2 = rng.next_uniform()
-    u3 = rng.next_uniform()
-    u4 = rng.next_uniform()
-    x, y = batch.sample_position_in_box(
-        u1, u2, region.x0, region.x1, region.y0, region.y1
+    for coord, (lo, hi) in zip(arena.pos, region.bounds):
+        coord[...] = lo + rng.next_uniform() * (hi - lo)
+    u_direction = [rng.next_uniform() for _ in arena.omega[1:]]
+    for omega, value in zip(arena.omega, sample_direction(*u_direction)):
+        omega[...] = value
+    arena.mfp_to_collision[...] = batch.sample_mean_free_paths(
+        rng.next_uniform()
     )
-    arena.x[...] = x
-    arena.y[...] = y
-    ox, oy = batch.sample_isotropic_direction(u3)
-    arena.omega_x[...] = ox
-    arena.omega_y[...] = oy
-    arena.mfp_to_collision[...] = batch.sample_mean_free_paths(u4)
     arena.energy[...] = region.energy_ev
     arena.weight[...] = region.weight
     arena.dt_to_census[...] = dt
-    cellx, celly = mesh.cell_of_point_vec(arena.x, arena.y)
-    arena.cellx[...] = cellx
-    arena.celly[...] = celly
-    arena.local_density[...] = mesh.density_at_vec(arena.cellx, arena.celly)
+    for cell, value in zip(arena.cells, mesh.cell_of_point_vec(*arena.pos)):
+        cell[...] = value
+    arena.local_density[...] = mesh.density_at_vec(*arena.cells)
     arena.rng_counter[...] = rng.counters
     if provider is not None:
         for field, bins in provider.source_bins_batch(0, arena.energy).items():

@@ -137,7 +137,7 @@ class Workload:
 
     @classmethod
     def from_result_3d(cls, result) -> "Workload":
-        """Characterise a 3-D run (:class:`repro.volume.Transport3DResult`).
+        """Characterise a 3-D run (the result of ``repro.volume.run_*_3d``).
 
         The machine models are dimension-agnostic: they consume operation
         rates and working-set sizes.  The 3-D mesh maps to an equivalent

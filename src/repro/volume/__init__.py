@@ -3,9 +3,11 @@
 The paper deliberately chose a 2-D structured grid, hypothesising that the
 performance-limiting characteristics are *independent of the geometry*, and
 promised a 3-D extension "to validate our current assumptions".  This
-subpackage is that extension: a full 3-D structured-grid transport with the
-same event structure, the same counter-based RNG discipline, and both
-parallelisation schemes.
+subpackage is that extension, and its shape is the claim: a 3-D run is the
+*same* census stepper, event pass and handlers as a 2-D run
+(:mod:`repro.core.event_pass`) over one more axis.  What lives here is what
+a third axis adds as data — a mesh and tally, a source box, the problem
+factories — plus the scalar reference forms of the 3-D kernels.
 
 The validation the paper asked for is in
 ``benchmarks/test_futurework_3d.py``: per *facet event* the 3-D code
@@ -20,32 +22,30 @@ Public entry points mirror the 2-D core:
 * :class:`repro.volume.mesh3.StructuredMesh3D` and
   :class:`repro.volume.mesh3.Tally3D`;
 * :func:`repro.volume.driver3.run_over_particles_3d` /
-  :func:`repro.volume.driver3.run_over_events_3d`;
+  :func:`repro.volume.driver3.run_over_events_3d` (or hand a 3-D config to
+  :class:`repro.core.Simulation`), returning the 2-D
+  :class:`~repro.core.simulation.TransportResult`;
 * problem factories in :mod:`repro.volume.problems3`;
-* conservation checks in :mod:`repro.volume.validation3`.
+* the conservation checks of :mod:`repro.core.validation` under their 3-D
+  names — the ledger has no dimension.
 """
 
-from repro.volume.mesh3 import StructuredMesh3D, Tally3D
-from repro.volume.driver3 import (
-    Transport3DResult,
-    run_over_events_3d,
-    run_over_particles_3d,
+from repro.core.validation import (
+    energy_balance_error as energy_balance_error_3d,
+    population_accounted as population_accounted_3d,
 )
+from repro.volume.mesh3 import StructuredMesh3D, Tally3D
+from repro.volume.driver3 import run_over_events_3d, run_over_particles_3d
 from repro.volume.problems3 import (
     csp3_problem,
     scatter3_problem,
     stream3_problem,
     Volume3DConfig,
 )
-from repro.volume.validation3 import (
-    energy_balance_error_3d,
-    population_accounted_3d,
-)
 
 __all__ = [
     "StructuredMesh3D",
     "Tally3D",
-    "Transport3DResult",
     "run_over_particles_3d",
     "run_over_events_3d",
     "Volume3DConfig",

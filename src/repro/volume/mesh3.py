@@ -34,6 +34,8 @@ class StructuredMesh3D:
         self.dx = self.width / self.nx
         self.dy = self.height / self.ny
         self.dz = self.depth / self.nz
+        #: Cell extents, one per axis.
+        self.deltas = (self.dx, self.dy, self.dz)
         if density is None:
             self.density = np.zeros((self.nz, self.ny, self.nx), dtype=np.float64)
         else:
@@ -109,6 +111,11 @@ class Tally3D:
         """Batched scatter-add with atomic (accumulating) semantics."""
         np.add.at(self.deposition, (iz, iy, ix), energy)
         self.flushes += int(len(ix))
+
+    def conflict_probability(self) -> float:
+        """Not measured in 3-D: the tally keeps no per-cell flush
+        histogram (one scatter-add per flush instead of two)."""
+        return 0.0
 
     def merge(self, other: "Tally3D") -> None:
         """Add another tally's deposits and flush count into this one."""

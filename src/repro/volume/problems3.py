@@ -9,12 +9,15 @@ arithmetic is directly comparable with the 2-D problems.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from typing import ClassVar
 
 import numpy as np
 
+from repro.core.config import SearchStrategy
 from repro.core.problems import HIGH_DENSITY, LOW_DENSITY, SOURCE_ENERGY_EV
 from repro.mesh.boundary import BoundaryCondition
 from repro.physics.variance import DEFAULT_ENERGY_CUTOFF_EV, DEFAULT_WEIGHT_CUTOFF
+from repro.volume.mesh3 import StructuredMesh3D, Tally3D
 
 __all__ = [
     "SourceBox3D",
@@ -37,6 +40,11 @@ class SourceBox3D:
     z1: float
     energy_ev: float
     weight: float = 1.0
+
+    @property
+    def bounds(self) -> tuple:
+        """``(lo, hi)`` of the emission box along each axis."""
+        return (self.x0, self.x1), (self.y0, self.y1), (self.z0, self.z1)
 
     def __post_init__(self) -> None:
         if not (self.x0 < self.x1 and self.y0 < self.y1 and self.z0 < self.z1):
@@ -74,6 +82,20 @@ class Volume3DConfig:
     #: library (material 0, the homogeneous medium of the 3-D problems).
     ce_materials: tuple | None = None
 
+    # What the census stepper and the one event pass read beyond the
+    # fields above is the same for every 3-D run: the medium is the single
+    # homogeneous non-multiplying material of the paper's setup, without
+    # variance-reduction extensions (all of which stay on the future-work
+    # list in 3-D), so these are constants, not settings.
+    #: RNG draws a history consumes at birth (position ×3, direction ×2,
+    #: first mfp).
+    BIRTH_DRAWS: ClassVar[int] = 6
+    #: Histories an Over Particles block advances together.
+    op_block_size: ClassVar[int] = 64
+    search: ClassVar[SearchStrategy] = SearchStrategy.BINARY
+    use_russian_roulette: ClassVar[bool] = False
+    importance_map: ClassVar[None] = None
+
     def __post_init__(self) -> None:
         if self.nparticles < 1:
             raise ValueError("need at least one particle")
@@ -90,11 +112,6 @@ class Volume3DConfig:
         object.__setattr__(self, "xs_mode", XsMode.coerce(self.xs_mode))
         if self.ce_materials is not None and not self.ce_materials:
             raise ValueError("ce_materials must be None or non-empty")
-
-    @property
-    def a_ratio(self) -> float:
-        """Elastic scattering mass ratio."""
-        return self.molar_mass_g_mol
 
     def resolved_provider(self):
         """Build this run's cross-section provider (one material).
@@ -125,6 +142,22 @@ class Volume3DConfig:
     def with_(self, **changes) -> "Volume3DConfig":
         """Copy with fields replaced."""
         return replace(self, **changes)
+
+    def resolved_material_map(self) -> np.ndarray:
+        """Per-cell material indices: material 0 everywhere (a zero-stride
+        view — nothing is stored)."""
+        return np.broadcast_to(np.int64(0), (self.nz, self.ny, self.nx))
+
+    def build_mesh(self) -> StructuredMesh3D:
+        """The mesh this config describes."""
+        return StructuredMesh3D(
+            self.nx, self.ny, self.nz,
+            self.width, self.height, self.depth, self.density,
+        )
+
+    def build_tally(self) -> Tally3D:
+        """An empty energy-deposition tally over the mesh."""
+        return Tally3D(self.nx, self.ny, self.nz)
 
     def total_source_energy_ev(self) -> float:
         """Conservation budget per run."""

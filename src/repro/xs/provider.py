@@ -138,10 +138,6 @@ class XsProvider(ABC):
         """
 
     @abstractmethod
-    def micro_scalar(self, mi: int, e: float) -> tuple[float, float, float]:
-        """Scalar ``(scatter, capture, fission)`` lookup (3-D OP driver)."""
-
-    @abstractmethod
     def lookups_per_refresh(self, mi: int) -> int:
         """Bin searches one batch lookup performs per lane."""
 
@@ -311,21 +307,6 @@ class MultigroupProvider(XsProvider):
             searches.append(("fission_bin", mat.fission, fbins))
         return MicroLookup(micro_s, micro_c, micro_f, tuple(searches))
 
-    def micro_scalar(self, mi: int, e: float) -> tuple[float, float, float]:
-        mat = self.materials[mi]
-        micro_s = mat.scatter.interpolate_at_bin(
-            e, binary_search_bin(mat.scatter, e)
-        )
-        micro_c = mat.capture.interpolate_at_bin(
-            e, binary_search_bin(mat.capture, e)
-        )
-        micro_f = 0.0
-        if mat.fissile:
-            micro_f = mat.fission.interpolate_at_bin(
-                e, binary_search_bin(mat.fission, e)
-            )
-        return micro_s, micro_c, micro_f
-
     def lookups_per_refresh(self, mi: int) -> int:
         return 3 if self.materials[mi].fissile else 2
 
@@ -398,15 +379,6 @@ class ContinuousEnergyProvider(XsProvider):
         return MicroLookup(
             micro_s, micro_c, micro_f, (("scatter_bin", grid, bins),)
         )
-
-    def micro_scalar(self, mi: int, e: float) -> tuple[float, float, float]:
-        # Route through the batch kernel on a single lane so the scalar
-        # (OP-3D) and vector (OE-3D) paths produce float-identical values.
-        arr = np.array([e], dtype=np.float64)
-        _bins, micro_s, micro_c, micro_f = kernel_xs.ce_lookup(
-            self.grids[mi], arr
-        )
-        return float(micro_s[0]), float(micro_c[0]), float(micro_f[0])
 
     def lookups_per_refresh(self, mi: int) -> int:
         return 1

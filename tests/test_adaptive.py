@@ -215,6 +215,23 @@ def test_scheduler_short_run_skips_second_probe():
     )
 
 
+def test_scheduler_holds_an_incumbent_that_was_never_measured():
+    """Regression: every history dies during the second probe step, so the
+    incumbent has no measured rate at step 2 — the scheduler holds it
+    (this used to raise ``KeyError`` in ``_pick``)."""
+    cfg = scatter_problem(nx=24, nparticles=60, ntimesteps=4, xs_mode="ce")
+    sched = AdaptiveScheduler(cfg)
+    auto = run_stepped(cfg, sched)
+    assert [d.reason for _, d in sched.decisions] == [
+        "probe", "probe", "hold", "hold",
+    ]
+    assert sched.decisions[-1][1].scheme is Scheme.OVER_EVENTS
+    ref = Simulation(cfg).run(Scheme.OVER_EVENTS)
+    _assert_physics_identical(ref, auto)
+    _assert_states_identical(ref, auto)
+    assert Simulation(cfg).run(Scheme.AUTO).scheme is Scheme.AUTO
+
+
 def test_scheduler_shapes_op_block_to_alive():
     cfg = csp_problem(nx=16, nparticles=12, ntimesteps=4)
     sched = AdaptiveScheduler(cfg)

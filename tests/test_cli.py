@@ -202,10 +202,32 @@ def test_ensemble_run_scheme_auto(capsys):
     assert "per-replica parity vs looped: BIT-IDENTICAL" in out
 
 
-def test_run3d_serve_metrics(capsys):
+def test_run3d_serve_metrics(capsys, monkeypatch):
+    import repro.cli as cli
+
+    planes = []
+    start_live_plane = cli._start_live_plane
+
+    def capture(args, recorder=None):
+        planes.append(start_live_plane(args, recorder))
+        return planes[-1]
+
+    monkeypatch.setattr(cli, "_start_live_plane", capture)
     rc = main([
         "run3d", "--problem", "csp3", "--n", "8", "--particles", "10",
         "--serve-metrics", "0",
     ])
     assert rc == 0
-    assert "live metrics:" in capsys.readouterr().out
+    out = capsys.readouterr().out
+    assert "live metrics:" in out
+    # The 3-D run rides the census stepper, so its probe fed the plane per
+    # census step and the final commit closed the one shard.
+    snap = planes[0][0].snapshot()
+    assert snap["run"]["done"] and snap["run"]["ntimesteps"] == 1
+    agg = snap["aggregate"]
+    assert agg["steps_total"] == 1 and agg["shards_total"] == 1
+    assert agg["histories_total"] == 10
+    events_line = out.split("events: ")[1].splitlines()[0]
+    assert agg["events_total"] == sum(
+        int(field.split("=")[1]) for field in events_line.split()
+    )

@@ -456,7 +456,9 @@ def test_one_member_ensemble_3d_is_the_plain_run():
         assert np.array_equal(tally.deposition, plain.tally.deposition)
         assert tally.flushes == plain.tally.flushes
     for name, _ in type(plain.arena).FIELDS:
-        assert np.array_equal(rr.arena[name], plain.arena[name]), name
+        assert np.array_equal(
+            getattr(rr.arena, name), getattr(plain.arena, name)
+        ), name
     assert rr.fingerprint() == population_fingerprint_3d(plain.arena)
 
 
@@ -580,8 +582,8 @@ def test_single_path_audit_flags_forks_and_aliases(tmp_path):
 
 
 def test_single_path_audit_flags_a_second_event_pass(tmp_path):
-    """Handler definitions and kernel dispatch names may live in one
-    module of ``core/`` only: a second copy is the pass forking again."""
+    """Handler definitions and kernel dispatch names may live in
+    ``core/event_pass.py`` only: a second copy is the pass forking again."""
     (tmp_path / "core").mkdir()
     (tmp_path / "volume").mkdir()
     (tmp_path / "ensemble").mkdir()
@@ -603,8 +605,48 @@ def test_single_path_audit_flags_a_second_event_pass(tmp_path):
         "    def roulette(self): self.run('roulette')\n"
     )
     violations = audit_single_path(tmp_path)
-    # Both homes of each duplicated name are reported.
-    assert len(violations) == 4
-    assert sum("def handle_census" in v for v in violations) == 2
-    assert sum("'census'" in v for v in violations) == 2
-    assert not any("roulette" in v for v in violations)
+    # The offending module is reported, not the home of the pass.
+    assert len(violations) == 3
+    assert all(v.startswith("core/over_particles.py:") for v in violations)
+    assert sum("def handle_census" in v for v in violations) == 1
+    assert sum("'census'" in v for v in violations) == 1
+    assert sum("'roulette'" in v for v in violations) == 1
+
+
+def test_single_path_audit_flags_a_3d_event_pass(tmp_path):
+    """The 3-D drivers ride the same pass: a handler, or the name of a 3-D
+    event kernel, in ``volume/`` or ``ensemble/`` is a second transport
+    body.  A scalar reference module may still export its function."""
+    (tmp_path / "core").mkdir()
+    (tmp_path / "volume").mkdir()
+    (tmp_path / "ensemble").mkdir()
+    (tmp_path / "volume" / "facet3.py").write_text(
+        '__all__ = ["cross_facet_3d"]\n'
+        "def cross_facet_3d(): pass\n"
+    )
+    assert audit_single_path(tmp_path) == []
+    (tmp_path / "volume" / "driver3.py").write_text(
+        "def run_step():\n"
+        "    run('facet_distances_3d'); run('select_events')\n"
+        "    run('collide_3d'); run('cross_facet_3d')\n"
+    )
+    (tmp_path / "ensemble" / "volume.py").write_text(
+        "def handle_facets(): pass\n"
+    )
+    violations = audit_single_path(tmp_path)
+    assert len(violations) == 5
+    assert sum(v.startswith("volume/driver3.py:") for v in violations) == 4
+    assert sum("def handle_facets" in v for v in violations) == 1
+
+
+def test_arena_audit_flags_a_per_index_walk_in_volume(tmp_path):
+    from repro.kernels.audit import audit_particle_construction
+
+    for pkg in ("core", "parallel", "volume"):
+        (tmp_path / pkg).mkdir()
+    walk = "def track(arena):\n    return [arena.proxy(i) for i in range(3)]\n"
+    (tmp_path / "core" / "tools.py").write_text(walk)
+    assert audit_particle_construction(tmp_path) == []
+    (tmp_path / "volume" / "driver3.py").write_text(walk)
+    (violation,) = audit_particle_construction(tmp_path)
+    assert violation.startswith("volume/driver3.py:2: .proxy(")

@@ -300,11 +300,8 @@ def _partitioned_counters(cuts, scheme):
     cfg = csp_problem(nx=32, nparticles=_FAULT_N)
     run_config = cfg.with_(materials=cfg.resolved_materials())
     materials = run_config.materials
-    mesh = pool_mod.StructuredMesh(
-        cfg.nx, cfg.ny, cfg.width, cfg.height, cfg.density
-    )
     population = pool_mod.sample_source(
-        mesh, cfg.source, cfg.nparticles, cfg.seed, cfg.dt,
+        cfg.build_mesh(), cfg.source, cfg.nparticles, cfg.seed, cfg.dt,
         scatter_table=materials[0].scatter,
         capture_table=materials[0].capture,
     )

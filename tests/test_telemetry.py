@@ -311,7 +311,8 @@ def test_cli_run3d_telemetry_and_profile(tmp_path, capsys):
     assert "kernel profile" in out
     assert "arena storage" in out
     telemetry = load_telemetry(path)
-    assert telemetry.meta["scheme"] == "over_events_3d"
+    assert telemetry.meta["scheme"] == "over_events"
+    assert telemetry.meta["nz"] == 8
     assert any(s["name"] == "event_pass" for s in telemetry.spans)
 
 

@@ -1,12 +1,20 @@
 """3-D transport extension: kinematics, geometry, schemes, conservation."""
 
+import hashlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core import Scheme, Simulation
+from repro.core.books import ReplicaBooks
+from repro.core.stepper import run_stepped
+from repro.ensemble.volume import population_fingerprint_3d
 from repro.kernels import batch3
 from repro.mesh.boundary import BoundaryCondition
+from repro.particles.arena import ParticleArena3
+from repro.particles.source import sample_source
 from repro.volume import (
     StructuredMesh3D,
     Tally3D,
@@ -18,6 +26,7 @@ from repro.volume import (
     scatter3_problem,
     stream3_problem,
 )
+from repro.volume.collision3 import collide3
 from repro.volume.events3 import distance_to_facet_3d
 from repro.volume.facet3 import cross_facet_3d
 from repro.volume.kinematics3 import (
@@ -155,6 +164,37 @@ def test_cross_facet_3d_vec_parity():
         assert s == got
 
 
+def test_collide3_vec_parity():
+    """The batch 3-D collision kernel against its scalar reference, lane
+    by lane, cutoffs included."""
+    rng = np.random.default_rng(3)
+    n = 300
+    energy = 10.0 ** rng.uniform(-1.0, 6.0, n)
+    weight = 10.0 ** rng.uniform(-4.0, 0.0, n)
+    ox, oy, oz = batch3.sample_isotropic_direction_3d(*rng.uniform(0, 1, (2, n)))
+    sigma_t = rng.uniform(0.1, 50.0, n)
+    sigma_a = sigma_t * rng.uniform(0.0, 1.0, n)
+    u = rng.uniform(0, 1, (3, n))
+    vec = batch3.collide3(
+        energy, weight, ox, oy, oz, sigma_a, sigma_t, 1.0, *u, 1.0, 1.0e-3,
+    )
+    assert not vec[8].any()  # nothing deferred without Russian roulette
+    for i in range(n):
+        s = collide3(
+            energy[i], weight[i], ox[i], oy[i], oz[i], sigma_a[i],
+            sigma_t[i], 1.0, u[0][i], u[1][i], u[2][i], 1.0, 1.0e-3,
+        )
+        assert (
+            s.energy, s.weight, s.ox, s.oy, s.oz, s.mfp_to_collision,
+            s.deposit, s.terminated,
+        ) == tuple(v[i] for v in vec[:8]), i
+    deferred = batch3.collide3(
+        energy, weight, ox, oy, oz, sigma_a, sigma_t, 1.0, *u, 1.0, 1.0e-3,
+        defer_weight_cutoff=True,
+    )
+    assert deferred[8].any() and not (deferred[7] & deferred[8]).any()
+
+
 def test_tally3():
     t = Tally3D(3, 3, 3)
     t.flush(1, 2, 0, 5.0)
@@ -171,6 +211,12 @@ def test_tally3():
 # ---------------------------------------------------------------------------
 
 FACTORIES = (stream3_problem, scatter3_problem, csp3_problem)
+
+#: The physics counters both schemes must agree on, event for event.
+PHYSICS_COUNTERS = (
+    "collisions", "facets", "census_events", "terminations", "escapes",
+    "reflections", "density_reads", "rng_draws", "tally_flushes",
+)
 
 
 @pytest.fixture(scope="module", params=[f.__name__ for f in FACTORIES])
@@ -190,11 +236,140 @@ def test_3d_conservation(pair):
 
 def test_3d_schemes_bit_identical(pair):
     a, b = pair
-    for f in ("x", "y", "z", "energy", "weight", "rng_counter"):
-        assert np.array_equal(a.arena[f], b.arena[f]), f
+    for name, _ in type(a.arena).FIELDS:
+        assert np.array_equal(
+            getattr(a.arena, name), getattr(b.arena, name)
+        ), name
     assert np.allclose(a.tally.deposition, b.tally.deposition, rtol=1e-9)
-    assert a.counters.collisions == b.counters.collisions
-    assert a.counters.facets == b.counters.facets
+    for name in PHYSICS_COUNTERS:
+        assert getattr(a.counters, name) == getattr(b.counters, name), name
+
+
+# Captured from the commit before the 3-D drivers moved onto the census
+# stepper (n=12, 40 histories, 2 timesteps): population fingerprint,
+# PHYSICS_COUNTERS, sha256 of the tally.  Both schemes produced every value
+# below, with one exception: that commit's one-history-at-a-time Over
+# Particles tracker accumulated scatter3's tally history-major, which sums
+# the same deposits to the same total in another order (ead51f53… for CE,
+# dfddd605… for multigroup); the blocked Over Particles driver accumulates
+# pass-major, like Over Events.
+GOLDEN_3D = {
+    ("csp3", "ce", "reflective"): (
+        "d80ed17f4ebfbd6328142ab981ccf6de81bad5f31c1ae26a7c6f543500ab2c83",
+        (156, 1887, 79, 1, 0, 176, 1711, 708, 1967),
+        "4ec85f8fc64464e8392e86d8a905612720175ee2aa4b16823f07004387e78f1f",
+    ),
+    ("csp3", "ce", "vacuum"): (
+        "393c36a9da8d9af148d89ade01a113fc040479d1eb35e96837e0bc0cff33294d",
+        (28, 128, 1, 0, 40, 0, 88, 324, 129),
+        "fa9498a13313f803623be6d6bd217a5f5e139e3462965ccaab8442e1b1be0f6b",
+    ),
+    ("csp3", "multigroup", "reflective"): (
+        "d55050f9502febbbc096c0fd8a04901424f26da6e6d1ae09caab02b2935adbc1",
+        (135, 1683, 78, 2, 0, 157, 1526, 645, 1763),
+        "de26733b4d185383db560892c7714127a6cdc8475d1c2cd61e76f048c90d3077",
+    ),
+    ("csp3", "multigroup", "vacuum"): (
+        "0fbd2399d70eabc46f30dab1313d07bb228c407559ec2bf082c552e0199fd98d",
+        (17, 113, 2, 0, 39, 0, 74, 291, 115),
+        "6620031592dc59f10389d6791d1d3ad91dcaa6c3e446d522ee22c4462bd70030",
+    ),
+    ("scatter3", "ce", "reflective"): (
+        "746cb93972509d1449ee16238475f91892ed83f7e617a1ed1815c54da392b458",
+        (1753, 82, 0, 40, 0, 0, 82, 5499, 122),
+        "2e5f7cdae13e12c4cf22ae2293a7afc37cb4151939b587a9e02a2522760dad26",
+    ),
+    ("scatter3", "ce", "vacuum"): (
+        "746cb93972509d1449ee16238475f91892ed83f7e617a1ed1815c54da392b458",
+        (1753, 82, 0, 40, 0, 0, 82, 5499, 122),
+        "2e5f7cdae13e12c4cf22ae2293a7afc37cb4151939b587a9e02a2522760dad26",
+    ),
+    ("scatter3", "multigroup", "reflective"): (
+        "923eed5a678eeed9707d82b9bfc14eb14df7a1e7660713edd5f0238f656e556f",
+        (697, 4, 36, 28, 0, 0, 4, 2331, 68),
+        "b3fa800cd4c2d55879c3c72c49ead3d8497f57a0a73a5e55d1c00387725c76a3",
+    ),
+    ("scatter3", "multigroup", "vacuum"): (
+        "923eed5a678eeed9707d82b9bfc14eb14df7a1e7660713edd5f0238f656e556f",
+        (697, 4, 36, 28, 0, 0, 4, 2331, 68),
+        "b3fa800cd4c2d55879c3c72c49ead3d8497f57a0a73a5e55d1c00387725c76a3",
+    ),
+    ("stream3", "ce", "reflective"): (
+        "1e6d1f4ed0dfb6cd4e323ea263da337380b1c3ace62834b3a05a3287f2d3981e",
+        (0, 2013, 80, 0, 0, 162, 1851, 240, 2093),
+        "299407adb3f1bd645191cfecb3c33a47510b1dfba3c0a936d741bdd8513526c0",
+    ),
+    ("stream3", "ce", "vacuum"): (
+        "e2c7c2ee801e34f2f95dcfd4d36e0f2575a7850940fdb932a7666a8e59543251",
+        (0, 471, 0, 0, 40, 0, 431, 240, 471),
+        "299407adb3f1bd645191cfecb3c33a47510b1dfba3c0a936d741bdd8513526c0",
+    ),
+    ("stream3", "multigroup", "reflective"): (
+        "1e6d1f4ed0dfb6cd4e323ea263da337380b1c3ace62834b3a05a3287f2d3981e",
+        (0, 2013, 80, 0, 0, 162, 1851, 240, 2093),
+        "299407adb3f1bd645191cfecb3c33a47510b1dfba3c0a936d741bdd8513526c0",
+    ),
+    ("stream3", "multigroup", "vacuum"): (
+        "e2c7c2ee801e34f2f95dcfd4d36e0f2575a7850940fdb932a7666a8e59543251",
+        (0, 471, 0, 0, 40, 0, 431, 240, 471),
+        "299407adb3f1bd645191cfecb3c33a47510b1dfba3c0a936d741bdd8513526c0",
+    ),
+}
+
+
+def _tally_sha(tally) -> str:
+    return hashlib.sha256(
+        np.ascontiguousarray(tally.deposition).tobytes()
+    ).hexdigest()
+
+
+@pytest.mark.parametrize("driver", [run_over_particles_3d, run_over_events_3d])
+@pytest.mark.parametrize("key", sorted(GOLDEN_3D), ids="-".join)
+def test_3d_goldens_reproduce(key, driver):
+    name, xs_mode, boundary = key
+    factory = {f.__name__: f for f in FACTORIES}[name + "_problem"]
+    cfg = factory(
+        n=12, nparticles=40, ntimesteps=2, xs_mode=xs_mode,
+        boundary=BoundaryCondition(boundary),
+    )
+    result = driver(cfg)
+    fingerprint, counters, tally = GOLDEN_3D[key]
+    assert population_fingerprint_3d(result.arena) == fingerprint
+    assert tuple(
+        getattr(result.counters, c) for c in PHYSICS_COUNTERS
+    ) == counters
+    assert _tally_sha(result.tally) == tally
+
+
+@pytest.mark.parametrize("scheme", [Scheme.OVER_PARTICLES, Scheme.OVER_EVENTS])
+def test_3d_fused_member_matches_standalone(scheme):
+    """Three seed-only members fused into one arena: every member's
+    population, counters and tally equal its standalone run's, under
+    either scheme."""
+    base = csp3_problem(n=8, nparticles=30, ntimesteps=2)
+    members = [base.with_(seed=base.seed + 5 * r) for r in range(3)]
+    mesh = base.build_mesh()
+    fused = ParticleArena3.fuse([
+        sample_source(mesh, m.source, m.nparticles, m.seed, m.dt)
+        for m in members
+    ])
+    rep = np.repeat(np.arange(3), base.nparticles)
+    books = ReplicaBooks(members, rep, base.build_tally)
+    result = run_stepped(base, scheme, arena=fused, books=books)
+    for r, member in enumerate(members):
+        solo = Simulation(member).run(scheme)
+        part = result.arena.subset(np.nonzero(rep == r)[0])
+        for name, _ in ParticleArena3.FIELDS:
+            assert np.array_equal(
+                getattr(part, name), getattr(solo.arena, name)
+            ), (r, name)
+        for name in PHYSICS_COUNTERS:
+            assert getattr(books.counters[r], name) == getattr(
+                solo.counters, name
+            ), (r, name)
+        assert np.array_equal(
+            books.tallies[r].deposition, solo.tally.deposition
+        )
 
 
 def test_3d_problem_extremes():

@@ -217,22 +217,6 @@ def test_resolve_provider_modes():
         XsMode.coerce("nuclear-data-files")
 
 
-def test_micro_scalar_matches_batch_lookup():
-    """Scalar (3-D OP) and batch (OE) paths must be float-identical."""
-    energies = np.geomspace(1e-4, 1.9e7, 23)
-    for prov in (
-        MultigroupProvider((hydrogenous_moderator(512),)),
-        ContinuousEnergyProvider(
-            resolve_provider("ce", xs_nentries=512).materials
-        ),
-    ):
-        lk = prov.lookup(0, energies)
-        for i, e in enumerate(energies):
-            s, c, _f = prov.micro_scalar(0, float(e))
-            assert s == lk.micro_s[i]
-            assert c == lk.micro_c[i]
-
-
 def test_macro_xs_books_stats_and_sums():
     from repro.xs.lookup import LookupStats
 
@@ -344,8 +328,9 @@ def test_ce_single_bin_nuclide():
     _bins, ms, _mc, _mf = ce_lookup(grid, e)
     t = (e - 1.0) / (1e6 - 1.0)
     np.testing.assert_array_equal(ms, 3.0 + t * 2.0)
-    s, c, f = prov.micro_scalar(0, 5e5)
-    assert s == ms[2] and c == 1.0 and f == 0.0
+    lk = prov.lookup(0, e[2:3])
+    assert lk.micro_s[0] == ms[2] and lk.micro_c[0] == 1.0
+    assert lk.micro_f is None
 
 
 def test_ce_nuclide_validation():
