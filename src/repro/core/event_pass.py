@@ -231,7 +231,8 @@ class WorkingSet:
         event = ctx.dispatch.run(
             "select_events", n, dist.d_collision, dist.d_facet,
             dist.d_census,
-            out=ws.i64("event", n), scratch=ws.bool_("ev_scratch", n),
+            out=ws.i64("event", n), lowest=ws.f64("ev_lowest", n),
+            scratch=ws.bool_("ev_scratch", n),
         )
         masks = {}
         n_event = {}
@@ -240,7 +241,7 @@ class WorkingSet:
             np.equal(event, int(kind), out=mask)
             np.logical_and(mask, active, out=mask)
             masks[kind] = mask
-            n_event[kind] = int(mask.sum())
+            n_event[kind] = int(np.count_nonzero(mask))
         if book_pass is not None:
             book_pass(active, masks, n_event)
         # One handler per event kind, via the shared mapping.
@@ -446,9 +447,9 @@ class WorkingSet:
         # Snap the hit coordinate exactly onto the facet plane so rounding
         # never strands a particle outside its cell.
         ax = dist.axis[f]
-        for i, (p, o) in enumerate(zip(pos, omega)):
+        for i, p in enumerate(pos):
             hit = f[ax == i]
-            p[hit] = np.where(o[hit] > 0.0, dist.hi[i][hit], dist.lo[i][hit])
+            p[hit] = dist.face[i][hit]
         # Performed unconditionally at every facet.
         self.flush(f)
         *moved, reflected, escaped = ctx.run["cross_facet"](

@@ -20,8 +20,9 @@ dead.  The paper's observations map directly onto this implementation:
   :class:`repro.core.counters.EventPassStats` so the machine model can
   price the wasted traffic;
 * *batched atomics* — tally flushes happen together in one scatter-add per
-  event kind per pass (``np.add.at``), the analogue of the separate tally
-  loop the paper introduced to enable vectorisation (§VI-G).
+  event kind per pass (``np.add.at`` on the flat cell index, which
+  accumulates in lane order), the analogue of the separate tally loop the
+  paper introduced to enable vectorisation (§VI-G).
 
 What is particular to the scheme is here: the pass bookkeeping, children
 joining the population between passes (in the order they were banked),
@@ -111,7 +112,7 @@ def _book_pass(books, pass_span, active, masks, n_event) -> None:
     """Book one pass's occupancy on the books and, when telemetry is on,
     as attributes of its span."""
     stats = EventPassStats(
-        n_active=int(active.sum()),
+        n_active=int(np.count_nonzero(active)),
         n_collision=n_event[EventKind.COLLISION],
         n_facet=n_event[EventKind.FACET],
         n_census=n_event[EventKind.CENSUS],
@@ -138,7 +139,7 @@ def run_passes(work: WorkingSet, rec) -> None:
     npass = 0
     while True:
         active = work.active()
-        if not active.any():
+        if not np.count_nonzero(active):
             break
         with rec.span("event_pass", index=npass) as pass_span:
             work.event_pass(

@@ -122,7 +122,7 @@ def run_block(ctx: PassContext, arena, idx: np.ndarray, sink,
     exact_refresh(block, np.arange(idx.size))
     while True:
         active = block.active()
-        if not active.any():
+        if not np.count_nonzero(active):
             break
         block.event_pass(active)
     block.sync_rng()

@@ -9,14 +9,17 @@ Both execution schemes drive these kernels:
 * **Over Particles** applies them to a *block* of histories at a time
   (depth-first in blocks; block size 1 is the paper's scalar traversal).
 
-The scalar functions that remain in :mod:`repro.physics` are retained as
-the reference implementations the parity suite pins these kernels against
-element-wise, bit-for-bit (``tests/test_kernels_parity.py``); the old
-module-level ``*_vec`` twins are now deprecated aliases of these kernels.
+The scalar functions that remain in :mod:`repro.physics` and
+:mod:`repro.volume` are the reference implementations the parity suite
+pins these kernels against element-wise, bit-for-bit
+(``tests/test_kernels_parity.py``).
 
-The bodies here are the verified vectorised forms moved from
-``physics/*`` — their operation order is part of the bit-parity contract
-and must not be "simplified".
+What bit-parity needs is that every lane sees the reference's operands in
+the reference's operation order — not any particular array form.  The
+geometry kernels are full-width and branch-free: a predicate selects each
+lane's operand or masks its divide (``where=``), so no lane is gathered
+into a per-branch sub-batch and none computes a value its scalar
+reference would not.
 """
 
 from __future__ import annotations
@@ -37,12 +40,15 @@ __all__ = [
     "speed_from_energy",
     "distance_to_collision",
     "distance_to_facet",
+    "facets_ahead",
+    "nearest_facet",
     "select_events",
     "distances",
     "Distances",
     "elastic_scatter_kinematics",
     "apply_cutoffs",
     "collide",
+    "cross_facets",
     "cross_facet",
     "census",
     "roulette",
@@ -100,19 +106,72 @@ def speed_from_energy(energy_ev: np.ndarray, out: np.ndarray | None = None) -> n
 
 
 def distance_to_collision(
-    mfp_remaining: np.ndarray, sigma_t: np.ndarray, out: np.ndarray | None = None
+    mfp_remaining: np.ndarray,
+    sigma_t: np.ndarray,
+    out: np.ndarray | None = None,
+    scratch: np.ndarray | None = None,
 ) -> np.ndarray:
     """Distance to the next collision from the remaining optical distance.
 
-    With no material (Σ_t = 0) the collision never happens.
+    With no material (Σ_t = 0) the collision never happens.  ``out``
+    (float64) and ``scratch`` (bool) accept workspace buffers.
     """
     if out is None:
-        out = np.full_like(mfp_remaining, HUGE_DISTANCE)
-    else:
-        out.fill(HUGE_DISTANCE)
-    ok = sigma_t > 0.0
-    out[ok] = mfp_remaining[ok] / sigma_t[ok]
-    return out
+        out = np.empty_like(mfp_remaining)
+    out.fill(HUGE_DISTANCE)
+    ok = np.greater(sigma_t, 0.0, out=scratch)
+    return np.divide(mfp_remaining, sigma_t, out=out, where=ok)
+
+
+def _first_min(arrays, lowest, index, mask):
+    """Each lane's smallest value over ``arrays`` into ``lowest`` (which
+    may alias ``arrays[0]``) and its position into ``index``; ties pick
+    the first array, as the scalar ``<=`` ladders do."""
+    first, second, *rest = arrays
+    np.less(second, first, out=index, casting="unsafe")
+    np.minimum(first, second, out=lowest)
+    for i, a in enumerate(rest, 2):
+        np.less(a, lowest, out=mask)
+        np.putmask(index, mask, i)
+        np.minimum(lowest, a, out=lowest)
+    return lowest, index
+
+
+def facets_ahead(omega, lo, hi) -> list[np.ndarray]:
+    """Per axis, the bound of its cell each lane is flying toward: ``hi``
+    where ``ω > 0``, else ``lo``."""
+    return [np.where(o > 0.0, h, l) for o, l, h in zip(omega, lo, hi)]
+
+
+def nearest_facet(pos, omega, face, dist=None, axis=None, tmp=None, mask=None):
+    """Distance to the nearest facet of each lane's cell, in any dimension.
+
+    ``pos``, ``omega`` and ``face`` hold one array per mesh axis; ``face``
+    is the facet plane ahead of the lane on that axis
+    (:func:`facets_ahead`).  Per axis, every lane
+    computes ``(face − p) / ω`` — the scalar reference's operands in its
+    order — and a lane numerically parallel to the facet
+    (``|ω| ≤ PARALLEL_EPS``) is skipped by the divide and keeps
+    ``HUGE_DISTANCE``.  Returns ``(distance, axis)``, ties picking the
+    lowest axis.  ``dist`` (one float64 buffer per axis), ``axis``
+    (int64), ``tmp`` (float64) and ``mask`` (bool) accept workspace
+    buffers; the distance is written into ``dist[0]``.
+    """
+    if dist is None:
+        dist = [np.empty_like(p) for p in pos]
+    if axis is None:
+        axis = np.empty(pos[0].shape, dtype=np.int64)
+    if tmp is None:
+        tmp = np.empty_like(pos[0])
+    if mask is None:
+        mask = np.empty(pos[0].shape, dtype=bool)
+    for p, o, f, d in zip(pos, omega, face, dist):
+        np.subtract(f, p, out=tmp)
+        np.abs(o, out=d)
+        np.greater(d, PARALLEL_EPS, out=mask)
+        d.fill(HUGE_DISTANCE)
+        np.divide(tmp, o, out=d, where=mask)
+    return _first_min(dist, dist[0], axis, mask)
 
 
 def distance_to_facet(
@@ -124,37 +183,16 @@ def distance_to_facet(
     x_hi: np.ndarray,
     y_lo: np.ndarray,
     y_hi: np.ndarray,
-    dist_x: np.ndarray | None = None,
-    dist_y: np.ndarray | None = None,
-    axis: np.ndarray | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Distance to the nearest facet of each particle's containing cell.
 
     Returns ``(distance, axis)``; ``axis`` is 0 for the x-facing facet and
-    1 for the y-facing one, ties picking x.  ``dist_x``/``dist_y``/``axis``
-    accept workspace buffers; the distance is written into ``dist_x``.
+    1 for the y-facing one, ties picking x.
     """
-    if dist_x is None:
-        dist_x = np.full_like(x, HUGE_DISTANCE)
-    else:
-        dist_x.fill(HUGE_DISTANCE)
-    if dist_y is None:
-        dist_y = np.full_like(y, HUGE_DISTANCE)
-    else:
-        dist_y.fill(HUGE_DISTANCE)
-    pos = omega_x > PARALLEL_EPS
-    neg = omega_x < -PARALLEL_EPS
-    dist_x[pos] = (x_hi[pos] - x[pos]) / omega_x[pos]
-    dist_x[neg] = (x_lo[neg] - x[neg]) / omega_x[neg]
-    pos = omega_y > PARALLEL_EPS
-    neg = omega_y < -PARALLEL_EPS
-    dist_y[pos] = (y_hi[pos] - y[pos]) / omega_y[pos]
-    dist_y[neg] = (y_lo[neg] - y[neg]) / omega_y[neg]
-    if axis is None:
-        axis = (dist_y < dist_x).astype(np.int64)
-    else:
-        np.less(dist_y, dist_x, out=axis, casting="unsafe")
-    return np.minimum(dist_x, dist_y, out=dist_x), axis
+    omega = (omega_x, omega_y)
+    return nearest_facet(
+        (x, y), omega, facets_ahead(omega, (x_lo, y_lo), (x_hi, y_hi))
+    )
 
 
 def select_events(
@@ -162,91 +200,87 @@ def select_events(
     d_facet: np.ndarray,
     d_census: np.ndarray,
     out: np.ndarray | None = None,
+    lowest: np.ndarray | None = None,
     scratch: np.ndarray | None = None,
 ) -> np.ndarray:
     """Pick each lane's first event (tie-break: collision, facet, census).
 
-    Returns an int64 array of :class:`EventKind` values.
+    Returns an int64 array of :class:`EventKind` values: the kinds are
+    numbered in tie-break order, so a lane's event is the position of its
+    smallest distance.  ``out`` (int64), ``lowest`` (float64) and
+    ``scratch`` (bool) accept workspace buffers.
     """
     if out is None:
-        out = np.full(d_collision.shape, int(EventKind.CENSUS), dtype=np.int64)
-    else:
-        out.fill(int(EventKind.CENSUS))
-    facet_first = np.less_equal(d_facet, d_census, out=scratch)
-    out[facet_first] = int(EventKind.FACET)
-    coll_first = (d_collision <= d_facet) & (d_collision <= d_census)
-    out[coll_first] = int(EventKind.COLLISION)
-    return out
+        out = np.empty(d_collision.shape, dtype=np.int64)
+    if lowest is None:
+        lowest = np.empty_like(d_collision)
+    if scratch is None:
+        scratch = np.empty(d_collision.shape, dtype=bool)
+    return _first_min((d_collision, d_facet, d_census), lowest, out, scratch)[1]
 
 
 class Distances:
     """Per-pass distance budgets, resident in workspace buffers.
 
-    ``lo`` / ``hi`` hold each lane's cell bounds, one array per mesh axis.
-    Views are only valid until the next :func:`distances` call on the same
-    workspace — the drivers consume them within the pass.
+    ``face`` holds, one array per mesh axis, the facet plane ahead of each
+    lane — where a facet event lands it.  Views are only valid until the
+    next :func:`distances` call on the same workspace — the drivers
+    consume them within the pass.
     """
 
-    __slots__ = (
-        "speed", "d_collision", "d_facet", "axis", "d_census", "lo", "hi",
-    )
+    __slots__ = ("speed", "d_collision", "d_facet", "axis", "d_census", "face")
 
-    def __init__(self, speed, d_collision, d_facet, axis, d_census,
-                 lo=(), hi=()):
+    def __init__(self, speed, d_collision, d_facet, axis, d_census, face):
         self.speed = speed
         self.d_collision = d_collision
         self.d_facet = d_facet
         self.axis = axis
         self.d_census = d_census
-        self.lo = lo
-        self.hi = hi
+        self.face = face
 
 
-def distances(
-    ws,
-    energy: np.ndarray,
-    mfp_to_collision: np.ndarray,
-    sigma_t: np.ndarray,
-    x: np.ndarray,
-    y: np.ndarray,
-    omega_x: np.ndarray,
-    omega_y: np.ndarray,
-    cellx: np.ndarray,
-    celly: np.ndarray,
-    dx: float,
-    dy: float,
-    dt_to_census: np.ndarray,
-) -> Distances:
-    """Composite kernel: all three distance budgets for a population slice.
+def distances(ws, energy, mfp_to_collision, sigma_t, *geometry) -> Distances:
+    """Composite kernel: all three distance budgets for a population slice,
+    in any dimension.
 
-    Computes speed, distance to collision, distance to the nearest facet
-    (with the hit axis) and distance to census, entirely into preallocated
-    buffers of ``ws`` (a :class:`repro.kernels.workspace.Workspace`) so the
-    pass loop performs no full-length allocations.
+    ``geometry`` is ``(*position, *direction, *cells, *deltas,
+    dt_to_census)`` with one entry per mesh axis in each group.  Computes
+    speed, distance to collision, distance to the nearest facet (with the
+    hit axis) and distance to census, entirely into preallocated buffers
+    of ``ws`` (a :class:`repro.kernels.workspace.Workspace`) so the pass
+    loop performs no full-length allocations.
 
-    Cell bounds are derived inline from the cell indices
-    (``x_lo = cellx·dx``), bit-equal to ``StructuredMesh.cell_bounds``.
+    The facet plane ahead of a lane is derived inline from its cell index
+    — ``(cell + [ω > 0])·δ``, bit-equal to selecting between the
+    ``cell_bounds`` of the mesh (``cell·δ`` and ``(cell + 1)·δ``).
     """
+    *axes, dt_to_census = geometry
+    ndim = len(axes) // 4
+    pos, omega, cells, deltas = (
+        axes[i * ndim:(i + 1) * ndim] for i in range(4)
+    )
+    names = "xyz"[:ndim]
     n = energy.shape[0]
     speed = speed_from_energy(energy, out=ws.f64("speed", n))
+    mask = ws.bool_("dist_mask", n)
     d_coll = distance_to_collision(
-        mfp_to_collision, sigma_t, out=ws.f64("d_coll", n)
+        mfp_to_collision, sigma_t, out=ws.f64("d_coll", n), scratch=mask
     )
-    x_lo = np.multiply(cellx, dx, out=ws.f64("x_lo", n))
-    tmp = np.add(cellx, 1, out=ws.i64("cell_tmp", n))
-    x_hi = np.multiply(tmp, dx, out=ws.f64("x_hi", n))
-    y_lo = np.multiply(celly, dy, out=ws.f64("y_lo", n))
-    tmp = np.add(celly, 1, out=tmp)
-    y_hi = np.multiply(tmp, dy, out=ws.f64("y_hi", n))
-    d_facet, axis = distance_to_facet(
-        x, y, omega_x, omega_y, x_lo, x_hi, y_lo, y_hi,
-        dist_x=ws.f64("dist_x", n),
-        dist_y=ws.f64("dist_y", n),
+    ahead = ws.i64("cell_tmp", n)
+    face = []
+    for name, o, cell, delta in zip(names, omega, cells, deltas):
+        np.greater(o, 0.0, out=mask)
+        np.add(cell, mask, out=ahead)
+        face.append(np.multiply(ahead, delta, out=ws.f64("face_" + name, n)))
+    d_facet, axis = nearest_facet(
+        pos, omega, face,
+        dist=[ws.f64("dist_" + name, n) for name in names],
         axis=ws.i64("axis", n),
+        tmp=ws.f64("facet_tmp", n),
+        mask=mask,
     )
     d_census = np.multiply(dt_to_census, speed, out=ws.f64("d_census", n))
-    return Distances(speed, d_coll, d_facet, axis, d_census,
-                     lo=(x_lo, y_lo), hi=(x_hi, y_hi))
+    return Distances(speed, d_coll, d_facet, axis, d_census, tuple(face))
 
 
 # --------------------------------------------------------------------------
@@ -341,6 +375,30 @@ def collide(
 # Facet kernel.
 
 
+def cross_facets(cells, omegas, axis, shape, bc) -> tuple[np.ndarray, ...]:
+    """Resolve facet encounters in any dimension — the body behind
+    :func:`cross_facet` and ``batch3.cross_facet_3d``.
+
+    ``cells``, ``omegas`` and ``shape`` (cells per axis) hold one entry
+    per mesh axis.  Every lane runs every axis: off its hit axis a lane
+    moves by ``step·0`` and keeps its direction.  Returns ``(*new_cells,
+    *new_omegas, reflected, escaped)``; inputs are not modified.
+    """
+    vacuum = bc is BoundaryCondition.VACUUM
+    at_boundary = np.zeros(axis.shape, dtype=bool)
+    new_cells, new_omegas = [], []
+    for i, (cell, omega, ncells) in enumerate(zip(cells, omegas, shape)):
+        hit = axis == i
+        forward = omega > 0.0
+        bnd = hit & (cell == forward * (ncells - 1))
+        new_cells.append(cell + (2 * forward - 1) * (hit & ~bnd))
+        new_omegas.append(omega if vacuum else np.where(bnd, -omega, omega))
+        at_boundary |= bnd
+    none = np.zeros_like(at_boundary)
+    reflected, escaped = (none, at_boundary) if vacuum else (at_boundary, none)
+    return (*new_cells, *new_omegas, reflected, escaped)
+
+
 def cross_facet(
     cellx: np.ndarray,
     celly: np.ndarray,
@@ -355,42 +413,9 @@ def cross_facet(
     Returns ``(new_cellx, new_celly, new_ox, new_oy, reflected, escaped)``;
     inputs are not modified.  ``mesh`` only needs ``nx``/``ny``.
     """
-    new_cx = cellx.copy()
-    new_cy = celly.copy()
-    new_ox = omega_x.copy()
-    new_oy = omega_y.copy()
-
-    x_facet = axis == 0
-    y_facet = ~x_facet
-
-    going_px = x_facet & (omega_x > 0.0)
-    going_nx = x_facet & (omega_x <= 0.0)
-    going_py = y_facet & (omega_y > 0.0)
-    going_ny = y_facet & (omega_y <= 0.0)
-
-    bnd_px = going_px & (cellx == mesh.nx - 1)
-    bnd_nx = going_nx & (cellx == 0)
-    bnd_py = going_py & (celly == mesh.ny - 1)
-    bnd_ny = going_ny & (celly == 0)
-    at_boundary = bnd_px | bnd_nx | bnd_py | bnd_ny
-
-    if bc is BoundaryCondition.VACUUM:
-        escaped = at_boundary
-        reflected = np.zeros_like(at_boundary)
-    else:
-        escaped = np.zeros_like(at_boundary)
-        reflected = at_boundary
-        flip_x = bnd_px | bnd_nx
-        flip_y = bnd_py | bnd_ny
-        new_ox[flip_x] = -new_ox[flip_x]
-        new_oy[flip_y] = -new_oy[flip_y]
-
-    new_cx[going_px & ~bnd_px] += 1
-    new_cx[going_nx & ~bnd_nx] -= 1
-    new_cy[going_py & ~bnd_py] += 1
-    new_cy[going_ny & ~bnd_ny] -= 1
-
-    return new_cx, new_cy, new_ox, new_oy, reflected, escaped
+    return cross_facets(
+        (cellx, celly), (omega_x, omega_y), axis, (mesh.nx, mesh.ny), bc
+    )
 
 
 # --------------------------------------------------------------------------

@@ -2,9 +2,10 @@
 
 A 3-D run is the one event pass (:mod:`repro.core.event_pass`) over one
 more axis: it shares the dimension-independent kernels of
-:mod:`repro.kernels.batch` and dispatches these for the geometry and the
-direction algebra, with the calling convention of their 2-D twins (flat
-per-axis arguments, workspace buffers, per-lane cutoffs).  The volume
+:mod:`repro.kernels.batch` — the distance composite and the facet
+geometry among them, which take any number of axes — and dispatches
+these for the direction algebra, with the calling convention of their
+2-D twins (flat per-axis arguments, per-lane cutoffs).  The volume
 modules keep the scalar reference forms the tests pin these against.
 
 ``mesh`` arguments are duck-typed (``nx``/``ny``/``nz``) to keep this
@@ -16,19 +17,16 @@ from __future__ import annotations
 import numpy as np
 
 from repro.kernels.batch import (
-    HUGE_DISTANCE,
-    PARALLEL_EPS,
-    Distances,
     apply_cutoffs,
-    distance_to_collision,
+    cross_facets,
     elastic_scatter_kinematics,
-    speed_from_energy,
+    facets_ahead,
+    nearest_facet,
 )
 from repro.mesh.boundary import BoundaryCondition
 
 __all__ = [
     "distance_to_facet_3d",
-    "distances_3d",
     "cross_facet_3d",
     "sample_isotropic_direction_3d",
     "rotate_direction",
@@ -39,66 +37,14 @@ __all__ = [
 _POLE_EPS = 1.0e-10
 
 
-def distance_to_facet_3d(
-    x, y, z, ox, oy, oz, x_lo, x_hi, y_lo, y_hi, z_lo, z_hi,
-    dist=(None, None, None), axis=None,
-):
+def distance_to_facet_3d(x, y, z, ox, oy, oz, x_lo, x_hi, y_lo, y_hi, z_lo, z_hi):
     """Distance to the nearest facet of each 3-D cell: ``(d, axis)`` with
-    axis 0/1/2 for x/y/z, ties picking the lowest axis.  ``dist`` (one
-    buffer per axis) and ``axis`` accept workspace buffers; the distance
-    is written into ``dist[0]``."""
-    def axis_dist(p, o, lo, hi, d):
-        if d is None:
-            d = np.full_like(p, HUGE_DISTANCE)
-        else:
-            d.fill(HUGE_DISTANCE)
-        pos = o > PARALLEL_EPS
-        neg = o < -PARALLEL_EPS
-        d[pos] = (hi[pos] - p[pos]) / o[pos]
-        d[neg] = (lo[neg] - p[neg]) / o[neg]
-        return d
-
-    dist_x = axis_dist(x, ox, x_lo, x_hi, dist[0])
-    dist_y = axis_dist(y, oy, y_lo, y_hi, dist[1])
-    dist_z = axis_dist(z, oz, z_lo, z_hi, dist[2])
-
-    if axis is None:
-        axis = np.full(x.shape, 2, dtype=np.int64)
-    else:
-        axis.fill(2)
-    axis[dist_y <= dist_z] = 1
-    axis[(dist_x <= dist_y) & (dist_x <= dist_z)] = 0
-    np.minimum(dist_x, dist_y, out=dist_x)
-    return np.minimum(dist_x, dist_z, out=dist_x), axis
-
-
-def distances_3d(
-    ws, energy, mfp_to_collision, sigma_t, x, y, z, ox, oy, oz,
-    cellx, celly, cellz, dx, dy, dz, dt_to_census,
-) -> Distances:
-    """Composite kernel, the 3-D twin of :func:`repro.kernels.batch.distances`
-    (same calling convention, one more axis): speed and the collision,
-    nearest-facet and census distance budgets of a population slice,
-    entirely in buffers of the workspace ``ws``."""
-    n = energy.shape[0]
-    speed = speed_from_energy(energy, out=ws.f64("speed", n))
-    d_coll = distance_to_collision(
-        mfp_to_collision, sigma_t, out=ws.f64("d_coll", n)
+    axis 0/1/2 for x/y/z, ties picking the lowest axis."""
+    omega = (ox, oy, oz)
+    return nearest_facet(
+        (x, y, z), omega,
+        facets_ahead(omega, (x_lo, y_lo, z_lo), (x_hi, y_hi, z_hi)),
     )
-    tmp = ws.i64("cell_tmp", n)
-    lo, hi = [], []
-    for name, cell, delta in (("x", cellx, dx), ("y", celly, dy), ("z", cellz, dz)):
-        lo.append(np.multiply(cell, delta, out=ws.f64(name + "_lo", n)))
-        np.add(cell, 1, out=tmp)
-        hi.append(np.multiply(tmp, delta, out=ws.f64(name + "_hi", n)))
-    d_facet, axis = distance_to_facet_3d(
-        x, y, z, ox, oy, oz, lo[0], hi[0], lo[1], hi[1], lo[2], hi[2],
-        dist=[ws.f64("dist_" + name, n) for name in "xyz"],
-        axis=ws.i64("axis", n),
-    )
-    d_census = np.multiply(dt_to_census, speed, out=ws.f64("d_census", n))
-    return Distances(speed, d_coll, d_facet, axis, d_census,
-                     lo=tuple(lo), hi=tuple(hi))
 
 
 def cross_facet_3d(
@@ -107,29 +53,9 @@ def cross_facet_3d(
 ):
     """Resolve 3-D facet encounters; returns
     ``(cx, cy, cz, ox, oy, oz, reflected, escaped)`` arrays."""
-    new_c = [cx.copy(), cy.copy(), cz.copy()]
-    new_o = [ox.copy(), oy.copy(), oz.copy()]
-    omegas = (ox, oy, oz)
-    limits = (mesh.nx - 1, mesh.ny - 1, mesh.nz - 1)
-
-    reflected = np.zeros(cx.shape, dtype=bool)
-    escaped = np.zeros(cx.shape, dtype=bool)
-    vacuum = bc is BoundaryCondition.VACUUM
-
-    for ax in range(3):
-        on_axis = axis == ax
-        fwd = on_axis & (omegas[ax] > 0.0)
-        bwd = on_axis & (omegas[ax] <= 0.0)
-        bnd = (fwd & (new_c[ax] == limits[ax])) | (bwd & (new_c[ax] == 0))
-        if vacuum:
-            escaped |= bnd
-        else:
-            reflected |= bnd
-            new_o[ax][bnd] = -new_o[ax][bnd]
-        new_c[ax][fwd & ~bnd] += 1
-        new_c[ax][bwd & ~bnd] -= 1
-
-    return (*new_c, *new_o, reflected, escaped)
+    return cross_facets(
+        (cx, cy, cz), (ox, oy, oz), axis, (mesh.nx, mesh.ny, mesh.nz), bc
+    )
 
 
 def sample_isotropic_direction_3d(u1, u2):

@@ -50,11 +50,12 @@ KERNEL_TABLE = {
 }
 
 #: A 3-D run shares the dimension-independent kernels (event selection,
-#: census flight, cross-section lookup) and swaps in the 3-D geometry and
-#: direction algebra.
+#: census flight, cross-section lookup, and the distance composite under
+#: the name the 3-D profile has always carried) and swaps in the 3-D
+#: direction algebra and facet-crossing signature.
 KERNEL_TABLE_3D = {
     **KERNEL_TABLE,
-    "facet_distances_3d": batch3.distances_3d,
+    "facet_distances_3d": batch.distances,
     "collide_3d": batch3.collide3,
     "cross_facet_3d": batch3.cross_facet_3d,
 }

@@ -22,7 +22,18 @@ from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["EnergyDepositionTally", "PrivatizedTally"]
+__all__ = ["EnergyDepositionTally", "PrivatizedTally", "flat_view"]
+
+
+def flat_view(field: np.ndarray) -> np.ndarray:
+    """The cells of a tally ``field`` as a 1-D array sharing its memory.
+
+    ``ravel`` of a C-contiguous array is a view; of anything else it is a
+    copy, and a flush into a copy would be lost — so that is refused.
+    """
+    if not field.flags.c_contiguous:
+        raise ValueError("tally fields must be C-contiguous to flush into")
+    return field.ravel()
 
 
 class EnergyDepositionTally:
@@ -63,10 +74,13 @@ class EnergyDepositionTally:
 
         ``np.add.at`` is an unbuffered (scatter-add) accumulate, the numpy
         analogue of a loop of atomic adds: repeated indices accumulate
-        correctly.
+        correctly, in lane order.  It runs on the flat cell index
+        ``iy·nx + ix`` over flat views of the fields — numpy's 1-D fast
+        path, same adds in the same order as the ``(iy, ix)`` form.
         """
-        np.add.at(self.deposition, (iy, ix), energy)
-        np.add.at(self.flush_counts, (iy, ix), 1)
+        cell = iy * self.nx + ix
+        np.add.at(flat_view(self.deposition), cell, energy)
+        np.add.at(flat_view(self.flush_counts), cell, 1)
         self.flushes += int(len(ix))
 
     def merge(self, other: "EnergyDepositionTally") -> None:

@@ -13,8 +13,7 @@ The facet calculation is the "simple intersection in Cartesian space" of
 
 The scalar functions here are the *reference implementations* the parity
 suite pins the batch kernels against; the batch forms live in
-:mod:`repro.kernels.batch` and the old ``*_vec`` names are deprecated
-aliases of them.
+:mod:`repro.kernels.batch`.
 """
 
 from __future__ import annotations

@@ -9,6 +9,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.mesh.tally import flat_view
+
 __all__ = ["StructuredMesh3D", "Tally3D"]
 
 
@@ -108,8 +110,10 @@ class Tally3D:
         self.flushes += 1
 
     def flush_vec(self, ix, iy, iz, energy) -> None:
-        """Batched scatter-add with atomic (accumulating) semantics."""
-        np.add.at(self.deposition, (iz, iy, ix), energy)
+        """Batched scatter-add with atomic (accumulating) semantics, on
+        the flat cell index (see ``EnergyDepositionTally.flush_vec``)."""
+        cell = (iz * self.ny + iy) * self.nx + ix
+        np.add.at(flat_view(self.deposition), cell, energy)
         self.flushes += int(len(ix))
 
     def conflict_probability(self) -> float:

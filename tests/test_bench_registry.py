@@ -167,10 +167,20 @@ def test_committed_baseline_validates():
     assert fourth.meta["claims"]["ensemble_parity"] == 1.0
     assert fourth.meta["claims"]["adaptive_efficiency"] >= 0.95
     assert fourth.meta["claims"]["ce_parity"] == 1.0
-    # ...and the current baseline covers the whole quick tier.
-    current = load_bench_artifact("results/BENCH_5.json")
-    assert current.meta["sequence"] == 5
+    fifth = load_bench_artifact("results/BENCH_5.json")
+    assert fifth.meta["sequence"] == 5
+    # ...and the current baseline covers the whole quick tier, with the
+    # algorithm facts of the one before it (the kernels got faster, not
+    # different).
+    current = load_bench_artifact("results/BENCH_6.json")
+    assert current.meta["sequence"] == 6
     assert current.meta["tier"] == "quick"
+    for bench in ("oe_transport_csp", "op_transport_csp"):
+        for fact in ("kernel_calls", "kernel_items", "xs_lookups"):
+            assert (current.benches[bench]["metrics"][fact]["median"]
+                    == fifth.benches[bench]["metrics"][fact]["median"])
+        assert current.benches[bench]["metrics"][
+            "workspace_allocations"]["median"] == 24
     assert current.meta["claims"]["ensemble_parity"] == 1.0
     assert current.meta["claims"]["ensemble_speedup_csp_vs_looped"] > 5
     assert current.meta["claims"]["adaptive_parity"] == 1.0

@@ -12,22 +12,34 @@ Two families of guarantees:
   rounding because flushes batch differently).
 """
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from repro.core import Scheme, csp_problem, scatter_problem, stream_problem
 from repro.core.config import SearchStrategy
 from repro.core.stepper import run_stepped
-from repro.kernels import batch
+from repro.kernels import Workspace, batch
 from repro.kernels import xs as kxs
+from repro.kernels.dispatch import KERNEL_TABLES, PASS_KERNELS
 from repro.mesh.boundary import BoundaryCondition
 from repro.mesh.structured import StructuredMesh
 from repro.physics.collision import collide as collide_scalar
-from repro.physics.events import select_event
+from repro.physics.constants import speed_from_energy_ev
+from repro.physics.events import (
+    distance_to_census,
+    distance_to_collision,
+    distance_to_facet,
+    select_event,
+)
 from repro.physics.facet import cross_facet as cross_facet_scalar
 from repro.physics.fission import expected_secondaries, realised_secondaries
 from repro.physics.importance import split_count
 from repro.physics.variance import russian_roulette
+from repro.volume.events3 import distance_to_facet_3d
+from repro.volume.facet3 import cross_facet_3d
+from repro.volume.mesh3 import StructuredMesh3D
 from repro.xs.lookup import (
     LookupStats,
     binary_search_bin,
@@ -153,6 +165,171 @@ def test_split_counts_matches_scalar():
     counts = batch.split_counts(ratio, u)
     for i in range(N):
         assert counts[i] == split_count(ratio[i], u[i]), i
+
+
+# ---------------------------------------------------------------------------
+# Branch-free geometry kernels: the edge-lane table
+# ---------------------------------------------------------------------------
+
+_EPS = batch.PARALLEL_EPS
+#: Direction components on and around every predicate of the geometry
+#: kernels: the sign test at zero and the parallel cutoff at ±PARALLEL_EPS.
+_EDGE_OMEGAS = (
+    0.0, -0.0, _EPS, -_EPS,
+    float(np.nextafter(_EPS, 1.0)), -float(np.nextafter(_EPS, 1.0)),
+    float(np.nextafter(_EPS, 0.0)), -float(np.nextafter(_EPS, 0.0)),
+    5e-324, -5e-324, 1.0, -1.0, 0.6, -0.6,
+)
+_NCELLS = 5  # per axis over a unit extent: δ = 0.2 is inexact in binary
+
+
+def _edge_lanes(ndim):
+    """``(cells, offsets, omegas, sigma_t)`` rows covering: every edge
+    direction component on every axis; exact nearest-facet ties between
+    each pair of adjacent axes (same cell index, offset and direction on
+    both, so both axes do literally the same arithmetic) and across all
+    axes; every corner cell flying outward, inward and along each facet;
+    Σt = 0."""
+    rows = []
+    for ax in range(ndim):
+        for w in _EDGE_OMEGAS:
+            omega = [0.37] * ndim
+            omega[ax] = w
+            rows.append(([1 + ax] * ndim, [0.3] * ndim, omega, 2.5))
+    for ax in range(ndim - 1):
+        for w in (0.5, -0.5):
+            omega = [1e-3] * ndim
+            omega[ax] = omega[ax + 1] = w
+            rows.append(([2] * ndim, [0.25] * ndim, omega, 2.5))
+    for w in (0.5, -0.5):
+        rows.append(([3] * ndim, [0.75] * ndim, [w] * ndim, 2.5))
+    for corner in np.ndindex(*(2,) * ndim):
+        cell = [c * (_NCELLS - 1) for c in corner]
+        outward = [1.0 if c else -1.0 for c in corner]
+        for scale in (0.5, -0.5):
+            rows.append((cell, [0.5] * ndim, [scale * o for o in outward], 2.5))
+        for ax in range(ndim):
+            omega = [0.0] * ndim
+            omega[ax] = outward[ax]
+            rows.append((cell, [0.5] * ndim, omega, 0.0))
+    return rows
+
+
+def _scalar_refs(ndim):
+    """``(mesh, facet distance, facet crossing)`` scalar references."""
+    if ndim == 2:
+        mesh = StructuredMesh(_NCELLS, _NCELLS, 1.0, 1.0,
+                              np.ones((_NCELLS, _NCELLS)))
+        return mesh, distance_to_facet, cross_facet_scalar
+    return (StructuredMesh3D(_NCELLS, _NCELLS, _NCELLS), distance_to_facet_3d,
+            cross_facet_3d)
+
+
+@pytest.mark.parametrize("ndim", (2, 3))
+@pytest.mark.parametrize("width", (1, 64, 16384))
+def test_geometry_kernels_edge_lanes(ndim, width):
+    """The dispatched geometry kernels, bit-for-bit against the scalar
+    references on the edge-lane table, with floating-point errors raised:
+    a lane a predicate masks off must not have been computed."""
+    mesh, facet_ref, cross_ref = _scalar_refs(ndim)
+    table = KERNEL_TABLES[ndim]
+    names = PASS_KERNELS[ndim]
+    rows = _edge_lanes(ndim)
+    # Batches of ``width`` lanes that together cover the table, cycling it.
+    batches = [
+        [rows[(start + i) % len(rows)] for i in range(width)]
+        for start in range(0, len(rows), width)
+    ]
+    ws = Workspace()
+    for lanes in batches:
+        n = len(lanes)
+        cells = [np.array([r[0][a] for r in lanes]) for a in range(ndim)]
+        pos = [
+            (cells[a] + np.array([r[1][a] for r in lanes])) * mesh.deltas[a]
+            for a in range(ndim)
+        ]
+        omega = [np.array([r[2][a] for r in lanes]) for a in range(ndim)]
+        sigma_t = np.array([r[3] for r in lanes])
+        energy = np.linspace(1.0, 2.0e6, n)
+        mfp = np.linspace(0.1, 3.0, n)
+        dt = np.full(n, 1.0e-9)
+        with np.errstate(all="raise"):
+            dist = table[names["distances"]](
+                ws, energy, mfp, sigma_t, *pos, *omega, *cells, *mesh.deltas, dt
+            )
+            event = batch.select_events(
+                dist.d_collision, dist.d_facet, dist.d_census
+            )
+            crossed = {
+                (bc, ax): table[names["cross_facet"]](
+                    *cells, *omega, np.full(n, ax), mesh, bc
+                )
+                for bc in BoundaryCondition for ax in range(ndim)
+            }
+        for i in range(n):
+            cell = [int(c[i]) for c in cells]
+            p = [float(v[i]) for v in pos]
+            o = [float(v[i]) for v in omega]
+            bounds = mesh.cell_bounds(*cell)
+            d_facet, axis = facet_ref(*p, *o, *bounds)
+            assert dist.d_facet[i] == d_facet and dist.axis[i] == axis, lanes[i]
+            for a in range(ndim):
+                assert dist.face[a][i] == bounds[2 * a + (o[a] > 0.0)]
+            d_coll = distance_to_collision(float(mfp[i]), float(sigma_t[i]))
+            speed = speed_from_energy_ev(float(energy[i]))
+            d_census = distance_to_census(float(dt[i]), speed)
+            assert dist.d_collision[i] == d_coll
+            assert dist.speed[i] == speed and dist.d_census[i] == d_census
+            assert event[i] == int(select_event(d_coll, d_facet, d_census))
+            for (bc, ax), out in crossed.items():
+                ref = cross_ref(*cell, *o, ax, mesh, bc)
+                for got, want in zip(out, ref):
+                    assert got[i] == want, (lanes[i], bc, ax)
+                    # −0.0 == 0.0: a reflection must flip the sign bit too.
+                    assert np.signbit(got[i]) == np.signbit(want)
+
+
+@pytest.mark.parametrize("ndim", (2, 3))
+def test_distance_pipeline_allocates_nothing_after_first_call(ndim):
+    """ROADMAP 3's allocation audit: from the second call on one
+    workspace, ``distances`` + ``select_events`` take no new workspace
+    buffer and allocate no full-length numpy temporary."""
+    n = 16384
+    mesh = _scalar_refs(ndim)[0]
+    cells = [RNG.integers(0, _NCELLS, n) for _ in range(ndim)]
+    pos = [(c + RNG.random(n)) * d for c, d in zip(cells, mesh.deltas)]
+    omega = [RNG.uniform(-1.0, 1.0, n) for _ in range(ndim)]
+    energy = RNG.uniform(1.0, 1e6, n)
+    mfp = RNG.uniform(0.0, 3.0, n)
+    sigma_t = RNG.uniform(0.0, 5.0, n)
+    sigma_t[::7] = 0.0
+    dt = np.full(n, 1e-9)
+    ws = Workspace()
+    distances = KERNEL_TABLES[ndim][PASS_KERNELS[ndim]["distances"]]
+
+    def one_pass():
+        dist = distances(
+            ws, energy, mfp, sigma_t, *pos, *omega, *cells, *mesh.deltas, dt
+        )
+        return batch.select_events(
+            dist.d_collision, dist.d_facet, dist.d_census,
+            out=ws.i64("event", n), lowest=ws.f64("ev_lowest", n),
+            scratch=ws.bool_("ev_scratch", n),
+        )
+
+    first = one_pass().copy()
+    allocations = ws.allocations
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        second = one_pass()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert ws.allocations == allocations
+    assert peak - before < 8 * n
+    assert np.array_equal(first, second)
 
 
 # ---------------------------------------------------------------------------

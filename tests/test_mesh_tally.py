@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.mesh.tally import EnergyDepositionTally, PrivatizedTally
+from repro.mesh.tally import EnergyDepositionTally, PrivatizedTally, flat_view
 
 
 def test_flush_accumulates():
@@ -34,6 +34,33 @@ def test_flush_vec_repeated_indices():
     assert t.deposition[3, 2] == 10.0
     assert t.flushes == 4
     assert t.flush_counts[0, 1] == 3
+
+
+def test_flush_vec_is_a_scalar_flush_loop_bitwise():
+    """The flat-index scatter-add accumulates in lane order: many lanes on
+    few cells, magnitudes far apart so any other order rounds differently."""
+    rng = np.random.default_rng(15)
+    n = 5000
+    ix = rng.integers(0, 3, n)
+    iy = rng.integers(0, 2, n)
+    e = rng.uniform(0.0, 1.0, n) * 10.0 ** rng.integers(-12, 12, n)
+    vec = EnergyDepositionTally(7, 5)
+    seq = EnergyDepositionTally(7, 5)
+    vec.flush_vec(ix, iy, e)
+    for i in range(n):
+        seq.flush(int(ix[i]), int(iy[i]), float(e[i]))
+    assert vec.deposition.tobytes() == seq.deposition.tobytes()
+    assert np.array_equal(vec.flush_counts, seq.flush_counts)
+    assert vec.flushes == seq.flushes == n
+
+
+def test_flat_view_shares_memory_or_refuses():
+    t = EnergyDepositionTally(4, 3)
+    for field in (t.deposition, t.flush_counts):
+        flat = flat_view(field)
+        assert flat.shape == (12,) and np.shares_memory(flat, field)
+    with pytest.raises(ValueError, match="C-contiguous"):
+        flat_view(t.deposition.T)
 
 
 def test_total():

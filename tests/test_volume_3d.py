@@ -136,6 +136,21 @@ def test_facet_3d_scalar_vec_parity(x, y, z, u1, u2):
     assert ds > 0
 
 
+def test_tally3d_flush_vec_is_a_scalar_flush_loop_bitwise():
+    """Repeated cells accumulate in lane order on the flat cell index."""
+    rng = np.random.default_rng(16)
+    n = 5000
+    ix, iy, iz = rng.integers(0, 2, (3, n))
+    e = rng.uniform(0.0, 1.0, n) * 10.0 ** rng.integers(-12, 12, n)
+    vec = Tally3D(4, 3, 5)
+    seq = Tally3D(4, 3, 5)
+    vec.flush_vec(ix, iy + 1, iz + 3, e)
+    for i in range(n):
+        seq.flush(int(ix[i]), int(iy[i]) + 1, int(iz[i]) + 3, float(e[i]))
+    assert vec.deposition.tobytes() == seq.deposition.tobytes()
+    assert vec.flushes == seq.flushes == n
+
+
 def test_cross_facet_3d_reflect_and_escape():
     m = StructuredMesh3D(4, 4, 4)
     out = cross_facet_3d(3, 1, 1, 1.0, 0.0, 0.0, 0, m)
