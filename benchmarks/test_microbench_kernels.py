@@ -13,7 +13,7 @@ from repro.comparisons.hot import HotSolver
 from repro.core import Scheme, Simulation, csp_problem
 from repro.kernels import KernelDispatch
 from repro.mesh.structured import StructuredMesh
-from repro.particles.source import sample_source_soa, SourceRegion
+from repro.particles.source import sample_source, SourceRegion
 from repro.rng.threefry import threefry2x64_vec
 from repro.simexec import SimExecOptions, simulate_execution, synthetic_trace
 from repro.xs.tables import make_capture_table
@@ -30,7 +30,7 @@ def test_threefry_vectorised_throughput(benchmark):
 def test_source_sampling_throughput(benchmark):
     mesh = StructuredMesh(64, 64, density=np.full((64, 64), 1.0))
     region = SourceRegion(0.4, 0.6, 0.4, 0.6, 1e6)
-    store = benchmark(sample_source_soa, mesh, region, 20_000, 3, 1e-7)
+    store = benchmark(sample_source, mesh, region, 20_000, 3, 1e-7)
     assert len(store) == 20_000
 
 

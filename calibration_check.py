@@ -1,6 +1,7 @@
 """Calibration sweep: evaluate the model against every headline paper number.
 
 Run: python calibration_check.py
+Exits non-zero when any target is outside its band.
 """
 import numpy as np
 from repro.core import Simulation, csp_problem, stream_problem, scatter_problem, Scheme
@@ -118,3 +119,5 @@ for name, val, target, ok in checks:
     print(f"{name:44s} {val:8.2f} {target:7.2f}  {'OK' if ok else '** FAIL **'}")
 print(f"\n{len(checks)-nbad}/{len(checks)} targets within band")
 print("\nabsolute csp times:", {k: round(v,1) for k,v in res.items()})
+# A target outside its band fails the run (the CI paper-figures job).
+raise SystemExit(1 if nbad else 0)

@@ -269,11 +269,10 @@ class WorkingSet:
         for p, o in zip(self.pos, omega):
             p[c] = p[c] + o[c] * d
         a.dt_to_census[c] = np.maximum(0.0, a.dt_to_census[c] - d / sp)
-        weight_before = a.weight[c].copy()
-        counters_at_event = self.rng.counters[c].copy()
-        u_angle = self.rng.next_uniform(cmask)
-        u_turn = self.rng.next_uniform(cmask)
-        u_mfp = self.rng.next_uniform(cmask)
+        # Fancy-index gathers are copies already.
+        weight_before = a.weight[c]
+        counters_at_event = self.rng.counters[c]
+        u_angle, u_turn, u_mfp = self.rng.next_uniform(c, 3)
         sink.cadd("rng_draws", c, 3)
         e_new, w_new, *o_new, mfp_new, dep, term, below = ctx.run["collide"](
             c.size,
@@ -306,9 +305,7 @@ class WorkingSet:
         fissile_here = prov.mat_fissile[self.mat_idx[c]] & (sigma_t[c] > 0.0)
         if fissile_here.any():
             sel = c[fissile_here]
-            fis_mask = np.zeros(len(a), dtype=bool)
-            fis_mask[sel] = True
-            u_fission = self.rng.next_uniform(fis_mask)
+            u_fission = self.rng.next_uniform(sel)
             sink.cadd("rng_draws", sel)
             counts = ctx.dispatch.run(
                 "fission_bank",
@@ -330,9 +327,7 @@ class WorkingSet:
         # ---- Russian roulette (extension) ------------------------------
         if config.use_russian_roulette and below.any():
             sel = c[below]
-            r_mask = np.zeros(len(a), dtype=bool)
-            r_mask[sel] = True
-            u_roulette = self.rng.next_uniform(r_mask)
+            u_roulette = self.rng.next_uniform(sel)
             sink.cadd("rng_draws", sel)
             survive, restored = ctx.dispatch.run(
                 "roulette", sel.size, a.weight[sel], u_roulette,
@@ -498,10 +493,8 @@ class WorkingSet:
         sel = crossed[changed_r]
         if not sel.size:
             return
-        counters_before = self.rng.counters[sel].copy()
-        imp_mask = np.zeros(len(a), dtype=bool)
-        imp_mask[sel] = True
-        u_imp = self.rng.next_uniform(imp_mask)
+        counters_before = self.rng.counters[sel]
+        u_imp = self.rng.next_uniform(sel)
         sink.cadd("rng_draws", sel)
         r = ratios[changed_r]
 

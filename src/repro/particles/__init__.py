@@ -31,7 +31,6 @@ from repro.particles.source import (
     SourceRegion,
     sample_source,
     sample_source_aos,
-    sample_source_soa,
 )
 
 __all__ = [
@@ -43,5 +42,4 @@ __all__ = [
     "SourceRegion",
     "sample_source",
     "sample_source_aos",
-    "sample_source_soa",
 ]

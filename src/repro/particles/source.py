@@ -41,7 +41,7 @@ from repro.rng.distributions import (
 from repro.xs.lookup import binary_search_bin
 from repro.xs.tables import CrossSectionTable
 
-__all__ = ["SourceRegion", "sample_source", "sample_source_aos", "sample_source_soa"]
+__all__ = ["SourceRegion", "sample_source", "sample_source_aos"]
 
 #: Draws consumed per particle at birth (x, y, angle, first mfp).
 DRAWS_PER_BIRTH = 4
@@ -121,14 +121,14 @@ def sample_source(
         start_id, start_id + nparticles, dtype=np.uint64
     )
     rng = VectorParticleRNG(seed, arena.particle_id)
-    for coord, (lo, hi) in zip(arena.pos, region.bounds):
-        coord[...] = lo + rng.next_uniform() * (hi - lo)
-    u_direction = [rng.next_uniform() for _ in arena.omega[1:]]
-    for omega, value in zip(arena.omega, sample_direction(*u_direction)):
+    ndim = len(arena.pos)
+    # Every birth draw in one call, used row by row in the draw order.
+    u = rng.next_uniform(None, 2 * ndim)
+    for coord, (lo, hi), row in zip(arena.pos, region.bounds, u):
+        coord[...] = lo + row * (hi - lo)
+    for omega, value in zip(arena.omega, sample_direction(*u[ndim:-1])):
         omega[...] = value
-    arena.mfp_to_collision[...] = batch.sample_mean_free_paths(
-        rng.next_uniform()
-    )
+    arena.mfp_to_collision[...] = batch.sample_mean_free_paths(u[-1])
     arena.energy[...] = region.energy_ev
     arena.weight[...] = region.weight
     arena.dt_to_census[...] = dt
@@ -198,19 +198,3 @@ def sample_source_aos(
         p.capture_bin = cbin
         particles.append(p)
     return particles
-
-
-def sample_source_soa(
-    mesh: StructuredMesh,
-    region: SourceRegion,
-    nparticles: int,
-    seed: int,
-    dt: float,
-    start_id: int = 0,
-    scatter_table: CrossSectionTable | None = None,
-    capture_table: CrossSectionTable | None = None,
-) -> ParticleArena:
-    """Deprecated alias for :func:`sample_source` (returns the arena)."""
-    return sample_source(
-        mesh, region, nparticles, seed, dt, start_id, scatter_table, capture_table
-    )

@@ -13,6 +13,14 @@ Each draw ticks the counter once and returns the *low* output word converted
 to a double in ``[0, 1)``.  A counter-tick-per-draw (rather than caching the
 second word) is deliberately chosen so the scalar and vectorised paths stay
 in lock-step without shared mutable cache state.
+
+Because a draw is a pure function of its counter, an event that needs
+``k`` draws takes them in one call: ``next_uniform(sel, k)`` enciphers
+counters ``c … c+k-1`` of every selected stream at once and ticks each
+counter by ``k`` — row ``j`` of the result is bit-for-bit what the
+``j``-th of ``k`` successive single-draw calls would have returned.  A
+collision's three draws and a birth's four (2-D) or six (3-D) are each
+one call; the order the rows are *used* in is the draw order.
 """
 
 from __future__ import annotations
@@ -25,6 +33,9 @@ __all__ = ["uniform_from_bits", "ParticleRNG", "VectorParticleRNG"]
 
 #: 2**-53 — one ULP at 1.0; scaling a 53-bit integer by this gives [0, 1).
 _INV_2_53 = 1.0 / 9007199254740992.0
+
+#: Most counters one Threefry call covers; wider draws run in lane blocks.
+_BLOCK_COUNTERS = 1 << 14
 
 
 def uniform_from_bits(bits: int | np.ndarray) -> float | np.ndarray:
@@ -76,10 +87,6 @@ class ParticleRNG:
         self.counter += 1
         return uniform_from_bits(bits)
 
-    def next_uniforms(self, n: int) -> list[float]:
-        """Draw ``n`` uniforms (convenience for multi-draw events)."""
-        return [self.next_uniform() for _ in range(n)]
-
     def clone(self) -> "ParticleRNG":
         """Copy the stream, preserving the counter position."""
         return ParticleRNG(self.seed, self.particle_id, self.counter, self.rounds)
@@ -89,9 +96,9 @@ class VectorParticleRNG:
     """Vectorised counter-based streams for an array of particles.
 
     Holds ``particle_id`` and ``counter`` arrays; each call to
-    :meth:`next_uniform` draws one uniform per *selected* particle and ticks
-    only those counters, reproducing exactly what the scalar streams would
-    have produced.
+    :meth:`next_uniform` draws ``k`` uniforms per *selected* particle and
+    ticks only those counters, reproducing exactly what the scalar streams
+    would have produced.
     """
 
     def __init__(
@@ -125,38 +132,37 @@ class VectorParticleRNG:
     def __len__(self) -> int:
         return self.particle_ids.shape[0]
 
-    def next_uniform(self, mask: np.ndarray | None = None) -> np.ndarray:
-        """Draw a uniform for each particle selected by ``mask``.
+    def next_uniform(self, mask: np.ndarray | None = None, k: int = 1) -> np.ndarray:
+        """Draw ``k`` uniforms for each particle selected by ``mask``.
 
-        Parameters
-        ----------
-        mask:
-            Boolean array selecting which particles draw.  ``None`` draws for
-            all particles.
-
-        Returns
-        -------
-        numpy.ndarray
-            Array of draws with length ``mask.sum()`` (or ``len(self)``).
+        ``mask`` is a boolean mask or an array of distinct indices (``None``
+        selects every particle).  Returns the ``n`` draws of the ``n``
+        selected particles when ``k == 1``, else a ``(k, n)`` array whose
+        row ``j`` — drawn at counter ``c + j`` — is what the ``j``-th of
+        ``k`` single-draw calls would have returned.
         """
-        if mask is None:
-            ids = self.particle_ids
-            ctrs = self.counters
+        sel = slice(None) if mask is None else np.asarray(mask)
+        ids, ctrs = self.particle_ids[sel], self.counters[sel]
+        seed = self.seed[sel] if np.ndim(self.seed) else self.seed
+        n = ids.shape[0]
+        out = np.empty((k, n))
+        # Lane blocks of at most _BLOCK_COUNTERS counters keep one cipher
+        # call's state buffers in cache.
+        width = max(1, _BLOCK_COUNTERS // k)
+        offsets = np.arange(k, dtype=np.uint64)[:, None]
+        for s in range(0, n, width):
+            lanes = slice(s, s + width)
             bits, _ = threefry2x64_vec(
-                ctrs, np.uint64(0), self.seed, ids, self.rounds
+                ctrs[lanes] + offsets, np.uint64(0),
+                seed[lanes] if np.ndim(seed) else seed, ids[lanes],
+                self.rounds,
             )
-            with np.errstate(over="ignore"):
-                self.counters += np.uint64(1)
-            return uniform_from_bits(bits)
-
-        mask = np.asarray(mask, dtype=bool)
-        ids = self.particle_ids[mask]
-        ctrs = self.counters[mask]
-        seed = self.seed[mask] if np.ndim(self.seed) else self.seed
-        bits, _ = threefry2x64_vec(ctrs, np.uint64(0), seed, ids, self.rounds)
-        with np.errstate(over="ignore"):
-            self.counters[mask] += np.uint64(1)
-        return uniform_from_bits(bits)
+            # uniform_from_bits, in place.
+            np.right_shift(bits, np.uint64(11), out=bits)
+            np.multiply(bits, _INV_2_53, out=out[:, lanes])
+        # One counter write-back; uint64 array addition wraps.
+        self.counters[sel] = ctrs + np.uint64(k)
+        return out[0] if k == 1 else out
 
     def scalar_stream(self, index: int) -> ParticleRNG:
         """Return the equivalent scalar stream for particle ``index``."""

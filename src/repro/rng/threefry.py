@@ -11,11 +11,13 @@ r123 default for the 2x64 variant; we default to the conservative 20 used by
 Two interchangeable implementations are provided:
 
 * :func:`threefry2x64` — scalar, on Python ints (arbitrary precision masked
-  to 64 bits).  Used as the reference for known-answer tests and by the Over
-  Particles scheme's per-particle stream.
+  to 64 bits).  The reference for the known-answer tests, and the stream of
+  a single banked child (fission secondaries, source parity oracle).
 * :func:`threefry2x64_vec` — vectorised over numpy ``uint64`` arrays with
-  wrapping arithmetic, bit-identical to the scalar version.  Used by the
-  Over Events scheme where thousands of particles draw at once.
+  wrapping arithmetic, bit-identical to the scalar version, run in place
+  on two state buffers and one scratch buffer.  Every transport draw, in
+  either scheme, goes through it (via
+  :meth:`repro.rng.stream.VectorParticleRNG.next_uniform`).
 
 The implementations follow the Random123 reference code: an 8-entry rotation
 schedule, key injection every 4 rounds, and the Skein key-schedule parity
@@ -44,6 +46,9 @@ SKEIN_KS_PARITY64 = 0x1BD11BDAA9FC1A22
 ROTATION_2X64 = (16, 42, 12, 31, 16, 32, 24, 21)
 
 _MASK64 = 0xFFFFFFFFFFFFFFFF
+_PARITY = np.uint64(SKEIN_KS_PARITY64)
+_ROT = tuple(np.uint64(r) for r in ROTATION_2X64)
+_ROT_INV = tuple(np.uint64(64 - r) for r in ROTATION_2X64)
 
 
 def _rotl64(x: int, r: int) -> int:
@@ -107,6 +112,9 @@ def threefry2x64_vec(
 
     All four inputs broadcast against each other; the result has the
     broadcast shape.  Bit-identical to :func:`threefry2x64` element-wise.
+    The rounds run in place: the two returned state words and one scratch
+    buffer (which also rebuilds the parity key word per injection, so the
+    key is never materialised at the broadcast shape) are all it allocates.
     """
     if not 0 <= rounds <= 32:
         raise ValueError(f"rounds must be in [0, 32], got {rounds}")
@@ -115,24 +123,31 @@ def threefry2x64_vec(
     c1 = np.asarray(c1, dtype=np.uint64)
     k0 = np.asarray(k0, dtype=np.uint64)
     k1 = np.asarray(k1, dtype=np.uint64)
+    shape = np.broadcast_shapes(c0.shape, c1.shape, k0.shape, k1.shape)
+    x0 = np.add(c0, k0, out=np.empty(shape, np.uint64))
+    x1 = np.add(c1, k1, out=np.empty(shape, np.uint64))
+    tmp = np.empty(shape, np.uint64)
 
-    parity = np.uint64(SKEIN_KS_PARITY64)
-    ks2 = parity ^ k0 ^ k1
-    # Key schedule as a list so we can index with inject % 3.
-    ks = (k0, k1, ks2)
+    def ks2():
+        """The third key word, parity ^ k0 ^ k1, rebuilt in ``tmp``."""
+        if k0.ndim == 0 or k1.ndim == 0:
+            lone, other = (k0, k1) if k0.ndim == 0 else (k1, k0)
+            return np.bitwise_xor(other, lone ^ _PARITY, out=tmp)
+        np.bitwise_xor(k0, k1, out=tmp)
+        return np.bitwise_xor(tmp, _PARITY, out=tmp)
 
-    with np.errstate(over="ignore"):
-        x0 = c0 + k0
-        x1 = c1 + k1
-        for i in range(rounds):
-            rot = np.uint64(ROTATION_2X64[i % 8])
-            inv = np.uint64(64 - ROTATION_2X64[i % 8])
-            x0 = x0 + x1
-            x1 = (x1 << rot) | (x1 >> inv)
-            x1 = x1 ^ x0
-            if i % 4 == 3:
-                inject = i // 4 + 1
-                x0 = x0 + ks[inject % 3]
-                x1 = x1 + ks[(inject + 1) % 3] + np.uint64(inject)
+    for i in range(rounds):
+        r = i % 8
+        np.add(x0, x1, out=x0)
+        np.right_shift(x1, _ROT_INV[r], out=tmp)
+        np.left_shift(x1, _ROT[r], out=x1)
+        np.bitwise_or(x1, tmp, out=x1)
+        np.bitwise_xor(x1, x0, out=x1)
+        if i % 4 == 3:
+            inject = i // 4 + 1
+            for x, j in ((x0, inject % 3), (x1, (inject + 1) % 3)):
+                np.add(x, ks2() if j == 2 else (k0, k1)[j], out=x)
+            # (x1 + ks) + inject: wrapping addition is associative.
+            np.add(x1, np.uint64(inject), out=x1)
 
     return x0, x1

@@ -8,8 +8,8 @@ from repro.particles.arena import ParticleArena
 from repro.particles.particle import Particle
 from repro.particles.source import (
     SourceRegion,
+    sample_source,
     sample_source_aos,
-    sample_source_soa,
 )
 
 
@@ -102,7 +102,7 @@ def test_sampled_cells_match_positions():
 def test_aos_soa_sampling_bit_identical():
     mesh = _mesh()
     aos = sample_source_aos(mesh, _region(), 64, seed=9, dt=1e-7)
-    soa = sample_source_soa(mesh, _region(), 64, seed=9, dt=1e-7)
+    soa = sample_source(mesh, _region(), 64, seed=9, dt=1e-7)
     for i, p in enumerate(aos):
         assert p.x == soa.x[i]
         assert p.y == soa.y[i]

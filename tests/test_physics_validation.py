@@ -110,11 +110,11 @@ def test_flight_lengths_exponential_mean():
 def test_source_directions_isotropic():
     """Birth directions cover the circle uniformly."""
     from repro.mesh.structured import StructuredMesh
-    from repro.particles.source import sample_source_soa
+    from repro.particles.source import sample_source
 
     mesh = StructuredMesh(8, 8, density=np.zeros((8, 8)))
     region = SourceRegion(x0=0.4, x1=0.6, y0=0.4, y1=0.6, energy_ev=1e6)
-    store = sample_source_soa(mesh, region, 20000, seed=4, dt=1e-7)
+    store = sample_source(mesh, region, 20000, seed=4, dt=1e-7)
     angles = np.arctan2(store.omega_y, store.omega_x)
     hist, _ = np.histogram(angles, bins=8, range=(-np.pi, np.pi))
     expected = 20000 / 8

@@ -98,6 +98,58 @@ def test_vector_stream_masked_draws():
         assert draws[j] == ParticleRNG(5, i).next_uniform()
 
 
+_BLOCK = 1 << 14
+_WRAP = 2**64 - 2
+
+
+def _twin_streams(n, per_lane_seed):
+    """Two identical vector streams over ``n`` lanes; every fifth lane sits
+    at counter 2**64 - 2, so a multi-draw wraps its counter mid-call."""
+    lane = np.arange(n, dtype=np.uint64)
+    seed = lane * np.uint64(3) + np.uint64(11) if per_lane_seed else 5
+    counters = np.where(lane % 5 == 0, np.uint64(_WRAP), lane % np.uint64(97))
+    ids = lane * np.uint64(7) + np.uint64(2)
+    return (VectorParticleRNG(seed, ids, counters),
+            VectorParticleRNG(seed, ids, counters))
+
+
+@pytest.mark.parametrize("per_lane_seed", [False, True])
+@pytest.mark.parametrize("select", ["mask", "index", "all"])
+@pytest.mark.parametrize("n", [0, 1, 64, _BLOCK - 1, _BLOCK + 1, 3 * _BLOCK + 7])
+@pytest.mark.parametrize("k", [1, 3, 4, 6])
+def test_k_draws_equal_k_single_draws(k, n, select, per_lane_seed):
+    """One ``next_uniform(sel, k)`` is ``k`` successive single-draw calls:
+    same bits row by row, same counters after — across the lane-block
+    boundary and the counter wrap."""
+    multi, single = _twin_streams(n, per_lane_seed)
+    mask = np.arange(n) % 4 != 1
+    sel = {"mask": mask, "index": np.nonzero(mask)[0], "all": None}[select]
+    lanes = np.arange(n) if sel is None else np.nonzero(mask)[0]
+    streams = [multi.scalar_stream(i) for i in lanes[::997]] + (
+        [multi.scalar_stream(lanes[-1])] if lanes.size else []
+    )
+    draws = multi.next_uniform(sel, k)
+    rows = [single.next_uniform(sel) for _ in range(k)]
+    assert draws.shape == ((lanes.size,) if k == 1 else (k, lanes.size))
+    expected = np.array(rows).reshape(k, lanes.size)
+    assert np.array_equal(np.reshape(draws, (k, lanes.size)), expected)
+    assert np.array_equal(multi.counters, single.counters)
+    # Anchored to the scalar streams (every 997th selected lane and the
+    # last), so a shared fault of both vector paths cannot hide.
+    for j, s in zip(list(range(0, lanes.size, 997)) + [lanes.size - 1], streams):
+        assert list(expected[:, j]) == [s.next_uniform() for _ in range(k)]
+
+
+def test_k_draws_wrap_like_the_scalar_stream():
+    vec = VectorParticleRNG(seed=9, particle_ids=np.arange(3, dtype=np.uint64),
+                            counters=np.full(3, _WRAP, dtype=np.uint64))
+    draws = vec.next_uniform(np.array([0, 2]), 4)
+    for j, i in enumerate([0, 2]):
+        scalar = ParticleRNG(9, i, counter=_WRAP)
+        assert list(draws[:, j]) == [scalar.next_uniform() for _ in range(4)]
+    assert list(vec.counters) == [2, _WRAP, 2]
+
+
 def test_vector_scalar_stream_extraction():
     ids = np.arange(4, dtype=np.uint64)
     vec = VectorParticleRNG(seed=9, particle_ids=ids)

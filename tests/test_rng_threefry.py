@@ -1,5 +1,7 @@
 """Threefry cipher: known-answer vectors, scalar/vector parity, statistics."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -76,6 +78,49 @@ def test_vectorised_batch_matches_scalar_elementwise():
     for i in range(256):
         expect = threefry2x64((int(c0[i]), int(c1[i])), (int(k0[i]), int(k1[i])))
         assert expect == (int(v0[i]), int(v1[i]))
+
+
+@pytest.mark.parametrize("per_lane_key", [False, True])
+def test_vectorised_broadcast_block_matches_scalar(per_lane_key):
+    """A ``(k, n)`` counter block against ``(n,)`` keys — the shape a
+    k-draw stream call hands the cipher — equals the scalar cipher."""
+    rng = np.random.default_rng(5)
+    k, n = 4, 33
+    base = rng.integers(0, 2**64, n, dtype=np.uint64)
+    base[0] = 2**64 - 2  # the counter block wraps in this lane
+    c0 = base + np.arange(k, dtype=np.uint64)[:, None]
+    k0 = rng.integers(0, 2**64, n, dtype=np.uint64) if per_lane_key else np.uint64(7)
+    k1 = rng.integers(0, 2**64, n, dtype=np.uint64)
+    v0, v1 = threefry2x64_vec(c0, np.uint64(0), k0, k1)
+    assert v0.shape == v1.shape == (k, n)
+    for j in range(k):
+        for i in range(n):
+            key0 = int(k0[i]) if per_lane_key else int(k0)
+            expect = threefry2x64((int(c0[j, i]), 0), (key0, int(k1[i])))
+            assert expect == (int(v0[j, i]), int(v1[j, i]))
+
+
+def test_vectorised_scalar_keys_over_array_counters():
+    c0 = np.arange(2**64 - 3, 2**64, dtype=np.uint64)
+    v0, v1 = threefry2x64_vec(c0, np.uint64(9), np.uint64(1), np.uint64(2))
+    for i, c in enumerate(c0):
+        assert threefry2x64((int(c), 9), (1, 2)) == (int(v0[i]), int(v1[i]))
+
+
+def test_vectorised_allocates_only_its_state():
+    """The rounds run in place: at 2**14 counters the peak is the two
+    returned state words and one scratch buffer, not a temporary per op."""
+    n = 1 << 14
+    counters = np.arange(n, dtype=np.uint64)
+    ids = np.arange(n, dtype=np.uint64)
+    threefry2x64_vec(counters, np.uint64(0), np.uint64(7), ids)  # warm up
+    tracemalloc.start()
+    try:
+        threefry2x64_vec(counters, np.uint64(0), np.uint64(7), ids)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * n * 8
 
 
 def test_counter_sensitivity():
