@@ -19,7 +19,7 @@ from repro.mesh.boundary import BoundaryCondition
 from repro.particles.source import DRAWS_PER_BIRTH, SourceRegion
 from repro.physics.variance import DEFAULT_ENERGY_CUTOFF_EV, DEFAULT_WEIGHT_CUTOFF
 
-__all__ = ["Scheme", "Layout", "SearchStrategy", "SimulationConfig"]
+__all__ = ["Scheme", "Layout", "SearchStrategy", "SimulationConfig", "require_2d"]
 
 
 class Scheme(Enum):
@@ -277,4 +277,15 @@ class SimulationConfig:
             mode,
             materials=self.resolved_materials(),
             xs_nentries=self.xs_nentries,
+        )
+
+
+def require_2d(config, route: str) -> None:
+    """Refuse, in one line naming the 3-D routes, a config whose source has
+    other than two axes on a ``route`` that runs 2-D configs only."""
+    if len(config.source.bounds) != 2:
+        raise ValueError(
+            f"{route} runs 2-D configs only; run a 3-D config serially with "
+            "Simulation(cfg).run(scheme) or fuse 3-D members with "
+            "repro.ensemble.volume.run_ensemble_3d"
         )

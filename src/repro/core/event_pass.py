@@ -138,7 +138,7 @@ class WorkingSet:
         #: of lanes ``idx`` into ``micro_s/c/f`` and their cached bins,
         #: charging the lookups its own way.
         self.refresh = refresh
-        #: ``trace(kind, run-arena rows, cells_x, cells_y)`` or ``None``.
+        #: ``trace(kind, run-arena rows, *cells)`` or ``None``.
         self.trace = trace
         #: The arena's per-axis field tuples (re-read when it grows: an
         #: append re-homes its fields).

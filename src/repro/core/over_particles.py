@@ -92,16 +92,16 @@ def exact_refresh(work: WorkingSet, idx: np.ndarray) -> None:
         counters.xs_lookups += len(lk.searches) * sel.size
 
 
-def trace_hook(trace: list, nx: int):
+def trace_hook(trace: list, mesh):
     """The event-trace hook: appends ``(history index, EventKind int,
     flat cell)`` per event to ``trace``, for discrete-event replay by
-    :mod:`repro.simexec`."""
+    :mod:`repro.simexec`; the hook takes one cell array per mesh axis."""
 
-    def hook(kind, rows, cells_x, cells_y) -> None:
-        cells = cells_y * nx + cells_x
+    def hook(kind, rows, *cells) -> None:
+        flat = mesh.flat_index(*cells)
         trace.extend(
             (row, int(kind), cell)
-            for row, cell in zip(rows.tolist(), cells.tolist())
+            for row, cell in zip(rows.tolist(), flat.tolist())
         )
 
     return hook

@@ -214,7 +214,7 @@ class _OPStrategy:
     def __init__(self, stepper: "CensusStepper"):
         self.stepper = stepper
         self.trace = (
-            trace_hook(stepper.trace, stepper.mesh.nx)
+            trace_hook(stepper.trace, stepper.mesh)
             if stepper.trace is not None else None
         )
 

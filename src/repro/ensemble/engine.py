@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.core.books import ReplicaBooks
-from repro.core.config import Scheme, SimulationConfig
+from repro.core.config import Scheme, SimulationConfig, require_2d
 from repro.core.counters import Counters
 from repro.core.stepper import run_stepped, validate_scheme_options
 from repro.ensemble.spec import EnsembleSpec, validate_members
@@ -44,19 +44,15 @@ __all__ = [
     "run_ensemble_looped",
 ]
 
-#: The per-history state a replica's fingerprint hashes (canonical birth
-#: order, so the fingerprint is invariant to storage-order differences).
-STATE_FIELDS = (
-    "x", "y", "omega_x", "omega_y", "energy", "weight",
-    "rng_counter", "alive", "cellx", "celly",
-)
-
-
 def population_fingerprint(arena) -> str:
-    """SHA-256 over the physics state of a population, in birth order."""
+    """SHA-256 over the physics state of a population, in birth order
+    (canonical, so it is invariant to storage-order differences), in any
+    dimension: ``(*POSITION, *DIRECTION, energy, weight, rng_counter,
+    alive, *CELL)``."""
     order = np.argsort(arena.particle_id, kind="stable")
     h = hashlib.sha256()
-    for name in STATE_FIELDS:
+    for name in (*arena.POSITION, *arena.DIRECTION, "energy", "weight",
+                 "rng_counter", "alive", *arena.CELL):
         h.update(np.ascontiguousarray(getattr(arena, name)[order]).tobytes())
     return h.hexdigest()
 
@@ -109,8 +105,6 @@ class EnsembleJob:
     members: tuple
     #: Particle offset of each replica's block in the fused arena (R+1).
     bounds: tuple
-    nx: int
-    ny: int
 
     arena_cls = EnsembleArena
 
@@ -120,7 +114,7 @@ class EnsembleJob:
         returns the pool payload dict plus per-replica books."""
         t0 = time.perf_counter()
         bounds = np.asarray(self.bounds, dtype=np.int64)
-        tally = EnergyDepositionTally(self.nx, self.ny)
+        tally = self.members[0].build_tally()
         counters = Counters()
         arena_out = None
         replica_counters: dict[int, Counters] = {}
@@ -234,6 +228,7 @@ def run_ensemble(
     members = _expand(spec_or_members)
     nrep = len(members)
     base = members[0]
+    require_2d(base, "run_ensemble")
     validate_scheme_options(base, scheme)
     label = _result_scheme(scheme)
     if live is not None:
@@ -355,9 +350,7 @@ def _run_ensemble_pool(
         fault_plan=fault_plan,
     )
     job = EnsembleJob(
-        members=run_members,
-        bounds=tuple(int(b) for b in bounds),
-        nx=base.nx, ny=base.ny,
+        members=run_members, bounds=tuple(int(b) for b in bounds),
     )
     nshards = min(nworkers, nrep)
     rb = np.linspace(0, nrep, nshards + 1).astype(np.int64)
@@ -390,7 +383,7 @@ def _run_ensemble_pool(
     replica_counters: list = [None] * nrep
     replica_tallies: list = [None] * nrep
     counters = Counters()
-    tally = EnergyDepositionTally(base.nx, base.ny)
+    tally = base.build_tally()
     final = None
     for sid in sorted(results):
         payload = results[sid]

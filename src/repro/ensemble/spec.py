@@ -45,8 +45,9 @@ SWEEPABLE_PARAMS = (
 )
 
 
-def validate_members(members) -> tuple[SimulationConfig, ...]:
-    """Check that the member configs agree on every non-fusible field.
+def validate_members(members) -> tuple:
+    """Check that the member configs — of one config type, 2-D or 3-D —
+    agree on every non-fusible field of that type.
 
     Returns the members as a tuple; raises ``ValueError`` naming the
     first offending field otherwise.
@@ -56,7 +57,9 @@ def validate_members(members) -> tuple[SimulationConfig, ...]:
         raise ValueError("an ensemble needs at least one member")
     base = members[0]
     for i, m in enumerate(members[1:], start=1):
-        for f in dataclasses.fields(SimulationConfig):
+        if type(m) is not type(base):
+            raise ValueError(f"ensemble member {i} is not a {type(base).__name__}")
+        for f in dataclasses.fields(type(base)):
             if f.name in FUSIBLE_FIELDS:
                 continue
             a, b = getattr(base, f.name), getattr(m, f.name)

@@ -11,7 +11,7 @@ with per-kernel call/wall-clock accounting:
     KernelDispatch  — name→kernel table, per-kernel counters/timers
         │
         ▼
-    kernels.batch / kernels.xs / kernels.batch3   — the physics
+    kernels.batch / kernels.xs   — the physics, in any dimension
         │
         ▼
     Workspace  — named preallocated buffers (no per-pass allocations)
@@ -20,7 +20,7 @@ with per-kernel call/wall-clock accounting:
 implementation exists outside this package.
 """
 
-from repro.kernels import batch, batch3, xs
+from repro.kernels import batch, xs
 from repro.kernels.batch import EventKind, HUGE_DISTANCE, PARALLEL_EPS
 from repro.kernels.dispatch import (
     EVENT_KERNELS,
@@ -34,7 +34,6 @@ from repro.kernels.workspace import Workspace
 
 __all__ = [
     "batch",
-    "batch3",
     "xs",
     "EventKind",
     "HUGE_DISTANCE",

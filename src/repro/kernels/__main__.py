@@ -31,8 +31,9 @@ def main(argv=None) -> int:
         "repro/kernels, any hot path constructs AoS particle records, "
         "any driver re-implements the census loop outside "
         "repro/core/stepper.py, any driver forks on whether it has "
-        "replica books, or the event handlers or their kernel dispatches "
-        "exist outside repro/core/event_pass.py",
+        "replica books, the event handlers or their kernel dispatches "
+        "exist outside repro/core/event_pass.py, or a dimension twin of "
+        "the tally flush, point location or collide/cross_facet returns",
     )
     args = parser.parse_args(argv)
     if not args.check:
@@ -65,7 +66,8 @@ def main(argv=None) -> int:
     single_pkgs = ", ".join(SINGLE_PATH_PACKAGES)
     print(f"OK: no None test on the replica books, no *_vec kernel "
           f"alias and one event pass in any dimension "
-          f"({single_pkgs} audited)")
+          f"({single_pkgs} audited); one tally flush, point location and "
+          f"collide/cross_facet body for every dimension")
     return 0
 
 

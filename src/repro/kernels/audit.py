@@ -25,7 +25,10 @@ rejected so the population stays in the SoA
 
 The single-path audit keeps one execution path and one event pass: no
 fork on the replica books, and no event handler or event-kernel dispatch
-name (2-D or 3-D) outside ``core/event_pass.py``.
+name (2-D or 3-D) outside ``core/event_pass.py`` — and one body per
+dimension-generic piece below it: the tally flush, the mesh's point
+location and the collision and facet kernels each have one home, whatever
+the number of axes.
 """
 
 from __future__ import annotations
@@ -56,6 +59,8 @@ __all__ = [
     "EVENT_PASS_HOME",
     "EVENT_HANDLER_DEFS",
     "EVENT_DISPATCH_NAMES",
+    "TWIN_HOMES",
+    "SCALAR_REFERENCES",
 ]
 
 #: Packages that must not define ``*_vec`` implementations.
@@ -140,6 +145,19 @@ EVENT_DISPATCH_NAMES = (
     "roulette", "fission_bank",
     "facet_distances_3d", "collide_3d", "cross_facet_3d",
 )
+
+
+#: Definition-name prefix → the one module that may define it: the number
+#: of axes is data to these bodies, and a definition elsewhere is a
+#: dimension twin (``Tally3D.flush_vec``, ``batch3.collide3``) coming back.
+TWIN_HOMES = {"flush_vec": "mesh/tally.py",
+              "cell_of_point_vec": "mesh/structured.py",
+              "collide": "kernels/batch.py", "cross_facet": "kernels/batch.py"}
+
+#: The scalar references the batch kernels are pinned against (the
+#: independent oracle), exempt from :data:`TWIN_HOMES`.
+SCALAR_REFERENCES = frozenset({"physics/collision.py", "physics/facet.py",
+                               "volume/collision3.py", "volume/facet3.py"})
 
 
 def _is_thin_wrapper(node: ast.FunctionDef) -> bool:
@@ -256,7 +274,27 @@ def audit_single_path(package_root: str | Path | None = None) -> list[str]:
                     f"{rel}:{node.lineno}: {node.targets[0].id} "
                     + _VEC_ALIAS_MESSAGE
                 )
-    return violations + _audit_one_event_pass(package_root)
+    return (violations + _audit_one_event_pass(package_root)
+            + _audit_one_twin(package_root))
+
+
+def _audit_one_twin(package_root: Path) -> list[str]:
+    """A :data:`TWIN_HOMES` definition anywhere under ``package_root`` but
+    its home (or a scalar reference) is a second dimension's body."""
+    violations: list[str] = []
+    for path in sorted(package_root.rglob("*.py")):
+        rel = path.relative_to(package_root).as_posix()
+        if rel in SCALAR_REFERENCES:
+            continue
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            for prefix, home in TWIN_HOMES.items():
+                if (isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+                        and node.name.startswith(prefix) and rel != home):
+                    violations.append(
+                        f"{rel}:{node.lineno}: def {node.name} — one body "
+                        f"serves every dimension, in {home}"
+                    )
+    return violations
 
 
 def _audit_one_event_pass(package_root: Path) -> list[str]:

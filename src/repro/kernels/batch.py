@@ -9,10 +9,16 @@ Both execution schemes drive these kernels:
 * **Over Particles** applies them to a *block* of histories at a time
   (depth-first in blocks; block size 1 is the paper's scalar traversal).
 
+The number of mesh axes is data, never a second body: a kernel takes one
+position, direction or cell array per axis and counts them, and the one
+thing a collision does differently in 3-D — turning the direction about an
+azimuth instead of in the plane — is an entry of :data:`COLLISION_TURNS`.
+The 3-D kernel names of the dispatch table are aliases of these bodies.
+
 The scalar functions that remain in :mod:`repro.physics` and
 :mod:`repro.volume` are the reference implementations the parity suite
 pins these kernels against element-wise, bit-for-bit
-(``tests/test_kernels_parity.py``).
+(``tests/test_kernels_parity.py``, ``tests/test_volume_3d.py``).
 
 What bit-parity needs is that every lane sees the reference's operands in
 the reference's operation order — not any particular array form.  The
@@ -40,15 +46,14 @@ __all__ = [
     "speed_from_energy",
     "distance_to_collision",
     "distance_to_facet",
-    "facets_ahead",
     "nearest_facet",
     "select_events",
     "distances",
     "Distances",
     "elastic_scatter_kinematics",
     "apply_cutoffs",
+    "COLLISION_TURNS",
     "collide",
-    "cross_facets",
     "cross_facet",
     "census",
     "roulette",
@@ -57,6 +62,8 @@ __all__ = [
     "should_terminate",
     "sample_position_in_box",
     "sample_isotropic_direction",
+    "sample_isotropic_direction_3d",
+    "rotate_direction",
     "sample_mean_free_paths",
 ]
 
@@ -83,6 +90,9 @@ _TWO_EV_OVER_MASS = 2.0 * EV_TO_J / NEUTRON_MASS_KG
 
 #: Hard cap on the clones of one importance split — guards runaway maps.
 MAX_SPLIT = 20
+
+#: Below this pole margin the 3-D rotation uses the polar-axis special case.
+_POLE_EPS = 1.0e-10
 
 
 class EventKind(IntEnum):
@@ -137,19 +147,12 @@ def _first_min(arrays, lowest, index, mask):
     return lowest, index
 
 
-def facets_ahead(omega, lo, hi) -> list[np.ndarray]:
-    """Per axis, the bound of its cell each lane is flying toward: ``hi``
-    where ``ω > 0``, else ``lo``."""
-    return [np.where(o > 0.0, h, l) for o, l, h in zip(omega, lo, hi)]
-
-
 def nearest_facet(pos, omega, face, dist=None, axis=None, tmp=None, mask=None):
     """Distance to the nearest facet of each lane's cell, in any dimension.
 
     ``pos``, ``omega`` and ``face`` hold one array per mesh axis; ``face``
-    is the facet plane ahead of the lane on that axis
-    (:func:`facets_ahead`).  Per axis, every lane
-    computes ``(face − p) / ω`` — the scalar reference's operands in its
+    is the facet plane ahead of the lane on that axis.  Per axis, every
+    lane computes ``(face − p) / ω`` — the scalar reference's operands in its
     order — and a lane numerically parallel to the facet
     (``|ω| ≤ PARALLEL_EPS``) is skipped by the divide and keeps
     ``HUGE_DISTANCE``.  Returns ``(distance, axis)``, ties picking the
@@ -174,25 +177,20 @@ def nearest_facet(pos, omega, face, dist=None, axis=None, tmp=None, mask=None):
     return _first_min(dist, dist[0], axis, mask)
 
 
-def distance_to_facet(
-    x: np.ndarray,
-    y: np.ndarray,
-    omega_x: np.ndarray,
-    omega_y: np.ndarray,
-    x_lo: np.ndarray,
-    x_hi: np.ndarray,
-    y_lo: np.ndarray,
-    y_hi: np.ndarray,
-) -> tuple[np.ndarray, np.ndarray]:
+def distance_to_facet(*args) -> tuple[np.ndarray, np.ndarray]:
     """Distance to the nearest facet of each particle's containing cell.
 
-    Returns ``(distance, axis)``; ``axis`` is 0 for the x-facing facet and
-    1 for the y-facing one, ties picking x.
+    ``args`` is ``(*position, *direction, *bounds)`` with one position and
+    one direction array per axis and the cell bounds as ``(x_lo, x_hi,
+    y_lo, y_hi[, z_lo, z_hi])``.  Returns ``(distance, axis)``, ties
+    picking the lowest axis.
     """
-    omega = (omega_x, omega_y)
-    return nearest_facet(
-        (x, y), omega, facets_ahead(omega, (x_lo, y_lo), (x_hi, y_hi))
-    )
+    ndim = len(args) // 4
+    pos, omega, bounds = args[:ndim], args[ndim:2 * ndim], args[2 * ndim:]
+    # Per axis, the bound each lane flies toward: hi where ω > 0, else lo.
+    face = [np.where(o > 0.0, hi, lo)
+            for o, lo, hi in zip(omega, bounds[0::2], bounds[1::2])]
+    return nearest_facet(pos, omega, face)
 
 
 def select_events(
@@ -323,30 +321,40 @@ def apply_cutoffs(
     return terminated, np.zeros_like(terminated)
 
 
-def collide(
-    energy: np.ndarray,
-    weight: np.ndarray,
-    omega_x: np.ndarray,
-    omega_y: np.ndarray,
-    sigma_a: np.ndarray,
-    sigma_t: np.ndarray,
-    a_ratio,
-    u_angle: np.ndarray,
-    u_sense: np.ndarray,
-    u_mfp: np.ndarray,
-    energy_cutoff_ev: float,
-    weight_cutoff: float,
-    defer_weight_cutoff: bool = False,
-) -> tuple[np.ndarray, ...]:
-    """Apply one collision per lane (implicit capture + elastic scatter).
+def _turn_in_plane(omega, mu_lab, sin_lab, u_turn):
+    """2-D: turn by the lab deflection, its sense (±) drawn by ``u_turn``."""
+    omega_x, omega_y = omega
+    sense = np.where(u_turn < 0.5, 1.0, -1.0)
+    return (omega_x * mu_lab - omega_y * sin_lab * sense,
+            omega_y * mu_lab + omega_x * sin_lab * sense)
 
-    Returns ``(energy, weight, ox, oy, mfp, deposit, terminated,
-    below_weight)`` arrays.  ``a_ratio`` may be a scalar or a per-lane
-    array (multi-material populations).
+
+def _turn_about_azimuth(omega, mu_lab, sin_lab, u_turn):
+    """3-D: turn by the lab deflection about the azimuth ``2π·u_turn``."""
+    return rotate_direction(*omega, mu_lab, 2.0 * np.pi * u_turn)
+
+
+#: The direction turn of a collision, per number of axes.
+COLLISION_TURNS = {2: _turn_in_plane, 3: _turn_about_azimuth}
+
+
+def collide(energy, weight, *args, defer_weight_cutoff: bool = False):
+    """Apply one collision per lane (implicit capture + elastic scatter),
+    in any dimension.
+
+    ``args`` is ``(*direction, sigma_a, sigma_t, a_ratio, u_angle,
+    u_turn, u_mfp, energy_cutoff_ev, weight_cutoff)`` with one direction
+    array per axis; ``u_turn`` feeds that dimension's entry of
+    :data:`COLLISION_TURNS` (the rotation sense in 2-D, the azimuth in
+    3-D).  Returns ``(energy, weight, *direction, mfp, deposit,
+    terminated, below_weight)`` arrays.  ``a_ratio`` may be a scalar or a
+    per-lane array (multi-material populations).
 
     The cutoffs (scalars or per-lane arrays) are applied by
     :func:`apply_cutoffs`.
     """
+    (*omega, sigma_a, sigma_t, a_ratio, u_angle, u_turn, u_mfp,
+     energy_cutoff_ev, weight_cutoff) = args
     p_absorb = np.where(sigma_t > 0.0, sigma_a / np.where(sigma_t > 0.0, sigma_t, 1.0), 0.0)
     deposit = weight * energy * p_absorb
     weight = weight * (1.0 - p_absorb)
@@ -355,9 +363,7 @@ def collide(
     e_frac, mu_lab, sin_lab = elastic_scatter_kinematics(mu_cm, a_ratio)
     new_energy = energy * e_frac
     deposit = deposit + weight * (energy - new_energy)
-    sense = np.where(u_sense < 0.5, 1.0, -1.0)
-    new_ox = omega_x * mu_lab - omega_y * sin_lab * sense
-    new_oy = omega_y * mu_lab + omega_x * sin_lab * sense
+    new_omega = COLLISION_TURNS[len(omega)](omega, mu_lab, sin_lab, u_turn)
 
     mfp = -np.log(1.0 - u_mfp)
 
@@ -368,26 +374,30 @@ def collide(
     deposit = deposit + np.where(terminated, weight * new_energy, 0.0)
     weight = np.where(terminated, 0.0, weight)
 
-    return new_energy, weight, new_ox, new_oy, mfp, deposit, terminated, below_weight
+    return new_energy, weight, *new_omega, mfp, deposit, terminated, below_weight
 
 
 # --------------------------------------------------------------------------
 # Facet kernel.
 
 
-def cross_facets(cells, omegas, axis, shape, bc) -> tuple[np.ndarray, ...]:
-    """Resolve facet encounters in any dimension — the body behind
-    :func:`cross_facet` and ``batch3.cross_facet_3d``.
+def cross_facet(*args) -> tuple[np.ndarray, ...]:
+    """Resolve facet encounters for lanes sitting on their facet, in any
+    dimension.
 
-    ``cells``, ``omegas`` and ``shape`` (cells per axis) hold one entry
-    per mesh axis.  Every lane runs every axis: off its hit axis a lane
-    moves by ``step·0`` and keeps its direction.  Returns ``(*new_cells,
-    *new_omegas, reflected, escaped)``; inputs are not modified.
+    ``args`` is ``(*cells, *directions, axis, mesh[, bc])`` with one cell
+    and one direction array per mesh axis; ``bc`` defaults to reflective.
+    Every lane runs every axis: off its hit axis a lane moves by
+    ``step·0`` and keeps its direction.  Returns ``(*new_cells,
+    *new_directions, reflected, escaped)``; inputs are not modified.
     """
+    ndim = (len(args) - 2) // 2
+    cells, omegas = args[:ndim], args[ndim:2 * ndim]
+    axis, mesh, bc = (*args[2 * ndim:], BoundaryCondition.REFLECTIVE)[:3]
     vacuum = bc is BoundaryCondition.VACUUM
     at_boundary = np.zeros(axis.shape, dtype=bool)
     new_cells, new_omegas = [], []
-    for i, (cell, omega, ncells) in enumerate(zip(cells, omegas, shape)):
+    for i, (cell, omega, ncells) in enumerate(zip(cells, omegas, mesh.shape)):
         hit = axis == i
         forward = omega > 0.0
         bnd = hit & (cell == forward * (ncells - 1))
@@ -397,25 +407,6 @@ def cross_facets(cells, omegas, axis, shape, bc) -> tuple[np.ndarray, ...]:
     none = np.zeros_like(at_boundary)
     reflected, escaped = (none, at_boundary) if vacuum else (at_boundary, none)
     return (*new_cells, *new_omegas, reflected, escaped)
-
-
-def cross_facet(
-    cellx: np.ndarray,
-    celly: np.ndarray,
-    omega_x: np.ndarray,
-    omega_y: np.ndarray,
-    axis: np.ndarray,
-    mesh,
-    bc: BoundaryCondition = BoundaryCondition.REFLECTIVE,
-) -> tuple[np.ndarray, ...]:
-    """Resolve facet encounters for particles sitting on their facet.
-
-    Returns ``(new_cellx, new_celly, new_ox, new_oy, reflected, escaped)``;
-    inputs are not modified.  ``mesh`` only needs ``nx``/``ny``.
-    """
-    return cross_facets(
-        (cellx, celly), (omega_x, omega_y), axis, (mesh.nx, mesh.ny), bc
-    )
 
 
 # --------------------------------------------------------------------------
@@ -500,6 +491,33 @@ def sample_isotropic_direction(u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Map one uniform per lane to a unit direction isotropic in the plane."""
     theta = 2.0 * np.pi * u
     return np.cos(theta), np.sin(theta)
+
+
+def sample_isotropic_direction_3d(u1, u2):
+    """Two uniforms per lane → unit vectors uniform on the sphere."""
+    w = 2.0 * u1 - 1.0
+    s = np.sqrt(np.maximum(0.0, 1.0 - w * w))
+    phi = 2.0 * np.pi * u2
+    return s * np.cos(phi), s * np.sin(phi), w
+
+
+def rotate_direction(u, v, w, mu, phi):
+    """Rotate unit vectors by deflection cosine ``mu`` about azimuth
+    ``phi`` (standard MC scattering rotation, pole special-cased)."""
+    s = np.sqrt(np.maximum(0.0, 1.0 - mu * mu))
+    cosp = np.cos(phi)
+    sinp = np.sin(phi)
+    denom_sq = 1.0 - w * w
+    polar = denom_sq < _POLE_EPS
+    denom = np.sqrt(np.where(polar, 1.0, denom_sq))
+    nu = mu * u + s * (u * w * cosp - v * sinp) / denom
+    nv = mu * v + s * (v * w * cosp + u * sinp) / denom
+    nw = mu * w - s * denom * cosp
+    sign = np.where(w > 0.0, 1.0, -1.0)
+    nu = np.where(polar, s * cosp, nu)
+    nv = np.where(polar, s * sinp, nv)
+    nw = np.where(polar, mu * sign, nw)
+    return nu, nv, nw
 
 
 def sample_mean_free_paths(u: np.ndarray) -> np.ndarray:

@@ -20,7 +20,7 @@ import time
 from contextlib import contextmanager
 from dataclasses import dataclass
 
-from repro.kernels import batch, batch3
+from repro.kernels import batch
 from repro.kernels import xs as kxs
 from repro.kernels.batch import EventKind
 
@@ -49,15 +49,14 @@ KERNEL_TABLE = {
     "xs_lookup_ce": kxs.ce_lookup,
 }
 
-#: A 3-D run shares the dimension-independent kernels (event selection,
-#: census flight, cross-section lookup, and the distance composite under
-#: the name the 3-D profile has always carried) and swaps in the 3-D
-#: direction algebra and facet-crossing signature.
+#: A 3-D run dispatches the very same bodies — every kernel reads the
+#: number of axes from its arguments; the ``_3d`` names are aliases the
+#: 3-D kernel profile has always carried.
 KERNEL_TABLE_3D = {
     **KERNEL_TABLE,
     "facet_distances_3d": batch.distances,
-    "collide_3d": batch3.collide3,
-    "cross_facet_3d": batch3.cross_facet_3d,
+    "collide_3d": batch.collide,
+    "cross_facet_3d": batch.cross_facet,
 }
 
 #: The kernel table of a run, per number of mesh axes.

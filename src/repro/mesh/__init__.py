@@ -10,10 +10,10 @@ characteristics:
 * *random atomic writes* — every facet crossing / census flushes the
   particle's accumulated energy deposition into the tally mesh (§V-C).
 
-:class:`repro.mesh.structured.StructuredMesh` implements the grid geometry,
-:mod:`repro.mesh.boundary` the reflective boundaries, and
-:class:`repro.mesh.tally.EnergyDepositionTally` the tally with both the
-atomic and the privatised-per-thread variants studied in §VI-F.
+:class:`repro.mesh.structured.StructuredMesh` implements the grid geometry
+and :class:`repro.mesh.tally.EnergyDepositionTally` the tally, in any number
+of axes (the 3-D extension uses both); :mod:`repro.mesh.boundary` has the
+reflective boundaries and the tally module the privatised variant (§VI-F).
 """
 
 from repro.mesh.structured import StructuredMesh

@@ -22,6 +22,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.mesh.structured import flat_cell
+
 __all__ = ["EnergyDepositionTally", "PrivatizedTally", "flat_view"]
 
 
@@ -37,7 +39,9 @@ def flat_view(field: np.ndarray) -> np.ndarray:
 
 
 class EnergyDepositionTally:
-    """Shared energy-deposition tally over an ``(ny, nx)`` mesh.
+    """Shared energy-deposition tally over a mesh of ``(nx, ny[, nz])``
+    cells, in any number of axes; fields are stored last axis first
+    (``(ny, nx)``, ``(nz, ny, nx)``), like the mesh's.
 
     Attributes
     ----------
@@ -50,38 +54,43 @@ class EnergyDepositionTally:
         Total number of (atomic) flush operations.
     """
 
-    def __init__(self, nx: int, ny: int):
-        if nx < 1 or ny < 1:
+    def __init__(self, *shape: int):
+        if min(shape) < 1:
             raise ValueError("tally needs at least one cell per axis")
-        self.nx = int(nx)
-        self.ny = int(ny)
-        self.deposition = np.zeros((self.ny, self.nx), dtype=np.float64)
-        self.flush_counts = np.zeros((self.ny, self.nx), dtype=np.int64)
+        self.shape = tuple(int(n) for n in shape)
+        self.deposition = np.zeros(self.shape[::-1], dtype=np.float64)
+        self.flush_counts = np.zeros(self.shape[::-1], dtype=np.int64)
         self.flushes = 0
 
-    def flush(self, ix: int, iy: int, energy: float) -> None:
-        """Atomically add ``energy`` into cell ``(ix, iy)``.
+    def flush(self, *cell_and_energy) -> None:
+        """Atomically add ``energy`` into one cell: ``flush(ix, iy[, iz],
+        energy)``.
 
         Zero deposits still count as flushes — the mini-app performs the
         atomic unconditionally at each facet encounter.
         """
-        self.deposition[iy, ix] += energy
-        self.flush_counts[iy, ix] += 1
+        *cell, energy = cell_and_energy
+        at = tuple(cell[::-1])
+        self.deposition[at] += energy
+        self.flush_counts[at] += 1
         self.flushes += 1
 
-    def flush_vec(self, ix: np.ndarray, iy: np.ndarray, energy: np.ndarray) -> None:
-        """Vectorised flush used by the Over Events tally loop.
+    def flush_vec(self, *cells_and_energy: np.ndarray) -> None:
+        """Vectorised flush used by the Over Events tally loop:
+        ``flush_vec(ix, iy[, iz], energy)``.
 
         ``np.add.at`` is an unbuffered (scatter-add) accumulate, the numpy
         analogue of a loop of atomic adds: repeated indices accumulate
         correctly, in lane order.  It runs on the flat cell index
-        ``iy·nx + ix`` over flat views of the fields — numpy's 1-D fast
-        path, same adds in the same order as the ``(iy, ix)`` form.
+        (:func:`~repro.mesh.structured.flat_cell`) over flat views of the
+        fields — numpy's 1-D fast path, same adds in the same order as the
+        per-axis form.
         """
-        cell = iy * self.nx + ix
+        *cells, energy = cells_and_energy
+        cell = flat_cell(self.shape, cells)
         np.add.at(flat_view(self.deposition), cell, energy)
         np.add.at(flat_view(self.flush_counts), cell, 1)
-        self.flushes += int(len(ix))
+        self.flushes += int(len(cells[0]))
 
     def merge(self, other: "EnergyDepositionTally") -> None:
         """Add another tally's deposits and flush histogram into this one

@@ -73,9 +73,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.core.config import Scheme, SimulationConfig
+from repro.core.config import Scheme, SimulationConfig, require_2d
 from repro.core.counters import Counters
-from repro.mesh.tally import EnergyDepositionTally
 from repro.obs.live import FlightSpiller, LiveBoard, load_flight_dump
 from repro.obs.spans import NULL_RECORDER, Recorder
 from repro.parallel.faults import KILLED_EXIT_CODE, FaultInjected, FaultPlan
@@ -362,7 +361,7 @@ def _run_ranges(config, scheme, population, ranges, recorder=None,
             scheme, population, ranges, recorder=recorder, probe=probe
         )
 
-    tally = EnergyDepositionTally(config.nx, config.ny)
+    tally = config.build_tally()
     counters = Counters()
     arena: ParticleArena | None = None
     busy = 0.0
@@ -1092,7 +1091,7 @@ def _reduce(config, scheme, options, shards, results, dispatcher, t0,
     from repro.core.simulation import TransportResult
 
     rec = NULL_RECORDER if recorder is None else recorder
-    tally = EnergyDepositionTally(config.nx, config.ny)
+    tally = config.build_tally()
     merged = Counters()
     all_arena: ParticleArena | None = None
     per_worker: dict[int, dict] = {}
@@ -1231,6 +1230,7 @@ def run_pool(
     worker is lost.  Like the recorder, the plane never alters the
     physics.
     """
+    require_2d(config, "the worker pool (nworkers=...)")
     if options is None:
         options = PoolOptions(nworkers=1)
     rec = NULL_RECORDER if recorder is None else recorder

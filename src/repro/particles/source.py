@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.kernels import batch, batch3
+from repro.kernels import batch
 from repro.kernels.xs import search_bins
 from repro.mesh.structured import StructuredMesh
 from repro.particles.arena import ParticleArena, ParticleArena3
@@ -50,7 +50,7 @@ DRAWS_PER_BIRTH = 4
 #: emitted into and the isotropic direction sampler its direction draws feed.
 _EMISSION = {
     2: (ParticleArena, batch.sample_isotropic_direction),
-    3: (ParticleArena3, batch3.sample_isotropic_direction_3d),
+    3: (ParticleArena3, batch.sample_isotropic_direction_3d),
 }
 
 

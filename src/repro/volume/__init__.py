@@ -5,9 +5,12 @@ performance-limiting characteristics are *independent of the geometry*, and
 promised a 3-D extension "to validate our current assumptions".  This
 subpackage is that extension, and its shape is the claim: a 3-D run is the
 *same* census stepper, event pass and handlers as a 2-D run
-(:mod:`repro.core.event_pass`) over one more axis.  What lives here is what
-a third axis adds as data — a mesh and tally, a source box, the problem
-factories — plus the scalar reference forms of the 3-D kernels.
+(:mod:`repro.core.event_pass`) over one more axis, on the same
+dimension-generic mesh, tally and kernel bodies (:mod:`repro.mesh`,
+:mod:`repro.kernels.batch`).  What lives here is what a third axis adds as
+data — a source box, the problem factories — plus the scalar reference
+forms of the 3-D kernels, the independent oracle the batch kernels are
+pinned against.
 
 The validation the paper asked for is in
 ``benchmarks/test_futurework_3d.py``: per *facet event* the 3-D code
@@ -19,8 +22,8 @@ geometry changes the constants, not the character.
 
 Public entry points mirror the 2-D core:
 
-* :class:`repro.volume.mesh3.StructuredMesh3D` and
-  :class:`repro.volume.mesh3.Tally3D`;
+* ``StructuredMesh3D`` and ``Tally3D`` (:mod:`repro.volume.mesh3`), the
+  positional 3-D spellings of the one mesh and tally;
 * :func:`repro.volume.driver3.run_over_particles_3d` /
   :func:`repro.volume.driver3.run_over_events_3d` (or hand a 3-D config to
   :class:`repro.core.Simulation`), returning the 2-D

@@ -9,7 +9,8 @@ Events in place, Over Particles in gathered blocks of 64 — over a
 :class:`~repro.particles.arena.ParticleArena3` whose axis tuples carry a
 third entry.  Nothing here dispatches a kernel or walks a history; what a
 3-D run adds is data: its kernel row
-(:data:`repro.kernels.dispatch.PASS_KERNELS`), its mesh and tally
+(:data:`repro.kernels.dispatch.PASS_KERNELS`, aliases of the same kernel
+bodies), the one mesh and tally over a third axis
 (:class:`~repro.volume.problems3.Volume3DConfig` builds them) and a
 source box with a third pair of bounds, which the one source sampler turns
 into six birth draws (position ×3, direction ×2, first optical distance;
@@ -25,14 +26,14 @@ from __future__ import annotations
 from repro.core.config import Scheme
 from repro.core.simulation import TransportResult
 from repro.core.stepper import run_stepped
+from repro.mesh.structured import StructuredMesh
 from repro.particles.source import sample_source
-from repro.volume.mesh3 import StructuredMesh3D
 from repro.volume.problems3 import Volume3DConfig
 
 __all__ = ["run_over_particles_3d", "run_over_events_3d"]
 
 
-def _sample_source_3d(config: Volume3DConfig, mesh: StructuredMesh3D):
+def _sample_source_3d(config: Volume3DConfig, mesh: StructuredMesh):
     """The six-draw birth of ``config``'s histories, emitted straight into
     a fresh arena.  The cached energy bins start at zero: a 3-D run
     searches by bisection, which does not read them."""
@@ -62,7 +63,7 @@ def run_over_events_3d(
     ``recorder`` receives the span tree (run → timestep → event_pass →
     kernel:*); physics is bit-identical with or without it.
 
-    ``arena``/``books`` support seed-only ensemble fusion: the caller
+    ``arena``/``books`` support ensemble fusion: the caller
     passes a pre-fused population plus the
     :class:`~repro.core.books.ReplicaBooks` of its members.  A run given
     neither is one replica of ``config`` through the same books.

@@ -17,7 +17,8 @@ from repro.core.config import SearchStrategy
 from repro.core.problems import HIGH_DENSITY, LOW_DENSITY, SOURCE_ENERGY_EV
 from repro.mesh.boundary import BoundaryCondition
 from repro.physics.variance import DEFAULT_ENERGY_CUTOFF_EV, DEFAULT_WEIGHT_CUTOFF
-from repro.volume.mesh3 import StructuredMesh3D, Tally3D
+from repro.mesh.structured import StructuredMesh
+from repro.mesh.tally import EnergyDepositionTally
 
 __all__ = [
     "SourceBox3D",
@@ -148,16 +149,16 @@ class Volume3DConfig:
         view — nothing is stored)."""
         return np.broadcast_to(np.int64(0), (self.nz, self.ny, self.nx))
 
-    def build_mesh(self) -> StructuredMesh3D:
+    def build_mesh(self) -> StructuredMesh:
         """The mesh this config describes."""
-        return StructuredMesh3D(
-            self.nx, self.ny, self.nz,
-            self.width, self.height, self.depth, self.density,
+        return StructuredMesh.grid(
+            (self.nx, self.ny, self.nz),
+            (self.width, self.height, self.depth), self.density,
         )
 
-    def build_tally(self) -> Tally3D:
+    def build_tally(self) -> EnergyDepositionTally:
         """An empty energy-deposition tally over the mesh."""
-        return Tally3D(self.nx, self.ny, self.nz)
+        return EnergyDepositionTally(self.nx, self.ny, self.nz)
 
     def total_source_energy_ev(self) -> float:
         """Conservation budget per run."""

@@ -285,10 +285,21 @@ def test_sweep_source_param_touches_only_source():
 
 
 def test_validate_members_rejects_non_fusible_mismatch():
-    base = csp_problem(nx=NX, nparticles=NPARTICLES)
-    other = csp_problem(nx=NX, nparticles=NPARTICLES + 1)
-    with pytest.raises(ValueError, match="nparticles"):
-        validate_members([base, other])
+    """One fusibility rule for every config type, 2-D and 3-D: the
+    FUSIBLE_FIELDS (seed, cutoffs, timestep, source) may differ, any other
+    field of the members' own type may not."""
+    from repro.volume import csp3_problem
+
+    for base in (csp_problem(nx=NX, nparticles=NPARTICLES),
+                 csp3_problem(n=8, nparticles=40)):
+        validate_members([
+            base, base.with_(seed=base.seed + 1),
+            base.with_(weight_cutoff=0.2, dt=0.5 * base.dt),
+        ])
+        with pytest.raises(ValueError, match="nparticles"):
+            validate_members([base, base.with_(nparticles=base.nparticles + 1)])
+    with pytest.raises(ValueError, match="is not a SimulationConfig"):
+        validate_members([csp_problem(nx=NX, nparticles=NPARTICLES), base])
 
 
 def test_sweep_spec_parse_rejects_bad_forms():
@@ -337,18 +348,19 @@ def test_ensemble_3d_seed_fusion_matches_standalone():
         assert rr.fingerprint() == population_fingerprint_3d(solo.arena)
     summed = sum(rr.tally.deposition for rr in ens.replicas)
     np.testing.assert_allclose(
-        ens.fused.tally.deposition, summed, rtol=1e-12
+        ens.tally.deposition, summed, rtol=1e-12
     )
 
 
 def test_validate_members_3d_is_seed_only():
-    from repro.ensemble.volume import validate_members_3d
+    """3-D members go through the one ``validate_members`` rule: a seed
+    difference is accepted, an ``nparticles`` difference is not."""
     from repro.volume import csp3_problem
 
     base = csp3_problem(n=8, nparticles=40)
-    validate_members_3d([base, base.with_(seed=base.seed + 1)])
+    validate_members([base, base.with_(seed=base.seed + 1)])
     with pytest.raises(ValueError, match="nparticles"):
-        validate_members_3d([base, base.with_(nparticles=41)])
+        validate_members([base, base.with_(nparticles=41)])
 
 
 # ---------------------------------------------------------------------------
@@ -445,14 +457,14 @@ def test_one_member_ensemble_3d_is_the_plain_run():
     plain = run_over_events_3d(cfg)
     ens = run_ensemble_3d([cfg])
     (rr,) = ens.replicas
-    for counters in (rr.counters, ens.fused.counters):
+    for counters in (rr.counters, ens.counters):
         assert counters.snapshot() == plain.counters.snapshot()
         assert np.array_equal(counters.collisions_per_particle,
                               plain.counters.collisions_per_particle)
         assert np.array_equal(counters.facets_per_particle,
                               plain.counters.facets_per_particle)
         assert _kernel_totals(counters) == _kernel_totals(plain.counters)
-    for tally in (rr.tally, ens.fused.tally):
+    for tally in (rr.tally, ens.tally):
         assert np.array_equal(tally.deposition, plain.tally.deposition)
         assert tally.flushes == plain.tally.flushes
     for name, _ in type(plain.arena).FIELDS:
@@ -637,6 +649,44 @@ def test_single_path_audit_flags_a_3d_event_pass(tmp_path):
     assert len(violations) == 5
     assert sum(v.startswith("volume/driver3.py:") for v in violations) == 4
     assert sum("def handle_facets" in v for v in violations) == 1
+
+
+def test_single_path_audit_flags_a_dimension_twin(tmp_path):
+    """The tally flush, the mesh's point location and the collision and
+    facet kernels have one body each, whatever the number of axes: a
+    second definition anywhere is a twin coming back.  The scalar
+    references keep theirs, and the 3-D kernel names stay table aliases."""
+    from repro.kernels.dispatch import KERNEL_TABLE, KERNEL_TABLE_3D
+
+    assert KERNEL_TABLE_3D["collide_3d"] is KERNEL_TABLE["collide"]
+    assert KERNEL_TABLE_3D["cross_facet_3d"] is KERNEL_TABLE["cross_facet"]
+    for pkg in ("core", "volume", "ensemble", "kernels", "mesh", "physics"):
+        (tmp_path / pkg).mkdir()
+    (tmp_path / "kernels" / "batch.py").write_text(
+        "def collide(*a): pass\ndef cross_facet(*a): pass\n"
+    )
+    (tmp_path / "mesh" / "tally.py").write_text(
+        "class EnergyDepositionTally:\n    def flush_vec(self, *a): pass\n"
+    )
+    (tmp_path / "mesh" / "structured.py").write_text(
+        "class StructuredMesh:\n    def cell_of_point_vec(self, *p): pass\n"
+    )
+    (tmp_path / "physics" / "collision.py").write_text("def collide(): pass\n")
+    (tmp_path / "volume" / "facet3.py").write_text("def cross_facet_3d(): pass\n")
+    assert audit_single_path(tmp_path) == []
+    (tmp_path / "kernels" / "batch3.py").write_text(
+        "def collide3(*a): pass\ndef cross_facet_3d(*a): pass\n"
+    )
+    (tmp_path / "volume" / "mesh3.py").write_text(
+        "class Tally3D:\n    def flush_vec(self, *a): pass\n"
+        "class StructuredMesh3D:\n    def cell_of_point_vec(self, *p): pass\n"
+    )
+    violations = audit_single_path(tmp_path)
+    assert len(violations) == 4
+    assert sum(v.startswith("kernels/batch3.py:") for v in violations) == 2
+    assert sum("def flush_vec" in v and "mesh/tally.py" in v
+               for v in violations) == 1
+    assert sum("def cell_of_point_vec" in v for v in violations) == 1
 
 
 def test_arena_audit_flags_a_per_index_walk_in_volume(tmp_path):

@@ -1,4 +1,5 @@
-"""Structured mesh: indexing, geometry, validation."""
+"""Structured mesh: indexing, geometry, validation — the one mesh in 2-D
+and 3-D."""
 
 import numpy as np
 import pytest
@@ -6,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.mesh.structured import StructuredMesh
+from repro.volume import StructuredMesh3D
 
 
 def test_basic_properties():
@@ -13,6 +15,15 @@ def test_basic_properties():
     assert m.ncells == 32
     assert m.dx == pytest.approx(0.25)
     assert m.dy == pytest.approx(0.25)
+    assert m.shape == (8, 4) and m.deltas == (m.dx, m.dy)
+    # The 3-D spelling is the same type over one more axis.
+    m = StructuredMesh3D(4, 5, 6)
+    assert type(m) is StructuredMesh
+    assert m.ncells == 120
+    assert (m.nx, m.ny, m.nz) == m.shape == (4, 5, 6)
+    assert m.deltas == (m.dx, m.dy, m.dz) == (0.25, 0.2, 1.0 / 6.0)
+    assert m.density.shape == (6, 5, 4)
+    assert m.cell_of_point(0.999, 0.999, 0.999) == (3, 4, 5)
 
 
 def test_flat_index_row_major():
@@ -21,6 +32,14 @@ def test_flat_index_row_major():
     assert m.flat_index(9, 0) == 9
     assert m.flat_index(0, 1) == 10
     assert m.flat_index(9, 4) == 49
+    # x fastest in 3-D too: (iz·ny + iy)·nx + ix.
+    m = StructuredMesh3D(10, 5, 3)
+    assert m.flat_index(9, 0, 0) == 9
+    assert m.flat_index(0, 1, 0) == 10
+    assert m.flat_index(0, 0, 1) == 50
+    assert m.flat_index(9, 4, 2) == 149 == m.ncells - 1
+    cells = np.array([1, 9]), np.array([2, 4]), np.array([1, 0])
+    assert np.array_equal(m.flat_index(*cells), [71, 49])
 
 
 @given(
@@ -47,16 +66,20 @@ def test_cell_of_point_outside_raises():
     m = StructuredMesh(4, 4)
     with pytest.raises(ValueError):
         m.cell_of_point(1.5, 0.5)
+    with pytest.raises(ValueError, match="outside mesh"):
+        StructuredMesh3D(4, 5, 6).cell_of_point(1.5, 0.5, 0.5)
 
 
 def test_cell_of_point_vec_matches_scalar():
-    m = StructuredMesh(13, 7, width=3.0, height=2.0)
     rng = np.random.default_rng(0)
-    x = rng.uniform(0, 3.0, 200)
-    y = rng.uniform(0, 2.0, 200)
-    ix, iy = m.cell_of_point_vec(x, y)
-    for i in range(200):
-        assert (int(ix[i]), int(iy[i])) == m.cell_of_point(float(x[i]), float(y[i]))
+    for m in (StructuredMesh(13, 7, width=3.0, height=2.0),
+              StructuredMesh3D(13, 7, 5, 3.0, 2.0, 0.5)):
+        points = [rng.uniform(0, e, 200) for e in m.extent]
+        cells = m.cell_of_point_vec(*points)
+        for i in range(200):
+            assert tuple(int(c[i]) for c in cells) == m.cell_of_point(
+                *(float(p[i]) for p in points)
+            )
 
 
 def test_cell_bounds_tile_the_domain():
@@ -66,6 +89,9 @@ def test_cell_bounds_tile_the_domain():
     assert m.cell_bounds(0, 2)[3] == pytest.approx(0.6)
     # adjacent cells share a face
     assert m.cell_bounds(1, 0)[0] == m.cell_bounds(0, 0)[1]
+    m = StructuredMesh3D(5, 3, 2, 1.0, 0.6, 0.4)
+    assert m.cell_bounds(4, 2, 1) == pytest.approx((0.8, 1.0, 0.4, 0.6, 0.2, 0.4))
+    assert m.cell_bounds(0, 0, 1)[4] == m.cell_bounds(0, 0, 0)[5]
 
 
 def test_density_roundtrip():
@@ -75,11 +101,19 @@ def test_density_roundtrip():
     ix = np.array([0, 3])
     iy = np.array([2, 0])
     assert np.array_equal(m.density_at_vec(ix, iy), np.array([8.0, 3.0]))
+    d = np.arange(24, dtype=float).reshape(2, 3, 4)
+    m = StructuredMesh3D(4, 3, 2, density=d)
+    assert m.density_at(2, 1, 1) == d[1, 1, 2] == 18.0
+    assert np.array_equal(
+        m.density_at_vec(ix, np.array([2, 0]), np.array([0, 1])), [8.0, 15.0]
+    )
 
 
 def test_density_shape_validation():
     with pytest.raises(ValueError):
         StructuredMesh(4, 3, density=np.zeros((4, 3)))
+    with pytest.raises(ValueError):
+        StructuredMesh3D(4, 3, 2, density=np.zeros((4, 3, 2)))
     with pytest.raises(ValueError):
         StructuredMesh(4, 3, density=-np.ones((3, 4)))
 
@@ -89,6 +123,10 @@ def test_invalid_dims():
         StructuredMesh(0, 4)
     with pytest.raises(ValueError):
         StructuredMesh(4, 4, width=0.0)
+    with pytest.raises(ValueError):
+        StructuredMesh3D(0, 4, 4)
+    with pytest.raises(ValueError):
+        StructuredMesh3D(4, 4, 4, depth=0.0)
 
 
 def test_density_nbytes():

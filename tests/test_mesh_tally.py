@@ -1,9 +1,15 @@
-"""Tallies: atomic accounting, scatter-add semantics, privatisation."""
+"""Tallies: atomic accounting, scatter-add semantics, privatisation — the
+one tally in 2-D and 3-D."""
 
 import numpy as np
 import pytest
 
+from repro.mesh.structured import StructuredMesh
 from repro.mesh.tally import EnergyDepositionTally, PrivatizedTally, flat_view
+
+
+#: Tally shapes (cells per axis, x first) every dimension-generic test runs.
+SHAPES = ((7, 5), (4, 3, 5))
 
 
 def test_flush_accumulates():
@@ -13,6 +19,16 @@ def test_flush_accumulates():
     assert t.deposition[2, 1] == 8.0
     assert t.flushes == 2
     assert t.flush_counts[2, 1] == 2
+    # In 3-D the cell takes one more index and the field one more axis,
+    # stored last axis first; scalar and batched flushes accumulate alike.
+    t = EnergyDepositionTally(3, 3, 3)
+    t.flush(1, 2, 0, 5.0)
+    t.flush_vec(np.array([1, 1]), np.array([2, 2]), np.array([0, 0]),
+                np.array([1.0, 2.0]))
+    assert t.deposition.shape == (3, 3, 3)
+    assert t.deposition[0, 2, 1] == 8.0
+    assert t.flush_counts[0, 2, 1] == 3
+    assert t.flushes == 3
 
 
 def test_zero_deposit_still_counts_flush():
@@ -38,20 +54,27 @@ def test_flush_vec_repeated_indices():
 
 def test_flush_vec_is_a_scalar_flush_loop_bitwise():
     """The flat-index scatter-add accumulates in lane order: many lanes on
-    few cells, magnitudes far apart so any other order rounds differently."""
+    few cells (offset from the origin on every axis), magnitudes far apart
+    so any other order rounds differently — in 2-D and 3-D."""
     rng = np.random.default_rng(15)
     n = 5000
-    ix = rng.integers(0, 3, n)
-    iy = rng.integers(0, 2, n)
-    e = rng.uniform(0.0, 1.0, n) * 10.0 ** rng.integers(-12, 12, n)
-    vec = EnergyDepositionTally(7, 5)
-    seq = EnergyDepositionTally(7, 5)
-    vec.flush_vec(ix, iy, e)
-    for i in range(n):
-        seq.flush(int(ix[i]), int(iy[i]), float(e[i]))
-    assert vec.deposition.tobytes() == seq.deposition.tobytes()
-    assert np.array_equal(vec.flush_counts, seq.flush_counts)
-    assert vec.flushes == seq.flushes == n
+    # Per axis, the [lo, hi) cell range the lanes pile onto.
+    ranges = {(7, 5): ((0, 3), (0, 2)), (4, 3, 5): ((0, 2), (1, 3), (3, 5))}
+    for shape in SHAPES:
+        cells = [rng.integers(lo, hi, n) for lo, hi in ranges[shape]]
+        e = rng.uniform(0.0, 1.0, n) * 10.0 ** rng.integers(-12, 12, n)
+        vec = EnergyDepositionTally(*shape)
+        seq = EnergyDepositionTally(*shape)
+        vec.flush_vec(*cells, e)
+        for i in range(n):
+            seq.flush(*(int(c[i]) for c in cells), float(e[i]))
+        assert vec.deposition.tobytes() == seq.deposition.tobytes(), shape
+        assert np.array_equal(vec.flush_counts, seq.flush_counts)
+        assert vec.flushes == seq.flushes == n
+        # The flat rule is the mesh's (x fastest, Horner order).
+        flat = np.bincount(StructuredMesh.grid(shape, (1.0,) * len(shape))
+                           .flat_index(*cells), minlength=vec.flush_counts.size)
+        assert np.array_equal(vec.flush_counts.ravel(), flat)
 
 
 def test_flat_view_shares_memory_or_refuses():
@@ -102,6 +125,28 @@ def test_reset():
 def test_invalid_dims():
     with pytest.raises(ValueError):
         EnergyDepositionTally(0, 4)
+    with pytest.raises(ValueError):
+        EnergyDepositionTally(0, 1, 1)
+
+
+@pytest.mark.parametrize("shape", SHAPES, ids=lambda s: f"{len(s)}d")
+def test_merge_adds_deposits_and_histogram(shape):
+    """The reduce of privatise-then-reduce, in any dimension: deposits,
+    the flush histogram and the flush count all add."""
+    rng = np.random.default_rng(len(shape))
+    parts = [EnergyDepositionTally(*shape) for _ in range(2)]
+    for t in parts:
+        t.flush_vec(*(rng.integers(0, n, 50) for n in shape),
+                    rng.uniform(0.0, 1.0, 50))
+    whole = EnergyDepositionTally(*shape)
+    for t in parts:
+        whole.merge(t)
+    assert np.array_equal(whole.deposition,
+                          parts[0].deposition + parts[1].deposition)
+    assert np.array_equal(whole.flush_counts,
+                          parts[0].flush_counts + parts[1].flush_counts)
+    assert whole.flushes == 100
+    assert whole.conflict_probability() > 0.0
 
 
 # ---------------------------------------------------------------------------

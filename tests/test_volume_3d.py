@@ -10,8 +10,9 @@ from hypothesis import strategies as st
 from repro.core import Scheme, Simulation
 from repro.core.books import ReplicaBooks
 from repro.core.stepper import run_stepped
+from repro.ensemble import run_ensemble
 from repro.ensemble.volume import population_fingerprint_3d
-from repro.kernels import batch3
+from repro.kernels import batch
 from repro.mesh.boundary import BoundaryCondition
 from repro.particles.arena import ParticleArena3
 from repro.particles.source import sample_source
@@ -46,13 +47,13 @@ UNIT = st.floats(min_value=0.0, max_value=1.0, exclude_max=True, allow_nan=False
 def test_isotropic_3d_unit_norm(u1, u2):
     x, y, z = sample_isotropic_direction_3d(u1, u2)
     assert x * x + y * y + z * z == pytest.approx(1.0, abs=1e-12)
-    vx, vy, vz = batch3.sample_isotropic_direction_3d(np.array([u1]), np.array([u2]))
+    vx, vy, vz = batch.sample_isotropic_direction_3d(np.array([u1]), np.array([u2]))
     assert (x, y, z) == (vx[0], vy[0], vz[0])
 
 
 def test_isotropic_3d_statistics():
     u = np.random.default_rng(0).uniform(0, 1, (2, 50000))
-    x, y, z = batch3.sample_isotropic_direction_3d(u[0], u[1])
+    x, y, z = batch.sample_isotropic_direction_3d(u[0], u[1])
     for comp in (x, y, z):
         assert abs(comp.mean()) < 0.02
         assert abs(np.abs(comp).mean() - 0.5) < 0.02  # E|Ω_i| = 1/2
@@ -79,10 +80,10 @@ def test_rotation_vec_matches_scalar():
     rng = np.random.default_rng(1)
     n = 300
     u1, u2 = rng.uniform(0, 1, (2, n))
-    u, v, w = batch3.sample_isotropic_direction_3d(u1, u2)
+    u, v, w = batch.sample_isotropic_direction_3d(u1, u2)
     mu = rng.uniform(-1, 1, n)
     phi = rng.uniform(0, 2 * np.pi, n)
-    nu, nv, nw = batch3.rotate_direction(u, v, w, mu, phi)
+    nu, nv, nw = batch.rotate_direction(u, v, w, mu, phi)
     for i in range(n):
         s = rotate_direction(u[i], v[i], w[i], mu[i], phi[i])
         assert s == (nu[i], nv[i], nw[i])
@@ -128,7 +129,7 @@ def test_facet_3d_scalar_vec_parity(x, y, z, u1, u2):
     b = (0.0, 1.0, 0.0, 1.0, 0.0, 1.0)
     ds, as_ = distance_to_facet_3d(x, y, z, ox, oy, oz, *b)
     arr = lambda v: np.array([v])
-    dv, av = batch3.distance_to_facet_3d(
+    dv, av = batch.distance_to_facet(
         arr(x), arr(y), arr(z), arr(ox), arr(oy), arr(oz),
         arr(0.0), arr(1.0), arr(0.0), arr(1.0), arr(0.0), arr(1.0),
     )
@@ -148,6 +149,7 @@ def test_tally3d_flush_vec_is_a_scalar_flush_loop_bitwise():
     for i in range(n):
         seq.flush(int(ix[i]), int(iy[i]) + 1, int(iz[i]) + 3, float(e[i]))
     assert vec.deposition.tobytes() == seq.deposition.tobytes()
+    assert np.array_equal(vec.flush_counts, seq.flush_counts)
     assert vec.flushes == seq.flushes == n
 
 
@@ -167,9 +169,9 @@ def test_cross_facet_3d_vec_parity():
     n = 200
     cx, cy, cz = rng.integers(0, 4, (3, n))
     u1, u2 = rng.uniform(0, 1, (2, n))
-    ox, oy, oz = batch3.sample_isotropic_direction_3d(u1, u2)
+    ox, oy, oz = batch.sample_isotropic_direction_3d(u1, u2)
     axis = rng.integers(0, 3, n)
-    vec = batch3.cross_facet_3d(cx, cy, cz, ox, oy, oz, axis, m)
+    vec = batch.cross_facet(cx, cy, cz, ox, oy, oz, axis, m)
     for i in range(n):
         s = cross_facet_3d(
             int(cx[i]), int(cy[i]), int(cz[i]),
@@ -186,11 +188,11 @@ def test_collide3_vec_parity():
     n = 300
     energy = 10.0 ** rng.uniform(-1.0, 6.0, n)
     weight = 10.0 ** rng.uniform(-4.0, 0.0, n)
-    ox, oy, oz = batch3.sample_isotropic_direction_3d(*rng.uniform(0, 1, (2, n)))
+    ox, oy, oz = batch.sample_isotropic_direction_3d(*rng.uniform(0, 1, (2, n)))
     sigma_t = rng.uniform(0.1, 50.0, n)
     sigma_a = sigma_t * rng.uniform(0.0, 1.0, n)
     u = rng.uniform(0, 1, (3, n))
-    vec = batch3.collide3(
+    vec = batch.collide(
         energy, weight, ox, oy, oz, sigma_a, sigma_t, 1.0, *u, 1.0, 1.0e-3,
     )
     assert not vec[8].any()  # nothing deferred without Russian roulette
@@ -203,7 +205,7 @@ def test_collide3_vec_parity():
             s.energy, s.weight, s.ox, s.oy, s.oz, s.mfp_to_collision,
             s.deposit, s.terminated,
         ) == tuple(v[i] for v in vec[:8]), i
-    deferred = batch3.collide3(
+    deferred = batch.collide(
         energy, weight, ox, oy, oz, sigma_a, sigma_t, 1.0, *u, 1.0, 1.0e-3,
         defer_weight_cutoff=True,
     )
@@ -358,17 +360,20 @@ def test_3d_goldens_reproduce(key, driver):
 
 @pytest.mark.parametrize("scheme", [Scheme.OVER_PARTICLES, Scheme.OVER_EVENTS])
 def test_3d_fused_member_matches_standalone(scheme):
-    """Three seed-only members fused into one arena: every member's
-    population, counters and tally equal its standalone run's, under
-    either scheme."""
+    """Four members fused into one arena — three differ in seed only, one
+    also in weight cutoff and timestep (the books carry both per lane):
+    every member's population, counters and tally equal its standalone
+    run's, under either scheme."""
     base = csp3_problem(n=8, nparticles=30, ntimesteps=2)
     members = [base.with_(seed=base.seed + 5 * r) for r in range(3)]
+    members.append(base.with_(seed=base.seed + 15, weight_cutoff=0.3,
+                              dt=0.6 * base.dt))
     mesh = base.build_mesh()
     fused = ParticleArena3.fuse([
         sample_source(mesh, m.source, m.nparticles, m.seed, m.dt)
         for m in members
     ])
-    rep = np.repeat(np.arange(3), base.nparticles)
+    rep = np.repeat(np.arange(len(members)), base.nparticles)
     books = ReplicaBooks(members, rep, base.build_tally)
     result = run_stepped(base, scheme, arena=fused, books=books)
     for r, member in enumerate(members):
@@ -385,6 +390,36 @@ def test_3d_fused_member_matches_standalone(scheme):
         assert np.array_equal(
             books.tallies[r].deposition, solo.tally.deposition
         )
+
+
+def test_3d_conflict_probability_is_measured():
+    """A 3-D run keeps the tally's flush histogram, so its conflict
+    probability is Σp² over that histogram — measured, not 0.0."""
+    r = run_over_events_3d(csp3_problem(n=12, nparticles=40))
+    counts = r.tally.flush_counts
+    assert counts.shape == (12, 12, 12)
+    assert counts.sum() == r.tally.flushes == r.counters.tally_flushes
+    p = counts.ravel() / counts.sum()
+    assert r.counters.tally_conflict_probability == pytest.approx(
+        float(np.dot(p, p)), rel=1e-12
+    )
+    assert r.counters.tally_conflict_probability > 0.0
+
+
+def test_3d_pool_route_is_refused():
+    """The worker pool runs 2-D configs only: a 3-D config is refused in
+    one line that names the routes a 3-D config does take."""
+    with pytest.raises(ValueError, match="run_ensemble_3d") as info:
+        Simulation(csp3_problem(n=8, nparticles=10)).run(nworkers=2)
+    assert "\n" not in str(info.value)
+    assert "Simulation(cfg).run" in str(info.value)
+
+
+def test_3d_run_ensemble_route_is_refused():
+    cfg = csp3_problem(n=8, nparticles=10)
+    with pytest.raises(ValueError, match="run_ensemble_3d") as info:
+        run_ensemble([cfg, cfg.with_(seed=cfg.seed + 1)])
+    assert "\n" not in str(info.value)
 
 
 def test_3d_problem_extremes():
