@@ -39,6 +39,15 @@ from repro.core.counters import Counters, EventPassStats
 __all__ = ["ReplicaBooks", "ReplicaSink"]
 
 
+def _accumulate(total: float, values: np.ndarray, running: bool) -> float:
+    """``total`` plus ``values``: one pairwise partial sum added to it or,
+    ``running``, each value added in turn, as a scalar loop would
+    (``np.cumsum`` accumulates sequentially)."""
+    if running:
+        return float(np.cumsum(np.concatenate(([total], values)))[-1])
+    return total + float(values.sum())
+
+
 class ReplicaSink:
     """Whole-batch attribution to one replica's books.
 
@@ -57,12 +66,6 @@ class ReplicaSink:
     def lane_seeds(self) -> int:
         return self.member.seed
 
-    def seed_for(self, pi) -> int:
-        return self.member.seed
-
-    def counters_for(self, pi) -> Counters:
-        return self.counters
-
     def ecut_at(self, idx: np.ndarray) -> float:
         return self.member.energy_cutoff_ev
 
@@ -73,9 +76,10 @@ class ReplicaSink:
         c = self.counters
         setattr(c, name, getattr(c, name) + per * int(idx.size))
 
-    def csum(self, name: str, idx: np.ndarray, values: np.ndarray) -> None:
+    def csum(self, name: str, idx: np.ndarray, values: np.ndarray,
+             running: bool = False) -> None:
         c = self.counters
-        setattr(c, name, getattr(c, name) + float(values.sum()))
+        setattr(c, name, _accumulate(getattr(c, name), values, running))
 
     def flush(self, idx: np.ndarray, cells, deposit: np.ndarray) -> None:
         self.tally.flush_vec(*(c[idx] for c in cells), deposit[idx])
@@ -151,16 +155,6 @@ class ReplicaBooks:
             return self.sinks[0].lane_seeds()
         return self.seeds[self.rep]
 
-    def seed_for(self, pi) -> int:
-        """RNG key word 0 of lane ``pi`` (its replica's seed)."""
-        if self.nreplicas == 1:
-            return self.sinks[0].seed_for(pi)
-        return int(self.seeds[self.rep[pi]])
-
-    def counters_for(self, pi) -> Counters:
-        """The Counters a scalar event on lane ``pi`` charges."""
-        return self.counters[self.rep[pi]]
-
     def ecut_at(self, idx: np.ndarray):
         """Energy cutoff, scalar or per lane (kernels broadcast either)."""
         if self.nreplicas == 1:
@@ -192,19 +186,22 @@ class ReplicaBooks:
             c = self.counters[r]
             setattr(c, name, getattr(c, name) + per * int(counts[r]))
 
-    def csum(self, name: str, idx: np.ndarray, values: np.ndarray) -> None:
-        """Accumulate a float reduction over the selected lanes.
+    def csum(self, name: str, idx: np.ndarray, values: np.ndarray,
+             running: bool = False) -> None:
+        """Accumulate a float reduction over the selected lanes — one
+        partial sum, or with ``running`` value by value onto the counter.
 
         Per-replica sums run over each replica's subsequence in storage
         order — the same operands in the same order as that replica's
         standalone run, hence bitwise-equal partial sums.
         """
         if self.nreplicas == 1:
-            return self.sinks[0].csum(name, idx, values)
+            return self.sinks[0].csum(name, idx, values, running)
         rep = self.rep[idx]
         for r in np.unique(rep):
             c = self.counters[r]
-            setattr(c, name, getattr(c, name) + float(values[rep == r].sum()))
+            setattr(c, name,
+                    _accumulate(getattr(c, name), values[rep == r], running))
 
     def flush(self, idx: np.ndarray, cells, deposit: np.ndarray) -> None:
         """Batched tally flush (the §VI-G separate tally loop) of the

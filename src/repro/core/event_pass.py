@@ -7,8 +7,8 @@ physics.  This module is the single implementation of that physics, for
 active lane of a *lane working set* by exactly one event (``distances →
 select_events → masks → handlers``), and the three handlers — with the
 fission, Russian roulette and importance-map extensions (§IX) and the
-record builders of the children they spawn — exist here and nowhere else
-(the kernel audit enforces that).
+bank of the children they spawn — exist here and nowhere else (the kernel
+audit enforces that).
 
 A :class:`WorkingSet` is a :class:`~repro.particles.arena.ParticleArena`
 plus what a pass needs beside it: the positional caches (``micro_s/c/f``,
@@ -39,10 +39,15 @@ handlers walk; the mesh carries one ``delta`` per axis; the run's row of
 :data:`repro.kernels.dispatch.PASS_KERNELS` names the geometry and
 direction-algebra kernels behind each role (:attr:`PassContext.run`), all
 with one calling convention: flat per-axis arguments in, per-axis results
-out.  (The §IX extensions bank 2-D records; they stay out of scope in 3-D.)
+out.  The children the §IX extensions spawn are no exception: a bank
+call copies its parents' rows per axis, so a child is born in any
+dimension.
 
-No per-particle object is ever constructed on this path: children are
-banked as :class:`~repro.particles.arena.ParticleRecord` field tuples.
+No per-particle object is ever constructed on this path: the children of
+one bank call are one arena block, copied from their parents' rows
+(``arena.subset(np.repeat(parents, counts))``) and born in one
+vectorised step — ids, birth draws and cached bins for all of them at
+once.
 """
 
 from __future__ import annotations
@@ -52,12 +57,11 @@ from functools import partial
 import numpy as np
 
 from repro.kernels import EVENT_KERNELS, PASS_KERNELS
-from repro.kernels.batch import EventKind, split_counts
-from repro.particles.arena import ParticleRecord
+from repro.kernels.batch import EventKind, sample_mean_free_paths, split_counts
+from repro.particles.source import EMISSION
 from repro.physics.fission import sample_secondary_energy, secondary_id
 from repro.physics.importance import clone_id
-from repro.rng.distributions import sample_isotropic_direction, sample_mean_free_paths
-from repro.rng.stream import ParticleRNG, VectorParticleRNG
+from repro.rng.stream import VectorParticleRNG
 
 __all__ = ["PassContext", "WorkingSet"]
 
@@ -99,21 +103,30 @@ class PassContext:
         self.run.setdefault(
             "census", partial(_unprofiled, dispatch.table["census"])
         )
-        #: THE child bank: ``(parent run-arena index, parent RNG counter
-        #: at the event, child index, ParticleRecord)`` per fission
-        #: secondary or importance clone, in the order they were spawned.
-        #: Sorting by the first three fields gives the order a
-        #: one-history-at-a-time traversal would have appended them in.
-        self.bank: list[tuple[int, int, int, ParticleRecord]] = []
+        #: THE child bank: one entry per bank call, in the order they
+        #: were made — the children (an arena of the run arena's type)
+        #: and their key columns, ``(parent run-arena row, parent RNG
+        #: counter at the event, child index)`` per child.  Sorted by
+        #: those keys, children come in the order a one-history-at-a-time
+        #: traversal would have appended them in.
+        self.bank: list[tuple] = []
 
-    def join_bank(self, arena) -> None:
-        """Append the banked children to the run ``arena`` in bank order;
-        each inherits its parent's replica."""
-        bank, self.bank = self.bank, []
-        arena.append_records([entry[3] for entry in bank])
-        self.books.inherit(
-            np.array([entry[0] for entry in bank], dtype=np.int64)
-        )
+    def join_bank(self, arena, ordered: bool = False) -> None:
+        """Append the banked children to the run ``arena`` in one
+        extension — in bank order, or ``ordered`` by their keys — each
+        inheriting its parent's replica."""
+        blocks, parent, counter, child = zip(*self.bank)
+        self.bank = []
+        children, *rest = blocks
+        children.extend(*rest)
+        parent = np.concatenate(parent)
+        if ordered:
+            order = np.lexsort(
+                (np.concatenate(child), np.concatenate(counter), parent)
+            )
+            children, parent = children.subset(order), parent[order]
+        arena.extend(children)
+        self.books.inherit(parent)
 
 
 class WorkingSet:
@@ -316,7 +329,12 @@ class WorkingSet:
                 sigma_t[sel],
                 u_fission,
             )
-            self.bank_secondaries(sel, counts, counters_at_event[fissile_here])
+            born = counts > 0
+            if born.any():
+                self.bank_secondaries(
+                    sel[born], counts[born],
+                    counters_at_event[fissile_here][born],
+                )
 
         dead = c[term]
         if dead.size:
@@ -361,62 +379,76 @@ class WorkingSet:
         if surv.size:
             self.refresh(self, surv)
 
-    def bank_secondaries(self, parents, counts, counters_at_event) -> None:
-        """Bank the fission secondaries of the given parent lanes.
+    def bank_children(self, parents, counts, counters_at_event, derive_id):
+        """Bank ``counts[j]`` copies of each parent lane ``parents[j]``.
 
-        A child's identity derives deterministically from its parent's
-        (id and event counter), so every traversal order banks
-        bit-identical children.  Birth consumes three draws from the
-        child's own stream: direction, energy, first optical distance.
+        The copies are one block of the arena's own type, so every
+        per-axis field, the cached bins and an ensemble's ``replica_id``
+        come along.  Each child gets ``derive_id(seed, parent id, parent
+        counter, child index)`` and an unflushed, in-flight state: a
+        child's identity derives from its parent's (id and event counter),
+        so every traversal order banks bit-identical children.  Returns
+        the block, the parent lane of each child and the children's RNG
+        key word 0 (scalar, or one per child).
         """
-        ctx = self.ctx
-        a = self.arena
-        prov = ctx.provider
-        for j, pi in enumerate(parents):
-            n_children = int(counts[j])
-            if n_children <= 0:
-                continue
-            counters = self.sink.counters_for(pi)
-            seed = self.sink.seed_for(pi)
-            counters.fissions += 1
-            mi = int(self.mat_idx[pi])
-            for k in range(n_children):
-                cid = secondary_id(
-                    seed, int(a.particle_id[pi]), int(counters_at_event[j]), k
-                )
-                rng = ParticleRNG(seed, cid)
-                u_dir = rng.next_uniform()
-                u_energy = rng.next_uniform()
-                u_mfp = rng.next_uniform()
-                ox, oy = sample_isotropic_direction(u_dir)
-                energy = sample_secondary_energy(
-                    u_energy, float(prov.mat_fission_energy_ev[mi])
-                )
-                # Birth initialisation of the cached bins (like the source
-                # sampler's) — a history's first counted lookup then walks
-                # from the right line.
-                child = ParticleRecord(
-                    x=float(a.x[pi]),
-                    y=float(a.y[pi]),
-                    omega_x=ox,
-                    omega_y=oy,
-                    energy=energy,
-                    weight=1.0,
-                    cellx=int(a.cellx[pi]),
-                    celly=int(a.celly[pi]),
-                    particle_id=cid,
-                    dt_to_census=float(a.dt_to_census[pi]),
-                    mfp_to_collision=sample_mean_free_paths(u_mfp),
-                    rng_counter=rng.counter,
-                    local_density=float(a.local_density[pi]),
-                    **prov.birth_bins(mi, energy),
-                )
-                counters.fission_injected_energy += 1.0 * energy
-                counters.secondaries_banked += 1
-                counters.rng_draws += 3
-                ctx.bank.append(
-                    (int(self.gidx[pi]), int(counters_at_event[j]), k, child)
-                )
+        lanes = np.repeat(parents, counts)
+        counter = np.repeat(counters_at_event, counts)
+        first = np.cumsum(counts) - counts
+        child = np.arange(lanes.size) - np.repeat(first, counts)
+        seed = self.rng.seed
+        seeds = seed[lanes] if np.ndim(seed) else seed
+        block = self.arena.subset(lanes)
+        block.particle_id[...] = derive_id(
+            seeds, block.particle_id, counter, child
+        )
+        block.deposit_buffer[...] = 0.0
+        block.alive[...] = True
+        block.censused[...] = False
+        self.ctx.bank.append((block, self.gidx[lanes], counter, child))
+        return block, lanes, seeds
+
+    def bank_secondaries(self, parents, counts, counters_at_event) -> None:
+        """Bank the fission secondaries of the given parent lanes (each
+        with at least one).
+
+        Birth consumes ``ndim + 1`` draws from each child's own stream, in
+        one call: direction (one per axis but one), energy, first optical
+        distance.
+        """
+        prov = self.ctx.provider
+        sink = self.sink
+        block, lanes, seeds = self.bank_children(
+            parents, counts, counters_at_event, secondary_id
+        )
+        ndim = len(block.pos)
+        rng = VectorParticleRNG(seeds, block.particle_id)
+        u = rng.next_uniform(None, ndim + 1)
+        for omega, value in zip(block.omega, EMISSION[ndim][1](*u[:-2])):
+            omega[...] = value
+        mat = self.mat_idx[lanes]
+        block.energy[...] = sample_secondary_energy(
+            u[-2], prov.mat_fission_energy_ev[mat]
+        )
+        block.mfp_to_collision[...] = sample_mean_free_paths(u[-1])
+        block.weight[...] = 1.0
+        block.rng_counter[...] = rng.counters
+        # Birth initialisation of the cached bins (like the source
+        # sampler's) — a history's first counted lookup then walks from
+        # the right line.  Bins the backend does not seed start at 0.
+        for name in ("scatter_bin", "capture_bin", "fission_bin"):
+            getattr(block, name)[...] = 0
+        for mi in np.unique(mat):
+            sel = mat == mi
+            for name, bins in prov.birth_bins_batch(
+                mi, block.energy[sel]
+            ).items():
+                getattr(block, name)[sel] = bins
+        sink.cadd("fissions", parents)
+        sink.cadd("secondaries_banked", lanes)
+        sink.cadd("rng_draws", lanes, ndim + 1)
+        sink.csum(
+            "fission_injected_energy", lanes, block.energy, running=True
+        )
 
     def handle_facets(self, fmask, dist, sigma_a, sigma_f, sigma_t) -> None:
         """foreach(particle_encountering_facet): handle_facet()"""
@@ -502,9 +534,11 @@ class WorkingSet:
         up = r > 1.0
         if up.any():
             n_after = split_counts(r[up], u_imp[up])
-            for pi, nsplit, ctr in zip(sel[up], n_after, counters_before[up]):
-                if nsplit > 1:
-                    self.bank_clones(pi, int(nsplit), int(ctr))
+            many = n_after > 1
+            if many.any():
+                self.bank_clones(
+                    sel[up][many], n_after[many], counters_before[up][many]
+                )
 
         # roulette (entering lower importance)
         down = ~up
@@ -531,36 +565,19 @@ class WorkingSet:
                 a.alive[dead_i] = False
                 sink.cadd("terminations", dead_i)
 
-    def bank_clones(self, pi, nsplit: int, ctr: int) -> None:
-        """Split lane ``pi`` ``nsplit`` ways: bank ``nsplit - 1`` clones of
-        its current state and share the weight equally."""
+    def bank_clones(self, parents, nsplit, counters_before) -> None:
+        """Split each parent lane ``nsplit`` ways: bank ``nsplit - 1``
+        clones of its current state and share the weight equally."""
         a = self.arena
-        counters = self.sink.counters_for(pi)
-        seed = self.sink.seed_for(pi)
-        counters.splits += 1
-        w_each = float(a.weight[pi]) / nsplit
-        for k in range(nsplit - 1):
-            clone = ParticleRecord(
-                x=float(a.x[pi]),
-                y=float(a.y[pi]),
-                omega_x=float(a.omega_x[pi]),
-                omega_y=float(a.omega_y[pi]),
-                energy=float(a.energy[pi]),
-                weight=w_each,
-                cellx=int(a.cellx[pi]),
-                celly=int(a.celly[pi]),
-                particle_id=clone_id(seed, int(a.particle_id[pi]), ctr, k),
-                dt_to_census=float(a.dt_to_census[pi]),
-                mfp_to_collision=float(a.mfp_to_collision[pi]),
-                rng_counter=0,
-                local_density=float(a.local_density[pi]),
-                scatter_bin=int(a.scatter_bin[pi]),
-                capture_bin=int(a.capture_bin[pi]),
-                fission_bin=int(a.fission_bin[pi]),
-            )
-            counters.clones_banked += 1
-            self.ctx.bank.append((int(self.gidx[pi]), ctr, k, clone))
-        a.weight[pi] = w_each
+        w_each = a.weight[parents] / nsplit
+        block, lanes, _ = self.bank_children(
+            parents, nsplit - 1, counters_before, clone_id
+        )
+        block.weight[...] = np.repeat(w_each, nsplit - 1)
+        block.rng_counter[...] = 0
+        self.sink.cadd("splits", parents)
+        self.sink.cadd("clones_banked", lanes)
+        a.weight[parents] = w_each
 
     def handle_census(self, zmask, dist, sigma_a, sigma_f, sigma_t) -> None:
         """handle_census(): fly remaining lanes to the end of the timestep."""

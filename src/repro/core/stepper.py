@@ -248,8 +248,7 @@ class _OPStrategy:
             # order a one-history-at-a-time traversal would have banked
             # them in, and are tracked in the next round.
             if ctx.bank:
-                ctx.bank.sort(key=lambda entry: entry[:3])
-                ctx.join_bank(arena)
+                ctx.join_bank(arena, ordered=True)
 
     def end_step(self) -> None:
         # Every block synchronised its RNG counters into the arena on the

@@ -56,7 +56,7 @@ def main(argv=None) -> int:
     arena_pkgs = ", ".join(ARENA_AUDITED_PACKAGES)
     print(f"OK: no *_vec physics implementations outside repro/kernels "
           f"({pkgs} audited)")
-    print(f"OK: no AoS particle construction in hot paths "
+    print(f"OK: no AoS particle or scalar stream construction in hot paths "
           f"({arena_pkgs} audited), no per-index history walk in volume")
     census_pkgs = ", ".join(CENSUS_AUDITED_PACKAGES)
     print(f"OK: no census loops outside {CENSUS_LOOP_HOME} "

@@ -17,11 +17,11 @@ Permitted:
 
 A second audit guards the storage layer: the hot driver packages
 (``repro/core``, ``repro/parallel``, ``repro/volume``) must not construct
-AoS particle records — ``Particle(...)``/``Particle3(...)`` calls are
-rejected so the population stays in the SoA
-:class:`~repro.particles.arena.ParticleArena` (secondaries are banked as
-:class:`~repro.particles.arena.ParticleRecord` tuples instead) — and
-``repro/volume`` must not walk histories through ``arena.proxy(i)``.
+per-particle objects — ``Particle(...)``/``Particle3(...)`` records and
+scalar ``ParticleRNG(...)`` streams are rejected so the population stays
+in the SoA :class:`~repro.particles.arena.ParticleArena` and draws from
+the vectorised streams (children are banked as an arena block instead) —
+and ``repro/volume`` must not walk histories through ``arena.proxy(i)``.
 
 The single-path audit keeps one execution path and one event pass: no
 fork on the replica books, and no event handler or event-kernel dispatch
@@ -71,11 +71,12 @@ ALLOWED_VEC_DEFS = {
     ("rng/threefry.py", "threefry2x64_vec"),
 }
 
-#: Packages whose hot paths must not construct AoS particle records.
+#: Packages whose hot paths must not construct per-particle objects.
 ARENA_AUDITED_PACKAGES = ("core", "parallel", "volume")
 
-#: Callable names that count as AoS particle construction.
-FORBIDDEN_PARTICLE_CTORS = ("Particle", "Particle3")
+#: Callable names that count as per-particle construction: AoS records
+#: and the scalar one-particle stream.
+FORBIDDEN_PARTICLE_CTORS = ("Particle", "Particle3", "ParticleRNG")
 
 #: (relative path, line) pairs exempt from the construction rule — empty:
 #: the refactor removed every hot-path constructor call, and this audit
@@ -355,13 +356,13 @@ def _call_name(node: ast.Call) -> str | None:
 def audit_particle_construction(
     package_root: str | Path | None = None,
 ) -> list[str]:
-    """Reject AoS particle construction in the hot driver packages.
+    """Reject per-particle construction in the hot driver packages.
 
     Scans :data:`ARENA_AUDITED_PACKAGES` for calls to any name in
     :data:`FORBIDDEN_PARTICLE_CTORS`, and :data:`PROXY_AUDITED_PACKAGES`
     for ``<arena>.proxy(...)`` calls; returns violation messages (empty
     list means the audit passes).  New population entries must be banked
-    as ``ParticleRecord`` tuples and appended to the arena.
+    as an arena block, born from the vectorised streams.
     """
     if package_root is None:
         package_root = Path(__file__).resolve().parent.parent
@@ -391,8 +392,8 @@ def audit_particle_construction(
                     continue
                 violations.append(
                     f"{rel}:{node.lineno}: {name}(...) — hot paths must "
-                    "not build AoS particle records; bank a "
-                    "ParticleRecord and append it to the arena"
+                    "not build per-particle objects; bank children as "
+                    "an arena block"
                 )
     return violations
 

@@ -10,7 +10,7 @@ This reproduction commits to one canonical SoA representation:
 
 * :class:`repro.particles.arena.ParticleArena` — the single-buffer SoA
   arena every stage views in place, with zero-copy shared-memory
-  sharding, record appends, compaction and sort hooks;
+  sharding, block appends, compaction and sort hooks;
 * :class:`repro.particles.arena.ParticleView` — thin per-index AoS proxy
   for tests and trace tooling;
 * :class:`repro.particles.particle.Particle` — the detached AoS record
@@ -23,7 +23,6 @@ This reproduction commits to one canonical SoA representation:
 from repro.particles.arena import (
     ParticleArena,
     ParticleArena3,
-    ParticleRecord,
     ParticleView,
 )
 from repro.particles.particle import Particle
@@ -37,7 +36,6 @@ __all__ = [
     "Particle",
     "ParticleArena",
     "ParticleArena3",
-    "ParticleRecord",
     "ParticleView",
     "SourceRegion",
     "sample_source",

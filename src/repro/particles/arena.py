@@ -18,10 +18,11 @@ ports) keep one device-resident store:
 * the AoS record survives only as a *per-index proxy view*
   (:class:`ParticleView`) for tests and trace tooling, plus the lossless
   :meth:`~ParticleArena.as_particles` escape hatch;
-* population changes — fission secondaries, VR clones, alive-mask
-  compaction, the energy/cell sorts the Over Events optimisation
-  literature uses to keep event batches coherent — are arena methods
-  (:meth:`append_records`, :meth:`compact`, :meth:`sort_by`).
+* population changes — fission secondaries and VR clones (blocks copied
+  from their parents' rows by :meth:`subset`), alive-mask compaction, the
+  energy/cell sorts the Over Events optimisation literature uses to keep
+  event batches coherent — are arena methods (:meth:`extend`,
+  :meth:`compact`, :meth:`sort_by`).
 
 :class:`ParticleArena` is the 2-D population (float fields ``float64``,
 cell indices and cached bins ``int64``, ``alive``/``censused`` boolean
@@ -43,7 +44,6 @@ __all__ = [
     "EnsembleArena",
     "ParticleArena",
     "ParticleArena3",
-    "ParticleRecord",
     "ParticleView",
     "shard_handle_nbytes",
 ]
@@ -177,35 +177,20 @@ class _FieldArena:
         for name, _ in self.FIELDS:
             getattr(self, name)[indices] = getattr(other, name)
 
-    def extend(self, other: "_FieldArena") -> None:
-        """Append another arena's particles in place (the population
-        grows into a fresh private buffer; shared-memory backing, if any,
-        is left behind untouched)."""
-        if len(other) == 0:
+    def extend(self, *others: "_FieldArena") -> None:
+        """Append other arenas' particles, in order, in place (the
+        population grows into a fresh private buffer; shared-memory
+        backing, if any, is left behind untouched)."""
+        n = self.n + sum(len(o) for o in others)
+        if n == self.n:
             return
-        merged = type(self)(self.n + other.n)
+        merged = type(self)(n)
         for name, _ in self.FIELDS:
-            dst = getattr(merged, name)
-            dst[: self.n] = getattr(self, name)
-            dst[self.n:] = getattr(other, name)
+            np.concatenate(
+                [getattr(a, name) for a in (self, *others)],
+                out=getattr(merged, name),
+            )
         self._adopt(merged)
-
-    # ------------------------------------------------------------------
-    # Records (secondary emission without AoS objects)
-    # ------------------------------------------------------------------
-    @classmethod
-    def from_records(cls, records) -> "_FieldArena":
-        """Build an arena from field-tuple records (see
-        :class:`ParticleRecord`) — the banked-secondary path."""
-        arena = cls(len(records))
-        for j, (name, _) in enumerate(cls.FIELDS):
-            getattr(arena, name)[...] = [r[j] for r in records]
-        return arena
-
-    def append_records(self, records) -> None:
-        """Append banked records (fission secondaries, VR clones)."""
-        if records:
-            self.extend(self.from_records(records))
 
     # ------------------------------------------------------------------
     # Compaction and sorting hooks
@@ -385,7 +370,7 @@ _AOS_CACHED_FIELDS = (
 
 class ParticleArena(_FieldArena):
     """The canonical 2-D particle population: the single-buffer layout,
-    shared-memory sharding, record appends, compaction/sort hooks, the
+    shared-memory sharding, block appends, compaction/sort hooks, the
     per-index :class:`ParticleView` proxy and lossless AoS conversion."""
 
     FIELDS = (
@@ -539,50 +524,6 @@ for _name, _ in ParticleArena.FIELDS:
     setattr(ParticleView, _name, _view_property(_name))
 
 
-class ParticleRecord(tuple):
-    """One particle's full field tuple, in arena field order — the
-    record type banked secondaries/clones are expressed in (no AoS object
-    construction in hot paths; the kernel audit enforces that)."""
-
-    __slots__ = ()
-
-    def __new__(
-        cls,
-        *,
-        x: float,
-        y: float,
-        omega_x: float,
-        omega_y: float,
-        energy: float,
-        weight: float,
-        cellx: int,
-        celly: int,
-        particle_id: int,
-        dt_to_census: float,
-        mfp_to_collision: float = 0.0,
-        rng_counter: int = 0,
-        local_density: float = 0.0,
-        deposit_buffer: float = 0.0,
-        scatter_bin: int = 0,
-        capture_bin: int = 0,
-        fission_bin: int = 0,
-        alive: bool = True,
-        censused: bool = False,
-    ):
-        values = dict(
-            x=x, y=y, omega_x=omega_x, omega_y=omega_y, energy=energy,
-            weight=weight, mfp_to_collision=mfp_to_collision,
-            dt_to_census=dt_to_census, local_density=local_density,
-            deposit_buffer=deposit_buffer, cellx=cellx, celly=celly,
-            scatter_bin=scatter_bin, capture_bin=capture_bin,
-            fission_bin=fission_bin, alive=alive, censused=censused,
-            particle_id=particle_id, rng_counter=rng_counter,
-        )
-        return super().__new__(
-            cls, (values[name] for name, _ in ParticleArena.FIELDS)
-        )
-
-
 # ---------------------------------------------------------------------------
 # The fused multi-replica arena (ensemble batching)
 # ---------------------------------------------------------------------------
@@ -603,16 +544,6 @@ class EnsembleArena(ParticleArena):
     """
 
     FIELDS = ParticleArena.FIELDS + (("replica_id", np.int64),)
-
-    @classmethod
-    def from_records(cls, records) -> "EnsembleArena":
-        """Build from plain :class:`ParticleRecord` tuples (19 fields);
-        ``replica_id`` defaults to 0 — the run's replica books track each
-        child's replica and the engine publishes it when the run ends."""
-        arena = cls(len(records))
-        for j, (name, _) in enumerate(ParticleArena.FIELDS):
-            getattr(arena, name)[...] = [r[j] for r in records]
-        return arena
 
     @classmethod
     def fuse(cls, arenas) -> "EnsembleArena":

@@ -48,7 +48,7 @@ DRAWS_PER_BIRTH = 4
 
 #: Per number of source-region axes: the arena type the population is
 #: emitted into and the isotropic direction sampler its direction draws feed.
-_EMISSION = {
+EMISSION = {
     2: (ParticleArena, batch.sample_isotropic_direction),
     3: (ParticleArena3, batch.sample_isotropic_direction_3d),
 }
@@ -115,7 +115,7 @@ def sample_source(
     ``capture_table`` kwargs are the legacy spelling of the same seeding,
     kept for the AoS parity oracle and existing tests.
     """
-    arena_type, sample_direction = _EMISSION[len(region.bounds)]
+    arena_type, sample_direction = EMISSION[len(region.bounds)]
     arena = arena_type(nparticles)
     arena.particle_id[...] = np.arange(
         start_id, start_id + nparticles, dtype=np.uint64

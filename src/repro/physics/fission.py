@@ -26,10 +26,11 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.rng.threefry import threefry2x64
+from repro.rng.threefry import threefry2x64_vec
 
 __all__ = [
     "FISSION_ID_DOMAIN",
+    "derived_id",
     "secondary_id",
     "expected_secondaries",
     "realised_secondaries",
@@ -41,19 +42,34 @@ __all__ = [
 FISSION_ID_DOMAIN = 0xF15510
 
 
-def secondary_id(seed: int, parent_id: int, parent_counter: int, child_index: int) -> int:
-    """Deterministic, collision-resistant id for a fission secondary.
+def derived_id(domain: int, seed, parent_id, parent_counter, index):
+    """Threefry over ``(parent_id, counter«8 | index)`` keyed by
+    ``(seed, domain)``: the id of a child derived from its parent.
+
+    Every argument but ``domain`` broadcasts, so one call derives the ids
+    of a whole bank of children (scalars give one ``numpy.uint64``).
+    """
+    index = np.asarray(index)
+    if np.any((index < 0) | (index > 0xFF)):
+        raise ValueError("at most 256 children per parent event")
+    # uint64 shifts wrap, like the 64-bit mask of the scalar form.
+    word = (np.asarray(parent_counter, dtype=np.uint64) << np.uint64(8)) \
+        | index.astype(np.uint64)
+    out, _ = threefry2x64_vec(parent_id, word, seed, np.uint64(domain))
+    return out[()]
+
+
+def secondary_id(seed, parent_id, parent_counter, child_index):
+    """Deterministic, collision-resistant id(s) for fission secondaries.
 
     ``(parent_id, counter«8 | index)`` is unique per banked secondary
     (counters strictly increase along a history; ≤255 secondaries per
     event), and Threefry scatters it over the 64-bit id space so derived
     streams are statistically independent of every other stream.
     """
-    if child_index < 0 or child_index > 0xFF:
-        raise ValueError("at most 256 secondaries per fission event")
-    word = ((parent_counter << 8) | child_index) & 0xFFFFFFFFFFFFFFFF
-    out, _ = threefry2x64((parent_id, word), (seed, FISSION_ID_DOMAIN))
-    return out
+    return derived_id(
+        FISSION_ID_DOMAIN, seed, parent_id, parent_counter, child_index
+    )
 
 
 def expected_secondaries(
@@ -74,11 +90,12 @@ def realised_secondaries(expected: float, u: float) -> int:
     return int(np.floor(expected + u))
 
 
-def sample_secondary_energy(u: float, mean_ev: float) -> float:
-    """Simplified fission spectrum: exponential with the given mean.
+def sample_secondary_energy(u, mean_ev):
+    """Simplified fission spectrum: exponential with the given mean, per
+    draw (scalars or arrays).
 
     A Watt spectrum's shape is not needed for performance fidelity; the
     exponential keeps the one-draw birth protocol and a realistic fast
     emission energy scale (~2 MeV).
     """
-    return float(-mean_ev * np.log(1.0 - u))
+    return -mean_ev * np.log(1.0 - u)

@@ -25,7 +25,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.kernels.batch import MAX_SPLIT  # noqa: F401  (re-exported)
-from repro.rng.threefry import threefry2x64
+from repro.physics.fission import derived_id
 
 __all__ = [
     "SPLIT_ID_DOMAIN",
@@ -50,11 +50,9 @@ def split_count(ratio: float, u: float) -> int:
     return int(min(np.floor(ratio + u), MAX_SPLIT))
 
 
-def clone_id(seed: int, parent_id: int, parent_counter: int, clone_index: int) -> int:
-    """Deterministic id for a split clone (same construction as fission
-    secondaries, different key domain)."""
-    if clone_index < 0 or clone_index > 0xFF:
-        raise ValueError("at most 256 clones per split")
-    word = ((parent_counter << 8) | clone_index) & 0xFFFFFFFFFFFFFFFF
-    out, _ = threefry2x64((parent_id, word), (seed, SPLIT_ID_DOMAIN))
-    return out
+def clone_id(seed, parent_id, parent_counter, clone_index):
+    """Deterministic id(s) for split clones (same construction as fission
+    secondaries, different key domain; arguments broadcast)."""
+    return derived_id(
+        SPLIT_ID_DOMAIN, seed, parent_id, parent_counter, clone_index
+    )

@@ -8,12 +8,14 @@ forms:
 
 * :func:`repro.rng.threefry.threefry2x64` — scalar reference implementation
   operating on Python integers;
-* :func:`repro.rng.threefry.threefry2x64_vec` — numpy-vectorised form used by
-  the Over Events scheme, bit-identical to the scalar form.
+* :func:`repro.rng.threefry.threefry2x64_vec` — numpy-vectorised form every
+  transport draw goes through, in either scheme, bit-identical to the
+  scalar form.
 
-:class:`repro.rng.stream.ParticleRNG` wraps the cipher into a per-particle
-stream, and :mod:`repro.rng.distributions` provides the samplers the
-transport physics needs (uniform reals, isotropic directions, exponential
+:class:`repro.rng.stream.VectorParticleRNG` wraps the cipher into the
+streams of a batch of particles (:class:`repro.rng.stream.ParticleRNG` is
+its one-particle scalar reference), and :mod:`repro.rng.distributions`
+holds the scalar reference samplers (isotropic directions, exponential
 numbers of mean-free-paths).
 """
 

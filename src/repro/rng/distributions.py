@@ -7,9 +7,10 @@ The mini-app draws random numbers for (paper §IV-F):
 * on a scattering collision: the scattering angle, the energy dampening,
   and the new number of mean-free-paths until the next collision.
 
-Each sampler exists in scalar form (one particle, for Over Particles) and
-vectorised form (arrays of draws, for Over Events).  Both consume the same
-number of draws per call so the schemes stay in RNG lock-step.
+These are the scalar forms, one particle per call: the reference the
+vectorised samplers in :mod:`repro.kernels.batch` — which both schemes
+run, for source births and banked children alike — are pinned against
+draw for draw (the scalar source sampler and the parity suite use them).
 """
 
 from __future__ import annotations

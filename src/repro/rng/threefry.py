@@ -11,13 +11,14 @@ r123 default for the 2x64 variant; we default to the conservative 20 used by
 Two interchangeable implementations are provided:
 
 * :func:`threefry2x64` — scalar, on Python ints (arbitrary precision masked
-  to 64 bits).  The reference for the known-answer tests, and the stream of
-  a single banked child (fission secondaries, source parity oracle).
+  to 64 bits).  The reference for the known-answer tests and the scalar
+  stream of the source parity oracle.
 * :func:`threefry2x64_vec` — vectorised over numpy ``uint64`` arrays with
   wrapping arithmetic, bit-identical to the scalar version, run in place
   on two state buffers and one scratch buffer.  Every transport draw, in
   either scheme, goes through it (via
-  :meth:`repro.rng.stream.VectorParticleRNG.next_uniform`).
+  :meth:`repro.rng.stream.VectorParticleRNG.next_uniform`), and so does
+  every banked child's id (:func:`repro.physics.fission.derived_id`).
 
 The implementations follow the Random123 reference code: an 8-entry rotation
 schedule, key injection every 4 rounds, and the Skein key-schedule parity

@@ -84,10 +84,11 @@ class Volume3DConfig:
     ce_materials: tuple | None = None
 
     # What the census stepper and the one event pass read beyond the
-    # fields above is the same for every 3-D run: the medium is the single
-    # homogeneous non-multiplying material of the paper's setup, without
-    # variance-reduction extensions (all of which stay on the future-work
-    # list in 3-D), so these are constants, not settings.
+    # fields above is the same for every 3-D run: one homogeneous material
+    # (the paper's non-multiplying medium by default; a fissile CE material
+    # multiplies, and its children are banked per axis like 2-D ones),
+    # without Russian roulette or importance maps (still future work in
+    # 3-D), so these are constants, not settings.
     #: RNG draws a history consumes at birth (position ×3, direction ×2,
     #: first mfp).
     BIRTH_DRAWS: ClassVar[int] = 6

@@ -36,7 +36,7 @@ import numpy as np
 
 from repro.kernels import xs as kernel_xs
 from repro.xs.ce import build_union_grid, default_ce_materials
-from repro.xs.lookup import LookupStats, binary_search_bin
+from repro.xs.lookup import LookupStats
 from repro.xs.macroscopic import AVOGADRO, BARNS_TO_M2
 
 __all__ = [
@@ -144,10 +144,6 @@ class XsProvider(ABC):
     @abstractmethod
     def binary_probe_estimate(self, mi: int) -> int:
         """Probe count the Over Events accounting books per fresh lane."""
-
-    @abstractmethod
-    def birth_bins(self, mi: int, energy: float) -> dict:
-        """Bin-cache seed fields for one newborn particle (record kwargs)."""
 
     @abstractmethod
     def birth_bins_batch(self, mi: int, e: np.ndarray) -> dict:
@@ -313,16 +309,6 @@ class MultigroupProvider(XsProvider):
     def binary_probe_estimate(self, mi: int) -> int:
         return self.nbins_log2
 
-    def birth_bins(self, mi: int, energy: float) -> dict:
-        mat = self.materials[mi]
-        bins = {
-            "scatter_bin": binary_search_bin(mat.scatter, energy),
-            "capture_bin": binary_search_bin(mat.capture, energy),
-        }
-        if mat.fissile:
-            bins["fission_bin"] = binary_search_bin(mat.fission, energy)
-        return bins
-
     def birth_bins_batch(self, mi: int, e: np.ndarray) -> dict:
         mat = self.materials[mi]
         bins = {
@@ -385,9 +371,6 @@ class ContinuousEnergyProvider(XsProvider):
 
     def binary_probe_estimate(self, mi: int) -> int:
         return self.grids[mi].nbins_log2
-
-    def birth_bins(self, mi: int, energy: float) -> dict:
-        return {"scatter_bin": binary_search_bin(self.grids[mi], energy)}
 
     def birth_bins_batch(self, mi: int, e: np.ndarray) -> dict:
         return {"scatter_bin": kernel_xs.search_bins(self.grids[mi], e)}

@@ -34,11 +34,7 @@ from repro.core import (
 from repro.core.stepper import run_stepped
 from repro.mesh.structured import StructuredMesh
 from repro.parallel import FaultPlan, KillWorker, ScheduleKind
-from repro.particles.arena import (
-    ParticleArena,
-    ParticleRecord,
-    shard_handle_nbytes,
-)
+from repro.particles.arena import ParticleArena, shard_handle_nbytes
 from repro.particles.source import SourceRegion, sample_source, sample_source_aos
 from repro.xs.materials import hydrogenous_moderator
 
@@ -136,21 +132,14 @@ def test_proxy_reads_and_writes_round_trip():
 
 
 def test_as_particles_record_round_trip():
-    """arena → AoS records → ParticleRecord appends → identical fields."""
+    """arena → AoS records → packed arenas, appended → identical fields."""
     arena = _small_arena()
+    records = arena.as_particles()
     rebuilt = ParticleArena(0)
-    rebuilt.append_records([
-        ParticleRecord(
-            x=p.x, y=p.y, omega_x=p.omega_x, omega_y=p.omega_y,
-            energy=p.energy, weight=p.weight, cellx=p.cellx, celly=p.celly,
-            particle_id=p.particle_id, dt_to_census=p.dt_to_census,
-            mfp_to_collision=p.mfp_to_collision, rng_counter=p.rng_counter,
-            local_density=p.local_density, deposit_buffer=p.deposit_buffer,
-            scatter_bin=p.scatter_bin, capture_bin=p.capture_bin,
-            fission_bin=p.fission_bin, alive=p.alive,
-        )
-        for p in arena.as_particles()
-    ])
+    rebuilt.extend(
+        ParticleArena.from_particles(records[:9]),
+        ParticleArena.from_particles(records[9:]),
+    )
     assert len(rebuilt) == len(arena)
     for name in FIELD_NAMES:
         if name == "censused":  # not represented in the AoS record

@@ -700,3 +700,24 @@ def test_arena_audit_flags_a_per_index_walk_in_volume(tmp_path):
     (tmp_path / "volume" / "driver3.py").write_text(walk)
     (violation,) = audit_particle_construction(tmp_path)
     assert violation.startswith("volume/driver3.py:2: .proxy(")
+
+
+def test_particle_audit_flags_a_scalar_stream(tmp_path):
+    """Children are an arena block born from the vectorised streams: a
+    scalar one-particle stream in a hot package is the per-child bank
+    coming back, whichever package it appears in."""
+    from repro.kernels.audit import audit_particle_construction
+
+    for pkg in ("core", "parallel", "volume"):
+        (tmp_path / pkg).mkdir()
+    vector = "def birth(s, ids):\n    return VectorParticleRNG(s, ids)\n"
+    (tmp_path / "core" / "event_pass.py").write_text(vector)
+    assert audit_particle_construction(tmp_path) == []
+    scalar = "def birth(s, i):\n    return rng.ParticleRNG(s, i)\n"
+    for pkg in ("core", "parallel", "volume"):
+        (tmp_path / pkg / "bank.py").write_text(scalar)
+    violations = audit_particle_construction(tmp_path)
+    assert len(violations) == 3
+    for v in violations:
+        assert ":2: ParticleRNG(...)" in v
+        assert v.endswith("bank children as an arena block")

@@ -8,12 +8,18 @@ exactly, and the two parallelisation schemes produce bit-identical
 populations regardless of traversal order.
 """
 
+import hashlib
+import json
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from repro.core import Scheme, Simulation, csp_problem, scatter_problem, stream_problem
 from repro.core.config import SimulationConfig
+from repro.core.counters import Counters
 from repro.core.validation import energy_balance_error, population_accounted
+from repro.ensemble import population_fingerprint, run_ensemble
 from repro.mesh.boundary import BoundaryCondition
 from repro.particles.source import SourceRegion
 from repro.physics.fission import (
@@ -23,6 +29,7 @@ from repro.physics.fission import (
     sample_secondary_energy,
     secondary_id,
 )
+from repro.rng.threefry import threefry2x64
 from repro.xs.materials import (
     Material,
     fissile_fuel,
@@ -315,8 +322,16 @@ def test_fission_helpers():
     c = secondary_id(7, 124, 55, 0)
     assert len({a, b, c}) == 3
     assert secondary_id(7, 123, 55, 0) == a  # deterministic
+    # The scalar cipher over (parent_id, counter«8 | index) is the reference,
+    # and a whole bank derives its ids in one broadcast call.
+    assert a == threefry2x64((123, 55 << 8), (7, FISSION_ID_DOMAIN))[0]
+    bank = secondary_id(7, np.array([123, 124], dtype=np.uint64), 55,
+                        np.array([1, 0]))
+    assert bank.tolist() == [b, c]
     with pytest.raises(ValueError):
         secondary_id(7, 1, 1, 300)
+    with pytest.raises(ValueError):
+        secondary_id(7, 1, 1, np.array([0, 256]))
     assert FISSION_ID_DOMAIN != 0
 
 
@@ -448,8 +463,94 @@ def test_split_helpers():
     a = clone_id(7, 5, 10, 0)
     assert a == clone_id(7, 5, 10, 0)
     assert a != clone_id(7, 5, 10, 1)
+    assert clone_id(7, 5, 10, np.arange(3)).tolist() == [
+        clone_id(7, 5, 10, k) for k in range(3)
+    ]
     # distinct from the fission domain for identical inputs
     from repro.physics.fission import secondary_id
     assert a != secondary_id(7, 5, 10, 0)
     with pytest.raises(ValueError):
         clone_id(7, 5, 10, 999)
+
+
+# ---------------------------------------------------------------------------
+# The child bank, pinned bit for bit
+# ---------------------------------------------------------------------------
+
+#: Every run below, recorded before the bank was vectorised: the run's
+#: fingerprint, a SHA-256 over every arena field's bytes (storage order
+#: included) and over the per-particle work arrays, every scalar counter
+#: as ``float.hex`` and the tally's SHA-256.
+BANK_GOLDENS = Path(__file__).with_name("bank_goldens.json")
+
+
+def _everything_cfg():
+    return _fission_cfg(
+        boundary=BoundaryCondition.VACUUM, use_russian_roulette=True,
+        energy_cutoff_ev=1e-30, weight_cutoff=1e-2, ntimesteps=2,
+    )
+
+
+def _digest(arrays) -> str:
+    h = hashlib.sha256()
+    for a in arrays:
+        h.update(np.ascontiguousarray(a).tobytes())
+    return h.hexdigest()
+
+
+def _bank_record(arena, counters, tally) -> dict:
+    return {
+        "fingerprint": population_fingerprint(arena),
+        "fields": _digest(getattr(arena, name) for name, _ in arena.FIELDS),
+        "work": _digest((counters.collisions_per_particle,
+                         counters.facets_per_particle)),
+        "counters": {
+            name: float(getattr(counters, name)).hex()
+            for name in Counters._SCALAR_FIELDS
+        },
+        "tally": _digest((tally.deposition,)),
+    }
+
+
+def _serial(cfg, **run):
+    def records(scheme):
+        res = Simulation(cfg).run(scheme, **run)
+        return {"run": _bank_record(res.arena, res.counters, res.tally)}
+    return records
+
+
+def _vr_ensemble(scheme):
+    from tests.test_ensemble_parity import _spec
+
+    fused = run_ensemble(_spec("vr"), scheme)
+    out = {"fused": _bank_record(fused.arena, fused.counters, fused.tally)}
+    for rr in fused.replicas:
+        out[f"replica{rr.replica}"] = _bank_record(
+            rr.arena, rr.counters, rr.tally
+        )
+    return out
+
+
+#: name → ``scheme -> {label: record}``.
+BANK_RUNS = {
+    "fission": _serial(_fission_cfg()),
+    "everything": _serial(_everything_cfg()),
+    "importance": _serial(_deep_penetration_cfg(True)),
+    "ce-fission": _serial(_fission_cfg(xs_mode="ce")),
+    "vr-ensemble": _vr_ensemble,
+    "pooled-fission": _serial(_fission_cfg(), nworkers=2),
+}
+
+
+@pytest.mark.parametrize(
+    "scheme", [Scheme.OVER_PARTICLES, Scheme.OVER_EVENTS],
+    ids=lambda s: s.value,
+)
+@pytest.mark.parametrize("name", list(BANK_RUNS))
+def test_bank_matches_parent_goldens(name, scheme):
+    """Fission secondaries and importance clones are banked bit-identically
+    to the per-child record bank they replaced: every field of every
+    child, storage order, every counter (``fission_injected_energy``
+    still accumulates child by child) and the tally."""
+    want = json.loads(BANK_GOLDENS.read_text())[f"{name}/{scheme.value}"]
+    assert BANK_RUNS[name](scheme) == want

@@ -406,6 +406,36 @@ def test_3d_conflict_probability_is_measured():
     assert r.counters.tally_conflict_probability > 0.0
 
 
+def test_3d_fissile_run_banks_children():
+    """A fissile 3-D medium multiplies: its children are banked per axis,
+    born with a 3-D direction (two draws), an energy and a first optical
+    distance — four draws each — identically under either scheme."""
+    from repro.xs.ce import default_ce_materials
+
+    cfg = csp3_problem(n=8, nparticles=50, xs_mode="ce",
+                       ce_materials=(default_ce_materials(2)[1],))
+    a = Simulation(cfg).run(Scheme.OVER_PARTICLES)
+    b = Simulation(cfg).run(Scheme.OVER_EVENTS)
+    assert population_fingerprint_3d(a.arena) == population_fingerprint_3d(
+        b.arena
+    )
+    assert _tally_sha(a.tally) == _tally_sha(b.tally)
+    for r in (a, b):
+        c = r.counters
+        assert energy_balance_error_3d(r) < 1e-12
+        assert population_accounted_3d(r)
+        assert c.secondaries_banked > 0
+        assert c.nparticles == len(r.arena) == 50 + c.secondaries_banked
+        # Every collision is in the fissile fuel: three collision draws
+        # and one yield draw; every birth six (source) or four (child).
+        assert c.rng_draws == (
+            cfg.BIRTH_DRAWS * 50 + 4 * c.collisions + 4 * c.secondaries_banked
+        )
+    children = a.arena.particle_id >= 50
+    norm = sum(o[children] ** 2 for o in a.arena.omega)
+    assert np.allclose(norm, 1.0, atol=1e-12)
+
+
 def test_3d_pool_route_is_refused():
     """The worker pool runs 2-D configs only: a 3-D config is refused in
     one line that names the routes a 3-D config does take."""
