@@ -23,6 +23,17 @@ much work it did.  It is the *only* implementation of
 Every replica's books stay bit-identical to its standalone run because
 each charge sees exactly that replica's subsequence, in storage order.
 
+``R > 1`` attributes without a Python loop over replicas: the replica
+is one more *axis*.  The replica tallies are the rows of one stacked
+tally over ``(*shape, R)`` (replica slowest, so a lane's flat cell is
+``rep·ncell + cell``) and a flush is one scatter-add over the whole
+batch — ``np.add.at`` accumulates in lane order, so each replica's cells
+see the operands of its standalone run in the same order.  Integer
+counts and pass occupancy go into ``(R,)``-shaped ledgers, one
+``bincount`` per charge, settled into each replica's
+:class:`~repro.core.counters.Counters` (and each tally's ``flushes``)
+when they are read: :meth:`live_totals` and :meth:`fold`.
+
 ``R = 1`` costs nothing: the sole replica's counters and tally *are* the
 run totals (same objects, so the fold has nothing to sum) and every
 attribution method hands the whole batch to the sole replica's sink
@@ -35,6 +46,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.core.counters import Counters, EventPassStats
+from repro.mesh.tally import EnergyDepositionTally
 
 __all__ = ["ReplicaBooks", "ReplicaSink"]
 
@@ -46,6 +58,20 @@ def _accumulate(total: float, values: np.ndarray, running: bool) -> float:
     if running:
         return float(np.cumsum(np.concatenate(([total], values)))[-1])
     return total + float(values.sum())
+
+
+def _at(arrays, idx) -> list:
+    """Gather lanes ``idx`` of every per-axis array."""
+    return [a[idx] for a in arrays]
+
+
+def _by_replica(rep: np.ndarray, nreplicas: int):
+    """``(order, cuts)``: the positions of ``rep`` grouped by replica —
+    one stable argsort, so each replica's positions keep their order —
+    and the ``np.split`` points between the groups (one ``bincount``)."""
+    order = np.argsort(rep, kind="stable")
+    cuts = np.cumsum(np.bincount(rep, minlength=nreplicas))[:-1]
+    return order, cuts
 
 
 class ReplicaSink:
@@ -98,8 +124,9 @@ class ReplicaBooks:
     rep:
         Per-lane replica index of the starting population (copied).
     tally_factory:
-        Zero-argument callable building one empty tally — the caller
-        picks the tally type (2-D or 3-D).
+        Zero-argument callable building one empty tally over the run's
+        mesh (2-D or 3-D) — the totals tally, whose shape the replicas'
+        stacked tally takes too.
     tally:
         An existing totals tally to accumulate into; fresh when omitted.
     """
@@ -139,7 +166,18 @@ class ReplicaBooks:
             self.rep = np.broadcast_to(np.int64(0), self.rep.shape)
         else:
             self.counters = [Counters() for _ in self.members]
-            self.tallies = [tally_factory() for _ in self.members]
+            #: The replica tallies as one field, replica slowest; each
+            #: ``tallies[r]`` tallies into row ``r`` of it.
+            self.stack = EnergyDepositionTally(
+                *self.tally.shape, self.nreplicas
+            )
+            self.tallies = self.stack.rows()
+        #: Integer charges per replica not yet settled into ``counters``
+        #: (``tally_flushes`` settles each tally's ``flushes`` too), and
+        #: one ``(4, R)`` occupancy row per Over Events pass not yet
+        #: settled into each replica's ``oe_passes`` (:meth:`_settle`).
+        self.ledger: dict[str, np.ndarray] = {}
+        self.pass_ledger: list[np.ndarray] = []
         #: One whole-batch sink per replica (an Over Particles block
         #: charges ``sinks[r]``; with one replica every verb below does).
         self.sinks = [
@@ -181,10 +219,18 @@ class ReplicaBooks:
         """Add ``per`` per selected lane to an integer counter."""
         if self.nreplicas == 1:
             return self.sinks[0].cadd(name, idx, per)
-        counts = np.bincount(self.rep[idx], minlength=self.nreplicas)
-        for r in np.nonzero(counts)[0]:
-            c = self.counters[r]
-            setattr(c, name, getattr(c, name) + per * int(counts[r]))
+        self._charge(name, self.rep[idx], per)
+
+    def _charge(self, name: str, rep: np.ndarray, per: int = 1) -> None:
+        """Add ``per`` per lane of replica ids ``rep`` to ``name``'s ledger."""
+        counts = np.bincount(rep, minlength=self.nreplicas)
+        if per != 1:
+            counts *= per
+        held = self.ledger.get(name)
+        if held is None:
+            self.ledger[name] = counts
+        else:
+            held += counts
 
     def csum(self, name: str, idx: np.ndarray, values: np.ndarray,
              running: bool = False) -> None:
@@ -197,24 +243,22 @@ class ReplicaBooks:
         """
         if self.nreplicas == 1:
             return self.sinks[0].csum(name, idx, values, running)
-        rep = self.rep[idx]
-        for r in np.unique(rep):
-            c = self.counters[r]
-            setattr(c, name,
-                    _accumulate(getattr(c, name), values[rep == r], running))
+        order, cuts = _by_replica(self.rep[idx], self.nreplicas)
+        for c, part in zip(self.counters, np.split(values[order], cuts)):
+            if part.size:
+                setattr(c, name, _accumulate(getattr(c, name), part, running))
 
     def flush(self, idx: np.ndarray, cells, deposit: np.ndarray) -> None:
         """Batched tally flush (the §VI-G separate tally loop) of the
         selected lanes' ``deposit`` into their ``cells`` (one index array
-        per mesh axis), split by replica — each replica's scatter-add
-        sees exactly the subsequence its standalone run would."""
+        per mesh axis) — one scatter-add into the stacked tally, the
+        replica as its slowest axis, so each replica's cells see exactly
+        the subsequence its standalone run would, in the same order."""
         if self.nreplicas == 1:
             return self.sinks[0].flush(idx, cells, deposit)
         rep = self.rep[idx]
-        for r in np.unique(rep):
-            sel = idx[rep == r]
-            self.tallies[r].flush_vec(*(c[sel] for c in cells), deposit[sel])
-            self.counters[r].tally_flushes += sel.size
+        self.stack.flush_vec(*_at(cells, idx), rep, deposit[idx])
+        self._charge("tally_flushes", rep)
 
     def record_pass(self, stats: EventPassStats, active, cmask, fmask,
                     zmask) -> None:
@@ -227,17 +271,13 @@ class ReplicaBooks:
             return
         rep = self.rep
         nrep = self.nreplicas
-        act = np.bincount(rep[active], minlength=nrep)
-        col = np.bincount(rep[cmask], minlength=nrep)
-        fac = np.bincount(rep[fmask], minlength=nrep)
-        cen = np.bincount(rep[zmask], minlength=nrep)
-        for r in np.nonzero(act)[0]:
-            self.counters[r].oe_passes.append(EventPassStats(
-                n_active=int(act[r]),
-                n_collision=int(col[r]),
-                n_facet=int(fac[r]),
-                n_census=int(cen[r]),
-            ))
+        keys = np.concatenate((
+            rep[active], rep[cmask] + nrep, rep[fmask] + 2 * nrep,
+            rep[zmask] + 3 * nrep,
+        ))
+        self.pass_ledger.append(
+            np.bincount(keys, minlength=4 * nrep).reshape(4, nrep)
+        )
 
     def charge_births(self, draws_per_history: int) -> None:
         """Charge every replica the RNG draws of its source emission."""
@@ -248,6 +288,7 @@ class ReplicaBooks:
     def live_totals(self) -> tuple[int, int, int]:
         """In-progress ``(events, xs_lookups, xs_probes)`` over all
         replicas, for the live probe and the adaptive scheduler."""
+        self._settle()
         cs = self.counters
         return (
             sum(c.total_events for c in cs),
@@ -262,10 +303,8 @@ class ReplicaBooks:
         replica-major, each replica's lanes in storage order — the order
         of that replica's standalone arena, however children and
         boundary sorts interleaved the replicas."""
-        rep = self.rep[lo:hi]
-        return [
-            (r, lo + np.nonzero(rep == r)[0]) for r in range(self.nreplicas)
-        ]
+        order, cuts = _by_replica(self.rep[lo:hi], self.nreplicas)
+        return list(enumerate(np.split(lo + order, cuts)))
 
     def inherit(self, parents: np.ndarray) -> None:
         """Append one lane per child; each inherits its parent's replica."""
@@ -289,23 +328,55 @@ class ReplicaBooks:
         self.facet_pp = np.concatenate([self.facet_pp, facet])
 
     # ------------------------------------------------------------------
+    def _settle(self) -> None:
+        """Move the ledgers into each replica's counters, tally
+        ``flushes`` and ``oe_passes``, and empty them."""
+        for name, counts in self.ledger.items():
+            for c, n in zip(self.counters, counts.tolist()):
+                setattr(c, name, getattr(c, name) + n)
+        flushes = self.ledger.get("tally_flushes")
+        if flushes is not None:
+            for t, n in zip(self.tallies, flushes.tolist()):
+                t.flushes += n
+        self.ledger = {}
+        if self.pass_ledger:
+            # (pass, replica, column); a replica with no active lanes in a
+            # pass had already finished and books no row for it.
+            rows = np.stack(self.pass_ledger).transpose(0, 2, 1)
+            for r, c in enumerate(self.counters):
+                c.oe_passes.extend(
+                    EventPassStats(*row)
+                    for row in rows[rows[:, r, 0] > 0, r].tolist()
+                )
+            self.pass_ledger = []
+
     def fold(self) -> Counters:
-        """THE fold: split the per-lane work arrays over the replicas and
-        sum the per-replica books into the run totals (counters and
-        tally).  Returns the totals."""
+        """THE fold: settle the ledgers, split the per-lane work arrays
+        over the replicas and sum the per-replica books into the run
+        totals (counters and tally).  Returns the totals."""
         totals = self.totals
         if self.nreplicas > 1:
-            for r, (rc, rt) in enumerate(zip(self.counters, self.tallies)):
-                sel = self.rep == r
-                rc.nparticles = int(sel.sum())
-                rc.collisions_per_particle = self.coll_pp[sel]
-                rc.facets_per_particle = self.facet_pp[sel]
-                self.tally.merge(rt)
+            self._settle()
+            order, cuts = _by_replica(self.rep, self.nreplicas)
+            coll = np.split(self.coll_pp[order], cuts)
+            facet = np.split(self.facet_pp[order], cuts)
+            for r, rc in enumerate(self.counters):
+                rc.nparticles = int(coll[r].size)
+                rc.collisions_per_particle = coll[r]
+                rc.facets_per_particle = facet[r]
                 for fname in Counters._SCALAR_FIELDS:
                     setattr(
                         totals, fname,
                         getattr(totals, fname) + getattr(rc, fname),
                     )
+            # numpy reduces a non-inner axis element by element, replica
+            # after replica: into a fresh totals tally (every fused caller
+            # lets the books build it) that is bitwise the merge loop.
+            stack = self.stack
+            self.tally.deposition += stack.deposition.sum(axis=0)
+            self.tally.flush_counts += stack.flush_counts.sum(axis=0)
+            # Over Particles blocks flush a row directly, not the stack.
+            self.tally.flushes += sum(t.flushes for t in self.tallies)
         totals.nparticles = int(self.rep.size)
         totals.collisions_per_particle = self.coll_pp
         totals.facets_per_particle = self.facet_pp

@@ -12,6 +12,7 @@ from repro.kernels.audit import (
     CENSUS_LOOP_HOME,
     SINGLE_PATH_PACKAGES,
     audit_census_loops,
+    audit_pass_allocations,
     audit_particle_construction,
     audit_single_path,
     audit_vec_definitions,
@@ -32,8 +33,10 @@ def main(argv=None) -> int:
         "any driver re-implements the census loop outside "
         "repro/core/stepper.py, any driver forks on whether it has "
         "replica books, the event handlers or their kernel dispatches "
-        "exist outside repro/core/event_pass.py, or a dimension twin of "
-        "the tally flush, point location or collide/cross_facet returns",
+        "exist outside repro/core/event_pass.py, a dimension twin of "
+        "the tally flush, point location or collide/cross_facet returns, "
+        "a per-pass replica-books verb loops over replicas, or the 2-D or "
+        "3-D distance pipeline allocates from its second call",
     )
     args = parser.parse_args(argv)
     if not args.check:
@@ -45,6 +48,8 @@ def main(argv=None) -> int:
         + audit_census_loops()
         + audit_xs_table_access()
         + audit_single_path()
+        + audit_pass_allocations(2)
+        + audit_pass_allocations(3)
     )
     if violations:
         for v in violations:
@@ -67,7 +72,10 @@ def main(argv=None) -> int:
     print(f"OK: no None test on the replica books, no *_vec kernel "
           f"alias and one event pass in any dimension "
           f"({single_pkgs} audited); one tally flush, point location and "
-          f"collide/cross_facet body for every dimension")
+          f"collide/cross_facet body for every dimension; no replica "
+          f"loop in the books' per-pass verbs")
+    print("OK: the 2-D and 3-D distance pipelines allocate nothing from "
+          "their second call")
     return 0
 
 

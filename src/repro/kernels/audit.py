@@ -28,12 +28,19 @@ fork on the replica books, and no event handler or event-kernel dispatch
 name (2-D or 3-D) outside ``core/event_pass.py`` — and one body per
 dimension-generic piece below it: the tally flush, the mesh's point
 location and the collision and facet kernels each have one home, whatever
-the number of axes.
+the number of axes.  The books' per-pass verbs stay loop-free over
+replicas: the replica is an array axis there, not a Python loop.
+
+:func:`audit_pass_allocations` is a runtime check beside the source
+audits: the distance pipeline of one event pass (``distances`` +
+``select_events``) takes no workspace buffer and no full-length numpy
+temporary from its second call on one workspace.
 """
 
 from __future__ import annotations
 
 import ast
+import tracemalloc
 from pathlib import Path
 
 __all__ = [
@@ -42,6 +49,7 @@ __all__ = [
     "audit_census_loops",
     "audit_xs_table_access",
     "audit_single_path",
+    "audit_pass_allocations",
     "AUDITED_PACKAGES",
     "ALLOWED_VEC_DEFS",
     "ARENA_AUDITED_PACKAGES",
@@ -61,6 +69,8 @@ __all__ = [
     "EVENT_DISPATCH_NAMES",
     "TWIN_HOMES",
     "SCALAR_REFERENCES",
+    "BOOKS_HOME",
+    "LOOP_FREE_VERBS",
 ]
 
 #: Packages that must not define ``*_vec`` implementations.
@@ -159,6 +169,19 @@ TWIN_HOMES = {"flush_vec": "mesh/tally.py",
 #: independent oracle), exempt from :data:`TWIN_HOMES`.
 SCALAR_REFERENCES = frozenset({"physics/collision.py", "physics/facet.py",
                                "volume/collision3.py", "volume/facet3.py"})
+
+
+#: The module of the replica books, and the verbs of
+#: :class:`~repro.core.books.ReplicaBooks` an Over Events pass calls on
+#: every pass: each attributes a whole batch over all replicas at once
+#: (one ``bincount``, one ``flush_vec``), so a loop — statement or
+#: comprehension — or an ``np.unique`` split by replica inside one is the
+#: per-replica Python loop coming back.
+BOOKS_HOME = "core/books.py"
+LOOP_FREE_VERBS = ("flush", "cadd", "record_pass")
+
+_LOOP_NODES = (ast.For, ast.AsyncFor, ast.While, ast.ListComp, ast.SetComp,
+               ast.DictComp, ast.GeneratorExp)
 
 
 def _is_thin_wrapper(node: ast.FunctionDef) -> bool:
@@ -276,7 +299,101 @@ def audit_single_path(package_root: str | Path | None = None) -> list[str]:
                     + _VEC_ALIAS_MESSAGE
                 )
     return (violations + _audit_one_event_pass(package_root)
-            + _audit_one_twin(package_root))
+            + _audit_one_twin(package_root)
+            + _audit_loop_free_verbs(package_root))
+
+
+def _audit_loop_free_verbs(package_root: Path) -> list[str]:
+    """A loop or an ``unique`` call inside one of
+    :data:`LOOP_FREE_VERBS` of ``ReplicaBooks`` in :data:`BOOKS_HOME`."""
+    path = package_root / BOOKS_HOME
+    if not path.exists():
+        return []
+    violations: list[str] = []
+    for cls in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+        if not (isinstance(cls, ast.ClassDef) and cls.name == "ReplicaBooks"):
+            continue
+        for fn in cls.body:
+            if not (isinstance(fn, ast.FunctionDef)
+                    and fn.name in LOOP_FREE_VERBS):
+                continue
+            for node in ast.walk(fn):
+                if isinstance(node, _LOOP_NODES):
+                    found = "a loop"
+                elif (isinstance(node, ast.Call)
+                      and _call_name(node) == "unique"):
+                    found = "np.unique"
+                else:
+                    continue
+                violations.append(
+                    f"{BOOKS_HOME}:{node.lineno}: {found} in "
+                    f"ReplicaBooks.{fn.name} — replicas are an array axis "
+                    "there: one bincount, one flush_vec per call"
+                )
+    return violations
+
+
+def audit_pass_allocations(ndim: int) -> list[str]:
+    """Run the ``ndim``-D distance pipeline (``distances`` +
+    ``select_events`` on workspace buffers) twice over ``n`` = 16 384
+    random lanes; the second call must take no new workspace buffer, peak below
+    ``8·n`` bytes of ``tracemalloc``-traced memory (no full-length
+    temporary) and select the same events.  Returns violation messages.
+    """
+    import numpy as np
+
+    from repro.kernels import PASS_KERNELS, Workspace, batch
+    from repro.kernels.dispatch import KERNEL_TABLES
+    from repro.mesh.structured import StructuredMesh
+
+    n = 16384
+    rng = np.random.default_rng(20170905)
+    ncells = 5
+    mesh = StructuredMesh.grid((ncells,) * ndim, (1.0,) * ndim)
+    cells = [rng.integers(0, ncells, n) for _ in range(ndim)]
+    pos = [(c + rng.random(n)) * d for c, d in zip(cells, mesh.deltas)]
+    omega = [rng.uniform(-1.0, 1.0, n) for _ in range(ndim)]
+    energy = rng.uniform(1.0, 1e6, n)
+    mfp = rng.uniform(0.0, 3.0, n)
+    sigma_t = rng.uniform(0.0, 5.0, n)
+    sigma_t[::7] = 0.0
+    dt = np.full(n, 1e-9)
+    ws = Workspace()
+    distances = KERNEL_TABLES[ndim][PASS_KERNELS[ndim]["distances"]]
+
+    def one_pass():
+        dist = distances(
+            ws, energy, mfp, sigma_t, *pos, *omega, *cells, *mesh.deltas, dt
+        )
+        return batch.select_events(
+            dist.d_collision, dist.d_facet, dist.d_census,
+            out=ws.i64("event", n), lowest=ws.f64("ev_lowest", n),
+            scratch=ws.bool_("ev_scratch", n),
+        )
+
+    first = one_pass().copy()
+    allocations = ws.allocations
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        second = one_pass()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    where = f"{ndim}-D distance pipeline, {n} lanes, second call"
+    violations = []
+    if ws.allocations != allocations:
+        violations.append(
+            f"{where}: {ws.allocations - allocations} new workspace buffer(s)"
+        )
+    if peak - before >= 8 * n:
+        violations.append(
+            f"{where}: traced peak {peak - before} B >= 8·n = {8 * n} B"
+        )
+    if not np.array_equal(first, second):
+        violations.append(f"{where}: selected different events")
+    return violations
 
 
 def _audit_one_twin(package_root: Path) -> list[str]:

@@ -52,15 +52,30 @@ class EnergyDepositionTally:
         by the contention model.
     flushes:
         Total number of (atomic) flush operations.
+
+    ``fields``, when given, is an existing ``(deposition, flush_counts)``
+    pair to tally into instead of fresh zeros (see :meth:`rows`).
     """
 
-    def __init__(self, *shape: int):
+    def __init__(self, *shape: int, fields=None):
         if min(shape) < 1:
             raise ValueError("tally needs at least one cell per axis")
         self.shape = tuple(int(n) for n in shape)
-        self.deposition = np.zeros(self.shape[::-1], dtype=np.float64)
-        self.flush_counts = np.zeros(self.shape[::-1], dtype=np.int64)
+        if fields is None:
+            fields = (np.zeros(self.shape[::-1], dtype=np.float64),
+                      np.zeros(self.shape[::-1], dtype=np.int64))
+        self.deposition, self.flush_counts = fields
         self.flushes = 0
+
+    def rows(self) -> list["EnergyDepositionTally"]:
+        """One tally per index ``i`` of the last axis (stored slowest),
+        over the other axes, whose fields are views of row ``i`` of this
+        tally's — a flush into either lands in the same cells.  Their
+        ``flushes`` counts are the caller's to keep."""
+        return [
+            EnergyDepositionTally(*self.shape[:-1], fields=fields)
+            for fields in zip(self.deposition, self.flush_counts)
+        ]
 
     def flush(self, *cell_and_energy) -> None:
         """Atomically add ``energy`` into one cell: ``flush(ix, iy[, iz],

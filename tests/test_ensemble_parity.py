@@ -20,7 +20,10 @@ per-replica books against looped ``Simulation.run`` baselines:
 * the one execution path: a one-replica ensemble *is* the plain run
   (every deterministic fact, 2-D and 3-D), AUTO and adversarial switch
   plans run under an ensemble, pooled totals keep their kernel profile,
-  and the audit that no driver forks on having books stays clean.
+  and the audit that no driver forks on having books stays clean;
+* replicas are a tally axis: an R = 16 Over Events run flushes once per
+  event kind per pass, the replica tallies are views of one stacked
+  tally, and the books' per-pass verbs carry no replica loop (audited).
 
 This file is the CI ``ensemble-parity`` job; the fault-plan cases are
 also ``chaos``-marked so the chaos job re-runs them.
@@ -37,6 +40,7 @@ from repro.core import (
     stream_problem,
 )
 from repro.core.config import SimulationConfig
+from repro.core.books import ReplicaBooks
 from repro.core.counters import Counters
 from repro.core.stepper import StepDecision, SwitchPlan
 from repro.ensemble import (
@@ -47,7 +51,9 @@ from repro.ensemble import (
     run_ensemble_looped,
     validate_members,
 )
+from repro.kernels import EVENT_KERNELS
 from repro.kernels.audit import audit_single_path
+from repro.mesh.tally import EnergyDepositionTally
 from repro.parallel import FaultPlan, KillWorker
 from repro.particles.source import SourceRegion
 from repro.xs.materials import fissile_fuel, hydrogenous_moderator
@@ -625,6 +631,45 @@ def test_single_path_audit_flags_a_second_event_pass(tmp_path):
     assert sum("'roulette'" in v for v in violations) == 1
 
 
+def test_single_path_audit_flags_a_replica_loop_in_the_books(tmp_path):
+    """``ReplicaBooks.flush`` / ``cadd`` / ``record_pass`` run every pass
+    over every replica at once: a loop (statement or comprehension) or an
+    ``np.unique`` split inside one is the per-replica loop coming back.
+    Other verbs and the whole-batch sink may loop."""
+    for pkg in ("core", "volume", "ensemble"):
+        (tmp_path / pkg).mkdir()
+    books = tmp_path / "core" / "books.py"
+    books.write_text(
+        "class ReplicaSink:\n"
+        "    def flush(self, idx):\n"
+        "        for r in np.unique(idx): pass\n"
+        "class ReplicaBooks:\n"
+        "    def cadd(self, name, idx, per=1):\n"
+        "        self._charge(name, self.rep[idx], per)\n"
+        "    def csum(self, name, idx, values):\n"
+        "        for c in self.counters: pass\n"
+    )
+    assert audit_single_path(tmp_path) == []
+    books.write_text(
+        "class ReplicaBooks:\n"
+        "    def flush(self, idx, cells, deposit):\n"
+        "        for r in np.unique(self.rep[idx]):\n"
+        "            self.tallies[r].flush_vec(cells, deposit)\n"
+        "    def cadd(self, name, idx, per=1):\n"
+        "        n = np.bincount(self.rep[idx])\n"
+        "        [setattr(c, name, k) for c, k in zip(self.counters, n)]\n"
+        "    def record_pass(self, stats, active):\n"
+        "        while active.any(): pass\n"
+    )
+    violations = audit_single_path(tmp_path)
+    assert len(violations) == 4
+    assert all(v.startswith("core/books.py:") for v in violations)
+    assert sum("np.unique in ReplicaBooks.flush" in v for v in violations) == 1
+    assert sum("a loop in ReplicaBooks.flush" in v for v in violations) == 1
+    assert sum("ReplicaBooks.cadd" in v for v in violations) == 1
+    assert sum("ReplicaBooks.record_pass" in v for v in violations) == 1
+
+
 def test_single_path_audit_flags_a_3d_event_pass(tmp_path):
     """The 3-D drivers ride the same pass: a handler, or the name of a 3-D
     event kernel, in ``volume/`` or ``ensemble/`` is a second transport
@@ -721,3 +766,65 @@ def test_particle_audit_flags_a_scalar_stream(tmp_path):
     for v in violations:
         assert ":2: ParticleRNG(...)" in v
         assert v.endswith("bank children as an arena block")
+
+
+# ---------------------------------------------------------------------------
+# Replicas are a tally axis
+# ---------------------------------------------------------------------------
+
+def test_r16_over_events_flushes_once_per_event_kind_per_pass(monkeypatch):
+    """One ``flush_vec`` over every replica per event kind per pass, not
+    one per replica: at most ``len(EVENT_KERNELS)`` calls a pass."""
+    calls = []
+    flush_vec = EnergyDepositionTally.flush_vec
+
+    def counted(self, *cells_and_energy):
+        calls.append(len(cells_and_energy[0]))
+        return flush_vec(self, *cells_and_energy)
+
+    monkeypatch.setattr(EnergyDepositionTally, "flush_vec", counted)
+    base = csp_problem(nx=NX, nparticles=NPARTICLES, ntimesteps=TIMESTEPS)
+    fused = run_ensemble(EnsembleSpec(base, 16), Scheme.OVER_EVENTS)
+    totals = fused.counters
+    assert totals.oe_passes
+    assert 0 < len(calls) <= len(EVENT_KERNELS) * len(totals.oe_passes)
+    assert sum(calls) == totals.tally_flushes == fused.tally.flushes
+    for rr in fused.replicas:
+        assert rr.tally.flushes == rr.counters.tally_flushes > 0
+
+
+def test_replica_tallies_are_views_of_one_stack():
+    """``books.tallies[r]`` tallies into row ``r`` of the stacked field;
+    the fused totals are bitwise the replica tallies summed in order (and
+    count the flushes Over Particles blocks made into the rows directly);
+    and a pooled ensemble returns the same replica tallies as
+    in-process."""
+    spec = _spec("csp")
+    members = spec.members()
+    books = ReplicaBooks(
+        members, np.repeat(np.arange(NREPLICAS), 3), members[0].build_tally
+    )
+    stack = books.stack
+    assert stack.deposition.shape == (NREPLICAS, NX, NX)
+    for r, t in enumerate(books.tallies):
+        assert np.shares_memory(t.deposition, stack.deposition)
+        assert np.shares_memory(t.flush_counts, stack.flush_counts)
+        t.flush(1, 2, float(r + 1))
+        assert stack.deposition[r, 2, 1] == r + 1
+        assert stack.flush_counts[r].sum() == 1
+
+    serial = run_ensemble(spec, Scheme.OVER_EVENTS)
+    pooled = run_ensemble(spec, Scheme.OVER_EVENTS, nworkers=2)
+    assert np.array_equal(
+        serial.tally.deposition,
+        sum(rr.tally.deposition for rr in serial.replicas),
+    )
+    for a, b in zip(serial.replicas, pooled.replicas):
+        assert np.array_equal(a.tally.deposition, b.tally.deposition)
+        assert np.array_equal(a.tally.flush_counts, b.tally.flush_counts)
+        assert a.tally.flushes == b.tally.flushes
+        assert a.counters.oe_passes == b.counters.oe_passes
+    switched = run_ensemble(spec, EVERY_STEP_SWITCH)
+    assert switched.tally.flushes == switched.counters.tally_flushes == sum(
+        rr.tally.flushes for rr in switched.replicas
+    )

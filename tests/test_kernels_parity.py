@@ -12,8 +12,6 @@ Two families of guarantees:
   rounding because flushes batch differently).
 """
 
-import tracemalloc
-
 import numpy as np
 import pytest
 
@@ -22,6 +20,7 @@ from repro.core.config import SearchStrategy
 from repro.core.stepper import run_stepped
 from repro.kernels import Workspace, batch
 from repro.kernels import xs as kxs
+from repro.kernels.audit import audit_pass_allocations
 from repro.kernels.dispatch import KERNEL_TABLES, PASS_KERNELS
 from repro.mesh.boundary import BoundaryCondition
 from repro.mesh.structured import StructuredMesh
@@ -293,43 +292,9 @@ def test_geometry_kernels_edge_lanes(ndim, width):
 def test_distance_pipeline_allocates_nothing_after_first_call(ndim):
     """ROADMAP 3's allocation audit: from the second call on one
     workspace, ``distances`` + ``select_events`` take no new workspace
-    buffer and allocate no full-length numpy temporary."""
-    n = 16384
-    mesh = _scalar_refs(ndim)[0]
-    cells = [RNG.integers(0, _NCELLS, n) for _ in range(ndim)]
-    pos = [(c + RNG.random(n)) * d for c, d in zip(cells, mesh.deltas)]
-    omega = [RNG.uniform(-1.0, 1.0, n) for _ in range(ndim)]
-    energy = RNG.uniform(1.0, 1e6, n)
-    mfp = RNG.uniform(0.0, 3.0, n)
-    sigma_t = RNG.uniform(0.0, 5.0, n)
-    sigma_t[::7] = 0.0
-    dt = np.full(n, 1e-9)
-    ws = Workspace()
-    distances = KERNEL_TABLES[ndim][PASS_KERNELS[ndim]["distances"]]
-
-    def one_pass():
-        dist = distances(
-            ws, energy, mfp, sigma_t, *pos, *omega, *cells, *mesh.deltas, dt
-        )
-        return batch.select_events(
-            dist.d_collision, dist.d_facet, dist.d_census,
-            out=ws.i64("event", n), lowest=ws.f64("ev_lowest", n),
-            scratch=ws.bool_("ev_scratch", n),
-        )
-
-    first = one_pass().copy()
-    allocations = ws.allocations
-    tracemalloc.start()
-    try:
-        before = tracemalloc.get_traced_memory()[0]
-        tracemalloc.reset_peak()
-        second = one_pass()
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert ws.allocations == allocations
-    assert peak - before < 8 * n
-    assert np.array_equal(first, second)
+    buffer and allocate no full-length numpy temporary — the same check
+    ``python -m repro.kernels --check`` runs."""
+    assert audit_pass_allocations(ndim) == []
 
 
 # ---------------------------------------------------------------------------
