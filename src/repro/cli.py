@@ -3,6 +3,8 @@
     python -m repro run --problem csp --nx 128 --particles 500
     python -m repro run --problem csp --workers 2 --telemetry t.json
     python -m repro run --workers 2 --serve-metrics 8787
+    python -m repro run --problem csp3 --nx 24 --scheme auto --timesteps 3
+    python -m repro ensemble run --problem csp --replicas 8 --compare-looped
     python -m repro report t.json
     python -m repro capacity plan results/BENCH_4.json --slo 0.5 --rate 10
     python -m repro bench run --tier quick
@@ -11,14 +13,13 @@
     python -m repro characterise --problem stream
     python -m repro figures
 
-``run`` executes the real transport on this host; ``report`` renders a
+``run`` executes the real transport on this host, in 2-D or 3-D
+(``--problem csp3``); ``ensemble run`` fuses replica runs into one
+dispatch; the two share one option set.  ``report`` renders a
 :class:`~repro.obs.telemetry.RunTelemetry` artifact written by
-``--telemetry`` (human summary, JSONL, Chrome trace, or Prometheus
-text); ``predict`` prices a paper-scale run on one of the five modelled
-devices; ``characterise`` prints the scale-free workload statistics;
-``figures`` prints the cross-architecture summary tables (the Fig
-9/10/11/14 pipeline).  The full figure suite with assertions lives in
-``benchmarks/``.
+``--telemetry``; ``predict`` prices a paper-scale run on a modelled
+device; ``characterise`` prints the workload statistics; ``figures``
+prints the cross-architecture tables (full suite: ``benchmarks/``).
 """
 
 from __future__ import annotations
@@ -26,12 +27,96 @@ from __future__ import annotations
 import argparse
 import sys
 
-from repro.core import PROBLEM_FACTORIES, Scheme, Simulation
-from repro.core.validation import energy_balance_error, population_accounted
+from repro.core import (
+    PROBLEM_FACTORIES,
+    Scheme,
+    Simulation,
+    TransportResult,
+    energy_balance_error,
+    population_accounted,
+)
 from repro.machine import ALL_MACHINES, CPUS, GPUS
 from repro.mesh.boundary import BoundaryCondition
+from repro.parallel import FaultPlan, ScheduleKind, simulate_parallel_for
+from repro.volume import csp3_problem, scatter3_problem, stream3_problem
+from repro.xs.provider import XsMode
 
 __all__ = ["main", "build_parser"]
+
+#: Every problem the transport commands accept: the paper's three and
+#: their 3-D forms.  Each factory takes the mesh size (``--nx``) first.
+_PROBLEMS = {
+    **PROBLEM_FACTORIES,
+    **{f.__name__.removesuffix("_problem"): f
+       for f in (stream3_problem, scatter3_problem, csp3_problem)},
+}
+#: Option dests that are problem-factory keywords.
+_CONFIG_KEYS = ("nparticles", "ntimesteps", "seed", "xs_mode", "boundary",
+                "use_russian_roulette")
+#: Option dests only a pooled run (``--workers``) reads.
+_POOL_KEYS = ("schedule", "chunk", "max_retries", "shard_timeout",
+              "max_worker_respawns", "fault_plan", "flight_dir")
+
+
+def _enum_choice(members) -> dict:
+    """argparse keywords for an option whose values are enum members."""
+    members = list(members)
+    return {
+        "type": type(members[0]),
+        "choices": members,
+        "metavar": "{" + ",".join(m.value for m in members) + "}",
+    }
+
+
+def _transport_options() -> argparse.ArgumentParser:
+    """The options ``run`` and ``ensemble run`` share, as a parent parser.
+
+    Built afresh per subcommand, so one's ``set_defaults`` cannot reach
+    the other's actions.  An option the user did not set is absent from
+    the namespace (``argument_default=SUPPRESS``) and never passed on.
+    """
+    shared = argparse.ArgumentParser(
+        add_help=False, argument_default=argparse.SUPPRESS
+    )
+    shared.add_argument(
+        "--problem", choices=sorted(_PROBLEMS), default="csp",
+        help="stream, scatter, csp, or their 3-D forms stream3, scatter3, "
+        "csp3",
+    )
+    shared.add_argument("--nx", type=int, default=128,
+                        help="mesh cells per axis")
+    shared.add_argument("--particles", dest="nparticles", type=int,
+                        default=500)
+    shared.add_argument(
+        "--scheme", **_enum_choice(Scheme),
+        help="over_particles (run's default), over_events (an ensemble's), "
+        "or auto (adaptive: probe both schemes, then switch per census "
+        "step on measured rates)",
+    )
+    shared.add_argument("--timesteps", dest="ntimesteps", type=int)
+    shared.add_argument("--seed", type=int)
+    shared.add_argument(
+        "--xs-mode", **_enum_choice(XsMode),
+        help="cross-section backend: the paper's multigroup tables or the "
+        "continuous-energy union-grid library (synthetic, hermetic)",
+    )
+    shared.add_argument(
+        "--workers", dest="nworkers", type=int,
+        help="worker processes to shard the histories (an ensemble: its "
+        "replica blocks) across; unset runs in-process",
+    )
+    shared.add_argument(
+        "--telemetry", default=None, metavar="PATH",
+        help="record spans/events and write the unified RunTelemetry "
+        "artifact (JSON) to this path; inspect it with 'repro report'",
+    )
+    shared.add_argument(
+        "--serve-metrics", type=int, default=None, metavar="PORT",
+        help="serve the live observability plane over HTTP while the run "
+        "steps: GET /metrics (Prometheus text), /snapshot (JSON), "
+        "/healthz (0 = ephemeral port)",
+    )
+    return shared
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -45,162 +130,64 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    run = sub.add_parser("run", help="run the transport on this host")
-    run.add_argument("--problem", choices=sorted(PROBLEM_FACTORIES), default="csp")
-    run.add_argument("--nx", type=int, default=128, help="mesh cells per axis")
-    run.add_argument("--particles", type=int, default=500)
-    run.add_argument(
-        "--scheme",
-        choices=[s.value for s in Scheme],
-        default=Scheme.OVER_PARTICLES.value,
-        help="over_particles, over_events, or auto (adaptive: probe "
-        "both schemes, then switch per census step on measured rates)",
+    run = sub.add_parser(
+        "run", parents=[_transport_options()],
+        argument_default=argparse.SUPPRESS,
+        help="run the transport on this host, in 2-D or 3-D",
     )
+    run.set_defaults(func=_cmd_run)
     run.add_argument(
-        "--switch-trace",
-        action="store_true",
+        "--switch-trace", action="store_true", default=False,
         help="print the scheduler's scheme decisions per census step "
         "(most useful with --scheme auto)",
     )
-    run.add_argument("--timesteps", type=int, default=1)
-    run.add_argument("--seed", type=int, default=7)
-    run.add_argument(
-        "--xs-mode",
-        choices=["multigroup", "ce"],
-        default="multigroup",
-        help="cross-section backend: the paper's multigroup tables or the "
-        "continuous-energy union-grid library (synthetic, hermetic)",
-    )
-    run.add_argument(
-        "--boundary",
-        choices=[b.value for b in BoundaryCondition],
-        default=BoundaryCondition.REFLECTIVE.value,
-    )
-    run.add_argument("--russian-roulette", action="store_true")
-    run.add_argument(
-        "--workers",
-        type=int,
-        default=1,
-        help="worker processes for real parallel execution (1 = in-process)",
-    )
+    run.add_argument("--boundary", **_enum_choice(BoundaryCondition))
+    run.add_argument("--russian-roulette", dest="use_russian_roulette",
+                     action="store_true")
     run.add_argument(
         "--schedule",
-        choices=["static", "dynamic"],
-        default="static",
-        help="pool work distribution: contiguous blocks or a shared chunk queue",
+        **_enum_choice((ScheduleKind.STATIC, ScheduleKind.DYNAMIC)),
+        help="pool work distribution: contiguous blocks or a shared chunk "
+        "queue",
     )
+    run.add_argument("--chunk", type=int,
+                     help="histories per dynamic-queue entry")
     run.add_argument(
-        "--chunk",
-        type=int,
-        default=64,
-        help="histories per dynamic-queue entry",
-    )
-    run.add_argument(
-        "--max-retries",
-        type=int,
-        default=2,
+        "--max-retries", type=int,
         help="per-shard retry budget after a worker death, hang, or error",
     )
     run.add_argument(
-        "--shard-timeout",
-        type=float,
-        default=None,
-        metavar="SECONDS",
+        "--shard-timeout", type=float, metavar="SECONDS",
         help="declare a worker hung when one shard runs longer than this",
     )
     run.add_argument(
-        "--max-respawns",
-        type=int,
-        default=3,
+        "--max-respawns", dest="max_worker_respawns", type=int,
         help="pool-wide replacement-worker budget before degraded draining",
     )
     run.add_argument(
-        "--fault-plan",
-        default=None,
-        metavar="SPEC",
+        "--fault-plan", metavar="SPEC",
         help="inject deterministic faults for recovery demos, e.g. "
         "'kill:worker=1;raise:shard=0,attempts=-1' "
         "(kinds: kill, delay, raise, drop_heartbeat)",
     )
     run.add_argument(
-        "--show-tally",
-        action="store_true",
-        help="render the deposition field as an ASCII heatmap (Fig 2)",
+        "--show-tally", action="store_true", default=False,
+        help="render the deposition field as an ASCII heatmap (Fig 2; "
+        "summed over z in 3-D)",
     )
     run.add_argument(
-        "--profile-kernels",
-        action="store_true",
+        "--profile-kernels", action="store_true", default=False,
         help="print the per-kernel call/wall-clock profile of the run",
     )
     run.add_argument(
-        "--telemetry",
-        default=None,
-        metavar="PATH",
-        help="record spans/events and write the unified RunTelemetry "
-        "artifact (JSON) to this path; inspect it with 'repro report'",
-    )
-    run.add_argument(
-        "--serve-metrics",
-        type=int,
-        default=None,
-        metavar="PORT",
-        help="serve the live observability plane over HTTP while the run "
-        "steps: GET /metrics (Prometheus text), /snapshot (JSON), "
-        "/healthz (0 = ephemeral port)",
-    )
-    run.add_argument(
-        "--drift-baseline",
-        default=None,
-        metavar="BENCH_JSON",
+        "--drift-baseline", metavar="BENCH_JSON",
         help="a BENCH_*.json artifact whose measured events/s arms the "
         "perf-drift watchdog on the live plane",
     )
     run.add_argument(
-        "--flight-dir",
-        default=None,
-        metavar="DIR",
+        "--flight-dir", metavar="DIR",
         help="directory for pooled workers' flight-recorder dumps "
         "(requires --telemetry; default: a private temp dir)",
-    )
-
-    run3d = sub.add_parser("run3d", help="run the 3-D extension on this host")
-    run3d.add_argument(
-        "--problem", choices=["stream3", "scatter3", "csp3"], default="csp3"
-    )
-    run3d.add_argument("--n", type=int, default=24, help="mesh cells per axis")
-    run3d.add_argument("--particles", type=int, default=100)
-    run3d.add_argument(
-        "--scheme",
-        choices=[Scheme.OVER_PARTICLES.value, Scheme.OVER_EVENTS.value],
-        default=Scheme.OVER_PARTICLES.value,
-    )
-    run3d.add_argument("--seed", type=int, default=7)
-    run3d.add_argument(
-        "--xs-mode",
-        choices=["multigroup", "ce"],
-        default="multigroup",
-        help="cross-section backend: multigroup tables or the "
-        "continuous-energy union-grid library",
-    )
-    run3d.add_argument(
-        "--profile-kernels",
-        action="store_true",
-        help="print the per-kernel call/wall-clock profile of the run",
-    )
-    run3d.add_argument(
-        "--telemetry",
-        default=None,
-        metavar="PATH",
-        help="record spans/events and write the unified RunTelemetry "
-        "artifact (JSON) to this path; inspect it with 'repro report'",
-    )
-    run3d.add_argument(
-        "--serve-metrics",
-        type=int,
-        default=None,
-        metavar="PORT",
-        help="serve the live plane over HTTP while the run steps "
-        "(/metrics, /snapshot, /healthz; 0 = ephemeral port)",
     )
 
     ensemble = sub.add_parser(
@@ -209,36 +196,16 @@ def build_parser() -> argparse.ArgumentParser:
     )
     ens_sub = ensemble.add_subparsers(dest="ensemble_command", required=True)
     ens_run = ens_sub.add_parser(
-        "run",
+        "run", parents=[_transport_options()],
+        argument_default=argparse.SUPPRESS,
         help="run a fused replica ensemble (optionally sweeping a parameter)",
     )
+    ens_run.set_defaults(func=_cmd_ensemble_run, nx=64, nparticles=200)
     ens_run.add_argument(
-        "--problem", choices=sorted(PROBLEM_FACTORIES), default="csp"
-    )
-    ens_run.add_argument("--nx", type=int, default=64)
-    ens_run.add_argument("--particles", type=int, default=200)
-    ens_run.add_argument(
-        "--scheme",
-        choices=[s.value for s in Scheme],
-        default=Scheme.OVER_EVENTS.value,
-        help="traversal order of the fused run (auto: per-census-step "
-        "choice on measured rates, as in `repro run`)",
-    )
-    ens_run.add_argument("--timesteps", type=int, default=1)
-    ens_run.add_argument("--seed", type=int, default=7)
-    ens_run.add_argument(
-        "--xs-mode",
-        choices=["multigroup", "ce"],
-        default="multigroup",
-        help="cross-section backend: multigroup tables or the "
-        "continuous-energy union-grid library",
+        "--seed-stride", type=int, help="replica r runs with seed + r*stride",
     )
     ens_run.add_argument(
-        "--seed-stride", type=int, default=1,
-        help="replica r runs with seed + r*stride",
-    )
-    ens_run.add_argument(
-        "--replicas", type=int, default=8, metavar="N",
+        "--replicas", dest="nreplicas", type=int, default=8, metavar="N",
         help="number of fused replica runs",
     )
     ens_run.add_argument(
@@ -248,38 +215,19 @@ def build_parser() -> argparse.ArgumentParser:
         "source.weight",
     )
     ens_run.add_argument(
-        "--workers", type=int, default=1,
-        help="shard the fused arena by replica blocks across this many "
-        "worker processes (1 = in-process)",
-    )
-    ens_run.add_argument(
-        "--compare-looped", action="store_true",
+        "--compare-looped", action="store_true", default=False,
         help="also run the members one at a time and report the fused "
         "speedup and per-replica parity",
     )
     ens_run.add_argument(
-        "--per-replica", action="store_true",
+        "--per-replica", action="store_true", default=False,
         help="print one counter line per replica",
-    )
-    ens_run.add_argument(
-        "--telemetry",
-        default=None,
-        metavar="PATH",
-        help="record spans/events (incl. per-replica attribution events) "
-        "and write the RunTelemetry artifact to this path",
-    )
-    ens_run.add_argument(
-        "--serve-metrics",
-        type=int,
-        default=None,
-        metavar="PORT",
-        help="serve the live observability plane over HTTP while the "
-        "fused dispatch steps (/metrics, /snapshot, /healthz)",
     )
 
     report = sub.add_parser(
         "report", help="render a RunTelemetry artifact written by --telemetry"
     )
+    report.set_defaults(func=_cmd_report)
     report.add_argument("telemetry", help="path to a telemetry JSON artifact")
     report.add_argument(
         "--format",
@@ -289,9 +237,7 @@ def build_parser() -> argparse.ArgumentParser:
         "(chrome://tracing / Perfetto trace), prometheus (text exposition)",
     )
     report.add_argument(
-        "--output",
-        default=None,
-        metavar="PATH",
+        "--output", metavar="PATH",
         help="write the rendering to this file instead of stdout",
     )
 
@@ -304,6 +250,7 @@ def build_parser() -> argparse.ArgumentParser:
     bench_run = bench_sub.add_parser(
         "run", help="run a bench tier and emit a BENCH_<n>.json artifact"
     )
+    bench_run.set_defaults(func=_cmd_bench_run)
     bench_run.add_argument(
         "--tier", choices=["quick", "full"], default="quick",
         help="quick: the CI-gated subset; full: every registered bench",
@@ -334,6 +281,7 @@ def build_parser() -> argparse.ArgumentParser:
         "compare",
         help="diff two artifacts; exit 1 on out-of-band regressions",
     )
+    bench_compare.set_defaults(func=_cmd_bench_compare)
     bench_compare.add_argument("baseline", help="baseline BENCH_*.json")
     bench_compare.add_argument("candidate", help="candidate BENCH_*.json")
     bench_compare.add_argument(
@@ -348,6 +296,7 @@ def build_parser() -> argparse.ArgumentParser:
     bench_list = bench_sub.add_parser(
         "list", help="list the registered benches"
     )
+    bench_list.set_defaults(func=_cmd_bench_list)
     bench_list.add_argument(
         "--tier", choices=["quick", "full"], default="full",
     )
@@ -357,6 +306,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="refit machine-model event costs from an artifact's "
         "kernel timings",
     )
+    bench_recal.set_defaults(func=_cmd_bench_recalibrate)
     bench_recal.add_argument("artifact", help="a BENCH_*.json artifact")
     bench_recal.add_argument(
         "--bench", default=None,
@@ -373,6 +323,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="plan worker counts for a latency SLO (or reproduce the "
         "benched worker count) from a BENCH_*.json artifact",
     )
+    cap_plan.set_defaults(func=_cmd_capacity_plan)
     cap_plan.add_argument("artifact", help="a BENCH_*.json artifact")
     cap_plan.add_argument(
         "--bench", default=None,
@@ -397,6 +348,7 @@ def build_parser() -> argparse.ArgumentParser:
     predict = sub.add_parser(
         "predict", help="price a paper-scale run on a modelled device"
     )
+    predict.set_defaults(func=_cmd_predict)
     predict.add_argument("--problem", choices=sorted(PROBLEM_FACTORIES), default="csp")
     predict.add_argument("--machine", choices=sorted(ALL_MACHINES), default="broadwell")
     predict.add_argument(
@@ -408,18 +360,35 @@ def build_parser() -> argparse.ArgumentParser:
     char = sub.add_parser(
         "characterise", help="print the workload statistics at paper scale"
     )
+    char.set_defaults(func=_cmd_characterise)
     char.add_argument("--problem", choices=sorted(PROBLEM_FACTORIES), default="csp")
 
     figures = sub.add_parser(
         "figures", help="print the cross-architecture tables"
     )
+    figures.set_defaults(func=_cmd_figures)
     figures.add_argument(
         "--output",
-        default=None,
         help="also write the tables (plus workload characterisation) to "
         "this markdown file",
     )
     return parser
+
+
+def _given(args: argparse.Namespace, keys) -> dict:
+    """The options among ``keys`` (dests) that the user set."""
+    return {k: getattr(args, k) for k in keys if hasattr(args, k)}
+
+
+def _error(exc) -> int:
+    """A one-line diagnosis on stderr for input the library refuses."""
+    print(f"error: {exc}", file=sys.stderr)
+    return 2
+
+
+def _mesh_label(tally) -> str:
+    """``48x48`` or ``12x12x12``: the mesh shape, read off the tally."""
+    return "x".join(str(n) for n in tally.shape)
 
 
 def _start_live_plane(args, recorder=None):
@@ -455,115 +424,141 @@ def _start_live_plane(args, recorder=None):
     return live, server
 
 
-def _cmd_run(args: argparse.Namespace) -> int:
-    cfg = PROBLEM_FACTORIES[args.problem](
-        nx=args.nx,
-        nparticles=args.particles,
-        ntimesteps=args.timesteps,
-        seed=args.seed,
-        boundary=BoundaryCondition(args.boundary),
-        use_russian_roulette=args.russian_roulette,
-        xs_mode=args.xs_mode,
-    )
-    from repro.parallel import FaultPlan, ScheduleKind, simulate_parallel_for
+def _observed_run(args, run, report, *, record=False, transport=None) -> int:
+    """The observed-run body ``run`` and ``ensemble run`` share.
 
-    schedule = ScheduleKind(args.schedule)
-    fault_plan = (
-        FaultPlan.parse(args.fault_plan) if args.fault_plan else None
-    )
+    Creates the Recorder (for ``--telemetry``, or when ``record``), starts
+    the ``--serve-metrics`` live plane, calls ``run(recorder, live)`` and
+    closes the server however that ends.  ``report(result, recorder)``
+    then prints the result and returns the exit code; on success the
+    ``--telemetry`` artifact of ``transport(result)`` (default: the
+    result itself) is validated and dumped.  A live plane that cannot
+    start, or a route the library refuses (a bad pool option, a 2-D-only
+    route given a 3-D problem), is a one-line error, exit 2.
+    """
     recorder = None
-    if args.telemetry or args.switch_trace:
+    if args.telemetry or record:
         from repro.obs import Recorder
 
         recorder = Recorder()
+    server = None
     try:
         live, server = _start_live_plane(args, recorder)
+        result = run(recorder, live)
     except (OSError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    try:
-        result = Simulation(cfg).run(
-            Scheme(args.scheme),
-            nworkers=args.workers,
-            schedule=schedule,
-            chunk=args.chunk,
-            max_retries=args.max_retries,
-            shard_timeout=args.shard_timeout,
-            max_worker_respawns=args.max_respawns,
-            fault_plan=fault_plan,
-            recorder=recorder,
-            live=live,
-            flight_dir=args.flight_dir,
-        )
+        return _error(exc)
     finally:
         if server is not None:
             server.close()
-    c = result.counters
-    print(f"problem={cfg.name} mesh={cfg.nx}x{cfg.ny} particles={cfg.nparticles} "
-          f"scheme={args.scheme}")
-    print(f"events: collisions={c.collisions} facets={c.facets} "
-          f"census={c.census_events} terminations={c.terminations} "
-          f"escapes={c.escapes}")
-    print(f"per-particle: collisions={c.mean_collisions_per_particle():.2f} "
-          f"facets={c.mean_facets_per_particle():.2f}")
-    print(f"deposition total: {result.tally.total():.4e} eV")
-    print(f"energy balance error: {energy_balance_error(result):.2e}")
-    print(f"population accounted: {population_accounted(result)}")
-    print(f"host wall-clock: {result.wallclock_s:.3f} s")
-    if args.switch_trace:
-        _print_switch_trace(recorder)
-    pool = result.pool
-    if pool is not None and pool.nworkers > 1:
-        print(f"pool: {pool.nworkers} workers, {pool.schedule.value} schedule "
-              f"(chunk {pool.chunk}, {pool.start_method} start), "
-              f"{pool.chunks_dispatched()} chunks dispatched")
-        for w in pool.workers:
-            print(f"  worker {w.worker_id}: histories={w.histories} "
-                  f"(final {w.final_histories}) events={w.events} "
-                  f"chunks={w.chunks} busy={w.busy_s:.3f}s")
-        # Measured imbalance next to what the scheduling model predicts for
-        # the same per-history work under the same schedule.
-        modelled = simulate_parallel_for(
-            c.events_per_particle(), pool.nworkers, schedule, args.chunk
+    rc = report(result, recorder)
+    if rc == 0 and args.telemetry:
+        from repro.obs import build_run_telemetry, validate_telemetry
+
+        telemetry = build_run_telemetry(
+            result if transport is None else transport(result), recorder
         )
-        print(f"load imbalance (max/mean): measured events "
-              f"{pool.event_imbalance():.3f}, busy time "
-              f"{pool.busy_imbalance():.3f}; modelled "
-              f"{modelled.load_imbalance():.3f}")
-        if fault_plan is not None:
-            print(f"fault plan: {fault_plan.describe()}")
-        if pool.rebalances:
-            print(f"rebalance: {pool.rebalances} reserve shard splits")
-        if pool.recovered():
-            print(f"recovery: {pool.workers_lost} workers lost, "
-                  f"{pool.respawns} respawned, {pool.retries} shard retries")
-        if pool.degraded:
-            print(f"DEGRADED MODE: {pool.degraded_reason} — "
-                  f"{pool.shards_drained_in_process} shards drained "
-                  f"in-process by the parent")
-    if args.profile_kernels:
-        from repro.kernels import format_profile
+        validate_telemetry(telemetry.to_dict())
+        telemetry.dump(args.telemetry)
+        print(f"telemetry: {len(telemetry.spans)} spans, "
+              f"{len(telemetry.events)} events -> {args.telemetry}")
+    return rc
 
-        print("kernel profile (ranked by wall-clock):")
-        print(format_profile(c.kernel_profile))
-        print(f"workspace buffers: {c.workspace_allocations} allocations, "
-              f"{c.workspace_reuses} reuses")
-        arena = result.arena
-        print(f"arena storage: {c.arena_nbytes} B for {len(arena)} "
-              f"particles ({type(arena).bytes_per_particle()} B/particle "
-              f"SoA vs {type(arena).bytes_per_particle_aos()} B AoS record)")
-        if c.xs_bin_reuses:
-            print(f"xs bin reuse: {c.xs_bin_reuses} of {c.xs_lookups} "
-                  f"lookups skipped the search")
-    if args.show_tally:
-        from repro.analysis.viz import render_heatmap
 
-        print(render_heatmap(
-            result.tally.deposition, title="energy deposition (log scale)"
-        ))
-    if args.telemetry:
-        _write_telemetry(result, recorder, args.telemetry)
-    return 0
+def _cmd_run(args: argparse.Namespace) -> int:
+    pool_opts = _given(args, _POOL_KEYS)
+    if pool_opts and not hasattr(args, "nworkers"):
+        return _error(
+            "the pool options (--schedule, --chunk, --max-retries, "
+            "--shard-timeout, --max-respawns, --fault-plan, --flight-dir) "
+            "need --workers N"
+        )
+    try:
+        cfg = _PROBLEMS[args.problem](args.nx, **_given(args, _CONFIG_KEYS))
+        if "fault_plan" in pool_opts:
+            pool_opts["fault_plan"] = FaultPlan.parse(pool_opts["fault_plan"])
+    except (TypeError, ValueError) as exc:
+        return _error(exc)
+    fault_plan = pool_opts.get("fault_plan")
+
+    def run(recorder, live):
+        return Simulation(cfg).run(
+            recorder=recorder, live=live,
+            **_given(args, ("scheme", "nworkers")), **pool_opts,
+        )
+
+    def report(result, recorder) -> int:
+        c = result.counters
+        print(f"problem={cfg.name} mesh={_mesh_label(result.tally)} "
+              f"particles={cfg.nparticles} scheme={result.scheme.value}")
+        print(f"events: collisions={c.collisions} facets={c.facets} "
+              f"census={c.census_events} terminations={c.terminations} "
+              f"escapes={c.escapes}")
+        print(f"per-particle: collisions={c.mean_collisions_per_particle():.2f} "
+              f"facets={c.mean_facets_per_particle():.2f}")
+        print(f"deposition total: {result.tally.total():.4e} eV")
+        print(f"energy balance error: {energy_balance_error(result):.2e}")
+        print(f"population accounted: {population_accounted(result)}")
+        print(f"host wall-clock: {result.wallclock_s:.3f} s")
+        if args.switch_trace:
+            _print_switch_trace(recorder)
+        pool = result.pool
+        if pool is not None and pool.nworkers > 1:
+            print(f"pool: {pool.nworkers} workers, {pool.schedule.value} "
+                  f"schedule (chunk {pool.chunk}, {pool.start_method} "
+                  f"start), {pool.chunks_dispatched()} chunks dispatched")
+            for w in pool.workers:
+                print(f"  worker {w.worker_id}: histories={w.histories} "
+                      f"(final {w.final_histories}) events={w.events} "
+                      f"chunks={w.chunks} busy={w.busy_s:.3f}s")
+            # Measured imbalance next to what the scheduling model predicts
+            # for the same per-history work under the same schedule.
+            modelled = simulate_parallel_for(
+                c.events_per_particle(), pool.nworkers, pool.schedule,
+                pool.chunk,
+            )
+            print(f"load imbalance (max/mean): measured events "
+                  f"{pool.event_imbalance():.3f}, busy time "
+                  f"{pool.busy_imbalance():.3f}; modelled "
+                  f"{modelled.load_imbalance():.3f}")
+            if fault_plan:
+                print(f"fault plan: {fault_plan.describe()}")
+            if pool.rebalances:
+                print(f"rebalance: {pool.rebalances} reserve shard splits")
+            if pool.recovered():
+                print(f"recovery: {pool.workers_lost} workers lost, "
+                      f"{pool.respawns} respawned, {pool.retries} shard "
+                      f"retries")
+            if pool.degraded:
+                print(f"DEGRADED MODE: {pool.degraded_reason} — "
+                      f"{pool.shards_drained_in_process} shards drained "
+                      f"in-process by the parent")
+        if args.profile_kernels:
+            from repro.kernels import format_profile
+
+            print("kernel profile (ranked by wall-clock):")
+            print(format_profile(c.kernel_profile))
+            print(f"workspace buffers: {c.workspace_allocations} "
+                  f"allocations, {c.workspace_reuses} reuses")
+            arena = result.arena
+            print(f"arena storage: {c.arena_nbytes} B for {len(arena)} "
+                  f"particles ({type(arena).bytes_per_particle()} "
+                  f"B/particle SoA vs {type(arena).bytes_per_particle_aos()} "
+                  f"B AoS record)")
+            if c.xs_bin_reuses:
+                print(f"xs bin reuse: {c.xs_bin_reuses} of {c.xs_lookups} "
+                      f"lookups skipped the search")
+        if args.show_tally:
+            from repro.analysis.viz import render_heatmap
+
+            deposition = result.tally.deposition
+            title = "energy deposition (log scale)"
+            if deposition.ndim == 3:
+                deposition = deposition.sum(axis=0)
+                title = "energy deposition summed over z (log scale)"
+            print(render_heatmap(deposition, title=title))
+        return 0
+
+    return _observed_run(args, run, report, record=args.switch_trace)
 
 
 def _print_switch_trace(recorder) -> None:
@@ -588,26 +583,9 @@ def _print_switch_trace(recorder) -> None:
               f"alive={a.get('alive', '?')} ({a.get('reason', '')}){src}")
 
 
-def _write_telemetry(result, recorder, path) -> None:
-    """Assemble, validate, and dump the RunTelemetry artifact."""
-    from repro.obs import build_run_telemetry, validate_telemetry
-
-    telemetry = build_run_telemetry(result, recorder)
-    validate_telemetry(telemetry.to_dict())
-    telemetry.dump(path)
-    print(f"telemetry: {len(telemetry.spans)} spans, "
-          f"{len(telemetry.events)} events -> {path}")
-
-
-def _cmd_ensemble(args: argparse.Namespace) -> int:
-    handlers = {"run": _cmd_ensemble_run}
-    return handlers[args.ensemble_command](args)
-
-
 def _cmd_ensemble_run(args: argparse.Namespace) -> int:
     import numpy as np
 
-    from repro.core.problems import PROBLEM_FACTORIES as factories
     from repro.ensemble import (
         EnsembleSpec,
         SweepSpec,
@@ -616,150 +594,76 @@ def _cmd_ensemble_run(args: argparse.Namespace) -> int:
         run_ensemble_looped,
     )
 
-    base = factories[args.problem](
-        nx=args.nx,
-        nparticles=args.particles,
-        ntimesteps=args.timesteps,
-        seed=args.seed,
-        xs_mode=args.xs_mode,
-    )
     try:
+        base = _PROBLEMS[args.problem](args.nx, **_given(args, _CONFIG_KEYS))
         sweeps = tuple(SweepSpec.parse(s) for s in args.sweep)
         spec = EnsembleSpec(
-            base, args.replicas, seed_stride=args.seed_stride, sweeps=sweeps
+            base, args.nreplicas, sweeps=sweeps,
+            **_given(args, ("seed_stride",)),
         )
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    recorder = None
-    if args.telemetry:
-        from repro.obs import Recorder
+    except (TypeError, ValueError) as exc:
+        return _error(exc)
 
-        recorder = Recorder()
-    scheme = Scheme(args.scheme)
-    try:
-        live, server = _start_live_plane(args, recorder)
-    except (OSError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    try:
-        ens = run_ensemble(
-            spec, scheme, nworkers=args.workers, recorder=recorder,
-            live=live,
+    def run(recorder, live):
+        return run_ensemble(
+            spec, recorder=recorder, live=live,
+            **_given(args, ("scheme", "nworkers")),
         )
-    finally:
-        if server is not None:
-            server.close()
-    c = ens.counters
-    print(f"ensemble: {ens.nreplicas} replicas x {base.nparticles} histories "
-          f"({args.problem}, {base.nx}x{base.ny} mesh, {args.scheme}, "
-          f"{args.workers} worker{'s' if args.workers != 1 else ''})")
-    for s in sweeps:
-        print(f"sweep: {s.param} over [{s.lo}, {s.hi}] in {s.steps} steps "
-              f"(cyclic across replicas)")
-    print(f"fused events: collisions={c.collisions} facets={c.facets} "
-          f"census={c.census_events} terminations={c.terminations} "
-          f"escapes={c.escapes}")
-    print(f"fused deposition total: {ens.tally.total():.4e} eV")
-    print(f"fused wall-clock: {ens.wallclock_s:.3f} s "
-          f"({ens.total_histories()} histories)")
-    if args.per_replica:
-        for rr in ens.replicas:
-            rc = rr.counters
-            print(f"  replica {rr.replica}: seed={rr.config.seed} "
-                  f"collisions={rc.collisions} census={rc.census_events} "
-                  f"escapes={rc.escapes} "
-                  f"fingerprint={rr.fingerprint()[:12]}")
-    if args.compare_looped:
-        looped = run_ensemble_looped(spec, scheme)
-        speedup = looped.wallclock_s / max(ens.wallclock_s, 1e-12)
 
-        # AUTO picks its schedule from measured rates, so the fused and
-        # looped runs may flush in different orders: populations stay
-        # bit-identical, tallies agree to accumulation-order rounding.
-        def same_tally(a, b):
-            if scheme is Scheme.AUTO:
-                return np.allclose(a, b, rtol=1e-10, atol=1e-30)
-            return np.array_equal(a, b)
+    def report(ens, recorder) -> int:
+        c, n = ens.counters, ens.nworkers
+        print(f"ensemble: {ens.nreplicas} replicas x {base.nparticles} "
+              f"histories ({base.name}, {_mesh_label(ens.tally)} mesh, "
+              f"{ens.scheme.value}, {n} worker{'s' if n != 1 else ''})")
+        for s in sweeps:
+            print(f"sweep: {s.param} over [{s.lo}, {s.hi}] in {s.steps} "
+                  f"steps (cyclic across replicas)")
+        print(f"fused events: collisions={c.collisions} facets={c.facets} "
+              f"census={c.census_events} terminations={c.terminations} "
+              f"escapes={c.escapes}")
+        print(f"fused deposition total: {ens.tally.total():.4e} eV")
+        print(f"fused wall-clock: {ens.wallclock_s:.3f} s "
+              f"({ens.total_histories()} histories)")
+        if args.per_replica:
+            for rr in ens.replicas:
+                rc = rr.counters
+                print(f"  replica {rr.replica}: seed={rr.config.seed} "
+                      f"collisions={rc.collisions} census={rc.census_events} "
+                      f"escapes={rc.escapes} "
+                      f"fingerprint={rr.fingerprint()[:12]}")
+        if args.compare_looped:
+            looped = run_ensemble_looped(spec, ens.scheme)
+            speedup = looped.wallclock_s / max(ens.wallclock_s, 1e-12)
 
-        parity = all(
-            population_fingerprint(rr.arena)
-            == population_fingerprint(res.arena)
-            and same_tally(rr.tally.deposition, res.tally.deposition)
-            for rr, res in zip(ens.replicas, looped.results)
-        )
-        print(f"looped baseline: {looped.wallclock_s:.3f} s -> "
-              f"fused speedup {speedup:.2f}x")
-        print(f"per-replica parity vs looped: "
-              f"{'BIT-IDENTICAL' if parity else 'MISMATCH'}")
-        if not parity:
-            return 1
-    if args.telemetry:
-        from repro.core.simulation import TransportResult
+            # AUTO picks its schedule from measured rates, so the fused and
+            # looped runs may flush in different orders: populations stay
+            # bit-identical, tallies agree to accumulation-order rounding.
+            def same_tally(a, b):
+                if ens.scheme is Scheme.AUTO:
+                    return np.allclose(a, b, rtol=1e-10, atol=1e-30)
+                return np.array_equal(a, b)
 
-        fused_result = TransportResult(
-            config=ens.members[0],
-            scheme=scheme,
-            tally=ens.tally,
-            counters=ens.counters,
-            arena=ens.arena,
-            wallclock_s=ens.wallclock_s,
-        )
-        _write_telemetry(fused_result, recorder, args.telemetry)
-    return 0
+            parity = all(
+                population_fingerprint(rr.arena)
+                == population_fingerprint(res.arena)
+                and same_tally(rr.tally.deposition, res.tally.deposition)
+                for rr, res in zip(ens.replicas, looped.results)
+            )
+            print(f"looped baseline: {looped.wallclock_s:.3f} s -> "
+                  f"fused speedup {speedup:.2f}x")
+            print(f"per-replica parity vs looped: "
+                  f"{'BIT-IDENTICAL' if parity else 'MISMATCH'}")
+            if not parity:
+                return 1
+        return 0
 
-
-def _cmd_run3d(args: argparse.Namespace) -> int:
-    from repro.volume import csp3_problem, scatter3_problem, stream3_problem
-
-    factory = {
-        "stream3": stream3_problem,
-        "scatter3": scatter3_problem,
-        "csp3": csp3_problem,
-    }[args.problem]
-    cfg = factory(
-        n=args.n, nparticles=args.particles, seed=args.seed,
-        xs_mode=args.xs_mode,
+    return _observed_run(
+        args, run, report,
+        transport=lambda ens: TransportResult(
+            ens.members[0], ens.scheme, ens.tally, ens.counters, ens.arena,
+            ens.wallclock_s,
+        ),
     )
-    recorder = None
-    if args.telemetry:
-        from repro.obs import Recorder
-
-        recorder = Recorder()
-    try:
-        live, server = _start_live_plane(args, recorder)
-    except (OSError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    try:
-        # The same stepper as ``run``, over one more axis: the live plane
-        # is fed per census step by the same probe.
-        result = Simulation(cfg).run(
-            Scheme(args.scheme), recorder=recorder, live=live
-        )
-    finally:
-        if server is not None:
-            server.close()
-    c = result.counters
-    print(f"problem={cfg.name} mesh={cfg.nx}³ particles={cfg.nparticles} "
-          f"scheme={args.scheme}")
-    print(f"events: collisions={c.collisions} facets={c.facets} "
-          f"census={c.census_events}")
-    print(f"energy balance error: {energy_balance_error(result):.2e}")
-    print(f"population accounted: {population_accounted(result)}")
-    print(f"host wall-clock: {result.wallclock_s:.3f} s")
-    if args.profile_kernels:
-        from repro.kernels import format_profile
-
-        print("kernel profile (ranked by wall-clock):")
-        print(format_profile(c.kernel_profile))
-        arena = result.arena
-        print(f"arena storage: {c.arena_nbytes} B for {len(arena)} "
-              f"particles ({type(arena).bytes_per_particle()} B/particle "
-              f"SoA)")
-    if args.telemetry:
-        _write_telemetry(result, recorder, args.telemetry)
-    return 0
 
 
 def _cmd_report(args: argparse.Namespace) -> int:
@@ -797,14 +701,12 @@ def _cmd_report(args: argparse.Namespace) -> int:
         print(f"error: {args.telemetry} is not a valid RunTelemetry "
               f"artifact: {first}{suffix}", file=sys.stderr)
         return 1
-    if args.format == "summary":
-        text = format_summary(telemetry)
-    elif args.format == "jsonl":
-        text = to_jsonl(telemetry)
-    elif args.format == "chrome":
-        text = json.dumps(to_chrome_trace(telemetry))
-    else:
-        text = to_prometheus(telemetry)
+    text = {
+        "summary": format_summary,
+        "jsonl": to_jsonl,
+        "chrome": lambda t: json.dumps(to_chrome_trace(t)),
+        "prometheus": to_prometheus,
+    }[args.format](telemetry)
     if args.output:
         from pathlib import Path
 
@@ -815,16 +717,6 @@ def _cmd_report(args: argparse.Namespace) -> int:
     else:
         print(text)
     return 0
-
-
-def _cmd_bench(args: argparse.Namespace) -> int:
-    handlers = {
-        "run": _cmd_bench_run,
-        "compare": _cmd_bench_compare,
-        "list": _cmd_bench_list,
-        "recalibrate": _cmd_bench_recalibrate,
-    }
-    return handlers[args.bench_command](args)
 
 
 def _cmd_bench_run(args: argparse.Namespace) -> int:
@@ -905,11 +797,6 @@ def _cmd_bench_recalibrate(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_capacity(args: argparse.Namespace) -> int:
-    handlers = {"plan": _cmd_capacity_plan}
-    return handlers[args.capacity_command](args)
-
-
 def _cmd_capacity_plan(args: argparse.Namespace) -> int:
     from repro.bench import load_bench_artifact
     from repro.perfmodel import plan_capacity, scenario_from_artifact
@@ -924,8 +811,7 @@ def _cmd_capacity_plan(args: argparse.Namespace) -> int:
         )
         plan = plan_capacity(scenario, latency_slo=args.slo, rate=args.rate)
     except (OSError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        return _error(exc)
     print(scenario.format())
     print(plan.format())
     return 0 if plan.feasible else 1
@@ -934,19 +820,17 @@ def _cmd_capacity_plan(args: argparse.Namespace) -> int:
 def _cmd_predict(args: argparse.Namespace) -> int:
     from repro.bench import standard_cpu_time, standard_gpu_time
 
-    scheme = Scheme(args.scheme)
-    if args.machine in CPUS:
-        p = standard_cpu_time(args.problem, args.machine, scheme)
-        print(f"{args.machine} / {args.problem} / {args.scheme}")
-        print(f"predicted runtime: {p.seconds:.2f} s  (bound: {p.bound})")
-        print(f"achieved bandwidth: {p.achieved_bandwidth_gbs:.1f} GB/s")
+    cpu = args.machine in CPUS
+    p = (standard_cpu_time if cpu else standard_gpu_time)(
+        args.problem, args.machine, Scheme(args.scheme)
+    )
+    print(f"{args.machine} / {args.problem} / {args.scheme}")
+    print(f"predicted runtime: {p.seconds:.2f} s  (bound: {p.bound})")
+    print(f"achieved bandwidth: {p.achieved_bandwidth_gbs:.1f} GB/s")
+    if cpu:
         print(f"tally share: {p.tally_fraction:.0%}")
         print(f"core utilisation: {p.utilization:.0%}")
     else:
-        p = standard_gpu_time(args.problem, args.machine, scheme)
-        print(f"{args.machine} / {args.problem} / {args.scheme}")
-        print(f"predicted runtime: {p.seconds:.2f} s  (bound: {p.bound})")
-        print(f"achieved bandwidth: {p.achieved_bandwidth_gbs:.1f} GB/s")
         print(f"occupancy: {p.occupancy:.2f} "
               f"({p.active_warps_per_sm} warps/SM, "
               f"{p.registers_per_thread} registers)")
@@ -994,31 +878,24 @@ def _figures_text() -> str:
     sections.append("\n".join(lines))
 
     lines = ["## Over Particles runtimes, seconds (Fig 14 pipeline)", ""]
-    rows = []
-    for p in problems:
-        rows.append(
-            [p]
-            + [standard_cpu_time(p, m).seconds for m in CPUS]
-            + [standard_gpu_time(p, m).seconds for m in GPUS]
-        )
+    rows = [
+        [p]
+        + [standard_cpu_time(p, m).seconds for m in CPUS]
+        + [standard_gpu_time(p, m).seconds for m in GPUS]
+        for p in problems
+    ]
     lines.append(format_table(["problem"] + list(CPUS) + list(GPUS), rows))
     sections.append("\n".join(lines))
 
     lines = ["## Over Events / Over Particles slowdown (Figs 9-13)", ""]
-    rows = []
-    for p in problems:
-        row = [p]
-        for m in CPUS:
-            row.append(
-                standard_cpu_time(p, m, Scheme.OVER_EVENTS).seconds
-                / standard_cpu_time(p, m).seconds
-            )
-        for m in GPUS:
-            row.append(
-                standard_gpu_time(p, m, Scheme.OVER_EVENTS).seconds
-                / standard_gpu_time(p, m).seconds
-            )
-        rows.append(row)
+    rows = [
+        [p]
+        + [standard_cpu_time(p, m, Scheme.OVER_EVENTS).seconds
+           / standard_cpu_time(p, m).seconds for m in CPUS]
+        + [standard_gpu_time(p, m, Scheme.OVER_EVENTS).seconds
+           / standard_gpu_time(p, m).seconds for m in GPUS]
+        for p in problems
+    ]
     lines.append(format_table(["problem"] + list(CPUS) + list(GPUS), rows))
     sections.append("\n".join(lines))
 
@@ -1028,11 +905,10 @@ def _figures_text() -> str:
 def _cmd_figures(args: argparse.Namespace) -> int:
     text = _figures_text()
     print(text)
-    output = getattr(args, "output", None)
-    if output:
+    if args.output:
         from pathlib import Path
 
-        path = Path(output)
+        path = Path(args.output)
         path.parent.mkdir(parents=True, exist_ok=True)
         header = (
             "# Cross-architecture summary (model output)\n\n"
@@ -1047,18 +923,7 @@ def _cmd_figures(args: argparse.Namespace) -> int:
 def main(argv: list[str] | None = None) -> int:
     """Entry point; returns the process exit code."""
     args = build_parser().parse_args(argv)
-    handlers = {
-        "run": _cmd_run,
-        "run3d": _cmd_run3d,
-        "ensemble": _cmd_ensemble,
-        "report": _cmd_report,
-        "bench": _cmd_bench,
-        "capacity": _cmd_capacity,
-        "predict": _cmd_predict,
-        "characterise": _cmd_characterise,
-        "figures": _cmd_figures,
-    }
-    return handlers[args.command](args)
+    return args.func(args)
 
 
 if __name__ == "__main__":  # pragma: no cover

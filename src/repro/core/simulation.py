@@ -82,7 +82,7 @@ class TransportResult:
 
 
 class Simulation:
-    """Facade over the two scheme drivers.
+    """Facade over the one census stepper, serial or pooled.
 
     Parameters
     ----------

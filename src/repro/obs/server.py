@@ -1,7 +1,7 @@
 """The in-run metrics endpoint: a stdlib HTTP daemon over a
 :class:`~repro.obs.live.LiveAggregator`.
 
-Opt-in via ``repro run/run3d/ensemble run --serve-metrics PORT``.  Three
+Opt-in via ``repro run/ensemble run --serve-metrics PORT``.  Three
 routes, all read-only:
 
 * ``GET /metrics``  — Prometheus text exposition (PR 6 discipline).

@@ -10,9 +10,10 @@ The particle event-tracking procedure (paper §IV-A) considers three events:
 * **census** — the terminal event at the end of the timestep.
 
 Individual timers (distance budgets) are maintained per event; every handled
-event updates the others' timers by the distance travelled.  All handlers
-exist in scalar form (Over Particles) and vectorised form (Over Events) and
-are verified to be bit-identical by the test suite.
+event updates the others' timers by the distance travelled.  Both schemes
+run the handlers of the one batch pass (:mod:`repro.core.event_pass`);
+the scalar functions here are the references the parity suite pins the
+batch kernels against.
 """
 
 from repro.physics.constants import (

@@ -16,9 +16,8 @@ source box with a third pair of bounds, which the one source sampler turns
 into six birth draws (position ×3, direction ×2, first optical distance;
 a collision draws three, as in 2-D).
 
-The medium is the single homogeneous material of the paper's setup
-(multi-material/fission composition in 3-D is left to the same future-work
-list the paper keeps them on).
+The medium is one homogeneous material; a fissile one multiplies, and
+its children are banked as in 2-D.
 """
 
 from __future__ import annotations

@@ -1,8 +1,13 @@
 """Command-line interface."""
 
+import argparse
+
 import pytest
 
+import repro.volume
 from repro.cli import build_parser, main
+from repro.core import Scheme, Simulation
+from repro.ensemble import population_fingerprint
 
 
 def test_parser_requires_command():
@@ -85,16 +90,16 @@ def test_figures(capsys):
 
 
 def test_run3d(capsys):
-    rc = main(["run3d", "--problem", "stream3", "--n", "12", "--particles", "15"])
+    rc = main(["run", "--problem", "stream3", "--nx", "12", "--particles", "15"])
     assert rc == 0
     out = capsys.readouterr().out
-    assert "mesh=12³" in out
+    assert "mesh=12x12x12" in out
     assert "population accounted: True" in out
 
 
 def test_run3d_over_events(capsys):
     rc = main([
-        "run3d", "--problem", "scatter3", "--n", "12", "--particles", "15",
+        "run", "--problem", "scatter3", "--nx", "12", "--particles", "15",
         "--scheme", "over_events",
     ])
     assert rc == 0
@@ -214,7 +219,7 @@ def test_run3d_serve_metrics(capsys, monkeypatch):
 
     monkeypatch.setattr(cli, "_start_live_plane", capture)
     rc = main([
-        "run3d", "--problem", "csp3", "--n", "8", "--particles", "10",
+        "run", "--problem", "csp3", "--nx", "8", "--particles", "10",
         "--serve-metrics", "0",
     ])
     assert rc == 0
@@ -227,7 +232,105 @@ def test_run3d_serve_metrics(capsys, monkeypatch):
     agg = snap["aggregate"]
     assert agg["steps_total"] == 1 and agg["shards_total"] == 1
     assert agg["histories_total"] == 10
-    events_line = out.split("events: ")[1].splitlines()[0]
-    assert agg["events_total"] == sum(
-        int(field.split("=")[1]) for field in events_line.split()
+    events = dict(
+        field.split("=")
+        for field in out.split("events: ")[1].splitlines()[0].split()
     )
+    assert agg["events_total"] == sum(
+        int(events[k]) for k in ("collisions", "facets", "census")
+    )
+
+
+@pytest.mark.parametrize("scheme", [Scheme.OVER_PARTICLES, Scheme.OVER_EVENTS])
+@pytest.mark.parametrize("problem", ["stream3", "scatter3", "csp3"])
+def test_run_3d_prints_the_library_result(problem, scheme, capsys):
+    rc = main([
+        "run", "--problem", problem, "--nx", "8", "--particles", "12",
+        "--scheme", scheme.value,
+    ])
+    assert rc == 0
+    lines = capsys.readouterr().out.splitlines()
+    factory = getattr(repro.volume, f"{problem}_problem")
+    result = Simulation(factory(8, nparticles=12)).run(scheme)
+    c = result.counters
+    assert (
+        f"events: collisions={c.collisions} facets={c.facets} "
+        f"census={c.census_events} terminations={c.terminations} "
+        f"escapes={c.escapes}"
+    ) in lines
+    assert f"deposition total: {result.tally.total():.4e} eV" in lines
+
+
+def test_run_3d_auto_reproduces_over_events(capsys, monkeypatch):
+    import repro.cli as cli
+
+    results = []
+
+    class Recording(Simulation):
+        def run(self, *args, **kwargs):
+            results.append(super().run(*args, **kwargs))
+            return results[-1]
+
+    monkeypatch.setattr(cli, "Simulation", Recording)
+    rc = main([
+        "run", "--problem", "csp3", "--nx", "8", "--particles", "20",
+        "--scheme", "auto", "--timesteps", "3",
+    ])
+    assert rc == 0
+    assert "scheme=auto" in capsys.readouterr().out
+    oe = Simulation(
+        repro.volume.csp3_problem(8, nparticles=20, ntimesteps=3)
+    ).run(Scheme.OVER_EVENTS)
+    assert population_fingerprint(results[0].arena) == population_fingerprint(
+        oe.arena
+    )
+
+
+def _subcommand(parser, *path):
+    for name in path:
+        parser = next(
+            a for a in parser._actions
+            if isinstance(a, argparse._SubParsersAction)
+        ).choices[name]
+    return parser
+
+
+def _options(parser):
+    return {
+        a.dest: (tuple(a.option_strings), a.type, a.choices)
+        for a in parser._actions if a.option_strings and a.dest != "help"
+    }
+
+
+def test_run_and_ensemble_run_define_shared_options_identically():
+    parser = build_parser()
+    run = _options(_subcommand(parser, "run"))
+    ens = _options(_subcommand(parser, "ensemble", "run"))
+    assert (len(run), len(ens)) == (23, 15)
+    shared = run.keys() & ens.keys()
+    assert {run[dest][0][0] for dest in shared} == {
+        "--problem", "--nx", "--particles", "--scheme", "--timesteps",
+        "--seed", "--xs-mode", "--workers", "--telemetry", "--serve-metrics",
+    }
+    for dest in shared:
+        assert run[dest] == ens[dest], dest
+
+
+@pytest.mark.parametrize("argv", [
+    ["run", "--particles", "0"],
+    ["run", "--timesteps", "0"],
+    ["run", "--workers", "2", "--fault-plan", "bogus"],
+    ["run", "--workers", "0"],
+    ["run", "--workers", "2", "--chunk", "0"],
+    ["run", "--workers", "1", "--fault-plan", "kill:worker=1"],
+    ["run", "--fault-plan", "kill:worker=1"],
+    ["run", "--problem", "csp3", "--workers", "2"],
+    ["run", "--problem", "csp3", "--russian-roulette"],
+    ["ensemble", "run", "--problem", "csp3"],
+])
+def test_refused_input_is_one_line_error(argv, capsys):
+    assert main(argv + ["--nx", "8"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    err_lines = captured.err.strip().splitlines()
+    assert len(err_lines) == 1 and err_lines[0].startswith("error: ")

@@ -302,7 +302,7 @@ def test_cli_run3d_telemetry_and_profile(tmp_path, capsys):
 
     path = tmp_path / "t3.json"
     rc = main([
-        "run3d", "--problem", "csp3", "--n", "8", "--particles", "10",
+        "run", "--problem", "csp3", "--nx", "8", "--particles", "10",
         "--scheme", "over_events", "--profile-kernels",
         "--telemetry", str(path),
     ])
