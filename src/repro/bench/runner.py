@@ -664,7 +664,7 @@ def measured_shard_handoff(
     population = _handoff_population(problem, nparticles, nx)
     lo, hi = 0, max(1, len(population) // max(1, nshards))
 
-    aos_payload = pickle.dumps(population.view(lo, hi).as_particles())
+    aos_payload = pickle.dumps(population.view(lo, hi).to_particles())
     arena_payload = pickle.dumps(population.view(lo, hi).copy())
 
     def _best(fn) -> float:

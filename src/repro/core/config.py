@@ -18,8 +18,17 @@ import numpy as np
 from repro.mesh.boundary import BoundaryCondition
 from repro.particles.source import DRAWS_PER_BIRTH, SourceRegion
 from repro.physics.variance import DEFAULT_ENERGY_CUTOFF_EV, DEFAULT_WEIGHT_CUTOFF
+from repro.xs.materials import hydrogenous_moderator
+from repro.xs.provider import XsMode, resolve_provider
 
-__all__ = ["Scheme", "Layout", "SearchStrategy", "SimulationConfig", "require_2d"]
+__all__ = [
+    "Scheme",
+    "Layout",
+    "SearchStrategy",
+    "SimulationConfig",
+    "check_seed",
+    "require_2d",
+]
 
 
 class Scheme(Enum):
@@ -78,7 +87,7 @@ class SimulationConfig:
     ntimesteps:
         Number of timesteps to run.
     seed:
-        Global RNG seed (Threefry key word 0).
+        Global RNG seed (Threefry key word 0), in ``[0, 2**64)``.
     molar_mass_g_mol:
         Molar mass of the single homogeneous medium; also sets the elastic
         scattering mass ratio ``A ≈ M`` (in neutron masses).
@@ -159,6 +168,7 @@ class SimulationConfig:
     def __post_init__(self) -> None:
         if self.nparticles < 1:
             raise ValueError("need at least one particle")
+        check_seed(self.seed)
         if self.op_block_size < 1:
             raise ValueError("op_block_size must be at least 1")
         if self.dt <= 0:
@@ -187,8 +197,6 @@ class SimulationConfig:
             raise ValueError("materials, when given, must be non-empty")
         if self.ce_materials is not None and len(self.ce_materials) == 0:
             raise ValueError("ce_materials, when given, must be non-empty")
-        from repro.xs.provider import XsMode
-
         object.__setattr__(self, "xs_mode", XsMode.coerce(self.xs_mode))
         if self.importance_map is not None:
             imap = np.asarray(self.importance_map, dtype=np.float64)
@@ -232,8 +240,6 @@ class SimulationConfig:
         non-multiplying medium.  Builds tables; call once per run."""
         if self.materials is not None:
             return tuple(self.materials)
-        from repro.xs.materials import hydrogenous_moderator
-
         return (
             hydrogenous_moderator(self.xs_nentries, self.molar_mass_g_mol),
         )
@@ -248,8 +254,6 @@ class SimulationConfig:
         """Material count the map may index, or ``None`` when open-ended
         (CE mode with the synthetic library, which sizes itself to the
         map)."""
-        from repro.xs.provider import XsMode
-
         if XsMode.coerce(self.xs_mode) is XsMode.CONTINUOUS_ENERGY:
             if self.ce_materials is not None:
                 return len(self.ce_materials)
@@ -260,8 +264,6 @@ class SimulationConfig:
         """Build this config's cross-section backend
         (:class:`repro.xs.provider.XsProvider`).  Builds tables/grids;
         call once per run and thread the instance through."""
-        from repro.xs.provider import XsMode, resolve_provider
-
         mode = XsMode.coerce(self.xs_mode)
         if mode is XsMode.CONTINUOUS_ENERGY:
             nmat = 1
@@ -278,6 +280,14 @@ class SimulationConfig:
             materials=self.resolved_materials(),
             xs_nentries=self.xs_nentries,
         )
+
+
+def check_seed(seed: int, what: str = "seed") -> None:
+    """Refuse, in one line, a seed outside ``[0, 2**64)``: the Threefry key
+    word is 64 bits, so any other value would run another seed's streams
+    under this one's name."""
+    if not 0 <= seed < 2**64:
+        raise ValueError(f"{what} must be in [0, 2**64), got {seed}")
 
 
 def require_2d(config, route: str) -> None:

@@ -47,8 +47,8 @@ class TransportResult:
         The final particle population as one SoA
         :class:`~repro.particles.arena.ParticleArena` (both schemes;
         includes any fission secondaries/clones).  Use
-        ``arena.as_particles()`` for detached AoS records, or
-        ``arena.proxy(i)`` for a mutable per-index view.
+        ``arena.to_particles()`` for detached AoS records, or
+        ``arena.view(i, i + 1)`` for a mutable window onto one history.
     wallclock_s:
         Host wall-clock time of the Python run.  *Not* used by any paper
         figure — those come from the machine models — but reported for the

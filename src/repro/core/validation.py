@@ -13,8 +13,8 @@ term, keeping the balance exact:
   per run).
 
 These invariants hold to floating-point rounding by construction of the
-collision accounting (see :mod:`repro.physics.collision`) and are enforced
-across the test suite, including property-based tests.
+collision accounting (see :func:`repro.kernels.batch.collide`) and are
+enforced across the test suite, including property-based tests.
 """
 
 from __future__ import annotations

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.core.config import SimulationConfig
+from repro.core.config import SimulationConfig, check_seed
 
 __all__ = [
     "FUSIBLE_FIELDS",
@@ -131,6 +131,10 @@ class EnsembleSpec:
     def __post_init__(self):
         if self.nreplicas < 1:
             raise ValueError("nreplicas must be >= 1")
+        # Member seeds are linear in r: the last replica's is the extreme.
+        last = self.nreplicas - 1
+        check_seed(self.base.seed + last * self.seed_stride,
+                   f"replica {last}'s seed (seed + r*seed_stride)")
 
     def members(self) -> tuple[SimulationConfig, ...]:
         """Expand into the member configs (validated fusible)."""

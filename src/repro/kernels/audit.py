@@ -12,8 +12,7 @@ Permitted:
 * thin delegating wrappers whose body is a single ``return <call>`` (plus
   an optional docstring) — public-API shims that cannot drift;
 * an explicit allowlist for genuine batch primitives that predate the
-  kernel layer and live with their scalar reference for cipher-level
-  test symmetry (``threefry2x64_vec``).
+  kernel layer and keep their name (``threefry2x64_vec``, the cipher).
 
 A second audit guards the storage layer: the hot driver packages
 (``repro/core``, ``repro/parallel``, ``repro/volume``) must not construct
@@ -22,6 +21,9 @@ scalar ``ParticleRNG(...)`` streams are rejected so the population stays
 in the SoA :class:`~repro.particles.arena.ParticleArena` and draws from
 the vectorised streams (children are banked as an arena block instead) —
 and ``repro/volume`` must not walk histories through ``arena.proxy(i)``.
+The scalar stream and the per-history forms live in the test oracle
+(``tests/oracle/``), outside the package; the audit is by name, so either
+coming back into a hot package is caught.
 
 The single-path audit keeps one execution path and one event pass: no
 fork on the replica books, and no event handler or event-kernel dispatch
@@ -54,7 +56,6 @@ __all__ = [
     "ALLOWED_VEC_DEFS",
     "ARENA_AUDITED_PACKAGES",
     "FORBIDDEN_PARTICLE_CTORS",
-    "ALLOWED_PARTICLE_CTORS",
     "CENSUS_AUDITED_PACKAGES",
     "CENSUS_LOOP_HOME",
     "XS_SEAM_HOME",
@@ -68,7 +69,6 @@ __all__ = [
     "EVENT_HANDLER_DEFS",
     "EVENT_DISPATCH_NAMES",
     "TWIN_HOMES",
-    "SCALAR_REFERENCES",
     "BOOKS_HOME",
     "LOOP_FREE_VERBS",
 ]
@@ -87,11 +87,6 @@ ARENA_AUDITED_PACKAGES = ("core", "parallel", "volume")
 #: Callable names that count as per-particle construction: AoS records
 #: and the scalar one-particle stream.
 FORBIDDEN_PARTICLE_CTORS = ("Particle", "Particle3", "ParticleRNG")
-
-#: (relative path, line) pairs exempt from the construction rule — empty:
-#: the refactor removed every hot-path constructor call, and this audit
-#: keeps it that way.
-ALLOWED_PARTICLE_CTORS: set[tuple[str, int]] = set()
 
 #: Packages whose drivers must route their census loops through the
 #: unified stepper instead of re-implementing ``for step in range(...)``.
@@ -118,15 +113,9 @@ FORBIDDEN_XS_NAMES = (
 #: constitute direct data-model access when read outside ``repro/xs``.
 XS_TABLE_ATTRS = ("scatter", "capture", "fission")
 
-#: Files exempt from the cross-section seam audit:
-#: ``kernels/xs.py`` *is* the lookup kernel (it interpolates the raw
-#: arrays by design); ``particles/source.py`` keeps deprecated
-#: ``scatter_table``/``capture_table`` kwargs (type annotations only)
-#: as the AoS parity-oracle surface.
-ALLOWED_XS_TABLE_FILES = frozenset({
-    "kernels/xs.py",
-    "particles/source.py",
-})
+#: Files exempt from the cross-section seam audit: ``kernels/xs.py``
+#: *is* the lookup kernel (it interpolates the raw arrays by design).
+ALLOWED_XS_TABLE_FILES = frozenset({"kernels/xs.py"})
 
 #: Packages that must keep one execution path: every run carries replica
 #: books (:class:`repro.core.books.ReplicaBooks`), so no driver may fork
@@ -164,11 +153,6 @@ EVENT_DISPATCH_NAMES = (
 TWIN_HOMES = {"flush_vec": "mesh/tally.py",
               "cell_of_point_vec": "mesh/structured.py",
               "collide": "kernels/batch.py", "cross_facet": "kernels/batch.py"}
-
-#: The scalar references the batch kernels are pinned against (the
-#: independent oracle), exempt from :data:`TWIN_HOMES`.
-SCALAR_REFERENCES = frozenset({"physics/collision.py", "physics/facet.py",
-                               "volume/collision3.py", "volume/facet3.py"})
 
 
 #: The module of the replica books, and the verbs of
@@ -398,12 +382,10 @@ def audit_pass_allocations(ndim: int) -> list[str]:
 
 def _audit_one_twin(package_root: Path) -> list[str]:
     """A :data:`TWIN_HOMES` definition anywhere under ``package_root`` but
-    its home (or a scalar reference) is a second dimension's body."""
+    its home is a second dimension's body."""
     violations: list[str] = []
     for path in sorted(package_root.rglob("*.py")):
         rel = path.relative_to(package_root).as_posix()
-        if rel in SCALAR_REFERENCES:
-            continue
         for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
             for prefix, home in TWIN_HOMES.items():
                 if (isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
@@ -418,9 +400,8 @@ def _audit_one_twin(package_root: Path) -> list[str]:
 def _audit_one_event_pass(package_root: Path) -> list[str]:
     """Every traversal order and every dimension runs the same event
     handlers: a handler definition (:data:`EVENT_HANDLER_DEFS`) or a
-    dispatch-name literal (:data:`EVENT_DISPATCH_NAMES`, the ``__all__``
-    of a reference module aside) outside :data:`EVENT_PASS_HOME` is the
-    pass forking again."""
+    dispatch-name literal (:data:`EVENT_DISPATCH_NAMES`) outside
+    :data:`EVENT_PASS_HOME` is the pass forking again."""
     violations: list[str] = []
     for pkg in SINGLE_PATH_PACKAGES:
         for path in sorted((package_root / pkg).rglob("*.py")):
@@ -428,16 +409,6 @@ def _audit_one_event_pass(package_root: Path) -> list[str]:
             if rel == EVENT_PASS_HOME:
                 continue
             tree = ast.parse(path.read_text(), filename=str(path))
-            exported = {
-                id(item)
-                for node in ast.walk(tree)
-                if isinstance(node, ast.Assign)
-                and any(
-                    isinstance(t, ast.Name) and t.id == "__all__"
-                    for t in node.targets
-                )
-                for item in ast.walk(node.value)
-            }
             for node in ast.walk(tree):
                 if (
                     isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
@@ -447,7 +418,6 @@ def _audit_one_event_pass(package_root: Path) -> list[str]:
                 elif (
                     isinstance(node, ast.Constant)
                     and node.value in EVENT_DISPATCH_NAMES
-                    and id(node) not in exported
                 ):
                     found = repr(node.value)
                 else:
@@ -504,8 +474,6 @@ def audit_particle_construction(
                         "through the one event pass"
                     )
                 if name not in FORBIDDEN_PARTICLE_CTORS:
-                    continue
-                if (rel, node.lineno) in ALLOWED_PARTICLE_CTORS:
                     continue
                 violations.append(
                     f"{rel}:{node.lineno}: {name}(...) — hot paths must "

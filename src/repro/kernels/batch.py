@@ -15,10 +15,9 @@ thing a collision does differently in 3-D — turning the direction about an
 azimuth instead of in the plane — is an entry of :data:`COLLISION_TURNS`.
 The 3-D kernel names of the dispatch table are aliases of these bodies.
 
-The scalar functions that remain in :mod:`repro.physics` and
-:mod:`repro.volume` are the reference implementations the parity suite
-pins these kernels against element-wise, bit-for-bit
-(``tests/test_kernels_parity.py``, ``tests/test_volume_3d.py``).
+The scalar per-history references the parity suite pins these kernels
+against element-wise, bit-for-bit, are a test fixture: one
+dimension-generic oracle in ``tests/oracle/``.
 
 What bit-parity needs is that every lane sees the reference's operands in
 the reference's operation order — not any particular array form.  The
@@ -59,7 +58,6 @@ __all__ = [
     "roulette",
     "fission_yield",
     "split_counts",
-    "should_terminate",
     "sample_position_in_box",
     "sample_isotropic_direction",
     "sample_isotropic_direction_3d",
@@ -464,16 +462,6 @@ def split_counts(ratio: np.ndarray, u: np.ndarray) -> np.ndarray:
     n = np.floor(ratio + u)
     n = np.clip(n, 1, MAX_SPLIT)
     return np.where(ratio <= 1.0, 1, n).astype(np.int64)
-
-
-def should_terminate(
-    energy_ev: np.ndarray,
-    weight: np.ndarray,
-    energy_cutoff_ev: float,
-    weight_cutoff: float,
-) -> np.ndarray:
-    """Deterministic cutoff termination mask (paper §IV-E)."""
-    return (energy_ev < energy_cutoff_ev) | (weight < weight_cutoff)
 
 
 # --------------------------------------------------------------------------

@@ -4,8 +4,9 @@ The energy-bin search is the hot inner operation of every cross-section
 lookup (paper §VI-A).  This module is the single batch implementation:
 
 * :func:`search_bins` — bisection for a whole batch via
-  ``numpy.searchsorted`` (value-identical to the scalar searches in
-  :mod:`repro.xs.lookup`, which remain as the reference implementations);
+  ``numpy.searchsorted`` (value-identical to the per-lane scalar
+  searches, which the parity suite keeps as its reference in
+  ``tests/oracle/storage.py``);
 * :func:`interpolate_at_bins` — linear interpolation within known bins;
 * :func:`xs_lookup` — the composite search+interpolate kernel the drivers
   dispatch;

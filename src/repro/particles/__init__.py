@@ -11,33 +11,21 @@ This reproduction commits to one canonical SoA representation:
 * :class:`repro.particles.arena.ParticleArena` — the single-buffer SoA
   arena every stage views in place, with zero-copy shared-memory
   sharding, block appends, compaction and sort hooks;
-* :class:`repro.particles.arena.ParticleView` — thin per-index AoS proxy
-  for tests and trace tooling;
 * :class:`repro.particles.particle.Particle` — the detached AoS record
-  (the scalar reference representation, produced by
-  :meth:`ParticleArena.as_particles`);
+  :meth:`ParticleArena.to_particles` produces (the pickled-list payload
+  the shard hand-off bench measures the arena handle against);
 * :mod:`repro.particles.source` — bounded-region source sampling (§IV-F)
   emitting vectorised straight into an arena.
 """
 
-from repro.particles.arena import (
-    ParticleArena,
-    ParticleArena3,
-    ParticleView,
-)
+from repro.particles.arena import ParticleArena, ParticleArena3
 from repro.particles.particle import Particle
-from repro.particles.source import (
-    SourceRegion,
-    sample_source,
-    sample_source_aos,
-)
+from repro.particles.source import SourceRegion, sample_source
 
 __all__ = [
     "Particle",
     "ParticleArena",
     "ParticleArena3",
-    "ParticleView",
     "SourceRegion",
     "sample_source",
-    "sample_source_aos",
 ]

@@ -15,9 +15,9 @@ ports) keep one device-resident store:
   by ``(name, total, lo, hi)`` — no particle is ever pickled across the
   process boundary (see :meth:`ParticleArena.to_shared` /
   :meth:`ParticleArena.attach`);
-* the AoS record survives only as a *per-index proxy view*
-  (:class:`ParticleView`) for tests and trace tooling, plus the lossless
-  :meth:`~ParticleArena.as_particles` escape hatch;
+* the AoS record survives only as the lossless
+  :meth:`~ParticleArena.to_particles` copy (the pickled-list payload the
+  shard hand-off bench compares the arena handle against);
 * population changes — fission secondaries and VR clones (blocks copied
   from their parents' rows by :meth:`subset`), alive-mask compaction, the
   energy/cell sorts the Over Events optimisation literature uses to keep
@@ -44,7 +44,6 @@ __all__ = [
     "EnsembleArena",
     "ParticleArena",
     "ParticleArena3",
-    "ParticleView",
     "shard_handle_nbytes",
 ]
 
@@ -370,8 +369,8 @@ _AOS_CACHED_FIELDS = (
 
 class ParticleArena(_FieldArena):
     """The canonical 2-D particle population: the single-buffer layout,
-    shared-memory sharding, block appends, compaction/sort hooks, the
-    per-index :class:`ParticleView` proxy and lossless AoS conversion."""
+    shared-memory sharding, block appends, compaction/sort hooks and
+    lossless AoS conversion."""
 
     FIELDS = (
         tuple((name, np.float64) for name in _FLOAT_FIELDS)
@@ -422,29 +421,10 @@ class ParticleArena(_FieldArena):
         """
         return 10 * 8 + 4 * 8 + 2 * 8 + 8  # 136 bytes, ~2-3 cache lines
 
-    # -- AoS escape hatches -------------------------------------------
-    def proxy(self, index: int) -> "ParticleView":
-        """A thin mutable AoS proxy of one slot (tests, trace tooling)."""
-        if not -self.n <= index < self.n:
-            raise IndexError(f"particle {index} of {self.n}")
-        return ParticleView(self, index % self.n if index < 0 else index)
-
-    def proxies(self):
-        """Iterate :class:`ParticleView` proxies over the population."""
-        return (ParticleView(self, i) for i in range(self.n))
-
-    @classmethod
-    def from_particles(cls, particles: list[Particle]) -> "ParticleArena":
-        """Pack AoS records into an arena (census flags cleared)."""
-        arena = cls(len(particles))
-        for name in Particle.__slots__:
-            getattr(arena, name)[...] = [getattr(p, name) for p in particles]
-        return arena
-
     def to_particles(self) -> list[Particle]:
         """Materialise AoS :class:`Particle` copies (lossless, except the
         census flags AoS does not represent; mutating them does not write
-        back — use :meth:`proxy` for that)."""
+        back — a :meth:`view` does)."""
         columns = {
             name: getattr(self, name).tolist() for name in Particle.__slots__
         }
@@ -458,8 +438,6 @@ class ParticleArena(_FieldArena):
             out.append(p)
         return out
 
-    as_particles = to_particles
-
     @classmethod
     def fuse(cls, arenas) -> "ParticleArena":
         """Concatenate member populations, in order, into one arena of
@@ -472,56 +450,6 @@ class ParticleArena(_FieldArena):
                 getattr(out, name)[off:off + n] = getattr(a, name)
             off += n
         return out
-
-
-class ParticleView:
-    """Mutable per-index AoS view of one arena slot.
-
-    Attribute-compatible with :class:`repro.particles.particle.Particle`;
-    reads and writes go straight to the arena's field arrays.
-    """
-
-    __slots__ = ("_arena", "_index")
-
-    def __init__(self, arena: ParticleArena, index: int):
-        object.__setattr__(self, "_arena", arena)
-        object.__setattr__(self, "_index", index)
-
-    @property
-    def index(self) -> int:
-        """The arena slot this proxy views."""
-        return self._index
-
-    def direction_norm_error(self) -> float:
-        """|‖Ω‖² − 1| — mirrors :meth:`Particle.direction_norm_error`."""
-        return abs(
-            self.omega_x * self.omega_x + self.omega_y * self.omega_y - 1.0
-        )
-
-    def to_particle(self) -> Particle:
-        """A detached AoS copy of this slot."""
-        return self._arena.view(self._index, self._index + 1).to_particles()[0]
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return (
-            f"ParticleView(i={self._index}, id={self.particle_id}, "
-            f"pos=({self.x:.6g}, {self.y:.6g}), E={self.energy:.6g} eV, "
-            f"alive={self.alive})"
-        )
-
-
-def _view_property(name: str) -> property:
-    def _get(self):
-        return getattr(self._arena, name)[self._index].item()
-
-    def _set(self, value):
-        getattr(self._arena, name)[self._index] = value
-
-    return property(_get, _set)
-
-
-for _name, _ in ParticleArena.FIELDS:
-    setattr(ParticleView, _name, _view_property(_name))
 
 
 # ---------------------------------------------------------------------------

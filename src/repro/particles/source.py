@@ -13,12 +13,11 @@ A region with one more axis (:class:`repro.volume.problems3.SourceBox3D`)
 follows the same protocol — one draw per position axis, one fewer than
 that for the direction, one optical distance: six.
 
-Because the RNG is counter-based and keyed per particle, the scalar (AoS)
-and vectorised samplers produce bit-identical particles.  The canonical
-path is :func:`sample_source`, which emits vectorised, in place, into a
-:class:`~repro.particles.arena.ParticleArena`; :func:`sample_source_aos`
-survives as the scalar per-particle reference the parity suite checks
-against.
+Because the RNG is counter-based and keyed per particle, a population
+emitted at once is bit-identical to its histories born one at a time (the
+parity suite's scalar sampler, ``tests/oracle/storage.py``).
+:func:`sample_source` emits vectorised, in place, into a
+:class:`~repro.particles.arena.ParticleArena`.
 """
 
 from __future__ import annotations
@@ -28,20 +27,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.kernels import batch
-from repro.kernels.xs import search_bins
 from repro.mesh.structured import StructuredMesh
 from repro.particles.arena import ParticleArena, ParticleArena3
-from repro.particles.particle import Particle
-from repro.rng.stream import ParticleRNG, VectorParticleRNG
-from repro.rng.distributions import (
-    sample_isotropic_direction,
-    sample_mean_free_paths,
-    sample_position_in_box,
-)
-from repro.xs.lookup import binary_search_bin
-from repro.xs.tables import CrossSectionTable
+from repro.rng.stream import VectorParticleRNG
 
-__all__ = ["SourceRegion", "sample_source", "sample_source_aos"]
+__all__ = ["SourceRegion", "sample_source"]
 
 #: Draws consumed per particle at birth (x, y, angle, first mfp).
 DRAWS_PER_BIRTH = 4
@@ -96,8 +86,6 @@ def sample_source(
     seed: int,
     dt: float,
     start_id: int = 0,
-    scatter_table: CrossSectionTable | None = None,
-    capture_table: CrossSectionTable | None = None,
     provider=None,
 ) -> ParticleArena:
     """Emit ``nparticles`` directly into a fresh :class:`ParticleArena`
@@ -111,9 +99,7 @@ def sample_source(
     (:class:`repro.xs.provider.XsProvider`) is given, the cached energy
     bins are initialised to the birth energy's bin in material 0 (part of
     birth initialisation, like the cached density) so the cached linear
-    search never walks from bin 0.  The explicit ``scatter_table`` /
-    ``capture_table`` kwargs are the legacy spelling of the same seeding,
-    kept for the AoS parity oracle and existing tests.
+    search never walks from bin 0.
     """
     arena_type, sample_direction = EMISSION[len(region.bounds)]
     arena = arena_type(nparticles)
@@ -139,62 +125,5 @@ def sample_source(
     if provider is not None:
         for field, bins in provider.source_bins_batch(0, arena.energy).items():
             getattr(arena, field)[...] = bins
-    if scatter_table is not None:
-        arena.scatter_bin[...] = search_bins(scatter_table, arena.energy)
-    if capture_table is not None:
-        arena.capture_bin[...] = search_bins(capture_table, arena.energy)
     return arena
 
-
-def sample_source_aos(
-    mesh: StructuredMesh,
-    region: SourceRegion,
-    nparticles: int,
-    seed: int,
-    dt: float,
-    start_id: int = 0,
-    scatter_table: CrossSectionTable | None = None,
-    capture_table: CrossSectionTable | None = None,
-) -> list[Particle]:
-    """Scalar per-particle reference sampler (AoS).
-
-    Kept solely as the bit-parity oracle for :func:`sample_source` — the
-    parity suite asserts the vectorised arena path reproduces this loop
-    draw for draw.  Production code paths must use :func:`sample_source`.
-    """
-    sbin = cbin = 0
-    if scatter_table is not None:
-        sbin = binary_search_bin(scatter_table, region.energy_ev)
-    if capture_table is not None:
-        cbin = binary_search_bin(capture_table, region.energy_ev)
-    particles: list[Particle] = []
-    for i in range(nparticles):
-        pid = start_id + i
-        rng = ParticleRNG(seed, pid)
-        u1 = rng.next_uniform()
-        u2 = rng.next_uniform()
-        u3 = rng.next_uniform()
-        u4 = rng.next_uniform()
-        x, y = sample_position_in_box(u1, u2, region.x0, region.x1, region.y0, region.y1)
-        ox, oy = sample_isotropic_direction(u3)
-        mfp = sample_mean_free_paths(u4)
-        cellx, celly = mesh.cell_of_point(x, y)
-        p = Particle(
-            x=x,
-            y=y,
-            omega_x=ox,
-            omega_y=oy,
-            energy=region.energy_ev,
-            weight=region.weight,
-            cellx=cellx,
-            celly=celly,
-            particle_id=pid,
-            dt_to_census=dt,
-            mfp_to_collision=mfp,
-            rng_counter=rng.counter,
-        )
-        p.local_density = mesh.density_at(cellx, celly)
-        p.scatter_bin = sbin
-        p.capture_bin = cbin
-        particles.append(p)
-    return particles

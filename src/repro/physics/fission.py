@@ -7,7 +7,7 @@ path is untouched:
 
 * at a collision, capture and fission together form the absorption share
   (``σ_a = σ_c + σ_f``), so the weight reduction and local energy deposit
-  of :func:`repro.physics.collision.collide` already cover both;
+  of :func:`repro.kernels.batch.collide` already cover both;
 * additionally, fission *banks* secondaries: with pre-collision weight
   ``w`` the expected yield is ``w ν σ_f / σ_t``, realised as an integer by
   adding a uniform draw and flooring (unbiased);

@@ -1,29 +1,24 @@
-"""Variance reduction: weighted histories and termination.
+"""Variance reduction: weighted histories and their termination cutoffs.
 
 In an analogue calculation a particle streams until absorbed; the mini-app
 instead gives every history a statistical weight (paper §IV-E).  Absorption
-reduces the weight (implicit capture, see :mod:`repro.physics.collision`),
+reduces the weight (implicit capture, :func:`repro.kernels.batch.collide`),
 and a history ends only when its weight falls below a fixed cutoff or its
-energy drops below the energy of interest.
+energy drops below the energy of interest
+(:func:`repro.kernels.batch.apply_cutoffs`).
 
 An optional *Russian roulette* mode is provided as an extension (it is the
 standard companion of implicit capture in production codes): instead of
 deterministic termination at the weight cutoff, a low-weight history
 survives with probability ``weight / roulette_weight`` and is restored to
-``roulette_weight`` — unbiased by construction.  The paper's experiments use
-deterministic cutoff, which is the default everywhere.
+``roulette_weight`` (:func:`repro.kernels.batch.roulette`) — unbiased by
+construction.  The paper's experiments use deterministic cutoff, which is
+the default everywhere.
 """
 
 from __future__ import annotations
 
-import numpy as np
-
-from repro.kernels import batch as _batch
-
 __all__ = [
-    "should_terminate",
-    "should_terminate_vec",
-    "russian_roulette",
     "DEFAULT_ENERGY_CUTOFF_EV",
     "DEFAULT_WEIGHT_CUTOFF",
 ]
@@ -33,58 +28,3 @@ DEFAULT_ENERGY_CUTOFF_EV = 1.0e-2
 
 #: Histories below this fraction of their birth weight terminate.
 DEFAULT_WEIGHT_CUTOFF = 1.0e-3
-
-
-def should_terminate(
-    energy_ev: float,
-    weight: float,
-    energy_cutoff_ev: float = DEFAULT_ENERGY_CUTOFF_EV,
-    weight_cutoff: float = DEFAULT_WEIGHT_CUTOFF,
-) -> bool:
-    """Deterministic cutoff termination (paper §IV-E)."""
-    return energy_ev < energy_cutoff_ev or weight < weight_cutoff
-
-
-def should_terminate_vec(
-    energy_ev: np.ndarray,
-    weight: np.ndarray,
-    energy_cutoff_ev: float = DEFAULT_ENERGY_CUTOFF_EV,
-    weight_cutoff: float = DEFAULT_WEIGHT_CUTOFF,
-) -> np.ndarray:
-    """Deprecated wrapper over the batch kernel (keeps the defaults)."""
-    return _batch.should_terminate(energy_ev, weight, energy_cutoff_ev, weight_cutoff)
-
-
-def russian_roulette(
-    weight: float,
-    u: float,
-    weight_cutoff: float = DEFAULT_WEIGHT_CUTOFF,
-    roulette_weight: float | None = None,
-) -> tuple[float, bool]:
-    """Unbiased stochastic termination for low-weight histories (extension).
-
-    Parameters
-    ----------
-    weight:
-        Current history weight.
-    u:
-        A uniform draw in ``[0, 1)``.
-    weight_cutoff:
-        Threshold below which the roulette is played.
-    roulette_weight:
-        Weight restored to survivors; defaults to ``10 × weight_cutoff``.
-
-    Returns
-    -------
-    (new_weight, killed):
-        Survivors return with ``roulette_weight``; the expected weight is
-        conserved: ``E[new_weight] = weight``.
-    """
-    if weight >= weight_cutoff:
-        return weight, False
-    if roulette_weight is None:
-        roulette_weight = 10.0 * weight_cutoff
-    survive_prob = weight / roulette_weight
-    if u < survive_prob:
-        return roulette_weight, False
-    return 0.0, True

@@ -11,8 +11,8 @@ Draw discipline
 ---------------
 Each draw ticks the counter once and returns the *low* output word converted
 to a double in ``[0, 1)``.  A counter-tick-per-draw (rather than caching the
-second word) is deliberately chosen so the scalar and vectorised paths stay
-in lock-step without shared mutable cache state.
+second word) is deliberately chosen so every draw is a function of its
+counter alone, with no cached state to keep in step.
 
 Because a draw is a pure function of its counter, an event that needs
 ``k`` draws takes them in one call: ``next_uniform(sel, k)`` enciphers
@@ -27,9 +27,9 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.rng.threefry import THREEFRY_DEFAULT_ROUNDS, threefry2x64, threefry2x64_vec
+from repro.rng.threefry import THREEFRY_DEFAULT_ROUNDS, threefry2x64_vec
 
-__all__ = ["uniform_from_bits", "ParticleRNG", "VectorParticleRNG"]
+__all__ = ["uniform_from_bits", "VectorParticleRNG"]
 
 #: 2**-53 — one ULP at 1.0; scaling a 53-bit integer by this gives [0, 1).
 _INV_2_53 = 1.0 / 9007199254740992.0
@@ -49,56 +49,13 @@ def uniform_from_bits(bits: int | np.ndarray) -> float | np.ndarray:
     return (int(bits) >> 11) * _INV_2_53
 
 
-class ParticleRNG:
-    """Scalar counter-based stream for one particle.
-
-    Parameters
-    ----------
-    seed:
-        Global simulation seed (key word 0).
-    particle_id:
-        Unique particle identifier (key word 1).
-    counter:
-        Starting counter, normally 0; a particle restored from census resumes
-        exactly where it left off.
-    """
-
-    __slots__ = ("seed", "particle_id", "counter", "rounds")
-
-    def __init__(
-        self,
-        seed: int,
-        particle_id: int,
-        counter: int = 0,
-        rounds: int = THREEFRY_DEFAULT_ROUNDS,
-    ):
-        if seed < 0 or particle_id < 0 or counter < 0:
-            raise ValueError("seed, particle_id and counter must be non-negative")
-        self.seed = seed & 0xFFFFFFFFFFFFFFFF
-        self.particle_id = particle_id & 0xFFFFFFFFFFFFFFFF
-        self.counter = counter
-        self.rounds = rounds
-
-    def next_uniform(self) -> float:
-        """Draw one double uniform on ``[0, 1)``; advances the counter."""
-        bits, _ = threefry2x64(
-            (self.counter, 0), (self.seed, self.particle_id), self.rounds
-        )
-        self.counter += 1
-        return uniform_from_bits(bits)
-
-    def clone(self) -> "ParticleRNG":
-        """Copy the stream, preserving the counter position."""
-        return ParticleRNG(self.seed, self.particle_id, self.counter, self.rounds)
-
-
 class VectorParticleRNG:
     """Vectorised counter-based streams for an array of particles.
 
     Holds ``particle_id`` and ``counter`` arrays; each call to
     :meth:`next_uniform` draws ``k`` uniforms per *selected* particle and
-    ticks only those counters, reproducing exactly what the scalar streams
-    would have produced.
+    ticks only those counters, reproducing exactly what one scalar stream
+    per particle would have produced.
     """
 
     def __init__(
@@ -163,13 +120,3 @@ class VectorParticleRNG:
         # One counter write-back; uint64 array addition wraps.
         self.counters[sel] = ctrs + np.uint64(k)
         return out[0] if k == 1 else out
-
-    def scalar_stream(self, index: int) -> ParticleRNG:
-        """Return the equivalent scalar stream for particle ``index``."""
-        seed = self.seed[index] if np.ndim(self.seed) else self.seed
-        return ParticleRNG(
-            int(seed),
-            int(self.particle_ids[index]),
-            int(self.counters[index]),
-            self.rounds,
-        )

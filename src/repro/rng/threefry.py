@@ -8,19 +8,15 @@ BigCrush battery at 20 rounds (13 rounds is "Crush-resistant" and is the
 r123 default for the 2x64 variant; we default to the conservative 20 used by
 ``threefry2x64`` in the paper's mini-app).
 
-Two interchangeable implementations are provided:
+:func:`threefry2x64_vec` runs the cipher over numpy ``uint64`` arrays with
+wrapping arithmetic, in place on two state buffers and one scratch
+buffer.  Every transport draw, in either scheme, goes through it (via
+:meth:`repro.rng.stream.VectorParticleRNG.next_uniform`), and so does
+every banked child's id (:func:`repro.physics.fission.derived_id`).  The
+scalar cipher on Python integers, the known-answer reference it is
+checked against, lives with the tests (``tests/oracle/rng.py``).
 
-* :func:`threefry2x64` — scalar, on Python ints (arbitrary precision masked
-  to 64 bits).  The reference for the known-answer tests and the scalar
-  stream of the source parity oracle.
-* :func:`threefry2x64_vec` — vectorised over numpy ``uint64`` arrays with
-  wrapping arithmetic, bit-identical to the scalar version, run in place
-  on two state buffers and one scratch buffer.  Every transport draw, in
-  either scheme, goes through it (via
-  :meth:`repro.rng.stream.VectorParticleRNG.next_uniform`), and so does
-  every banked child's id (:func:`repro.physics.fission.derived_id`).
-
-The implementations follow the Random123 reference code: an 8-entry rotation
+The implementation follows the Random123 reference code: an 8-entry rotation
 schedule, key injection every 4 rounds, and the Skein key-schedule parity
 constant.
 """
@@ -33,7 +29,6 @@ __all__ = [
     "THREEFRY_DEFAULT_ROUNDS",
     "SKEIN_KS_PARITY64",
     "ROTATION_2X64",
-    "threefry2x64",
     "threefry2x64_vec",
 ]
 
@@ -46,60 +41,9 @@ SKEIN_KS_PARITY64 = 0x1BD11BDAA9FC1A22
 #: Rotation schedule for the 2x64 variant (repeats with period 8).
 ROTATION_2X64 = (16, 42, 12, 31, 16, 32, 24, 21)
 
-_MASK64 = 0xFFFFFFFFFFFFFFFF
 _PARITY = np.uint64(SKEIN_KS_PARITY64)
 _ROT = tuple(np.uint64(r) for r in ROTATION_2X64)
 _ROT_INV = tuple(np.uint64(64 - r) for r in ROTATION_2X64)
-
-
-def _rotl64(x: int, r: int) -> int:
-    """Rotate the 64-bit integer ``x`` left by ``r`` bits."""
-    return ((x << r) | (x >> (64 - r))) & _MASK64
-
-
-def threefry2x64(
-    counter: tuple[int, int],
-    key: tuple[int, int],
-    rounds: int = THREEFRY_DEFAULT_ROUNDS,
-) -> tuple[int, int]:
-    """Encrypt a 128-bit counter with a 128-bit key (scalar reference).
-
-    Parameters
-    ----------
-    counter:
-        Two 64-bit words ``(c0, c1)``.
-    key:
-        Two 64-bit words ``(k0, k1)``.
-    rounds:
-        Number of mix rounds; 20 is the conservative default, 13 the
-        Random123 "R" default.  Must be ``0 <= rounds <= 32``.
-
-    Returns
-    -------
-    tuple[int, int]
-        Two 64-bit words of output.
-    """
-    if not 0 <= rounds <= 32:
-        raise ValueError(f"rounds must be in [0, 32], got {rounds}")
-
-    ks0 = key[0] & _MASK64
-    ks1 = key[1] & _MASK64
-    ks2 = SKEIN_KS_PARITY64 ^ ks0 ^ ks1
-    ks = (ks0, ks1, ks2)
-
-    x0 = (counter[0] + ks0) & _MASK64
-    x1 = (counter[1] + ks1) & _MASK64
-
-    for i in range(rounds):
-        x0 = (x0 + x1) & _MASK64
-        x1 = _rotl64(x1, ROTATION_2X64[i % 8])
-        x1 ^= x0
-        if i % 4 == 3:
-            inject = i // 4 + 1
-            x0 = (x0 + ks[inject % 3]) & _MASK64
-            x1 = (x1 + ks[(inject + 1) % 3] + inject) & _MASK64
-
-    return x0, x1
 
 
 def threefry2x64_vec(
@@ -112,7 +56,7 @@ def threefry2x64_vec(
     """Vectorised Threefry-2x64 over numpy ``uint64`` arrays.
 
     All four inputs broadcast against each other; the result has the
-    broadcast shape.  Bit-identical to :func:`threefry2x64` element-wise.
+    broadcast shape; element-wise it is the Random123 ``threefry2x64``.
     The rounds run in place: the two returned state words and one scratch
     buffer (which also rebuilds the parity key word per injection, so the
     key is never materialised at the broadcast shape) are all it allocates.

@@ -37,7 +37,7 @@ from repro.parallel.schedule import ScheduleKind
 from repro.perfmodel.costs import DEFAULT_CONSTANTS, ModelConstants
 from repro.perfmodel.memory import random_access_latency_cycles
 from repro.perfmodel.workload import Workload
-from repro.physics.events import EventKind
+from repro.kernels.batch import EventKind
 from repro.simexec.trace import EventTrace
 
 __all__ = ["SimExecOptions", "SimExecResult", "simulate_execution"]

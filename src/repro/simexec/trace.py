@@ -14,7 +14,7 @@ import numpy as np
 
 from repro.core.config import Scheme, SimulationConfig
 from repro.core.stepper import run_stepped
-from repro.physics.events import EventKind
+from repro.kernels.batch import EventKind
 
 __all__ = ["EventTrace", "record_trace", "synthetic_trace"]
 

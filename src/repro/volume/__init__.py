@@ -8,9 +8,7 @@ subpackage is that extension, and its shape is the claim: a 3-D run is the
 (:mod:`repro.core.event_pass`) over one more axis, on the same
 dimension-generic mesh, tally and kernel bodies (:mod:`repro.mesh`,
 :mod:`repro.kernels.batch`).  What lives here is what a third axis adds as
-data — a source box, the problem factories — plus the scalar reference
-forms of the 3-D kernels, the independent oracle the batch kernels are
-pinned against.
+data: a source box and the problem factories.
 
 The validation the paper asked for is in
 ``benchmarks/test_futurework_3d.py``: per *facet event* the 3-D code

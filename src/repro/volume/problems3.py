@@ -13,12 +13,14 @@ from typing import ClassVar
 
 import numpy as np
 
-from repro.core.config import SearchStrategy
+from repro.core.config import SearchStrategy, check_seed
 from repro.core.problems import HIGH_DENSITY, LOW_DENSITY, SOURCE_ENERGY_EV
 from repro.mesh.boundary import BoundaryCondition
 from repro.physics.variance import DEFAULT_ENERGY_CUTOFF_EV, DEFAULT_WEIGHT_CUTOFF
 from repro.mesh.structured import StructuredMesh
 from repro.mesh.tally import EnergyDepositionTally
+from repro.xs.materials import hydrogenous_moderator
+from repro.xs.provider import XsMode, resolve_provider
 
 __all__ = [
     "SourceBox3D",
@@ -101,6 +103,7 @@ class Volume3DConfig:
     def __post_init__(self) -> None:
         if self.nparticles < 1:
             raise ValueError("need at least one particle")
+        check_seed(self.seed)
         if self.dt <= 0 or self.ntimesteps < 1:
             raise ValueError("invalid time parameters")
         density = np.asarray(self.density, dtype=np.float64)
@@ -109,8 +112,6 @@ class Volume3DConfig:
                 f"density shape {density.shape} != ({self.nz}, {self.ny}, {self.nx})"
             )
         object.__setattr__(self, "density", density)
-        from repro.xs.provider import XsMode
-
         object.__setattr__(self, "xs_mode", XsMode.coerce(self.xs_mode))
         if self.ce_materials is not None and not self.ce_materials:
             raise ValueError("ce_materials must be None or non-empty")
@@ -123,9 +124,6 @@ class Volume3DConfig:
         :func:`~repro.xs.materials.hydrogenous_moderator` whose molar mass
         is the config's — bit-identical tables and metadata.
         """
-        from repro.xs.materials import hydrogenous_moderator
-        from repro.xs.provider import XsMode, resolve_provider
-
         if self.xs_mode is XsMode.CONTINUOUS_ENERGY:
             return resolve_provider(
                 self.xs_mode,

@@ -10,14 +10,16 @@ representative of real nuclear-data lookup tables, and performs:
    mass density of the particle's current cell — the coupling that ties each
    particle to the computational mesh.
 
-The energy-bin search exists in two forms (§VI-A): a plain binary search,
-and a *cached linear search* that starts from the bin found by the previous
-lookup for the same particle — a 1.3× whole-app speedup on the csp problem
-in the paper.  Both are implemented and tested for agreement.
+The energy-bin search exists in two strategies (§VI-A): a plain binary
+search, and a *cached linear search* that starts from the bin found by the
+previous lookup for the same particle — a 1.3× whole-app speedup on the csp
+problem in the paper.  Both run as batch kernels (:mod:`repro.kernels.xs`)
+behind the :class:`repro.xs.provider.XsProvider` seam;
+:class:`~repro.xs.lookup.LookupStats` accumulates their probe counts.
 """
 
 from repro.xs.tables import CrossSectionTable, make_capture_table, make_scatter_table
-from repro.xs.lookup import binary_search_bin, cached_linear_search_bin, LookupStats
+from repro.xs.lookup import LookupStats
 from repro.xs.macroscopic import (
     BARNS_TO_M2,
     AVOGADRO,
@@ -29,8 +31,6 @@ __all__ = [
     "CrossSectionTable",
     "make_capture_table",
     "make_scatter_table",
-    "binary_search_bin",
-    "cached_linear_search_bin",
     "LookupStats",
     "BARNS_TO_M2",
     "AVOGADRO",

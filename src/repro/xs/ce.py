@@ -195,7 +195,7 @@ class UnionGrid:
 
     def __len__(self) -> int:
         # Number of union grid points, matching ``len(CrossSectionTable)``
-        # so the scalar search strategies accept either table kind.
+        # so code that sizes a table by ``len`` accepts either kind.
         return int(self.energy.shape[0])
 
     def nbytes(self) -> int:

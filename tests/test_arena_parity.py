@@ -3,10 +3,10 @@
 Four guarantees, one per section:
 
 * the vectorised arena source emission is *bit-identical* to the scalar
-  AoS reference sampler, draw for draw (same Threefry streams);
-* the per-index :class:`ParticleView` proxy is a lossless, mutable window
-  — reads match the field arrays, writes land in the arena, and the AoS
-  escape hatches round-trip every field;
+  AoS sampler of the test oracle, draw for draw (same Threefry streams);
+* a one-history view is a lossless, mutable window — reads match the
+  field arrays, writes land in the arena — and the AoS records
+  round-trip every field;
 * shared-memory shard views are zero-copy and re-attachable: a worker's
   ``(name, n_total, lo, hi)`` handle reaches the same bytes as the
   parent's slice, a re-attach sees the same pristine state (the basis of
@@ -35,8 +35,10 @@ from repro.core.stepper import run_stepped
 from repro.mesh.structured import StructuredMesh
 from repro.parallel import FaultPlan, KillWorker, ScheduleKind
 from repro.particles.arena import ParticleArena, shard_handle_nbytes
-from repro.particles.source import SourceRegion, sample_source, sample_source_aos
+from repro.particles.source import SourceRegion, sample_source
 from repro.xs.materials import hydrogenous_moderator
+from repro.xs.provider import MultigroupProvider
+from tests.oracle import from_particles, sample_source_aos
 
 PROBLEMS = {
     "stream": stream_problem,
@@ -71,12 +73,13 @@ def _states_by_id(arena):
 def test_source_arena_matches_scalar_reference(with_tables, start_id):
     mesh = StructuredMesh(16, 16, density=np.full((16, 16), 5.0))
     region = SourceRegion(x0=0.2, x1=0.7, y0=0.1, y1=0.9, energy_ev=1e6)
-    tables = {}
+    provider, tables = None, {}
     if with_tables:
         mat = hydrogenous_moderator(500)
+        provider = MultigroupProvider((mat,))
         tables = {"scatter_table": mat.scatter, "capture_table": mat.capture}
     arena = sample_source(mesh, region, 97, seed=42, dt=1e-7,
-                          start_id=start_id, **tables)
+                          start_id=start_id, provider=provider)
     reference = sample_source_aos(mesh, region, 97, seed=42, dt=1e-7,
                                   start_id=start_id, **tables)
     assert len(arena) == len(reference)
@@ -102,7 +105,7 @@ def test_source_draw_budget_matches_scalar():
 
 
 # ---------------------------------------------------------------------------
-# Per-index proxies and the AoS escape hatches
+# One-history views and the AoS records
 # ---------------------------------------------------------------------------
 
 def _small_arena():
@@ -112,34 +115,31 @@ def _small_arena():
 
 
 def test_proxy_reads_and_writes_round_trip():
+    """A one-history view reads the arena's fields and writes through."""
     arena = _small_arena()
-    p = arena.proxy(5)
-    assert p.index == 5
+    p = arena.view(5, 6)
     for name in FIELD_NAMES:
-        assert getattr(p, name) == getattr(arena, name)[5].item(), name
-    p.energy = 123.5
-    p.cellx = 9
-    p.alive = False
+        assert getattr(p, name)[0] == getattr(arena, name)[5], name
+    p.energy[0] = 123.5
+    p.cellx[0] = 9
+    p.alive[0] = False
     assert arena.energy[5] == 123.5
     assert arena.cellx[5] == 9
     assert not arena.alive[5]
     # Detached copies do NOT write back.
-    detached = arena.proxy(6).to_particle()
+    (detached,) = arena.view(6, 7).to_particles()
     detached.energy = -1.0
     assert arena.energy[6] != -1.0
-    with pytest.raises(IndexError):
-        arena.proxy(len(arena))
+    with pytest.raises(ValueError):
+        arena.view(len(arena), len(arena) + 1)
 
 
 def test_as_particles_record_round_trip():
     """arena → AoS records → packed arenas, appended → identical fields."""
     arena = _small_arena()
-    records = arena.as_particles()
+    records = arena.to_particles()
     rebuilt = ParticleArena(0)
-    rebuilt.extend(
-        ParticleArena.from_particles(records[:9]),
-        ParticleArena.from_particles(records[9:]),
-    )
+    rebuilt.extend(from_particles(records[:9]), from_particles(records[9:]))
     assert len(rebuilt) == len(arena)
     for name in FIELD_NAMES:
         if name == "censused":  # not represented in the AoS record
@@ -183,7 +183,7 @@ def test_shared_shard_views_are_zero_copy_and_reattachable():
 
         # The hand-off payload is the handle, not the particles.
         aos_payload = len(pickle.dumps(
-            arena.view(lo, hi).as_particles(), pickle.HIGHEST_PROTOCOL
+            arena.view(lo, hi).to_particles(), pickle.HIGHEST_PROTOCOL
         ))
         assert shard_handle_nbytes(handle) < aos_payload / 50
     finally:

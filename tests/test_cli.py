@@ -327,6 +327,8 @@ def test_run_and_ensemble_run_define_shared_options_identically():
     ["run", "--problem", "csp3", "--workers", "2"],
     ["run", "--problem", "csp3", "--russian-roulette"],
     ["ensemble", "run", "--problem", "csp3"],
+    ["run", "--seed=-1"],
+    ["run", "--problem", "csp3", "--seed=18446744073709551616"],
 ])
 def test_refused_input_is_one_line_error(argv, capsys):
     assert main(argv + ["--nx", "8"]) == 2
@@ -334,3 +336,20 @@ def test_refused_input_is_one_line_error(argv, capsys):
     assert captured.out == ""
     err_lines = captured.err.strip().splitlines()
     assert len(err_lines) == 1 and err_lines[0].startswith("error: ")
+
+
+@pytest.mark.parametrize("scheme", ["over_particles", "over_events", "auto"])
+@pytest.mark.parametrize("problem", ["csp", "scatter"])
+def test_serial_default_equals_one_worker(problem, scheme, capsys):
+    """Unset ``--workers`` runs serially and ``--workers 1`` runs the
+    pool's in-process path: both print the same lines but the host
+    wall-clock."""
+    argv = ["run", "--problem", problem, "--nx", "24", "--particles", "40",
+            "--scheme", scheme]
+    printed = []
+    for extra in ([], ["--workers", "1"]):
+        assert main(argv + extra) == 0
+        printed.append([line for line in capsys.readouterr().out.splitlines()
+                        if not line.startswith("host wall-clock:")])
+    assert printed[0] == printed[1]
+    assert any(line.startswith("events: ") for line in printed[0])

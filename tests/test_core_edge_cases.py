@@ -7,6 +7,7 @@ import pytest
 from repro.core import Scheme, Simulation, scatter_problem
 from repro.core.config import SimulationConfig
 from repro.core.validation import energy_balance_error, population_accounted
+from repro.ensemble import EnsembleSpec
 from repro.mesh.boundary import BoundaryCondition
 from repro.particles.source import SourceRegion
 
@@ -96,7 +97,7 @@ def test_anisotropic_mesh_dimensions():
     b = Simulation(cfg).run(Scheme.OVER_EVENTS)
     assert a.counters.facets == b.counters.facets
     assert energy_balance_error(a) < 1e-12
-    for p in a.arena.proxies():
+    for p in a.arena.to_particles():
         assert 0 <= p.cellx < 24 and 0 <= p.celly < 8
         assert 0.0 <= p.x <= 3.0 and 0.0 <= p.y <= 1.0
 
@@ -145,6 +146,27 @@ def test_config_validation_suite():
         _tiny(density=np.zeros((3, 5)))
     with pytest.raises(ValueError):
         _tiny(materials=())
+
+
+#: The one-line refusal of a seed that is not a 64-bit Threefry key word.
+SEED_RANGE = r"seed .*must be in \[0, 2\*\*64\)"
+
+
+def test_config_refuses_out_of_range_seeds():
+    """A seed outside ``[0, 2**64)`` would alias another seed's streams
+    (``-1`` runs ``2**64 - 1``'s, ``2**64 + 3`` runs ``3``'s): the config
+    refuses it, and an ensemble whose ``seed + r*seed_stride`` leaves the
+    range is refused the same way."""
+    for seed in (-1, 2**64, 2**64 + 3):
+        with pytest.raises(ValueError, match=SEED_RANGE):
+            _tiny(seed=seed)
+    assert _tiny(seed=2**64 - 1).seed == 2**64 - 1
+    base = _tiny(seed=2**64 - 2)
+    assert len(EnsembleSpec(base, 2).members()) == 2
+    with pytest.raises(ValueError, match="replica 2's " + SEED_RANGE):
+        EnsembleSpec(base, 3)
+    with pytest.raises(ValueError, match="replica 1's " + SEED_RANGE):
+        EnsembleSpec(_tiny(seed=3), 2, seed_stride=-4)
 
 
 def test_with_copies_are_independent():

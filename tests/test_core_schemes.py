@@ -78,7 +78,7 @@ def test_per_particle_event_counts_identical(results, name):
 def test_final_states_bit_identical(results, name):
     rp, re = results[name]
     soa = re.arena
-    for i, p in enumerate(rp.arena.proxies()):
+    for i, p in enumerate(rp.arena.to_particles()):
         assert p.alive == bool(soa.alive[i])
         assert p.x == soa.x[i]
         assert p.y == soa.y[i]

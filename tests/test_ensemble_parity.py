@@ -673,13 +673,13 @@ def test_single_path_audit_flags_a_replica_loop_in_the_books(tmp_path):
 def test_single_path_audit_flags_a_3d_event_pass(tmp_path):
     """The 3-D drivers ride the same pass: a handler, or the name of a 3-D
     event kernel, in ``volume/`` or ``ensemble/`` is a second transport
-    body.  A scalar reference module may still export its function."""
+    body."""
     (tmp_path / "core").mkdir()
     (tmp_path / "volume").mkdir()
     (tmp_path / "ensemble").mkdir()
-    (tmp_path / "volume" / "facet3.py").write_text(
-        '__all__ = ["cross_facet_3d"]\n'
-        "def cross_facet_3d(): pass\n"
+    (tmp_path / "volume" / "problems3.py").write_text(
+        '__all__ = ["csp3_problem"]\n'
+        "def csp3_problem(): pass\n"
     )
     assert audit_single_path(tmp_path) == []
     (tmp_path / "volume" / "driver3.py").write_text(
@@ -699,8 +699,9 @@ def test_single_path_audit_flags_a_3d_event_pass(tmp_path):
 def test_single_path_audit_flags_a_dimension_twin(tmp_path):
     """The tally flush, the mesh's point location and the collision and
     facet kernels have one body each, whatever the number of axes: a
-    second definition anywhere is a twin coming back.  The scalar
-    references keep theirs, and the 3-D kernel names stay table aliases."""
+    second definition anywhere is a twin coming back — a scalar one too,
+    since the scalar references live in the test oracle, outside the
+    package.  The 3-D kernel names stay table aliases."""
     from repro.kernels.dispatch import KERNEL_TABLE, KERNEL_TABLE_3D
 
     assert KERNEL_TABLE_3D["collide_3d"] is KERNEL_TABLE["collide"]
@@ -716,8 +717,6 @@ def test_single_path_audit_flags_a_dimension_twin(tmp_path):
     (tmp_path / "mesh" / "structured.py").write_text(
         "class StructuredMesh:\n    def cell_of_point_vec(self, *p): pass\n"
     )
-    (tmp_path / "physics" / "collision.py").write_text("def collide(): pass\n")
-    (tmp_path / "volume" / "facet3.py").write_text("def cross_facet_3d(): pass\n")
     assert audit_single_path(tmp_path) == []
     (tmp_path / "kernels" / "batch3.py").write_text(
         "def collide3(*a): pass\ndef cross_facet_3d(*a): pass\n"
@@ -726,9 +725,13 @@ def test_single_path_audit_flags_a_dimension_twin(tmp_path):
         "class Tally3D:\n    def flush_vec(self, *a): pass\n"
         "class StructuredMesh3D:\n    def cell_of_point_vec(self, *p): pass\n"
     )
+    (tmp_path / "physics" / "collision.py").write_text("def collide(): pass\n")
+    (tmp_path / "volume" / "facet3.py").write_text("def cross_facet_3d(): pass\n")
     violations = audit_single_path(tmp_path)
-    assert len(violations) == 4
+    assert len(violations) == 6
     assert sum(v.startswith("kernels/batch3.py:") for v in violations) == 2
+    assert sum(v.startswith(("physics/collision.py:", "volume/facet3.py:"))
+               for v in violations) == 2
     assert sum("def flush_vec" in v and "mesh/tally.py" in v
                for v in violations) == 1
     assert sum("def cell_of_point_vec" in v for v in violations) == 1

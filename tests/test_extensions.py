@@ -29,13 +29,13 @@ from repro.physics.fission import (
     sample_secondary_energy,
     secondary_id,
 )
-from repro.rng.threefry import threefry2x64
 from repro.xs.materials import (
     Material,
     fissile_fuel,
     heavy_reflector,
     hydrogenous_moderator,
 )
+from tests.oracle import threefry2x64
 
 
 def _state_by_id(result):

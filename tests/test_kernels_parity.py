@@ -1,11 +1,11 @@
-"""Kernel-layer parity: batch kernels ≡ legacy scalar physics, and the
+"""Kernel-layer parity: batch kernels ≡ the scalar oracle, and the
 blocked Over Particles driver ≡ the classic depth-first traversal.
 
 Two families of guarantees:
 
 * every batch kernel in :mod:`repro.kernels` is *element-wise bit-equal*
-  to the scalar function it replaced (same floats, same ints, same
-  booleans — not merely close);
+  to its per-history reference in ``tests/oracle`` (same floats, same
+  ints, same booleans — not merely close), in 2-D and 3-D;
 * the blocked Over Particles driver produces bit-identical final particle
   states and counters for every block size (1 reproduces the classic
   one-history-at-a-time order; tallies agree to accumulation-order
@@ -24,27 +24,22 @@ from repro.kernels.audit import audit_pass_allocations
 from repro.kernels.dispatch import KERNEL_TABLES, PASS_KERNELS
 from repro.mesh.boundary import BoundaryCondition
 from repro.mesh.structured import StructuredMesh
-from repro.physics.collision import collide as collide_scalar
-from repro.physics.constants import speed_from_energy_ev
-from repro.physics.events import (
+from repro.physics.fission import expected_secondaries, realised_secondaries
+from repro.physics.importance import split_count
+from repro.xs.lookup import LookupStats
+from repro.xs.tables import make_capture_table, make_scatter_table
+from tests.oracle import (
+    binary_search_bin,
+    cached_linear_search_bin,
+    collide as collide_scalar,
+    cross_facet as cross_facet_scalar,
     distance_to_census,
     distance_to_collision,
     distance_to_facet,
+    russian_roulette,
     select_event,
+    speed_from_energy_ev,
 )
-from repro.physics.facet import cross_facet as cross_facet_scalar
-from repro.physics.fission import expected_secondaries, realised_secondaries
-from repro.physics.importance import split_count
-from repro.physics.variance import russian_roulette
-from repro.volume.events3 import distance_to_facet_3d
-from repro.volume.facet3 import cross_facet_3d
-from repro.volume.mesh3 import StructuredMesh3D
-from repro.xs.lookup import (
-    LookupStats,
-    binary_search_bin,
-    cached_linear_search_bin,
-)
-from repro.xs.tables import make_capture_table, make_scatter_table
 
 RNG = np.random.default_rng(20170905)  # CLUSTER'17
 N = 257  # odd, larger than any vector width
@@ -74,12 +69,12 @@ def test_collide_matches_scalar():
         )
         for i in range(N):
             ref = collide_scalar(
-                energy[i], weight[i], ox[i], oy[i], sigma_a[i], sigma_t[i],
+                energy[i], weight[i], (ox[i], oy[i]), sigma_a[i], sigma_t[i],
                 1.0079, u1[i], u2[i], u3[i], 1e-2, 1e-3,
                 defer_weight_cutoff=defer,
             )
             got = (
-                ref.energy, ref.weight, ref.omega_x, ref.omega_y,
+                ref.energy, ref.weight, *ref.omega,
                 ref.mfp_to_collision, ref.deposit, ref.terminated,
                 ref.below_weight_cutoff,
             )
@@ -97,8 +92,8 @@ def test_cross_facet_matches_scalar():
         out = batch.cross_facet(cellx, celly, ox, oy, axis, mesh, bc)
         for i in range(N):
             ref = cross_facet_scalar(
-                int(cellx[i]), int(celly[i]), float(ox[i]), float(oy[i]),
-                int(axis[i]), mesh, bc,
+                (int(cellx[i]), int(celly[i])), (float(ox[i]), float(oy[i])),
+                int(axis[i]), mesh.shape, bc,
             )
             for field, (b, s) in enumerate(zip(out, ref)):
                 assert b[i] == s, (i, field, bc)
@@ -214,23 +209,13 @@ def _edge_lanes(ndim):
     return rows
 
 
-def _scalar_refs(ndim):
-    """``(mesh, facet distance, facet crossing)`` scalar references."""
-    if ndim == 2:
-        mesh = StructuredMesh(_NCELLS, _NCELLS, 1.0, 1.0,
-                              np.ones((_NCELLS, _NCELLS)))
-        return mesh, distance_to_facet, cross_facet_scalar
-    return (StructuredMesh3D(_NCELLS, _NCELLS, _NCELLS), distance_to_facet_3d,
-            cross_facet_3d)
-
-
 @pytest.mark.parametrize("ndim", (2, 3))
 @pytest.mark.parametrize("width", (1, 64, 16384))
 def test_geometry_kernels_edge_lanes(ndim, width):
     """The dispatched geometry kernels, bit-for-bit against the scalar
-    references on the edge-lane table, with floating-point errors raised:
+    oracle on the edge-lane table, with floating-point errors raised:
     a lane a predicate masks off must not have been computed."""
-    mesh, facet_ref, cross_ref = _scalar_refs(ndim)
+    mesh = StructuredMesh.grid((_NCELLS,) * ndim, (1.0,) * ndim)
     table = KERNEL_TABLES[ndim]
     names = PASS_KERNELS[ndim]
     rows = _edge_lanes(ndim)
@@ -270,7 +255,7 @@ def test_geometry_kernels_edge_lanes(ndim, width):
             p = [float(v[i]) for v in pos]
             o = [float(v[i]) for v in omega]
             bounds = mesh.cell_bounds(*cell)
-            d_facet, axis = facet_ref(*p, *o, *bounds)
+            d_facet, axis = distance_to_facet(p, o, bounds[0::2], bounds[1::2])
             assert dist.d_facet[i] == d_facet and dist.axis[i] == axis, lanes[i]
             for a in range(ndim):
                 assert dist.face[a][i] == bounds[2 * a + (o[a] > 0.0)]
@@ -281,7 +266,7 @@ def test_geometry_kernels_edge_lanes(ndim, width):
             assert dist.speed[i] == speed and dist.d_census[i] == d_census
             assert event[i] == int(select_event(d_coll, d_facet, d_census))
             for (bc, ax), out in crossed.items():
-                ref = cross_ref(*cell, *o, ax, mesh, bc)
+                ref = cross_facet_scalar(cell, o, ax, mesh.shape, bc)
                 for got, want in zip(out, ref):
                     assert got[i] == want, (lanes[i], bc, ax)
                     # −0.0 == 0.0: a reflection must flip the sign bit too.
@@ -383,7 +368,7 @@ def _final_state(result):
         (p.particle_id, p.x, p.y, p.omega_x, p.omega_y, p.energy, p.weight,
          p.cellx, p.celly, p.dt_to_census, p.mfp_to_collision,
          p.rng_counter, p.alive)
-        for p in result.arena.proxies()
+        for p in result.arena.to_particles()
     ]
 
 

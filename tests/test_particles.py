@@ -6,11 +6,8 @@ import pytest
 from repro.mesh.structured import StructuredMesh
 from repro.particles.arena import ParticleArena
 from repro.particles.particle import Particle
-from repro.particles.source import (
-    SourceRegion,
-    sample_source,
-    sample_source_aos,
-)
+from repro.particles.source import SourceRegion, sample_source
+from tests.oracle import from_particles, sample_source_aos
 
 
 def _mesh():
@@ -39,7 +36,7 @@ def test_store_roundtrip_preserves_everything():
     particles[5].alive = False
     particles[7].deposit_buffer = 3.25
     particles[7].scatter_bin = 11
-    store = ParticleArena.from_particles(particles)
+    store = from_particles(particles)
     back = store.to_particles()
     for a, b in zip(particles, back):
         for field in (

@@ -6,10 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.kernels import batch
-from repro.physics.collision import (
-    collide,
-    elastic_scatter_kinematics,
-)
+from tests.oracle import collide, elastic_scatter_kinematics
 
 UNIT = st.floats(min_value=0.0, max_value=1.0, exclude_max=True, allow_nan=False)
 MU = st.floats(min_value=-1.0, max_value=1.0, allow_nan=False)
@@ -77,9 +74,9 @@ def test_kinematics_vec_matches_scalar(mu, a):
 
 def _collide(u1=0.7, u2=0.3, u3=0.5, sigma_a=1.0, sigma_t=10.0, **kw):
     defaults = dict(
-        energy=1.0e6, weight=1.0, omega_x=1.0, omega_y=0.0,
+        energy=1.0e6, weight=1.0, omega=(1.0, 0.0),
         sigma_a=sigma_a, sigma_t=sigma_t, a_ratio=1.0,
-        u_angle=u1, u_sense=u2, u_mfp=u3,
+        u_angle=u1, u_turn=u2, u_mfp=u3,
         energy_cutoff_ev=1e-2, weight_cutoff=1e-3,
     )
     defaults.update(kw)
@@ -98,7 +95,8 @@ def test_collision_conserves_weighted_energy(u1, u2, u3):
 @settings(max_examples=300, deadline=None)
 def test_collision_direction_stays_unit(u1, u2, u3):
     out = _collide(u1, u2, u3)
-    assert out.omega_x**2 + out.omega_y**2 == pytest.approx(1.0, abs=1e-9)
+    ox, oy = out.omega
+    assert ox**2 + oy**2 == pytest.approx(1.0, abs=1e-9)
 
 
 def test_pure_scatterer_deposits_only_recoil():
@@ -128,8 +126,8 @@ def test_energy_cutoff_terminates():
 def test_rotation_sense_from_second_draw():
     a = _collide(u1=0.7, u2=0.1)
     b = _collide(u1=0.7, u2=0.9)
-    assert a.omega_x == b.omega_x  # same deflection cosine
-    assert a.omega_y == pytest.approx(-b.omega_y)  # mirrored sense
+    assert a.omega[0] == b.omega[0]  # same deflection cosine
+    assert a.omega[1] == pytest.approx(-b.omega[1])  # mirrored sense
 
 
 def test_mfp_resampled_from_third_draw():
@@ -148,8 +146,7 @@ def test_collide_vec_bit_identical_to_scalar(u1, u2, u3, w):
     )
     assert s.energy == e[0]
     assert s.weight == wt[0]
-    assert s.omega_x == ox[0]
-    assert s.omega_y == oy[0]
+    assert s.omega == (ox[0], oy[0])
     assert s.mfp_to_collision == mfp[0]
     assert s.deposit == dep[0]
     assert s.terminated == bool(term[0])

@@ -5,50 +5,49 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.kernels import batch
-from repro.physics.events import (
-    EventKind,
-    HUGE_DISTANCE,
+from repro.kernels import HUGE_DISTANCE, EventKind, batch
+from tests.oracle import (
     distance_to_census,
     distance_to_collision,
     distance_to_facet,
     select_event,
 )
 
-BOUNDS = (0.0, 1.0, 0.0, 1.0)
+#: The unit cell's lower and upper facets.
+LO, HI = (0.0, 0.0), (1.0, 1.0)
 
 
 def test_facet_straight_right():
-    d, axis = distance_to_facet(0.25, 0.5, 1.0, 0.0, *BOUNDS)
+    d, axis = distance_to_facet((0.25, 0.5), (1.0, 0.0), LO, HI)
     assert d == pytest.approx(0.75)
     assert axis == 0
 
 
 def test_facet_straight_up():
-    d, axis = distance_to_facet(0.5, 0.25, 0.0, 1.0, *BOUNDS)
+    d, axis = distance_to_facet((0.5, 0.25), (0.0, 1.0), LO, HI)
     assert d == pytest.approx(0.75)
     assert axis == 1
 
 
 def test_facet_negative_directions():
-    d, axis = distance_to_facet(0.25, 0.5, -1.0, 0.0, *BOUNDS)
+    d, axis = distance_to_facet((0.25, 0.5), (-1.0, 0.0), LO, HI)
     assert d == pytest.approx(0.25)
     assert axis == 0
-    d, axis = distance_to_facet(0.5, 0.25, 0.0, -1.0, *BOUNDS)
+    d, axis = distance_to_facet((0.5, 0.25), (0.0, -1.0), LO, HI)
     assert d == pytest.approx(0.25)
     assert axis == 1
 
 
 def test_facet_diagonal_picks_nearer():
     ox = oy = np.sqrt(0.5)
-    d, axis = distance_to_facet(0.9, 0.5, ox, oy, *BOUNDS)
+    d, axis = distance_to_facet((0.9, 0.5), (ox, oy), LO, HI)
     assert axis == 0  # x boundary at 0.1/ox is nearer than y at 0.5/oy
     assert d == pytest.approx(0.1 / ox)
 
 
 def test_facet_corner_tie_prefers_x():
     ox = oy = np.sqrt(0.5)
-    d, axis = distance_to_facet(0.5, 0.5, ox, oy, *BOUNDS)
+    d, axis = distance_to_facet((0.5, 0.5), (ox, oy), LO, HI)
     assert axis == 0
 
 
@@ -60,7 +59,7 @@ def test_facet_corner_tie_prefers_x():
 @settings(max_examples=300, deadline=None)
 def test_facet_distance_positive_and_lands_on_boundary(x, y, theta):
     ox, oy = np.cos(theta), np.sin(theta)
-    d, axis = distance_to_facet(x, y, ox, oy, *BOUNDS)
+    d, axis = distance_to_facet((x, y), (ox, oy), LO, HI)
     assert d > 0.0
     hx, hy = x + ox * d, y + oy * d
     if axis == 0:
@@ -80,15 +79,15 @@ def test_facet_vec_matches_scalar():
     hi = np.ones(n)
     dv, av = batch.distance_to_facet(x, y, ox, oy, lo, hi, lo, hi)
     for i in range(n):
-        ds, as_ = distance_to_facet(x[i], y[i], ox[i], oy[i], 0.0, 1.0, 0.0, 1.0)
+        ds, as_ = distance_to_facet((x[i], y[i]), (ox[i], oy[i]), LO, HI)
         assert dv[i] == ds
         assert av[i] == as_
 
 
 def test_zero_direction_component_never_hits():
-    d, axis = distance_to_facet(0.5, 0.5, 0.0, 1.0, *BOUNDS)
+    d, axis = distance_to_facet((0.5, 0.5), (0.0, 1.0), LO, HI)
     assert axis == 1  # x distance is HUGE, y wins
-    d, _ = distance_to_facet(0.5, 0.5, 1.0, 0.0, *BOUNDS)
+    d, _ = distance_to_facet((0.5, 0.5), (1.0, 0.0), LO, HI)
     assert d < HUGE_DISTANCE
 
 

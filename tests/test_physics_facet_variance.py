@@ -7,12 +7,12 @@ from hypothesis import strategies as st
 
 from repro.kernels import batch
 from repro.mesh.structured import StructuredMesh
-from repro.physics.facet import cross_facet
-from repro.physics.constants import speed_from_energy_ev
-from repro.physics.variance import (
+from repro.physics.variance import DEFAULT_ENERGY_CUTOFF_EV, DEFAULT_WEIGHT_CUTOFF
+from tests.oracle import (
+    cross_facet,
     russian_roulette,
     should_terminate,
-    should_terminate_vec,
+    speed_from_energy_ev,
 )
 
 
@@ -26,29 +26,29 @@ def mesh():
 # ---------------------------------------------------------------------------
 
 def test_interior_crossing_moves_cell(mesh):
-    cx, cy, ox, oy, refl, esc = cross_facet(1, 1, 1.0, 0.0, 0, mesh)
+    cx, cy, ox, oy, refl, esc = cross_facet((1, 1), (1.0, 0.0), 0, mesh.shape)
     assert (cx, cy) == (2, 1)
     assert not refl and not esc
-    cx, cy, ox, oy, refl, esc = cross_facet(1, 1, 0.0, -1.0, 1, mesh)
+    cx, cy, ox, oy, refl, esc = cross_facet((1, 1), (0.0, -1.0), 1, mesh.shape)
     assert (cx, cy) == (1, 0)
     assert not refl and not esc
 
 
 def test_boundary_reflects_and_stays(mesh):
-    cx, cy, ox, oy, refl, esc = cross_facet(3, 1, 1.0, 0.0, 0, mesh)
+    cx, cy, ox, oy, refl, esc = cross_facet((3, 1), (1.0, 0.0), 0, mesh.shape)
     assert (cx, cy) == (3, 1)
     assert refl and ox == -1.0 and not esc
-    cx, cy, ox, oy, refl, esc = cross_facet(0, 1, -1.0, 0.0, 0, mesh)
+    cx, cy, ox, oy, refl, esc = cross_facet((0, 1), (-1.0, 0.0), 0, mesh.shape)
     assert refl and ox == 1.0
-    cx, cy, ox, oy, refl, esc = cross_facet(1, 3, 0.0, 1.0, 1, mesh)
+    cx, cy, ox, oy, refl, esc = cross_facet((1, 3), (0.0, 1.0), 1, mesh.shape)
     assert refl and oy == -1.0
-    cx, cy, ox, oy, refl, esc = cross_facet(1, 0, 0.0, -1.0, 1, mesh)
+    cx, cy, ox, oy, refl, esc = cross_facet((1, 0), (0.0, -1.0), 1, mesh.shape)
     assert refl and oy == 1.0
 
 
 def test_reflection_only_flips_hit_axis(mesh):
     ox0, oy0 = 0.6, 0.8
-    cx, cy, ox, oy, refl, esc = cross_facet(3, 1, ox0, oy0, 0, mesh)
+    cx, cy, ox, oy, refl, esc = cross_facet((3, 1), (ox0, oy0), 0, mesh.shape)
     assert refl and not esc
     assert ox == -ox0 and oy == oy0
 
@@ -63,7 +63,8 @@ def test_reflection_only_flips_hit_axis(mesh):
 def test_crossing_never_leaves_mesh(cx, cy, theta, axis):
     mesh = StructuredMesh(4, 4)
     ox, oy = np.cos(theta), np.sin(theta)
-    ncx, ncy, nox, noy, refl, esc = cross_facet(cx, cy, ox, oy, axis, mesh)
+    ncx, ncy, nox, noy, refl, esc = cross_facet((cx, cy), (ox, oy), axis,
+                                                mesh.shape)
     assert 0 <= ncx < 4 and 0 <= ncy < 4
     assert nox**2 + noy**2 == pytest.approx(ox**2 + oy**2)
 
@@ -79,7 +80,8 @@ def test_cross_facet_vec_matches_scalar(mesh):
     vcx, vcy, vox, voy, vre, ves = batch.cross_facet(cx, cy, ox, oy, axis, mesh)
     for i in range(n):
         scx, scy, sox, soy, sre, ses = cross_facet(
-            int(cx[i]), int(cy[i]), float(ox[i]), float(oy[i]), int(axis[i]), mesh
+            (int(cx[i]), int(cy[i])), (float(ox[i]), float(oy[i])),
+            int(axis[i]), mesh.shape,
         )
         assert (scx, scy, sox, soy, sre, ses) == (
             vcx[i], vcy[i], vox[i], voy[i], bool(vre[i]), bool(ves[i])
@@ -125,7 +127,11 @@ def test_termination_thresholds():
 def test_termination_vec_parity():
     e = np.array([1e-3, 1e6, 1e6])
     w = np.array([1.0, 1e-4, 1.0])
-    assert list(should_terminate_vec(e, w)) == [True, True, False]
+    mask, deferred = batch.apply_cutoffs(
+        e, w, DEFAULT_ENERGY_CUTOFF_EV, DEFAULT_WEIGHT_CUTOFF, False
+    )
+    assert list(mask) == [True, True, False] and not deferred.any()
+    assert list(mask) == [should_terminate(*ew) for ew in zip(e, w)]
 
 
 def test_roulette_above_cutoff_untouched():

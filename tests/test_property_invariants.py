@@ -30,6 +30,7 @@ from repro.mesh.tally import EnergyDepositionTally
 from repro.particles.arena import ParticleArena
 from repro.particles.particle import Particle
 from repro.particles.source import SourceRegion
+from tests.oracle import from_particles
 
 SLOW = settings(
     max_examples=10,
@@ -131,7 +132,7 @@ particle_strategy = st.builds(
 @given(particles=st.lists(particle_strategy, min_size=0, max_size=20))
 @settings(max_examples=50, deadline=None)
 def test_store_roundtrip_property(particles):
-    store = ParticleArena.from_particles(particles)
+    store = from_particles(particles)
     back = store.to_particles()
     assert len(back) == len(particles)
     for a, b in zip(particles, back):
@@ -299,11 +300,9 @@ def _partitioned_counters(cuts, scheme):
     """Run one problem partitioned at ``cuts``, merging shard counters."""
     cfg = csp_problem(nx=32, nparticles=_FAULT_N)
     run_config = cfg.with_(materials=cfg.resolved_materials())
-    materials = run_config.materials
     population = pool_mod.sample_source(
         cfg.build_mesh(), cfg.source, cfg.nparticles, cfg.seed, cfg.dt,
-        scatter_table=materials[0].scatter,
-        capture_table=materials[0].capture,
+        provider=run_config.resolved_provider(),
     )
     bounds = [0, *sorted(cuts), _FAULT_N]
     ranges = [(lo, hi) for lo, hi in zip(bounds, bounds[1:]) if hi > lo]

@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.kernels import batch
-from repro.rng.distributions import (
+from tests.oracle import (
     sample_isotropic_direction,
     sample_mean_free_paths,
     sample_position_in_box,

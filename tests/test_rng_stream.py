@@ -5,7 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.rng.stream import ParticleRNG, VectorParticleRNG, uniform_from_bits
+from repro.rng.stream import VectorParticleRNG, uniform_from_bits
+from tests.oracle import ParticleRNG, stream_of
 
 
 def test_reproducible_stream():
@@ -125,8 +126,8 @@ def test_k_draws_equal_k_single_draws(k, n, select, per_lane_seed):
     mask = np.arange(n) % 4 != 1
     sel = {"mask": mask, "index": np.nonzero(mask)[0], "all": None}[select]
     lanes = np.arange(n) if sel is None else np.nonzero(mask)[0]
-    streams = [multi.scalar_stream(i) for i in lanes[::997]] + (
-        [multi.scalar_stream(lanes[-1])] if lanes.size else []
+    streams = [stream_of(multi, i) for i in lanes[::997]] + (
+        [stream_of(multi, lanes[-1])] if lanes.size else []
     )
     draws = multi.next_uniform(sel, k)
     rows = [single.next_uniform(sel) for _ in range(k)]
@@ -154,9 +155,9 @@ def test_vector_scalar_stream_extraction():
     ids = np.arange(4, dtype=np.uint64)
     vec = VectorParticleRNG(seed=9, particle_ids=ids)
     vec.next_uniform()
-    s = vec.scalar_stream(2)
+    s = stream_of(vec, 2)
     t = ParticleRNG(9, 2, counter=1)
-    assert s.next_uniform() == t.next_uniform()
+    assert s.next_uniform() == t.next_uniform() == vec.next_uniform()[2]
 
 
 def test_vector_counter_shape_validation():

@@ -7,11 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.rng.threefry import (
-    THREEFRY_DEFAULT_ROUNDS,
-    threefry2x64,
-    threefry2x64_vec,
-)
+from repro.rng.threefry import THREEFRY_DEFAULT_ROUNDS, threefry2x64_vec
+from tests.oracle import threefry2x64
 
 U64 = st.integers(min_value=0, max_value=2**64 - 1)
 

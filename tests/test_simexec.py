@@ -9,7 +9,7 @@ from repro.machine import BROADWELL, POWER8
 from repro.parallel.affinity import Affinity
 from repro.parallel.schedule import ScheduleKind
 from repro.perfmodel import Workload
-from repro.physics.events import EventKind
+from repro.kernels import EventKind
 from repro.simexec import (
     SimExecOptions,
     record_trace,

@@ -27,12 +27,12 @@ from repro.volume import (
     scatter3_problem,
     stream3_problem,
 )
-from repro.volume.collision3 import collide3
-from repro.volume.events3 import distance_to_facet_3d
-from repro.volume.facet3 import cross_facet_3d
-from repro.volume.kinematics3 import (
+from tests.oracle import (
+    collide,
+    cross_facet,
+    distance_to_facet,
     rotate_direction,
-    sample_isotropic_direction_3d,
+    sample_isotropic_direction,
 )
 
 UNIT = st.floats(min_value=0.0, max_value=1.0, exclude_max=True, allow_nan=False)
@@ -45,7 +45,7 @@ UNIT = st.floats(min_value=0.0, max_value=1.0, exclude_max=True, allow_nan=False
 @given(u1=UNIT, u2=UNIT)
 @settings(max_examples=200, deadline=None)
 def test_isotropic_3d_unit_norm(u1, u2):
-    x, y, z = sample_isotropic_direction_3d(u1, u2)
+    x, y, z = sample_isotropic_direction(u1, u2)
     assert x * x + y * y + z * z == pytest.approx(1.0, abs=1e-12)
     vx, vy, vz = batch.sample_isotropic_direction_3d(np.array([u1]), np.array([u2]))
     assert (x, y, z) == (vx[0], vy[0], vz[0])
@@ -67,7 +67,7 @@ def test_isotropic_3d_statistics():
 )
 @settings(max_examples=300, deadline=None)
 def test_rotation_preserves_norm_and_deflection(u1, u2, mu, phi):
-    u, v, w = sample_isotropic_direction_3d(u1, u2)
+    u, v, w = sample_isotropic_direction(u1, u2)
     nu, nv, nw = rotate_direction(u, v, w, mu, phi)
     assert nu * nu + nv * nv + nw * nw == pytest.approx(1.0, abs=1e-9)
     # The deflection cosine is honoured; the standard rotation formula
@@ -109,11 +109,13 @@ def test_mesh3_indexing():
         StructuredMesh3D(0, 4, 4)
 
 
+LO, HI = (0.0, 0.0, 0.0), (1.0, 1.0, 1.0)
+
+
 def test_facet_distance_3d_axes():
-    b = (0.0, 1.0, 0.0, 1.0, 0.0, 1.0)
-    d, ax = distance_to_facet_3d(0.5, 0.5, 0.5, 0.0, 0.0, 1.0, *b)
+    d, ax = distance_to_facet((0.5, 0.5, 0.5), (0.0, 0.0, 1.0), LO, HI)
     assert (d, ax) == (pytest.approx(0.5), 2)
-    d, ax = distance_to_facet_3d(0.2, 0.5, 0.5, -1.0, 0.0, 0.0, *b)
+    d, ax = distance_to_facet((0.2, 0.5, 0.5), (-1.0, 0.0, 0.0), LO, HI)
     assert (d, ax) == (pytest.approx(0.2), 0)
 
 
@@ -125,9 +127,8 @@ def test_facet_distance_3d_axes():
 )
 @settings(max_examples=200, deadline=None)
 def test_facet_3d_scalar_vec_parity(x, y, z, u1, u2):
-    ox, oy, oz = sample_isotropic_direction_3d(u1, u2)
-    b = (0.0, 1.0, 0.0, 1.0, 0.0, 1.0)
-    ds, as_ = distance_to_facet_3d(x, y, z, ox, oy, oz, *b)
+    ox, oy, oz = sample_isotropic_direction(u1, u2)
+    ds, as_ = distance_to_facet((x, y, z), (ox, oy, oz), LO, HI)
     arr = lambda v: np.array([v])
     dv, av = batch.distance_to_facet(
         arr(x), arr(y), arr(z), arr(ox), arr(oy), arr(oz),
@@ -154,12 +155,13 @@ def test_tally3d_flush_vec_is_a_scalar_flush_loop_bitwise():
 
 
 def test_cross_facet_3d_reflect_and_escape():
-    m = StructuredMesh3D(4, 4, 4)
-    out = cross_facet_3d(3, 1, 1, 1.0, 0.0, 0.0, 0, m)
+    shape = StructuredMesh3D(4, 4, 4).shape
+    out = cross_facet((3, 1, 1), (1.0, 0.0, 0.0), 0, shape)
     assert out[:3] == (3, 1, 1) and out[3] == -1.0 and out[6] and not out[7]
-    out = cross_facet_3d(3, 1, 1, 1.0, 0.0, 0.0, 0, m, BoundaryCondition.VACUUM)
+    out = cross_facet((3, 1, 1), (1.0, 0.0, 0.0), 0, shape,
+                      BoundaryCondition.VACUUM)
     assert out[7] and not out[6]
-    out = cross_facet_3d(1, 1, 1, 0.0, 0.0, -1.0, 2, m)
+    out = cross_facet((1, 1, 1), (0.0, 0.0, -1.0), 2, shape)
     assert out[:3] == (1, 1, 0)
 
 
@@ -173,17 +175,17 @@ def test_cross_facet_3d_vec_parity():
     axis = rng.integers(0, 3, n)
     vec = batch.cross_facet(cx, cy, cz, ox, oy, oz, axis, m)
     for i in range(n):
-        s = cross_facet_3d(
-            int(cx[i]), int(cy[i]), int(cz[i]),
-            float(ox[i]), float(oy[i]), float(oz[i]), int(axis[i]), m,
+        s = cross_facet(
+            (int(cx[i]), int(cy[i]), int(cz[i])),
+            (float(ox[i]), float(oy[i]), float(oz[i])), int(axis[i]), m.shape,
         )
         got = tuple(v[i] for v in vec[:6]) + (bool(vec[6][i]), bool(vec[7][i]))
         assert s == got
 
 
 def test_collide3_vec_parity():
-    """The batch 3-D collision kernel against its scalar reference, lane
-    by lane, cutoffs included."""
+    """The batch 3-D collision kernel against the scalar oracle, lane by
+    lane, cutoffs included, the deferred weight cutoff too."""
     rng = np.random.default_rng(3)
     n = 300
     energy = 10.0 ** rng.uniform(-1.0, 6.0, n)
@@ -196,20 +198,22 @@ def test_collide3_vec_parity():
         energy, weight, ox, oy, oz, sigma_a, sigma_t, 1.0, *u, 1.0, 1.0e-3,
     )
     assert not vec[8].any()  # nothing deferred without Russian roulette
-    for i in range(n):
-        s = collide3(
-            energy[i], weight[i], ox[i], oy[i], oz[i], sigma_a[i],
-            sigma_t[i], 1.0, u[0][i], u[1][i], u[2][i], 1.0, 1.0e-3,
-        )
-        assert (
-            s.energy, s.weight, s.ox, s.oy, s.oz, s.mfp_to_collision,
-            s.deposit, s.terminated,
-        ) == tuple(v[i] for v in vec[:8]), i
     deferred = batch.collide(
         energy, weight, ox, oy, oz, sigma_a, sigma_t, 1.0, *u, 1.0, 1.0e-3,
         defer_weight_cutoff=True,
     )
     assert deferred[8].any() and not (deferred[7] & deferred[8]).any()
+    for defer, out in ((False, vec), (True, deferred)):
+        for i in range(n):
+            s = collide(
+                energy[i], weight[i], (ox[i], oy[i], oz[i]), sigma_a[i],
+                sigma_t[i], 1.0, u[0][i], u[1][i], u[2][i], 1.0, 1.0e-3,
+                defer_weight_cutoff=defer,
+            )
+            assert (
+                s.energy, s.weight, *s.omega, s.mfp_to_collision,
+                s.deposit, s.terminated, s.below_weight_cutoff,
+            ) == tuple(v[i] for v in out), (i, defer)
 
 
 def test_tally3():
@@ -487,3 +491,12 @@ def test_3d_config_validation():
     cfg = stream3_problem(n=8, nparticles=5)
     with pytest.raises(ValueError):
         cfg.with_(density=np.zeros((4, 4, 4)))
+
+
+def test_3d_config_refuses_out_of_range_seeds():
+    """The 3-D config refuses a seed that is not a 64-bit Threefry key
+    word, as the 2-D one does."""
+    for seed in (-1, 2**64, 2**64 + 3):
+        with pytest.raises(ValueError, match=r"seed must be in \[0, 2\*\*64\)"):
+            stream3_problem(n=8, nparticles=5, seed=seed)
+    assert stream3_problem(n=8, nparticles=5, seed=2**64 - 1).seed == 2**64 - 1

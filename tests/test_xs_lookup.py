@@ -6,12 +6,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.kernels import xs as kxs
-from repro.xs.lookup import (
-    LookupStats,
-    binary_search_bin,
-    cached_linear_search_bin,
-)
+from repro.xs.lookup import LookupStats
 from repro.xs.tables import CrossSectionTable, make_capture_table
+from tests.oracle import binary_search_bin, cached_linear_search_bin
 
 
 @pytest.fixture(scope="module")
