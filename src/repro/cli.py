@@ -661,7 +661,7 @@ def _cmd_ensemble_run(args: argparse.Namespace) -> int:
         args, run, report,
         transport=lambda ens: TransportResult(
             ens.members[0], ens.scheme, ens.tally, ens.counters, ens.arena,
-            ens.wallclock_s,
+            ens.wallclock_s, ens.pool,
         ),
     )
 

@@ -70,10 +70,20 @@ __all__ = [
     "CensusStepper",
     "drive_census_loop",
     "run_stepped",
+    "scheme_label",
     "validate_scheme_options",
 ]
 
 _SORT_KEYS = (None, "energy", "cell", "particle_id")
+
+
+def scheme_label(plan) -> Scheme:
+    """The scheme a run under ``plan`` reports: a fixed scheme, or a plan
+    that keeps to one, as itself; anything that switches (``AUTO``'s
+    scheduler, a switching :class:`SwitchPlan`) as ``Scheme.AUTO``."""
+    if isinstance(plan, Scheme):
+        return plan
+    return getattr(plan, "fixed_scheme", None) or Scheme.AUTO
 
 
 def validate_scheme_options(config: SimulationConfig, scheme) -> None:
@@ -420,9 +430,8 @@ class CensusStepper:
     def run(self, plan) -> None:
         config = self.config
         rec = self.rec
-        fixed = getattr(plan, "fixed_scheme", None)
-        self.result_scheme = fixed if fixed is not None else Scheme.AUTO
-        announce = fixed is None
+        self.result_scheme = scheme_label(plan)
+        announce = self.result_scheme is Scheme.AUTO
         state: dict = {}
 
         def begin_step(step: int) -> None:
@@ -464,7 +473,7 @@ class CensusStepper:
             if self.probe.enabled:
                 self._probe_step(step)
 
-        label = fixed.value if fixed is not None else Scheme.AUTO.value
+        label = self.result_scheme.value
         drive_census_loop(
             rec, config.ntimesteps, {"scheme": label}, begin_step, run_step
         )

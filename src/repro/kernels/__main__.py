@@ -35,8 +35,9 @@ def main(argv=None) -> int:
         "replica books, the event handlers or their kernel dispatches "
         "exist outside repro/core/event_pass.py, a dimension twin of "
         "the tally flush, point location or collide/cross_facet returns, "
-        "a per-pass replica-books verb loops over replicas, or the 2-D or "
-        "3-D distance pipeline allocates from its second call",
+        "a per-pass replica-books verb loops over replicas, the pool's "
+        "launch machinery is reached from outside repro/parallel/pool.py, "
+        "or the 2-D or 3-D distance pipeline allocates from its second call",
     )
     args = parser.parse_args(argv)
     if not args.check:
@@ -73,7 +74,7 @@ def main(argv=None) -> int:
           f"alias and one event pass in any dimension "
           f"({single_pkgs} audited); one tally flush, point location and "
           f"collide/cross_facet body for every dimension; no replica "
-          f"loop in the books' per-pass verbs")
+          f"loop in the books' per-pass verbs; one pooled launch")
     print("OK: the 2-D and 3-D distance pipelines allocate nothing from "
           "their second call")
     return 0

@@ -31,7 +31,10 @@ name (2-D or 3-D) outside ``core/event_pass.py`` — and one body per
 dimension-generic piece below it: the tally flush, the mesh's point
 location and the collision and facet kernels each have one home, whatever
 the number of axes.  The books' per-pass verbs stay loop-free over
-replicas: the replica is an array axis there, not a Python loop.
+replicas: the replica is an array axis there, not a Python loop.  And
+there is one pooled launch: the pool's dispatcher and start-method pick
+are called in ``parallel/pool.py`` only, and no module outside
+``parallel/`` imports a private name of the pool.
 
 :func:`audit_pass_allocations` is a runtime check beside the source
 audits: the distance pipeline of one event pass (``distances`` +
@@ -71,6 +74,8 @@ __all__ = [
     "TWIN_HOMES",
     "BOOKS_HOME",
     "LOOP_FREE_VERBS",
+    "POOL_HOME",
+    "POOL_LAUNCH_CALLS",
 ]
 
 #: Packages that must not define ``*_vec`` implementations.
@@ -163,6 +168,11 @@ TWIN_HOMES = {"flush_vec": "mesh/tally.py",
 #: per-replica Python loop coming back.
 BOOKS_HOME = "core/books.py"
 LOOP_FREE_VERBS = ("flush", "cadd", "record_pass")
+
+#: The pool module, and the launch machinery only it may call: a plain
+#: run and a pooled ensemble both launch through its ``run_sharded``.
+POOL_HOME = "parallel/pool.py"
+POOL_LAUNCH_CALLS = ("_Dispatcher", "_pick_context")
 
 _LOOP_NODES = (ast.For, ast.AsyncFor, ast.While, ast.ListComp, ast.SetComp,
                ast.DictComp, ast.GeneratorExp)
@@ -284,7 +294,35 @@ def audit_single_path(package_root: str | Path | None = None) -> list[str]:
                 )
     return (violations + _audit_one_event_pass(package_root)
             + _audit_one_twin(package_root)
-            + _audit_loop_free_verbs(package_root))
+            + _audit_loop_free_verbs(package_root)
+            + _audit_one_pool(package_root))
+
+
+def _audit_one_pool(package_root: Path) -> list[str]:
+    """A second pooled launch: a :data:`POOL_LAUNCH_CALLS` call outside
+    :data:`POOL_HOME`, or an underscore name imported from
+    ``repro.parallel.pool`` by a module outside ``parallel/``."""
+    violations: list[str] = []
+    for path in sorted(package_root.rglob("*.py")):
+        rel = path.relative_to(package_root).as_posix()
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if (isinstance(node, ast.Call) and rel != POOL_HOME
+                    and _call_name(node) in POOL_LAUNCH_CALLS):
+                found = f"{_call_name(node)}(...)"
+            elif (isinstance(node, ast.ImportFrom)
+                  and node.module == "repro.parallel.pool"
+                  and not rel.startswith("parallel/")
+                  and any(a.name.startswith("_") for a in node.names)):
+                found = "import of " + ", ".join(
+                    a.name for a in node.names if a.name.startswith("_")
+                )
+            else:
+                continue
+            violations.append(
+                f"{rel}:{node.lineno}: {found} — every pooled run launches "
+                f"through repro.parallel.pool.run_sharded"
+            )
+    return violations
 
 
 def _audit_loop_free_verbs(package_root: Path) -> list[str]:

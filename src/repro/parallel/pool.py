@@ -1,16 +1,21 @@
 """Real on-node parallel execution: a fault-tolerant shared-memory pool.
 
 Everything else in :mod:`repro.parallel` *models* the paper's OpenMP
-machinery; this module runs it for real.  Histories are sharded across
-``multiprocessing`` worker processes and the existing OP/OE drivers run
-unchanged on each shard — the Python analogue of the paper's §VI particle
-loop:
+machinery; this module runs it for real.  A replica set (one config per
+replica, a plain run being ``(config,)``) is sharded across
+``multiprocessing`` worker processes and each shard runs the census
+stepper with its replicas' books — the Python analogue of the paper's §VI
+particle loop.  :func:`run_pool` and a pooled
+:func:`repro.ensemble.run_ensemble` both launch through
+:func:`run_sharded`: one shard body, one dispatcher, one reduce.
 
 * ``ScheduleKind.STATIC`` carves the population into ``nworkers``
   contiguous blocks (OpenMP's default static schedule); each block is one
   *shard* owned by one worker.
-* ``ScheduleKind.DYNAMIC`` pre-fills a shared queue with ``chunk``-sized
+* ``ScheduleKind.DYNAMIC`` pre-fills a shared queue with ``chunk``-unit
   shards and idle workers pull the next one (``schedule(dynamic, chunk)``);
+* shards are cut on units: histories of one replica, or whole replicas
+  (a shard never splits a replica of an ensemble);
 * each worker accumulates a **private** :class:`EnergyDepositionTally` and
   private :class:`Counters` per shard, reduced by the parent in shard-id
   order — the §VI-F tally-privatisation pattern, for real this time.
@@ -18,7 +23,7 @@ loop:
 Zero-copy shard hand-off.  The parent samples the population into one
 :class:`~repro.particles.arena.ParticleArena` and re-homes it into a
 ``multiprocessing.shared_memory`` block; each worker receives only the
-tiny ``(name, n_total)`` handle and attaches a zero-copy view — shard
+tiny ``(shm_name, n_total)`` handle and attaches a zero-copy view — shard
 tasks stay ``(shard_id, attempt, lo, hi)`` tuples, so the per-shard
 payload shipped to a worker is a few dozen bytes instead of a pickled
 ``list[Particle]``.  A worker *copies* its ``[lo, hi)`` slice before
@@ -37,10 +42,10 @@ watchdog loop that detects
   measured from the worker's shard-start announcement;
 
 a shard lost with its worker (or failed with an exception) is re-enqueued
-with a bounded per-shard retry budget and optional backoff, and the worker
-slot is respawned under a pool-wide respawn budget.  When a shard exhausts
-its retries, or no worker can be respawned for stranded work, the pool
-**degrades gracefully**: remaining shards are drained in-process by the
+with a bounded per-shard retry budget, and the worker slot is respawned
+under a pool-wide respawn budget.  When a shard exhausts its retries, or
+no worker can be respawned for stranded work, the pool **degrades
+gracefully**: remaining shards are drained in-process by the
 parent and the run completes with ``PoolRunInfo.degraded`` set instead of
 raising.  Every failure path is reproducible through the deterministic
 :class:`~repro.parallel.faults.FaultPlan` injection harness threaded
@@ -53,10 +58,11 @@ evolves bit-identically no matter which worker runs it, which chunk it
 arrives in, *or how many times its shard is retried*.  Consequently a run
 that lost and re-executed shards produces the *same final particle states*
 as an undisturbed run, and private tallies reduced in shard-id order make
-the tally independent of worker scheduling too.  The merged population is
-returned sorted by ``particle_id`` (primaries first, in birth order), an
-order independent of the worker count, so ``nworkers=4`` and
-``nworkers=1`` results compare bit-for-bit.
+the tally independent of worker scheduling too.  A plain run's merged
+population is returned sorted by ``particle_id`` (primaries first, in
+birth order), an order independent of the worker count, so ``nworkers=4``
+and ``nworkers=1`` results compare bit-for-bit; an ensemble's is the
+shards' populations in shard order.
 """
 
 from __future__ import annotations
@@ -79,10 +85,10 @@ from repro.obs.live import FlightSpiller, LiveBoard, load_flight_dump
 from repro.obs.spans import NULL_RECORDER, Recorder
 from repro.parallel.faults import KILLED_EXIT_CODE, FaultInjected, FaultPlan
 from repro.parallel.schedule import ScheduleKind
-from repro.particles.arena import ParticleArena
 from repro.particles.source import sample_source
 
-__all__ = ["PoolOptions", "WorkerReport", "PoolRunInfo", "run_pool"]
+__all__ = ["PoolOptions", "WorkerReport", "PoolRunInfo", "run_pool",
+           "run_sharded"]
 
 #: Sentinel worker id for shards the parent drained in-process
 #: (degraded mode); shows up as its own :class:`WorkerReport`.
@@ -92,6 +98,13 @@ PARENT_WORKER_ID = -1
 #: seconds of total silence with every worker idle (safety net against a
 #: worker dying between pulling a task and announcing it).
 _STALL_WINDOW_S = 5.0
+
+#: Parent watchdog polling granularity (seconds).
+_POLL_S = 0.05
+
+#: A worker slot's work tally before (or without) any shard.
+_IDLE = {"histories": 0, "final": 0, "events": 0, "chunks": 0,
+         "busy_s": 0.0, "total_s": 0.0}
 
 
 @dataclass(frozen=True)
@@ -108,7 +121,8 @@ class PoolOptions:
         queue); the other :class:`ScheduleKind` members describe
         simulated-only policies and are rejected.
     chunk:
-        Histories per DYNAMIC shard.
+        Units per DYNAMIC shard: histories for a plain run, replicas for
+        an ensemble.
     start_method:
         ``multiprocessing`` start method; ``None`` picks ``fork`` where
         available (cheap on Linux) and falls back to ``spawn``.  Unknown
@@ -131,11 +145,6 @@ class PoolOptions:
         Heartbeat age past which a worker *executing a shard* is declared
         hung (``None`` disables heartbeat-age detection).  Must exceed
         ``heartbeat_interval``.
-    retry_backoff:
-        Parent-side sleep of ``retry_backoff * attempt`` seconds before a
-        shard is re-enqueued (0 disables backoff).
-    poll_interval:
-        Parent watchdog polling granularity.
     fault_plan:
         Deterministic fault injection (tests/demos); requires
         ``nworkers >= 2`` because faults run inside worker processes.
@@ -146,8 +155,7 @@ class PoolOptions:
         shard longer than ``rebalance_threshold`` seconds — splits the
         largest reserve shard in two so the remaining work drains in
         finer grains around the straggler.  Physics is unaffected
-        (shards always partition the population and the reduction
-        re-sorts by ``particle_id``).
+        (shards always partition the population on unit boundaries).
     rebalance_threshold:
         In-flight shard age (seconds) that triggers a reserve split.
     flight_dir:
@@ -168,8 +176,6 @@ class PoolOptions:
     max_worker_respawns: int = 3
     heartbeat_interval: float = 0.25
     heartbeat_timeout: float | None = None
-    retry_backoff: float = 0.0
-    poll_interval: float = 0.05
     fault_plan: FaultPlan | None = None
     rebalance: bool = False
     rebalance_threshold: float = 1.0
@@ -205,10 +211,6 @@ class PoolOptions:
             and self.heartbeat_timeout <= self.heartbeat_interval
         ):
             raise ValueError("heartbeat_timeout must exceed heartbeat_interval")
-        if self.retry_backoff < 0:
-            raise ValueError("retry_backoff must be >= 0")
-        if self.poll_interval <= 0:
-            raise ValueError("poll_interval must be positive")
         if self.fault_plan is not None and self.fault_plan and self.nworkers < 2:
             raise ValueError(
                 "fault injection targets worker processes; nworkers must "
@@ -328,67 +330,71 @@ class PoolRunInfo:
 # Shard execution (runs inside workers; in-process when nworkers == 1)
 # ---------------------------------------------------------------------------
 
-def _run_ranges(config, scheme, population, ranges, recorder=None,
+def _run_ranges(members, bounds, scheme, population, ranges, recorder=None,
                 probe=None):
-    """Run the scheme driver over each ``(lo, hi)`` history range.
+    """The one shard body (worker, in-process path and degraded drain):
+    run the replica set over each ``(lo, hi)`` unit range.
 
-    ``population`` is a :class:`ParticleArena` — private or shared-memory
-    backed; each range is materialised as a *copy* of the zero-copy view
-    before the driver advances it, so the population itself is never
-    mutated and a retried range re-executes from identical bytes.
-    Accumulates into one private tally and one private counter set, in
-    range order; returns everything the parent needs for the reduction.
-    ``recorder`` (when given) is handed to the drivers, which record
-    their span trees into it; it never alters the physics.  ``probe``
-    (a :class:`repro.obs.live.StepProbe`) likewise: the stepper publishes
-    per-census-step counter totals through it and each finished range is
-    committed, feeding the live plane without touching the physics.
-
-    ``scheme`` may be a fixed :class:`Scheme`, ``Scheme.AUTO`` (each
-    shard gets its own live :class:`repro.adaptive.AdaptiveScheduler`),
-    or a pickled :class:`~repro.core.stepper.SwitchPlan`; every case
-    routes through the unified census stepper, and switch schedules are
-    physics-bit-identical to fixed schemes per history, so retries and
-    worker placement stay reproducible.
+    Replica ``r`` of ``members`` owns rows ``[bounds[r], bounds[r + 1])``
+    of ``population``; a unit is a history when there is one replica and
+    a whole replica otherwise, so an ensemble range covers whole replicas
+    by construction.  Each range runs as a *copy* of its zero-copy view
+    (the population is never mutated, so a retry re-executes from
+    identical bytes) through the census stepper with
+    :class:`~repro.core.books.ReplicaBooks` over its replicas, into one
+    private tally (an ensemble range's own tally is merged into it) and
+    counter set, in range order.  Returns what the reduction needs, with
+    each replica's ``(counters, tally)`` for an ensemble.  ``recorder``
+    and ``probe`` (committed per range) never alter the physics, and
+    ``scheme`` may be any :class:`Scheme`, ``AUTO`` (a live scheduler per
+    range) or a :class:`~repro.core.stepper.SwitchPlan` — switching is
+    physics-bit-identical per history, so retries stay reproducible.
     """
+    from repro.core.books import ReplicaBooks
     from repro.core.stepper import run_stepped
 
-    # Jobs that know how to run themselves (e.g. the ensemble engine's
-    # EnsembleJob) ride through the config slot and take over here; the
-    # shard handle, retry and reduce machinery around them is unchanged.
-    if hasattr(config, "run_ranges"):
-        return config.run_ranges(
-            scheme, population, ranges, recorder=recorder, probe=probe
-        )
-
-    tally = config.build_tally()
+    base = members[0]
+    fused = len(members) > 1
+    tally = base.build_tally()
     counters = Counters()
-    arena: ParticleArena | None = None
+    arenas = []
+    books = {}
     busy = 0.0
     histories = 0
-    chunks = 0
     for lo, hi in ranges:
-        chunks += 1
-        histories += hi - lo
+        r0, r1, a, b = (
+            (lo, hi, bounds[lo], bounds[hi]) if fused else (0, 1, lo, hi)
+        )
+        view = population.view(a, b).copy()
+        range_books = ReplicaBooks(
+            members[r0:r1],
+            view.replica_id - r0 if fused else np.zeros(b - a, np.int64),
+            base.build_tally, None if fused else tally,
+        )
         r = run_stepped(
-            config, scheme, arena=population.view(lo, hi).copy(),
-            tally=tally, recorder=recorder, probe=probe,
+            base, scheme, arena=view, books=range_books, recorder=recorder,
+            probe=probe,
         )
         if probe is not None and probe.enabled:
-            probe.commit_shard(r.counters, hi - lo)
-        if arena is None:
-            arena = r.arena
-        else:
-            arena.extend(r.arena)
+            probe.commit_shard(r.counters, b - a)
+        if fused:  # replica tallies never alias the shard's running tally
+            tally.merge(range_books.tally)
+            books.update(zip(
+                range(r0, r1), zip(range_books.counters, range_books.tallies)
+            ))
+        arenas.append(r.arena)
         counters.merge_disjoint(r.counters)
         busy += r.wallclock_s
+        histories += b - a
+    arenas[0].extend(*arenas[1:])
     return {
         "tally": tally,
         "counters": counters,
-        "arena": arena,
+        "arena": arenas[0],
+        "books": books,
         "busy_s": busy,
         "histories": histories,
-        "chunks": chunks,
+        "chunks": len(ranges),
     }
 
 
@@ -411,16 +417,17 @@ def _hard_exit(result_queue):
     os._exit(KILLED_EXIT_CODE)
 
 
-def _worker_main(worker_id, incarnation, config, scheme, handle,
-                 task_queue, result_queue, heartbeats, plan, hb_interval,
-                 telemetry=False, board=None, flight_dir=None):
+def _worker_main(worker_id, incarnation, members, bounds, scheme,
+                 arena_cls, handle, task_queue, result_queue, heartbeats,
+                 plan, hb_interval, telemetry=False, board=None,
+                 flight_dir=None):
     """Worker process entry point: pull shards, announce, run, ship.
 
     ``handle`` is the population hand-off — the ``(shm_name, n_total)``
-    tuple naming the parent's shared-memory arena.  The worker attaches a
-    zero-copy view once (a few dozen bytes crossed the process boundary,
-    not a pickled particle list) and every shard task addresses a
-    ``[lo, hi)`` slice of it.  The attached bytes are never written —
+    tuple naming the parent's shared-memory arena, attached once as a
+    zero-copy ``arena_cls`` view (a few dozen bytes crossed the process
+    boundary, not a pickled particle list); every shard task addresses a
+    ``[lo, hi)`` unit range of it.  The attached bytes are never written —
     :func:`_run_ranges` copies each slice before running — so a retried
     shard, on this worker or a respawned one, re-reads identical state.
 
@@ -462,9 +469,7 @@ def _worker_main(worker_id, incarnation, config, scheme, handle,
             daemon=True,
         ).start()
     kill = plan.kill_for(worker_id, incarnation)
-    shm_name, n_total = handle
-    arena_cls = getattr(config, "arena_cls", ParticleArena)
-    population = arena_cls.attach(shm_name, n_total)
+    population = arena_cls.attach(*handle)
     chunks_done = 0
     try:
         while True:
@@ -503,8 +508,8 @@ def _worker_main(worker_id, incarnation, config, scheme, handle,
                 if injected is not None:
                     raise FaultInjected(injected.message)
                 out = _run_ranges(
-                    config, scheme, population, [(lo, hi)], recorder=wrec,
-                    probe=probe,
+                    members, bounds, scheme, population, [(lo, hi)],
+                    recorder=wrec, probe=probe,
                 )
             except Exception:
                 result_queue.put({
@@ -542,18 +547,18 @@ def _pick_context(options: PoolOptions):
     return mp.get_context("fork" if "fork" in methods else "spawn")
 
 
-def _build_shards(n, options):
-    """The unit-of-recovery work list: ``(lo, hi)`` per shard id.
+def _build_shards(members, bounds, options):
+    """The unit-of-recovery work list: a ``(lo, hi)`` unit range (see
+    :func:`_run_ranges`) per shard id.
 
     STATIC shards are the per-worker contiguous blocks (empty ones
     dropped); DYNAMIC shards are the chunk queue entries.
     """
+    n = len(members) if len(members) > 1 else bounds[-1]
     if options.schedule is ScheduleKind.STATIC:
-        bounds = np.linspace(0, n, options.nworkers + 1).astype(np.int64)
+        edges = np.linspace(0, n, options.nworkers + 1).astype(np.int64)
         return [
-            (int(bounds[w]), int(bounds[w + 1]))
-            for w in range(options.nworkers)
-            if bounds[w + 1] > bounds[w]
+            (int(lo), int(hi)) for lo, hi in zip(edges, edges[1:]) if hi > lo
         ]
     return [(lo, min(lo + options.chunk, n)) for lo in range(0, n, options.chunk)]
 
@@ -580,19 +585,42 @@ class _Slot:
         return self.proc is not None and not self.dead
 
 
-class _Dispatcher:
-    """The watchdog loop: dispatch shards, detect failures, recover.
-
-    One instance per ``run_pool`` call with ``nworkers > 1``.  The public
-    surface is :meth:`run`, returning per-shard payloads plus the
-    recovery ledger folded into :class:`PoolRunInfo` by the caller.
+class _Ledger:
+    """The recovery ledger :func:`_reduce` folds into :class:`PoolRunInfo`:
+    worker slots, final heartbeat ages, retries, rebalances, respawns,
+    lost workers, the degraded drain and per-shard attempts.  Empty for
+    the in-process path; :class:`_Dispatcher` keeps it for a pooled run.
     """
 
-    def __init__(self, config, scheme, population, shards, options, ctx,
-                 recorder=None, live=None):
-        self.config = config
+    def __init__(self, nshards):
+        self.slots: list[_Slot] = []
+        self.final_heartbeat_ages: dict[int, float] = {}
+        self.attempts = [0] * nshards
+        self.retries = 0
+        self.rebalances = 0
+        self.respawns = 0
+        self.workers_lost = 0
+        self.drained = 0
+        self.degraded = False
+        self.degraded_reason = ""
+
+
+class _Dispatcher(_Ledger):
+    """The watchdog loop: dispatch shards, detect failures, recover.
+
+    One instance per :func:`run_sharded` call with ``nworkers > 1``.  The
+    public surface is :meth:`run`, returning per-shard payloads; the
+    recovery ledger it keeps is folded into :class:`PoolRunInfo` by
+    :func:`_reduce`.
+    """
+
+    def __init__(self, members, bounds, scheme, population, shards, options,
+                 ctx, recorder=None, live=None):
+        super().__init__(len(shards))
+        self.members = members
+        self.bounds = bounds
         self.scheme = scheme
-        #: Shared-memory arena (created by run_pool, unlinked by it too).
+        #: Shared-memory arena (created by run_sharded, unlinked by it too).
         self.population = population
         #: The whole hand-off a worker needs: attach-by-name + size.
         self.handle = (population.shm_name, len(population))
@@ -608,26 +636,14 @@ class _Dispatcher:
         self.result_queue = ctx.Queue()
         self.heartbeats = ctx.Array("d", max(self.nslots, 1))
         self.pending = set(range(len(shards)))
-        self.attempts = [0] * len(shards)
         self.results = {}
-        self.slots: list[_Slot] = []
-        self.retries = 0
-        self.rebalances = 0
         #: Shard ids held back from the queue by the rebalancer, in
         #: dispatch order (DYNAMIC + options.rebalance only).
         self.reserve: list[int] = []
         #: (worker_id, shard, attempt) triples that already triggered a
         #: split — one split per stuck in-flight shard.
         self._split_done: set = set()
-        self.respawns = 0
-        self.workers_lost = 0
-        self.drained = 0
-        self.degraded = False
-        self.degraded_reason = ""
         self.last_progress = time.monotonic()
-        #: Worker-slot heartbeat ages captured when the dispatch loop
-        #: finished (satellite: surfaced on WorkerReport).
-        self.final_heartbeat_ages: dict[int, float] = {}
         self._last_hb_sample = time.monotonic()
         #: Live plane (repro.obs.live.LiveAggregator) and the shared
         #: stats board workers publish to; both None when the plane is
@@ -653,25 +669,17 @@ class _Dispatcher:
 
     # -- lifecycle ------------------------------------------------------
     def run(self):
-        if self.static:
-            for sid, (lo, hi) in enumerate(self.shards):
-                q = self.ctx.Queue()
-                q.put((sid, 0, lo, hi))
-                self.slots.append(_Slot(sid, q))
+        if self.static:  # one private queue per shard's owner slot
+            self.slots = [_Slot(w, self.ctx.Queue()) for w in range(self.nslots)]
         else:
             shared = self.ctx.Queue()
-            if self.options.rebalance:
-                # Reserve feeding: prime one shard per slot, hold the
-                # rest back so stragglers can trigger finer resplits.
-                primed = list(range(min(self.nslots, len(self.shards))))
-                self.reserve = list(range(len(primed), len(self.shards)))
-                for sid in primed:
-                    lo, hi = self.shards[sid]
-                    shared.put((sid, 0, lo, hi))
-            else:
-                for sid, (lo, hi) in enumerate(self.shards):
-                    shared.put((sid, 0, lo, hi))
             self.slots = [_Slot(w, shared) for w in range(self.nslots)]
+        # Reserve feeding (rebalance): prime one shard per slot and hold
+        # the rest back so stragglers can trigger finer resplits.
+        primed = self.nslots if self.options.rebalance else len(self.shards)
+        self.reserve = list(range(primed, len(self.shards)))
+        for sid in range(primed):
+            self._enqueue(sid, 0)
         try:
             for slot in self.slots:
                 self._spawn(slot)
@@ -697,8 +705,9 @@ class _Dispatcher:
         slot.proc = self.ctx.Process(
             target=_worker_main,
             args=(
-                slot.worker_id, slot.incarnation, self.config, self.scheme,
-                self.handle, slot.queue, self.result_queue,
+                slot.worker_id, slot.incarnation, self.members, self.bounds,
+                self.scheme, type(self.population), self.handle, slot.queue,
+                self.result_queue,
                 self.heartbeats, self.plan, self.options.heartbeat_interval,
                 self.rec.enabled, self.board, self.flight_dir,
             ),
@@ -802,9 +811,7 @@ class _Dispatcher:
         block = True
         while True:
             try:
-                msg = self.result_queue.get(
-                    timeout=self.options.poll_interval if block else 0
-                )
+                msg = self.result_queue.get(timeout=_POLL_S if block else 0)
             except queue_mod.Empty:
                 return progress
             block = False
@@ -988,8 +995,6 @@ class _Dispatcher:
             "retry", shard=sid, attempt=self.attempts[sid],
             reason=reason.splitlines()[0],
         )
-        if self.options.retry_backoff:
-            time.sleep(self.options.retry_backoff * self.attempts[sid])
         self._enqueue(sid, self.attempts[sid])
 
     def _enqueue(self, sid, attempt):
@@ -1017,7 +1022,7 @@ class _Dispatcher:
             )
             t0 = time.perf_counter()
             out = _run_ranges(
-                self.config, self.scheme, self.population,
+                self.members, self.bounds, self.scheme, self.population,
                 [self.shards[sid]],
                 recorder=self.rec if self.rec.enabled else None,
                 probe=self._live_probe(),
@@ -1041,18 +1046,11 @@ class _Dispatcher:
         exception can never leak live children.
         """
         live = [s for s in self.slots if s.live]
-        for slot in live:
+        for slot in live:  # one stop sentinel per live worker
             try:
-                if self.static:
-                    slot.queue.put(None)
+                slot.queue.put(None)
             except (OSError, ValueError):  # pragma: no cover
                 pass
-        if not self.static and live:
-            for _ in live:
-                try:
-                    self.slots[0].queue.put(None)
-                except (OSError, ValueError):  # pragma: no cover
-                    pass
         deadline = time.monotonic() + 10.0
         for slot in live:
             slot.proc.join(max(0.1, deadline - time.monotonic()))
@@ -1076,62 +1074,47 @@ class _Dispatcher:
             self.flight_dir = None
 
 
-def _reduce(config, scheme, options, shards, results, dispatcher, t0,
-            start_method, recorder=None):
-    """Fold per-shard payloads into one :class:`TransportResult`.
+def _reduce(members, scheme, options, results, ledger, t0, start_method,
+            recorder=None):
+    """The one reduce of every pooled run: fold per-shard payloads into a
+    :class:`TransportResult` (``pool`` carries the worker reports and the
+    recovery ``ledger``) and ``books[r]``, replica ``r``'s ``(counters,
+    tally)`` — the run totals themselves for one replica.
 
     Reduction runs in **shard-id order**, so the floating-point
     accumulation order — and therefore the reduced tally, bit for bit —
     is independent of which worker ran which shard, of retries, and of
-    degraded drains.  Worker telemetry payloads are merged into
-    ``recorder`` in the same shard-id order, making the merged span/event
-    log structurally deterministic too.  Kept module-level so tests can
-    instrument it.
+    degraded drains; worker telemetry is merged into ``recorder`` in the
+    same order.  Kept module-level so tests can instrument it.
     """
     from repro.core.simulation import TransportResult
+    from repro.core.stepper import scheme_label
 
     rec = NULL_RECORDER if recorder is None else recorder
-    tally = config.build_tally()
+    tally = members[0].build_tally()
     merged = Counters()
-    all_arena: ParticleArena | None = None
+    books = {}
     per_worker: dict[int, dict] = {}
-    for sid in range(len(shards)):
-        r = results[sid]
+    ordered = [results[sid] for sid in range(len(results))]
+    for r in ordered:
         if rec.enabled and "telemetry" in r:
             rec.merge_payload(r["telemetry"])
         tally.merge(r["tally"])
         merged.merge_disjoint(r["counters"])
-        final = 0
-        if r["arena"] is not None:
-            final = len(r["arena"])
-            if all_arena is None:
-                all_arena = r["arena"]
-            else:
-                all_arena.extend(r["arena"])
-        w = per_worker.setdefault(r["worker_id"], {
-            "histories": 0, "final": 0, "events": 0, "chunks": 0,
-            "busy_s": 0.0, "total_s": 0.0,
-        })
+        books.update(r["books"])
+        w = per_worker.setdefault(r["worker_id"], dict(_IDLE))
         w["histories"] += r["histories"]
-        w["final"] += final
+        w["final"] += len(r["arena"])
         w["events"] += r["counters"].total_events
         w["chunks"] += r["chunks"]
         w["busy_s"] += r["busy_s"]
         w["total_s"] += r.get("total_s", 0.0)
 
     reports = []
-    slots = dispatcher.slots if dispatcher is not None else []
-    slot_by_id = {s.worker_id: s for s in slots}
-    worker_ids = sorted(set(per_worker) | set(slot_by_id))
-    for wid in worker_ids:
-        w = per_worker.get(wid, {
-            "histories": 0, "final": 0, "events": 0, "chunks": 0,
-            "busy_s": 0.0, "total_s": 0.0,
-        })
+    slot_by_id = {s.worker_id: s for s in ledger.slots}
+    for wid in sorted(set(per_worker) | set(slot_by_id)):
+        w = per_worker.get(wid, _IDLE)
         slot = slot_by_id.get(wid)
-        hb_ages = (
-            dispatcher.final_heartbeat_ages if dispatcher is not None else {}
-        )
         reports.append(WorkerReport(
             worker_id=wid,
             histories=w["histories"],
@@ -1141,18 +1124,20 @@ def _reduce(config, scheme, options, shards, results, dispatcher, t0,
             busy_s=w["busy_s"],
             total_s=slot.lifetime_s if slot is not None else w["total_s"],
             incarnations=slot.incarnation + 1 if slot is not None else 1,
-            last_heartbeat_age_s=hb_ages.get(wid, 0.0),
+            last_heartbeat_age_s=ledger.final_heartbeat_ages.get(wid, 0.0),
         ))
 
-    # ---- deterministic population order, independent of nworkers ----------
-    # Primaries carry ids 0..n-1 (birth order); secondaries/clones carry
-    # hashed ids.  Sorting by id therefore yields the same ordering for any
-    # worker count, schedule, and recovery history.
-    if all_arena is None:
-        all_arena = ParticleArena(0)
-    order = all_arena.sort_by("particle_id")
-    merged.collisions_per_particle = merged.collisions_per_particle[order]
-    merged.facets_per_particle = merged.facets_per_particle[order]
+    all_arena = ordered[0]["arena"]
+    all_arena.extend(*(r["arena"] for r in ordered[1:]))
+    if len(members) == 1:
+        # ---- deterministic population order, independent of nworkers ------
+        # Primaries carry ids 0..n-1 (birth order); secondaries/clones
+        # carry hashed ids.  Sorting by id therefore yields the same
+        # ordering for any worker count, schedule, and recovery history.
+        order = all_arena.sort_by("particle_id")
+        merged.collisions_per_particle = merged.collisions_per_particle[order]
+        merged.facets_per_particle = merged.facets_per_particle[order]
+        books = {0: (merged, tally)}
     merged.nparticles = len(all_arena)
     # Recomputed from the reduced flush histogram — identical to the value
     # a serial run reports, unlike the per-shard maxima merged above.
@@ -1166,39 +1151,86 @@ def _reduce(config, scheme, options, shards, results, dispatcher, t0,
         chunk=options.chunk,
         start_method=start_method,
         workers=tuple(reports),
-        retries=dispatcher.retries if dispatcher is not None else 0,
-        rebalances=dispatcher.rebalances if dispatcher is not None else 0,
-        respawns=dispatcher.respawns if dispatcher is not None else 0,
-        workers_lost=dispatcher.workers_lost if dispatcher is not None else 0,
-        degraded=dispatcher.degraded if dispatcher is not None else False,
-        degraded_reason=(
-            dispatcher.degraded_reason if dispatcher is not None else ""
-        ),
-        shards_drained_in_process=(
-            dispatcher.drained if dispatcher is not None else 0
-        ),
-        shard_attempts=(
-            tuple(dispatcher.attempts) if dispatcher is not None
-            else (0,) * len(shards)
-        ),
+        retries=ledger.retries,
+        rebalances=ledger.rebalances,
+        respawns=ledger.respawns,
+        workers_lost=ledger.workers_lost,
+        degraded=ledger.degraded,
+        degraded_reason=ledger.degraded_reason,
+        shards_drained_in_process=ledger.drained,
+        shard_attempts=tuple(ledger.attempts),
     )
-    return TransportResult(
-        config=config,
-        scheme=_result_scheme(scheme),
+    result = TransportResult(
+        config=members[0],
+        scheme=scheme_label(scheme),
         tally=tally,
         counters=merged,
         arena=all_arena,
         wallclock_s=time.perf_counter() - t0,
         pool=info,
     )
+    return result, [books[r] for r in range(len(members))]
 
 
-def _result_scheme(scheme) -> Scheme:
-    """Scheme reported on the reduced result: plan objects (SwitchPlan,
-    AdaptiveScheduler) collapse to their fixed scheme or ``AUTO``."""
-    if isinstance(scheme, Scheme):
-        return scheme
-    return getattr(scheme, "fixed_scheme", None) or Scheme.AUTO
+def run_sharded(members, bounds, scheme, population, options, t0,
+                recorder=None, live=None):
+    """Run a sampled replica set on the pool — the one launch of every
+    pooled run, plain (:func:`run_pool`) or ensemble
+    (:func:`repro.ensemble.run_ensemble`).
+
+    ``members`` holds one config per replica (a plain run passes
+    ``(config,)``), replica ``r`` owns rows ``[bounds[r], bounds[r + 1])``
+    of ``population``, and the result's wall-clock counts from ``t0``.
+    ``nworkers == 1`` runs every shard in this process as one payload;
+    more hand the shards to the fault-tolerant workers.  Either way
+    :func:`_reduce` folds the payloads (under ``dispatch`` and ``reduce``
+    spans) and its ``(result, books)`` is returned.
+    """
+    rec = NULL_RECORDER if recorder is None else recorder
+    shards = _build_shards(members, bounds, options)
+    ledger, start_method, shared_pop = _Ledger(1), "inline", None
+    try:
+        with rec.span(
+            "dispatch", nworkers=options.nworkers, nshards=len(shards)
+        ):
+            if options.nworkers == 1:
+                # In-process reference path: every shard in one payload,
+                # reduced as one shard with an empty ledger.
+                t_shard = time.perf_counter()
+                out = _run_ranges(
+                    members, bounds, scheme, population, shards,
+                    recorder=rec if rec.enabled else None,
+                    probe=live.probe(0) if live is not None else None,
+                )
+                out.update(worker_id=0, total_s=time.perf_counter() - t_shard)
+                results = {0: out}
+            else:
+                # Re-home the population into shared memory: workers
+                # attach zero-copy views instead of unpickling it.
+                shared_pop = population.to_shared()
+                ctx = _pick_context(options)
+                start_method = ctx.get_start_method()
+                ledger = _Dispatcher(
+                    members, bounds, scheme, shared_pop, shards, options,
+                    ctx, recorder=rec, live=live,
+                )
+                results = ledger.run()
+        with rec.span("reduce", nshards=len(results)):
+            return _reduce(
+                members, scheme, options, results, ledger, t0, start_method,
+                recorder=rec,
+            )
+    finally:
+        # Belt and braces for the reduction path: no worker may outlive
+        # this call, even if _reduce (or anything above) raised.
+        for slot in ledger.slots:
+            if slot.proc is not None and slot.proc.is_alive():
+                slot.proc.terminate()
+                slot.proc.join(5.0)
+        # The parent owns the segment: release and unlink it only after
+        # every worker is gone.
+        if shared_pop is not None:
+            shared_pop.close(unlink=True)
 
 
 def run_pool(
@@ -1230,6 +1262,9 @@ def run_pool(
     worker is lost.  Like the recorder, the plane never alters the
     physics.
     """
+    from repro.core.stepper import scheme_label
+    from repro.xs.provider import XsMode
+
     require_2d(config, "the worker pool (nworkers=...)")
     if options is None:
         options = PoolOptions(nworkers=1)
@@ -1240,7 +1275,7 @@ def run_pool(
             problem=getattr(config, "name", "") or "",
             nparticles=int(config.nparticles),
             ntimesteps=int(config.ntimesteps),
-            scheme=_result_scheme(scheme).value,
+            scheme=scheme_label(scheme).value,
             nworkers=int(options.nworkers),
             mode="pool",
         )
@@ -1249,8 +1284,6 @@ def run_pool(
     # tables with the config (workers would otherwise rebuild them per
     # shard); the CE library is deterministic and cached per process, so
     # workers rebuild bit-identical grids from the config's own fields.
-    from repro.xs.provider import XsMode
-
     provider = config.resolved_provider()
     if provider.mode is XsMode.MULTIGROUP:
         run_config = config.with_(materials=provider.materials)
@@ -1263,57 +1296,11 @@ def run_pool(
             provider=provider,
         )
 
-    shards = _build_shards(config.nparticles, options)
-    dispatcher = None
-    if options.nworkers == 1 or not shards:
-        # In-process reference path: every shard runs in this process and
-        # _run_ranges folds them into one payload, presented to the shared
-        # reduction as a single shard spanning the whole population.
-        t_shard = time.perf_counter()
-        with rec.span("shard_exec", nshards=len(shards)):
-            out = _run_ranges(
-                run_config, scheme, population, shards,
-                recorder=rec if rec.enabled else None,
-                probe=live.probe(0) if live is not None else None,
-            )
-        out.update(worker_id=0, total_s=time.perf_counter() - t_shard)
-        with rec.span("reduce", nshards=1):
-            result = _reduce(
-                config, scheme, options, [(0, config.nparticles)], {0: out},
-                None, t0, "inline", recorder=rec,
-            )
-        if live is not None:
-            live.mark_done()
-        return result
-
-    # Re-home the population into shared memory: workers attach zero-copy
-    # shard views by (name, n_total, lo, hi) instead of unpickling it.
-    shared_pop = population.to_shared()
-    ctx = _pick_context(options)
-    dispatcher = _Dispatcher(
-        run_config, scheme, shared_pop, shards, options, ctx, recorder=rec,
-        live=live,
+    result, _books = run_sharded(
+        (run_config,), (0, config.nparticles), scheme, population, options,
+        t0, recorder=rec, live=live,
     )
-    try:
-        with rec.span(
-            "dispatch", nworkers=options.nworkers, nshards=len(shards)
-        ):
-            results = dispatcher.run()
-        with rec.span("reduce", nshards=len(shards)):
-            result = _reduce(
-                config, scheme, options, shards, results, dispatcher, t0,
-                ctx.get_start_method(), recorder=rec,
-            )
-        if live is not None:
-            live.mark_done()
-        return result
-    finally:
-        # Belt and braces for the reduction path: no worker may outlive
-        # this call, even if _reduce (or anything above) raised.
-        for slot in dispatcher.slots:
-            if slot.proc is not None and slot.proc.is_alive():
-                slot.proc.terminate()
-                slot.proc.join(5.0)
-        # The parent owns the segment: release and unlink it only after
-        # every worker is gone.
-        shared_pop.close(unlink=True)
+    result.config = config
+    if live is not None:
+        live.mark_done()
+    return result

@@ -199,6 +199,72 @@ def test_pooled_kill_retry_matches_clean_pooled():
         assert a.counters.collisions == b.counters.collisions
 
 
+@pytest.mark.chaos
+def test_pooled_ensemble_reports_its_pool():
+    """A pooled ensemble is a pool run: its result carries the shared
+    reduce's ``PoolRunInfo`` — worker reports and the recovery ledger of
+    a mid-shard kill — while an in-process ensemble, like a serial
+    ``Simulation.run``, carries none."""
+    spec = _spec("csp")
+    faulted = run_ensemble(
+        spec, Scheme.OVER_EVENTS, nworkers=2,
+        fault_plan=FaultPlan((KillWorker(worker=0, after_chunks=0),)),
+    )
+    pool = faulted.pool
+    assert pool.workers_lost >= 1
+    assert pool.retries >= 1
+    assert pool.nworkers == 2 and len(pool.shard_attempts) == 2
+    assert sum(w.histories for w in pool.workers) == NREPLICAS * NPARTICLES
+    assert sum(w.final_histories for w in pool.workers) == len(faulted.arena)
+    _assert_replica_parity(faulted, run_ensemble_looped(spec, Scheme.OVER_EVENTS))
+    assert run_ensemble(spec, Scheme.OVER_EVENTS).pool is None
+
+
+def test_in_process_multi_range_matches_pooled_shards():
+    """The one shard body run in-process over several replica ranges
+    accumulates into one running tally; since each worker shard starts
+    from an empty tally (``0 + x`` keeps the bits), the in-process result
+    equals the pooled run over the same ranges bit for bit — tally,
+    counters, population in shard order and every replica's books."""
+    from repro.parallel.pool import PoolOptions, run_sharded
+    from repro.parallel.schedule import ScheduleKind
+    from repro.particles.arena import EnsembleArena
+    from repro.particles.source import sample_source
+
+    spec = _spec("csp")
+    members = spec.members()
+    provider = members[0].resolved_provider()
+    run_members = tuple(m.with_(materials=provider.materials) for m in members)
+    mesh = members[0].build_mesh()
+    arenas = [
+        sample_source(mesh, m.source, m.nparticles, m.seed, m.dt,
+                      provider=provider)
+        for m in run_members
+    ]
+    bounds = (0, *np.cumsum([len(a) for a in arenas]).tolist())
+    inline, books = run_sharded(
+        run_members, bounds, Scheme.OVER_EVENTS, EnsembleArena.fuse(arenas),
+        PoolOptions(nworkers=1, schedule=ScheduleKind.DYNAMIC, chunk=1), 0.0,
+    )
+    pooled = run_ensemble(spec, Scheme.OVER_EVENTS, nworkers=NREPLICAS)
+    assert inline.pool.start_method == "inline"
+    assert inline.pool.workers[0].chunks == NREPLICAS
+    assert len(pooled.pool.shard_attempts) == NREPLICAS
+    assert np.array_equal(inline.tally.deposition, pooled.tally.deposition)
+    assert np.array_equal(inline.tally.flush_counts, pooled.tally.flush_counts)
+    assert inline.counters.snapshot() == pooled.counters.snapshot()
+    assert inline.counters.oe_passes == pooled.counters.oe_passes
+    assert _kernel_totals(inline.counters) == _kernel_totals(pooled.counters)
+    for name, _ in EnsembleArena.FIELDS:
+        assert np.array_equal(
+            getattr(inline.arena, name), getattr(pooled.arena, name)
+        ), name
+    for (counters, tally), rr in zip(books, pooled.replicas):
+        assert counters.snapshot() == rr.counters.snapshot()
+        assert np.array_equal(tally.deposition, rr.tally.deposition)
+        assert np.array_equal(tally.flush_counts, rr.tally.flush_counts)
+
+
 # ---------------------------------------------------------------------------
 # Invariance knobs
 # ---------------------------------------------------------------------------
@@ -735,6 +801,43 @@ def test_single_path_audit_flags_a_dimension_twin(tmp_path):
     assert sum("def flush_vec" in v and "mesh/tally.py" in v
                for v in violations) == 1
     assert sum("def cell_of_point_vec" in v for v in violations) == 1
+
+
+def test_single_path_audit_flags_a_second_pool_launch(tmp_path):
+    """Every pooled run launches through ``parallel/pool.py``: calling the
+    pool's dispatcher or start-method pick anywhere else, or importing an
+    underscore name of the pool from outside ``parallel/``, is a second
+    launch-and-reduce coming back.  Public names stay importable, and a
+    hand-off ``to_shared`` (the shard hand-off bench) stays legal."""
+    for pkg in ("core", "volume", "ensemble", "parallel", "bench"):
+        (tmp_path / pkg).mkdir()
+    (tmp_path / "parallel" / "pool.py").write_text(
+        "def _pick_context(o): pass\n"
+        "def run_sharded(o):\n"
+        "    return _Dispatcher(_pick_context(o))\n"
+    )
+    (tmp_path / "parallel" / "__init__.py").write_text(
+        "from repro.parallel.pool import _run_ranges, run_sharded\n"
+    )
+    (tmp_path / "ensemble" / "engine.py").write_text(
+        "from repro.parallel.pool import PoolOptions, run_sharded\n"
+    )
+    (tmp_path / "bench" / "runner.py").write_text(
+        "def handoff(p): return p.to_shared()\n"
+    )
+    assert audit_single_path(tmp_path) == []
+    (tmp_path / "ensemble" / "engine.py").write_text(
+        "from repro.parallel.pool import PoolOptions, _Dispatcher, _reduce\n"
+        "def run(o):\n"
+        "    from repro.parallel import pool\n"
+        "    return pool._Dispatcher(pool._pick_context(o))\n"
+    )
+    violations = audit_single_path(tmp_path)
+    assert len(violations) == 3
+    assert all(v.startswith("ensemble/engine.py:") for v in violations)
+    assert sum("import of _Dispatcher, _reduce" in v for v in violations) == 1
+    assert sum("_Dispatcher(...)" in v for v in violations) == 1
+    assert sum("_pick_context(...)" in v for v in violations) == 1
 
 
 def test_arena_audit_flags_a_per_index_walk_in_volume(tmp_path):

@@ -273,6 +273,37 @@ def test_recording_overhead_bounded():
 # CLI: --telemetry and `repro report`
 # ---------------------------------------------------------------------------
 
+def test_pooled_ensemble_telemetry_keeps_worker_spans():
+    """A pooled ensemble is a pool run: the shared reduce merges every
+    worker's shipped spans — one ``run`` span per shard, with its
+    ``event_pass`` and ``kernel:*`` spans — beside the parent's
+    ``dispatch`` / ``reduce``, and its artifact carries the pool."""
+    from repro.core.simulation import TransportResult
+    from repro.ensemble import EnsembleSpec, run_ensemble
+
+    spec = EnsembleSpec(csp_problem(nx=32, nparticles=40), 4)
+    recorder = Recorder()
+    ens = run_ensemble(spec, Scheme.OVER_EVENTS, nworkers=2,
+                       recorder=recorder)
+    worker = [s for s in recorder.spans if s.source]
+    runs = [s for s in worker if s.name == "run"]
+    assert len(runs) == 2
+    assert len(ens.pool.shard_attempts) == 2
+    assert sorted(s.source["shard"] for s in runs) == [0, 1]
+    names = {s.name for s in worker}
+    assert "event_pass" in names
+    assert any(name.startswith("kernel:") for name in names)
+    parent = {s.name for s in recorder.spans if not s.source}
+    assert {"ensemble_run", "dispatch", "reduce"} <= parent
+    telemetry = build_run_telemetry(TransportResult(
+        ens.members[0], ens.scheme, ens.tally, ens.counters, ens.arena,
+        ens.wallclock_s, ens.pool,
+    ), recorder)
+    validate_telemetry(telemetry.to_dict())
+    assert telemetry.pool["nworkers"] == 2
+    assert telemetry.worker_span_count() == len(worker)
+
+
 def test_cli_run_telemetry_and_report(tmp_path, capsys):
     from repro.cli import main
 
