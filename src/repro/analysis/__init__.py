@@ -13,26 +13,17 @@ the mini-app:
   fission extension (secondaries per source particle and the implied
   per-generation k);
 * :mod:`repro.analysis.viz` — dependency-free ASCII rendering of tally
-  fields and series for terminals and logs (the Fig 2 pictures, in text).
+  fields for terminals and logs (the Fig 2 pictures, in text).
 """
 
 from repro.analysis.statistics import BatchStatistics, batch_statistics
 from repro.analysis.criticality import MultiplicationEstimate, estimate_multiplication
-from repro.analysis.spectrum import (
-    LethargySpectrum,
-    lethargy_spectrum,
-    mean_lethargy_gain,
-)
-from repro.analysis.viz import render_heatmap, render_series
+from repro.analysis.viz import render_heatmap
 
 __all__ = [
     "BatchStatistics",
     "batch_statistics",
     "MultiplicationEstimate",
     "estimate_multiplication",
-    "LethargySpectrum",
-    "lethargy_spectrum",
-    "mean_lethargy_gain",
     "render_heatmap",
-    "render_series",
 ]

@@ -1,21 +1,17 @@
 """Dependency-free ASCII rendering for terminals and logs.
 
-Turns tally fields into character heatmaps (the Fig 2 pictures, in text)
-and number series into sparkline-style strips, so examples and the CLI can
-show results without a plotting stack.
+Turns tally fields into character heatmaps (the Fig 2 pictures, in text),
+so examples and the CLI can show results without a plotting stack.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["render_heatmap", "render_series"]
+__all__ = ["render_heatmap"]
 
 #: Light-to-dark ramp for heatmaps.
 _RAMP = " .:-=+*#%@"
-
-#: Eight-level bars for series strips.
-_BARS = "▁▂▃▄▅▆▇█"
 
 
 def render_heatmap(
@@ -66,28 +62,3 @@ def render_heatmap(
     for row in levels[::-1]:
         lines.append("".join(_RAMP[v] for v in row))
     return "\n".join(lines)
-
-
-def render_series(
-    values,
-    label: str = "",
-    width: int = 60,
-) -> str:
-    """Render a 1-D series as a bar strip with min/max annotation."""
-    values = np.asarray(list(values), dtype=np.float64)
-    if values.size == 0:
-        raise ValueError("series is empty")
-    if values.size > width:
-        # block-average down to the strip width
-        b = int(np.ceil(values.size / width))
-        pad = (-values.size) % b
-        values = np.pad(values, (0, pad), constant_values=values[-1])
-        values = values.reshape(-1, b).mean(axis=1)
-    lo, hi = values.min(), values.max()
-    if hi - lo < 1e-300:
-        levels = np.zeros(values.size, dtype=np.int64)
-    else:
-        levels = ((values - lo) / (hi - lo) * (len(_BARS) - 1)).astype(np.int64)
-    strip = "".join(_BARS[v] for v in levels)
-    prefix = f"{label}: " if label else ""
-    return f"{prefix}{strip}  [min={lo:.3g}, max={hi:.3g}]"

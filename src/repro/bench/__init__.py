@@ -51,12 +51,10 @@ from repro.bench.runner import (
     ShardHandoff,
     measured_adaptive_crossover,
     measured_ce_crossover,
-    measured_kernel_profile,
     measured_live_overhead,
     measured_recovery_overhead,
     measured_shard_handoff,
     measured_speedup,
-    measured_telemetry,
     measured_workload,
     paper_workload,
     standard_cpu_time,
@@ -95,12 +93,10 @@ __all__ = [
     "ShardHandoff",
     "measured_adaptive_crossover",
     "measured_ce_crossover",
-    "measured_kernel_profile",
     "measured_live_overhead",
     "measured_recovery_overhead",
     "measured_shard_handoff",
     "measured_speedup",
-    "measured_telemetry",
     "measured_workload",
     "paper_workload",
     "standard_cpu_time",

@@ -139,12 +139,6 @@ class BenchArtifact:
     def bench_names(self) -> list[str]:
         return sorted(self.benches)
 
-    def median(self, bench: str, metric: str = "wallclock_s") -> float:
-        section = self.benches[bench]
-        if metric == "wallclock_s":
-            return section["wallclock_s"]["median"]
-        return section["metrics"][metric]["median"]
-
 
 def load_bench_artifact(path) -> BenchArtifact:
     """Read and schema-validate an artifact file."""

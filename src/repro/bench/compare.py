@@ -63,21 +63,6 @@ class MetricDelta:
     cand_median: float | None = None
     band: float = 0.0
 
-    @property
-    def delta(self) -> float | None:
-        if self.base_median is None or self.cand_median is None:
-            return None
-        return self.cand_median - self.base_median
-
-    def describe(self) -> str:
-        loc = f"{self.bench}.{self.metric}"
-        if self.base_median is None or self.cand_median is None:
-            return f"{loc}: {self.status}"
-        return (
-            f"{loc}: {self.base_median:.6g} -> {self.cand_median:.6g} "
-            f"(band {self.band:.3g}, {self.direction}) {self.status}"
-        )
-
 
 @dataclass(frozen=True)
 class ComparisonReport:

@@ -40,7 +40,6 @@ __all__ = [
     "DEVICE_BASELINES",
     "measured_workload",
     "KernelProfile",
-    "measured_kernel_profile",
     "paper_workload",
     "standard_cpu_time",
     "standard_gpu_time",
@@ -58,7 +57,6 @@ __all__ = [
     "measured_adaptive_crossover",
     "CeCrossover",
     "measured_ce_crossover",
-    "measured_telemetry",
 ]
 
 #: Paper-scale targets per problem: (nparticles, mesh_nx) — §IV-B.
@@ -142,33 +140,18 @@ class KernelProfile:
     xs_lookups: int
     xs_bin_reuses: int
 
-    def hot_ranking(self) -> list[str]:
-        """Kernel names ranked by total wall-clock, hottest first."""
-        return [
-            name
-            for name, _ in sorted(
-                self.profile.items(), key=lambda kv: kv[1][2], reverse=True
-            )
-        ]
-
     @property
     def buffer_reuse_fraction(self) -> float:
         """Fraction of workspace requests served without allocating."""
         total = self.workspace_allocations + self.workspace_reuses
         return self.workspace_reuses / total if total else 0.0
 
-    def format(self) -> str:
-        """The ranked table ``repro run --profile-kernels`` prints."""
-        from repro.kernels import format_profile
-
-        return format_profile(self.profile)
-
 
 def _measure_kernel_profile(
     problem: str, scheme: Scheme = Scheme.OVER_EVENTS
 ) -> KernelProfile:
-    """One fresh (uncached) profiled run — the benchmark registry calls
-    this directly so every repeat is a real measurement."""
+    """One profiled reduced-scale run; the benchmark registry makes one
+    per repeat, so every repeat is a real measurement."""
     if problem not in PROBLEM_FACTORIES:
         raise KeyError(f"unknown problem {problem!r}")
     cfg = PROBLEM_FACTORIES[problem](
@@ -186,58 +169,6 @@ def _measure_kernel_profile(
         xs_lookups=c.xs_lookups,
         xs_bin_reuses=c.xs_bin_reuses,
     )
-
-
-_measured_kernel_profile_cached = lru_cache(maxsize=None)(
-    _measure_kernel_profile
-)
-
-
-def measured_kernel_profile(
-    problem: str, scheme: Scheme = Scheme.OVER_EVENTS
-) -> KernelProfile:
-    """Run one reduced-scale problem and capture its kernel profile.
-
-    The run is cached per (problem, scheme); the returned record's
-    ``profile`` rows are defensive copies — the cached dict used to be
-    handed out shared, so one caller mutating a row poisoned every
-    later profile fetched in the process.
-    """
-    kp = _measured_kernel_profile_cached(problem, scheme)
-    return replace(kp, profile={k: list(v) for k, v in kp.profile.items()})
-
-
-def measured_telemetry(
-    problem: str,
-    scheme: Scheme = Scheme.OVER_EVENTS,
-    nworkers: int | None = None,
-    schedule: ScheduleKind = ScheduleKind.STATIC,
-    chunk: int = 64,
-    nx: int = MEASUREMENT_NX,
-    nparticles: int = MEASUREMENT_PARTICLES,
-):
-    """Run one reduced-scale problem with full telemetry attached.
-
-    Returns the schema-validated
-    :class:`~repro.obs.telemetry.RunTelemetry` artifact — the same object
-    ``repro run --telemetry`` dumps — so benches can assert on span
-    structure, kernel shares, or the pool ledger without shelling out.
-    ``nworkers=None`` runs the serial driver (parent spans only);
-    an integer routes through the pool and merges worker span payloads.
-    """
-    from repro.obs import Recorder, build_run_telemetry, validate_telemetry
-
-    if problem not in PROBLEM_FACTORIES:
-        raise KeyError(f"unknown problem {problem!r}")
-    cfg = PROBLEM_FACTORIES[problem](nx=nx, nparticles=nparticles)
-    recorder = Recorder()
-    result = Simulation(cfg).run(
-        scheme, nworkers=nworkers, schedule=schedule, chunk=chunk,
-        recorder=recorder,
-    )
-    telemetry = build_run_telemetry(result, recorder)
-    validate_telemetry(telemetry.to_dict())
-    return telemetry
 
 
 def standard_cpu_time(

@@ -386,6 +386,27 @@ def _error(exc) -> int:
     return 2
 
 
+def _load_bench(path):
+    """``load_bench_artifact(path)``; a file that is missing, not JSON or
+    not a bench artifact raises a ``ValueError`` that names it."""
+    import json
+
+    from repro.bench import load_bench_artifact
+    from repro.bench.artifact import BenchSchemaError
+
+    try:
+        return load_bench_artifact(path)
+    except OSError as exc:
+        reason = exc.strerror or exc
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+        reason = f"not JSON ({exc})"
+    except BenchSchemaError as exc:
+        more = len(exc.problems) - 1
+        reason = (f"not a bench artifact: {exc.problems[0]}"
+                  + (f" (+{more} more)" if more > 0 else ""))
+    raise ValueError(f"{path}: {reason}")
+
+
 def _mesh_label(tally) -> str:
     """``48x48`` or ``12x12x12``: the mesh shape, read off the tally."""
     return "x".join(str(n) for n in tally.shape)
@@ -409,9 +430,7 @@ def _start_live_plane(args, recorder=None):
     drift = None
     baseline = getattr(args, "drift_baseline", None)
     if baseline:
-        from repro.bench import load_bench_artifact
-
-        drift = drift_band_from_artifact(load_bench_artifact(baseline))
+        drift = drift_band_from_artifact(_load_bench(baseline))
     live = LiveAggregator(drift=drift, recorder=recorder)
     server = MetricsServer(live, port=port)
     server.start()
@@ -465,6 +484,10 @@ def _observed_run(args, run, report, *, record=False, transport=None) -> int:
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
+    if (hasattr(args, "drift_baseline")
+            and getattr(args, "serve_metrics", None) is None):
+        return _error("--drift-baseline arms the live plane's watchdog; "
+                      "it needs --serve-metrics PORT")
     pool_opts = _given(args, _POOL_KEYS)
     if pool_opts and not hasattr(args, "nworkers"):
         return _error(
@@ -758,10 +781,13 @@ def _cmd_bench_run(args: argparse.Namespace) -> int:
 
 
 def _cmd_bench_compare(args: argparse.Namespace) -> int:
-    from repro.bench import compare_artifacts, load_bench_artifact
+    from repro.bench import compare_artifacts
 
-    base = load_bench_artifact(args.baseline)
-    cand = load_bench_artifact(args.candidate)
+    try:
+        base = _load_bench(args.baseline)
+        cand = _load_bench(args.candidate)
+    except ValueError as exc:
+        return _error(exc)
     report = compare_artifacts(
         base, cand, scale=args.scale,
         assume_same_host=args.assume_same_host,
@@ -788,29 +814,32 @@ def _cmd_bench_list(args: argparse.Namespace) -> int:
 
 
 def _cmd_bench_recalibrate(args: argparse.Namespace) -> int:
-    from repro.bench import load_bench_artifact
     from repro.perfmodel import recalibrate_from_artifact
 
-    artifact = load_bench_artifact(args.artifact)
-    report = recalibrate_from_artifact(artifact, bench=args.bench)
+    try:
+        report = recalibrate_from_artifact(_load_bench(args.artifact),
+                                           bench=args.bench)
+    except ValueError as exc:
+        return _error(exc)
+    except KeyError as exc:  # no such bench in the artifact
+        return _error(f"{args.artifact}: {exc.args[0]}")
     print(report.format())
     return 0
 
 
 def _cmd_capacity_plan(args: argparse.Namespace) -> int:
-    from repro.bench import load_bench_artifact
     from repro.perfmodel import plan_capacity, scenario_from_artifact
     from repro.perfmodel.capacity import DEFAULT_BENCH
 
     try:
-        artifact = load_bench_artifact(args.artifact)
+        artifact = _load_bench(args.artifact)
         scenario = scenario_from_artifact(
             artifact,
             bench=args.bench or DEFAULT_BENCH,
             nworkers=args.workers,
         )
         plan = plan_capacity(scenario, latency_slo=args.slo, rate=args.rate)
-    except (OSError, ValueError) as exc:
+    except ValueError as exc:
         return _error(exc)
     print(scenario.format())
     print(plan.format())

@@ -208,11 +208,6 @@ class SimulationConfig:
                 raise ValueError("importances must be positive")
             object.__setattr__(self, "importance_map", imap)
 
-    @property
-    def a_ratio(self) -> float:
-        """Elastic-scattering target mass in neutron masses (A ≈ molar mass)."""
-        return self.molar_mass_g_mol
-
     def with_(self, **changes) -> "SimulationConfig":
         """Return a copy with the given fields replaced."""
         return replace(self, **changes)

@@ -21,23 +21,6 @@ import numpy as np
 __all__ = ["Counters", "EventPassStats"]
 
 
-def _padded_add(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Element-wise sum of two per-particle arrays of possibly different
-    lengths.
-
-    Histories keep their index when the population grows (fission
-    secondaries and clones are *appended*), so the shorter array is the
-    same population truncated before the newcomers arrived: pad it with
-    zeros and add.
-    """
-    if a.size == b.size:
-        return a + b
-    out = np.zeros(max(a.size, b.size), dtype=np.int64)
-    out[: a.size] += a
-    out[: b.size] += b
-    return out
-
-
 @dataclass
 class EventPassStats:
     """Occupancy of one Over Events pass.
@@ -180,65 +163,6 @@ class Counters:
         total = sum(p.n_active for p in self.oe_passes)
         return total / (len(self.oe_passes) * max(self.nparticles, 1))
 
-    def _merge_scalars(self, other: "Counters") -> None:
-        """Accumulate the scalar fields shared by both merge flavours."""
-        self.collisions += other.collisions
-        self.facets += other.facets
-        self.census_events += other.census_events
-        self.terminations += other.terminations
-        self.reflections += other.reflections
-        self.escapes += other.escapes
-        self.escaped_energy += other.escaped_energy
-        self.roulette_kills += other.roulette_kills
-        self.roulette_survivals += other.roulette_survivals
-        self.roulette_loss_energy += other.roulette_loss_energy
-        self.roulette_gain_energy += other.roulette_gain_energy
-        self.fissions += other.fissions
-        self.secondaries_banked += other.secondaries_banked
-        self.fission_injected_energy += other.fission_injected_energy
-        self.splits += other.splits
-        self.clones_banked += other.clones_banked
-        self.tally_flushes += other.tally_flushes
-        self.density_reads += other.density_reads
-        self.xs_lookups += other.xs_lookups
-        self.xs_binary_probes += other.xs_binary_probes
-        self.xs_linear_probes += other.xs_linear_probes
-        self.xs_bin_reuses += other.xs_bin_reuses
-        self.rng_draws += other.rng_draws
-        self.workspace_allocations += other.workspace_allocations
-        self.workspace_reuses += other.workspace_reuses
-        for name, (calls, items, seconds) in other.kernel_profile.items():
-            acc = self.kernel_profile.setdefault(name, [0, 0, 0.0])
-            acc[0] += calls
-            acc[1] += items
-            acc[2] += seconds
-        self.oe_passes.extend(other.oe_passes)
-        # Keep the max conflict probability — conservative for contention.
-        self.tally_conflict_probability = max(
-            self.tally_conflict_probability, other.tally_conflict_probability
-        )
-        # Peak footprint across the merged runs (overwritten with the merged
-        # population's own footprint where one exists, e.g. pool reduction).
-        self.arena_nbytes = max(self.arena_nbytes, other.arena_nbytes)
-
-    def merge(self, other: "Counters") -> None:
-        """Accumulate another run of the *same* population
-        (multi-timestep aggregation).
-
-        The per-particle work arrays are summed index-by-index; when the
-        populations differ in size (fission/roulette changed the population
-        between runs), the shorter array is zero-padded so neither run's
-        histories are dropped from the load-imbalance statistics.
-        """
-        self.nparticles = max(self.nparticles, other.nparticles)
-        self._merge_scalars(other)
-        self.collisions_per_particle = _padded_add(
-            self.collisions_per_particle, other.collisions_per_particle
-        )
-        self.facets_per_particle = _padded_add(
-            self.facets_per_particle, other.facets_per_particle
-        )
-
     #: Scalar fields captured by :meth:`snapshot` — every physics/work
     #: count that must be invariant under shard partitioning and recovery.
     _SCALAR_FIELDS = (
@@ -275,8 +199,22 @@ class Counters:
         whole shard and merges only its complete payload, which is what
         keeps the reduction exact under recovery.
         """
-        self.nparticles += other.nparticles
-        self._merge_scalars(other)
+        for name in self._SCALAR_FIELDS + ("workspace_allocations",
+                                           "workspace_reuses"):
+            setattr(self, name, getattr(self, name) + getattr(other, name))
+        for name, (calls, items, seconds) in other.kernel_profile.items():
+            acc = self.kernel_profile.setdefault(name, [0, 0, 0.0])
+            acc[0] += calls
+            acc[1] += items
+            acc[2] += seconds
+        self.oe_passes.extend(other.oe_passes)
+        # Keep the max conflict probability — conservative for contention.
+        self.tally_conflict_probability = max(
+            self.tally_conflict_probability, other.tally_conflict_probability
+        )
+        # Peak footprint across the merged runs (overwritten with the merged
+        # population's own footprint where one exists, e.g. pool reduction).
+        self.arena_nbytes = max(self.arena_nbytes, other.arena_nbytes)
         self.collisions_per_particle = np.concatenate(
             [self.collisions_per_particle, other.collisions_per_particle]
         )

@@ -207,7 +207,3 @@ class Simulation:
             probe.commit_shard(result.counters, self.config.nparticles)
             live.mark_done()
         return result
-
-    def run_both(self) -> tuple[TransportResult, TransportResult]:
-        """Run both schemes on identical inputs (for comparisons/tests)."""
-        return self.run(Scheme.OVER_PARTICLES), self.run(Scheme.OVER_EVENTS)

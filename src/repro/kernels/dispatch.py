@@ -4,9 +4,9 @@ Every kernel invocation in the drivers goes through a
 :class:`KernelDispatch`: a name→callable table plus per-kernel
 accumulators (calls, lanes processed, seconds).  The profile is attached
 to ``Counters.kernel_profile`` at the end of a run, printed by
-``repro run --profile-kernels`` and consumed by
-``bench.measured_kernel_profile`` so the measured hot-kernel ranking can
-be compared against the paper's §VII characterisation.
+``repro run --profile-kernels`` and consumed by the ``*_transport_*``
+benches so the measured hot-kernel ranking can be compared against the
+paper's §VII characterisation.
 
 :data:`EVENT_KERNELS` is the single kind→role mapping the one event pass
 uses to dispatch its handlers, and :data:`PASS_KERNELS` holds one row per
@@ -17,7 +17,6 @@ dimension means adding entries here, with no if/elif ladders anywhere.
 from __future__ import annotations
 
 import time
-from contextlib import contextmanager
 from dataclasses import dataclass
 
 from repro.kernels import batch
@@ -127,30 +126,6 @@ class KernelDispatch:
                 "kernel:" + name, t0, elapsed, items=int(nitems)
             )
         return out
-
-    @contextmanager
-    def timed(self, name: str, nitems: int):
-        """Attribute a driver-side composite section to kernel ``name``.
-
-        Used where the kernel's work is interleaved with driver state
-        writes (banking fission secondaries, flushing tallies) and a
-        single callable would have to take the whole driver as argument.
-        """
-        t0 = time.perf_counter()
-        try:
-            yield
-        finally:
-            elapsed = time.perf_counter() - t0
-            stat = self.stats.get(name)
-            if stat is None:
-                stat = self.stats[name] = KernelStat()
-            stat.calls += 1
-            stat.items += int(nitems)
-            stat.seconds += elapsed
-            if self.recorder is not None:
-                self.recorder.add_complete(
-                    "kernel:" + name, t0, elapsed, items=int(nitems)
-                )
 
     def profile(self) -> dict[str, list]:
         """The accumulated profile as ``{name: [calls, items, seconds]}``.

@@ -9,8 +9,8 @@ length-``n`` views, growing geometrically when the population grows
 zero full-length allocations.
 
 The ``allocations``/``reuses`` counters are surfaced through
-``Counters.kernel_profile`` and ``bench.measured_kernel_profile`` — they
-are the measured evidence of the reuse.
+``Counters.kernel_profile`` and the ``*_transport_*`` benches'
+``workspace_*`` metrics — they are the measured evidence of the reuse.
 """
 
 from __future__ import annotations
@@ -60,7 +60,3 @@ class Workspace:
     def bool_(self, name: str, n: int) -> np.ndarray:
         """A bool view of length ``n`` (uninitialised)."""
         return self._get(name, n, np.bool_)
-
-    def nbytes(self) -> int:
-        """Total bytes currently held by the workspace."""
-        return int(sum(b.nbytes for b in self._buffers.values()))

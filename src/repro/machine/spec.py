@@ -253,7 +253,3 @@ class GPUSpec:
     def occupancy(self, regs_per_thread: int) -> float:
         """Fraction of warp slots occupied at the given register usage."""
         return self.warps_for_registers(regs_per_thread) / self.max_warps_per_sm
-
-    def memory_latency_ns(self) -> float:
-        """Global-memory latency in nanoseconds."""
-        return self.memory_latency_cycles / self.clock_ghz

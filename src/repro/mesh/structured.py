@@ -135,6 +135,3 @@ class StructuredMesh:
     def density_nbytes(self) -> int:
         """Footprint of the density field in bytes."""
         return int(self.density.nbytes)
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"StructuredMesh(shape={self.shape}, extent={self.extent})"

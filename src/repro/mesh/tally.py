@@ -132,10 +132,6 @@ class EnergyDepositionTally:
         p = self.flush_counts.astype(np.float64).ravel() / float(total)
         return float(np.dot(p, p))
 
-    def nbytes(self) -> int:
-        """Footprint of the deposition field (one copy) in bytes."""
-        return int(self.deposition.nbytes)
-
     def reset(self) -> None:
         """Zero the tally (start of a timestep when coupled to a host code)."""
         self.deposition[:] = 0.0

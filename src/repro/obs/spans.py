@@ -57,10 +57,6 @@ class Span:
     attrs: dict = field(default_factory=dict)
     source: dict = field(default_factory=dict)
 
-    @property
-    def duration_s(self) -> float:
-        return self.t_end - self.t_start
-
     def to_row(self) -> dict:
         """The serialisable form stored in the telemetry artifact."""
         return {

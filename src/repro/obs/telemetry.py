@@ -23,7 +23,7 @@ import json
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from repro.obs.spans import LogEvent, Recorder, Span
+from repro.obs.spans import Recorder
 
 __all__ = [
     "SCHEMA_NAME",
@@ -105,27 +105,6 @@ class RunTelemetry:
         )
 
     # -- convenience accessors ------------------------------------------
-    def span_objects(self) -> list[Span]:
-        """The span rows rehydrated as :class:`Span` records."""
-        return [
-            Span(
-                span_id=r["id"], parent_id=r["parent"], name=r["name"],
-                t_start=r["t0"], t_end=r["t1"],
-                attrs=dict(r.get("attrs", {})),
-                source=dict(r.get("source", {})),
-            )
-            for r in self.spans
-        ]
-
-    def event_objects(self) -> list[LogEvent]:
-        return [
-            LogEvent(
-                t=r["t"], name=r["name"], attrs=dict(r.get("attrs", {})),
-                source=dict(r.get("source", {})),
-            )
-            for r in self.events
-        ]
-
     def worker_span_count(self) -> int:
         """Spans recorded inside worker processes (tagged sources)."""
         return sum(1 for r in self.spans if r.get("source"))

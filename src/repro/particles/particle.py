@@ -111,10 +111,3 @@ class Particle:
     def direction_norm_error(self) -> float:
         """|‖Ω‖² − 1| — should stay at rounding level through scatters."""
         return abs(self.omega_x * self.omega_x + self.omega_y * self.omega_y - 1.0)
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return (
-            f"Particle(id={self.particle_id}, pos=({self.x:.6g}, {self.y:.6g}), "
-            f"E={self.energy:.6g} eV, w={self.weight:.4g}, "
-            f"cell=({self.cellx}, {self.celly}), alive={self.alive})"
-        )

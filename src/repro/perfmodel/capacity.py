@@ -41,7 +41,6 @@ from dataclasses import dataclass
 __all__ = [
     "DEFAULT_BENCH",
     "amdahl_serial_fraction",
-    "predicted_latency",
     "implied_workers",
     "required_workers",
     "CapacityScenario",
@@ -66,13 +65,6 @@ def amdahl_serial_fraction(t1: float, tn: float, n: int) -> float:
     if n < 2:
         raise ValueError("need a pooled measurement at n >= 2 workers")
     return (tn / t1 - 1.0 / n) / (1.0 - 1.0 / n)
-
-
-def predicted_latency(t1: float, f: float, workers: float) -> float:
-    """``T(w)`` under the fitted law."""
-    if workers < 1:
-        raise ValueError("workers must be >= 1")
-    return t1 * (f + (1.0 - f) / workers)
 
 
 def implied_workers(t1: float, f: float, latency: float) -> float | None:

@@ -21,6 +21,7 @@ number of distinct cells it covers grows with resolution².
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -93,8 +94,17 @@ class Workload:
     # ------------------------------------------------------------------
     @classmethod
     def from_result(cls, result: TransportResult) -> "Workload":
-        """Characterise a finished transport run."""
+        """Characterise a finished transport run, in 2-D or 3-D.
+
+        The machine models are dimension-agnostic: they consume operation
+        rates and working-set sizes.  A 3-D mesh maps to the 2-D edge
+        length with the same cell count (``mesh_bytes`` is what the cache
+        model uses).
+        """
         c: Counters = result.counters
+        shape = result.tally.shape
+        mesh_nx = (result.config.nx if len(shape) == 2
+                   else round(math.prod(shape) ** 0.5))
         n = max(c.nparticles, 1)
         lookups = max(c.xs_lookups, 1)
         total_events = max(c.total_events, 1)
@@ -111,7 +121,7 @@ class Workload:
         return cls(
             name=result.config.name,
             nparticles=n,
-            mesh_nx=result.config.nx,
+            mesh_nx=mesh_nx,
             collisions_pp=c.collisions / n,
             facets_pp=c.facets / n,
             census_pp=c.census_events / n,
@@ -133,55 +143,6 @@ class Workload:
                 c.census_events / total_events,
             ),
             xs_table_bytes=2.0 * result.config.xs_nentries * 16.0,
-        )
-
-    @classmethod
-    def from_result_3d(cls, result) -> "Workload":
-        """Characterise a 3-D run (the result of ``repro.volume.run_*_3d``).
-
-        The machine models are dimension-agnostic: they consume operation
-        rates and working-set sizes.  The 3-D mesh maps to an equivalent
-        2-D edge length with the same cell count (``mesh_bytes`` is what
-        the cache model uses), and the facet-scaling law carries over with
-        resolution measured per axis.
-        """
-        c = result.counters
-        n = max(c.nparticles, 1)
-        cfg = result.config
-        equivalent_nx = int(round((cfg.nx * cfg.ny * cfg.nz) ** 0.5))
-        work = (6.0 * c.collisions_per_particle + c.facets_per_particle).astype(
-            np.float64
-        )
-        if work.size == 0 or work.mean() == 0:
-            work = np.ones(n)
-        total_events = max(c.total_events, 1)
-        return cls(
-            name=cfg.name,
-            nparticles=n,
-            mesh_nx=equivalent_nx,
-            collisions_pp=c.collisions / n,
-            facets_pp=c.facets / n,
-            census_pp=c.census_events / n,
-            reflections_pp=c.reflections / n,
-            flushes_pp=c.tally_flushes / n,
-            density_reads_pp=c.density_reads / n,
-            lookups_pp=c.xs_lookups / n,
-            draws_pp=c.rng_draws / n,
-            linear_probes_per_lookup=0.0,
-            binary_probes_per_lookup=float(
-                np.ceil(np.log2(max(cfg.xs_nentries, 2)))
-            ),
-            conflict_probability=0.0,
-            work_cv=float(work.std() / work.mean()) if work.mean() > 0 else 0.0,
-            work_samples=work,
-            oe_passes=max(int(work.max()) if work.size else 1, 1),
-            oe_occupancy=1.0,
-            event_mix=(
-                c.collisions / total_events,
-                c.facets / total_events,
-                c.census_events / total_events,
-            ),
-            xs_table_bytes=2.0 * cfg.xs_nentries * 16.0,
         )
 
     # ------------------------------------------------------------------
@@ -235,13 +196,6 @@ class Workload:
         return (coll / tot, fac / tot, cen / tot)
 
     # ------------------------------------------------------------------
-    @property
-    def total_events(self) -> float:
-        """Total events at this scale."""
-        return self.nparticles * (
-            self.collisions_pp + self.facets_pp + self.census_pp
-        )
-
     def work_distribution(self, n: int, seed: int = 0) -> np.ndarray:
         """Resample the measured per-history work distribution to ``n``
         items (for exact schedule simulations at paper scale)."""

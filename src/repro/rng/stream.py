@@ -86,9 +86,6 @@ class VectorParticleRNG:
             self.counters = counters.copy()
         self.rounds = rounds
 
-    def __len__(self) -> int:
-        return self.particle_ids.shape[0]
-
     def next_uniform(self, mask: np.ndarray | None = None, k: int = 1) -> np.ndarray:
         """Draw ``k`` uniforms for each particle selected by ``mask``.
 

@@ -193,11 +193,6 @@ class UnionGrid:
             int(np.ceil(np.log2(max(self.energy.shape[0], 2)))),
         )
 
-    def __len__(self) -> int:
-        # Number of union grid points, matching ``len(CrossSectionTable)``
-        # so code that sizes a table by ``len`` accepts either kind.
-        return int(self.energy.shape[0])
-
     def nbytes(self) -> int:
         total = self.energy.nbytes + self.ptr.nbytes + self.fracs.nbytes
         total += sum(nuc.nbytes() for nuc in self.nuclides)

@@ -1,5 +1,4 @@
-"""Analysis utilities: batch statistics, multiplication, ASCII rendering,
-and the roofline classifiers."""
+"""Analysis utilities: batch statistics, multiplication, ASCII rendering."""
 
 import numpy as np
 import pytest
@@ -8,17 +7,8 @@ from repro.analysis import (
     batch_statistics,
     estimate_multiplication,
     render_heatmap,
-    render_series,
 )
 from repro.core import Scheme, Simulation, scatter_problem
-from repro.machine import BROADWELL, P100
-from repro.perfmodel.roofline import (
-    RooflineBound,
-    arithmetic_intensity,
-    classify_workload,
-    peak_flops,
-    roofline_time,
-)
 
 
 # ---------------------------------------------------------------------------
@@ -232,111 +222,3 @@ def test_heatmap_orientation():
     lines = out.splitlines()
     assert "@" in lines[-1]
     assert "@" not in lines[0]
-
-
-def test_series_basic():
-    out = render_series([1, 2, 3, 4, 5], label="ramp")
-    assert out.startswith("ramp: ")
-    assert "min=1" in out and "max=5" in out
-
-
-def test_series_downsamples():
-    out = render_series(np.sin(np.linspace(0, 10, 500)), width=40)
-    strip = out.split("  [")[0]
-    assert len(strip) <= 42
-
-
-def test_series_validation():
-    with pytest.raises(ValueError):
-        render_series([])
-
-
-# ---------------------------------------------------------------------------
-# Roofline
-# ---------------------------------------------------------------------------
-
-def test_peak_flops_orders():
-    assert peak_flops(BROADWELL) == pytest.approx(44 * 2.1e9 * 2 * 4)
-    assert peak_flops(P100) > peak_flops(BROADWELL)
-    with pytest.raises(TypeError):
-        peak_flops("broadwell")
-
-
-def test_neutral_is_latency_bound_on_roofline():
-    """The paper's headline diagnosis: under both roofs."""
-    from repro.bench import paper_workload, standard_cpu_time
-
-    w = paper_workload("csp")
-    seconds = standard_cpu_time("csp", "broadwell").seconds
-    point = classify_workload(w, BROADWELL, seconds)
-    assert point.bound is RooflineBound.LATENCY
-    assert point.fraction_of_roof < 0.6
-    assert roofline_time(w, BROADWELL) < seconds  # roofline is a lower bound
-
-
-def test_intensity_positive():
-    from repro.bench import paper_workload
-
-    assert arithmetic_intensity(paper_workload("csp")) > 0
-    # scatter does far more flops per byte than the streaming problems
-    assert arithmetic_intensity(paper_workload("scatter")) > arithmetic_intensity(
-        paper_workload("stream")
-    )
-
-
-def test_classify_validation():
-    from repro.bench import paper_workload
-
-    with pytest.raises(ValueError):
-        classify_workload(paper_workload("csp"), BROADWELL, 0.0)
-
-
-# ---------------------------------------------------------------------------
-# Lethargy spectra (moderation diagnostics)
-# ---------------------------------------------------------------------------
-
-def test_mean_lethargy_gain_textbook_values():
-    from repro.analysis import mean_lethargy_gain
-
-    assert mean_lethargy_gain(1.0) == 1.0  # hydrogen: ξ = 1 exactly
-    # ξ(12) ≈ 0.158 (carbon), ξ(238) ≈ 0.0084 (uranium) — textbook numbers
-    assert mean_lethargy_gain(12.0) == pytest.approx(0.158, abs=0.002)
-    assert mean_lethargy_gain(238.0) == pytest.approx(0.0084, abs=0.0002)
-    with pytest.raises(ValueError):
-        mean_lethargy_gain(0.0)
-
-
-def test_lethargy_spectrum_tracks_moderation():
-    """After k collisions off hydrogen the mean lethargy is ≈ k·ξ = k."""
-    from repro.analysis import lethargy_spectrum
-
-    cfg = scatter_problem(nx=32, nparticles=80, dt=1e-10)
-    r = Simulation(cfg).run(Scheme.OVER_EVENTS)
-    k = r.counters.mean_collisions_per_particle()
-    assert k > 1
-    spec = lethargy_spectrum(r)
-    assert spec.total_weight == pytest.approx(
-        float(r.arena.weight[r.arena.alive].sum()), rel=1e-9
-    )
-    assert spec.mean_lethargy() == pytest.approx(k, rel=0.25)
-    assert spec.mean_energy_ev() < 1e6
-
-
-def test_lethargy_spectrum_empty_population():
-    from repro.analysis import lethargy_spectrum
-
-    cfg = scatter_problem(nx=32, nparticles=10, ntimesteps=6)
-    r = Simulation(cfg).run(Scheme.OVER_EVENTS)
-    if r.alive_count() == 0:
-        spec = lethargy_spectrum(r)
-        assert spec.total_weight == 0.0
-        assert spec.mean_lethargy() == 0.0
-
-
-def test_lethargy_spectrum_validation():
-    from repro.analysis import lethargy_spectrum
-
-    cfg = scatter_problem(nx=16, nparticles=5)
-    r = Simulation(cfg).run(Scheme.OVER_EVENTS)
-    with pytest.raises(ValueError):
-        lethargy_spectrum(r, nbins=0)

@@ -20,9 +20,7 @@ from repro.bench import (
     format_series,
     format_table,
     load_bench_artifact,
-    measured_kernel_profile,
     measured_shard_handoff,
-    measured_telemetry,
     measured_workload,
     next_bench_path,
     run_bench,
@@ -31,8 +29,9 @@ from repro.bench import (
     validate_bench_artifact,
 )
 from repro.bench.registry import BenchSample, BenchSpec
-from repro.core import Scheme
-from repro.obs import to_prometheus
+from repro.bench.runner import MEASUREMENT_NX, MEASUREMENT_PARTICLES
+from repro.core import Scheme, Simulation, csp_problem
+from repro.obs import Recorder, build_run_telemetry, to_prometheus
 from repro.parallel.schedule import ScheduleKind
 from repro.perfmodel import (
     DEFAULT_CONSTANTS,
@@ -332,18 +331,6 @@ def test_measured_workload_copies_are_isolated():
     assert (c.work_samples == b.work_samples).all()  # ...others unhurt
 
 
-def test_measured_kernel_profile_copies_are_isolated():
-    a = measured_kernel_profile("csp")
-    b = measured_kernel_profile("csp")
-    assert a.profile is not b.profile
-    name = next(iter(a.profile))
-    a.profile[name][2] = 1e9   # mutate a cached-looking row
-    a.profile["fake"] = [1, 1, 1.0]
-    c = measured_kernel_profile("csp")
-    assert "fake" not in c.profile
-    assert c.profile[name][2] == b.profile[name][2] != 1e9
-
-
 def test_shard_handoff_setup_derived_once(monkeypatch):
     """Repeated hand-off measurements reuse the cached population.
 
@@ -410,10 +397,18 @@ def _parse_prometheus(text):
     return types, samples, order
 
 
-def test_prometheus_counter_gauge_types_from_pooled_run():
-    telemetry = measured_telemetry(
-        "csp", nworkers=2, nx=32, nparticles=24
+def _csp_telemetry(nworkers=None):
+    """The RunTelemetry artifact ``repro run --telemetry`` writes for a
+    small csp run."""
+    recorder = Recorder()
+    result = Simulation(csp_problem(nx=32, nparticles=24)).run(
+        Scheme.OVER_EVENTS, nworkers=nworkers, recorder=recorder
     )
+    return build_run_telemetry(result, recorder)
+
+
+def test_prometheus_counter_gauge_types_from_pooled_run():
+    telemetry = _csp_telemetry(nworkers=2)
     text = to_prometheus(telemetry)
     types, samples, order = _parse_prometheus(text)
 
@@ -449,7 +444,7 @@ def test_prometheus_counter_gauge_types_from_pooled_run():
 
 
 def test_prometheus_escapes_label_values():
-    telemetry = measured_telemetry("csp", nx=32, nparticles=24)
+    telemetry = _csp_telemetry()
     telemetry.kernel_profile['we"ird\\nam\ne'] = [1, 2, 0.5]
     text = to_prometheus(telemetry)
     assert '{kernel="we\\"ird\\\\nam\\ne"}' in text
@@ -461,8 +456,9 @@ def test_prometheus_escapes_label_values():
 # ---------------------------------------------------------------------------
 
 def test_recalibrate_constants_from_measured_profile():
-    kp = measured_kernel_profile("csp")
-    report = recalibrate_constants(kp.profile)
+    cfg = csp_problem(nx=MEASUREMENT_NX, nparticles=MEASUREMENT_PARTICLES)
+    profile = Simulation(cfg).run(Scheme.OVER_EVENTS).counters.kernel_profile
+    report = recalibrate_constants(profile)
     assert report.seconds_per_op > 0
     assert report.fits and all(
         math.isfinite(f.rel_error) for f in report.fits
@@ -470,7 +466,7 @@ def test_recalibrate_constants_from_measured_profile():
     assert "select_events" in report.skipped
     # The refitted constants reproduce the measurement exactly by
     # construction: refit ops × items × fitted rate == measured seconds.
-    refit = recalibrate_constants(kp.profile, report.constants)
+    refit = recalibrate_constants(profile, report.constants)
     assert refit.max_abs_rel_error < 1e-9
     assert report.constants.collision_alu_ops != (
         DEFAULT_CONSTANTS.collision_alu_ops

@@ -14,11 +14,15 @@ from repro.perfmodel import (
 from repro.perfmodel.capacity import (
     amdahl_serial_fraction,
     implied_workers,
-    predicted_latency,
     required_workers,
 )
 
 ARTIFACT = "results/BENCH_4.json"
+
+
+def _latency(t1, f, workers):
+    """``T(w) = t1 * (f + (1 - f) / w)``, the law the planner fits."""
+    return t1 * (f + (1.0 - f) / workers)
 
 
 # ---------------------------------------------------------------------------
@@ -34,7 +38,7 @@ def test_serial_fraction_inverts_the_law():
     assert amdahl_serial_fraction(1.0, 1.25, 2) == pytest.approx(1.5)
     # Round trip: T(n) computed from the fitted f lands on tn.
     f = amdahl_serial_fraction(2.0, 0.8, 4)
-    assert predicted_latency(2.0, f, 4) == pytest.approx(0.8)
+    assert _latency(2.0, f, 4) == pytest.approx(0.8)
 
 
 def test_serial_fraction_rejects_bad_inputs():
@@ -44,14 +48,12 @@ def test_serial_fraction_rejects_bad_inputs():
         amdahl_serial_fraction(1.0, -1.0, 2)
     with pytest.raises(ValueError):
         amdahl_serial_fraction(1.0, 1.0, 1)
-    with pytest.raises(ValueError):
-        predicted_latency(1.0, 0.5, 0.5)
 
 
 def test_implied_workers_inverts_predicted_latency():
     t1, f = 2.0, 0.25
     for w in (1.0, 2.0, 4.0, 16.0):
-        lat = predicted_latency(t1, f, w)
+        lat = _latency(t1, f, w)
         assert implied_workers(t1, f, lat) == pytest.approx(w)
     # At the asymptote there is no finite answer.
     assert implied_workers(t1, f, t1 * f) is None
@@ -63,7 +65,7 @@ def test_required_workers_feasibility_regions():
     t1, f = 1.0, 0.25
     assert required_workers(t1, f, 2.0) == 1.0  # SLO above t1: one worker
     w = required_workers(t1, f, 0.5)
-    assert predicted_latency(t1, f, w) == pytest.approx(0.5)
+    assert _latency(t1, f, w) == pytest.approx(0.5)
     assert required_workers(t1, f, 0.25) == math.inf  # at the asymptote
     assert required_workers(t1, f, 0.1) == math.inf   # below it
     # f >= 1: latency rises with width; one worker or nothing.

@@ -1,6 +1,7 @@
 """Command-line interface."""
 
 import argparse
+from pathlib import Path
 
 import pytest
 
@@ -8,6 +9,8 @@ import repro.volume
 from repro.cli import build_parser, main
 from repro.core import Scheme, Simulation
 from repro.ensemble import population_fingerprint
+
+BENCH_5 = str(Path(__file__).resolve().parents[1] / "results" / "BENCH_5.json")
 
 
 def test_parser_requires_command():
@@ -329,13 +332,28 @@ def test_run_and_ensemble_run_define_shared_options_identically():
     ["ensemble", "run", "--problem", "csp3"],
     ["run", "--seed=-1"],
     ["run", "--problem", "csp3", "--seed=18446744073709551616"],
+    ["bench", "compare", "missing.json", "not_json.json"],
+    ["bench", "compare", "not_json.json", "not_bench.json"],
+    ["bench", "compare", "not_bench.json", "not_json.json"],
+    ["bench", "recalibrate", "missing.json"],
+    ["bench", "recalibrate", "not_bench.json"],
+    ["bench", "recalibrate", BENCH_5, "--bench", "nope"],
+    ["run", "--drift-baseline", "not_json.json"],
+    ["run", "--serve-metrics", "0", "--drift-baseline", "not_json.json"],
+    ["run", "--serve-metrics", "0", "--drift-baseline", "not_bench.json"],
 ])
-def test_refused_input_is_one_line_error(argv, capsys):
-    assert main(argv + ["--nx", "8"]) == 2
+def test_refused_input_is_one_line_error(argv, capsys, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "not_json.json").write_text("nope\n")
+    (tmp_path / "not_bench.json").write_text("{}\n")
+    assert main(argv + ([] if argv[0] == "bench" else ["--nx", "8"])) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
     err_lines = captured.err.strip().splitlines()
     assert len(err_lines) == 1 and err_lines[0].startswith("error: ")
+    artifacts = [a for a in argv if a.endswith(".json")]
+    if artifacts and (argv[0] == "bench" or "--serve-metrics" in argv):
+        assert artifacts[0] in err_lines[0]  # the unreadable file is named
 
 
 @pytest.mark.parametrize("scheme", ["over_particles", "over_events", "auto"])

@@ -236,52 +236,8 @@ def test_run_pool_default_options():
 
 
 # ---------------------------------------------------------------------------
-# Counters.merge regression (population-size mismatch) and merge_disjoint
+# Counters.merge_disjoint (the pool's shard reduction)
 # ---------------------------------------------------------------------------
-
-def test_merge_pads_grown_population():
-    """Regression: merging runs whose populations differ must not drop the
-    second run's work arrays from the load-imbalance statistics."""
-    a = Counters(
-        nparticles=2,
-        collisions=3,
-        collisions_per_particle=np.array([1, 2], dtype=np.int64),
-        facets_per_particle=np.array([4, 0], dtype=np.int64),
-    )
-    b = Counters(
-        nparticles=4,
-        collisions=5,
-        collisions_per_particle=np.array([0, 1, 6, 1], dtype=np.int64),
-        facets_per_particle=np.array([1, 1, 18, 1], dtype=np.int64),
-    )
-    a.merge(b)
-    assert a.nparticles == 4
-    assert a.collisions == 8
-    assert np.array_equal(a.collisions_per_particle, [1, 3, 6, 1])
-    assert np.array_equal(a.facets_per_particle, [5, 1, 18, 1])
-    # The big history from run b now dominates max/mean — previously it
-    # was silently dropped and the imbalance stayed at run a's value.
-    assert a.load_imbalance() == 24 / (36 / 4)
-
-
-def test_merge_shrunk_and_empty_population():
-    big = Counters(
-        nparticles=3,
-        collisions_per_particle=np.array([2, 2, 2], dtype=np.int64),
-        facets_per_particle=np.zeros(3, dtype=np.int64),
-    )
-    small = Counters(
-        nparticles=2,
-        collisions_per_particle=np.array([1, 1], dtype=np.int64),
-        facets_per_particle=np.zeros(2, dtype=np.int64),
-    )
-    big.merge(small)
-    assert np.array_equal(big.collisions_per_particle, [3, 3, 2])
-    empty = Counters()
-    empty.merge(small)
-    assert np.array_equal(empty.collisions_per_particle, [1, 1])
-    assert empty.nparticles == 2
-
 
 def test_merge_disjoint_concatenates():
     a = Counters(

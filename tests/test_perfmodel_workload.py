@@ -123,7 +123,7 @@ def test_workload_from_3d_result():
     from repro.perfmodel import CPUOptions, predict_cpu
 
     r = run_over_events_3d(csp3_problem(n=16, nparticles=20))
-    w = Workload.from_result_3d(r)
+    w = Workload.from_result(r)
     assert w.nparticles == 20
     assert w.mesh_bytes() == pytest.approx(16**3 * 8, rel=0.15)
     assert w.facets_pp == r.counters.facets / 20
