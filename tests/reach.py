@@ -9,8 +9,9 @@ suite, counts), plus ``python -m perf.child`` for every phase of every
 ``BENCHMARK.json`` workload.  A function reached only by tier-1 tests is
 unreached.  ``run`` puts a generated ``sitecustomize`` on ``PYTHONPATH``
 whose ``sys.settrace`` hook records ``path::qualname`` for each code object
-called under ``src/repro``; it writes the set at exit and before
-``os._exit``, so forked pool workers count too.
+called under ``src/repro`` (``co_qualname``: Python 3.11 or newer); it
+writes the set at exit and before ``os._exit``, so forked pool workers
+count too.
 
 ``check`` fails on an unreached function without a ledger row, a
 ``keep``/``consumer`` row naming a function that is gone, a ``delete`` row
