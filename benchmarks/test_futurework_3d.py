@@ -16,31 +16,33 @@ facet; latency-bound random access).
 import numpy as np
 import pytest
 
-from repro.core import Scheme, Simulation, scatter_problem, stream_problem
-from repro.volume import (
-    run_over_events_3d,
+from repro.core import (
+    Scheme,
+    Simulation,
     scatter3_problem,
+    scatter_problem,
     stream3_problem,
+    stream_problem,
 )
+
+
+def _oe(cfg):
+    return Simulation(cfg).run(Scheme.OVER_EVENTS)
 
 
 @pytest.fixture(scope="module")
 def runs():
     return {
-        "2d-stream": Simulation(stream_problem(nx=24, nparticles=40)).run(
-            Scheme.OVER_EVENTS
-        ),
-        "2d-scatter": Simulation(scatter_problem(nx=24, nparticles=40)).run(
-            Scheme.OVER_EVENTS
-        ),
-        "3d-stream": run_over_events_3d(stream3_problem(n=24, nparticles=40)),
-        "3d-scatter": run_over_events_3d(scatter3_problem(n=24, nparticles=40)),
+        "2d-stream": _oe(stream_problem(nx=24, nparticles=40)),
+        "2d-scatter": _oe(scatter_problem(nx=24, nparticles=40)),
+        "3d-stream": _oe(stream3_problem(n=24, nparticles=40)),
+        "3d-scatter": _oe(scatter3_problem(n=24, nparticles=40)),
     }
 
 
 def test_futurework_3d_table(benchmark, runs):
     benchmark.pedantic(
-        lambda: run_over_events_3d(stream3_problem(n=16, nparticles=10)),
+        lambda: _oe(stream3_problem(n=16, nparticles=10)),
         rounds=1,
         iterations=1,
     )
@@ -104,15 +106,13 @@ def test_collision_physics_dimension_independent(runs):
 def test_3d_schemes_agree_like_2d():
     """The scheme-equivalence property — the foundation of the paper's
     comparison — holds identically in 3-D."""
-    from repro.volume import run_over_particles_3d
-
     cfg = stream3_problem(n=16, nparticles=20)
-    a = run_over_particles_3d(cfg)
-    b = run_over_events_3d(cfg)
+    a = Simulation(cfg).run(Scheme.OVER_PARTICLES)
+    b = _oe(cfg)
     assert a.counters.facets == b.counters.facets
     assert np.allclose(a.tally.deposition, b.tally.deposition, rtol=1e-9)
 
 
 if __name__ == "__main__":
-    r = run_over_events_3d(stream3_problem(n=24, nparticles=40))
+    r = _oe(stream3_problem(n=24, nparticles=40))
     print("3d stream facets/particle:", r.counters.mean_facets_per_particle())

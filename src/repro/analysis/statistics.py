@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.core.config import Scheme, SimulationConfig
-from repro.core.simulation import Simulation
+from repro.ensemble import EnsembleSpec, run_ensemble
 
 __all__ = ["BatchStatistics", "batch_statistics"]
 
@@ -72,24 +72,24 @@ def batch_statistics(
 ) -> BatchStatistics:
     """Run ``nbatches`` independent replicas and aggregate their tallies.
 
-    Each batch reuses the configuration with a distinct seed; the
-    counter-based RNG guarantees the streams are independent.  Sample
-    variance uses the (B−1) denominator.
+    The batches are the replicas of one fused ensemble: batch ``b`` reuses
+    the configuration with seed ``base_seed + 1000·b``, and the
+    counter-based RNG guarantees the streams are independent — each
+    replica's tally is bit-identical to its standalone run.  Sample
+    variance uses the (B−1) denominator; totals integrate over every mesh
+    axis, in any dimension.
     """
     if nbatches < 2:
         raise ValueError("need at least two batches for a variance estimate")
     seed0 = config.seed if base_seed is None else base_seed
-
-    tallies = []
-    for b in range(nbatches):
-        cfg = config.with_(seed=seed0 + 1000 * b)
-        result = Simulation(cfg).run(scheme)
-        tallies.append(result.tally.deposition)
-    stack = np.stack(tallies)
+    spec = EnsembleSpec(config.with_(seed=seed0), nbatches, seed_stride=1000)
+    stack = np.stack(
+        [r.tally.deposition for r in run_ensemble(spec, scheme).replicas]
+    )
 
     mean = stack.mean(axis=0)
     stderr = stack.std(axis=0, ddof=1) / np.sqrt(nbatches)
-    totals = stack.sum(axis=(1, 2))
+    totals = stack.sum(axis=tuple(range(1, stack.ndim)))
     return BatchStatistics(
         mean=mean,
         stderr=stderr,

@@ -32,13 +32,15 @@ from repro.core import (
     Scheme,
     Simulation,
     TransportResult,
+    csp3_problem,
     energy_balance_error,
     population_accounted,
+    scatter3_problem,
+    stream3_problem,
 )
 from repro.machine import ALL_MACHINES, CPUS, GPUS
 from repro.mesh.boundary import BoundaryCondition
 from repro.parallel import FaultPlan, ScheduleKind, simulate_parallel_for
-from repro.volume import csp3_problem, scatter3_problem, stream3_problem
 from repro.xs.provider import XsMode
 
 __all__ = ["main", "build_parser"]
@@ -452,8 +454,8 @@ def _observed_run(args, run, report, *, record=False, transport=None) -> int:
     then prints the result and returns the exit code; on success the
     ``--telemetry`` artifact of ``transport(result)`` (default: the
     result itself) is validated and dumped.  A live plane that cannot
-    start, or a route the library refuses (a bad pool option, a 2-D-only
-    route given a 3-D problem), is a one-line error, exit 2.
+    start, or input the library refuses (a bad pool option), is a
+    one-line error, exit 2.
     """
     recorder = None
     if args.telemetry or record:

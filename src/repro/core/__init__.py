@@ -5,7 +5,7 @@ Public entry points:
 
 * :class:`repro.core.simulation.Simulation` — facade: build from a
   :class:`repro.core.config.SimulationConfig` (or a problem factory from
-  :mod:`repro.core.problems`) and run either scheme;
+  :mod:`repro.core.problems`, 2-D or 3-D) and run either scheme;
 * :func:`repro.core.stepper.run_stepped` — the one census driver behind
   it: depth-first history tracking (:mod:`repro.core.over_particles`,
   paper §V-A, Listing 1) or breadth-first event passes
@@ -25,6 +25,9 @@ from repro.core.problems import (
     stream_problem,
     scatter_problem,
     csp_problem,
+    stream3_problem,
+    scatter3_problem,
+    csp3_problem,
     PROBLEM_FACTORIES,
     PAPER_MESH_SIZE,
     PAPER_TIMESTEP_S,
@@ -43,6 +46,9 @@ __all__ = [
     "stream_problem",
     "scatter_problem",
     "csp_problem",
+    "stream3_problem",
+    "scatter3_problem",
+    "csp3_problem",
     "PROBLEM_FACTORIES",
     "PAPER_MESH_SIZE",
     "PAPER_TIMESTEP_S",

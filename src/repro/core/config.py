@@ -11,12 +11,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from enum import Enum
-from typing import ClassVar
 
 import numpy as np
 
 from repro.mesh.boundary import BoundaryCondition
-from repro.particles.source import DRAWS_PER_BIRTH, SourceRegion
+from repro.particles.source import SourceRegion
 from repro.physics.variance import DEFAULT_ENERGY_CUTOFF_EV, DEFAULT_WEIGHT_CUTOFF
 from repro.xs.materials import hydrogenous_moderator
 from repro.xs.provider import XsMode, resolve_provider
@@ -27,7 +26,6 @@ __all__ = [
     "SearchStrategy",
     "SimulationConfig",
     "check_seed",
-    "require_2d",
 ]
 
 
@@ -65,20 +63,23 @@ class SearchStrategy(Enum):
 
 @dataclass(frozen=True)
 class SimulationConfig:
-    """Full specification of one transport calculation.
+    """Full specification of one transport calculation, in two dimensions
+    or three (``nz`` set): the number of axes is data to every route.
 
     Attributes
     ----------
     name:
-        Problem label ("stream", "scatter", "csp", or custom).
+        Problem label ("stream", "scatter", "csp", their 3-D forms, or
+        custom).
     nx, ny:
         Mesh cells per axis.
     width, height:
         Mesh physical extent [m].
     density:
-        Cell-centred density field, shape ``(ny, nx)`` [kg/m³].
+        Cell-centred density field, shape ``shape[::-1]`` — ``(ny, nx)``
+        or ``(nz, ny, nx)`` [kg/m³].
     source:
-        The particle source region.
+        The particle source region, with one pair of bounds per axis.
     nparticles:
         Histories per timestep.
     dt:
@@ -121,7 +122,7 @@ class SimulationConfig:
         ``None`` means the deterministic synthetic library sized by
         ``xs_nentries``.  CE mode only.
     material_map:
-        Per-cell material index, shape ``(ny, nx)``; ``None`` means
+        Per-cell material index, shape ``shape[::-1]``; ``None`` means
         material 0 everywhere.  Multi-material meshes and fission are the
         paper's §IX future work, implemented here as extensions.
     importance_map:
@@ -134,6 +135,9 @@ class SimulationConfig:
         traversal; larger blocks vectorise the per-event work across the
         block while the counter-based RNG keeps every history's draw
         sequence — and therefore its final state — bit-identical.
+    nz, depth:
+        Cells and extent [m] along a third axis; ``nz=None`` is the
+        paper's 2-D grid.
     """
 
     name: str
@@ -161,9 +165,25 @@ class SimulationConfig:
     op_block_size: int = 64
     xs_mode: str = "multigroup"
     ce_materials: tuple | None = None
+    nz: int | None = None
+    depth: float = 1.0
 
-    #: RNG draws a history consumes at birth (x, y, angle, first mfp).
-    BIRTH_DRAWS: ClassVar[int] = DRAWS_PER_BIRTH
+    @property
+    def shape(self) -> tuple:
+        """Cells per axis, x first."""
+        return (self.nx, self.ny) if self.nz is None else (
+            self.nx, self.ny, self.nz)
+
+    @property
+    def extent(self) -> tuple:
+        """Mesh extent per axis [m], x first."""
+        return (self.width, self.height, self.depth)[:len(self.shape)]
+
+    @property
+    def BIRTH_DRAWS(self) -> int:
+        """RNG draws a history consumes at birth: one per position axis,
+        one fewer than that for the direction, one first mfp."""
+        return 2 * len(self.shape)
 
     def __post_init__(self) -> None:
         if self.nparticles < 1:
@@ -177,17 +197,21 @@ class SimulationConfig:
             raise ValueError("need at least one timestep")
         if self.molar_mass_g_mol <= 0:
             raise ValueError("molar mass must be positive")
-        density = np.asarray(self.density, dtype=np.float64)
-        if density.shape != (self.ny, self.nx):
+        if len(self.source.bounds) != len(self.shape):
             raise ValueError(
-                f"density shape {density.shape} != ({self.ny}, {self.nx})"
+                f"a {len(self.shape)}-D mesh needs a source with "
+                f"{len(self.shape)} pairs of bounds"
             )
+        cells = self.shape[::-1]
+        density = np.asarray(self.density, dtype=np.float64)
+        if density.shape != cells:
+            raise ValueError(f"density shape {density.shape} != {cells}")
         object.__setattr__(self, "density", density)
         if self.material_map is not None:
             mmap = np.asarray(self.material_map, dtype=np.int64)
-            if mmap.shape != (self.ny, self.nx):
+            if mmap.shape != cells:
                 raise ValueError(
-                    f"material_map shape {mmap.shape} != ({self.ny}, {self.nx})"
+                    f"material_map shape {mmap.shape} != {cells}"
                 )
             nmat = self._declared_nmaterials()
             if mmap.min() < 0 or (nmat is not None and mmap.max() >= nmat):
@@ -200,9 +224,9 @@ class SimulationConfig:
         object.__setattr__(self, "xs_mode", XsMode.coerce(self.xs_mode))
         if self.importance_map is not None:
             imap = np.asarray(self.importance_map, dtype=np.float64)
-            if imap.shape != (self.ny, self.nx):
+            if imap.shape != cells:
                 raise ValueError(
-                    f"importance_map shape {imap.shape} != ({self.ny}, {self.nx})"
+                    f"importance_map shape {imap.shape} != {cells}"
                 )
             if np.any(imap <= 0):
                 raise ValueError("importances must be positive")
@@ -216,15 +240,13 @@ class SimulationConfig:
         """The mesh this config describes."""
         from repro.mesh.structured import StructuredMesh
 
-        return StructuredMesh(
-            self.nx, self.ny, self.width, self.height, self.density
-        )
+        return StructuredMesh.grid(self.shape, self.extent, self.density)
 
     def build_tally(self):
         """An empty energy-deposition tally over the mesh."""
         from repro.mesh.tally import EnergyDepositionTally
 
-        return EnergyDepositionTally(self.nx, self.ny)
+        return EnergyDepositionTally(*self.shape)
 
     def total_source_energy_ev(self) -> float:
         """Weighted energy injected per timestep — the conservation budget."""
@@ -240,10 +262,11 @@ class SimulationConfig:
         )
 
     def resolved_material_map(self) -> np.ndarray:
-        """Per-cell material indices (zeros when not configured)."""
+        """Per-cell material indices: material 0 everywhere when not
+        configured (a zero-stride view — nothing is stored)."""
         if self.material_map is not None:
             return self.material_map
-        return np.zeros((self.ny, self.nx), dtype=np.int64)
+        return np.broadcast_to(np.int64(0), self.shape[::-1])
 
     def _declared_nmaterials(self) -> int | None:
         """Material count the map may index, or ``None`` when open-ended
@@ -283,14 +306,3 @@ def check_seed(seed: int, what: str = "seed") -> None:
     under this one's name."""
     if not 0 <= seed < 2**64:
         raise ValueError(f"{what} must be in [0, 2**64), got {seed}")
-
-
-def require_2d(config, route: str) -> None:
-    """Refuse, in one line naming the 3-D routes, a config whose source has
-    other than two axes on a ``route`` that runs 2-D configs only."""
-    if len(config.source.bounds) != 2:
-        raise ValueError(
-            f"{route} runs 2-D configs only; run a 3-D config serially with "
-            "Simulation(cfg).run(scheme) or fuse 3-D members with "
-            "repro.ensemble.volume.run_ensemble_3d"
-        )

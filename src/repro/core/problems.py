@@ -22,13 +22,19 @@ pure-Python benchmarks can run reduced-scale instances; event statistics
 per particle either do not depend on the mesh resolution (collisions) or
 scale linearly with it (facet crossings), which the perf model exploits and
 the characterisation bench validates.
+
+``stream3`` / ``scatter3`` / ``csp3`` are the same three problems in one
+more dimension (the §IV-C future-work extension): a cube of ``n³`` cells
+over the same 1 m extent, so the per-facet arithmetic is directly
+comparable with the 2-D problems, with ``xs_nentries`` 2 500 and binary
+search as overridable defaults.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from repro.core.config import SimulationConfig
+from repro.core.config import SearchStrategy, SimulationConfig
 from repro.particles.source import SourceRegion
 
 __all__ = [
@@ -43,6 +49,9 @@ __all__ = [
     "stream_problem",
     "scatter_problem",
     "csp_problem",
+    "stream3_problem",
+    "scatter3_problem",
+    "csp3_problem",
     "PROBLEM_FACTORIES",
 ]
 
@@ -163,6 +172,45 @@ def csp_problem(
         dt=overrides.pop("dt", PAPER_TIMESTEP_S),
         **overrides,
     )
+
+
+def _cube(name, density, box, nparticles, overrides) -> SimulationConfig:
+    """An ``n³``-cell 3-D problem over the 1 m cube, emitting from the box
+    ``[lo, hi]³``."""
+    n = density.shape[0]
+    lo, hi = box
+    return SimulationConfig(
+        name=name, nx=n, ny=n, nz=n, width=MESH_WIDTH_M, height=MESH_WIDTH_M,
+        depth=MESH_WIDTH_M, density=density,
+        source=SourceRegion(x0=lo, x1=hi, y0=lo, y1=hi, z0=lo, z1=hi,
+                            energy_ev=SOURCE_ENERGY_EV),
+        nparticles=nparticles,
+        **{"dt": PAPER_TIMESTEP_S, "xs_nentries": 2500,
+           "search": SearchStrategy.BINARY, **overrides},
+    )
+
+
+def stream3_problem(n: int = 24, nparticles: int = 50,
+                    **overrides) -> SimulationConfig:
+    """3-D stream: centred source, near-vacuum cube."""
+    return _cube("stream3", np.full((n, n, n), LOW_DENSITY), (0.45, 0.55),
+                 nparticles, overrides)
+
+
+def scatter3_problem(n: int = 24, nparticles: int = 50,
+                     **overrides) -> SimulationConfig:
+    """3-D scatter: centred source, homogeneously dense cube."""
+    return _cube("scatter3", np.full((n, n, n), HIGH_DENSITY), (0.45, 0.55),
+                 nparticles, overrides)
+
+
+def csp3_problem(n: int = 24, nparticles: int = 50,
+                 **overrides) -> SimulationConfig:
+    """3-D csp: corner source, dense cube spanning [0.4, 0.6]³."""
+    density = np.full((n, n, n), LOW_DENSITY)
+    lo, hi = int(0.4 * n), int(np.ceil(0.6 * n))
+    density[lo:hi, lo:hi, lo:hi] = HIGH_DENSITY
+    return _cube("csp3", density, (0.0, 0.1), nparticles, overrides)
 
 
 #: Name → factory, for sweep drivers.

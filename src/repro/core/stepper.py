@@ -11,10 +11,10 @@ wiring.  This module hoists all of that into one place:
   ``repro.kernels`` audit rejects any new ``range(ntimesteps)`` loop
   outside this module.
 * :class:`CensusStepper` / :func:`run_stepped` — the full transport
-  driver, for a 2-D :class:`~repro.core.config.SimulationConfig` and a
-  3-D :class:`~repro.volume.problems3.Volume3DConfig` alike (the config
-  builds the mesh and the tally and names the births' draw count; the
-  source region's axes pick the arena the population is emitted into).
+  driver, for a :class:`~repro.core.config.SimulationConfig` in two
+  dimensions or three (the config builds the mesh and the tally and
+  names the births' draw count; the source region's axes pick the arena
+  the population is emitted into).
   Each census step's transport is delegated to a pluggable
   scheme strategy (OP blocked lock-step or OE breadth-first) chosen per
   step by a *plan*, so the scheme becomes a per-census-step decision

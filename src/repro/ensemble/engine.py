@@ -1,7 +1,8 @@
 """The ensemble engine: fuse, run, and unfuse N replica runs.
 
 ``run_ensemble`` samples every member's source into one
-:class:`~repro.particles.arena.EnsembleArena` (replica-major, each
+:class:`~repro.particles.arena.EnsembleArena` (an
+:class:`~repro.particles.arena.EnsembleArena3` in 3-D; replica-major, each
 history keeping the exact ``(seed, particle_id)`` RNG key it would have
 standalone) and hands it, with the members'
 :class:`~repro.core.books.ReplicaBooks`, to the same census stepper
@@ -27,7 +28,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.core.books import ReplicaBooks
-from repro.core.config import Scheme, SimulationConfig, require_2d
+from repro.core.config import Scheme, SimulationConfig
 from repro.core.counters import Counters
 from repro.core.stepper import (
     run_stepped,
@@ -37,7 +38,7 @@ from repro.core.stepper import (
 from repro.ensemble.spec import EnsembleSpec, validate_members
 from repro.mesh.tally import EnergyDepositionTally
 from repro.obs.spans import NULL_RECORDER
-from repro.particles.arena import EnsembleArena
+from repro.particles.arena import FUSED_ARENA, EnsembleArena
 from repro.particles.source import sample_source
 
 __all__ = [
@@ -153,7 +154,6 @@ def run_ensemble(
     members = _expand(spec_or_members)
     nrep = len(members)
     base = members[0]
-    require_2d(base, "run_ensemble")
     validate_scheme_options(base, scheme)
     label = scheme_label(scheme)
     if live is not None:
@@ -186,7 +186,7 @@ def run_ensemble(
             )
             for m in run_members
         ]
-    fused = EnsembleArena.fuse(member_arenas)
+    fused = FUSED_ARENA[type(member_arenas[0])].fuse(member_arenas)
 
     with rec.span(
         "ensemble_run", replicas=nrep, scheme=label.name,

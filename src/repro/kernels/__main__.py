@@ -72,9 +72,9 @@ def main(argv=None) -> int:
     single_pkgs = ", ".join(SINGLE_PATH_PACKAGES)
     print(f"OK: no None test on the replica books, no *_vec kernel "
           f"alias and one event pass in any dimension "
-          f"({single_pkgs} audited); one tally flush, point location and "
-          f"collide/cross_facet body for every dimension; no replica "
-          f"loop in the books' per-pass verbs; one pooled launch")
+          f"({single_pkgs} audited); one tally flush, point location, "
+          f"collide/cross_facet body and config for every dimension; no "
+          f"replica loop in the books' per-pass verbs; one pooled launch")
     print("OK: the 2-D and 3-D distance pipelines allocate nothing from "
           "their second call")
     return 0

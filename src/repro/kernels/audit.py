@@ -29,8 +29,8 @@ The single-path audit keeps one execution path and one event pass: no
 fork on the replica books, and no event handler or event-kernel dispatch
 name (2-D or 3-D) outside ``core/event_pass.py`` — and one body per
 dimension-generic piece below it: the tally flush, the mesh's point
-location and the collision and facet kernels each have one home, whatever
-the number of axes.  The books' per-pass verbs stay loop-free over
+location, the collision and facet kernels and the config that builds the
+mesh and the tally each have one home, whatever the number of axes.  The books' per-pass verbs stay loop-free over
 replicas: the replica is an array axis there, not a Python loop.  And
 there is one pooled launch: the pool's dispatcher and start-method pick
 are called in ``parallel/pool.py`` only, and no module outside
@@ -154,10 +154,13 @@ EVENT_DISPATCH_NAMES = (
 
 #: Definition-name prefix → the one module that may define it: the number
 #: of axes is data to these bodies, and a definition elsewhere is a
-#: dimension twin (``Tally3D.flush_vec``, ``batch3.collide3``) coming back.
+#: dimension twin (``Tally3D.flush_vec``, ``batch3.collide3``) coming back
+#: — a second config class too, since a config is what builds the mesh
+#: and the tally.
 TWIN_HOMES = {"flush_vec": "mesh/tally.py",
               "cell_of_point_vec": "mesh/structured.py",
-              "collide": "kernels/batch.py", "cross_facet": "kernels/batch.py"}
+              "collide": "kernels/batch.py", "cross_facet": "kernels/batch.py",
+              "build_mesh": "core/config.py", "build_tally": "core/config.py"}
 
 
 #: The module of the replica books, and the verbs of

@@ -162,9 +162,9 @@ def _pool_section(pool) -> dict | None:
 def build_run_telemetry(result, recorder: Recorder | None = None):
     """Assemble the artifact from a transport result and its recorder.
 
-    Works for 2-D and 3-D runs alike — both return a
-    :class:`~repro.core.simulation.TransportResult`; the ``getattr``
-    defaults below cover the fields only one of the two configs has.
+    Works for 2-D and 3-D runs alike (``nz`` is ``None`` in 2-D); the
+    ``getattr`` defaults cover a result whose config is not a
+    :class:`~repro.core.config.SimulationConfig`.
     """
     config = result.config
     c = result.counters

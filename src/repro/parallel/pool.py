@@ -79,7 +79,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.core.config import Scheme, SimulationConfig, require_2d
+from repro.core.config import Scheme, SimulationConfig
 from repro.core.counters import Counters
 from repro.obs.live import FlightSpiller, LiveBoard, load_flight_dump
 from repro.obs.spans import NULL_RECORDER, Recorder
@@ -1265,7 +1265,6 @@ def run_pool(
     from repro.core.stepper import scheme_label
     from repro.xs.provider import XsMode
 
-    require_2d(config, "the worker pool (nworkers=...)")
     if options is None:
         options = PoolOptions(nworkers=1)
     rec = NULL_RECORDER if recorder is None else recorder

@@ -42,6 +42,8 @@ from repro.particles.particle import Particle
 
 __all__ = [
     "EnsembleArena",
+    "EnsembleArena3",
+    "FUSED_ARENA",
     "ParticleArena",
     "ParticleArena3",
     "shard_handle_nbytes",
@@ -499,3 +501,18 @@ class ParticleArena3(ParticleArena):
     POSITION = ("x", "y", "z")
     DIRECTION = ("omega_x", "omega_y", "omega_z")
     CELL = ("cellx", "celly", "cellz")
+
+
+class EnsembleArena3(EnsembleArena):
+    """The fused multi-replica population in 3-D: :class:`ParticleArena3`'s
+    fields plus the trailing ``replica_id``, fused by
+    :meth:`EnsembleArena.fuse`."""
+
+    FIELDS = ParticleArena3.FIELDS + (("replica_id", np.int64),)
+    POSITION = ParticleArena3.POSITION
+    DIRECTION = ParticleArena3.DIRECTION
+    CELL = ParticleArena3.CELL
+
+
+#: The fused arena type of a population, by its member arena type.
+FUSED_ARENA = {ParticleArena: EnsembleArena, ParticleArena3: EnsembleArena3}

@@ -9,9 +9,9 @@ exactly four draws at birth, in a fixed order:
 3. isotropic direction angle,
 4. optical distance (mean free paths) to its first collision.
 
-A region with one more axis (:class:`repro.volume.problems3.SourceBox3D`)
-follows the same protocol — one draw per position axis, one fewer than
-that for the direction, one optical distance: six.
+A region with a third pair of bounds (``z0``/``z1``) follows the same
+protocol — one draw per position axis, one fewer than that for the
+direction, one optical distance: six.
 
 Because the RNG is counter-based and keyed per particle, a population
 emitted at once is bit-identical to its histories born one at a time (the
@@ -56,6 +56,8 @@ class SourceRegion:
         Birth kinetic energy of every particle (eV).
     weight:
         Birth statistical weight of every particle.
+    z0, z1:
+        Bounds along a third axis; ``None`` (both) for a 2-D region.
     """
 
     x0: float
@@ -64,14 +66,19 @@ class SourceRegion:
     y1: float
     energy_ev: float
     weight: float = 1.0
+    z0: float | None = None
+    z1: float | None = None
 
     @property
     def bounds(self) -> tuple:
         """``(lo, hi)`` of the emission box along each axis."""
-        return (self.x0, self.x1), (self.y0, self.y1)
+        pairs = (self.x0, self.x1), (self.y0, self.y1), (self.z0, self.z1)
+        return pairs if self.z0 is not None else pairs[:2]
 
     def __post_init__(self) -> None:
-        if not (self.x0 < self.x1 and self.y0 < self.y1):
+        if (self.z0 is None) != (self.z1 is None):
+            raise ValueError("a source region needs both z bounds or neither")
+        if not all(lo < hi for lo, hi in self.bounds):
             raise ValueError("source region must have positive extent")
         if self.energy_ev <= 0:
             raise ValueError("source energy must be positive")

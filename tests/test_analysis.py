@@ -8,7 +8,7 @@ from repro.analysis import (
     estimate_multiplication,
     render_heatmap,
 )
-from repro.core import Scheme, Simulation, scatter_problem
+from repro.core import Scheme, Simulation, csp3_problem, scatter_problem
 
 
 # ---------------------------------------------------------------------------
@@ -77,6 +77,28 @@ def test_batch_statistics_matches_manual_aggregation():
         stats.stderr, singles.std(axis=0, ddof=1) / np.sqrt(nb)
     )
     totals = singles.sum(axis=(1, 2))
+    assert stats.total_mean == float(totals.mean())
+    assert stats.total_stderr == float(totals.std(ddof=1) / np.sqrt(nb))
+
+
+def test_batch_statistics_totals_integrate_every_axis_in_3d():
+    """In 3-D a batch total is the deposition summed over all three mesh
+    axes: ``total_mean`` is the mean of the batch totals, and the per-cell
+    mean and stderr are those of the per-seed single runs."""
+    cfg = csp3_problem(8, nparticles=20)
+    nb = 4
+    stats = batch_statistics(cfg, nbatches=nb)
+    singles = np.stack([
+        Simulation(cfg.with_(seed=cfg.seed + 1000 * b))
+        .run(Scheme.OVER_EVENTS).tally.deposition
+        for b in range(nb)
+    ])
+    assert stats.mean.shape == (8, 8, 8)
+    np.testing.assert_array_equal(stats.mean, singles.mean(axis=0))
+    np.testing.assert_array_equal(
+        stats.stderr, singles.std(axis=0, ddof=1) / np.sqrt(nb)
+    )
+    totals = singles.sum(axis=(1, 2, 3))
     assert stats.total_mean == float(totals.mean())
     assert stats.total_stderr == float(totals.std(ddof=1) / np.sqrt(nb))
 

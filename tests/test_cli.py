@@ -5,7 +5,7 @@ from pathlib import Path
 
 import pytest
 
-import repro.volume
+import repro.core
 from repro.cli import build_parser, main
 from repro.core import Scheme, Simulation
 from repro.ensemble import population_fingerprint
@@ -98,6 +98,20 @@ def test_run3d(capsys):
     out = capsys.readouterr().out
     assert "mesh=12x12x12" in out
     assert "population accounted: True" in out
+
+
+@pytest.mark.parametrize("argv", [
+    ["run", "--problem", "csp3", "--workers", "2"],
+    ["ensemble", "run", "--problem", "csp3", "--replicas", "4"],
+    ["run", "--problem", "csp3", "--russian-roulette"],
+])
+def test_3d_routes_run(argv, capsys):
+    """A 3-D problem takes every route a 2-D one does: the pool, a fused
+    ensemble and Russian roulette."""
+    assert main(argv + ["--nx", "8", "--particles", "12"]) == 0
+    out = capsys.readouterr().out
+    assert "8x8x8" in out
+    assert "population accounted: True" in out or "fused events:" in out
 
 
 def test_run3d_over_events(capsys):
@@ -253,7 +267,7 @@ def test_run_3d_prints_the_library_result(problem, scheme, capsys):
     ])
     assert rc == 0
     lines = capsys.readouterr().out.splitlines()
-    factory = getattr(repro.volume, f"{problem}_problem")
+    factory = getattr(repro.core, f"{problem}_problem")
     result = Simulation(factory(8, nparticles=12)).run(scheme)
     c = result.counters
     assert (
@@ -282,7 +296,7 @@ def test_run_3d_auto_reproduces_over_events(capsys, monkeypatch):
     assert rc == 0
     assert "scheme=auto" in capsys.readouterr().out
     oe = Simulation(
-        repro.volume.csp3_problem(8, nparticles=20, ntimesteps=3)
+        repro.core.csp3_problem(8, nparticles=20, ntimesteps=3)
     ).run(Scheme.OVER_EVENTS)
     assert population_fingerprint(results[0].arena) == population_fingerprint(
         oe.arena
@@ -327,9 +341,9 @@ def test_run_and_ensemble_run_define_shared_options_identically():
     ["run", "--workers", "2", "--chunk", "0"],
     ["run", "--workers", "1", "--fault-plan", "kill:worker=1"],
     ["run", "--fault-plan", "kill:worker=1"],
-    ["run", "--problem", "csp3", "--workers", "2"],
-    ["run", "--problem", "csp3", "--russian-roulette"],
-    ["ensemble", "run", "--problem", "csp3"],
+    ["run", "--problem", "csp3", "--workers", "0"],
+    ["run", "--problem", "csp3", "--particles", "0"],
+    ["ensemble", "run", "--problem", "csp3", "--replicas", "0"],
     ["run", "--seed=-1"],
     ["run", "--problem", "csp3", "--seed=18446744073709551616"],
     ["bench", "compare", "missing.json", "not_json.json"],

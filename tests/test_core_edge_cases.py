@@ -4,7 +4,7 @@ geometric corner cases, and configuration validation."""
 import numpy as np
 import pytest
 
-from repro.core import Scheme, Simulation, scatter_problem
+from repro.core import Scheme, Simulation, csp3_problem, scatter_problem
 from repro.core.config import SimulationConfig
 from repro.core.validation import energy_balance_error, population_accounted
 from repro.ensemble import EnsembleSpec
@@ -146,6 +146,26 @@ def test_config_validation_suite():
         _tiny(density=np.zeros((3, 5)))
     with pytest.raises(ValueError):
         _tiny(materials=())
+    # A 3-D config is the same class, refused by the same checks at
+    # construction, against its (nz, ny, nx) cells.
+    cube = np.ones((4, 4, 4))
+    assert csp3_problem(4, nparticles=2).with_(importance_map=cube).nz == 4
+    for bad in ({"molar_mass_g_mol": 0.0}, {"nparticles": 0}, {"dt": -1.0},
+                {"density": np.ones((4, 4))},
+                {"material_map": np.zeros((4, 4), dtype=np.int64)},
+                {"importance_map": np.ones((4, 4, 5))},
+                {"importance_map": 0.0 * cube}):
+        with pytest.raises(ValueError):
+            csp3_problem(4, nparticles=2).with_(**bad)
+    with pytest.raises(ValueError, match="molar mass"):
+        csp3_problem(4, nparticles=2, molar_mass_g_mol=0.0)
+    with pytest.raises(ValueError, match="3 pairs of bounds"):
+        csp3_problem(4, nparticles=2).with_(
+            source=SourceRegion(0.3, 0.7, 0.3, 0.7, 1e6))
+    with pytest.raises(ValueError, match="2 pairs of bounds"):
+        _tiny(source=SourceRegion(0.3, 0.7, 0.3, 0.7, 1e6, z0=0.3, z1=0.7))
+    with pytest.raises(ValueError, match="both z bounds"):
+        SourceRegion(0.3, 0.7, 0.3, 0.7, 1e6, z0=0.3)
 
 
 #: The one-line refusal of a seed that is not a 64-bit Threefry key word.

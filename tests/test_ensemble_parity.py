@@ -359,8 +359,8 @@ def test_sweep_source_param_touches_only_source():
 def test_validate_members_rejects_non_fusible_mismatch():
     """One fusibility rule for every config type, 2-D and 3-D: the
     FUSIBLE_FIELDS (seed, cutoffs, timestep, source) may differ, any other
-    field of the members' own type may not."""
-    from repro.volume import csp3_problem
+    field may not — the number of axes included."""
+    from repro.core import csp3_problem
 
     for base in (csp_problem(nx=NX, nparticles=NPARTICLES),
                  csp3_problem(n=8, nparticles=40)):
@@ -370,8 +370,9 @@ def test_validate_members_rejects_non_fusible_mismatch():
         ])
         with pytest.raises(ValueError, match="nparticles"):
             validate_members([base, base.with_(nparticles=base.nparticles + 1)])
-    with pytest.raises(ValueError, match="is not a SimulationConfig"):
-        validate_members([csp_problem(nx=NX, nparticles=NPARTICLES), base])
+    flat = csp_problem(nx=8, nparticles=40).with_(name=base.name)
+    with pytest.raises(ValueError, match="must agree on 'density'"):
+        validate_members([flat, base])
 
 
 def test_sweep_spec_parse_rejects_bad_forms():
@@ -400,18 +401,15 @@ def test_ensemble_3d_seed_fusion_matches_standalone():
     """Seed-only 3-D fusion: every replica's counters, tally, and
     population fingerprint bit-identical to its own standalone run, and
     the fused tally is exactly the replica sum."""
-    from repro.ensemble.volume import (
-        population_fingerprint_3d,
-        run_ensemble_3d,
-    )
-    from repro.volume import csp3_problem, run_over_events_3d
+    from repro.core import csp3_problem
+    from repro.ensemble.volume import population_fingerprint_3d
 
     base = csp3_problem(n=8, nparticles=40, ntimesteps=2)
     members = [base.with_(seed=base.seed + 7 * r) for r in range(4)]
-    ens = run_ensemble_3d(members)
+    ens = run_ensemble(members)
     assert len(ens.replicas) == 4
     for rr, m in zip(ens.replicas, members):
-        solo = run_over_events_3d(m)
+        solo = Simulation(m).run(Scheme.OVER_EVENTS)
         for fname in Counters._SCALAR_FIELDS:
             assert getattr(rr.counters, fname) == getattr(
                 solo.counters, fname
@@ -427,7 +425,7 @@ def test_ensemble_3d_seed_fusion_matches_standalone():
 def test_validate_members_3d_is_seed_only():
     """3-D members go through the one ``validate_members`` rule: a seed
     difference is accepted, an ``nparticles`` difference is not."""
-    from repro.volume import csp3_problem
+    from repro.core import csp3_problem
 
     base = csp3_problem(n=8, nparticles=40)
     validate_members([base, base.with_(seed=base.seed + 1)])
@@ -519,15 +517,12 @@ def test_one_replica_ensemble_is_the_plain_run(factory, overrides, scheme):
 
 
 def test_one_member_ensemble_3d_is_the_plain_run():
-    from repro.ensemble.volume import (
-        population_fingerprint_3d,
-        run_ensemble_3d,
-    )
-    from repro.volume import csp3_problem, run_over_events_3d
+    from repro.core import csp3_problem
+    from repro.ensemble.volume import population_fingerprint_3d
 
     cfg = csp3_problem(n=8, nparticles=40, ntimesteps=2)
-    plain = run_over_events_3d(cfg)
-    ens = run_ensemble_3d([cfg])
+    plain = Simulation(cfg).run(Scheme.OVER_EVENTS)
+    ens = run_ensemble([cfg])
     (rr,) = ens.replicas
     for counters in (rr.counters, ens.counters):
         assert counters.snapshot() == plain.counters.snapshot()
@@ -763,11 +758,13 @@ def test_single_path_audit_flags_a_3d_event_pass(tmp_path):
 
 
 def test_single_path_audit_flags_a_dimension_twin(tmp_path):
-    """The tally flush, the mesh's point location and the collision and
-    facet kernels have one body each, whatever the number of axes: a
-    second definition anywhere is a twin coming back — a scalar one too,
-    since the scalar references live in the test oracle, outside the
-    package.  The 3-D kernel names stay table aliases."""
+    """The tally flush, the mesh's point location, the collision and
+    facet kernels and the config that builds the mesh and the tally have
+    one body each, whatever the number of axes: a second definition
+    anywhere is a twin coming back — a scalar one too, since the scalar
+    references live in the test oracle, outside the package, and a second
+    config class's ``build_mesh``.  The 3-D kernel names stay table
+    aliases."""
     from repro.kernels.dispatch import KERNEL_TABLE, KERNEL_TABLE_3D
 
     assert KERNEL_TABLE_3D["collide_3d"] is KERNEL_TABLE["collide"]
@@ -783,6 +780,10 @@ def test_single_path_audit_flags_a_dimension_twin(tmp_path):
     (tmp_path / "mesh" / "structured.py").write_text(
         "class StructuredMesh:\n    def cell_of_point_vec(self, *p): pass\n"
     )
+    (tmp_path / "core" / "config.py").write_text(
+        "class SimulationConfig:\n    def build_mesh(self): pass\n"
+        "    def build_tally(self): pass\n"
+    )
     assert audit_single_path(tmp_path) == []
     (tmp_path / "kernels" / "batch3.py").write_text(
         "def collide3(*a): pass\ndef cross_facet_3d(*a): pass\n"
@@ -793,8 +794,13 @@ def test_single_path_audit_flags_a_dimension_twin(tmp_path):
     )
     (tmp_path / "physics" / "collision.py").write_text("def collide(): pass\n")
     (tmp_path / "volume" / "facet3.py").write_text("def cross_facet_3d(): pass\n")
+    (tmp_path / "volume" / "problems3.py").write_text(
+        "class Volume3DConfig:\n    def build_mesh(self): pass\n"
+    )
     violations = audit_single_path(tmp_path)
-    assert len(violations) == 6
+    assert len(violations) == 7
+    assert sum("def build_mesh" in v and "core/config.py" in v
+               for v in violations) == 1
     assert sum(v.startswith("kernels/batch3.py:") for v in violations) == 2
     assert sum(v.startswith(("physics/collision.py:", "volume/facet3.py:"))
                for v in violations) == 2

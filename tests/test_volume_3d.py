@@ -7,26 +7,29 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core import Scheme, Simulation
+from repro.core import (
+    Scheme,
+    Simulation,
+    csp3_problem,
+    scatter3_problem,
+    stream3_problem,
+)
 from repro.core.books import ReplicaBooks
 from repro.core.stepper import run_stepped
-from repro.ensemble import run_ensemble
 from repro.ensemble.volume import population_fingerprint_3d
 from repro.kernels import batch
 from repro.mesh.boundary import BoundaryCondition
+from repro.parallel import ScheduleKind
 from repro.particles.arena import ParticleArena3
 from repro.particles.source import sample_source
 from repro.volume import (
     StructuredMesh3D,
     Tally3D,
-    csp3_problem,
     energy_balance_error_3d,
     population_accounted_3d,
     run_over_events_3d,
-    run_over_particles_3d,
-    scatter3_problem,
-    stream3_problem,
 )
+from repro.xs.materials import fissile_fuel, hydrogenous_moderator
 from tests.oracle import (
     collide,
     cross_facet,
@@ -244,7 +247,8 @@ PHYSICS_COUNTERS = (
 def pair(request):
     factory = {f.__name__: f for f in FACTORIES}[request.param]
     cfg = factory(n=16, nparticles=25)
-    return run_over_particles_3d(cfg), run_over_events_3d(cfg)
+    return (Simulation(cfg).run(Scheme.OVER_PARTICLES),
+            run_over_events_3d(cfg))
 
 
 def test_3d_conservation(pair):
@@ -344,16 +348,23 @@ def _tally_sha(tally) -> str:
     ).hexdigest()
 
 
-@pytest.mark.parametrize("driver", [run_over_particles_3d, run_over_events_3d])
+#: The schemes the goldens reproduce under, by the ids of the per-scheme
+#: 3-D drivers they were first pinned through.
+GOLDEN_SCHEMES = {"run_over_particles_3d": Scheme.OVER_PARTICLES,
+                  "run_over_events_3d": Scheme.OVER_EVENTS}
+
+
+@pytest.mark.parametrize("scheme", list(GOLDEN_SCHEMES.values()),
+                         ids=list(GOLDEN_SCHEMES))
 @pytest.mark.parametrize("key", sorted(GOLDEN_3D), ids="-".join)
-def test_3d_goldens_reproduce(key, driver):
+def test_3d_goldens_reproduce(key, scheme):
     name, xs_mode, boundary = key
     factory = {f.__name__: f for f in FACTORIES}[name + "_problem"]
     cfg = factory(
         n=12, nparticles=40, ntimesteps=2, xs_mode=xs_mode,
         boundary=BoundaryCondition(boundary),
     )
-    result = driver(cfg)
+    result = Simulation(cfg).run(scheme)
     fingerprint, counters, tally = GOLDEN_3D[key]
     assert population_fingerprint_3d(result.arena) == fingerprint
     assert tuple(
@@ -440,20 +451,90 @@ def test_3d_fissile_run_banks_children():
     assert np.allclose(norm, 1.0, atol=1e-12)
 
 
-def test_3d_pool_route_is_refused():
-    """The worker pool runs 2-D configs only: a 3-D config is refused in
-    one line that names the routes a 3-D config does take."""
-    with pytest.raises(ValueError, match="run_ensemble_3d") as info:
-        Simulation(csp3_problem(n=8, nparticles=10)).run(nworkers=2)
-    assert "\n" not in str(info.value)
-    assert "Simulation(cfg).run" in str(info.value)
+POOL_SCHEMES = (Scheme.OVER_PARTICLES, Scheme.OVER_EVENTS, Scheme.AUTO)
+POOL_SCHEDULES = (ScheduleKind.STATIC, ScheduleKind.DYNAMIC)
 
 
-def test_3d_run_ensemble_route_is_refused():
-    cfg = csp3_problem(n=8, nparticles=10)
-    with pytest.raises(ValueError, match="run_ensemble_3d") as info:
-        run_ensemble([cfg, cfg.with_(seed=cfg.seed + 1)])
-    assert "\n" not in str(info.value)
+@pytest.fixture(scope="module")
+def pooled_3d():
+    """Serial and two-worker runs of 3-D csp per backend, scheme and
+    schedule: the pool takes a 3-D config unchanged."""
+    out = {}
+    for xs_mode in ("multigroup", "ce"):
+        sim = Simulation(csp3_problem(n=8, nparticles=30, ntimesteps=2,
+                                      xs_mode=xs_mode))
+        for scheme in POOL_SCHEMES:
+            out[xs_mode, scheme, None] = sim.run(scheme)
+            for schedule in POOL_SCHEDULES:
+                out[xs_mode, scheme, schedule] = sim.run(
+                    scheme, nworkers=2, schedule=schedule, chunk=4,
+                )
+    return out
+
+
+@pytest.mark.parametrize("schedule", POOL_SCHEDULES, ids=lambda k: k.value)
+@pytest.mark.parametrize("scheme", POOL_SCHEMES, ids=lambda s: s.value)
+@pytest.mark.parametrize("xs_mode", ["multigroup", "ce"])
+def test_3d_pooled_run_matches_serial(pooled_3d, xs_mode, scheme, schedule):
+    """A pooled 3-D run is a reordering of the serial one: the same final
+    population, physics counters and flush histogram, and the tally to
+    accumulation-order rounding."""
+    serial = pooled_3d[xs_mode, scheme, None]
+    pooled = pooled_3d[xs_mode, scheme, schedule]
+    assert pooled.pool.nworkers == 2
+    assert population_fingerprint_3d(pooled.arena) == (
+        population_fingerprint_3d(serial.arena))
+    for name in PHYSICS_COUNTERS:
+        assert getattr(pooled.counters, name) == getattr(
+            serial.counters, name), name
+    assert np.array_equal(pooled.tally.flush_counts, serial.tally.flush_counts)
+    np.testing.assert_allclose(pooled.tally.deposition,
+                               serial.tally.deposition, rtol=1e-12, atol=0)
+    assert energy_balance_error_3d(pooled) < 1e-12
+    assert population_accounted_3d(pooled)
+
+
+def _vr3(kind):
+    """3-D csp with one variance-reduction or multi-material extension."""
+    if kind == "roulette":
+        return scatter3_problem(n=8, nparticles=40, ntimesteps=2,
+                                use_russian_roulette=True, weight_cutoff=0.05)
+    base = csp3_problem(n=8, nparticles=40, ntimesteps=2)
+    if kind == "importance":
+        imap = np.ones((8, 8, 8))
+        imap[:, :, 4:] = 4.0  # x ≥ 0.5 matters four times as much
+        return base.with_(importance_map=imap)
+    mmap = np.zeros((8, 8, 8), dtype=np.int64)
+    mmap[3:5, 3:5, 3:5] = 1  # the dense cube is fissile fuel
+    return base.with_(
+        material_map=mmap,
+        materials=(hydrogenous_moderator(2500), fissile_fuel(2500)),
+    )
+
+
+#: The counter each extension must move for its case to mean anything.
+VR_ENGAGED = {"roulette": "roulette_kills", "importance": "splits",
+              "materials": "fissions"}
+
+
+@pytest.mark.parametrize("kind", sorted(VR_ENGAGED))
+def test_3d_extensions_agree_across_schemes_and_conserve(kind):
+    """Roulette, an importance map and a two-material map run in 3-D: both
+    schemes give the same population and tally, the energy ledger closes
+    and every history is accounted for."""
+    cfg = _vr3(kind)
+    a = Simulation(cfg).run(Scheme.OVER_PARTICLES)
+    b = Simulation(cfg).run(Scheme.OVER_EVENTS)
+    assert getattr(a.counters, VR_ENGAGED[kind]) > 0
+    assert population_fingerprint_3d(a.arena) == population_fingerprint_3d(
+        b.arena)
+    for name in PHYSICS_COUNTERS:
+        assert getattr(a.counters, name) == getattr(b.counters, name), name
+    np.testing.assert_allclose(a.tally.deposition, b.tally.deposition,
+                               rtol=1e-12, atol=0)
+    for r in (a, b):
+        assert energy_balance_error_3d(r) < 1e-12
+        assert population_accounted_3d(r)
 
 
 def test_3d_problem_extremes():
