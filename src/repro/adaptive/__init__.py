@@ -9,6 +9,6 @@ scheme / block size mid-run — physics stays bit-identical to either
 fixed scheme (the stepper's parity guarantee).
 """
 
-from repro.adaptive.scheduler import AdaptiveOptions, AdaptiveScheduler
+from repro.adaptive.scheduler import AdaptiveScheduler
 
-__all__ = ["AdaptiveOptions", "AdaptiveScheduler"]
+__all__ = ["AdaptiveScheduler"]

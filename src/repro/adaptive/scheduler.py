@@ -1,29 +1,31 @@
 """Adaptive per-census-step scheme scheduler.
 
-``AdaptiveScheduler`` implements the plan protocol consumed by
-:func:`repro.core.stepper.run_stepped` (``decide(step, stepper)`` plus
-a ``fixed_scheme`` property).  It is purely a *scheduling* policy: it
+``AdaptiveScheduler`` is the one scheduler behind ``Scheme.AUTO``: the
+census stepper (:func:`repro.core.stepper.run_stepped`) runs a fixed
+:class:`~repro.core.config.Scheme` as itself and asks anything else
+``decide(step, stepper)``.  It is purely a *scheduling* policy: it
 never touches particle state directly, only returns
 :class:`~repro.core.stepper.StepDecision` objects, so every run it
 steers is bit-identical in physics to the corresponding fixed-scheme
-run — the parity guarantee lives in the stepper, not here.
+run — the parity guarantee lives in the stepper, not here.  Its knobs
+are the module constants below.
 
 Policy
 ------
-1. **Probe** — step 0 runs the first scheme in ``probe_order``, step 1
+1. **Probe** — step 0 runs the first scheme in :data:`PROBE_ORDER`, step 1
    the other (when the run is long enough to amortise the probe).
 2. **Measure** — between ``decide`` calls the scheduler reads the live
    event-counter delta from ``stepper.total_events()`` and the wall-clock
    delta, giving an events/sec rate for whichever scheme just ran.
 3. **Exploit** — from step 2 on, pick the scheme with the best measured
    rate; the incumbent keeps the slot unless the challenger's rate
-   beats it by ``switch_margin`` (hysteresis, avoids flapping on
+   beats it by :data:`SWITCH_MARGIN` (hysteresis, avoids flapping on
    noise).
 4. **Re-probe** — measured rates go stale as the population decays; if
-   the alive count has shifted by more than ``reprobe_ratio`` since a
+   the alive count has shifted by more than :data:`REPROBE_RATIO` since a
    scheme was last timed, it gets one fresh probe step.  A challenger
    that is abandoned again after a single step was a *failed
-   challenge*; after ``max_challenges`` failures the scheme is retired
+   challenge*; after :data:`MAX_CHALLENGES` failures the scheme is retired
    for the rest of the run, so flapping overhead is bounded.
 5. **Shape** — OP block size tracks the alive count: one full-width
    block amortises per-block dispatch overhead in the vectorised
@@ -35,60 +37,32 @@ Policy
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
 
 from repro.core.config import Scheme, SimulationConfig
 from repro.core.stepper import StepDecision
 
-__all__ = ["AdaptiveOptions", "AdaptiveScheduler"]
+__all__ = ["AdaptiveScheduler"]
 
-_FIXED_SCHEMES = (Scheme.OVER_PARTICLES, Scheme.OVER_EVENTS)
-
-
-@dataclass(frozen=True)
-class AdaptiveOptions:
-    """Tuning knobs for :class:`AdaptiveScheduler`."""
-
-    #: Scheme probed at step 0; the other is probed at step 1.  Step 0
-    #: is atypical — pure fresh emission, no census carry-over — so its
-    #: measured rate runs hot.  OP leads by default: the inflated
-    #: opening rate then belongs to the scheme whose challenge is
-    #: cheapest to retire (one bounded flap step, then a strike), while
-    #: the scheme probed second faces the comparison with a fresh,
-    #: representative measurement.
-    probe_order: tuple[Scheme, Scheme] = _FIXED_SCHEMES
-    #: Challenger must beat the incumbent's rate by this factor.
-    switch_margin: float = 1.15
-    #: Re-probe a scheme when ``alive`` has shifted by this factor
-    #: since it was last measured.
-    reprobe_ratio: float = 2.0
-    #: Request ``compact=True`` when switching into OE with more than
-    #: this fraction of the arena dead.
-    compact_dead_fraction: float = 0.5
-    #: Never shrink the OP block below this.
-    min_block_size: int = 8
-    #: Retire a scheme after this many failed challenges (picked on a
-    #: rate/re-probe decision, then abandoned after a single step).
-    max_challenges: int = 1
-
-    def __post_init__(self):
-        if tuple(sorted(self.probe_order, key=lambda s: s.value)) != tuple(
-            sorted(_FIXED_SCHEMES, key=lambda s: s.value)
-        ):
-            raise ValueError(
-                "probe_order must be a permutation of "
-                "(OVER_PARTICLES, OVER_EVENTS)"
-            )
-        if self.switch_margin < 1.0:
-            raise ValueError("switch_margin must be >= 1.0")
-        if self.reprobe_ratio <= 1.0:
-            raise ValueError("reprobe_ratio must be > 1.0")
-        if not 0.0 < self.compact_dead_fraction <= 1.0:
-            raise ValueError("compact_dead_fraction must be in (0, 1]")
-        if self.min_block_size < 1:
-            raise ValueError("min_block_size must be >= 1")
-        if self.max_challenges < 1:
-            raise ValueError("max_challenges must be >= 1")
+#: Scheme probed at step 0; the other is probed at step 1.  Step 0 is
+#: atypical — pure fresh emission, no census carry-over — so its measured
+#: rate runs hot.  OP leads: the inflated opening rate then belongs to the
+#: scheme whose challenge is cheapest to retire (one bounded flap step,
+#: then a strike), while the scheme probed second faces the comparison
+#: with a fresh, representative measurement.
+PROBE_ORDER = (Scheme.OVER_PARTICLES, Scheme.OVER_EVENTS)
+#: Challenger must beat the incumbent's rate by this factor.
+SWITCH_MARGIN = 1.15
+#: Re-probe a scheme when ``alive`` has shifted by this factor since it
+#: was last measured.
+REPROBE_RATIO = 2.0
+#: Request ``compact=True`` when switching into OE with more than this
+#: fraction of the arena dead.
+COMPACT_DEAD_FRACTION = 0.5
+#: Never shrink the OP block below this.
+MIN_BLOCK_SIZE = 8
+#: Retire a scheme after this many failed challenges (picked on a
+#: rate/re-probe decision, then abandoned after a single step).
+MAX_CHALLENGES = 1
 
 
 class _Rate:
@@ -104,20 +78,13 @@ class _Rate:
 class AdaptiveScheduler:
     """Telemetry-driven plan: probe both schemes, then exploit."""
 
-    def __init__(self, config: SimulationConfig,
-                 options: AdaptiveOptions | None = None):
+    def __init__(self, config: SimulationConfig):
         self.config = config
-        self.options = options or AdaptiveOptions()
         self._rates: dict[Scheme, _Rate] = {}
         self._strikes: dict[Scheme, int] = {}
         self._pending: tuple[Scheme, int, float] | None = None
         #: ``(step, StepDecision)`` history, for traces and tests.
         self.decisions: list[tuple[int, StepDecision]] = []
-
-    @property
-    def fixed_scheme(self) -> None:
-        """Never a fixed scheme — the stepper announces every switch."""
-        return None
 
     # ------------------------------------------------------------------
     def _settle(self, stepper) -> None:
@@ -133,9 +100,8 @@ class AdaptiveScheduler:
         self._rates[scheme] = _Rate(d_events / d_t, stepper.alive_count())
 
     def _pick(self, step: int, stepper, alive: int) -> tuple[Scheme, str]:
-        opt = self.options
         if step < 2 and len(self._rates) < 2:
-            probe = opt.probe_order[step % 2]
+            probe = PROBE_ORDER[step % 2]
             if step == 1 and stepper.config.ntimesteps < 3:
                 # Too short to amortise a second probe: stay put.
                 incumbent = self.decisions[-1][1].scheme
@@ -149,7 +115,7 @@ class AdaptiveScheduler:
         if self._rates.get(challenger) is None:
             return challenger, "probe"
         if (
-            self._strikes.get(challenger, 0) >= opt.max_challenges
+            self._strikes.get(challenger, 0) >= MAX_CHALLENGES
             # The incumbent's probe step was unmeasurable (the population
             # died during it): there is no rate to challenge.
             or incumbent not in self._rates
@@ -169,13 +135,11 @@ class AdaptiveScheduler:
         # Re-probe only when the alive count drifted AND the challenger
         # was competitive when last measured — re-timing a scheme that
         # lost decisively costs a full census step for no information.
-        drifted = (
-            ratio > opt.reprobe_ratio or ratio < 1.0 / opt.reprobe_ratio
-        )
-        if drifted and cha_rate * opt.reprobe_ratio >= inc_rate:
+        drifted = ratio > REPROBE_RATIO or ratio < 1.0 / REPROBE_RATIO
+        if drifted and cha_rate * REPROBE_RATIO >= inc_rate:
             self._note_failed_challenge(incumbent)
             return challenger, "reprobe"
-        if cha_rate > opt.switch_margin * inc_rate:
+        if cha_rate > SWITCH_MARGIN * inc_rate:
             self._note_failed_challenge(incumbent)
             return challenger, (
                 f"rate {cha_rate / max(inc_rate, 1e-30):.2f}x"
@@ -188,7 +152,7 @@ class AdaptiveScheduler:
         Called when the pick is about to switch away from ``incumbent``.
         If the incumbent itself took over on a rate/re-probe decision
         exactly one step ago, that challenge failed: it gets a strike,
-        and after ``max_challenges`` strikes the scheme is retired from
+        and after :data:`MAX_CHALLENGES` strikes the scheme is retired from
         consideration (probes are never struck).
         """
         last = self.decisions[-1][1]
@@ -211,14 +175,14 @@ class AdaptiveScheduler:
         compact = False
         if scheme is Scheme.OVER_PARTICLES and alive > 0:
             base_block = stepper.config.op_block_size
-            shaped = max(self.options.min_block_size, alive)
+            shaped = max(MIN_BLOCK_SIZE, alive)
             if shaped != base_block:
                 block_size = shaped
         prev = self.decisions[-1][1].scheme if self.decisions else None
         if scheme is Scheme.OVER_EVENTS and prev is Scheme.OVER_PARTICLES:
             total = len(stepper.arena)
             dead_frac = 1.0 - alive / total if total else 0.0
-            compact = dead_frac > self.options.compact_dead_fraction
+            compact = dead_frac > COMPACT_DEAD_FRACTION
 
         decision = StepDecision(
             scheme=scheme, block_size=block_size, compact=compact,

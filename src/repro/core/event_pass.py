@@ -21,7 +21,9 @@ private arena, passes over *that* until no lane is active, and scatters
 it back.  ``active`` is ``alive & ~censused`` in both.
 
 What legitimately differs between the schemes is handed in by the
-strategies in :mod:`repro.core.stepper`, never tested for here:
+census stepper's two step methods (:mod:`repro.core.stepper`), never
+tested for here (the kernel audit fails on a fixed-scheme comparison
+anywhere below the stepper):
 
 1. ``refresh`` — the cross-section refresh and its search accounting
    (:func:`repro.core.over_particles.exact_refresh` /

@@ -36,10 +36,10 @@ is here:
   :mod:`repro.simexec` the event sequence itself.
 
 Secondaries (fission, importance clones) are banked during the sweep; the
-strategy in :mod:`repro.core.stepper` sorts the bank into the
-deterministic (parent, event, child) order the depth-first traversal
-would have produced and tracks the offspring in the next round, within
-the same timestep.
+census stepper's Over Particles step (:mod:`repro.core.stepper`) sorts the
+bank into the deterministic (parent, event, child) order the depth-first
+traversal would have produced and tracks the offspring in the next round,
+within the same timestep.
 """
 
 from __future__ import annotations

@@ -116,9 +116,10 @@ class Simulation:
         scheme:
             Parallelisation scheme (traversal order).  ``Scheme.AUTO``
             hands the per-census-step choice to the telemetry-driven
-            scheduler (:mod:`repro.adaptive`); an explicit
-            :class:`~repro.core.stepper.SwitchPlan` runs a declarative
-            switch schedule.  Physics is bit-identical in every case.
+            scheduler (:mod:`repro.adaptive`); any object with
+            ``decide(step, stepper) -> StepDecision`` schedules the steps
+            itself and reports as ``AUTO``.  Physics is bit-identical in
+            every case.
         nworkers:
             ``None`` (default) runs the plain serial driver.  Any integer
             ≥ 1 routes through the shared-memory worker pool
@@ -165,11 +166,13 @@ class Simulation:
             ``PoolOptions.flight_dir``.
         """
         # Local imports: the drivers import TransportResult from here.
-        from repro.core.stepper import run_stepped, validate_scheme_options
+        from repro.core.stepper import (
+            run_stepped, scheme_label, validate_scheme_options,
+        )
 
-        # One validation point for scheme/block-size combinations
-        # (raises a ValueError that lists the valid schemes).
-        validate_scheme_options(self.config, scheme)
+        # One validation point for the plan (raises a ValueError that
+        # lists the valid schemes).
+        validate_scheme_options(scheme)
         if nworkers is not None:
             from repro.parallel.pool import PoolOptions, run_pool
             from repro.parallel.schedule import ScheduleKind
@@ -193,7 +196,7 @@ class Simulation:
                 problem=getattr(self.config, "name", "") or "",
                 nparticles=int(self.config.nparticles),
                 ntimesteps=int(self.config.ntimesteps),
-                scheme=scheme.value if isinstance(scheme, Scheme) else "plan",
+                scheme=scheme_label(scheme).value,
                 nworkers=0,
                 mode="serial",
             )

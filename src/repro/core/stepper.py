@@ -15,24 +15,21 @@ wiring.  This module hoists all of that into one place:
   dimensions or three (the config builds the mesh and the tally and
   names the births' draw count; the source region's axes pick the arena
   the population is emitted into).
-  Each census step's transport is delegated to a pluggable
-  scheme strategy (OP blocked lock-step or OE breadth-first) chosen per
-  step by a *plan*, so the scheme becomes a per-census-step decision
-  rather than a per-run constant.
-* :class:`StepDecision` / :class:`SwitchPlan` — declarative switch
-  schedules.  ``SwitchPlan.fixed(scheme)`` reproduces the legacy
-  single-scheme drivers bit-for-bit; arbitrary schedules (including
-  adversarial every-step switching) remain physics-bit-identical because
-  every history owns a counter-based RNG stream and all census-boundary
-  state lives in the arena.
+  Each census step runs Over Particles blocks (``_op_step``) or Over
+  Events passes over the run arena in place (``_oe_step``), as the
+  run's *plan* picks: a fixed :class:`Scheme`, or a scheduler with
+  ``decide(step, stepper) -> StepDecision`` (``AUTO``'s
+  :class:`repro.adaptive.AdaptiveScheduler`).
+* :class:`StepDecision` — what one census step runs: the scheme, the
+  Over Particles block size and compaction at the boundary.
 
 Parity argument (the headline test of the adaptive PR): at a census
 boundary the entire transport state of a history is its arena row —
 position, direction, energy, weight, cached bins, ``dt_to_census``,
-``mfp_to_collision`` and the RNG counter.  Both strategies read exactly
+``mfp_to_collision`` and the RNG counter.  Both step methods read exactly
 that state at step entry and leave exactly that state at step exit
-(OP synchronises RNG counters per block writeback, the stepper
-synchronises OE counters at every step end), so *which* strategy
+(OP synchronises RNG counters per block writeback, an OE step
+synchronises its working set's counters at step end), so *which* scheme
 advances a given step cannot change any history's event sequence.  Only
 instrumentation that prices traversal order (xs probe/bin-reuse
 counters, workspace churn, kernel profile) may differ between
@@ -40,9 +37,7 @@ schedules; the physics counters, tallies and final population are
 invariant, which :func:`repro.ensemble.engine.population_fingerprint`
 makes checkable in one hash.
 
-Switch-boundary population maintenance (``sort_by`` / ``compact``) is
-also parity-safe: sorting permutes storage order only (the fingerprint
-sorts by ``particle_id`` internally), and compaction parks dead
+Compaction at a switch boundary is also parity-safe: it parks dead
 histories in a morgue that is re-appended before the result is built.
 """
 
@@ -66,7 +61,6 @@ from repro.particles.source import sample_source
 
 __all__ = [
     "StepDecision",
-    "SwitchPlan",
     "CensusStepper",
     "drive_census_loop",
     "run_stepped",
@@ -74,54 +68,39 @@ __all__ = [
     "validate_scheme_options",
 ]
 
-_SORT_KEYS = (None, "energy", "cell", "particle_id")
-
 
 def scheme_label(plan) -> Scheme:
-    """The scheme a run under ``plan`` reports: a fixed scheme, or a plan
-    that keeps to one, as itself; anything that switches (``AUTO``'s
-    scheduler, a switching :class:`SwitchPlan`) as ``Scheme.AUTO``."""
-    if isinstance(plan, Scheme):
-        return plan
-    return getattr(plan, "fixed_scheme", None) or Scheme.AUTO
+    """The scheme a run under ``plan`` reports: a :class:`Scheme` as
+    itself, a scheduler (``AUTO``'s, or any ``decide`` object) as
+    ``Scheme.AUTO``."""
+    return plan if isinstance(plan, Scheme) else Scheme.AUTO
 
 
-def validate_scheme_options(config: SimulationConfig, scheme) -> None:
-    """The one place scheme / block-size combinations are validated.
-
-    ``Simulation.run``, :func:`run_stepped` and the worker pool all call
-    this instead of re-validating per driver.  Accepts the two fixed
-    schemes, ``Scheme.AUTO`` and explicit :class:`SwitchPlan` instances.
-    """
-    if isinstance(scheme, SwitchPlan):
-        return
-    if not isinstance(scheme, Scheme):
+def validate_scheme_options(scheme) -> None:
+    """The one place a run's plan is validated (``Simulation.run``,
+    ``run_ensemble`` and :func:`run_stepped` call it): a :class:`Scheme`
+    or an object with ``decide(step, stepper) -> StepDecision``."""
+    if not isinstance(scheme, Scheme) and not hasattr(scheme, "decide"):
         valid = ", ".join(s.value for s in Scheme)
         raise ValueError(
             f"unknown scheme: {scheme!r} (valid schemes: {valid})"
-        )
-    if config.op_block_size < 1 and scheme is not Scheme.OVER_EVENTS:
-        raise ValueError(
-            f"op_block_size must be >= 1 for scheme {scheme.value!r}, "
-            f"got {config.op_block_size}"
         )
 
 
 @dataclass(frozen=True)
 class StepDecision:
-    """What one census step should do.
+    """What one census step runs.
 
-    ``scheme`` picks the strategy (a fixed scheme, never ``AUTO``);
+    ``scheme`` picks the step method (a fixed scheme, never ``AUTO``);
     ``block_size`` overrides ``config.op_block_size`` for an OP step
     (block size is physics-invariant, so any value is parity-safe);
-    ``sort_key`` / ``compact`` request population maintenance *before*
-    the step runs (both physics-invariant, see module docstring);
-    ``reason`` is free-form scheduler provenance for the switch trace.
+    ``compact`` parks the dead histories in the morgue *before* the step
+    runs (physics-invariant, see module docstring); ``reason`` is
+    free-form scheduler provenance for the switch trace.
     """
 
     scheme: Scheme
     block_size: int | None = None
-    sort_key: str | None = None
     compact: bool = False
     reason: str = ""
 
@@ -140,45 +119,6 @@ class StepDecision:
                 raise ValueError(
                     f"block_size must be >= 1, got {self.block_size}"
                 )
-        if self.sort_key not in _SORT_KEYS:
-            raise ValueError(
-                f"sort_key must be one of {_SORT_KEYS[1:]}, "
-                f"got {self.sort_key!r}"
-            )
-
-
-@dataclass(frozen=True)
-class SwitchPlan:
-    """A declarative switch schedule: one decision per census step.
-
-    Steps beyond the last decision repeat it, so a one-entry plan is a
-    fixed-scheme run.  Frozen and built from frozen decisions, so a plan
-    pickles cleanly into pool workers.
-    """
-
-    decisions: tuple[StepDecision, ...]
-
-    def __post_init__(self):
-        if not self.decisions:
-            raise ValueError("a SwitchPlan needs at least one decision")
-
-    @classmethod
-    def fixed(cls, scheme: Scheme) -> "SwitchPlan":
-        """The legacy single-scheme run, as a plan."""
-        return cls((StepDecision(scheme=scheme),))
-
-    @property
-    def fixed_scheme(self) -> Scheme | None:
-        """The single scheme this plan uses, or ``None`` if it switches
-        schemes or performs boundary maintenance."""
-        schemes = {d.scheme for d in self.decisions}
-        boundary = any(d.sort_key or d.compact for d in self.decisions)
-        if len(schemes) == 1 and not boundary:
-            return next(iter(schemes))
-        return None
-
-    def decide(self, step: int, stepper) -> StepDecision:
-        return self.decisions[min(step, len(self.decisions) - 1)]
 
 
 def drive_census_loop(recorder, ntimesteps, run_attrs, begin_step,
@@ -201,117 +141,11 @@ def drive_census_loop(recorder, ntimesteps, run_attrs, begin_step,
                 run_step(step)
 
 
-class _OPStrategy:
-    """Blocked lock-step depth-first transport for one census step.
-
-    Replica-segment scheduling of :func:`repro.core.over_particles.run_block`
-    (gather a block, run the one event pass over it until no lane is
-    active, scatter it back): each round sweeps every replica's lanes in
-    blocks (a plain run is one segment), then drains the child bank.
-    Blocks are cut from one replica's lanes in its own storage order —
-    the order of that replica's standalone arena — so no block spans
-    replicas, every block charges its replica's whole-batch sink, and
-    every replica sees exactly the block passes, bank drains and tally
-    flushes of its standalone run.
-
-    What this strategy hands the shared pass: exact search accounting
-    (``exact_refresh``), the event-trace hook, no pass booking, and the
-    bank joined *sorted*, at round end.
-    """
-
-    scheme = Scheme.OVER_PARTICLES
-
-    def __init__(self, stepper: "CensusStepper"):
-        self.stepper = stepper
-        self.trace = (
-            trace_hook(stepper.trace, stepper.mesh)
-            if stepper.trace is not None else None
-        )
-
-    def begin_step(self, step: int) -> None:
-        pass
-
-    def run_step(self, step: int, decision: StepDecision, rec) -> None:
-        stepper = self.stepper
-        arena = stepper.arena
-        books = stepper.books
-        ctx = stepper.pass_ctx
-        block_size = decision.block_size or stepper.config.op_block_size
-        lo = 0
-        while lo < len(arena):
-            hi = len(arena)
-            for r, lanes in books.segments(lo, hi):
-                for cursor in range(0, lanes.size, block_size):
-                    block = lanes[cursor:cursor + block_size]
-                    idx = block[arena.alive[block]]
-                    if idx.size:
-                        with rec.span(
-                            "census_wave", lo=int(block[0]),
-                            hi=int(block[-1]) + 1, lanes=int(idx.size),
-                        ):
-                            run_block(
-                                ctx, arena, idx, books.sinks[r], self.trace
-                            )
-            lo = hi
-            # Drain the bank within the timestep: offspring join the
-            # population in the deterministic (parent, event, child)
-            # order a one-history-at-a-time traversal would have banked
-            # them in, and are tracked in the next round.
-            if ctx.bank:
-                ctx.join_bank(arena, ordered=True)
-
-    def end_step(self) -> None:
-        # Every block synchronised its RNG counters into the arena on the
-        # way out; the OE working set's positional caches are now stale.
-        self.stepper.oe_dirty = True
-
-
-class _OEStrategy:
-    """Breadth-first event-pass transport for one census step.
-
-    Runs the one event pass over the run arena in place
-    (:func:`repro.core.over_events.run_passes`).  The working set
-    persists across consecutive OE steps — preserving the cross-timestep
-    bin-reuse cache a pure-OE run relies on — and is rebuilt whenever
-    another strategy (or boundary maintenance) touched the population,
-    because its positional caches (micro-XS arrays, material index, RNG
-    gather) would be stale.
-
-    What this strategy hands the shared pass: the bin-reuse hoist with
-    estimated probes (``HoistedRefresh``), the run's books as a per-lane
-    sink, an ``EventPassStats`` row per pass, and the bank joined in
-    insertion order after every pass.
-    """
-
-    scheme = Scheme.OVER_EVENTS
-
-    def __init__(self, stepper: "CensusStepper"):
-        self.stepper = stepper
-        self.work = None
-
-    def begin_step(self, step: int) -> None:
-        stepper = self.stepper
-        if self.work is None or stepper.oe_dirty:
-            self.work = WorkingSet(
-                stepper.pass_ctx, stepper.arena,
-                np.arange(len(stepper.arena)), stepper.books,
-                HoistedRefresh(),
-            )
-            stepper.oe_dirty = False
-
-    def run_step(self, step: int, decision: StepDecision, rec) -> None:
-        run_passes(self.work, rec)
-
-    def end_step(self) -> None:
-        # Synchronising every step (not just at run end) is what makes
-        # an OE→OP hand-off read the right streams.
-        self.work.sync_rng()
-
-
 class CensusStepper:
     """Owns the census loop, source emission, census-boundary
-    bookkeeping and the run's replica books; delegates each step's
-    transport to a scheme strategy picked by the plan.
+    bookkeeping and the run's replica books, and runs each step's
+    transport as Over Particles blocks (:meth:`_op_step`) or Over Events
+    passes (:meth:`_oe_step`), as the plan decides.
 
     ``books`` carries the R >= 1 replicas sharing ``arena`` (an ensemble
     passes its own); a run given none is one replica of ``config`` —
@@ -324,10 +158,13 @@ class CensusStepper:
         self.rec = NULL_RECORDER if recorder is None else recorder
         #: Live-plane publisher (repro.obs.live); NULL_PROBE when off.
         self.probe = NULL_PROBE if probe is None else probe
-        self.trace = trace
         #: The config supplies what depends on the dimension: the mesh,
         #: the tally type and the births' draw count.
         self.mesh = config.build_mesh()
+        #: The Over Particles event-trace hook for :mod:`repro.simexec`.
+        self.trace = (
+            trace_hook(trace, self.mesh) if trace is not None else None
+        )
         #: The cross-section backend, built exactly once per run and
         #: threaded into every context (and the source sampler).
         self.provider = (
@@ -354,8 +191,8 @@ class CensusStepper:
         self.counters = self.books.totals
         self.tally = self.books.tally
         self.books.charge_births(config.BIRTH_DRAWS)
-        #: Run-wide state of the one event pass, shared by both
-        #: strategies (so there is one child bank).
+        #: Run-wide state of the one event pass, shared by both schemes
+        #: (so there is one child bank).
         self.pass_ctx = PassContext(
             config, self.mesh, self.books, self.dispatch, self.ws,
             self.provider,
@@ -365,11 +202,12 @@ class CensusStepper:
         #: population accounting and fingerprints match an uncompacted
         #: run.
         self.morgue: list[tuple] = []
-        #: True while the arena may disagree with the OE context's
-        #: positional caches (set by OP steps and boundary maintenance).
-        self.oe_dirty = True
-        self._strategies: dict[Scheme, object] = {}
-        self.result_scheme = Scheme.AUTO
+        #: The in-place Over Events working set.  It persists across
+        #: consecutive OE steps (it carries the cross-timestep bin-reuse
+        #: cache) and is ``None`` once an OP step or a compaction has left
+        #: its positional caches (micro-XS arrays, material index, RNG
+        #: gather) stale.
+        self.work = None
 
     # ------------------------------------------------------------------
     def alive_count(self) -> int:
@@ -391,53 +229,97 @@ class CensusStepper:
             xs_probes=int(probes),
         )
 
-    def _strategy(self, scheme: Scheme):
-        strat = self._strategies.get(scheme)
-        if strat is None:
-            cls = (
-                _OPStrategy if scheme is Scheme.OVER_PARTICLES
-                else _OEStrategy
-            )
-            strat = cls(self)
-            self._strategies[scheme] = strat
-        return strat
-
-    def _apply_boundary(self, decision: StepDecision) -> None:
-        """Population maintenance at a switch boundary (physics-invariant:
-        sorting permutes storage only; compaction parks dead histories in
-        the morgue until finalisation)."""
-        if decision.sort_key is None and not decision.compact:
-            return
+    def _compact(self) -> None:
+        """Park the dead histories in the morgue before a step; they
+        rejoin at finalisation, so the physics cannot tell."""
         if self.trace is not None:
             raise ValueError(
-                "switch-boundary sort/compact is incompatible with event "
+                "switch-boundary compaction is incompatible with event "
                 "tracing (traces address histories by arena index)"
             )
-        if decision.sort_key is not None:
-            self.books.permute(self.arena.sort_by(decision.sort_key))
-            self.oe_dirty = True
-        if decision.compact:
-            dead = np.nonzero(~self.arena.alive)[0]
-            if dead.size:
-                self.morgue.append(
-                    (self.arena.subset(dead), self.books.take(dead))
-                )
-                self.books.permute(np.nonzero(self.arena.alive)[0])
-                self.arena.compact()
-                self.oe_dirty = True
+        dead = np.nonzero(~self.arena.alive)[0]
+        if dead.size:
+            self.morgue.append(
+                (self.arena.subset(dead), self.books.take(dead))
+            )
+            self.books.permute(np.nonzero(self.arena.alive)[0])
+            self.arena.compact()
+            self.work = None
+
+    def _op_step(self, block_size: int, rec) -> None:
+        """One Over Particles step: blocked lock-step depth-first
+        transport (:func:`repro.core.over_particles.run_block`: gather a
+        block, run the one event pass over it until no lane is active,
+        scatter it back).
+
+        Each round sweeps every replica's lanes in blocks (a plain run is
+        one segment), then drains the child bank.  Blocks are cut from
+        one replica's lanes in its own storage order — the order of that
+        replica's standalone arena — so no block spans replicas, every
+        block charges its replica's whole-batch sink, and every replica
+        sees exactly the block passes, bank drains and tally flushes of
+        its standalone run.
+        """
+        arena = self.arena
+        books = self.books
+        ctx = self.pass_ctx
+        lo = 0
+        while lo < len(arena):
+            hi = len(arena)
+            for r, lanes in books.segments(lo, hi):
+                for cursor in range(0, lanes.size, block_size):
+                    block = lanes[cursor:cursor + block_size]
+                    idx = block[arena.alive[block]]
+                    if idx.size:
+                        with rec.span(
+                            "census_wave", lo=int(block[0]),
+                            hi=int(block[-1]) + 1, lanes=int(idx.size),
+                        ):
+                            run_block(
+                                ctx, arena, idx, books.sinks[r], self.trace
+                            )
+            lo = hi
+            # Drain the bank within the timestep: offspring join the
+            # population in the deterministic (parent, event, child)
+            # order a one-history-at-a-time traversal would have banked
+            # them in, and are tracked in the next round.
+            if ctx.bank:
+                ctx.join_bank(arena, ordered=True)
+        # Every block synchronised its RNG counters into the arena on the
+        # way out; the OE working set's positional caches are now stale.
+        self.work = None
+
+    def _oe_step(self, rec) -> None:
+        """One Over Events step: breadth-first passes over the run arena
+        in place (:func:`repro.core.over_events.run_passes`), through the
+        working set that persists across consecutive OE steps."""
+        if self.work is None:
+            self.work = WorkingSet(
+                self.pass_ctx, self.arena, np.arange(len(self.arena)),
+                self.books, HoistedRefresh(),
+            )
+        run_passes(self.work, rec)
+        # Synchronising every step (not just at run end) is what makes
+        # an OE→OP hand-off read the right streams.
+        self.work.sync_rng()
 
     # ------------------------------------------------------------------
     def run(self, plan) -> None:
+        """Run every census step under ``plan``: a :class:`Scheme` as one
+        ``StepDecision(scheme)``; anything else is asked ``decide`` per
+        step, and each switch is announced as a ``scheme_switch`` event."""
         config = self.config
         rec = self.rec
-        self.result_scheme = scheme_label(plan)
-        announce = self.result_scheme is Scheme.AUTO
-        state: dict = {}
+        fixed = StepDecision(plan) if isinstance(plan, Scheme) else None
+        decision = None
 
         def begin_step(step: int) -> None:
-            decision = plan.decide(step, self)
-            prev = state.get("scheme")
-            if announce and decision.scheme is not prev:
+            nonlocal decision
+            prev = decision
+            decision = fixed or plan.decide(step, self)
+            if fixed is None and (
+                prev is None or decision.scheme is not prev.scheme
+            ):
                 if decision.scheme is Scheme.OVER_PARTICLES:
                     block = decision.block_size or config.op_block_size
                 else:
@@ -446,34 +328,32 @@ class CensusStepper:
                     "scheme_switch",
                     step=step,
                     scheme=decision.scheme.value,
-                    prev=prev.value if prev is not None else "",
+                    prev=prev.scheme.value if prev is not None else "",
                     reason=decision.reason,
                     block_size=int(block),
                     alive=self.alive_count(),
                 )
-            state["scheme"] = decision.scheme
-            state["decision"] = decision
-            self._apply_boundary(decision)
+            if decision.compact:
+                self._compact()
             if step > 0:
                 self.books.rearm_census(
                     self.arena.dt_to_census, self.arena.alive
                 )
-            # A pass advances ``alive & ~censused``, whichever strategy
+            # A pass advances ``alive & ~censused``, whichever scheme
             # runs it: every live history is in flight again.
             self.arena.censused[:] = ~self.arena.alive
-            strategy = self._strategy(decision.scheme)
-            strategy.begin_step(step)
-            state["strategy"] = strategy
 
         def run_step(step: int) -> None:
-            decision = state["decision"]
-            strategy = state["strategy"]
-            strategy.run_step(step, decision, rec)
-            strategy.end_step()
+            if decision.scheme is Scheme.OVER_PARTICLES:
+                self._op_step(
+                    decision.block_size or config.op_block_size, rec
+                )
+            else:
+                self._oe_step(rec)
             if self.probe.enabled:
                 self._probe_step(step)
 
-        label = self.result_scheme.value
+        label = scheme_label(plan).value
         drive_census_loop(
             rec, config.ntimesteps, {"scheme": label}, begin_step, run_step
         )
@@ -501,30 +381,15 @@ class CensusStepper:
         counters.arena_nbytes = arena.nbytes()
 
 
-def _coerce_plan(config: SimulationConfig, plan):
-    """Normalise the ``plan`` argument: a Scheme becomes a fixed plan
-    (``AUTO`` becomes a live adaptive scheduler); plan objects pass
-    through."""
-    if plan is None:
-        return SwitchPlan.fixed(Scheme.OVER_PARTICLES)
-    if isinstance(plan, Scheme):
-        if plan is Scheme.AUTO:
-            from repro.adaptive import AdaptiveScheduler
-
-            return AdaptiveScheduler(config)
-        return SwitchPlan.fixed(plan)
-    return plan
-
-
-def run_stepped(config: SimulationConfig, plan=None, *, arena=None,
-                tally=None, trace=None, recorder=None, books=None,
-                provider=None, probe=None):
+def run_stepped(config: SimulationConfig, plan=Scheme.OVER_PARTICLES, *,
+                arena=None, tally=None, trace=None, recorder=None,
+                books=None, provider=None, probe=None):
     """Run the unified census stepper — the one transport driver, in two
     dimensions or three.
 
     ``plan`` is a :class:`Scheme` (``AUTO`` builds a live
-    :class:`repro.adaptive.AdaptiveScheduler`), a :class:`SwitchPlan`,
-    or any object with ``decide(step, stepper) -> StepDecision``.
+    :class:`repro.adaptive.AdaptiveScheduler`) or any object with
+    ``decide(step, stepper) -> StepDecision``.
 
     ``arena`` is a pre-sampled population advanced in place (pool shard
     views, scheme-equivalence tests; sampled from the config's source
@@ -539,11 +404,11 @@ def run_stepped(config: SimulationConfig, plan=None, *, arena=None,
     from repro.core.simulation import TransportResult
 
     t0 = time.perf_counter()
-    if plan is None or isinstance(plan, (Scheme, SwitchPlan)):
-        validate_scheme_options(
-            config, plan if plan is not None else Scheme.OVER_PARTICLES
-        )
-    plan = _coerce_plan(config, plan)
+    validate_scheme_options(plan)
+    if plan is Scheme.AUTO:
+        from repro.adaptive import AdaptiveScheduler
+
+        plan = AdaptiveScheduler(config)
     stepper = CensusStepper(
         config, arena=arena, tally=tally, trace=trace, recorder=recorder,
         books=books, provider=provider, probe=probe,
@@ -551,7 +416,7 @@ def run_stepped(config: SimulationConfig, plan=None, *, arena=None,
     stepper.run(plan)
     return TransportResult(
         config=config,
-        scheme=stepper.result_scheme,
+        scheme=scheme_label(plan),
         tally=stepper.tally,
         counters=stepper.counters,
         arena=stepper.arena,

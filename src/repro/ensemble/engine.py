@@ -6,7 +6,7 @@
 history keeping the exact ``(seed, particle_id)`` RNG key it would have
 standalone) and hands it, with the members'
 :class:`~repro.core.books.ReplicaBooks`, to the same census stepper
-every plain run uses — any scheme or switch plan, across
+every plain run uses — any scheme or scheduler, across
 ``replicas × histories`` lanes — and returns both the fused totals and
 per-replica results whose counters, tallies and population fingerprints
 are bit-identical to N standalone serial runs.
@@ -129,7 +129,7 @@ def run_ensemble(
         sequence of member configs (validated fusible).
     scheme:
         Traversal order for the fused run: a fixed :class:`Scheme`,
-        ``Scheme.AUTO`` or a :class:`~repro.core.stepper.SwitchPlan`,
+        ``Scheme.AUTO`` or a ``decide(step, stepper)`` scheduler,
         exactly as in ``Simulation.run``.
     nworkers:
         ``1`` runs fused in-process; ``> 1`` is a pool run
@@ -154,7 +154,7 @@ def run_ensemble(
     members = _expand(spec_or_members)
     nrep = len(members)
     base = members[0]
-    validate_scheme_options(base, scheme)
+    validate_scheme_options(scheme)
     label = scheme_label(scheme)
     if live is not None:
         live.update_run(

@@ -37,6 +37,7 @@ def main(argv=None) -> int:
         "the tally flush, point location or collide/cross_facet returns, "
         "a per-pass replica-books verb loops over replicas, the pool's "
         "launch machinery is reached from outside repro/parallel/pool.py, "
+        "code below the census stepper compares against a fixed scheme, "
         "or the 2-D or 3-D distance pipeline allocates from its second call",
     )
     args = parser.parse_args(argv)
@@ -74,7 +75,8 @@ def main(argv=None) -> int:
           f"alias and one event pass in any dimension "
           f"({single_pkgs} audited); one tally flush, point location, "
           f"collide/cross_facet body and config for every dimension; no "
-          f"replica loop in the books' per-pass verbs; one pooled launch")
+          f"replica loop in the books' per-pass verbs; one pooled launch; "
+          f"no scheme test outside the census stepper")
     print("OK: the 2-D and 3-D distance pipelines allocate nothing from "
           "their second call")
     return 0

@@ -34,7 +34,10 @@ mesh and the tally each have one home, whatever the number of axes.  The books' 
 replicas: the replica is an array axis there, not a Python loop.  And
 there is one pooled launch: the pool's dispatcher and start-method pick
 are called in ``parallel/pool.py`` only, and no module outside
-``parallel/`` imports a private name of the pool.
+``parallel/`` imports a private name of the pool.  Nothing in ``core/``,
+``ensemble/``, ``volume/`` or ``parallel/pool.py`` but the census stepper
+compares against a fixed scheme: what differs between the schemes is
+handed to the pass as data.
 
 :func:`audit_pass_allocations` is a runtime check beside the source
 audits: the distance pipeline of one event pass (``distances`` +
@@ -76,6 +79,9 @@ __all__ = [
     "LOOP_FREE_VERBS",
     "POOL_HOME",
     "POOL_LAUNCH_CALLS",
+    "SCHEME_TEST_PATHS",
+    "SCHEME_TEST_HOME",
+    "FIXED_SCHEME_NAMES",
 ]
 
 #: Packages that must not define ``*_vec`` implementations.
@@ -177,6 +183,12 @@ LOOP_FREE_VERBS = ("flush", "cadd", "record_pass")
 POOL_HOME = "parallel/pool.py"
 POOL_LAUNCH_CALLS = ("_Dispatcher", "_pick_context")
 
+#: Below the census stepper (its home) no code tests which scheme a run
+#: is in: the schemes' differences are handed to the pass as data.
+SCHEME_TEST_PATHS = ("core/", "ensemble/", "volume/", "parallel/pool.py")
+SCHEME_TEST_HOME = "core/stepper.py"
+FIXED_SCHEME_NAMES = ("OVER_PARTICLES", "OVER_EVENTS")
+
 _LOOP_NODES = (ast.For, ast.AsyncFor, ast.While, ast.ListComp, ast.SetComp,
                ast.DictComp, ast.GeneratorExp)
 
@@ -262,7 +274,8 @@ def audit_single_path(package_root: str | Path | None = None) -> list[str]:
     an ``is None`` / ``is not None`` test on them is a serial-vs-fused
     fork re-appearing; so is a ``*_vec = <kernel>`` alias naming a second
     way to reach a kernel, and so is a second copy of the event handlers
-    (see :func:`_audit_one_event_pass`).  Returns violation
+    (see :func:`_audit_one_event_pass`) or a scheme test below the
+    stepper (:func:`_audit_no_scheme_test`).  Returns violation
     messages (empty list means the audit passes).
     """
     if package_root is None:
@@ -298,7 +311,31 @@ def audit_single_path(package_root: str | Path | None = None) -> list[str]:
     return (violations + _audit_one_event_pass(package_root)
             + _audit_one_twin(package_root)
             + _audit_loop_free_verbs(package_root)
-            + _audit_one_pool(package_root))
+            + _audit_one_pool(package_root)
+            + _audit_no_scheme_test(package_root))
+
+
+def _audit_no_scheme_test(package_root: Path) -> list[str]:
+    """An ``is`` / ``is not`` / ``==`` / ``!=`` test against a
+    :data:`FIXED_SCHEME_NAMES` member in :data:`SCHEME_TEST_PATHS` outside
+    :data:`SCHEME_TEST_HOME`."""
+    ops = (ast.Is, ast.IsNot, ast.Eq, ast.NotEq)
+    violations: list[str] = []
+    for path in sorted(package_root.rglob("*.py")):
+        rel = path.relative_to(package_root).as_posix()
+        if rel == SCHEME_TEST_HOME or not rel.startswith(SCHEME_TEST_PATHS):
+            continue
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if (isinstance(node, ast.Compare)
+                    and any(isinstance(op, ops) for op in node.ops)
+                    and any(getattr(o, "attr", None) in FIXED_SCHEME_NAMES
+                            for o in (node.left, *node.comparators))):
+                violations.append(
+                    f"{rel}:{node.lineno}: scheme test outside "
+                    f"{SCHEME_TEST_HOME} — below the stepper the schemes' "
+                    "differences are handed in as data"
+                )
+    return violations
 
 
 def _audit_one_pool(package_root: Path) -> list[str]:

@@ -347,8 +347,8 @@ def _run_ranges(members, bounds, scheme, population, ranges, recorder=None,
     each replica's ``(counters, tally)`` for an ensemble.  ``recorder``
     and ``probe`` (committed per range) never alter the physics, and
     ``scheme`` may be any :class:`Scheme`, ``AUTO`` (a live scheduler per
-    range) or a :class:`~repro.core.stepper.SwitchPlan` — switching is
-    physics-bit-identical per history, so retries stay reproducible.
+    range) or a picklable ``decide(step, stepper)`` scheduler — switching
+    is physics-bit-identical per history, so retries stay reproducible.
     """
     from repro.core.books import ReplicaBooks
     from repro.core.stepper import run_stepped

@@ -34,7 +34,7 @@ def _sample_source_3d(config: SimulationConfig, mesh: StructuredMesh):
 def run_over_events_3d(config: SimulationConfig,
                        recorder=None) -> TransportResult:
     """Breadth-first 3-D transport (the Listing 2 passes in one more axis):
-    the in-place Over Events strategy of the census stepper.
+    the census stepper's in-place Over Events step.
 
     ``recorder`` receives the span tree (run → timestep → event_pass →
     kernel:*); physics is bit-identical with or without it.

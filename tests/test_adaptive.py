@@ -5,7 +5,7 @@ The load-bearing guarantee: scheme switching happens only at census
 boundaries over counter-based per-history RNG streams, so ANY switch
 schedule — adversarial, random, or telemetry-driven — must produce
 physics bit-identical to a pure fixed-scheme run.  Everything else
-(block shaping, sorting, compaction, worker rebalancing) is performance
+(block shaping, compaction, worker rebalancing) is performance
 steering and must never show up in the physics.
 """
 
@@ -16,18 +16,25 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.adaptive import AdaptiveOptions, AdaptiveScheduler
+from repro.adaptive import AdaptiveScheduler
+from repro.adaptive import scheduler as adaptive
 from repro.core import Scheme, Simulation
 from repro.core.problems import csp_problem, scatter_problem, stream_problem
 from repro.core.stepper import (
     StepDecision,
-    SwitchPlan,
     run_stepped,
     validate_scheme_options,
 )
 from repro.ensemble.engine import population_fingerprint
-from repro.obs import Recorder, build_run_telemetry, to_chrome_trace, to_prometheus
+from repro.obs import (
+    LiveAggregator,
+    Recorder,
+    build_run_telemetry,
+    to_chrome_trace,
+    to_prometheus,
+)
 from repro.parallel import DelayShard, FaultPlan, PoolOptions, ScheduleKind, run_pool
+from tests.plans import ScriptedPlan
 
 PROBLEMS = {
     "stream": lambda **kw: stream_problem(nx=16, nparticles=12, **kw),
@@ -74,18 +81,16 @@ def _assert_states_identical(ref, other):
         ), f"{f} differs across switch schedule"
 
 
-def _alternating_plan(ntimesteps: int) -> SwitchPlan:
+def _alternating_plan(ntimesteps: int) -> ScriptedPlan:
     """Worst-case schedule: switch scheme at every census boundary,
-    with sorting and compaction thrown in at the switches."""
-    keys = (None, "energy", "cell", "particle_id")
-    return SwitchPlan(tuple(
+    with compaction thrown in at the switches."""
+    return ScriptedPlan(tuple(
         StepDecision(
             scheme=(
                 Scheme.OVER_PARTICLES if step % 2 == 0
                 else Scheme.OVER_EVENTS
             ),
             block_size=7 if step % 2 == 0 else None,
-            sort_key=keys[step % len(keys)],
             compact=(step % 3 == 0),
         )
         for step in range(ntimesteps)
@@ -123,19 +128,21 @@ def test_alternating_switch_plan_bit_identical_pooled(name):
 # ---------------------------------------------------------------------------
 
 def _decisions(ntimesteps):
-    return st.tuples(*[
+    """Scheme × OP block size × compaction, drawn per census step."""
+    decision = st.one_of(
         st.builds(
             StepDecision,
-            scheme=st.sampled_from(
-                (Scheme.OVER_PARTICLES, Scheme.OVER_EVENTS)
-            ),
-            sort_key=st.sampled_from(
-                (None, "energy", "cell", "particle_id")
-            ),
+            scheme=st.just(Scheme.OVER_PARTICLES),
+            block_size=st.sampled_from((None, 1, 7, 64)),
             compact=st.booleans(),
-        )
-        for _ in range(ntimesteps)
-    ])
+        ),
+        st.builds(
+            StepDecision,
+            scheme=st.just(Scheme.OVER_EVENTS),
+            compact=st.booleans(),
+        ),
+    )
+    return st.tuples(*[decision for _ in range(ntimesteps)])
 
 
 SLOW = settings(
@@ -151,7 +158,7 @@ SLOW = settings(
 def test_random_switch_schedule_preserves_physics(name, decisions):
     cfg = PROBLEMS[name](ntimesteps=4)
     ref = Simulation(cfg).run(Scheme.OVER_EVENTS)
-    switched = run_stepped(cfg, SwitchPlan(decisions))
+    switched = run_stepped(cfg, ScriptedPlan(decisions))
     _assert_physics_identical(ref, switched)
     _assert_states_identical(ref, switched)
 
@@ -165,7 +172,7 @@ def test_random_switch_schedule_preserves_physics_pooled(decisions):
     cfg = PROBLEMS["csp"](ntimesteps=3)
     ref = Simulation(cfg).run(Scheme.OVER_PARTICLES)
     pooled = run_pool(
-        cfg, SwitchPlan(decisions), PoolOptions(nworkers=2, chunk=5)
+        cfg, ScriptedPlan(decisions), PoolOptions(nworkers=2, chunk=5)
     )
     _assert_physics_identical(ref, pooled)
     _assert_states_identical(ref, pooled)
@@ -194,7 +201,7 @@ def test_scheduler_probes_then_exploits():
     sched = AdaptiveScheduler(cfg)
     run_stepped(cfg, sched)
     assert len(sched.decisions) == 6
-    order = AdaptiveOptions().probe_order
+    order = adaptive.PROBE_ORDER
     assert sched.decisions[0][1].scheme is order[0]
     assert sched.decisions[0][1].reason == "probe"
     assert sched.decisions[1][1].scheme is order[1]
@@ -241,7 +248,7 @@ def test_scheduler_shapes_op_block_to_alive():
         if d.scheme is Scheme.OVER_PARTICLES and d.block_size is not None
     ]
     for d in op_decisions:
-        assert d.block_size >= sched.options.min_block_size
+        assert d.block_size >= adaptive.MIN_BLOCK_SIZE
         assert d.block_size != cfg.op_block_size
 
 
@@ -252,9 +259,14 @@ def test_scheduler_shapes_op_block_to_alive():
 def test_unknown_scheme_lists_valid_schemes():
     cfg = csp_problem(nx=16, nparticles=12)
     with pytest.raises(ValueError, match="unknown scheme"):
-        validate_scheme_options(cfg, "bogus")
+        validate_scheme_options("bogus")
     with pytest.raises(ValueError, match=Scheme.AUTO.value):
-        validate_scheme_options(cfg, "bogus")
+        validate_scheme_options("bogus")
+    # A scheduler is anything with ``decide(step, stepper)``.
+    validate_scheme_options(AdaptiveScheduler(cfg))
+    validate_scheme_options(
+        ScriptedPlan((StepDecision(scheme=Scheme.OVER_EVENTS),))
+    )
 
 
 def test_step_decision_rejects_bad_combinations():
@@ -264,27 +276,6 @@ def test_step_decision_rejects_bad_combinations():
         StepDecision(scheme=Scheme.OVER_EVENTS, block_size=8)
     with pytest.raises(ValueError, match="block_size must be >= 1"):
         StepDecision(scheme=Scheme.OVER_PARTICLES, block_size=0)
-    with pytest.raises(ValueError, match="sort_key"):
-        StepDecision(scheme=Scheme.OVER_EVENTS, sort_key="colour")
-    with pytest.raises(ValueError, match="at least one decision"):
-        SwitchPlan(())
-
-
-def test_adaptive_options_validation():
-    with pytest.raises(ValueError, match="probe_order"):
-        AdaptiveOptions(
-            probe_order=(Scheme.OVER_EVENTS, Scheme.OVER_EVENTS)
-        )
-    with pytest.raises(ValueError, match="switch_margin"):
-        AdaptiveOptions(switch_margin=0.9)
-    with pytest.raises(ValueError, match="reprobe_ratio"):
-        AdaptiveOptions(reprobe_ratio=1.0)
-    with pytest.raises(ValueError, match="compact_dead_fraction"):
-        AdaptiveOptions(compact_dead_fraction=1.5)
-    with pytest.raises(ValueError, match="min_block_size"):
-        AdaptiveOptions(min_block_size=0)
-    with pytest.raises(ValueError, match="max_challenges"):
-        AdaptiveOptions(max_challenges=0)
 
 
 def test_rebalance_requires_dynamic_schedule():
@@ -358,6 +349,18 @@ def test_prometheus_exports_decision_counters(auto_telemetry):
     assert 'scheme="over_particles"' in text or (
         'scheme="over_events"' in text
     )
+
+
+def test_plan_run_publishes_auto_on_the_live_plane():
+    """A scheduler's run reports ``auto`` on the live plane, as its
+    result does, serial and pooled alike."""
+    cfg = csp_problem(nx=16, nparticles=12, ntimesteps=4)
+    plan = _alternating_plan(4)
+    for nworkers in (None, 1):
+        live = LiveAggregator()
+        result = Simulation(cfg).run(plan, nworkers=nworkers, live=live)
+        assert result.scheme is Scheme.AUTO
+        assert live.snapshot()["run"]["scheme"] == Scheme.AUTO.value
 
 
 def test_chrome_trace_marks_switches_global(auto_telemetry):

@@ -42,7 +42,7 @@ from repro.core import (
 from repro.core.config import SimulationConfig
 from repro.core.books import ReplicaBooks
 from repro.core.counters import Counters
-from repro.core.stepper import StepDecision, SwitchPlan
+from repro.core.stepper import StepDecision
 from repro.ensemble import (
     EnsembleSpec,
     SweepSpec,
@@ -57,6 +57,7 @@ from repro.mesh.tally import EnergyDepositionTally
 from repro.parallel import FaultPlan, KillWorker
 from repro.particles.source import SourceRegion
 from repro.xs.materials import fissile_fuel, hydrogenous_moderator
+from tests.plans import ScriptedPlan
 
 PROBLEMS = {
     "stream": stream_problem,
@@ -76,7 +77,7 @@ TIMESTEPS = 2
 
 #: Switch scheme at every census boundary (no population maintenance, so
 #: every deterministic fact of a replica must survive fusion).
-EVERY_STEP_SWITCH = SwitchPlan(tuple(
+EVERY_STEP_SWITCH = ScriptedPlan(tuple(
     StepDecision(scheme=SCHEMES[step % 2],
                  block_size=7 if step % 2 == 0 else None)
     for step in range(3)
@@ -554,15 +555,13 @@ PHYSICS_COUNTERS = (
 )
 
 
-def _adversarial_plan(ntimesteps: int) -> SwitchPlan:
-    """Switch scheme at every census boundary, sorting and compacting
-    the fused population at the switches."""
-    keys = ("energy", "cell", None, "particle_id")
-    return SwitchPlan(tuple(
+def _adversarial_plan(ntimesteps: int) -> ScriptedPlan:
+    """Switch scheme at every census boundary, compacting the fused
+    population at the switches into Over Events."""
+    return ScriptedPlan(tuple(
         StepDecision(
             scheme=SCHEMES[step % 2],
             block_size=7 if step % 2 == 0 else None,
-            sort_key=keys[step % len(keys)],
             compact=(step % 2 == 1),
         )
         for step in range(ntimesteps)
@@ -690,6 +689,37 @@ def test_single_path_audit_flags_a_second_event_pass(tmp_path):
     assert sum("def handle_census" in v for v in violations) == 1
     assert sum("'census'" in v for v in violations) == 1
     assert sum("'roulette'" in v for v in violations) == 1
+
+
+def test_single_path_audit_flags_a_scheme_test(tmp_path):
+    """Only the census stepper may compare against a fixed scheme: below
+    it the schemes' differences are handed in as data (DESIGN §3e)."""
+    for pkg in ("core", "volume", "ensemble", "parallel"):
+        (tmp_path / pkg).mkdir()
+    (tmp_path / "core" / "stepper.py").write_text(
+        "if decision.scheme is Scheme.OVER_PARTICLES: op_step()\n"
+    )
+    (tmp_path / "parallel" / "faults.py").write_text(
+        "if scheme == Scheme.OVER_EVENTS: pass\n"
+    )
+    (tmp_path / "core" / "event_pass.py").write_text(
+        "ok = scheme in (Scheme.OVER_PARTICLES, Scheme.OVER_EVENTS)\n"
+    )
+    assert audit_single_path(tmp_path) == []
+    (tmp_path / "core" / "event_pass.py").write_text(
+        "if self.scheme is Scheme.OVER_EVENTS: book()\n"
+    )
+    (tmp_path / "ensemble" / "engine.py").write_text(
+        "fused = scheme == Scheme.OVER_PARTICLES\n"
+    )
+    (tmp_path / "parallel" / "pool.py").write_text(
+        "if Scheme.OVER_EVENTS is not s: pass\n"
+    )
+    violations = audit_single_path(tmp_path)
+    assert [v.split(":")[0] for v in violations] == [
+        "core/event_pass.py", "ensemble/engine.py", "parallel/pool.py",
+    ]
+    assert all("scheme test" in v for v in violations)
 
 
 def test_single_path_audit_flags_a_replica_loop_in_the_books(tmp_path):
