@@ -537,6 +537,66 @@ def test_3d_extensions_agree_across_schemes_and_conserve(kind):
         assert population_accounted_3d(r)
 
 
+def _facet3(kind):
+    """3-D csp runs that take the facet handler's extension branches: an
+    importance map (the departure-cell ratio read, splits and roulette),
+    or a two-material map with a vacuum boundary — a fuel slab across
+    the source corner's path in a uniform medium dense enough to collide
+    in, so crossings change material (the cached cross sections refresh,
+    and a run without that refresh ends differently) and histories
+    escape."""
+    if kind == "importance":
+        return _vr3("importance")
+    mmap = np.zeros((8, 8, 8), dtype=np.int64)
+    mmap[:, :, 1:3] = 1
+    return csp3_problem(
+        n=8, nparticles=40, ntimesteps=2,
+        boundary=BoundaryCondition.VACUUM, material_map=mmap,
+        materials=(hydrogenous_moderator(2500), fissile_fuel(2500)),
+    ).with_(density=np.ones((8, 8, 8)))
+
+
+# Captured at the commit before the facet handler's gather-once rewrite,
+# per scheme (OP ≡ OE parity cannot see a facet-handler bug: both schemes
+# run the one handler): population fingerprint, PHYSICS_COUNTERS, sha256
+# of the tally.  The importance run's children join in a scheme-specific
+# order, so its tally sums the same deposits in another order.
+GOLDEN_3D_FACET = {
+    ("importance", "over_particles"): (
+        "137e6ec55c12fb19a068758ef2b7da5e80deb87debbe44499a865c47a6e7f496",
+        (281, 2360, 195, 53, 0, 299, 2061, 1181, 2559),
+        "94bc916588ba5f2ceeac912030f89fa1de7a4351f330ee62cad36331e04994ce",
+    ),
+    ("importance", "over_events"): (
+        "137e6ec55c12fb19a068758ef2b7da5e80deb87debbe44499a865c47a6e7f496",
+        (281, 2360, 195, 53, 0, 299, 2061, 1181, 2559),
+        "67f63b678d73c0d1eb59f8391f7d41f0309a15ada0ae30080fd17df6b6feec10",
+    ),
+    ("materials", "over_particles"): (
+        "802c67c027e33288242663ef105d2c9a86320c4fed4e88fdcd8075cf1ea1a7e2",
+        (25, 69, 4, 0, 38, 0, 31, 315, 73),
+        "e64a2022fbea3fb1749fc501bc2f9a10f3e9af88b3d68da02924835e527482e3",
+    ),
+    ("materials", "over_events"): (
+        "802c67c027e33288242663ef105d2c9a86320c4fed4e88fdcd8075cf1ea1a7e2",
+        (25, 69, 4, 0, 38, 0, 31, 315, 73),
+        "e64a2022fbea3fb1749fc501bc2f9a10f3e9af88b3d68da02924835e527482e3",
+    ),
+}
+
+
+@pytest.mark.parametrize("key", sorted(GOLDEN_3D_FACET), ids="-".join)
+def test_3d_facet_goldens_reproduce(key):
+    kind, scheme = key
+    result = Simulation(_facet3(kind)).run(Scheme(scheme))
+    fingerprint, counters, tally = GOLDEN_3D_FACET[key]
+    assert population_fingerprint_3d(result.arena) == fingerprint
+    assert tuple(
+        getattr(result.counters, c) for c in PHYSICS_COUNTERS
+    ) == counters
+    assert _tally_sha(result.tally) == tally
+
+
 def test_3d_problem_extremes():
     s = run_over_events_3d(stream3_problem(n=16, nparticles=25))
     sc = run_over_events_3d(scatter3_problem(n=16, nparticles=25))
