@@ -60,11 +60,6 @@ def _accumulate(total: float, values: np.ndarray, running: bool) -> float:
     return total + float(values.sum())
 
 
-def _at(arrays, idx) -> list:
-    """Gather lanes ``idx`` of every per-axis array."""
-    return [a[idx] for a in arrays]
-
-
 def _by_replica(rep: np.ndarray, nreplicas: int):
     """``(order, cuts)``: the positions of ``rep`` grouped by replica —
     one stable argsort, so each replica's positions keep their order —
@@ -108,7 +103,7 @@ class ReplicaSink:
         setattr(c, name, _accumulate(getattr(c, name), values, running))
 
     def flush(self, idx: np.ndarray, cells, deposit: np.ndarray) -> None:
-        self.tally.flush_vec(*(c[idx] for c in cells), deposit[idx])
+        self.tally.flush_vec(*cells, deposit)
         self.counters.tally_flushes += idx.size
 
 
@@ -249,15 +244,15 @@ class ReplicaBooks:
                 setattr(c, name, _accumulate(getattr(c, name), part, running))
 
     def flush(self, idx: np.ndarray, cells, deposit: np.ndarray) -> None:
-        """Batched tally flush (the §VI-G separate tally loop) of the
-        selected lanes' ``deposit`` into their ``cells`` (one index array
-        per mesh axis) — one scatter-add into the stacked tally, the
-        replica as its slowest axis, so each replica's cells see exactly
-        the subsequence its standalone run would, in the same order."""
+        """Batched tally flush (the §VI-G separate tally loop) of lanes
+        ``idx``, their ``deposit`` and ``cells`` gathered (one array per
+        mesh axis) — one scatter-add into the stacked tally, the replica
+        as its slowest axis, so each replica's cells see exactly the
+        subsequence its standalone run would, in the same order."""
         if self.nreplicas == 1:
             return self.sinks[0].flush(idx, cells, deposit)
         rep = self.rep[idx]
-        self.stack.flush_vec(*_at(cells, idx), rep, deposit[idx])
+        self.stack.flush_vec(*cells, rep, deposit)
         self._charge("tally_flushes", rep)
 
     def record_pass(self, stats: EventPassStats, active, cmask, fmask,

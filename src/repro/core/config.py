@@ -208,7 +208,7 @@ class SimulationConfig:
             raise ValueError(f"density shape {density.shape} != {cells}")
         object.__setattr__(self, "density", density)
         if self.material_map is not None:
-            mmap = np.asarray(self.material_map, dtype=np.int64)
+            mmap = np.ascontiguousarray(self.material_map, dtype=np.int64)
             if mmap.shape != cells:
                 raise ValueError(
                     f"material_map shape {mmap.shape} != {cells}"
@@ -223,7 +223,7 @@ class SimulationConfig:
             raise ValueError("ce_materials, when given, must be non-empty")
         object.__setattr__(self, "xs_mode", XsMode.coerce(self.xs_mode))
         if self.importance_map is not None:
-            imap = np.asarray(self.importance_map, dtype=np.float64)
+            imap = np.ascontiguousarray(self.importance_map, dtype=np.float64)
             if imap.shape != cells:
                 raise ValueError(
                     f"importance_map shape {imap.shape} != {cells}"

@@ -210,13 +210,13 @@ class WorkingSet:
         np.logical_and(arena.alive, active, out=active)
         return active
 
-    def flush(self, idx: np.ndarray) -> None:
-        """Tally flush of the selected lanes' deposit registers — the
-        atomic read-modify-write of §VI-A, batched per event kind (the
-        separate tally loop of §VI-G)."""
-        arena = self.arena
-        self.sink.flush(idx, self.cells, arena.deposit_buffer)
-        arena.deposit_buffer[idx] = 0.0
+    def flush(self, idx: np.ndarray, cells) -> None:
+        """Tally flush of lanes ``idx`` into ``cells`` (gathered, one array
+        per axis) — the atomic read-modify-write of §VI-A, batched per
+        event kind (the separate tally loop of §VI-G)."""
+        deposit = self.arena.deposit_buffer
+        self.sink.flush(idx, cells, deposit[idx])
+        deposit[idx] = 0.0
 
     # ------------------------------------------------------------------
     def event_pass(self, active: np.ndarray, book_pass=None) -> None:
@@ -340,7 +340,7 @@ class WorkingSet:
 
         dead = c[term]
         if dead.size:
-            self.flush(dead)
+            self.flush(dead, _at(self.cells, dead))
             a.alive[dead] = False
             sink.cadd("terminations", dead)
 
@@ -364,7 +364,7 @@ class WorkingSet:
                     a.weight[killed] * a.energy[killed],
                 )
                 a.weight[killed] = 0.0
-                self.flush(killed)
+                self.flush(killed, _at(self.cells, killed))
                 a.alive[killed] = False
                 sink.cadd("terminations", killed)
             survivors = sel[survive]
@@ -457,57 +457,61 @@ class WorkingSet:
         ctx = self.ctx
         a = self.arena
         sink = self.sink
-        config = ctx.config
-        imap = config.importance_map
-        pos, omega, cells = self.pos, self.omega, self.cells
-        f = np.nonzero(fmask)[0]
-        # The departure cells, for the trace hook and the importance ratios.
-        old_cells = (
-            _at(cells, f) if imap is not None or self.trace is not None
-            else ()
-        )
-        d = dist.d_facet[f]
-        sp = dist.speed[f]
-        st = sigma_t[f]
-        for p, o in zip(pos, omega):
-            p[f] = p[f] + o[f] * d
-        a.dt_to_census[f] = np.maximum(0.0, a.dt_to_census[f] - d / sp)
-        a.mfp_to_collision[f] = np.maximum(0.0, a.mfp_to_collision[f] - d * st)
-        # Snap the hit coordinate exactly onto the facet plane so rounding
-        # never strands a particle outside its cell.
-        ax = dist.axis[f]
-        for i, p in enumerate(pos):
-            hit = f[ax == i]
-            p[hit] = dist.face[i][hit]
+        imap = ctx.config.importance_map
+        f = fmask.nonzero()[0]
+        # Gathered once: the flush, kernel, trace and ratios read these.
+        cells_f, omega_f = _at(self.cells, f), _at(self.omega, f)
+        d, ax = dist.d_facet[f], dist.axis[f]
+        for i, (p, o) in enumerate(zip(self.pos, omega_f)):
+            new = p[f]
+            new += o * d
+            # Snap onto the facet plane: rounding never strands a lane.
+            hit = (ax == i).nonzero()[0]
+            new[hit] = dist.face[i][f[hit]]
+            p[f] = new
+        for field, spend, rate in ((a.dt_to_census, np.divide, dist.speed),
+                                   (a.mfp_to_collision, np.multiply, sigma_t)):
+            new = field[f]
+            new -= spend(d, rate[f])
+            field[f] = np.maximum(0.0, new, out=new)
+        del new, d  # each copy is released once scattered: a lower peak
         # Performed unconditionally at every facet.
-        self.flush(f)
-        *moved, reflected, escaped = ctx.run["cross_facet"](
-            f.size,
-            *_at(cells, f), *_at(omega, f), ax, ctx.mesh, config.boundary,
-        )
+        self.flush(f, cells_f)
+        *out, reflected, escaped = ctx.run["cross_facet"](
+            f.size, *cells_f, *omega_f, ax, ctx.mesh, ctx.config.boundary)
+        del omega_f, ax
+        # The kernel moves no escaping lane and turns only reflected ones.
+        cells_x = out[:len(cells_f)]
+        for field, new in zip(self.cells, cells_x):
+            field[f] = new
+        turned = reflected.nonzero()[0]
+        if turned.size:
+            rows = f[turned]
+            for field, new in zip(self.omega, out[len(cells_f):]):
+                field[rows] = new[turned]
+        del out
         sink.cadd("facets", f)
         ctx.books.facet_pp[self.gidx[f]] += 1
         if self.trace is not None:
-            self.trace(EventKind.FACET, self.gidx[f], *old_cells)
+            self.trace(EventKind.FACET, self.gidx[f], *cells_f)
         gone = f[escaped]
         if gone.size:
             sink.cadd("escapes", gone)
             sink.csum("escaped_energy", gone, a.weight[gone] * a.energy[gone])
             a.alive[gone] = False
-        stay = ~escaped
-        kept = f[stay]
-        # The kernel returns the new cell indices, then the new directions.
-        for field, new in zip(cells + omega, moved):
-            field[kept] = new[stay]
-        crossed = f[stay & ~reflected]
+        crossed = f
+        if gone.size or turned.size:
+            crossing = ~(reflected | escaped)
+            crossed = f[crossing]
+            cells_x = [c[crossing] for c in cells_x]
+            if imap is not None:
+                cells_f = [c[crossing] for c in cells_f]
         # Load the destination cell's density — the random read.
-        a.local_density[crossed] = ctx.mesh.density_at_vec(
-            *_at(cells, crossed)
-        )
+        a.local_density[crossed] = ctx.mesh.density_at_vec(*cells_x)
         sink.cadd("density_reads", crossed)
-        sink.cadd("reflections", f[reflected])
+        sink.cadd("reflections", f[turned])
         if crossed.size and ctx.provider.nmaterials > 1:
-            new_mat = ctx.material_map[tuple(_at(cells[::-1], crossed))]
+            new_mat = ctx.material_map.take(ctx.mesh.flat_index(*cells_x))
             changed = crossed[new_mat != self.mat_idx[crossed]]
             self.mat_idx[crossed] = new_mat
             if changed.size:
@@ -518,11 +522,8 @@ class WorkingSet:
         # ---- importance splitting / roulette (VR extension) ------------
         if imap is None or not crossed.size:
             return
-        cross_in_f = stay & ~reflected
-        ratios = (
-            imap[tuple(_at(cells[::-1], crossed))]
-            / imap[tuple(_at(old_cells[::-1], cross_in_f))]
-        )
+        ratios = (imap.take(ctx.mesh.flat_index(*cells_x))
+                  / imap.take(ctx.mesh.flat_index(*cells_f)))
         changed_r = ratios != 1.0
         sel = crossed[changed_r]
         if not sel.size:
@@ -586,6 +587,7 @@ class WorkingSet:
         a = self.arena
         pos = self.pos
         z = np.nonzero(zmask)[0]
+        cells_z = _at(self.cells, z)
         *new_pos, new_mfp = self.ctx.run["census"](
             z.size,
             *_at(pos, z), *_at(self.omega, z),
@@ -595,8 +597,8 @@ class WorkingSet:
             p[z] = new
         a.mfp_to_collision[z] = new_mfp
         a.dt_to_census[z] = 0.0
-        self.flush(z)
+        self.flush(z, cells_z)
         a.censused[z] = True
         self.sink.cadd("census_events", z)
         if self.trace is not None:
-            self.trace(EventKind.CENSUS, self.gidx[z], *_at(self.cells, z))
+            self.trace(EventKind.CENSUS, self.gidx[z], *cells_z)

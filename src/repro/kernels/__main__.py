@@ -12,6 +12,7 @@ from repro.kernels.audit import (
     CENSUS_LOOP_HOME,
     SINGLE_PATH_PACKAGES,
     audit_census_loops,
+    audit_facet_transient,
     audit_pass_allocations,
     audit_particle_construction,
     audit_single_path,
@@ -38,7 +39,7 @@ def main(argv=None) -> int:
         "a per-pass replica-books verb loops over replicas, the pool's "
         "launch machinery is reached from outside repro/parallel/pool.py, "
         "code below the census stepper compares against a fixed scheme, "
-        "or the 2-D or 3-D distance pipeline allocates from its second call",
+        "or a distance pipeline or facet crossing allocates past its bound",
     )
     args = parser.parse_args(argv)
     if not args.check:
@@ -52,6 +53,7 @@ def main(argv=None) -> int:
         + audit_single_path()
         + audit_pass_allocations(2)
         + audit_pass_allocations(3)
+        + audit_facet_transient(2) + audit_facet_transient(3)
     )
     if violations:
         for v in violations:
@@ -78,7 +80,7 @@ def main(argv=None) -> int:
           f"replica loop in the books' per-pass verbs; one pooled launch; "
           f"no scheme test outside the census stepper")
     print("OK: the 2-D and 3-D distance pipelines allocate nothing from "
-          "their second call")
+          "their second call; facet crossings stay within their bound")
     return 0
 
 

@@ -42,7 +42,8 @@ handed to the pass as data.
 :func:`audit_pass_allocations` is a runtime check beside the source
 audits: the distance pipeline of one event pass (``distances`` +
 ``select_events``) takes no workspace buffer and no full-length numpy
-temporary from its second call on one workspace.
+temporary from its second call on one workspace, and
+:func:`audit_facet_transient` bounds one facet crossing's, per lane.
 """
 
 from __future__ import annotations
@@ -58,6 +59,7 @@ __all__ = [
     "audit_xs_table_access",
     "audit_single_path",
     "audit_pass_allocations",
+    "audit_facet_transient",
     "AUDITED_PACKAGES",
     "ALLOWED_VEC_DEFS",
     "ARENA_AUDITED_PACKAGES",
@@ -456,6 +458,40 @@ def audit_pass_allocations(ndim: int) -> list[str]:
     if not np.array_equal(first, second):
         violations.append(f"{where}: selected different events")
     return violations
+
+
+#: Bound on a facet crossing's traced peak, B/lane (:func:`audit_facet_transient`):
+#: before the gather-once handler it peaked at 120.4 in 2-D and 151.0 in 3-D.
+FACET_PEAK_BYTES_PER_LANE = {2: 121, 3: 152}
+
+
+def audit_facet_transient(ndim: int) -> list[str]:
+    """One ``ndim``-D ``handle_facets`` call over the 16 384 source lanes
+    of a one-material csp run (no refresh), each on its facet, must peak
+    within :data:`FACET_PEAK_BYTES_PER_LANE` (keeping peak RSS flat)."""
+    import numpy as np
+
+    from repro.core import csp3_problem, csp_problem
+    from repro.core.event_pass import WorkingSet
+    from repro.core.stepper import CensusStepper
+
+    n = 16384
+    st = CensusStepper(csp_problem(nx=16, ny=16, nparticles=n) if ndim == 2
+                       else csp3_problem(n=16, nparticles=n))
+    a, ctx, ones = st.arena, st.pass_ctx, np.ones(n)
+    dist = ctx.run["distances"](n, ctx.ws, a.energy, a.mfp_to_collision,
+                                ones, *a.pos, *a.omega, *a.cells,
+                                *st.mesh.deltas, a.dt_to_census)
+    work, fmask = WorkingSet(ctx, a, np.arange(n), st.books, None), ones > 0
+    tracemalloc.start()
+    try:
+        work.handle_facets(fmask, dist, ones, ones, ones)
+        per_lane = tracemalloc.get_traced_memory()[1] / n
+    finally:
+        tracemalloc.stop()
+    bound = FACET_PEAK_BYTES_PER_LANE[ndim]
+    return [] if per_lane <= bound else [
+        f"{ndim}-D facet crossing: traced peak {per_lane:.1f} B/lane > {bound}"]
 
 
 def _audit_one_twin(package_root: Path) -> list[str]:

@@ -397,12 +397,17 @@ def cross_facet(*args) -> tuple[np.ndarray, ...]:
     new_cells, new_omegas = [], []
     for i, (cell, omega, ncells) in enumerate(zip(cells, omegas, mesh.shape)):
         hit = axis == i
-        forward = omega > 0.0
-        bnd = hit & (cell == forward * (ncells - 1))
-        new_cells.append(cell + (2 * forward - 1) * (hit & ~bnd))
-        new_omegas.append(omega if vacuum else np.where(bnd, -omega, omega))
+        # ±1 toward the facet; the cell ahead is off the mesh at -1 (as
+        # uint64, past any count) or at ncells.
+        forward = np.greater(omega, 0.0).view(np.int8)
+        step = (forward + forward - np.int8(1)).astype(cell.dtype)
+        bnd = ((cell + step).view(np.uint64) >= np.uint64(ncells)) & hit
+        step *= np.greater(hit, bnd, out=hit)  # hit and not at the boundary
+        new_cells.append(np.add(cell, step, out=step))
+        new_omegas.append(omega if vacuum else np.negative(
+            omega, out=omega.copy(), where=bnd))
         at_boundary |= bnd
-    none = np.zeros_like(at_boundary)
+    none = np.zeros(axis.shape, dtype=bool)
     reflected, escaped = (none, at_boundary) if vacuum else (at_boundary, none)
     return (*new_cells, *new_omegas, reflected, escaped)
 

@@ -126,8 +126,8 @@ class StructuredMesh:
         return float(self.density[cell[::-1]])
 
     def density_at_vec(self, *cells: np.ndarray) -> np.ndarray:
-        """Vectorised gather of cell densities (the OE scheme's gather)."""
-        return self.density[cells[::-1]]
+        """Vectorised gather of cell densities, by flat cell index."""
+        return self.density.take(flat_cell(self.shape, cells))
 
     # ------------------------------------------------------------------
     # Memory accounting (used by the performance model)

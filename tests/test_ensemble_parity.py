@@ -52,7 +52,7 @@ from repro.ensemble import (
     validate_members,
 )
 from repro.kernels import EVENT_KERNELS
-from repro.kernels.audit import audit_single_path
+from repro.kernels.audit import audit_facet_transient, audit_single_path
 from repro.mesh.tally import EnergyDepositionTally
 from repro.parallel import FaultPlan, KillWorker
 from repro.particles.source import SourceRegion
@@ -689,6 +689,28 @@ def test_single_path_audit_flags_a_second_event_pass(tmp_path):
     assert sum("def handle_census" in v for v in violations) == 1
     assert sum("'census'" in v for v in violations) == 1
     assert sum("'roulette'" in v for v in violations) == 1
+
+
+@pytest.mark.parametrize("ndim", (2, 3))
+def test_facet_transient_audit_flags_a_held_copy(ndim, monkeypatch):
+    """``kernels --check`` bounds one facet crossing's transient memory per
+    lane: the handler passes, and one that holds an extra full-width
+    ``float64`` copy of every lane's state (the gathered copies kept
+    alive past their scatter) fails it."""
+    from repro.core.event_pass import WorkingSet
+
+    assert audit_facet_transient(ndim) == []
+    handle = WorkingSet.handle_facets
+
+    def holding_copies(self, fmask, *args):
+        held = np.ones((4 * ndim, fmask.size))
+        handle(self, fmask, *args)
+        held.fill(0.0)  # still live across the crossing
+
+    monkeypatch.setattr(WorkingSet, "handle_facets", holding_copies)
+    violations = audit_facet_transient(ndim)
+    assert len(violations) == 1
+    assert violations[0].startswith(f"{ndim}-D facet crossing")
 
 
 def test_single_path_audit_flags_a_scheme_test(tmp_path):
