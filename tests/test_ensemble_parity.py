@@ -694,9 +694,9 @@ def test_single_path_audit_flags_a_second_event_pass(tmp_path):
 @pytest.mark.parametrize("ndim", (2, 3))
 def test_facet_transient_audit_flags_a_held_copy(ndim, monkeypatch):
     """``kernels --check`` bounds one facet crossing's transient memory per
-    lane: the handler passes, and one that holds an extra full-width
-    ``float64`` copy of every lane's state (the gathered copies kept
-    alive past their scatter) fails it."""
+    lane: the handler passes, and one that holds 4·ndim extra full-width
+    ``float64`` copies across the crossing (gathered copies kept alive
+    past their scatter) fails it."""
     from repro.core.event_pass import WorkingSet
 
     assert audit_facet_transient(ndim) == []
