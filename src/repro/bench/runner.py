@@ -736,15 +736,15 @@ def measured_ensemble_throughput(
 
 @dataclass(frozen=True)
 class AdaptiveCrossover:
-    """Adaptive scheduling against both fixed schemes, on this host.
+    """``Scheme.AUTO`` against both fixed schemes, on this host.
 
     Three runs of the same multi-census-step configuration — pure OP,
-    pure OE, and ``Scheme.AUTO`` (the telemetry-driven scheduler of
-    :mod:`repro.adaptive`) — plus a bit-parity check: scheme switching
-    happens only at census boundaries over counter-based RNG streams, so
-    the adaptive run's final population must fingerprint-match the fixed
-    runs exactly.  The CI gate asserts ``adaptive_efficiency`` stays
-    near 1.0: the scheduler may pay a bounded probe cost but must not
+    pure OE, and ``Scheme.AUTO`` (Over Events plus census compaction,
+    :data:`repro.core.stepper.AUTO_RULE`) — plus a bit-parity check:
+    compaction parks dead histories and schemes change only at census
+    boundaries over counter-based RNG streams, so the AUTO run's final
+    population must fingerprint-match the fixed runs exactly.  The CI
+    gate asserts ``adaptive_efficiency`` stays near 1.0: AUTO must not
     lose to simply picking the better fixed scheme.
     """
 
@@ -753,12 +753,15 @@ class AdaptiveCrossover:
     op_s: float
     oe_s: float
     auto_s: float
-    #: Scheme decisions the scheduler announced (≥ 1; > 1 means it
-    #: actually switched at least once after the opening step).
-    decisions: int
     #: 1.0 when the AUTO population fingerprint equals the fixed runs'.
     parity: float
     warnings: tuple = ()
+
+    @property
+    def decisions(self) -> int:
+        """Scheme decisions AUTO announces: its rule announces one, at
+        step 0."""
+        return 1
 
     @property
     def best_fixed_s(self) -> float:
@@ -766,8 +769,8 @@ class AdaptiveCrossover:
 
     @property
     def adaptive_efficiency(self) -> float:
-        """Best fixed wall-clock over adaptive wall-clock (1.0 = the
-        scheduler matched the better fixed scheme; > 1.0 = beat it)."""
+        """Best fixed wall-clock over AUTO wall-clock (1.0 = AUTO
+        matched the better fixed scheme; > 1.0 = beat it)."""
         if self.auto_s == 0:
             return float("inf")
         return self.best_fixed_s / self.auto_s
@@ -782,58 +785,20 @@ def measured_adaptive_crossover(
 ) -> AdaptiveCrossover:
     """Time pure OP, pure OE, and AUTO on one multi-step configuration.
 
-    Multiple census steps give the scheduler room to probe both schemes
-    and settle; the population decays over the steps, so the OP-vs-OE
-    balance genuinely shifts within the run — the situation the adaptive
-    scheduler exists for.  All three variants go through the same
+    The population decays over the census steps, so AUTO's compaction
+    has dead histories to park.  All three variants go through the same
     :func:`~repro.core.stepper.run_stepped` entry point (no recorder on
     any of them), each timed ``repeats`` times interleaved with the
     others and reported as its best wall-clock: the efficiency ratio is
-    a scheduling-policy comparison, not a fixture-overhead one, and
-    best-of-N keeps one noisy step on a shared host from failing the CI
-    gate.
+    a plan comparison, not a fixture-overhead one, and best-of-N keeps
+    one noisy step on a shared host from failing the CI gate.
     """
-    from repro.adaptive import AdaptiveScheduler
-    from repro.core.stepper import run_stepped
-    from repro.ensemble.engine import population_fingerprint
-
-    if problem not in PROBLEM_FACTORIES:
-        raise KeyError(f"unknown problem {problem!r}")
-    if repeats < 1:
-        raise ValueError("repeats must be >= 1")
-    cfg = PROBLEM_FACTORIES[problem](
-        nx=nx, nparticles=nparticles, ntimesteps=ntimesteps
+    cfg = _crossover_config(
+        problem, repeats, nx=nx, nparticles=nparticles,
+        ntimesteps=ntimesteps,
     )
-    results = {}
-    times: dict[str, list[float]] = {"op": [], "oe": [], "auto": []}
-    scheduler = None
-    for _ in range(repeats):
-        results["op"] = run_stepped(cfg, Scheme.OVER_PARTICLES)
-        times["op"].append(results["op"].wallclock_s)
-        results["oe"] = run_stepped(cfg, Scheme.OVER_EVENTS)
-        times["oe"].append(results["oe"].wallclock_s)
-        scheduler = AdaptiveScheduler(cfg)
-        results["auto"] = run_stepped(cfg, scheduler)
-        times["auto"].append(results["auto"].wallclock_s)
-    schemes = [d.scheme for _, d in scheduler.decisions]
-    decisions = 1 + sum(
-        1 for prev, cur in zip(schemes, schemes[1:]) if cur is not prev
-    )
-    parity = (
-        population_fingerprint(results["auto"].arena)
-        == population_fingerprint(results["op"].arena)
-        == population_fingerprint(results["oe"].arena)
-    )
-    op_s, oe_s, auto_s = (min(times[k]) for k in ("op", "oe", "auto"))
-    resolution = time.get_clock_info("perf_counter").resolution
-    warnings = tuple(
-        f"timer_underflow:{label}"
-        for label, seconds in (
-            ("over_particles", op_s),
-            ("over_events", oe_s),
-            ("auto", auto_s),
-        )
-        if seconds <= resolution
+    _, (op_s, oe_s, auto_s), parity, warnings = _time_op_oe_auto(
+        cfg, repeats
     )
     return AdaptiveCrossover(
         problem=problem,
@@ -841,10 +806,50 @@ def measured_adaptive_crossover(
         op_s=op_s,
         oe_s=oe_s,
         auto_s=auto_s,
-        decisions=decisions,
-        parity=1.0 if parity else 0.0,
+        parity=parity,
         warnings=warnings,
     )
+
+
+def _crossover_config(problem: str, repeats: int, **overrides):
+    if problem not in PROBLEM_FACTORIES:
+        raise KeyError(f"unknown problem {problem!r}")
+    if repeats < 1:
+        raise ValueError("repeats must be >= 1")
+    return PROBLEM_FACTORIES[problem](**overrides)
+
+
+def _time_op_oe_auto(cfg, repeats: int):
+    """Run OP, OE and AUTO ``repeats`` times interleaved; return the last
+    results by key, the best wall-clocks ``(op, oe, auto)``, the
+    population-fingerprint parity (1.0 or 0.0) and timer warnings."""
+    from repro.core.stepper import run_stepped
+    from repro.ensemble.engine import population_fingerprint
+
+    plans = {
+        "op": Scheme.OVER_PARTICLES,
+        "oe": Scheme.OVER_EVENTS,
+        "auto": Scheme.AUTO,
+    }
+    results = {}
+    times: dict[str, list[float]] = {k: [] for k in plans}
+    for _ in range(repeats):
+        for key, plan in plans.items():
+            results[key] = run_stepped(cfg, plan)
+            times[key].append(results[key].wallclock_s)
+    parity = (
+        population_fingerprint(results["auto"].arena)
+        == population_fingerprint(results["op"].arena)
+        == population_fingerprint(results["oe"].arena)
+    )
+    best = tuple(min(times[k]) for k in plans)
+    resolution = time.get_clock_info("perf_counter").resolution
+    warnings = tuple(
+        f"timer_underflow:{plans[key].value}"
+        for key, seconds in zip(plans, best)
+        if seconds <= resolution
+    )
+    return results, best, 1.0 if parity else 0.0, warnings
 
 
 @dataclass(frozen=True)
@@ -914,42 +919,12 @@ def measured_ce_crossover(
     grid (the sum of the jittered nuclide grids) stays large enough that
     the search cost is real.
     """
-    from repro.adaptive import AdaptiveScheduler
-    from repro.core.stepper import run_stepped
-    from repro.ensemble.engine import population_fingerprint
-
-    if problem not in PROBLEM_FACTORIES:
-        raise KeyError(f"unknown problem {problem!r}")
-    if repeats < 1:
-        raise ValueError("repeats must be >= 1")
-    cfg = PROBLEM_FACTORIES[problem](
-        nx=nx, nparticles=nparticles, ntimesteps=ntimesteps,
-        xs_mode="ce", xs_nentries=npoints,
+    cfg = _crossover_config(
+        problem, repeats, nx=nx, nparticles=nparticles,
+        ntimesteps=ntimesteps, xs_mode="ce", xs_nentries=npoints,
     )
-    results = {}
-    times: dict[str, list[float]] = {"op": [], "oe": [], "auto": []}
-    for _ in range(repeats):
-        results["op"] = run_stepped(cfg, Scheme.OVER_PARTICLES)
-        times["op"].append(results["op"].wallclock_s)
-        results["oe"] = run_stepped(cfg, Scheme.OVER_EVENTS)
-        times["oe"].append(results["oe"].wallclock_s)
-        results["auto"] = run_stepped(cfg, AdaptiveScheduler(cfg))
-        times["auto"].append(results["auto"].wallclock_s)
-    parity = (
-        population_fingerprint(results["auto"].arena)
-        == population_fingerprint(results["op"].arena)
-        == population_fingerprint(results["oe"].arena)
-    )
-    op_s, oe_s, auto_s = (min(times[k]) for k in ("op", "oe", "auto"))
-    resolution = time.get_clock_info("perf_counter").resolution
-    warnings = tuple(
-        f"timer_underflow:{label}"
-        for label, seconds in (
-            ("over_particles", op_s),
-            ("over_events", oe_s),
-            ("auto", auto_s),
-        )
-        if seconds <= resolution
+    results, (op_s, oe_s, auto_s), parity, warnings = _time_op_oe_auto(
+        cfg, repeats
     )
     return CeCrossover(
         problem=problem,
@@ -962,7 +937,7 @@ def measured_ce_crossover(
         xs_lookups=results["op"].counters.xs_lookups,
         op_linear_probes=results["op"].counters.xs_linear_probes,
         oe_binary_probes=results["oe"].counters.xs_binary_probes,
-        parity=1.0 if parity else 0.0,
+        parity=parity,
         warnings=warnings,
     )
 

@@ -92,8 +92,8 @@ def _transport_options() -> argparse.ArgumentParser:
     shared.add_argument(
         "--scheme", **_enum_choice(Scheme),
         help="over_particles (run's default), over_events (an ensemble's), "
-        "or auto (adaptive: probe both schemes, then switch per census "
-        "step on measured rates)",
+        "or auto (over_events, compacting the arena at a census step "
+        "where more than half of it is dead)",
     )
     shared.add_argument("--timesteps", dest="ntimesteps", type=int)
     shared.add_argument("--seed", type=int)
@@ -587,7 +587,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
 
 
 def _print_switch_trace(recorder) -> None:
-    """Print the scheduler's per-step scheme decisions from the run's
+    """Print the plan's per-step scheme decisions from the run's
     ``scheme_switch`` events (fixed-scheme runs emit none)."""
     switches = [e for e in recorder.events if e.name == "scheme_switch"]
     if not switches:
@@ -602,9 +602,7 @@ def _print_switch_trace(recorder) -> None:
             tags = ",".join(f"{k}={v}" for k, v in sorted(e.source.items()))
             src = f" [{tags}]"
         arrow = f"{a.get('prev') or '-'} -> {a['scheme']}"
-        block = a.get("block_size") or 0
-        extra = f" block={block}" if block else ""
-        print(f"  step {a.get('step', '?')}: {arrow}{extra} "
+        print(f"  step {a.get('step', '?')}: {arrow} "
               f"alive={a.get('alive', '?')} ({a.get('reason', '')}){src}")
 
 
@@ -659,19 +657,10 @@ def _cmd_ensemble_run(args: argparse.Namespace) -> int:
         if args.compare_looped:
             looped = run_ensemble_looped(spec, ens.scheme)
             speedup = looped.wallclock_s / max(ens.wallclock_s, 1e-12)
-
-            # AUTO picks its schedule from measured rates, so the fused and
-            # looped runs may flush in different orders: populations stay
-            # bit-identical, tallies agree to accumulation-order rounding.
-            def same_tally(a, b):
-                if ens.scheme is Scheme.AUTO:
-                    return np.allclose(a, b, rtol=1e-10, atol=1e-30)
-                return np.array_equal(a, b)
-
             parity = all(
                 population_fingerprint(rr.arena)
                 == population_fingerprint(res.arena)
-                and same_tally(rr.tally.deposition, res.tally.deposition)
+                and np.array_equal(rr.tally.deposition, res.tally.deposition)
                 for rr, res in zip(ens.replicas, looped.results)
             )
             print(f"looped baseline: {looped.wallclock_s:.3f} s -> "

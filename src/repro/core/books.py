@@ -282,7 +282,7 @@ class ReplicaBooks:
 
     def live_totals(self) -> tuple[int, int, int]:
         """In-progress ``(events, xs_lookups, xs_probes)`` over all
-        replicas, for the live probe and the adaptive scheduler."""
+        replicas, for the live probe."""
         self._settle()
         cs = self.counters
         return (

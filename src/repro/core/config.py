@@ -32,9 +32,10 @@ __all__ = [
 class Scheme(Enum):
     """Parallelisation scheme (paper §V).
 
-    ``AUTO`` defers the choice to the telemetry-driven scheduler in
-    :mod:`repro.adaptive`, which picks (and may switch) the scheme per
-    census step; physics is bit-identical to either fixed scheme.
+    ``AUTO`` is a rule: Over Events every census step, compacting the
+    arena where more than half of it is dead
+    (:data:`repro.core.stepper.AUTO_RULE`); physics is bit-identical to
+    either fixed scheme.
     """
 
     OVER_PARTICLES = "over_particles"

@@ -115,8 +115,8 @@ class Simulation:
         ----------
         scheme:
             Parallelisation scheme (traversal order).  ``Scheme.AUTO``
-            hands the per-census-step choice to the telemetry-driven
-            scheduler (:mod:`repro.adaptive`); any object with
+            runs Over Events with census compaction
+            (:data:`repro.core.stepper.AUTO_RULE`); any object with
             ``decide(step, stepper) -> StepDecision`` schedules the steps
             itself and reports as ``AUTO``.  Physics is bit-identical in
             every case.

@@ -17,27 +17,30 @@ wiring.  This module hoists all of that into one place:
   the population is emitted into).
   Each census step runs Over Particles blocks (``_op_step``) or Over
   Events passes over the run arena in place (``_oe_step``), as the
-  run's *plan* picks: a fixed :class:`Scheme`, or a scheduler with
-  ``decide(step, stepper) -> StepDecision`` (``AUTO``'s
-  :class:`repro.adaptive.AdaptiveScheduler`).
-* :class:`StepDecision` — what one census step runs: the scheme, the
-  Over Particles block size and compaction at the boundary.
+  run's *plan* picks: a fixed :class:`Scheme`, or a plan object with
+  ``decide(step, stepper) -> StepDecision``.  ``Scheme.AUTO`` is the
+  rule :data:`AUTO_RULE`: Over Events every step, compacting the arena
+  at a boundary where more than :data:`COMPACT_DEAD_FRACTION` of it is
+  dead (the widest width wins on every measured workload, see
+  ``results/WIDTH.md``).
+* :class:`StepDecision` — what one census step runs: the scheme and
+  compaction at the boundary.
 
-Parity argument (the headline test of the adaptive PR): at a census
-boundary the entire transport state of a history is its arena row —
-position, direction, energy, weight, cached bins, ``dt_to_census``,
-``mfp_to_collision`` and the RNG counter.  Both step methods read exactly
-that state at step entry and leave exactly that state at step exit
-(OP synchronises RNG counters per block writeback, an OE step
-synchronises its working set's counters at step end), so *which* scheme
-advances a given step cannot change any history's event sequence.  Only
-instrumentation that prices traversal order (xs probe/bin-reuse
-counters, workspace churn, kernel profile) may differ between
-schedules; the physics counters, tallies and final population are
-invariant, which :func:`repro.ensemble.engine.population_fingerprint`
-makes checkable in one hash.
+Parity argument: at a census boundary the entire transport state of a
+history is its arena row — position, direction, energy, weight, cached
+bins, ``dt_to_census``, ``mfp_to_collision`` and the RNG counter.  Both
+step methods read exactly that state at step entry and leave exactly
+that state at step exit (OP synchronises RNG counters per block
+writeback, an OE step synchronises its working set's counters at step
+end), so *which* scheme advances a given step cannot change any
+history's event sequence.  Only instrumentation that prices traversal
+order (xs probe/bin-reuse counters, workspace churn, kernel profile) may
+differ between schedules; the physics counters, tallies and final
+population are invariant, which
+:func:`repro.ensemble.engine.population_fingerprint` makes checkable in
+one hash.
 
-Compaction at a switch boundary is also parity-safe: it parks dead
+Compaction at a census boundary is also parity-safe: it parks dead
 histories in a morgue that is re-appended before the result is built.
 """
 
@@ -60,6 +63,8 @@ from repro.obs.spans import NULL_RECORDER
 from repro.particles.source import sample_source
 
 __all__ = [
+    "AUTO_RULE",
+    "COMPACT_DEAD_FRACTION",
     "StepDecision",
     "CensusStepper",
     "drive_census_loop",
@@ -71,7 +76,7 @@ __all__ = [
 
 def scheme_label(plan) -> Scheme:
     """The scheme a run under ``plan`` reports: a :class:`Scheme` as
-    itself, a scheduler (``AUTO``'s, or any ``decide`` object) as
+    itself, a ``decide`` object (``AUTO``'s rule, or any other) as
     ``Scheme.AUTO``."""
     return plan if isinstance(plan, Scheme) else Scheme.AUTO
 
@@ -92,15 +97,12 @@ class StepDecision:
     """What one census step runs.
 
     ``scheme`` picks the step method (a fixed scheme, never ``AUTO``);
-    ``block_size`` overrides ``config.op_block_size`` for an OP step
-    (block size is physics-invariant, so any value is parity-safe);
     ``compact`` parks the dead histories in the morgue *before* the step
     runs (physics-invariant, see module docstring); ``reason`` is
-    free-form scheduler provenance for the switch trace.
+    free-form plan provenance for the switch trace.
     """
 
     scheme: Scheme
-    block_size: int | None = None
     compact: bool = False
     reason: str = ""
 
@@ -110,15 +112,29 @@ class StepDecision:
                 f"a StepDecision needs a concrete scheme "
                 f"(over_particles or over_events), got {self.scheme!r}"
             )
-        if self.block_size is not None:
-            if self.scheme is not Scheme.OVER_PARTICLES:
-                raise ValueError(
-                    "block_size only applies to over_particles steps"
-                )
-            if self.block_size < 1:
-                raise ValueError(
-                    f"block_size must be >= 1, got {self.block_size}"
-                )
+
+
+#: ``Scheme.AUTO`` compacts the arena at a census boundary where more
+#: than this fraction of it is dead.
+COMPACT_DEAD_FRACTION = 0.5
+
+
+class _AutoRule:
+    """``Scheme.AUTO``'s plan: Over Events every step, the dead parked in
+    the morgue first wherever more than :data:`COMPACT_DEAD_FRACTION` of
+    the arena is dead."""
+
+    def decide(self, step: int, stepper) -> StepDecision:
+        total = len(stepper.arena)
+        dead = total - stepper.alive_count()
+        return StepDecision(
+            Scheme.OVER_EVENTS,
+            compact=dead > COMPACT_DEAD_FRACTION * total,
+            reason="widest width",
+        )
+
+
+AUTO_RULE = _AutoRule()
 
 
 def drive_census_loop(recorder, ntimesteps, run_attrs, begin_step,
@@ -197,7 +213,7 @@ class CensusStepper:
             config, self.mesh, self.books, self.dispatch, self.ws,
             self.provider,
         )
-        #: Dead histories parked by compact-at-switch (arena rows and
+        #: Dead histories parked by a compaction (arena rows and
         #: their books rows), re-appended before the result is built so
         #: population accounting and fingerprints match an uncompacted
         #: run.
@@ -212,10 +228,6 @@ class CensusStepper:
     # ------------------------------------------------------------------
     def alive_count(self) -> int:
         return int(self.arena.alive.sum())
-
-    def total_events(self) -> int:
-        """Events executed so far, over every replica."""
-        return self.books.live_totals()[0]
 
     def _probe_step(self, step: int) -> None:
         """Publish this shard's in-progress counter totals to the live
@@ -232,11 +244,6 @@ class CensusStepper:
     def _compact(self) -> None:
         """Park the dead histories in the morgue before a step; they
         rejoin at finalisation, so the physics cannot tell."""
-        if self.trace is not None:
-            raise ValueError(
-                "switch-boundary compaction is incompatible with event "
-                "tracing (traces address histories by arena index)"
-            )
         dead = np.nonzero(~self.arena.alive)[0]
         if dead.size:
             self.morgue.append(
@@ -246,7 +253,7 @@ class CensusStepper:
             self.arena.compact()
             self.work = None
 
-    def _op_step(self, block_size: int, rec) -> None:
+    def _op_step(self, rec) -> None:
         """One Over Particles step: blocked lock-step depth-first
         transport (:func:`repro.core.over_particles.run_block`: gather a
         block, run the one event pass over it until no lane is active,
@@ -263,6 +270,7 @@ class CensusStepper:
         arena = self.arena
         books = self.books
         ctx = self.pass_ctx
+        block_size = self.config.op_block_size
         lo = 0
         while lo < len(arena):
             hi = len(arena)
@@ -305,11 +313,16 @@ class CensusStepper:
 
     # ------------------------------------------------------------------
     def run(self, plan) -> None:
-        """Run every census step under ``plan``: a :class:`Scheme` as one
-        ``StepDecision(scheme)``; anything else is asked ``decide`` per
-        step, and each switch is announced as a ``scheme_switch`` event."""
+        """Run every census step under ``plan``: a fixed :class:`Scheme`
+        as one ``StepDecision(scheme)``; ``Scheme.AUTO`` as
+        :data:`AUTO_RULE`; anything else is asked ``decide`` per step, and
+        each switch (the first decision included) is announced as a
+        ``scheme_switch`` event."""
         config = self.config
         rec = self.rec
+        label = scheme_label(plan).value
+        if plan is Scheme.AUTO:
+            plan = AUTO_RULE
         fixed = StepDecision(plan) if isinstance(plan, Scheme) else None
         decision = None
 
@@ -320,17 +333,12 @@ class CensusStepper:
             if fixed is None and (
                 prev is None or decision.scheme is not prev.scheme
             ):
-                if decision.scheme is Scheme.OVER_PARTICLES:
-                    block = decision.block_size or config.op_block_size
-                else:
-                    block = 0
                 rec.event(
                     "scheme_switch",
                     step=step,
                     scheme=decision.scheme.value,
                     prev=prev.scheme.value if prev is not None else "",
                     reason=decision.reason,
-                    block_size=int(block),
                     alive=self.alive_count(),
                 )
             if decision.compact:
@@ -345,15 +353,12 @@ class CensusStepper:
 
         def run_step(step: int) -> None:
             if decision.scheme is Scheme.OVER_PARTICLES:
-                self._op_step(
-                    decision.block_size or config.op_block_size, rec
-                )
+                self._op_step(rec)
             else:
                 self._oe_step(rec)
             if self.probe.enabled:
                 self._probe_step(step)
 
-        label = scheme_label(plan).value
         drive_census_loop(
             rec, config.ntimesteps, {"scheme": label}, begin_step, run_step
         )
@@ -363,7 +368,7 @@ class CensusStepper:
     def _finalize(self) -> None:
         arena = self.arena
         books = self.books
-        # Dead histories parked by compact-at-switch rejoin the
+        # Dead histories parked by a compaction rejoin the
         # population (storage order differs from an uncompacted run, but
         # fingerprints sort by particle_id, so parity is unaffected).
         for dead_arena, dead_rows in self.morgue:
@@ -387,9 +392,8 @@ def run_stepped(config: SimulationConfig, plan=Scheme.OVER_PARTICLES, *,
     """Run the unified census stepper — the one transport driver, in two
     dimensions or three.
 
-    ``plan`` is a :class:`Scheme` (``AUTO`` builds a live
-    :class:`repro.adaptive.AdaptiveScheduler`) or any object with
-    ``decide(step, stepper) -> StepDecision``.
+    ``plan`` is a :class:`Scheme` (``AUTO`` runs :data:`AUTO_RULE`) or
+    any object with ``decide(step, stepper) -> StepDecision``.
 
     ``arena`` is a pre-sampled population advanced in place (pool shard
     views, scheme-equivalence tests; sampled from the config's source
@@ -405,10 +409,8 @@ def run_stepped(config: SimulationConfig, plan=Scheme.OVER_PARTICLES, *,
 
     t0 = time.perf_counter()
     validate_scheme_options(plan)
-    if plan is Scheme.AUTO:
-        from repro.adaptive import AdaptiveScheduler
-
-        plan = AdaptiveScheduler(config)
+    if trace is not None and plan is not Scheme.OVER_PARTICLES:
+        raise ValueError("trace records only a Scheme.OVER_PARTICLES run")
     stepper = CensusStepper(
         config, arena=arena, tally=tally, trace=trace, recorder=recorder,
         books=books, provider=provider, probe=probe,

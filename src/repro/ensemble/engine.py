@@ -129,7 +129,7 @@ def run_ensemble(
         sequence of member configs (validated fusible).
     scheme:
         Traversal order for the fused run: a fixed :class:`Scheme`,
-        ``Scheme.AUTO`` or a ``decide(step, stepper)`` scheduler,
+        ``Scheme.AUTO`` or a ``decide(step, stepper)`` plan,
         exactly as in ``Simulation.run``.
     nworkers:
         ``1`` runs fused in-process; ``> 1`` is a pool run

@@ -346,8 +346,8 @@ def _run_ranges(members, bounds, scheme, population, ranges, recorder=None,
     counter set, in range order.  Returns what the reduction needs, with
     each replica's ``(counters, tally)`` for an ensemble.  ``recorder``
     and ``probe`` (committed per range) never alter the physics, and
-    ``scheme`` may be any :class:`Scheme`, ``AUTO`` (a live scheduler per
-    range) or a picklable ``decide(step, stepper)`` scheduler — switching
+    ``scheme`` may be any :class:`Scheme` (``AUTO`` compacts per range)
+    or a picklable ``decide(step, stepper)`` plan — switching
     is physics-bit-identical per history, so retries stay reproducible.
     """
     from repro.core.books import ReplicaBooks

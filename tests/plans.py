@@ -2,9 +2,8 @@
 
 The census stepper runs a fixed ``Scheme`` as itself and asks anything
 else ``decide(step, stepper)``.  :class:`ScriptedPlan` is such an object
-written out in advance, so a suite can switch scheme, Over Particles
-block size and compaction at chosen census steps and check that the
-physics cannot tell.
+written out in advance, so a suite can switch scheme and compact at
+chosen census steps and check that the physics cannot tell.
 """
 
 from __future__ import annotations

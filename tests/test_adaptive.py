@@ -1,12 +1,12 @@
-"""Adaptive scheduling: switch-schedule parity, the AUTO scheduler,
-pool rebalancing, and the scheduler's observability surface.
+"""Scheme switching: switch-schedule parity, the AUTO rule, pool
+rebalancing, and the switch trace's observability surface.
 
 The load-bearing guarantee: scheme switching happens only at census
 boundaries over counter-based per-history RNG streams, so ANY switch
-schedule — adversarial, random, or telemetry-driven — must produce
-physics bit-identical to a pure fixed-scheme run.  Everything else
-(block shaping, compaction, worker rebalancing) is performance
-steering and must never show up in the physics.
+schedule — adversarial, random, or AUTO's rule — must produce physics
+bit-identical to a pure fixed-scheme run.  Everything else (compaction,
+worker rebalancing) is performance steering and must never show up in
+the physics.
 """
 
 from __future__ import annotations
@@ -16,15 +16,15 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.adaptive import AdaptiveScheduler
-from repro.adaptive import scheduler as adaptive
 from repro.core import Scheme, Simulation
 from repro.core.problems import csp_problem, scatter_problem, stream_problem
 from repro.core.stepper import (
+    COMPACT_DEAD_FRACTION,
     StepDecision,
     run_stepped,
     validate_scheme_options,
 )
+from repro.ensemble import EnsembleSpec, run_ensemble
 from repro.ensemble.engine import population_fingerprint
 from repro.obs import (
     LiveAggregator,
@@ -90,7 +90,6 @@ def _alternating_plan(ntimesteps: int) -> ScriptedPlan:
                 Scheme.OVER_PARTICLES if step % 2 == 0
                 else Scheme.OVER_EVENTS
             ),
-            block_size=7 if step % 2 == 0 else None,
             compact=(step % 3 == 0),
         )
         for step in range(ntimesteps)
@@ -128,19 +127,11 @@ def test_alternating_switch_plan_bit_identical_pooled(name):
 # ---------------------------------------------------------------------------
 
 def _decisions(ntimesteps):
-    """Scheme × OP block size × compaction, drawn per census step."""
-    decision = st.one_of(
-        st.builds(
-            StepDecision,
-            scheme=st.just(Scheme.OVER_PARTICLES),
-            block_size=st.sampled_from((None, 1, 7, 64)),
-            compact=st.booleans(),
-        ),
-        st.builds(
-            StepDecision,
-            scheme=st.just(Scheme.OVER_EVENTS),
-            compact=st.booleans(),
-        ),
+    """Scheme × compaction, drawn per census step."""
+    decision = st.builds(
+        StepDecision,
+        scheme=st.sampled_from((Scheme.OVER_PARTICLES, Scheme.OVER_EVENTS)),
+        compact=st.booleans(),
     )
     return st.tuples(*[decision for _ in range(ntimesteps)])
 
@@ -196,60 +187,62 @@ def test_auto_bit_identical_serial_and_pooled(name):
     assert pooled.scheme is Scheme.AUTO
 
 
-def test_scheduler_probes_then_exploits():
-    cfg = csp_problem(nx=16, nparticles=12, ntimesteps=6)
-    sched = AdaptiveScheduler(cfg)
-    run_stepped(cfg, sched)
-    assert len(sched.decisions) == 6
-    order = adaptive.PROBE_ORDER
-    assert sched.decisions[0][1].scheme is order[0]
-    assert sched.decisions[0][1].reason == "probe"
-    assert sched.decisions[1][1].scheme is order[1]
-    assert sched.decisions[1][1].reason == "probe"
-    # From step 2 on, every decision carries a concrete scheme + reason.
-    for _, d in sched.decisions[2:]:
-        assert d.scheme in (Scheme.OVER_PARTICLES, Scheme.OVER_EVENTS)
-        assert d.reason
+def _spy_steps(monkeypatch):
+    """Log every census-step method and compaction the stepper runs, in
+    order, with the arena it starts from: ``(name, len(arena), alive)``."""
+    from repro.core.stepper import CensusStepper
+
+    log = []
+    for name in ("_op_step", "_oe_step", "_compact"):
+        method = getattr(CensusStepper, name)
+
+        def spy(stepper, *args, _name=name, _method=method):
+            log.append((_name, len(stepper.arena), stepper.alive_count()))
+            return _method(stepper, *args)
+
+        monkeypatch.setattr(CensusStepper, name, spy)
+    return log
 
 
-def test_scheduler_short_run_skips_second_probe():
-    cfg = csp_problem(nx=16, nparticles=12, ntimesteps=2)
-    sched = AdaptiveScheduler(cfg)
-    run_stepped(cfg, sched)
-    assert sched.decisions[1][1].reason == "short-run"
-    assert (
-        sched.decisions[1][1].scheme is sched.decisions[0][1].scheme
-    )
+@pytest.mark.parametrize("replicas", [1, 4])
+def test_auto_rule_is_over_events_compacting_past_the_threshold(
+    replicas, monkeypatch
+):
+    """AUTO's rule: every step is Over Events, exactly one
+    ``scheme_switch`` is announced, and the arena is compacted at exactly
+    the boundaries where more than ``COMPACT_DEAD_FRACTION`` of it is
+    dead — serial and as a fused R = 4 ensemble, physics-identical to
+    Over Events down to the tally bytes."""
+    cfg = scatter_problem(nx=16, nparticles=40, ntimesteps=6)
+    spec = EnsembleSpec(cfg, replicas, seed_stride=3)
+    ref = run_ensemble(spec, Scheme.OVER_EVENTS)
+    log = _spy_steps(monkeypatch)
+    rec = Recorder()
+    auto = run_ensemble(spec, Scheme.AUTO, recorder=rec)
+    monkeypatch.undo()
 
-
-def test_scheduler_holds_an_incumbent_that_was_never_measured():
-    """Regression: every history dies during the second probe step, so the
-    incumbent has no measured rate at step 2 — the scheduler holds it
-    (this used to raise ``KeyError`` in ``_pick``)."""
-    cfg = scatter_problem(nx=24, nparticles=60, ntimesteps=4, xs_mode="ce")
-    sched = AdaptiveScheduler(cfg)
-    auto = run_stepped(cfg, sched)
-    assert [d.reason for _, d in sched.decisions] == [
-        "probe", "probe", "hold", "hold",
+    steps = [entry for entry in log if entry[0] != "_compact"]
+    assert [name for name, *_ in steps] == ["_oe_step"] * cfg.ntimesteps
+    switches = [e for e in rec.events if e.name == "scheme_switch"]
+    assert [(e.attrs["step"], e.attrs["scheme"]) for e in switches] == [
+        (0, Scheme.OVER_EVENTS.value)
     ]
-    assert sched.decisions[-1][1].scheme is Scheme.OVER_EVENTS
-    ref = Simulation(cfg).run(Scheme.OVER_EVENTS)
-    _assert_physics_identical(ref, auto)
-    _assert_states_identical(ref, auto)
-    assert Simulation(cfg).run(Scheme.AUTO).scheme is Scheme.AUTO
-
-
-def test_scheduler_shapes_op_block_to_alive():
-    cfg = csp_problem(nx=16, nparticles=12, ntimesteps=4)
-    sched = AdaptiveScheduler(cfg)
-    run_stepped(cfg, sched)
-    op_decisions = [
-        d for _, d in sched.decisions
-        if d.scheme is Scheme.OVER_PARTICLES and d.block_size is not None
-    ]
-    for d in op_decisions:
-        assert d.block_size >= adaptive.MIN_BLOCK_SIZE
-        assert d.block_size != cfg.op_block_size
+    compactions = 0
+    for i, (name, total, alive) in enumerate(log):
+        if name == "_compact":
+            continue
+        compacted = i > 0 and log[i - 1][0] == "_compact"
+        # The boundary's arena before any compaction ran on it.
+        before = log[i - 1][1] if compacted else total
+        assert compacted == (before - alive > COMPACT_DEAD_FRACTION * before)
+        if compacted:
+            assert total == alive
+            compactions += 1
+    assert 0 < compactions < cfg.ntimesteps
+    for a, b in zip(auto.replicas, ref.replicas):
+        _assert_physics_identical(b, a)
+        _assert_states_identical(b, a)
+        assert np.array_equal(a.tally.deposition, b.tally.deposition)
 
 
 # ---------------------------------------------------------------------------
@@ -257,13 +250,11 @@ def test_scheduler_shapes_op_block_to_alive():
 # ---------------------------------------------------------------------------
 
 def test_unknown_scheme_lists_valid_schemes():
-    cfg = csp_problem(nx=16, nparticles=12)
     with pytest.raises(ValueError, match="unknown scheme"):
         validate_scheme_options("bogus")
     with pytest.raises(ValueError, match=Scheme.AUTO.value):
         validate_scheme_options("bogus")
-    # A scheduler is anything with ``decide(step, stepper)``.
-    validate_scheme_options(AdaptiveScheduler(cfg))
+    # A plan is anything with ``decide(step, stepper)``.
     validate_scheme_options(
         ScriptedPlan((StepDecision(scheme=Scheme.OVER_EVENTS),))
     )
@@ -272,10 +263,21 @@ def test_unknown_scheme_lists_valid_schemes():
 def test_step_decision_rejects_bad_combinations():
     with pytest.raises(ValueError, match="concrete scheme"):
         StepDecision(scheme=Scheme.AUTO)
-    with pytest.raises(ValueError, match="block_size only applies"):
-        StepDecision(scheme=Scheme.OVER_EVENTS, block_size=8)
-    with pytest.raises(ValueError, match="block_size must be >= 1"):
-        StepDecision(scheme=Scheme.OVER_PARTICLES, block_size=0)
+
+
+@pytest.mark.parametrize("plan", [Scheme.OVER_EVENTS, Scheme.AUTO,
+                                  _alternating_plan(2)],
+                         ids=["over_events", "auto", "scripted"])
+def test_trace_is_refused_for_every_plan_but_over_particles(plan):
+    """Only an Over Particles step feeds the event trace, so a trace
+    asked of any other plan would come back short without a word."""
+    cfg = csp_problem(nx=16, nparticles=12, ntimesteps=2)
+    with pytest.raises(ValueError, match="OVER_PARTICLES"):
+        run_stepped(cfg, plan, trace=[])
+    trace = []
+    result = run_stepped(cfg, Scheme.OVER_PARTICLES, trace=trace)
+    c = result.counters
+    assert len(trace) == c.collisions + c.facets + c.census_events
 
 
 def test_rebalance_requires_dynamic_schedule():
@@ -334,7 +336,7 @@ def auto_telemetry():
 def test_scheme_switch_events_recorded(auto_telemetry):
     _, recorder = auto_telemetry
     switches = [e for e in recorder.events if e.name == "scheme_switch"]
-    assert len(switches) >= 2  # at least the two probe transitions
+    assert len(switches) == 1  # AUTO's rule announces its step-0 pick
     for e in switches:
         assert e.attrs["scheme"] in (
             Scheme.OVER_PARTICLES.value, Scheme.OVER_EVENTS.value
@@ -352,7 +354,7 @@ def test_prometheus_exports_decision_counters(auto_telemetry):
 
 
 def test_plan_run_publishes_auto_on_the_live_plane():
-    """A scheduler's run reports ``auto`` on the live plane, as its
+    """A plan's run reports ``auto`` on the live plane, as its
     result does, serial and pooled alike."""
     cfg = csp_problem(nx=16, nparticles=12, ntimesteps=4)
     plan = _alternating_plan(4)

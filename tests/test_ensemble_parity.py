@@ -78,9 +78,7 @@ TIMESTEPS = 2
 #: Switch scheme at every census boundary (no population maintenance, so
 #: every deterministic fact of a replica must survive fusion).
 EVERY_STEP_SWITCH = ScriptedPlan(tuple(
-    StepDecision(scheme=SCHEMES[step % 2],
-                 block_size=7 if step % 2 == 0 else None)
-    for step in range(3)
+    StepDecision(scheme=SCHEMES[step % 2]) for step in range(3)
 ))
 
 
@@ -561,7 +559,6 @@ def _adversarial_plan(ntimesteps: int) -> ScriptedPlan:
     return ScriptedPlan(tuple(
         StepDecision(
             scheme=SCHEMES[step % 2],
-            block_size=7 if step % 2 == 0 else None,
             compact=(step % 2 == 1),
         )
         for step in range(ntimesteps)
