@@ -758,12 +758,6 @@ class AdaptiveCrossover:
     warnings: tuple = ()
 
     @property
-    def decisions(self) -> int:
-        """Scheme decisions AUTO announces: its rule announces one, at
-        step 0."""
-        return 1
-
-    @property
     def best_fixed_s(self) -> float:
         return min(self.op_s, self.oe_s)
 

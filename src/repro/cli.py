@@ -588,19 +588,27 @@ def _cmd_run(args: argparse.Namespace) -> int:
 
 def _print_switch_trace(recorder) -> None:
     """Print the plan's per-step scheme decisions from the run's
-    ``scheme_switch`` events (fixed-scheme runs emit none)."""
+    ``scheme_switch`` events (fixed-scheme runs emit none), and the
+    census compactions from its ``compaction`` events."""
     switches = [e for e in recorder.events if e.name == "scheme_switch"]
+    compactions = [e for e in recorder.events if e.name == "compaction"]
     if not switches:
         print("switch trace: no scheme switches recorded "
               "(fixed-scheme run)")
-        return
-    print(f"switch trace ({len(switches)} decisions):")
-    for e in sorted(switches, key=lambda e: (e.attrs.get("step", 0), e.t)):
+    else:
+        print(f"switch trace ({len(switches)} decisions):")
+    for e in sorted(switches + compactions,
+                    key=lambda e: (e.attrs.get("step", 0), e.t)):
         a = e.attrs
         src = ""
         if e.source:
             tags = ",".join(f"{k}={v}" for k, v in sorted(e.source.items()))
             src = f" [{tags}]"
+        if e.name == "compaction":
+            print(f"  step {a.get('step', '?')}: compaction "
+                  f"parked={a.get('parked', '?')} "
+                  f"alive={a.get('alive', '?')}{src}")
+            continue
         arrow = f"{a.get('prev') or '-'} -> {a['scheme']}"
         print(f"  step {a.get('step', '?')}: {arrow} "
               f"alive={a.get('alive', '?')} ({a.get('reason', '')}){src}")

@@ -241,11 +241,17 @@ class CensusStepper:
             xs_probes=int(probes),
         )
 
-    def _compact(self) -> None:
+    def _compact(self, step: int) -> None:
         """Park the dead histories in the morgue before a step; they
-        rejoin at finalisation, so the physics cannot tell."""
+        rejoin at finalisation, so the physics cannot tell.  Each
+        compaction that parks any is recorded as a ``compaction`` event
+        (``step``, ``parked``, the ``alive`` it keeps)."""
         dead = np.nonzero(~self.arena.alive)[0]
         if dead.size:
+            self.rec.event(
+                "compaction", step=step, parked=int(dead.size),
+                alive=len(self.arena) - int(dead.size),
+            )
             self.morgue.append(
                 (self.arena.subset(dead), self.books.take(dead))
             )
@@ -342,7 +348,7 @@ class CensusStepper:
                     alive=self.alive_count(),
                 )
             if decision.compact:
-                self._compact()
+                self._compact(step)
             if step > 0:
                 self.books.rearm_census(
                     self.arena.dt_to_census, self.arena.alive

@@ -7,6 +7,12 @@ lookup (paper §VI-A).  This module is the single batch implementation:
   ``numpy.searchsorted`` (value-identical to the per-lane scalar
   searches, which the parity suite keeps as its reference in
   ``tests/oracle/storage.py``);
+* :func:`union_bins` — the continuous-energy union grid's search: a
+  log-hash bucket narrows each lane to a window of a few bins, which a
+  fixed number of branch-free halving steps resolves.  Its contract is
+  exactness: it equals :func:`search_bins` on every float64 input (0,
+  negatives, subnormals, ±inf and NaN included), without a
+  floating-point warning;
 * :func:`interpolate_at_bins` — linear interpolation within known bins;
 * :func:`xs_lookup` — the composite search+interpolate kernel the drivers
   dispatch;
@@ -27,6 +33,7 @@ import numpy as np
 
 __all__ = [
     "search_bins",
+    "union_bins",
     "interpolate_at_bins",
     "xs_lookup",
     "ce_lookup",
@@ -45,6 +52,38 @@ def search_bins(table, e: np.ndarray) -> np.ndarray:
     e = np.asarray(e, dtype=np.float64)
     bins = np.searchsorted(table.energy, e, side="right") - 1
     return np.clip(bins, 0, table.energy.shape[0] - 2)
+
+
+def union_bins(grid, e: np.ndarray) -> np.ndarray:
+    """:func:`search_bins` on a union grid, through its log hash.
+
+    ``grid`` is duck-typed (in practice :class:`repro.xs.ce.UnionGrid`).
+    The bucket of ``max(e, energy[0])`` in ``log E`` (NaN and ``+inf``
+    fall in the top bucket) gives ``hash_lo``, a lower bound of the bin
+    whose window is at most ``2**hash_steps`` bins wide.  Each halving
+    step then moves ``lo`` up by ``step`` and back again, arithmetically,
+    where the grid point there lies above ``e`` — NaN compares above
+    nothing, so it climbs to the last bin as ``searchsorted`` sorts it.
+    Probes past the end read the last point (``mode="clip"``); the result
+    clamps to ``[0, n - 2]``.
+    """
+    e = np.asarray(e, dtype=np.float64)
+    energy = grid.energy
+    x = np.maximum(e, energy[0])
+    np.log(x, out=x)
+    x -= grid.hash_log_lo
+    x *= grid.hash_scale
+    np.fmin(x, grid.hash_lo.shape[0] - 1, out=x)
+    lo = grid.hash_lo.take(x.astype(np.intp))
+    above = np.empty(lo.shape, dtype=bool)
+    back = np.empty_like(lo)
+    step = 1 << grid.hash_steps
+    while step > 1:
+        step >>= 1
+        lo += step
+        np.greater(energy.take(lo, mode="clip"), e, out=above)
+        lo -= np.multiply(above, step, out=back)
+    return np.minimum(lo, energy.shape[0] - 2, out=lo)
 
 
 def interpolate_at_bins(table, e: np.ndarray, bins: np.ndarray) -> np.ndarray:
@@ -69,35 +108,49 @@ def ce_lookup(
     """Continuous-energy composite lookup on a unionized energy grid.
 
     ``grid`` is duck-typed (in practice :class:`repro.xs.ce.UnionGrid`):
-    ``energy`` is the union grid searched once per lane, ``ptr`` the
-    precomputed ``(n_union, n_nuclides)`` double-index table mapping a
-    union bin to each nuclide's own bracketing bin, ``nuclides`` carry
-    per-reaction value arrays on their own grids, ``fracs`` the atom
-    fractions.  One bisection on the union grid replaces the per-nuclide
-    searches (XSBench's unionized-grid mode); per nuclide the lookup is a
-    gather + the same linear interpolation as :func:`interpolate_at_bins`.
+    ``energy`` is the union grid searched once per lane (by
+    :func:`union_bins`), ``ptr`` the precomputed ``(n_nuclides,
+    n_union)`` double-index table whose row ``j`` maps a union bin to
+    nuclide ``j``'s own bracketing bin, ``nuclides`` carry per-reaction
+    value arrays on their own grids, ``fracs`` the atom fractions.  One
+    search on the union grid replaces the per-nuclide searches (XSBench's
+    unionized-grid mode); per nuclide the lookup is one pointer-row
+    gather, gathers at ``nb`` and ``nb + 1``, and the same linear
+    interpolation as :func:`interpolate_at_bins`, accumulated from zeros
+    in nuclide order.  Each term is ``frac * (v0 + t * (v1 - v0))``
+    evaluated in place; only the operands of commutative steps are
+    swapped, so its bits are that expression's.
 
     Returns ``(union_bins, micro_s, micro_c, micro_f)`` — microscopic
     barns mixed over the composition; ``micro_f`` is zeros when no member
     nuclide carries fission data.
     """
-    bins = search_bins(grid, e)
+    bins = union_bins(grid, e)
     n = e.shape[0]
     micro_s = np.zeros(n, dtype=np.float64)
     micro_c = np.zeros(n, dtype=np.float64)
     micro_f = np.zeros(n, dtype=np.float64)
+    t = np.empty(n, dtype=np.float64)
+    term = np.empty(n, dtype=np.float64)
     for j, nuc in enumerate(grid.nuclides):
         frac = grid.fracs[j]
-        nb = grid.ptr[bins, j]
-        e0 = nuc.energy[nb]
-        t = (e - e0) / (nuc.energy[nb + 1] - e0)
-        v0 = nuc.scatter[nb]
-        micro_s += frac * (v0 + t * (nuc.scatter[nb + 1] - v0))
-        v0 = nuc.capture[nb]
-        micro_c += frac * (v0 + t * (nuc.capture[nb + 1] - v0))
-        if nuc.fission is not None:
-            v0 = nuc.fission[nb]
-            micro_f += frac * (v0 + t * (nuc.fission[nb + 1] - v0))
+        nb = grid.ptr[j].take(bins)
+        nb1 = nb + 1
+        e0 = nuc.energy.take(nb)
+        np.subtract(e, e0, out=t)
+        t /= np.subtract(nuc.energy.take(nb1), e0, out=term)
+        for acc, values in (
+            (micro_s, nuc.scatter), (micro_c, nuc.capture),
+            (micro_f, nuc.fission),
+        ):
+            if values is None:
+                continue
+            v0 = values.take(nb)
+            np.subtract(values.take(nb1), v0, out=term)
+            term *= t
+            term += v0
+            term *= frac
+            acc += term
     return bins, micro_s, micro_c, micro_f
 
 

@@ -51,7 +51,7 @@ def to_jsonl(telemetry) -> str:
 
 #: Event names rendered with global scope in the Chrome trace (they mark
 #: run-wide scheduling decisions, not per-process detail).
-_GLOBAL_SCOPE_EVENTS = frozenset({"scheme_switch", "rebalance"})
+_GLOBAL_SCOPE_EVENTS = frozenset({"scheme_switch", "compaction", "rebalance"})
 
 
 def _pid_of(source: dict) -> int:
@@ -239,6 +239,13 @@ def to_prometheus(telemetry) -> str:
         out.counter("repro_scheduler_decisions", count,
                     "Adaptive scheduler scheme decisions per census step",
                     {"scheme": scheme})
+    parked = [int(row.get("attrs", {}).get("parked", 0))
+              for row in telemetry.events if row.get("name") == "compaction"]
+    if parked:
+        out.counter("repro_compactions", len(parked),
+                    "Census compactions that parked dead histories")
+        out.counter("repro_compacted_histories", sum(parked),
+                    "Dead histories parked by census compactions")
     pool = telemetry.pool
     if pool is not None:
         for key in ("retries", "rebalances", "respawns", "workers_lost",

@@ -12,12 +12,22 @@ double-index pointer table" acceleration from XSBench:
 
 * every nuclide keeps its own (energy, value) grids;
 * per material, the union of its nuclides' energy points is formed once at
-  construction; alongside it a pointer table ``ptr[n_union, n_nuclides]``
+  construction; alongside it a pointer table ``ptr[n_nuclides, n_union]``
   records, for each union bin, the bracketing bin on each nuclide's own
   grid (nuclide grid points are a subset of the union grid, so the nuclide
-  bin is constant across a union bin);
+  bin is constant across a union bin).  Each nuclide's pointers are one
+  contiguous row, so a lookup gathers them with one ``take``;
+* a logarithmic hash over the union grid (OpenMC's energy-grid hashing)
+  narrows each bin search to a window of a few points: ``M`` buckets
+  uniform in ``log E`` (``M`` the largest power of two ``<= n_union/2``),
+  and per bucket ``hash_lo``, the lowest union bin any energy that can
+  round into the bucket may have.  The window bounds are taken one whole
+  bucket outside the bucket on each side, so floating-point rounding in
+  ``log`` can never put an energy outside its window, and the hashed
+  search (:func:`repro.kernels.xs.union_bins`) equals the bisection bit
+  for bit;
 * a runtime lookup then costs **one** bin search (on the union grid,
-  binary or cached-linear — the same strategies as multigroup) plus one
+  hashed, or cached-linear — the same strategies as multigroup) plus one
   gather + linear interpolation per nuclide per reaction.
 
 The library is synthetic (resonance-peaked, fixed seeds) so CE problems
@@ -88,6 +98,8 @@ class CENuclide:
             raise ValueError("nuclide energy grid must be 1-D with >= 2 points")
         if not np.all(np.diff(energy) > 0):
             raise ValueError("nuclide energy grid must be strictly increasing")
+        if not (energy[0] > 0 and np.isfinite(energy[-1])):
+            raise ValueError("nuclide energies must be positive and finite")
         object.__setattr__(self, "energy", energy)
         for reaction in ("scatter", "capture", "fission"):
             value = getattr(self, reaction)
@@ -170,13 +182,25 @@ class UnionGrid:
         with the probe kernels in :mod:`repro.kernels.xs`, which only read
         ``.energy``.
     ptr:
-        ``(n_union, n_nuclides)`` int64 double-index table: ``ptr[k, j]`` is
-        the bin on nuclide ``j``'s own grid bracketing energies in union bin
-        ``k``.  Precomputing it turns the per-nuclide searches into gathers.
+        ``(n_nuclides, n_union)`` int64 double-index table, one C-contiguous
+        row per nuclide: ``ptr[j, k]`` is the bin on nuclide ``j``'s own
+        grid bracketing energies in union bin ``k``.  Precomputing it turns
+        the per-nuclide searches into gathers.
     nuclides / fracs:
         The material's nuclides and their atom fractions, lookup order.
     fissile:
         Whether any member nuclide carries fission data.
+    hash_lo:
+        ``(M + 1,)`` log-hash table: ``hash_lo[m]`` is the lowest union bin
+        of any energy whose bucket index rounds to ``m``; bucket ``M``
+        collects everything at or above the top of the grid (``+inf`` and
+        NaN included).
+    hash_log_lo / hash_scale:
+        Bucket of ``e`` is ``trunc((log(max(e, energy[0])) - hash_log_lo)
+        * hash_scale)``, capped at ``M``.
+    hash_steps:
+        Halving steps that resolve the widest bucket window:
+        ``ceil(log2(widest window + 1))``.
     """
 
     energy: np.ndarray
@@ -184,6 +208,10 @@ class UnionGrid:
     nuclides: tuple
     fracs: np.ndarray
     fissile: bool
+    hash_lo: np.ndarray
+    hash_log_lo: float
+    hash_scale: float
+    hash_steps: int
     nbins_log2: int = field(init=False)
 
     def __post_init__(self) -> None:
@@ -194,9 +222,46 @@ class UnionGrid:
         )
 
     def nbytes(self) -> int:
+        """Footprint of the lookup data: union grid, pointer rows, log
+        hash (``hash_lo``, 128 KiB on a 37 498-point grid) and the
+        nuclides' own tables."""
         total = self.energy.nbytes + self.ptr.nbytes + self.fracs.nbytes
+        total += self.hash_lo.nbytes
         total += sum(nuc.nbytes() for nuc in self.nuclides)
         return int(total)
+
+
+def _log_hash(energy: np.ndarray) -> dict:
+    """The log-hash fields of :class:`UnionGrid` for a union grid.
+
+    Bucket ``m`` may hold energies whose true log lies anywhere in bucket
+    ``m ± 1`` once ``log`` has rounded, so its window runs from the bin
+    of edge ``m − 1`` to the bin of edge ``m + 2``: one ``exp`` over the
+    ``M + 3`` edges ``−1 … M + 1`` and one ``searchsorted`` build it.  On
+    grids so narrow in ``log E`` that a bucket nears the rounding error of
+    ``log``, ``M`` halves until a bucket is ``2**-32`` of the log scale
+    wide: a rounding error in ``log`` then moves the bucket index by at
+    most ``2**-16``.
+    """
+    n = energy.shape[0]
+    log_lo = float(np.log(energy[0]))
+    log_hi = float(np.log(energy[-1]))
+    span = log_hi - log_lo
+    nbuckets = 1 << max((n // 2).bit_length() - 1, 0)
+    tolerance = 2.0**-32 * max(1.0, abs(log_lo), abs(log_hi))
+    while nbuckets > 1 and span / nbuckets < tolerance:
+        nbuckets //= 2
+    scale = nbuckets / max(span, tolerance)
+    edges = np.exp(log_lo + np.arange(-1, nbuckets + 2) / scale)
+    bins = np.clip(np.searchsorted(energy, edges, side="right") - 1, 0, n - 1)
+    lo = bins[: nbuckets + 1]
+    hi = np.append(bins[3:], n - 1)
+    return {
+        "hash_lo": lo.astype(np.intp),
+        "hash_log_lo": log_lo,
+        "hash_scale": scale,
+        "hash_steps": int((hi - lo).max()).bit_length(),
+    }
 
 
 #: Per-process memo of prepared grids keyed by material identity (CE
@@ -207,24 +272,36 @@ _GRID_CACHE: "weakref.WeakKeyDictionary[CEMaterial, UnionGrid]" = (
 )
 
 
+def _unique(values: np.ndarray) -> np.ndarray:
+    """``np.unique`` of NaN-free floats, without the ``numpy.ma`` import
+    that ``np.unique`` triggers (≈15 ms of a cold process's set-up)."""
+    values = np.sort(values)
+    keep = np.empty(values.shape[0], dtype=bool)
+    keep[:1] = True
+    np.not_equal(values[1:], values[:-1], out=keep[1:])
+    return values[keep]
+
+
 def build_union_grid(material: CEMaterial) -> UnionGrid:
-    """Build the unionized energy grid + double-index pointers for a material."""
+    """Build the unionized energy grid, its per-nuclide pointer rows and
+    its log hash for a material."""
     hit = _GRID_CACHE.get(material)
     if hit is not None:
         return hit
     nuclides = tuple(nuc for nuc, _frac in material.composition)
     fracs = np.array([frac for _nuc, frac in material.composition], dtype=np.float64)
-    union = np.unique(np.concatenate([nuc.energy for nuc in nuclides]))
-    ptr = np.empty((union.shape[0], len(nuclides)), dtype=np.int64)
+    union = _unique(np.concatenate([nuc.energy for nuc in nuclides]))
+    ptr = np.empty((len(nuclides), union.shape[0]), dtype=np.int64)
     for j, nuc in enumerate(nuclides):
         bins = np.searchsorted(nuc.energy, union, side="right") - 1
-        ptr[:, j] = np.clip(bins, 0, nuc.energy.shape[0] - 2)
+        np.clip(bins, 0, nuc.energy.shape[0] - 2, out=ptr[j])
     grid = UnionGrid(
         energy=union,
         ptr=ptr,
         nuclides=nuclides,
         fracs=fracs,
         fissile=material.fissile,
+        **_log_hash(union),
     )
     _GRID_CACHE[material] = grid
     return grid
@@ -261,7 +338,7 @@ def make_nuclide(
     jitter[0] = jitter[-1] = 0.0  # shared bounds: no cross-nuclide extrapolation
     spacing = np.diff(log_grid, prepend=log_grid[0] - (log_grid[1] - log_grid[0]))
     energy = np.exp(log_grid + jitter * spacing)
-    energy = np.unique(energy)
+    energy = _unique(energy)
     scatter = smooth_scatter + 5.0 * np.exp(-energy / 1.0e6)
     scatter = scatter + _resonances(energy, seed=seed + 1, n_res=n_res, amp=amp)
     capture = smooth_capture / np.sqrt(np.maximum(energy, 1e-12))

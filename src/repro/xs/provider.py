@@ -373,7 +373,7 @@ class ContinuousEnergyProvider(XsProvider):
         return self.grids[mi].nbins_log2
 
     def birth_bins_batch(self, mi: int, e: np.ndarray) -> dict:
-        return {"scatter_bin": kernel_xs.search_bins(self.grids[mi], e)}
+        return {"scatter_bin": kernel_xs.union_bins(self.grids[mi], e)}
 
     def union_points(self, mi: int) -> int:
         """Union-grid size for material ``mi`` (bench/telemetry surface)."""

@@ -111,6 +111,10 @@ def _resonances(energy: np.ndarray, seed: int, n_res: int, amp: float) -> np.nda
 
     Uses a fixed-seed generator so tables are identical across runs and
     machines — the paper's tables are generated once and loaded at start-up.
+    Each Lorentzian ``h·w² / ((log E − c)² + w²)`` is evaluated in one
+    scratch buffer in that expression's operation order, so every value
+    keeps the expression's exact bits (the table hashes are pinned in
+    ``tests/test_xs_provider.py``).
     """
     rng = np.random.default_rng(seed)
     log_e = np.log(energy)
@@ -118,8 +122,14 @@ def _resonances(energy: np.ndarray, seed: int, n_res: int, amp: float) -> np.nda
     widths = rng.uniform(0.01, 0.1, size=n_res)
     heights = rng.uniform(0.2, 1.0, size=n_res) * amp
     out = np.zeros_like(energy)
+    buf = np.empty_like(energy)
     for c, w, h in zip(centres, widths, heights):
-        out += h * w**2 / ((log_e - c) ** 2 + w**2)
+        w2 = w**2
+        np.subtract(log_e, c, out=buf)
+        np.square(buf, out=buf)
+        buf += w2
+        np.divide(h * w2, buf, out=buf)
+        out += buf
     return out
 
 

@@ -374,3 +374,35 @@ def test_chrome_trace_marks_switches_global(auto_telemetry):
     ]
     assert switches
     assert all(ev.get("s") == "g" for ev in switches)
+
+
+def test_auto_compaction_is_recorded(capsys):
+    """AUTO's census compaction leaves one ``compaction`` event (step,
+    parked, alive): csp at 240 histories x 16 steps compacts once,
+    parking 124 of 240.  ``--switch-trace`` prints it, the Chrome trace
+    renders it with global scope, Prometheus counts it, and the physics
+    is the same with the recorder on or off."""
+    from repro.cli import _print_switch_trace
+
+    cfg = csp_problem(nx=48, nparticles=240, ntimesteps=16)
+    recorder = Recorder()
+    traced = Simulation(cfg).run(Scheme.AUTO, recorder=recorder)
+    compactions = [e for e in recorder.events if e.name == "compaction"]
+    assert [e.attrs for e in compactions] == [
+        {"step": 8, "parked": 124, "alive": 116}
+    ]
+    plain = Simulation(cfg).run(Scheme.AUTO)
+    _assert_physics_identical(plain, traced)
+    _assert_states_identical(plain, traced)
+    assert np.array_equal(plain.tally.deposition, traced.tally.deposition)
+
+    _print_switch_trace(recorder)
+    assert "step 8: compaction parked=124 alive=116" in capsys.readouterr().out
+    trace = to_chrome_trace(build_run_telemetry(traced, recorder))
+    rendered = [
+        ev for ev in trace["traceEvents"] if ev.get("name") == "compaction"
+    ]
+    assert len(rendered) == 1 and rendered[0].get("s") == "g"
+    text = to_prometheus(build_run_telemetry(traced, recorder))
+    assert "repro_compactions_total 1" in text
+    assert "repro_compacted_histories_total 124" in text

@@ -24,15 +24,22 @@ from repro.core import Scheme, Simulation, csp_problem, scatter_problem, stream_
 from repro.core.validation import energy_balance_error, population_accounted
 from repro.ensemble.engine import population_fingerprint
 from repro.kernels.audit import audit_xs_table_access
-from repro.kernels.xs import ce_lookup, linear_walk_probes, search_bins
-from repro.xs.ce import CEMaterial, CENuclide, build_union_grid, make_nuclide
-from repro.xs.materials import fissile_fuel, hydrogenous_moderator
+from repro.kernels.xs import ce_lookup, linear_walk_probes, search_bins, union_bins
+from repro.xs.ce import (
+    CEMaterial,
+    CENuclide,
+    build_union_grid,
+    default_ce_materials,
+    make_nuclide,
+)
+from repro.xs.materials import fissile_fuel, hydrogenous_moderator, make_fission_table
 from repro.xs.provider import (
     ContinuousEnergyProvider,
     MultigroupProvider,
     XsMode,
     resolve_provider,
 )
+from repro.xs.tables import make_capture_table, make_scatter_table
 
 # ---------------------------------------------------------------------------
 # Multigroup golden parity (pre-refactor seed values, captured verbatim)
@@ -246,15 +253,151 @@ def test_union_grid_structure():
     grid = build_union_grid(_toy_material())
     union = grid.energy
     assert np.all(np.diff(union) > 0)
+    # One C-contiguous pointer row per nuclide.
+    assert grid.ptr.shape == (len(grid.nuclides), union.shape[0])
+    assert grid.ptr.flags.c_contiguous
     for j, nuc in enumerate(grid.nuclides):
         # Every nuclide point appears in the union; pointers bracket.
         assert np.isin(nuc.energy, union).all()
-        assert grid.ptr[:, j].min() >= 0
-        assert grid.ptr[:, j].max() <= nuc.energy.shape[0] - 2
+        assert grid.ptr[j].min() >= 0
+        assert grid.ptr[j].max() <= nuc.energy.shape[0] - 2
     # Identity-keyed cache: same material object -> same grid object.
     assert build_union_grid(_toy_material()) is not build_union_grid(
         _toy_material()
     )
+
+
+# ---------------------------------------------------------------------------
+# The hashed union-grid search is exact: union_bins == search_bins
+# ---------------------------------------------------------------------------
+
+#: The toy grid and both materials of the default 25 000-entry library.
+_HASH_GRIDS = {
+    "toy": lambda: build_union_grid(_toy_material(fissile=True)),
+    "default0": lambda: build_union_grid(default_ce_materials(2, 25_000)[0]),
+    "default1": lambda: build_union_grid(default_ce_materials(2, 25_000)[1]),
+}
+
+#: Inputs outside the grid that every search must clamp the same way.
+_HOSTILE_ENERGIES = np.array([
+    0.0, -0.0, -1.0, -1e300, np.inf, -np.inf, np.nan, -np.nan,
+    5e-324, 1e-310, np.finfo(np.float64).tiny, 1e300,
+    np.finfo(np.float64).max, -np.finfo(np.float64).max,
+])
+
+
+def _assert_union_bins_exact(grid, e):
+    e = np.asarray(e, dtype=np.float64)
+    with np.errstate(all="raise"):
+        got = union_bins(grid, e)
+    np.testing.assert_array_equal(got, search_bins(grid, e))
+
+
+@pytest.mark.parametrize("name", sorted(_HASH_GRIDS))
+def test_union_bins_equals_search_bins_on_every_edge(name):
+    """Every grid point and its ``nextafter`` neighbours, every bucket
+    edge and its neighbours, values below and above the range, and the
+    hostile floats (0, -1, ±inf, subnormals, NaN) — bit-equal to the
+    bisection, with no floating-point warning."""
+    grid = _HASH_GRIDS[name]()
+    nbuckets = grid.hash_lo.shape[0] - 1
+    assert nbuckets & (nbuckets - 1) == 0
+    assert nbuckets <= max(grid.energy.shape[0] // 2, 1)
+    edges = np.exp(
+        grid.hash_log_lo + np.arange(-1, nbuckets + 2) / grid.hash_scale
+    )
+    points = np.concatenate([grid.energy, edges])
+    lo, hi = grid.energy[0], grid.energy[-1]
+    _assert_union_bins_exact(grid, np.concatenate([
+        points,
+        np.nextafter(points, np.inf),
+        np.nextafter(points, -np.inf),
+        [lo / 10.0, lo / 1e30, hi * 10.0, hi * 1e30],
+        _HOSTILE_ENERGIES,
+    ]))
+
+
+@pytest.mark.parametrize("name", sorted(_HASH_GRIDS))
+@given(energies=st.lists(st.floats(width=64), min_size=1, max_size=64))
+@settings(max_examples=60, deadline=None)
+def test_union_bins_equals_search_bins_on_any_float(name, energies):
+    _assert_union_bins_exact(_HASH_GRIDS[name](), energies)
+
+
+def test_union_bins_exact_on_edge_aligned_and_degenerate_grids():
+    """Log-uniform grids put a grid point on every other bucket edge, so
+    an energy a few ulps off a point can round into the next bucket:
+    only the guard bucket keeps those exact.  Two points, three, and a
+    grid so narrow in log E that its buckets would near the rounding
+    error of ``log`` are exact too."""
+    for energy in (
+        np.geomspace(1.0, 2.0**20, 1025),
+        np.geomspace(1e-5, 2e7, 4097),
+        np.array([1.0, 1e6]),
+        np.geomspace(1e-5, 2e7, 3),
+        1.0 + np.arange(64) * 2.0**-50,
+    ):
+        nuc = CENuclide(
+            name="n", awr=1.0, energy=energy,
+            scatter=np.ones_like(energy), capture=np.ones_like(energy),
+        )
+        grid = build_union_grid(CEMaterial("m", composition=((nuc, 1.0),)))
+        ulps = np.arange(1, 4)[:, None] * 2.0**-53
+        e = np.concatenate([
+            energy, np.nextafter(energy, np.inf),
+            np.nextafter(energy, -np.inf), _HOSTILE_ENERGIES,
+            (energy * (1 + 2 * ulps)).ravel(), (energy * (1 - ulps)).ravel(),
+        ])
+        _assert_union_bins_exact(grid, e)
+
+
+def test_ce_nuclide_energies_must_be_positive():
+    for energy in ((0.0, 1.0), (-1.0, 1.0), (1.0, np.inf)):
+        with pytest.raises(ValueError, match="positive and finite"):
+            CENuclide("x", 1.0, np.array(energy),
+                      np.ones(2), np.ones(2))
+
+
+#: sha256[:16] of the cross-section data, captured at commit 7f65f5b (the
+#: out-of-place resonance loop, the ``(n_union, n_nuclides)`` pointer
+#: table, transposed here): the 25 000-entry multigroup (energy, value)
+#: tables, every array of the default 25 000-point, two-material CE
+#: library, and each material's union grid and pointer rows.
+TABLE_SHA = {
+    "scatter": "45344028b0bc8cac",
+    "capture": "8ed58547d9fb9daa",
+    "fission": "dd450fc959f5f0e3",
+    "ce_library": "789d2187998a33b3",
+    "ce_moderator_0": ("12e2c4111a75e519", "394faff0be650d99"),
+    "ce_fuel_1": ("ed71579dea0d6fa9", "06bde86c54a307d8"),
+}
+
+
+def _sha(*arrays):
+    digest = hashlib.sha256()
+    for a in arrays:
+        digest.update(np.ascontiguousarray(a).tobytes())
+    return digest.hexdigest()[:16]
+
+
+def test_cross_section_tables_are_bit_identical():
+    for name, make in (("scatter", make_scatter_table),
+                       ("capture", make_capture_table),
+                       ("fission", make_fission_table)):
+        table = make(25_000)
+        assert _sha(table.energy, table.value) == TABLE_SHA[name], name
+    mats = default_ce_materials(2, 25_000)
+    arrays = [
+        values
+        for mat in mats
+        for nuc, _frac in mat.composition
+        for values in (nuc.energy, nuc.scatter, nuc.capture, nuc.fission)
+        if values is not None
+    ]
+    assert _sha(*arrays) == TABLE_SHA["ce_library"]
+    for mat in mats:
+        grid = build_union_grid(mat)
+        assert (_sha(grid.energy), _sha(grid.ptr)) == TABLE_SHA[mat.name]
 
 
 def _bruteforce_micro(material, e):
