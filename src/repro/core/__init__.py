@@ -7,8 +7,10 @@ Public entry points:
   :class:`repro.core.config.SimulationConfig` (or a problem factory from
   :mod:`repro.core.problems`, 2-D or 3-D) and run either scheme;
 * :func:`repro.core.stepper.run_stepped` — the one census driver behind
-  it: depth-first history tracking (:mod:`repro.core.over_particles`,
-  paper §V-A, Listing 1) or breadth-first event passes
+  it, with one step method over zero-copy windows of the run arena:
+  depth-first history tracking in windows of ``op_block_size`` lanes
+  (:mod:`repro.core.over_particles`, paper §V-A, Listing 1) or
+  breadth-first event passes over one window covering the whole arena
   (:mod:`repro.core.over_events`, §V-B, Listing 2), chosen per census
   step — two traversal orders of the one event pass in
   :mod:`repro.core.event_pass`;

@@ -10,13 +10,15 @@ much work it did.  It is the *only* implementation of
 
 * count / sum / flush attribution (:meth:`cadd`, :meth:`csum`,
   :meth:`flush`, :meth:`record_pass`), used by the one event pass
-  (:mod:`repro.core.event_pass`), 2-D and 3-D.  An Over Events
-  pass charges the books themselves, lane by lane; an Over Particles
-  block never spans replicas (:meth:`segments`), so it charges that
-  replica's whole-batch :class:`ReplicaSink` (``books.sinks[r]``) — the
+  (:mod:`repro.core.event_pass`), 2-D and 3-D.  The window over the
+  whole arena (Over Events) charges the books themselves, lane by lane;
+  an Over Particles window never spans replicas — each replica's lanes
+  are one contiguous range (:meth:`windows`) — so it charges that
+  replica's whole-batch :class:`ReplicaSink` (``books.sinks[r]``), the
   same verbs without the split;
 * child-replica inheritance and the lock-step growth, permutation and
-  compaction of the per-lane arrays;
+  compaction of the per-lane arrays, and the replica-major sort of the
+  arena with them;
 * birth-draw charging, live totals for the probe and the scheduler;
 * the fold of per-replica books into run totals (:meth:`fold`).
 
@@ -42,6 +44,8 @@ type only — the drivers never ask how many replicas they carry.
 """
 
 from __future__ import annotations
+
+from contextlib import contextmanager
 
 import numpy as np
 
@@ -173,7 +177,7 @@ class ReplicaBooks:
         #: settled into each replica's ``oe_passes`` (:meth:`_settle`).
         self.ledger: dict[str, np.ndarray] = {}
         self.pass_ledger: list[np.ndarray] = []
-        #: One whole-batch sink per replica (an Over Particles block
+        #: One whole-batch sink per replica (an Over Particles window
         #: charges ``sinks[r]``; with one replica every verb below does).
         self.sinks = [
             ReplicaSink(m, c, t)
@@ -293,13 +297,36 @@ class ReplicaBooks:
 
     # ------------------------------------------------------------------
     # Population changes (per-lane arrays move in lock-step with the arena)
-    def segments(self, lo: int, hi: int):
-        """``(replica, lane indices)`` for the lanes of ``[lo, hi)``,
-        replica-major, each replica's lanes in storage order — the order
-        of that replica's standalone arena, however children and
-        boundary sorts interleaved the replicas."""
-        order, cuts = _by_replica(self.rep[lo:hi], self.nreplicas)
-        return list(enumerate(np.split(lo + order, cuts)))
+    @contextmanager
+    def windows(self, arena, lo: int, width, bank: list):
+        """``(sink, start, stop)`` of each window over lanes ``[lo,
+        len(arena))``, for the body of the ``with``: ``width`` lanes at a
+        time within one replica, charged to its sink, or (``width`` None)
+        one window over them all, charged to the books lane by lane.  With
+        ``R > 1`` the lanes are stable-sorted replica-major for it (arena
+        and books; each replica keeps its storage order) and put back
+        after, the parent rows in ``bank`` with them."""
+        hi = len(arena)
+        if width is None:
+            yield [(self, lo, hi)]
+            return
+        rep = self.rep[lo:]
+        moved = self.nreplicas > 1 and bool((np.diff(rep) < 0).any())
+        if moved:
+            rows = np.arange(hi)
+            rows[lo:] = lo + np.argsort(rep, kind="stable")
+            arena.permute(rows)
+            self.permute(rows)
+        bounds = (lo + np.searchsorted(
+            self.rep[lo:], np.arange(self.nreplicas + 1)
+        )).tolist()
+        yield [(sink, start, min(start + width, stop))
+               for sink, first, stop in zip(self.sinks, bounds, bounds[1:])
+               for start in range(first, stop, width)]
+        if moved:
+            arena.permute(np.argsort(rows))
+            self.permute(np.argsort(rows))
+            bank[:] = [(b, rows[p], c, k) for b, p, c, k in bank]
 
     def inherit(self, parents: np.ndarray) -> None:
         """Append one lane per child; each inherits its parent's replica."""
@@ -370,7 +397,7 @@ class ReplicaBooks:
             stack = self.stack
             self.tally.deposition += stack.deposition.sum(axis=0)
             self.tally.flush_counts += stack.flush_counts.sum(axis=0)
-            # Over Particles blocks flush a row directly, not the stack.
+            # Over Particles windows flush a row directly, not the stack.
             self.tally.flushes += sum(t.flushes for t in self.tallies)
         totals.nparticles = int(self.rep.size)
         totals.collisions_per_particle = self.coll_pp

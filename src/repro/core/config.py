@@ -131,11 +131,12 @@ class SimulationConfig:
         at importance-changing facet crossings (§IV-E's variance-reduction
         family); ``None`` disables the technique.
     op_block_size:
-        Histories advanced together by the Over Particles driver.  Block
-        size 1 reproduces the classic one-history-at-a-time depth-first
-        traversal; larger blocks vectorise the per-event work across the
-        block while the counter-based RNG keeps every history's draw
-        sequence — and therefore its final state — bit-identical.
+        The Over Particles window width: lanes of the run arena (one
+        replica's; dead lanes ride along) advanced together, in place.
+        Width 1 reproduces the classic one-history-at-a-time traversal;
+        wider windows vectorise the per-event work while the
+        counter-based RNG keeps every history's draw sequence — and
+        therefore its final state — bit-identical.
     nz, depth:
         Cells and extent [m] along a third axis; ``nz=None`` is the
         paper's 2-D grid.

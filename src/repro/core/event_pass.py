@@ -10,20 +10,19 @@ fission, Russian roulette and importance-map extensions (§IX) and the
 bank of the children they spawn — exist here and nowhere else (the kernel
 audit enforces that).
 
-A :class:`WorkingSet` is a :class:`~repro.particles.arena.ParticleArena`
-plus what a pass needs beside it: the positional caches (``micro_s/c/f``,
-``mat_idx``), a :class:`~repro.rng.stream.VectorParticleRNG` over the
-lanes' streams, the lane → run-arena index ``gidx`` and an attribution
-*sink* with the :class:`~repro.core.books.ReplicaBooks` verbs.  Over
-Events builds one over the run arena in place and passes until every lane
-is censused or dead; Over Particles gathers a block of lanes into a
-private arena, passes over *that* until no lane is active, and scatters
-it back.  ``active`` is ``alive & ~censused`` in both.
-
-What legitimately differs between the schemes is handed in by the
-census stepper's two step methods (:mod:`repro.core.stepper`), never
-tested for here (the kernel audit fails on a fixed-scheme comparison
-anywhere below the stepper):
+A :class:`WorkingSet` is a zero-copy window of the run arena
+(``arena.view(lo, hi)``, or the arena itself when it covers it — a pass
+writes the run arena in place) plus what a pass needs beside it: the
+positional caches (``micro_s/c/f``, ``mat_idx``), a
+:class:`~repro.rng.stream.VectorParticleRNG` over the lanes' streams,
+the window's offset ``lo`` and an attribution *sink* with the
+:class:`~repro.core.books.ReplicaBooks` verbs.  An Over Particles block
+is a window of ``op_block_size`` lanes, an Over Events step one window
+over the whole arena; ``active`` is ``alive & ~censused`` in both, so
+dead lanes ride along inactive.  What else differs between the schemes
+is handed in by the census stepper's one step method
+(:mod:`repro.core.stepper`), never tested for here (the kernel audit
+fails on a fixed-scheme comparison anywhere below the stepper):
 
 1. ``refresh`` — the cross-section refresh and its search accounting
    (:func:`repro.core.over_particles.exact_refresh` /
@@ -132,22 +131,22 @@ class PassContext:
 
 
 class WorkingSet:
-    """One lane working set, and the event pass over it.
+    """One lane working set — a window of the run arena — and the event
+    pass over it.
 
-    ``arena`` holds the lanes' particle state (the run arena itself, or a
-    gathered copy of some of its rows), ``gidx[i]`` is the run-arena row
-    of lane ``i``, and ``sink`` is charged every count, sum and tally
-    flush.  Sink verbs take lane indices: a per-lane sink (the run's
-    :class:`~repro.core.books.ReplicaBooks`) therefore needs the in-place
-    working set, where lane ``i`` *is* run-arena row ``i``; a whole-batch
+    ``arena`` is the window (lane ``i`` is run-arena row ``lo + i``) and
+    ``sink`` is charged every count, sum and tally flush.  Sink verbs
+    take lane indices: a per-lane sink (the run's
+    :class:`~repro.core.books.ReplicaBooks`) therefore needs the window
+    over the whole arena (``lo`` = 0); a whole-batch
     :class:`~repro.core.books.ReplicaSink` only reads their number.
     """
 
-    def __init__(self, ctx: PassContext, arena, gidx: np.ndarray, sink,
-                 refresh, trace=None):
+    def __init__(self, ctx: PassContext, arena, lo: int, sink, refresh,
+                 trace=None):
         self.ctx = ctx
         self.arena = arena
-        self.gidx = gidx
+        self.lo = lo
         self.sink = sink
         #: ``refresh(work, idx)`` re-reads the microscopic cross sections
         #: of lanes ``idx`` into ``micro_s/c/f`` and their cached bins,
@@ -174,7 +173,7 @@ class WorkingSet:
 
     def grow(self) -> np.ndarray:
         """Extend the caches over lanes appended to the arena (children
-        joining an in-place working set mid-step); returns the new lanes."""
+        joining the whole-arena window mid-step); returns the new lanes."""
         arena = self.arena
         self.pos, self.omega, self.cells = arena.pos, arena.omega, arena.cells
         old = self.mat_idx.size
@@ -187,7 +186,6 @@ class WorkingSet:
             self.mat_idx,
             self.ctx.material_map[tuple(_at(self.cells[::-1], new))],
         ])
-        self.gidx = np.concatenate([self.gidx, new])
         # Carry the live counters over: the arena's counter field is only
         # synchronised by :meth:`sync_rng`.
         self.rng = VectorParticleRNG(
@@ -312,9 +310,9 @@ class WorkingSet:
         a.deposit_buffer[c] += dep
         sink.cadd("collisions", c)
         # Lanes are distinct histories, so the fancy-index add is exact.
-        ctx.books.coll_pp[self.gidx[c]] += 1
+        ctx.books.coll_pp[c + self.lo] += 1
         if self.trace is not None:
-            self.trace(EventKind.COLLISION, self.gidx[c], *_at(self.cells, c))
+            self.trace(EventKind.COLLISION, c + self.lo, *_at(self.cells, c))
 
         # ---- fission banking (multiplying media extension) -------------
         fissile_here = prov.mat_fissile[self.mat_idx[c]] & (sigma_t[c] > 0.0)
@@ -406,7 +404,7 @@ class WorkingSet:
         block.deposit_buffer[...] = 0.0
         block.alive[...] = True
         block.censused[...] = False
-        self.ctx.bank.append((block, self.gidx[lanes], counter, child))
+        self.ctx.bank.append((block, lanes + self.lo, counter, child))
         return block, lanes, seeds
 
     def bank_secondaries(self, parents, counts, counters_at_event) -> None:
@@ -439,8 +437,10 @@ class WorkingSet:
         # the right line.  Bins the backend does not seed start at 0.
         for name in ("scatter_bin", "capture_bin", "fission_bin"):
             getattr(block, name)[...] = 0
-        for mi in np.unique(mat):
+        for mi in range(prov.nmaterials):
             sel = mat == mi
+            if not sel.any():
+                continue
             for name, bins in prov.birth_bins_batch(
                 mi, block.energy[sel]
             ).items():
@@ -491,9 +491,9 @@ class WorkingSet:
                 field[rows] = new[turned]
         del out
         sink.cadd("facets", f)
-        ctx.books.facet_pp[self.gidx[f]] += 1
+        ctx.books.facet_pp[f + self.lo] += 1
         if self.trace is not None:
-            self.trace(EventKind.FACET, self.gidx[f], *cells_f)
+            self.trace(EventKind.FACET, f + self.lo, *cells_f)
         gone = f[escaped]
         if gone.size:
             sink.cadd("escapes", gone)
@@ -601,4 +601,4 @@ class WorkingSet:
         a.censused[z] = True
         self.sink.cadd("census_events", z)
         if self.trace is not None:
-            self.trace(EventKind.CENSUS, self.gidx[z], *cells_z)
+            self.trace(EventKind.CENSUS, z + self.lo, *cells_z)

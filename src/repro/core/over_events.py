@@ -4,10 +4,13 @@ Breadth-first traversal: every pass advances *all* in-flight particles by
 exactly one event — distances are computed for the whole population, the
 next event of each particle is determined, and the collision / facet /
 census handlers each process their subset.  That pass is
-:meth:`repro.core.event_pass.WorkingSet.event_pass`, run over the run
-arena *in place* (the same code an Over Particles block runs over its
-gathered lanes); :func:`run_passes` repeats it until every history is censused or
-dead.  The paper's observations map directly onto this implementation:
+:meth:`repro.core.event_pass.WorkingSet.event_pass`, run by the census
+stepper's one pass loop (:mod:`repro.core.stepper`) over one window that
+covers the whole run arena, in place — the same code an Over Particles
+block runs over its ``op_block_size``-lane window — until every history
+is censused or dead, children joining the population after each pass in
+the order they were banked.  The paper's observations map directly onto
+this implementation:
 
 * *tight vectorisable loops* — every kernel is a numpy array operation
   over the particle batch, housed in :mod:`repro.kernels` and invoked
@@ -24,12 +27,11 @@ dead.  The paper's observations map directly onto this implementation:
   accumulates in lane order), the analogue of the separate tally loop the
   paper introduced to enable vectorisation (§VI-G).
 
-What is particular to the scheme is here: the pass bookkeeping, children
-joining the population between passes (in the order they were banked),
-and :class:`HoistedRefresh` — cross-section refreshes hoist the bin
-search out of the hot path: a particle whose energy is bitwise-unchanged
-since its last search in the same material reuses its cached bins,
-counted in ``Counters.xs_bin_reuses``.
+What is particular to the scheme is here: the pass bookkeeping
+(:func:`book_pass`) and :class:`HoistedRefresh`, whose cross-section
+refreshes hoist the bin search out of the hot path: a particle whose
+energy is bitwise-unchanged since its last search in the same material
+reuses its cached bins, counted in ``Counters.xs_bin_reuses``.
 
 The physics — including per-particle RNG streams and the deterministic
 derivation of secondary identities — is not merely identical to the Over
@@ -39,15 +41,13 @@ states match bit-for-bit and tallies match to accumulation-order rounding.
 
 from __future__ import annotations
 
-from functools import partial
-
 import numpy as np
 
 from repro.core.counters import EventPassStats
 from repro.core.event_pass import WorkingSet
 from repro.kernels.batch import EventKind
 
-__all__ = ["HoistedRefresh", "run_passes"]
+__all__ = ["HoistedRefresh", "book_pass"]
 
 
 class HoistedRefresh:
@@ -108,7 +108,7 @@ class HoistedRefresh:
             sink.cadd("xs_bin_reuses", sel[reuse], k)
 
 
-def _book_pass(books, pass_span, active, masks, n_event) -> None:
+def book_pass(books, pass_span, active, masks, n_event) -> None:
     """Book one pass's occupancy on the books and, when telemetry is on,
     as attributes of its span."""
     stats = EventPassStats(
@@ -127,27 +127,3 @@ def _book_pass(books, pass_span, active, masks, n_event) -> None:
             facets=stats.n_facet, census=stats.n_census,
         )
 
-
-def run_passes(work: WorkingSet, rec) -> None:
-    """Advance the in-place working set ``work`` to census: refresh the
-    cached cross sections of every live history (Over Particles does the
-    same at each history start), then pass until no lane is active, each
-    pass under an ``event_pass`` span carrying its occupancy."""
-    ctx = work.ctx
-    arena = work.arena
-    work.refresh(work, np.nonzero(arena.alive)[0])
-    npass = 0
-    while True:
-        active = work.active()
-        if not np.count_nonzero(active):
-            break
-        with rec.span("event_pass", index=npass) as pass_span:
-            work.event_pass(
-                active, partial(_book_pass, ctx.books, pass_span)
-            )
-            # Fission secondaries and clones join the population, in the
-            # order they were banked.
-            if ctx.bank:
-                ctx.join_bank(arena)
-                work.refresh(work, work.grow())
-        npass += 1

@@ -1,28 +1,27 @@
 """The Over Particles parallelisation scheme (paper §V-A, Listing 1).
 
 Depth-first traversal: a worker follows particle histories from birth (or
-census restore) to their next census or termination.  The driver advances
-a *block* of histories together — ``config.op_block_size`` lanes are
-gathered out of the run arena into a block-local arena ("registers"),
-:func:`run_block` runs the one event pass
-(:meth:`repro.core.event_pass.WorkingSet.event_pass`) over that block
-until no lane is active, and the final state is scattered back into the
-same arena slots.  Block size 1 reproduces the classic one-history-at-a-time
-traversal exactly; larger blocks change only the *interleaving* of
-histories, not any history's draw sequence — the counter-based RNG gives
-every history its own stream, so final particle states are bit-identical
-for every block size (the parity suite asserts this for block sizes 1, 7,
-64 and N).
+census restore) to their next census or termination.  The census
+stepper's one step method (:mod:`repro.core.stepper`) advances a *block*
+of histories together — a zero-copy window of ``config.op_block_size``
+lanes of the run arena, dead lanes riding along inactive — by the one
+event pass (:meth:`repro.core.event_pass.WorkingSet.event_pass`), in
+place, until no lane is active.  Block size 1 reproduces the classic
+one-history-at-a-time traversal exactly; larger blocks change only the
+*interleaving* of histories, not any history's draw sequence — the
+counter-based RNG gives every history its own stream, so final particle
+states are bit-identical for every block size (the parity suite asserts
+this for block sizes 1, 7, 64 and N).
 
 The event physics is not in this module: collisions, facets, census and
 the §IX extensions are the shared handlers of :mod:`repro.core.event_pass`,
 the very code an Over Events pass runs.  What is particular to the scheme
 is here:
 
-* *register caching* — the block's particle state and microscopic cross
-  sections stay in block-local arrays for the whole history; the lookup
-  tables are touched only when the energy changes (collisions) or the
-  particle enters a different material;
+* *register caching* — the block's microscopic cross sections stay in
+  window-local arrays for the whole history; the lookup tables are
+  touched only when the energy changes (collisions) or the particle
+  enters a different material;
 * *exact search accounting* — :func:`exact_refresh` counts the
   cached-linear walk length or the bisection probes of each lane from the
   bins it carries, by the counting kernels in :mod:`repro.kernels.xs`,
@@ -35,11 +34,9 @@ is here:
   under different OpenMP-style schedules, and :func:`trace_hook` feeds
   :mod:`repro.simexec` the event sequence itself.
 
-Secondaries (fission, importance clones) are banked during the sweep; the
-census stepper's Over Particles step (:mod:`repro.core.stepper`) sorts the
-bank into the deterministic (parent, event, child) order the depth-first
-traversal would have produced and tracks the offspring in the next round,
-within the same timestep.
+Secondaries (fission, importance clones) are banked during the sweep and
+join after each round of windows, in the (parent, event, child) order
+the depth-first traversal would have produced, for the next round.
 """
 
 from __future__ import annotations
@@ -47,16 +44,16 @@ from __future__ import annotations
 import numpy as np
 
 from repro.core.config import SearchStrategy
-from repro.core.event_pass import PassContext, WorkingSet
+from repro.core.event_pass import WorkingSet
 from repro.kernels import xs as kernel_xs
 
-__all__ = ["exact_refresh", "run_block", "trace_hook"]
+__all__ = ["exact_refresh", "trace_hook"]
 
 
 def exact_refresh(work: WorkingSet, idx: np.ndarray) -> None:
-    """Refresh the microscopic cross sections of block lanes ``idx`` with
+    """Refresh the microscopic cross sections of window lanes ``idx`` with
     exact per-strategy search accounting, walking/bisecting from each
-    lane's carried bins.  The block belongs to one replica, so the counts
+    lane's carried bins.  The window belongs to one replica, so the counts
     go straight onto its counters."""
     arena = work.arena
     sink = work.sink
@@ -106,24 +103,3 @@ def trace_hook(trace: list, mesh):
 
     return hook
 
-
-def run_block(ctx: PassContext, arena, idx: np.ndarray, sink,
-              trace=None) -> None:
-    """Advance the alive histories ``idx`` of ``arena`` to census or
-    termination as one block charged to ``sink``.
-
-    Each lane draws from its own counter-based stream, so no lane's
-    history depends on which other lanes share the block.
-    """
-    block = WorkingSet(
-        ctx, arena.subset(idx), idx, sink, exact_refresh, trace
-    )
-    # History-start refresh of the cached microscopic values — counted.
-    exact_refresh(block, np.arange(idx.size))
-    while True:
-        active = block.active()
-        if not np.count_nonzero(active):
-            break
-        block.event_pass(active)
-    block.sync_rng()
-    arena.assign(idx, block.arena)

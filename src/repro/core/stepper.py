@@ -1,10 +1,6 @@
-"""The unified census stepper — one census loop for every driver.
-
-Historically ``over_particles.py`` and ``over_events.py`` (and the 3-D
-driver) each owned a private copy of the same census scaffolding: source
-emission, the ``for step in range(ntimesteps)`` loop, the census-boundary
-``dt_to_census`` reset, fission-bank bookkeeping and the final counter
-wiring.  This module hoists all of that into one place:
+"""The unified census stepper — source emission, the census loop, the
+census-boundary bookkeeping, the one step method and the one pass loop
+of every driver, in one place:
 
 * :func:`drive_census_loop` — the census loop itself (run span →
   timestep spans).  Every driver routes through it; the
@@ -15,28 +11,29 @@ wiring.  This module hoists all of that into one place:
   dimensions or three (the config builds the mesh and the tally and
   names the births' draw count; the source region's axes pick the arena
   the population is emitted into).
-  Each census step runs Over Particles blocks (``_op_step``) or Over
-  Events passes over the run arena in place (``_oe_step``), as the
-  run's *plan* picks: a fixed :class:`Scheme`, or a plan object with
-  ``decide(step, stepper) -> StepDecision``.  ``Scheme.AUTO`` is the
-  rule :data:`AUTO_RULE`: Over Events every step, compacting the arena
-  at a boundary where more than :data:`COMPACT_DEAD_FRACTION` of it is
-  dead (the widest width wins on every measured workload, see
+  Each census step runs the one step method (``_step``) over zero-copy
+  windows of the run arena under the scheme the run's *plan* picks (a
+  fixed :class:`Scheme`, or a plan object with ``decide(step, stepper)
+  -> StepDecision``), which differ by one row of data (``_traversal``):
+  Over Particles windows of ``op_block_size`` lanes, or Over Events' one
+  window over the whole arena.  ``Scheme.AUTO`` is the rule
+  :data:`AUTO_RULE`: Over Events every step, compacting the arena at a
+  boundary where more than :data:`COMPACT_DEAD_FRACTION` of it is dead
+  (the widest width wins on every measured workload, see
   ``results/WIDTH.md``).
 * :class:`StepDecision` — what one census step runs: the scheme and
   compaction at the boundary.
 
 Parity argument: at a census boundary the entire transport state of a
 history is its arena row — position, direction, energy, weight, cached
-bins, ``dt_to_census``, ``mfp_to_collision`` and the RNG counter.  Both
-step methods read exactly that state at step entry and leave exactly
-that state at step exit (OP synchronises RNG counters per block
-writeback, an OE step synchronises its working set's counters at step
-end), so *which* scheme advances a given step cannot change any
-history's event sequence.  Only instrumentation that prices traversal
-order (xs probe/bin-reuse counters, workspace churn, kernel profile) may
-differ between schedules; the physics counters, tallies and final
-population are invariant, which
+bins, ``dt_to_census``, ``mfp_to_collision`` and the RNG counter.  Every
+window reads exactly that state at its start and leaves exactly that
+state at its end (each synchronises its RNG counters into the arena), so
+*which* scheme advances a given step cannot change any history's event
+sequence.  Only instrumentation that prices traversal order (xs
+probe/bin-reuse counters, workspace churn, kernel profile) may differ
+between schedules; the physics counters, tallies and final population
+are invariant, which
 :func:`repro.ensemble.engine.population_fingerprint` makes checkable in
 one hash.
 
@@ -48,14 +45,15 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
 from repro.core.books import ReplicaBooks
 from repro.core.config import Scheme, SimulationConfig
 from repro.core.event_pass import PassContext, WorkingSet
-from repro.core.over_events import HoistedRefresh, run_passes
-from repro.core.over_particles import run_block, trace_hook
+from repro.core.over_events import HoistedRefresh, book_pass
+from repro.core.over_particles import exact_refresh, trace_hook
 from repro.kernels import KernelDispatch, Workspace
 from repro.kernels.dispatch import KERNEL_TABLES
 from repro.obs.live import NULL_PROBE
@@ -160,8 +158,8 @@ def drive_census_loop(recorder, ntimesteps, run_attrs, begin_step,
 class CensusStepper:
     """Owns the census loop, source emission, census-boundary
     bookkeeping and the run's replica books, and runs each step's
-    transport as Over Particles blocks (:meth:`_op_step`) or Over Events
-    passes (:meth:`_oe_step`), as the plan decides.
+    transport by the one step method (:meth:`_step`) over windows of the
+    run arena, with the row of data the plan's scheme picks.
 
     ``books`` carries the R >= 1 replicas sharing ``arena`` (an ensemble
     passes its own); a run given none is one replica of ``config`` —
@@ -218,11 +216,10 @@ class CensusStepper:
         #: population accounting and fingerprints match an uncompacted
         #: run.
         self.morgue: list[tuple] = []
-        #: The in-place Over Events working set.  It persists across
-        #: consecutive OE steps (it carries the cross-timestep bin-reuse
-        #: cache) and is ``None`` once an OP step or a compaction has left
-        #: its positional caches (micro-XS arrays, material index, RNG
-        #: gather) stale.
+        #: The whole-arena window's working set, kept across consecutive
+        #: Over Events steps (it carries the bin-reuse cache); ``None``
+        #: once an Over Particles step or a compaction has left its
+        #: positional caches (micro-XS, material index, RNG gather) stale.
         self.work = None
 
     # ------------------------------------------------------------------
@@ -259,63 +256,76 @@ class CensusStepper:
             self.arena.compact()
             self.work = None
 
-    def _op_step(self, rec) -> None:
-        """One Over Particles step: blocked lock-step depth-first
-        transport (:func:`repro.core.over_particles.run_block`: gather a
-        block, run the one event pass over it until no lane is active,
-        scatter it back).
+    def _traversal(self, scheme: Scheme) -> tuple:
+        """``(width, refresh)``, the one row of data by which the paper's
+        two schemes differ (§V).  Over Particles: ``census_wave`` windows
+        of ``op_block_size`` lanes of one replica; children join after
+        each round, key-ordered.  Over Events: width ``None``, one window
+        kept across consecutive such steps (``HoistedRefresh`` keeps its
+        bin-reuse cache); each pass is booked and spanned, and its
+        children join after it, in bank order."""
+        if scheme is Scheme.OVER_PARTICLES:
+            return self.config.op_block_size, exact_refresh
+        return None, HoistedRefresh()
 
-        Each round sweeps every replica's lanes in blocks (a plain run is
-        one segment), then drains the child bank.  Blocks are cut from
-        one replica's lanes in its own storage order — the order of that
-        replica's standalone arena — so no block spans replicas, every
-        block charges its replica's whole-batch sink, and every replica
-        sees exactly the block passes, bank drains and tally flushes of
-        its standalone run.
+    def _step(self, scheme: Scheme, rec) -> None:
+        """THE step method: advance every live history to census or
+        termination in rounds of zero-copy windows (``arena.view``), each
+        round's children joining in the (parent, event, child) order a
+        one-history-at-a-time traversal banks them in, for the next.  An
+        Over Particles window never spans replicas, so every replica sees
+        the windows, bank joins and tally flushes of its standalone run.
         """
-        arena = self.arena
-        books = self.books
-        ctx = self.pass_ctx
-        block_size = self.config.op_block_size
+        width, refresh = self._traversal(scheme)
+        arena, ctx = self.arena, self.pass_ctx
         lo = 0
         while lo < len(arena):
-            hi = len(arena)
-            for r, lanes in books.segments(lo, hi):
-                for cursor in range(0, lanes.size, block_size):
-                    block = lanes[cursor:cursor + block_size]
-                    idx = block[arena.alive[block]]
-                    if idx.size:
-                        with rec.span(
-                            "census_wave", lo=int(block[0]),
-                            hi=int(block[-1]) + 1, lanes=int(idx.size),
-                        ):
-                            run_block(
-                                ctx, arena, idx, books.sinks[r], self.trace
+            with self.books.windows(arena, lo, width, ctx.bank) as windows:
+                for sink, start, stop in windows:
+                    lanes = int(np.count_nonzero(arena.alive[start:stop]))
+                    if not lanes:
+                        continue
+                    if width is None:
+                        if self.work is None:
+                            self.work = WorkingSet(
+                                ctx, arena, 0, sink, refresh, self.trace
                             )
-            lo = hi
-            # Drain the bank within the timestep: offspring join the
-            # population in the deterministic (parent, event, child)
-            # order a one-history-at-a-time traversal would have banked
-            # them in, and are tracked in the next round.
+                        self._passes(self.work, rec, per_pass=True)
+                        continue
+                    with rec.span(
+                        "census_wave", lo=start, hi=stop, lanes=lanes
+                    ):
+                        self._passes(WorkingSet(
+                            ctx, arena.view(start, stop), start, sink,
+                            refresh, self.trace,
+                        ), NULL_RECORDER, per_pass=False)
+            lo = len(arena)
             if ctx.bank:
                 ctx.join_bank(arena, ordered=True)
-        # Every block synchronised its RNG counters into the arena on the
-        # way out; the OE working set's positional caches are now stale.
-        self.work = None
+        if width is not None:
+            self.work = None
 
-    def _oe_step(self, rec) -> None:
-        """One Over Events step: breadth-first passes over the run arena
-        in place (:func:`repro.core.over_events.run_passes`), through the
-        working set that persists across consecutive OE steps."""
-        if self.work is None:
-            self.work = WorkingSet(
-                self.pass_ctx, self.arena, np.arange(len(self.arena)),
-                self.books, HoistedRefresh(),
-            )
-        run_passes(self.work, rec)
-        # Synchronising every step (not just at run end) is what makes
-        # an OE→OP hand-off read the right streams.
-        self.work.sync_rng()
+    def _passes(self, work: WorkingSet, rec, per_pass: bool) -> None:
+        """THE pass loop: refresh the cached cross sections of every live
+        lane of the window, pass until no lane is active — ``per_pass``,
+        booking each pass and joining its children after it, in bank
+        order — and synchronise the window's RNG counters into the arena.
+        """
+        ctx = self.pass_ctx
+        work.refresh(work, np.nonzero(work.arena.alive)[0])
+        npass = 0
+        while np.count_nonzero(active := work.active()):
+            with rec.span("event_pass", index=npass) as pass_span:
+                work.event_pass(
+                    active,
+                    partial(book_pass, ctx.books, pass_span)
+                    if per_pass else None,
+                )
+                if per_pass and ctx.bank:
+                    ctx.join_bank(self.arena)
+                    work.refresh(work, work.grow())
+            npass += 1
+        work.sync_rng()
 
     # ------------------------------------------------------------------
     def run(self, plan) -> None:
@@ -358,10 +368,7 @@ class CensusStepper:
             self.arena.censused[:] = ~self.arena.alive
 
         def run_step(step: int) -> None:
-            if decision.scheme is Scheme.OVER_PARTICLES:
-                self._op_step(rec)
-            else:
-                self._oe_step(rec)
+            self._step(decision.scheme, rec)
             if self.probe.enabled:
                 self._probe_step(step)
 

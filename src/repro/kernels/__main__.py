@@ -39,7 +39,9 @@ def main(argv=None) -> int:
         "a per-pass replica-books verb loops over replicas, the pool's "
         "launch machinery is reached from outside repro/parallel/pool.py, "
         "code below the census stepper compares against a fixed scheme, "
-        "or a distance pipeline or facet crossing allocates past its bound",
+        "a lane WorkingSet is built outside the census stepper's one step "
+        "method, or a distance pipeline or facet crossing allocates past "
+        "its bound",
     )
     args = parser.parse_args(argv)
     if not args.check:
@@ -78,7 +80,7 @@ def main(argv=None) -> int:
           f"({single_pkgs} audited); one tally flush, point location, "
           f"collide/cross_facet body and config for every dimension; no "
           f"replica loop in the books' per-pass verbs; one pooled launch; "
-          f"no scheme test outside the census stepper")
+          f"no scheme test outside the census stepper; one step method")
     print("OK: the 2-D and 3-D distance pipelines allocate nothing from "
           "their second call; facet crossings stay within their bound")
     return 0

@@ -37,7 +37,8 @@ are called in ``parallel/pool.py`` only, and no module outside
 ``parallel/`` imports a private name of the pool.  Nothing in ``core/``,
 ``ensemble/``, ``volume/`` or ``parallel/pool.py`` but the census stepper
 compares against a fixed scheme: what differs between the schemes is
-handed to the pass as data.
+handed to the pass as data.  And there is one step method: a lane
+``WorkingSet`` is built by the census stepper only.
 
 :func:`audit_pass_allocations` is a runtime check beside the source
 audits: the distance pipeline of one event pass (``distances`` +
@@ -84,6 +85,7 @@ __all__ = [
     "SCHEME_TEST_PATHS",
     "SCHEME_TEST_HOME",
     "FIXED_SCHEME_NAMES",
+    "WORKING_SET_HOMES",
 ]
 
 #: Packages that must not define ``*_vec`` implementations.
@@ -191,6 +193,10 @@ SCHEME_TEST_PATHS = ("core/", "ensemble/", "volume/", "parallel/pool.py")
 SCHEME_TEST_HOME = "core/stepper.py"
 FIXED_SCHEME_NAMES = ("OVER_PARTICLES", "OVER_EVENTS")
 
+#: One step method: only the stepper (and this module's facet-crossing
+#: probe) builds a lane ``WorkingSet``.
+WORKING_SET_HOMES = (SCHEME_TEST_HOME, "kernels/audit.py")
+
 _LOOP_NODES = (ast.For, ast.AsyncFor, ast.While, ast.ListComp, ast.SetComp,
                ast.DictComp, ast.GeneratorExp)
 
@@ -276,9 +282,9 @@ def audit_single_path(package_root: str | Path | None = None) -> list[str]:
     an ``is None`` / ``is not None`` test on them is a serial-vs-fused
     fork re-appearing; so is a ``*_vec = <kernel>`` alias naming a second
     way to reach a kernel, and so is a second copy of the event handlers
-    (see :func:`_audit_one_event_pass`) or a scheme test below the
-    stepper (:func:`_audit_no_scheme_test`).  Returns violation
-    messages (empty list means the audit passes).
+    (see :func:`_audit_one_event_pass`), or a scheme test or working set
+    built below the stepper (:func:`_audit_stepper_home`).  Returns
+    violation messages (empty list means the audit passes).
     """
     if package_root is None:
         package_root = Path(__file__).resolve().parent.parent
@@ -314,21 +320,29 @@ def audit_single_path(package_root: str | Path | None = None) -> list[str]:
             + _audit_one_twin(package_root)
             + _audit_loop_free_verbs(package_root)
             + _audit_one_pool(package_root)
-            + _audit_no_scheme_test(package_root))
+            + _audit_stepper_home(package_root))
 
 
-def _audit_no_scheme_test(package_root: Path) -> list[str]:
-    """An ``is`` / ``is not`` / ``==`` / ``!=`` test against a
-    :data:`FIXED_SCHEME_NAMES` member in :data:`SCHEME_TEST_PATHS` outside
-    :data:`SCHEME_TEST_HOME`."""
+def _audit_stepper_home(package_root: Path) -> list[str]:
+    """What only :data:`SCHEME_TEST_HOME` may do: test against a
+    :data:`FIXED_SCHEME_NAMES` member (``is`` / ``is not`` / ``==`` /
+    ``!=``, audited in :data:`SCHEME_TEST_PATHS`), and build a lane
+    ``WorkingSet`` (audited outside :data:`WORKING_SET_HOMES`)."""
     ops = (ast.Is, ast.IsNot, ast.Eq, ast.NotEq)
     violations: list[str] = []
     for path in sorted(package_root.rglob("*.py")):
         rel = path.relative_to(package_root).as_posix()
-        if rel == SCHEME_TEST_HOME or not rel.startswith(SCHEME_TEST_PATHS):
-            continue
+        tests_scheme = (rel != SCHEME_TEST_HOME
+                        and rel.startswith(SCHEME_TEST_PATHS))
         for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
-            if (isinstance(node, ast.Compare)
+            if (isinstance(node, ast.Call) and rel not in WORKING_SET_HOMES
+                    and _call_name(node) == "WorkingSet"):
+                violations.append(
+                    f"{rel}:{node.lineno}: WorkingSet(...) outside "
+                    f"{SCHEME_TEST_HOME} — every working set is a window "
+                    "of its one step method"
+                )
+            elif (tests_scheme and isinstance(node, ast.Compare)
                     and any(isinstance(op, ops) for op in node.ops)
                     and any(getattr(o, "attr", None) in FIXED_SCHEME_NAMES
                             for o in (node.left, *node.comparators))):
@@ -482,7 +496,7 @@ def audit_facet_transient(ndim: int) -> list[str]:
     dist = ctx.run["distances"](n, ctx.ws, a.energy, a.mfp_to_collision,
                                 ones, *a.pos, *a.omega, *a.cells,
                                 *st.mesh.deltas, a.dt_to_census)
-    work, fmask = WorkingSet(ctx, a, np.arange(n), st.books, None), ones > 0
+    work, fmask = WorkingSet(ctx, a, 0, st.books, None), ones > 0
     tracemalloc.start()
     try:
         work.handle_facets(fmask, dist, ones, ones, ones)

@@ -172,12 +172,6 @@ class _FieldArena:
             getattr(out, name)[...] = getattr(self, name)[indices]
         return out
 
-    def assign(self, indices: np.ndarray, other: "_FieldArena") -> None:
-        """Scatter ``other``'s particles into the slots ``indices`` — the
-        inverse of :meth:`subset` (a gathered block writing back)."""
-        for name, _ in self.FIELDS:
-            getattr(self, name)[indices] = getattr(other, name)
-
     def extend(self, *others: "_FieldArena") -> None:
         """Append other arenas' particles, in order, in place (the
         population grows into a fresh private buffer; shared-memory
@@ -206,8 +200,12 @@ class _FieldArena:
         alive_idx = np.nonzero(self.alive)[0]
         removed = self.n - int(alive_idx.size)
         if removed:
-            self._adopt(self.subset(alive_idx))
+            self.permute(alive_idx)
         return removed
+
+    def permute(self, order: np.ndarray) -> None:
+        """Reorder the population in place to rows ``order``."""
+        self._adopt(self.subset(order))
 
     def sort_by(self, key: str = "energy") -> np.ndarray:
         """Reorder the population in place; returns the permutation used.
@@ -229,7 +227,7 @@ class _FieldArena:
             raise ValueError(
                 f"unknown sort key {key!r}; use energy, cell or particle_id"
             )
-        self._adopt(self.subset(order))
+        self.permute(order)
         return order
 
     # ------------------------------------------------------------------
@@ -408,10 +406,6 @@ class ParticleArena(_FieldArena):
     def cells(self) -> tuple:
         """Cell indices, one array per axis."""
         return tuple(getattr(self, name) for name in self.CELL)
-
-    def active_mask(self) -> np.ndarray:
-        """Particles still being advanced this timestep."""
-        return self.alive & ~self.censused
 
     @staticmethod
     def bytes_per_particle_aos() -> int:

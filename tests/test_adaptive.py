@@ -188,16 +188,18 @@ def test_auto_bit_identical_serial_and_pooled(name):
 
 
 def _spy_steps(monkeypatch):
-    """Log every census-step method and compaction the stepper runs, in
-    order, with the arena it starts from: ``(name, len(arena), alive)``."""
+    """Log every census step (named by the scheme it runs) and compaction
+    the stepper runs, in order, with the arena it starts from:
+    ``(name, len(arena), alive)``."""
     from repro.core.stepper import CensusStepper
 
     log = []
-    for name in ("_op_step", "_oe_step", "_compact"):
+    for name in ("_step", "_compact"):
         method = getattr(CensusStepper, name)
 
         def spy(stepper, *args, _name=name, _method=method):
-            log.append((_name, len(stepper.arena), stepper.alive_count()))
+            label = args[0].value if _name == "_step" else _name
+            log.append((label, len(stepper.arena), stepper.alive_count()))
             return _method(stepper, *args)
 
         monkeypatch.setattr(CensusStepper, name, spy)
@@ -222,7 +224,9 @@ def test_auto_rule_is_over_events_compacting_past_the_threshold(
     monkeypatch.undo()
 
     steps = [entry for entry in log if entry[0] != "_compact"]
-    assert [name for name, *_ in steps] == ["_oe_step"] * cfg.ntimesteps
+    assert [name for name, *_ in steps] == (
+        [Scheme.OVER_EVENTS.value] * cfg.ntimesteps
+    )
     switches = [e for e in rec.events if e.name == "scheme_switch"]
     assert [(e.attrs["step"], e.attrs["scheme"]) for e in switches] == [
         (0, Scheme.OVER_EVENTS.value)

@@ -264,6 +264,28 @@ def test_sort_and_compact_preserve_states():
         arena.sort_by("colour")
 
 
+def test_over_particles_step_gathers_nothing(monkeypatch):
+    """An Over Particles block is a zero-copy window of the run arena: a
+    run with no children and no compaction copies no arena rows."""
+    from repro.particles.arena import _FieldArena
+
+    calls = []
+    subset = _FieldArena.subset
+
+    def spy(self, indices):
+        calls.append(len(indices))
+        return subset(self, indices)
+
+    monkeypatch.setattr(_FieldArena, "subset", spy)
+    result = run_stepped(
+        csp_problem(nx=32, nparticles=200, ntimesteps=2),
+        Scheme.OVER_PARTICLES,
+    )
+    assert result.counters.census_events > 0
+    assert result.counters.secondaries_banked == 0
+    assert calls == []
+
+
 @pytest.mark.parametrize("key", ("energy", "cell"))
 def test_sort_between_timesteps_is_physics_invariant(key):
     """Reordering the population between census steps changes batching

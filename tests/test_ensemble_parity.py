@@ -741,6 +741,36 @@ def test_single_path_audit_flags_a_scheme_test(tmp_path):
     assert all("scheme test" in v for v in violations)
 
 
+def test_single_path_audit_flags_a_second_step_method(tmp_path):
+    """A lane working set is a window of the census stepper's one step
+    method: built anywhere else (the audit's own probe aside), it is a
+    second step method."""
+    for pkg in ("core", "volume", "ensemble", "kernels"):
+        (tmp_path / pkg).mkdir()
+    (tmp_path / "core" / "stepper.py").write_text(
+        "work = WorkingSet(ctx, arena.view(lo, hi), lo, sink, refresh)\n"
+    )
+    (tmp_path / "kernels" / "audit.py").write_text(
+        "work = WorkingSet(ctx, a, 0, st.books, None)\n"
+    )
+    (tmp_path / "core" / "event_pass.py").write_text(
+        "class WorkingSet:\n    pass\n"
+    )
+    assert audit_single_path(tmp_path) == []
+    (tmp_path / "core" / "over_particles.py").write_text(
+        "def run_block(ctx, arena, idx, sink):\n"
+        "    return event_pass.WorkingSet(ctx, arena.subset(idx), 0, sink)\n"
+    )
+    (tmp_path / "volume" / "driver3.py").write_text(
+        "work = WorkingSet(ctx, arena, 0, books, None)\n"
+    )
+    violations = audit_single_path(tmp_path)
+    assert [v.split(":")[0] for v in violations] == [
+        "core/over_particles.py", "volume/driver3.py",
+    ]
+    assert all("one step method" in v for v in violations)
+
+
 def test_single_path_audit_flags_a_replica_loop_in_the_books(tmp_path):
     """``ReplicaBooks.flush`` / ``cadd`` / ``record_pass`` run every pass
     over every replica at once: a loop (statement or comprehension) or an

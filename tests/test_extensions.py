@@ -10,6 +10,9 @@ populations regardless of traversal order.
 
 import hashlib
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -554,3 +557,28 @@ def test_bank_matches_parent_goldens(name, scheme):
     still accumulates child by child) and the tally."""
     want = json.loads(BANK_GOLDENS.read_text())[f"{name}/{scheme.value}"]
     assert BANK_RUNS[name](scheme) == want
+
+
+def test_a_fissile_run_leaves_numpy_ma_unimported():
+    """The child bank seeds the births' bins material by material without
+    ``np.unique``, whose first call imports ``numpy.ma`` (14–16 ms of a
+    cold process in numpy 2.4): a fissile run in a fresh interpreter
+    leaves it unimported."""
+    root = Path(__file__).resolve().parent.parent
+    script = (
+        "import sys\n"
+        "from repro.core import Scheme, Simulation\n"
+        "from tests.test_extensions import _fission_cfg\n"
+        "assert 'numpy.ma' not in sys.modules\n"
+        "r = Simulation(_fission_cfg()).run(Scheme.OVER_EVENTS)\n"
+        "assert r.counters.secondaries_banked > 0\n"
+        "print('numpy.ma' in sys.modules)\n"
+    )
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        (str(root / "src"), str(root))
+    ))
+    out = subprocess.run(
+        [sys.executable, "-c", script], cwd=root, env=env,
+        capture_output=True, text=True, check=True,
+    )
+    assert out.stdout.strip() == "False"

@@ -48,13 +48,6 @@ def test_store_roundtrip_preserves_everything():
             assert getattr(a, field) == getattr(b, field), field
 
 
-def test_store_active_mask():
-    s = ParticleArena(4)
-    s.alive[1] = False
-    s.censused[2] = True
-    assert np.array_equal(s.active_mask(), [True, False, False, True])
-
-
 def test_store_nbytes_positive():
     assert ParticleArena(100).nbytes() > 100 * 10 * 8
 
