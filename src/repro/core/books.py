@@ -15,7 +15,11 @@ much work it did.  It is the *only* implementation of
   an Over Particles window never spans replicas — each replica's lanes
   are one contiguous range (:meth:`windows`) — so it charges that
   replica's whole-batch :class:`ReplicaSink` (``books.sinks[r]``), the
-  same verbs without the split;
+  same verbs without the split.  A verb is handed the *replica ids* of
+  the lanes it charges, which the handler asks :meth:`replicas` for once
+  per lane set (a whole-batch sink hands the lanes back: it only reads
+  their number), or their :meth:`count`, so a lane set charged to
+  several counters is counted once (:meth:`charge`);
 * child-replica inheritance and the lock-step growth, permutation and
   compaction of the per-lane arrays, and the replica-major sort of the
   arena with them;
@@ -30,17 +34,25 @@ is one more *axis*.  The replica tallies are the rows of one stacked
 tally over ``(*shape, R)`` (replica slowest, so a lane's flat cell is
 ``rep·ncell + cell``) and a flush is one scatter-add over the whole
 batch — ``np.add.at`` accumulates in lane order, so each replica's cells
-see the operands of its standalone run in the same order.  Integer
-counts and pass occupancy go into ``(R,)``-shaped ledgers, one
-``bincount`` per charge, settled into each replica's
+see the operands of its standalone run in the same order; a zero
+deposit is counted as a flush but not scattered (see
+:meth:`~repro.mesh.tally.EnergyDepositionTally.flush_vec`).  A pass is
+booked once: :meth:`record_pass` makes one ``bincount`` of
+``kind·R + replica`` over the window, whose rows are each replica's
+collisions, facet crossings and census events — the pass's own counts,
+which no handler charges — and, on an Over Events pass, its occupancy;
+each handler is handed its kind's row.  Every other lane set is counted
+with one ``bincount`` of its replica ids.  All of it goes into
+``(R,)``-shaped ledgers, settled into each replica's
 :class:`~repro.core.counters.Counters` (and each tally's ``flushes``)
 when they are read: :meth:`live_totals` and :meth:`fold`.
 
 ``R = 1`` costs nothing: the sole replica's counters and tally *are* the
 run totals (same objects, so the fold has nothing to sum) and every
 attribution method hands the whole batch to the sole replica's sink
-without touching ``rep``.  That size test on ``nreplicas`` lives in this
-type only — the drivers never ask how many replicas they carry.
+without touching ``rep`` — a pass's counts are the sizes of its masks.
+That size test on ``nreplicas`` lives in this type only — the drivers
+never ask how many replicas they carry.
 """
 
 from __future__ import annotations
@@ -50,6 +62,7 @@ from contextlib import contextmanager
 import numpy as np
 
 from repro.core.counters import Counters, EventPassStats
+from repro.kernels.batch import EventKind
 from repro.mesh.tally import EnergyDepositionTally
 
 __all__ = ["ReplicaBooks", "ReplicaSink"]
@@ -73,6 +86,12 @@ def _by_replica(rep: np.ndarray, nreplicas: int):
     return order, cuts
 
 
+#: The counter each event kind's row of a pass's keyed count charges, in
+#: :class:`~repro.kernels.batch.EventKind` order (the kinds are the codes
+#: 0, 1, 2 of ``select_events``).
+PASS_COUNTS = ("collisions", "facets", "census_events")
+
+
 class ReplicaSink:
     """Whole-batch attribution to one replica's books.
 
@@ -80,7 +99,9 @@ class ReplicaSink:
     size, a sum is one plain sum, a flush is one scatter-add, and the
     per-lane parameters are the member's scalars.  Same verbs as
     :class:`ReplicaBooks` (which delegates here when it carries a single
-    replica), so the event handlers charge either without knowing which.
+    replica), so the event handlers charge either without knowing which:
+    what they hand the verbs, :meth:`replicas` of the charged lanes, is
+    here the lanes themselves, of which only the number is read.
     """
 
     def __init__(self, member, counters: Counters, tally):
@@ -88,27 +109,45 @@ class ReplicaSink:
         self.counters = counters
         self.tally = tally
 
+    def replicas(self, idx: np.ndarray) -> np.ndarray:
+        return idx
+
     def lane_seeds(self) -> int:
         return self.member.seed
 
-    def ecut_at(self, idx: np.ndarray) -> float:
+    def ecut_at(self, reps: np.ndarray) -> float:
         return self.member.energy_cutoff_ev
 
-    def wcut_at(self, idx: np.ndarray) -> float:
+    def wcut_at(self, reps: np.ndarray) -> float:
         return self.member.weight_cutoff
 
-    def cadd(self, name: str, idx: np.ndarray, per: int = 1) -> None:
-        c = self.counters
-        setattr(c, name, getattr(c, name) + per * int(idx.size))
+    def count(self, reps: np.ndarray) -> int:
+        return int(reps.size)
 
-    def csum(self, name: str, idx: np.ndarray, values: np.ndarray,
+    def charge(self, name: str, n: int, per: int = 1) -> None:
+        c = self.counters
+        setattr(c, name, getattr(c, name) + per * n)
+
+    def cadd(self, name: str, reps: np.ndarray, per: int = 1) -> None:
+        self.charge(name, int(reps.size), per)
+
+    def csum(self, name: str, reps: np.ndarray, values: np.ndarray,
              running: bool = False) -> None:
         c = self.counters
         setattr(c, name, _accumulate(getattr(c, name), values, running))
 
-    def flush(self, idx: np.ndarray, cells, deposit: np.ndarray) -> None:
-        self.tally.flush_vec(*cells, deposit)
-        self.counters.tally_flushes += idx.size
+    def flush(self, reps: np.ndarray, n: int, cells, deposit: np.ndarray):
+        self.counters.tally_flushes += n
+        return self.tally.flush_vec(*cells, deposit)
+
+    def record_pass(self, event, active, n_event, stats) -> dict:
+        c = self.counters
+        c.collisions += n_event[EventKind.COLLISION]
+        c.facets += n_event[EventKind.FACET]
+        c.census_events += n_event[EventKind.CENSUS]
+        if stats is not None:
+            c.oe_passes.append(stats)
+        return n_event
 
 
 class ReplicaBooks:
@@ -172,9 +211,13 @@ class ReplicaBooks:
             )
             self.tallies = self.stack.rows()
         #: Integer charges per replica not yet settled into ``counters``
-        #: (``tally_flushes`` settles each tally's ``flushes`` too), and
-        #: one ``(4, R)`` occupancy row per Over Events pass not yet
-        #: settled into each replica's ``oe_passes`` (:meth:`_settle`).
+        #: (``tally_flushes`` settles each tally's ``flushes`` too): the
+        #: ``(3, R)`` event counts of the passes (:data:`PASS_COUNTS`),
+        #: every other charge by name, and one ``(3, R)`` row of event
+        #: counts per booked pass not yet settled into each replica's
+        #: ``oe_passes`` (:meth:`_settle`).
+        self.events = np.zeros((len(PASS_COUNTS), self.nreplicas),
+                               dtype=np.int64)
         self.ledger: dict[str, np.ndarray] = {}
         self.pass_ledger: list[np.ndarray] = []
         #: One whole-batch sink per replica (an Over Particles window
@@ -186,23 +229,31 @@ class ReplicaBooks:
 
     # ------------------------------------------------------------------
     # Per-lane parameters
+    def replicas(self, idx: np.ndarray) -> np.ndarray:
+        """What the verbs below are handed for lanes ``idx``: their
+        replica ids, gathered once per lane set (with one replica, the
+        lanes themselves)."""
+        if self.nreplicas == 1:
+            return self.sinks[0].replicas(idx)
+        return self.rep[idx]
+
     def lane_seeds(self):
         """RNG key word 0 for every lane: scalar, or one per lane."""
         if self.nreplicas == 1:
             return self.sinks[0].lane_seeds()
         return self.seeds[self.rep]
 
-    def ecut_at(self, idx: np.ndarray):
+    def ecut_at(self, reps: np.ndarray):
         """Energy cutoff, scalar or per lane (kernels broadcast either)."""
         if self.nreplicas == 1:
-            return self.sinks[0].ecut_at(idx)
-        return self.ecut[self.rep[idx]]
+            return self.sinks[0].ecut_at(reps)
+        return self.ecut[reps]
 
-    def wcut_at(self, idx: np.ndarray):
+    def wcut_at(self, reps: np.ndarray):
         """Weight cutoff, scalar or per lane."""
         if self.nreplicas == 1:
-            return self.sinks[0].wcut_at(idx)
-        return self.wcut[self.rep[idx]]
+            return self.sinks[0].wcut_at(reps)
+        return self.wcut[reps]
 
     def rearm_census(self, dt_to_census: np.ndarray, alive: np.ndarray) -> None:
         """Re-arm the census clocks of surviving histories at a boundary,
@@ -214,69 +265,89 @@ class ReplicaBooks:
 
     # ------------------------------------------------------------------
     # Attribution
-    def cadd(self, name: str, idx: np.ndarray, per: int = 1) -> None:
-        """Add ``per`` per selected lane to an integer counter."""
+    def count(self, reps: np.ndarray):
+        """How many lanes of replica ids ``reps`` each replica has — what
+        :meth:`charge` takes (with one replica, their number)."""
         if self.nreplicas == 1:
-            return self.sinks[0].cadd(name, idx, per)
-        self._charge(name, self.rep[idx], per)
+            return self.sinks[0].count(reps)
+        return np.bincount(reps, minlength=self.nreplicas)
 
-    def _charge(self, name: str, rep: np.ndarray, per: int = 1) -> None:
-        """Add ``per`` per lane of replica ids ``rep`` to ``name``'s ledger."""
-        counts = np.bincount(rep, minlength=self.nreplicas)
-        if per != 1:
-            counts *= per
+    def charge(self, name: str, n, per: int = 1) -> None:
+        """Add ``per`` times the lane count ``n`` (from :meth:`count`, or
+        the pass's own from :meth:`record_pass`) to an integer counter."""
+        if self.nreplicas == 1:
+            return self.sinks[0].charge(name, n, per)
         held = self.ledger.get(name)
         if held is None:
-            self.ledger[name] = counts
-        else:
-            held += counts
+            held = self.ledger[name] = np.zeros(self.nreplicas,
+                                                dtype=np.int64)
+        held += n if per == 1 else per * n
 
-    def csum(self, name: str, idx: np.ndarray, values: np.ndarray,
+    def cadd(self, name: str, reps: np.ndarray, per: int = 1) -> None:
+        """Add ``per`` per lane of replica ids ``reps`` to an integer
+        counter: :meth:`charge` of their :meth:`count`."""
+        if self.nreplicas == 1:
+            return self.sinks[0].cadd(name, reps, per)
+        self.charge(name, self.count(reps), per)
+
+    def csum(self, name: str, reps: np.ndarray, values: np.ndarray,
              running: bool = False) -> None:
-        """Accumulate a float reduction over the selected lanes — one
-        partial sum, or with ``running`` value by value onto the counter.
+        """Accumulate a float reduction over lanes of replica ids ``reps``
+        — one partial sum, or with ``running`` value by value onto the
+        counter.
 
         Per-replica sums run over each replica's subsequence in storage
         order — the same operands in the same order as that replica's
         standalone run, hence bitwise-equal partial sums.
         """
         if self.nreplicas == 1:
-            return self.sinks[0].csum(name, idx, values, running)
-        order, cuts = _by_replica(self.rep[idx], self.nreplicas)
+            return self.sinks[0].csum(name, reps, values, running)
+        order, cuts = _by_replica(reps, self.nreplicas)
         for c, part in zip(self.counters, np.split(values[order], cuts)):
             if part.size:
                 setattr(c, name, _accumulate(getattr(c, name), part, running))
 
-    def flush(self, idx: np.ndarray, cells, deposit: np.ndarray) -> None:
-        """Batched tally flush (the §VI-G separate tally loop) of lanes
-        ``idx``, their ``deposit`` and ``cells`` gathered (one array per
-        mesh axis) — one scatter-add into the stacked tally, the replica
-        as its slowest axis, so each replica's cells see exactly the
-        subsequence its standalone run would, in the same order."""
+    def flush(self, reps: np.ndarray, n, cells, deposit: np.ndarray):
+        """Batched tally flush (the §VI-G separate tally loop) of lanes of
+        replica ids ``reps`` (``n`` their :meth:`count`), their
+        ``deposit`` and ``cells`` gathered (one array per mesh axis) —
+        one scatter-add into the stacked tally, the replica as its
+        slowest axis, so each replica's cells see exactly the subsequence
+        its standalone run would, in the same order.  Returns the
+        positions of the lanes whose deposit was added (the non-zero
+        ones)."""
         if self.nreplicas == 1:
-            return self.sinks[0].flush(idx, cells, deposit)
-        rep = self.rep[idx]
-        self.stack.flush_vec(*cells, rep, deposit)
-        self._charge("tally_flushes", rep)
+            return self.sinks[0].flush(reps, n, cells, deposit)
+        self.charge("tally_flushes", n)
+        return self.stack.flush_vec(*cells, reps, deposit)
 
-    def record_pass(self, stats: EventPassStats, active, cmask, fmask,
-                    zmask) -> None:
-        """Book one Over Events pass: the run-wide occupancy ``stats`` on
-        the totals and each replica's share of the masks on its own books.
-        A replica with no active lanes has already finished: its
-        standalone run would not see the pass at all."""
-        self.totals.oe_passes.append(stats)
+    def record_pass(self, event, active, n_event, stats):
+        """Book one pass over the whole arena: each replica's collisions,
+        facet crossings and census events — the rows of one count of
+        ``kind·R + replica`` over the ``active`` lanes of ``event`` (the
+        pass's event codes) — and, given its run-wide occupancy
+        ``stats``, an ``oe_passes`` row on the totals and on each replica
+        with active lanes (a replica without any has already finished: its
+        standalone run would not see the pass at all).  Returns the
+        :meth:`count` of each event kind's lanes, indexed by
+        :class:`~repro.kernels.batch.EventKind`, for its handler."""
         if self.nreplicas == 1:
-            return
-        rep = self.rep
-        nrep = self.nreplicas
-        keys = np.concatenate((
-            rep[active], rep[cmask] + nrep, rep[fmask] + 2 * nrep,
-            rep[zmask] + 3 * nrep,
-        ))
-        self.pass_ledger.append(
-            np.bincount(keys, minlength=4 * nrep).reshape(4, nrep)
-        )
+            return self.sinks[0].record_pass(event, active, n_event, stats)
+        nrep, nkind = self.nreplicas, len(PASS_COUNTS)
+        # Each lane's kind, or ``nkind`` for an inactive lane (a fourth
+        # row, dropped) — branch-free: no data-dependent mask write.
+        keys = event - nkind
+        keys *= active
+        keys += nkind
+        keys *= nrep
+        keys += self.rep
+        counts = np.bincount(keys, minlength=(nkind + 1) * nrep)
+        counts = counts[:nkind * nrep].reshape(nkind, nrep)
+        self.events += counts
+        if stats is not None:
+            self.totals.oe_passes.append(stats)
+            self.pass_ledger.append(counts)
+        return counts
 
     def charge_births(self, draws_per_history: int) -> None:
         """Charge every replica the RNG draws of its source emission."""
@@ -353,6 +424,7 @@ class ReplicaBooks:
     def _settle(self) -> None:
         """Move the ledgers into each replica's counters, tally
         ``flushes`` and ``oe_passes``, and empty them."""
+        self.ledger.update(zip(PASS_COUNTS, self.events))
         for name, counts in self.ledger.items():
             for c, n in zip(self.counters, counts.tolist()):
                 setattr(c, name, getattr(c, name) + n)
@@ -361,10 +433,15 @@ class ReplicaBooks:
             for t, n in zip(self.tallies, flushes.tolist()):
                 t.flushes += n
         self.ledger = {}
+        self.events = np.zeros_like(self.events)
         if self.pass_ledger:
-            # (pass, replica, column); a replica with no active lanes in a
-            # pass had already finished and books no row for it.
-            rows = np.stack(self.pass_ledger).transpose(0, 2, 1)
+            # (pass, replica, kind), led by the active lanes (every
+            # active lane has one event); a replica with none in a pass
+            # had already finished and books no row for it.
+            kinds = np.stack(self.pass_ledger).transpose(0, 2, 1)
+            rows = np.concatenate(
+                (kinds.sum(axis=2, keepdims=True), kinds), axis=2
+            )
             for r, c in enumerate(self.counters):
                 c.oe_passes.extend(
                     EventPassStats(*row)

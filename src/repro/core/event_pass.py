@@ -30,7 +30,8 @@ fails on a fixed-scheme comparison anywhere below the stepper):
 2. when, and in what order, the one child bank
    (:attr:`PassContext.bank`) joins the population
    (:meth:`PassContext.join_bank`);
-3. ``book_pass`` — whether a pass books an ``EventPassStats`` row;
+3. ``book_pass`` — whether a pass books an ``EventPassStats`` row (and
+   the hook its occupancy is handed to);
 4. ``trace`` — the Over Particles event-trace hook of :mod:`repro.simexec`.
 
 The number of dimensions is not tested for either — it is data (§IV-C:
@@ -57,6 +58,7 @@ from functools import partial
 
 import numpy as np
 
+from repro.core.counters import EventPassStats
 from repro.kernels import EVENT_KERNELS, PASS_KERNELS
 from repro.kernels.batch import EventKind, sample_mean_free_paths, split_counts
 from repro.particles.source import EMISSION
@@ -135,11 +137,18 @@ class WorkingSet:
     pass over it.
 
     ``arena`` is the window (lane ``i`` is run-arena row ``lo + i``) and
-    ``sink`` is charged every count, sum and tally flush.  Sink verbs
-    take lane indices: a per-lane sink (the run's
-    :class:`~repro.core.books.ReplicaBooks`) therefore needs the window
-    over the whole arena (``lo`` = 0); a whole-batch
-    :class:`~repro.core.books.ReplicaSink` only reads their number.
+    ``sink`` is charged every count, sum and tally flush.  The pass books
+    its own event counts (``sink.record_pass``: collisions, facet
+    crossings, census events; the per-lane ``coll_pp`` / ``facet_pp``
+    are one contiguous add over the window's rows), so no handler charges
+    them; each handler is handed its kind's lane count ``n`` from it.
+    Every other verb is handed ``sink.replicas(idx)`` of the lanes it
+    charges, asked once per lane set, or that set's ``sink.count``: a
+    per-lane sink (the run's :class:`~repro.core.books.ReplicaBooks`)
+    gathers their replica ids from its per-lane array, and therefore
+    needs the window over the whole arena (``lo`` = 0); a whole-batch
+    :class:`~repro.core.books.ReplicaSink` hands the lanes back and only
+    reads their number.
     """
 
     def __init__(self, ctx: PassContext, arena, lo: int, sink, refresh,
@@ -208,20 +217,26 @@ class WorkingSet:
         np.logical_and(arena.alive, active, out=active)
         return active
 
-    def flush(self, idx: np.ndarray, cells) -> None:
-        """Tally flush of lanes ``idx`` into ``cells`` (gathered, one array
-        per axis) — the atomic read-modify-write of §VI-A, batched per
-        event kind (the separate tally loop of §VI-G)."""
+    def flush(self, idx: np.ndarray, reps, n, cells) -> None:
+        """Tally flush of lanes ``idx`` (``reps`` their
+        ``sink.replicas``, ``n`` their ``sink.count``) into ``cells``
+        (gathered, one array per axis) — the atomic read-modify-write of
+        §VI-A, batched per event kind (the separate tally loop of §VI-G).
+        Only the lanes that carried energy need their deposit register
+        zeroed: the rest hold zero."""
         deposit = self.arena.deposit_buffer
-        self.sink.flush(idx, cells, deposit[idx])
-        deposit[idx] = 0.0
+        hot = self.sink.flush(reps, n, cells, deposit[idx])
+        deposit[idx[hot]] = 0.0
 
     # ------------------------------------------------------------------
     def event_pass(self, active: np.ndarray, book_pass=None) -> None:
         """Advance every ``active`` lane by exactly one event.
 
-        ``book_pass(active, masks, n_event)``, when given, books the
-        pass occupancy before the handlers run.  The pass allocates no
+        The pass books its collisions, facet crossings and census
+        events on the sink, and the per-lane work counts on the books,
+        before the handlers run; given ``book_pass``, it also books an
+        ``EventPassStats`` row of its occupancy and hands it to
+        ``book_pass(stats)``.  The distance pipeline allocates no
         full-length temporaries: distances, macroscopic cross sections,
         event codes and masks live in the run's workspace buffers.
         """
@@ -255,20 +270,32 @@ class WorkingSet:
             np.logical_and(mask, active, out=mask)
             masks[kind] = mask
             n_event[kind] = int(np.count_nonzero(mask))
+        stats = None
         if book_pass is not None:
-            book_pass(active, masks, n_event)
+            # Every active lane has exactly one event.
+            stats = EventPassStats(
+                sum(n_event.values()), n_event[EventKind.COLLISION],
+                n_event[EventKind.FACET], n_event[EventKind.CENSUS],
+            )
+            book_pass(stats)
+        counts = self.sink.record_pass(event, active, n_event, stats)
+        rows = slice(self.lo, self.lo + n)
+        ctx.books.coll_pp[rows] += masks[EventKind.COLLISION]
+        ctx.books.facet_pp[rows] += masks[EventKind.FACET]
         # One handler per event kind, via the shared mapping.
         for kind, kernel_name in EVENT_KERNELS.items():
             if n_event[kind]:
                 self.handlers[kernel_name](
-                    masks[kind], dist, m.sigma_a, m.sigma_f, m.sigma_t
+                    masks[kind], counts[kind], dist, m.sigma_a, m.sigma_f,
+                    m.sigma_t,
                 )
 
     # ------------------------------------------------------------------
     # Event handlers — one per entry in the shared EVENT_KERNELS mapping,
     # all with the same signature so the pass dispatches uniformly.
 
-    def handle_collisions(self, cmask, dist, sigma_a, sigma_f, sigma_t) -> None:
+    def handle_collisions(self, cmask, n, dist, sigma_a, sigma_f,
+                          sigma_t) -> None:
         """foreach(colliding_particle): handle_collision()"""
         ctx = self.ctx
         a = self.arena
@@ -276,6 +303,7 @@ class WorkingSet:
         config = ctx.config
         prov = ctx.provider
         c = np.nonzero(cmask)[0]
+        rc = sink.replicas(c)
         d = dist.d_collision[c]
         sp = dist.speed[c]
         omega = self.omega
@@ -286,7 +314,7 @@ class WorkingSet:
         weight_before = a.weight[c]
         counters_at_event = self.rng.counters[c]
         u_angle, u_turn, u_mfp = self.rng.next_uniform(c, 3)
-        sink.cadd("rng_draws", c, 3)
+        sink.charge("rng_draws", n, 3)
         e_new, w_new, *o_new, mfp_new, dep, term, below = ctx.run["collide"](
             c.size,
             a.energy[c],
@@ -298,8 +326,8 @@ class WorkingSet:
             u_angle,
             u_turn,
             u_mfp,
-            sink.ecut_at(c),
-            sink.wcut_at(c),
+            sink.ecut_at(rc),
+            sink.wcut_at(rc),
             defer_weight_cutoff=config.use_russian_roulette,
         )
         a.energy[c] = e_new
@@ -308,9 +336,6 @@ class WorkingSet:
             o[c] = new
         a.mfp_to_collision[c] = mfp_new
         a.deposit_buffer[c] += dep
-        sink.cadd("collisions", c)
-        # Lanes are distinct histories, so the fancy-index add is exact.
-        ctx.books.coll_pp[c + self.lo] += 1
         if self.trace is not None:
             self.trace(EventKind.COLLISION, c + self.lo, *_at(self.cells, c))
 
@@ -319,7 +344,7 @@ class WorkingSet:
         if fissile_here.any():
             sel = c[fissile_here]
             u_fission = self.rng.next_uniform(sel)
-            sink.cadd("rng_draws", sel)
+            sink.cadd("rng_draws", sink.replicas(sel))
             counts = ctx.dispatch.run(
                 "fission_bank",
                 sel.size,
@@ -338,38 +363,44 @@ class WorkingSet:
 
         dead = c[term]
         if dead.size:
-            self.flush(dead, _at(self.cells, dead))
+            rdead = sink.replicas(dead)
+            ndead = sink.count(rdead)
+            self.flush(dead, rdead, ndead, _at(self.cells, dead))
             a.alive[dead] = False
-            sink.cadd("terminations", dead)
+            sink.charge("terminations", ndead)
 
         # ---- Russian roulette (extension) ------------------------------
         if config.use_russian_roulette and below.any():
             sel = c[below]
+            rsel = sink.replicas(sel)
             u_roulette = self.rng.next_uniform(sel)
-            sink.cadd("rng_draws", sel)
+            sink.cadd("rng_draws", rsel)
             survive, restored = ctx.dispatch.run(
                 "roulette", sel.size, a.weight[sel], u_roulette,
-                sink.wcut_at(sel),
+                sink.wcut_at(rsel),
             )
             # With per-lane cutoffs ``restored`` is an array aligned with
             # ``sel``; slice it down to the survivor lanes.
             restored_s = restored[survive] if np.ndim(restored) else restored
             killed = sel[~survive]
             if killed.size:
-                sink.cadd("roulette_kills", killed)
+                rkilled = sink.replicas(killed)
+                nkilled = sink.count(rkilled)
+                sink.charge("roulette_kills", nkilled)
                 sink.csum(
-                    "roulette_loss_energy", killed,
+                    "roulette_loss_energy", rkilled,
                     a.weight[killed] * a.energy[killed],
                 )
                 a.weight[killed] = 0.0
-                self.flush(killed, _at(self.cells, killed))
+                self.flush(killed, rkilled, nkilled, _at(self.cells, killed))
                 a.alive[killed] = False
-                sink.cadd("terminations", killed)
+                sink.charge("terminations", nkilled)
             survivors = sel[survive]
             if survivors.size:
-                sink.cadd("roulette_survivals", survivors)
+                rsurv = sink.replicas(survivors)
+                sink.cadd("roulette_survivals", rsurv)
                 sink.csum(
-                    "roulette_gain_energy", survivors,
+                    "roulette_gain_energy", rsurv,
                     (restored_s - a.weight[survivors]) * a.energy[survivors],
                 )
                 a.weight[survivors] = restored_s
@@ -445,20 +476,29 @@ class WorkingSet:
                 mi, block.energy[sel]
             ).items():
                 getattr(block, name)[sel] = bins
-        sink.cadd("fissions", parents)
-        sink.cadd("secondaries_banked", lanes)
-        sink.cadd("rng_draws", lanes, ndim + 1)
+        rlanes = sink.replicas(lanes)
+        nlanes = sink.count(rlanes)
+        sink.cadd("fissions", sink.replicas(parents))
+        sink.charge("secondaries_banked", nlanes)
+        sink.charge("rng_draws", nlanes, ndim + 1)
         sink.csum(
-            "fission_injected_energy", lanes, block.energy, running=True
+            "fission_injected_energy", rlanes, block.energy, running=True
         )
 
-    def handle_facets(self, fmask, dist, sigma_a, sigma_f, sigma_t) -> None:
-        """foreach(particle_encountering_facet): handle_facet()"""
+    def handle_facets(self, fmask, n, dist, sigma_a, sigma_f,
+                      sigma_t) -> None:
+        """foreach(particle_encountering_facet): handle_facet()
+
+        Every crossing lane reads its destination's density: the facet
+        lanes' ``n`` less the reflected and the escaped ones (a lane is
+        never both: the boundary reflects or lets go), counted from
+        those few lanes."""
         ctx = self.ctx
         a = self.arena
         sink = self.sink
         imap = ctx.config.importance_map
         f = fmask.nonzero()[0]
+        rf = sink.replicas(f)
         # Gathered once: the flush, kernel, trace and ratios read these.
         cells_f, omega_f = _at(self.cells, f), _at(self.omega, f)
         d, ax = dist.d_facet[f], dist.axis[f]
@@ -476,7 +516,7 @@ class WorkingSet:
             field[f] = np.maximum(0.0, new, out=new)
         del new, d  # each copy is released once scattered: a lower peak
         # Performed unconditionally at every facet.
-        self.flush(f, cells_f)
+        self.flush(f, rf, n, cells_f)
         *out, reflected, escaped = ctx.run["cross_facet"](
             f.size, *cells_f, *omega_f, ax, ctx.mesh, ctx.config.boundary)
         del omega_f, ax
@@ -489,16 +529,21 @@ class WorkingSet:
             rows = f[turned]
             for field, new in zip(self.omega, out[len(cells_f):]):
                 field[rows] = new[turned]
+            nturned = sink.count(sink.replicas(rows))
+            sink.charge("reflections", nturned)
+            n = n - nturned
         del out
-        sink.cadd("facets", f)
-        ctx.books.facet_pp[f + self.lo] += 1
         if self.trace is not None:
             self.trace(EventKind.FACET, f + self.lo, *cells_f)
         gone = f[escaped]
         if gone.size:
-            sink.cadd("escapes", gone)
-            sink.csum("escaped_energy", gone, a.weight[gone] * a.energy[gone])
+            rgone = sink.replicas(gone)
+            ngone = sink.count(rgone)
+            sink.charge("escapes", ngone)
+            sink.csum("escaped_energy", rgone,
+                      a.weight[gone] * a.energy[gone])
             a.alive[gone] = False
+            n = n - ngone
         crossed = f
         if gone.size or turned.size:
             crossing = ~(reflected | escaped)
@@ -508,8 +553,7 @@ class WorkingSet:
                 cells_f = [c[crossing] for c in cells_f]
         # Load the destination cell's density — the random read.
         a.local_density[crossed] = ctx.mesh.density_at_vec(*cells_x)
-        sink.cadd("density_reads", crossed)
-        sink.cadd("reflections", f[turned])
+        sink.charge("density_reads", n)
         if crossed.size and ctx.provider.nmaterials > 1:
             new_mat = ctx.material_map.take(ctx.mesh.flat_index(*cells_x))
             changed = crossed[new_mat != self.mat_idx[crossed]]
@@ -530,7 +574,7 @@ class WorkingSet:
             return
         counters_before = self.rng.counters[sel]
         u_imp = self.rng.next_uniform(sel)
-        sink.cadd("rng_draws", sel)
+        sink.cadd("rng_draws", sink.replicas(sel))
         r = ratios[changed_r]
 
         # splits (entering higher importance)
@@ -550,23 +594,26 @@ class WorkingSet:
             survive = u_imp[down] < r[down]
             surv = dsel[survive]
             if surv.size:
-                sink.cadd("roulette_survivals", surv)
+                rsurv = sink.replicas(surv)
+                sink.cadd("roulette_survivals", rsurv)
                 boosted = a.weight[surv] / r[down][survive]
                 sink.csum(
-                    "roulette_gain_energy", surv,
+                    "roulette_gain_energy", rsurv,
                     (boosted - a.weight[surv]) * a.energy[surv],
                 )
                 a.weight[surv] = boosted
             dead_i = dsel[~survive]
             if dead_i.size:
-                sink.cadd("roulette_kills", dead_i)
+                rdead = sink.replicas(dead_i)
+                ndead = sink.count(rdead)
+                sink.charge("roulette_kills", ndead)
                 sink.csum(
-                    "roulette_loss_energy", dead_i,
+                    "roulette_loss_energy", rdead,
                     a.weight[dead_i] * a.energy[dead_i],
                 )
                 a.weight[dead_i] = 0.0
                 a.alive[dead_i] = False
-                sink.cadd("terminations", dead_i)
+                sink.charge("terminations", ndead)
 
     def bank_clones(self, parents, nsplit, counters_before) -> None:
         """Split each parent lane ``nsplit`` ways: bank ``nsplit - 1``
@@ -578,11 +625,12 @@ class WorkingSet:
         )
         block.weight[...] = np.repeat(w_each, nsplit - 1)
         block.rng_counter[...] = 0
-        self.sink.cadd("splits", parents)
-        self.sink.cadd("clones_banked", lanes)
+        self.sink.cadd("splits", self.sink.replicas(parents))
+        self.sink.cadd("clones_banked", self.sink.replicas(lanes))
         a.weight[parents] = w_each
 
-    def handle_census(self, zmask, dist, sigma_a, sigma_f, sigma_t) -> None:
+    def handle_census(self, zmask, n, dist, sigma_a, sigma_f,
+                      sigma_t) -> None:
         """handle_census(): fly remaining lanes to the end of the timestep."""
         a = self.arena
         pos = self.pos
@@ -597,8 +645,7 @@ class WorkingSet:
             p[z] = new
         a.mfp_to_collision[z] = new_mfp
         a.dt_to_census[z] = 0.0
-        self.flush(z, cells_z)
+        self.flush(z, self.sink.replicas(z), n, cells_z)
         a.censused[z] = True
-        self.sink.cadd("census_events", z)
         if self.trace is not None:
             self.trace(EventKind.CENSUS, z + self.lo, *cells_z)

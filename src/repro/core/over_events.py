@@ -27,8 +27,9 @@ this implementation:
   accumulates in lane order), the analogue of the separate tally loop the
   paper introduced to enable vectorisation (§VI-G).
 
-What is particular to the scheme is here: the pass bookkeeping
-(:func:`book_pass`) and :class:`HoistedRefresh`, whose cross-section
+What is particular to the scheme is here: the hook of a booked pass
+(:func:`book_pass`; the pass books itself on the sink) and
+:class:`HoistedRefresh`, whose cross-section
 refreshes hoist the bin search out of the hot path: a particle whose
 energy is bitwise-unchanged since its last search in the same material
 reuses its cached bins, counted in ``Counters.xs_bin_reuses``.
@@ -45,7 +46,6 @@ import numpy as np
 
 from repro.core.counters import EventPassStats
 from repro.core.event_pass import WorkingSet
-from repro.kernels.batch import EventKind
 
 __all__ = ["HoistedRefresh", "book_pass"]
 
@@ -97,30 +97,20 @@ class HoistedRefresh:
                 for cache_field, _grid, bins in lk.searches:
                     getattr(arena, cache_field)[fresh] = bins
                 sink.cadd(
-                    "xs_binary_probes", fresh,
+                    "xs_binary_probes", sink.replicas(fresh),
                     k * prov.binary_probe_estimate(mi),
                 )
                 self.last_e[fresh] = ef
                 self.last_mat[fresh] = mi
             if not prov.mat_fissile[mi]:
                 work.micro_f[sel] = 0.0
-            sink.cadd("xs_lookups", sel, k)
-            sink.cadd("xs_bin_reuses", sel[reuse], k)
+            sink.cadd("xs_lookups", sink.replicas(sel), k)
+            sink.cadd("xs_bin_reuses", sink.replicas(sel[reuse]), k)
 
 
-def book_pass(books, pass_span, active, masks, n_event) -> None:
-    """Book one pass's occupancy on the books and, when telemetry is on,
-    as attributes of its span."""
-    stats = EventPassStats(
-        n_active=int(np.count_nonzero(active)),
-        n_collision=n_event[EventKind.COLLISION],
-        n_facet=n_event[EventKind.FACET],
-        n_census=n_event[EventKind.CENSUS],
-    )
-    books.record_pass(
-        stats, active, masks[EventKind.COLLISION], masks[EventKind.FACET],
-        masks[EventKind.CENSUS],
-    )
+def book_pass(pass_span, stats: EventPassStats) -> None:
+    """The hook of a booked pass (the pass books ``stats`` on its sink):
+    when telemetry is on, its occupancy as attributes of its span."""
     if pass_span is not None:
         pass_span.attrs.update(
             active=stats.n_active, collisions=stats.n_collision,

@@ -318,7 +318,7 @@ class CensusStepper:
             with rec.span("event_pass", index=npass) as pass_span:
                 work.event_pass(
                     active,
-                    partial(book_pass, ctx.books, pass_span)
+                    partial(book_pass, pass_span)
                     if per_pass else None,
                 )
                 if per_pass and ctx.bank:

@@ -40,8 +40,8 @@ def main(argv=None) -> int:
         "launch machinery is reached from outside repro/parallel/pool.py, "
         "code below the census stepper compares against a fixed scheme, "
         "a lane WorkingSet is built outside the census stepper's one step "
-        "method, or a distance pipeline or facet crossing allocates past "
-        "its bound",
+        "method, a handler charges a count the pass books itself, or a "
+        "distance pipeline or facet crossing allocates past its bound",
     )
     args = parser.parse_args(argv)
     if not args.check:
@@ -80,7 +80,8 @@ def main(argv=None) -> int:
           f"({single_pkgs} audited); one tally flush, point location, "
           f"collide/cross_facet body and config for every dimension; no "
           f"replica loop in the books' per-pass verbs; one pooled launch; "
-          f"no scheme test outside the census stepper; one step method")
+          f"no scheme test outside the census stepper; one step method; "
+          f"each pass books its event counts once")
     print("OK: the 2-D and 3-D distance pipelines allocate nothing from "
           "their second call; facet crossings stay within their bound")
     return 0

@@ -38,7 +38,10 @@ are called in ``parallel/pool.py`` only, and no module outside
 ``ensemble/``, ``volume/`` or ``parallel/pool.py`` but the census stepper
 compares against a fixed scheme: what differs between the schemes is
 handed to the pass as data.  And there is one step method: a lane
-``WorkingSet`` is built by the census stepper only.
+``WorkingSet`` is built by the census stepper only.  A pass books its own
+event counts once (``sink.record_pass``): no handler charges a
+collision, facet crossing or census event, or adds to the per-lane work
+counts, a second time.
 
 :func:`audit_pass_allocations` is a runtime check beside the source
 audits: the distance pipeline of one event pass (``distances`` +
@@ -86,6 +89,8 @@ __all__ = [
     "SCHEME_TEST_HOME",
     "FIXED_SCHEME_NAMES",
     "WORKING_SET_HOMES",
+    "PASS_BOOKED_COUNTS",
+    "PASS_BOOKED_LANES",
 ]
 
 #: Packages that must not define ``*_vec`` implementations.
@@ -175,12 +180,12 @@ TWIN_HOMES = {"flush_vec": "mesh/tally.py",
 
 #: The module of the replica books, and the verbs of
 #: :class:`~repro.core.books.ReplicaBooks` an Over Events pass calls on
-#: every pass: each attributes a whole batch over all replicas at once
-#: (one ``bincount``, one ``flush_vec``), so a loop — statement or
+#: every pass: each counts or attributes a whole batch over all replicas
+#: at once (one ``bincount``, one ``flush_vec``), so a loop — statement or
 #: comprehension — or an ``np.unique`` split by replica inside one is the
 #: per-replica Python loop coming back.
 BOOKS_HOME = "core/books.py"
-LOOP_FREE_VERBS = ("flush", "cadd", "record_pass")
+LOOP_FREE_VERBS = ("flush", "cadd", "count", "charge", "record_pass")
 
 #: The pool module, and the launch machinery only it may call: a plain
 #: run and a pooled ensemble both launch through its ``run_sharded``.
@@ -196,6 +201,14 @@ FIXED_SCHEME_NAMES = ("OVER_PARTICLES", "OVER_EVENTS")
 #: One step method: only the stepper (and this module's facet-crossing
 #: probe) builds a lane ``WorkingSet``.
 WORKING_SET_HOMES = (SCHEME_TEST_HOME, "kernels/audit.py")
+
+#: The counters a pass books itself from its masks (``sink.record_pass``;
+#: ``repro.core.books.PASS_COUNTS``) and the per-lane work arrays it adds
+#: them into: charged again — by a ``cadd`` / ``charge`` / ``csum``
+#: anywhere in :data:`SINGLE_PATH_PACKAGES`, or an assignment inside an
+#: event handler — they count twice.
+PASS_BOOKED_COUNTS = ("collisions", "facets", "census_events")
+PASS_BOOKED_LANES = ("coll_pp", "facet_pp")
 
 _LOOP_NODES = (ast.For, ast.AsyncFor, ast.While, ast.ListComp, ast.SetComp,
                ast.DictComp, ast.GeneratorExp)
@@ -320,7 +333,61 @@ def audit_single_path(package_root: str | Path | None = None) -> list[str]:
             + _audit_one_twin(package_root)
             + _audit_loop_free_verbs(package_root)
             + _audit_one_pool(package_root)
-            + _audit_stepper_home(package_root))
+            + _audit_stepper_home(package_root)
+            + _audit_pass_books_itself(package_root))
+
+
+def _booked_target(node: ast.AST) -> str | None:
+    """The booked name an assignment target writes: ``x.collisions``
+    (:data:`PASS_BOOKED_COUNTS`) or ``x.coll_pp[...]``
+    (:data:`PASS_BOOKED_LANES`)."""
+    if isinstance(node, ast.Subscript):
+        node = node.value
+        names = PASS_BOOKED_LANES
+    else:
+        names = PASS_BOOKED_COUNTS
+    name = getattr(node, "attr", getattr(node, "id", None))
+    return name if name in names else None
+
+
+def _audit_pass_books_itself(package_root: Path) -> list[str]:
+    """A count the pass books charged again: a ``cadd`` / ``charge`` /
+    ``csum`` of a :data:`PASS_BOOKED_COUNTS` name anywhere in
+    :data:`SINGLE_PATH_PACKAGES`, or an assignment to one (or to a
+    :data:`PASS_BOOKED_LANES` row) inside an :data:`EVENT_HANDLER_DEFS`
+    handler."""
+    violations: list[str] = []
+    for pkg in SINGLE_PATH_PACKAGES:
+        for path in sorted((package_root / pkg).rglob("*.py")):
+            rel = path.relative_to(package_root).as_posix()
+            tree = ast.parse(path.read_text(), filename=str(path))
+            found = [
+                (node.lineno, f"{_call_name(node)}({node.args[0].value!r})")
+                for node in ast.walk(tree)
+                if isinstance(node, ast.Call)
+                and _call_name(node) in ("cadd", "charge", "csum")
+                and node.args
+                and isinstance(node.args[0], ast.Constant)
+                and node.args[0].value in PASS_BOOKED_COUNTS
+            ]
+            for fn in ast.walk(tree):
+                if not (isinstance(fn, ast.FunctionDef)
+                        and fn.name in EVENT_HANDLER_DEFS):
+                    continue
+                for node in ast.walk(fn):
+                    targets = (node.targets if isinstance(node, ast.Assign)
+                               else [node.target]
+                               if isinstance(node, ast.AugAssign) else [])
+                    found += [(node.lineno, f"{name} written in {fn.name}")
+                              for name in map(_booked_target, targets)
+                              if name]
+            violations += [
+                f"{rel}:{line}: {what} — the pass books its collisions, "
+                "facet crossings and census events once (sink.record_pass); "
+                "a handler's charge counts them twice"
+                for line, what in sorted(found)
+            ]
+    return violations
 
 
 def _audit_stepper_home(package_root: Path) -> list[str]:
@@ -499,7 +566,7 @@ def audit_facet_transient(ndim: int) -> list[str]:
     work, fmask = WorkingSet(ctx, a, 0, st.books, None), ones > 0
     tracemalloc.start()
     try:
-        work.handle_facets(fmask, dist, ones, ones, ones)
+        work.handle_facets(fmask, n, dist, ones, ones, ones)
         per_lane = tracemalloc.get_traced_memory()[1] / n
     finally:
         tracemalloc.stop()

@@ -11,7 +11,10 @@ Two variants are implemented, matching §VI-F:
 * :class:`EnergyDepositionTally` — the shared tally, where every flush has
   atomic semantics.  Running serially we simply add, but we *account* every
   flush and keep per-cell flush counts so the machine model can price atomic
-  latency and contention.
+  latency and contention.  A batched flush counts every lane but scatters
+  only the non-zero deposits: adding ``0.0`` leaves every cell bitwise
+  unchanged (no cell is ever ``-0.0``), and nearly every facet flush
+  carries nothing.
 * :class:`PrivatizedTally` — one private copy per (simulated) thread,
   removing the atomic at the cost of ``nthreads×`` the memory footprint
   (0.3 GB → 31 GB for the csp problem at 256 threads in the paper) and a
@@ -90,9 +93,10 @@ class EnergyDepositionTally:
         self.flush_counts[at] += 1
         self.flushes += 1
 
-    def flush_vec(self, *cells_and_energy: np.ndarray) -> None:
+    def flush_vec(self, *cells_and_energy: np.ndarray) -> np.ndarray:
         """Vectorised flush used by the Over Events tally loop:
-        ``flush_vec(ix, iy[, iz], energy)``.
+        ``flush_vec(ix, iy[, iz], energy)``.  Returns the positions of the
+        lanes whose energy was added: the non-zero ones.
 
         ``np.add.at`` is an unbuffered (scatter-add) accumulate, the numpy
         analogue of a loop of atomic adds: repeated indices accumulate
@@ -100,12 +104,24 @@ class EnergyDepositionTally:
         (:func:`~repro.mesh.structured.flat_cell`) over flat views of the
         fields — numpy's 1-D fast path, same adds in the same order as the
         per-axis form.
+
+        Every lane is a flush: ``flush_counts`` and ``flushes`` count them
+        all.  A zero deposit is counted but not scattered into
+        ``deposition``: ``x + 0.0 == x`` for every ``x`` but ``-0.0``, and
+        deposits are sums of non-negative products, so no cell is ever
+        ``-0.0``; the non-zero lanes keep their order.  (On csp nearly
+        every flushed lane carries nothing: a facet flush follows a
+        flight, not a collision.)
         """
         *cells, energy = cells_and_energy
         cell = flat_cell(self.shape, cells)
-        np.add.at(flat_view(self.deposition), cell, energy)
+        # ``np.not_equal(...).nonzero()`` finds them at a fraction of
+        # ``np.flatnonzero``'s cost per lane.
+        hot = np.not_equal(energy, 0.0).nonzero()[0]
+        np.add.at(flat_view(self.deposition), cell[hot], energy[hot])
         np.add.at(flat_view(self.flush_counts), cell, 1)
         self.flushes += int(len(cells[0]))
+        return hot
 
     def merge(self, other: "EnergyDepositionTally") -> None:
         """Add another tally's deposits and flush histogram into this one
@@ -126,11 +142,19 @@ class EnergyDepositionTally:
         contention cost in the machine model.  Returns 0 when no flush has
         occurred.
         """
-        total = self.flush_counts.sum()
+        total = int(self.flush_counts.sum())
         if total == 0:
             return 0.0
-        p = self.flush_counts.astype(np.float64).ravel() / float(total)
-        return float(np.dot(p, p))
+        # The exact integer ratio sum(c**2) / total**2, rounded once
+        # (Python's int division is correctly rounded): no BLAS call,
+        # whose unpinned thread start-up dwarfs the sum, and one value
+        # whichever way the tally was built.
+        counts = self.flush_counts.ravel()
+        if int(counts.max()) * total < 2 ** 63:  # sum(c**2) fits int64
+            squares = int(np.square(counts).sum())
+        else:
+            squares = sum(c * c for c in counts.tolist())
+        return squares / total ** 2
 
     def reset(self) -> None:
         """Zero the tally (start of a timestep when coupled to a host code)."""

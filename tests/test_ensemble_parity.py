@@ -771,6 +771,56 @@ def test_single_path_audit_flags_a_second_step_method(tmp_path):
     assert all("one step method" in v for v in violations)
 
 
+def test_single_path_audit_flags_a_handler_charging_a_booked_count(tmp_path):
+    """A pass books its collisions, facet crossings and census events
+    (and the per-lane work counts) once, from its masks: a handler — or a
+    refresh — that charges one again counts it twice."""
+    for pkg in ("core", "volume", "ensemble"):
+        (tmp_path / pkg).mkdir()
+    home = tmp_path / "core" / "event_pass.py"
+    home.write_text(
+        "class WorkingSet:\n"
+        "    def event_pass(self, active):\n"
+        "        self.sink.record_pass(event, active, n_event, None)\n"
+        "        ctx.books.coll_pp[rows] += masks[0]\n"
+        "    def handle_collisions(self, cmask, n, *args):\n"
+        "        sink.charge('rng_draws', n, 3)\n"
+        "        a.energy[c] = e_new\n"
+    )
+    (tmp_path / "core" / "books.py").write_text(
+        "class ReplicaSink:\n"
+        "    def record_pass(self, event, active, n_event, stats):\n"
+        "        self.counters.collisions += n_event[0]\n"
+    )
+    assert audit_single_path(tmp_path) == []
+    home.write_text(
+        "class WorkingSet:\n"
+        "    def handle_collisions(self, cmask, *args):\n"
+        "        sink.cadd('collisions', rc)\n"
+        "        ctx.books.coll_pp[c + self.lo] += 1\n"
+        "    def handle_facets(self, fmask, *args):\n"
+        "        self.sink.counters.facets += f.size\n"
+        "    def handle_census(self, zmask, *args):\n"
+        "        self.sink.cadd('census_events', self.sink.replicas(z))\n"
+        "        self.sink.charge('collisions', n)\n"
+    )
+    (tmp_path / "core" / "over_events.py").write_text(
+        "def refresh(work, idx):\n"
+        "    work.sink.cadd('facets', work.sink.replicas(idx))\n"
+    )
+    violations = audit_single_path(tmp_path)
+    assert [v.split(":")[:2] for v in violations] == [
+        ["core/event_pass.py", "3"], ["core/event_pass.py", "4"],
+        ["core/event_pass.py", "6"], ["core/event_pass.py", "8"],
+        ["core/event_pass.py", "9"], ["core/over_events.py", "2"],
+    ]
+    assert all("books its collisions" in v for v in violations)
+    # The audit's names are the ones the books charge from a pass.
+    from repro.core.books import PASS_COUNTS
+    from repro.kernels.audit import PASS_BOOKED_COUNTS
+    assert PASS_BOOKED_COUNTS == PASS_COUNTS
+
+
 def test_single_path_audit_flags_a_replica_loop_in_the_books(tmp_path):
     """``ReplicaBooks.flush`` / ``cadd`` / ``record_pass`` run every pass
     over every replica at once: a loop (statement or comprehension) or an
@@ -962,6 +1012,31 @@ def test_particle_audit_flags_a_scalar_stream(tmp_path):
 # ---------------------------------------------------------------------------
 # Replicas are a tally axis
 # ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("boundary", ["reflective", "vacuum"])
+def test_fused_r3_over_events_books_each_pass_like_its_standalone_runs(
+        boundary):
+    """The pass books its own event counts (one keyed count per pass,
+    R > 1): with reflections or escapes at the boundary and fission
+    children joining mid-step, each replica's counters, ``oe_passes`` and
+    per-lane work arrays equal its standalone run's."""
+    from repro.mesh.boundary import BoundaryCondition
+
+    base = _fissile_problem(boundary=BoundaryCondition(boundary))
+    spec = EnsembleSpec(base, 3, seed_stride=5)
+    fused = run_ensemble(spec, Scheme.OVER_EVENTS)
+    looped = run_ensemble_looped(spec, Scheme.OVER_EVENTS)
+    _assert_replica_parity(fused, looped)
+    crossed = "reflections" if boundary == "reflective" else "escapes"
+    for rr, solo in zip(fused.replicas, looped.results):
+        assert rr.counters.oe_passes == solo.counters.oe_passes, rr.replica
+        assert getattr(rr.counters, crossed) > 0, rr.replica
+        assert rr.counters.secondaries_banked > 0, rr.replica
+    # A fused pass runs while any replica has active lanes.
+    assert len(fused.counters.oe_passes) >= max(
+        len(s.counters.oe_passes) for s in looped.results
+    )
+
 
 def test_r16_over_events_flushes_once_per_event_kind_per_pass(monkeypatch):
     """One ``flush_vec`` over every replica per event kind per pass, not

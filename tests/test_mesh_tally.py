@@ -77,6 +77,71 @@ def test_flush_vec_is_a_scalar_flush_loop_bitwise():
         assert np.array_equal(vec.flush_counts.ravel(), flat)
 
 
+@pytest.mark.parametrize("stacked", [False, True], ids=["plain", "stacked"])
+def test_flush_vec_skips_zero_deposits_exactly(stacked):
+    """A zero deposit is counted but not scattered: zeros, non-zeros and
+    repeated cells mixed, ``deposition`` is bytewise an all-lanes
+    ``np.add.at``, every lane counts in ``flush_counts`` / ``flushes``,
+    and the returned positions are the non-zero lanes, in order.  Stacked,
+    the last axis is the replica (stored slowest), as the books flush."""
+    rng = np.random.default_rng(42)
+    n = 4000
+    shape = (7, 5, 3) if stacked else (7, 5)
+    cells = [rng.integers(0, k, n) for k in shape]
+    e = rng.uniform(0.0, 1.0, n) * 10.0 ** rng.integers(-12, 12, n)
+    e[rng.random(n) < 0.7] = 0.0
+    e[:3] = 0.0  # a run of zeros at the start
+    t = EnergyDepositionTally(*shape)
+    hot = t.flush_vec(*cells, e)
+    assert np.array_equal(hot, np.flatnonzero(e))
+    cell = StructuredMesh.grid(shape, (1.0,) * len(shape)).flat_index(*cells)
+    ref = np.zeros(t.deposition.size)
+    np.add.at(ref, cell, e)
+    assert t.deposition.tobytes() == ref.reshape(t.deposition.shape).tobytes()
+    assert np.array_equal(
+        t.flush_counts.ravel(), np.bincount(cell, minlength=ref.size)
+    )
+    assert t.flushes == n
+    # All-zero batches still count every lane and scatter nothing.
+    zero = EnergyDepositionTally(*shape)
+    assert zero.flush_vec(*cells, np.zeros(n)).size == 0
+    assert not zero.deposition.any() and zero.flushes == n
+    assert zero.flush_counts.sum() == n
+
+
+def test_conflict_probability_is_an_exact_ratio_without_blas(monkeypatch):
+    """``sum(c**2) / total**2`` of the flush histogram, rounded once, with
+    no ``np.dot`` (a BLAS call: unpinned, its threads cost more than the
+    sum)."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("conflict_probability called np.dot")
+
+    monkeypatch.setattr(np, "dot", refuse)
+    rng = np.random.default_rng(3)
+    for shape in SHAPES + ((256, 256),):
+        t = EnergyDepositionTally(*shape)
+        cells = [rng.integers(0, k, 20000) for k in shape]
+        t.flush_vec(*cells, rng.uniform(0.0, 1.0, 20000))
+        counts = [int(c) for c in t.flush_counts.ravel()]
+        exact = sum(c * c for c in counts) / sum(counts) ** 2
+        assert t.conflict_probability() == exact
+    # Past the int64 range of sum(c**2) the ratio stays exact.
+    big = EnergyDepositionTally(2, 2)
+    big.flush_counts[...] = [[2 ** 32, 3], [0, 5]]
+    assert big.conflict_probability() == (
+        (2 ** 64 + 9 + 25) / (2 ** 32 + 8) ** 2
+    )
+    # The stacked tally's rows and their sum use the same formula.
+    stack = EnergyDepositionTally(4, 3, 2)
+    stack.flush_vec(*(rng.integers(0, k, 500) for k in (4, 3, 2)),
+                    np.ones(500))
+    for row in stack.rows():
+        counts = row.flush_counts.ravel().tolist()
+        assert row.conflict_probability() == (
+            sum(c * c for c in counts) / sum(counts) ** 2
+        )
+
+
 def test_flat_view_shares_memory_or_refuses():
     t = EnergyDepositionTally(4, 3)
     for field in (t.deposition, t.flush_counts):
