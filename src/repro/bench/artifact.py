@@ -1,30 +1,25 @@
-"""The versioned ``BENCH_<n>.json`` benchmark artifact.
+"""The versioned ``BENCH_<n>.json`` benchmark artifact: loader and validator.
 
-One :class:`BenchArtifact` records the outcome of a registry run — per
-bench the wall-clock and metric sample statistics (median + IQR noise
-band), the hot-kernel profile where the bench produced one, and the host
-fingerprint / git provenance the comparator needs to decide which
-metrics are comparable across artifacts.
+One :class:`BenchArtifact` records one run of the retired quick bench
+tier — per bench the wall-clock and metric sample statistics (median +
+IQR noise band), the hot-kernel profile where the bench produced one,
+and the host fingerprint / git provenance of the measuring host.  The
+committed ``results/BENCH_1..6.json`` are history: nothing writes a new
+one.  What still reads them is the machine-model recalibration
+(``repro bench recalibrate``), the capacity planner (``repro capacity
+plan``), the live plane's drift band (``--drift-baseline``) and the
+tier-1 test that pins the deterministic facts of ``BENCH_6.json``.
 
 The artifact follows the same discipline as
 :mod:`repro.obs.telemetry`: a named, versioned schema
 (``repro.bench`` version :data:`SCHEMA_VERSION`), canonical JSON
-(sorted keys, fixed separators, byte-stable ``dump → load → dump``),
-and a hand-rolled structural validator with no external dependency.
-
-Artifacts are *sequenced*: ``BENCH_1.json``, ``BENCH_2.json``, … under
-``results/`` form the repo's machine-readable perf trajectory.
-:func:`next_bench_path` picks the next free sequence number.
+(sorted keys, fixed separators) and a hand-rolled structural validator
+with no external dependency.
 """
 
 from __future__ import annotations
 
 import json
-import os
-import platform
-import re
-import subprocess
-import sys
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -33,18 +28,12 @@ __all__ = [
     "SCHEMA_VERSION",
     "BenchSchemaError",
     "BenchArtifact",
-    "host_fingerprint",
-    "git_provenance",
     "validate_bench_artifact",
     "load_bench_artifact",
-    "next_bench_path",
-    "bench_sequence_of",
 ]
 
 SCHEMA_NAME = "repro.bench"
 SCHEMA_VERSION = 1
-
-_BENCH_FILE_RE = re.compile(r"^BENCH_(\d+)\.json$")
 
 
 class BenchSchemaError(ValueError):
@@ -58,40 +47,9 @@ class BenchSchemaError(ValueError):
         )
 
 
-def host_fingerprint() -> dict:
-    """Identify the measuring host well enough to know whether two
-    artifacts' absolute timings are comparable."""
-    return {
-        "platform": platform.platform(),
-        "machine": platform.machine(),
-        "processor": platform.processor() or platform.machine(),
-        "python": sys.version.split()[0],
-        "implementation": platform.python_implementation(),
-        "cpu_count": os.cpu_count() or 1,
-    }
-
-
-def git_provenance(repo_dir=None) -> dict:
-    """Current commit sha and dirty flag; degrades to ``unknown`` when
-    git (or the repository) is unavailable."""
-    cwd = str(repo_dir) if repo_dir else None
-    try:
-        sha = subprocess.run(
-            ["git", "rev-parse", "HEAD"], cwd=cwd, capture_output=True,
-            text=True, timeout=10, check=True,
-        ).stdout.strip()
-        status = subprocess.run(
-            ["git", "status", "--porcelain"], cwd=cwd, capture_output=True,
-            text=True, timeout=10, check=True,
-        ).stdout
-        return {"sha": sha, "dirty": bool(status.strip())}
-    except (OSError, subprocess.SubprocessError):
-        return {"sha": "unknown", "dirty": False}
-
-
 @dataclass
 class BenchArtifact:
-    """One registry run in serialisable form.
+    """One bench-tier run in serialisable form.
 
     ``benches`` maps bench name to its result section::
 
@@ -106,29 +64,12 @@ class BenchArtifact:
 
     where a *metric section* is ``{"samples": [...], "median": float,
     "iqr": float, "direction": "lower"|"higher"|"info",
-    "rel_floor": float, "timing": bool}`` — self-describing, so the
-    comparator needs no access to the registry that produced it.
+    "rel_floor": float, "timing": bool}`` — self-describing, so a
+    reader needs no access to the harness that produced it.
     """
 
     meta: dict
     benches: dict = field(default_factory=dict)
-
-    def to_dict(self) -> dict:
-        return {
-            "schema": {"name": SCHEMA_NAME, "version": SCHEMA_VERSION},
-            "meta": self.meta,
-            "benches": self.benches,
-        }
-
-    def to_json(self) -> str:
-        """Canonical JSON — sorted keys, fixed separators — so repeated
-        dumps of one artifact are byte-identical."""
-        return json.dumps(self.to_dict(), sort_keys=True,
-                          separators=(",", ":"))
-
-    def dump(self, path) -> None:
-        validate_bench_artifact(self.to_dict())
-        Path(path).write_text(self.to_json() + "\n")
 
     @classmethod
     def from_dict(cls, d: dict) -> "BenchArtifact":
@@ -143,22 +84,6 @@ class BenchArtifact:
 def load_bench_artifact(path) -> BenchArtifact:
     """Read and schema-validate an artifact file."""
     return BenchArtifact.from_dict(json.loads(Path(path).read_text()))
-
-
-def bench_sequence_of(path) -> int | None:
-    """The ``<n>`` of a ``BENCH_<n>.json`` filename, or ``None``."""
-    m = _BENCH_FILE_RE.match(Path(path).name)
-    return int(m.group(1)) if m else None
-
-
-def next_bench_path(directory) -> Path:
-    """The next free ``BENCH_<n>.json`` in ``directory``."""
-    directory = Path(directory)
-    taken = [
-        seq for p in directory.glob("BENCH_*.json")
-        if (seq := bench_sequence_of(p)) is not None
-    ]
-    return directory / f"BENCH_{max(taken, default=0) + 1}.json"
 
 
 # ---------------------------------------------------------------------------

@@ -7,8 +7,7 @@
     python -m repro ensemble run --problem csp --replicas 8 --compare-looped
     python -m repro report t.json
     python -m repro capacity plan results/BENCH_4.json --slo 0.5 --rate 10
-    python -m repro bench run --tier quick
-    python -m repro bench compare results/BENCH_1.json BENCH_2.json
+    python -m repro bench recalibrate results/BENCH_6.json
     python -m repro predict --problem csp --machine p100
     python -m repro characterise --problem stream
     python -m repro figures
@@ -17,9 +16,11 @@
 (``--problem csp3``); ``ensemble run`` fuses replica runs into one
 dispatch; the two share one option set.  ``report`` renders a
 :class:`~repro.obs.telemetry.RunTelemetry` artifact written by
-``--telemetry``; ``predict`` prices a paper-scale run on a modelled
-device; ``characterise`` prints the workload statistics; ``figures``
-prints the cross-architecture tables (full suite: ``benchmarks/``).
+``--telemetry``; ``capacity plan`` and ``bench recalibrate`` read a
+committed ``BENCH_<n>.json``; ``predict`` prices a paper-scale run on a
+modelled device; ``characterise`` prints the workload statistics;
+``figures`` prints the cross-architecture tables (full suite:
+``benchmarks/``).
 """
 
 from __future__ import annotations
@@ -245,63 +246,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     bench = sub.add_parser(
         "bench",
-        help="run/compare the versioned BENCH_<n>.json perf trajectory",
+        help="read the committed BENCH_<n>.json perf artifacts",
     )
     bench_sub = bench.add_subparsers(dest="bench_command", required=True)
-
-    bench_run = bench_sub.add_parser(
-        "run", help="run a bench tier and emit a BENCH_<n>.json artifact"
-    )
-    bench_run.set_defaults(func=_cmd_bench_run)
-    bench_run.add_argument(
-        "--tier", choices=["quick", "full"], default="quick",
-        help="quick: the CI-gated subset; full: every registered bench",
-    )
-    bench_run.add_argument(
-        "--bench", action="append", default=None, metavar="NAME",
-        help="restrict to named benches (repeatable)",
-    )
-    bench_run.add_argument(
-        "--repeats", type=int, default=None,
-        help="override each spec's repeat count",
-    )
-    bench_run.add_argument(
-        "--warmup", type=int, default=None,
-        help="override each spec's warmup count",
-    )
-    bench_run.add_argument(
-        "--output", default=None, metavar="PATH",
-        help="artifact path (default: next free results/BENCH_<n>.json)",
-    )
-    bench_run.add_argument(
-        "--recalibrate", action="store_true",
-        help="also refit the machine-model event costs from the measured "
-        "kernel timings and print the model-vs-measured error",
-    )
-
-    bench_compare = bench_sub.add_parser(
-        "compare",
-        help="diff two artifacts; exit 1 on out-of-band regressions",
-    )
-    bench_compare.set_defaults(func=_cmd_bench_compare)
-    bench_compare.add_argument("baseline", help="baseline BENCH_*.json")
-    bench_compare.add_argument("candidate", help="candidate BENCH_*.json")
-    bench_compare.add_argument(
-        "--scale", type=float, default=3.0,
-        help="noise bands a median may move before it gates (default 3)",
-    )
-    bench_compare.add_argument(
-        "--assume-same-host", action="store_true",
-        help="gate absolute timings even when host fingerprints differ",
-    )
-
-    bench_list = bench_sub.add_parser(
-        "list", help="list the registered benches"
-    )
-    bench_list.set_defaults(func=_cmd_bench_list)
-    bench_list.add_argument(
-        "--tier", choices=["quick", "full"], default="full",
-    )
 
     bench_recal = bench_sub.add_parser(
         "recalibrate",
@@ -738,77 +685,6 @@ def _cmd_report(args: argparse.Namespace) -> int:
         print(f"written: {args.output}")
     else:
         print(text)
-    return 0
-
-
-def _cmd_bench_run(args: argparse.Namespace) -> int:
-    from pathlib import Path
-
-    from repro.bench import (
-        bench_sequence_of,
-        build_bench_artifact,
-        next_bench_path,
-        run_tier,
-    )
-
-    results = run_tier(
-        args.tier, repeats=args.repeats, warmup=args.warmup,
-        names=args.bench,
-        progress=lambda name: print(f"bench: {name} ..."),
-    )
-    path = Path(args.output) if args.output else next_bench_path("results")
-    artifact = build_bench_artifact(
-        results, tier=args.tier, sequence=bench_sequence_of(path)
-    )
-    path.parent.mkdir(parents=True, exist_ok=True)
-    artifact.dump(path)
-    for r in results:
-        wall = artifact.benches[r.spec.name]["wallclock_s"]
-        line = (f"  {r.spec.name}: median {wall['median']:.4f} s "
-                f"(IQR {wall['iqr']:.4f}, {r.repeats} repeats)")
-        if r.warnings:
-            line += f"  WARNINGS: {', '.join(r.warnings)}"
-        print(line)
-    print(f"artifact: {len(results)} benches -> {path}")
-    if args.recalibrate:
-        from repro.perfmodel import recalibrate_from_artifact
-
-        print()
-        print("machine-model recalibration from measured kernel timings:")
-        print(recalibrate_from_artifact(artifact).format())
-    return 0
-
-
-def _cmd_bench_compare(args: argparse.Namespace) -> int:
-    from repro.bench import compare_artifacts
-
-    try:
-        base = _load_bench(args.baseline)
-        cand = _load_bench(args.candidate)
-    except ValueError as exc:
-        return _error(exc)
-    report = compare_artifacts(
-        base, cand, scale=args.scale,
-        assume_same_host=args.assume_same_host,
-    )
-    print(report.format())
-    return 0 if report.ok else 1
-
-
-def _cmd_bench_list(args: argparse.Namespace) -> int:
-    from repro.bench import specs_for_tier
-    from repro.bench.reporting import format_table
-
-    specs = specs_for_tier(args.tier)
-    rows = [
-        [s.name, s.tier, s.version, s.default_repeats,
-         len(s.metrics), s.description]
-        for s in specs
-    ]
-    print(format_table(
-        ["bench", "tier", "version", "repeats", "metrics", "description"],
-        rows,
-    ))
     return 0
 
 

@@ -12,8 +12,8 @@ This reproduction commits to one canonical SoA representation:
   arena every stage views in place, with zero-copy shared-memory
   sharding, block appends, compaction and sort hooks;
 * :class:`repro.particles.particle.Particle` — the detached AoS record
-  :meth:`ParticleArena.to_particles` produces (the pickled-list payload
-  the shard hand-off bench measures the arena handle against);
+  :meth:`ParticleArena.to_particles` produces (the per-history view
+  the scalar oracle and the parity tests compare arena rows by);
 * :mod:`repro.particles.source` — bounded-region source sampling (§IV-F)
   emitting vectorised straight into an arena.
 """

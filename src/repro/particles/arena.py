@@ -16,8 +16,8 @@ ports) keep one device-resident store:
   process boundary (see :meth:`ParticleArena.to_shared` /
   :meth:`ParticleArena.attach`);
 * the AoS record survives only as the lossless
-  :meth:`~ParticleArena.to_particles` copy (the pickled-list payload the
-  shard hand-off bench compares the arena handle against);
+  :meth:`~ParticleArena.to_particles` copy (the per-history view the
+  scalar oracle and the parity tests compare arena rows by);
 * population changes — fission secondaries and VR clones (blocks copied
   from their parents' rows by :meth:`subset`), alive-mask compaction, the
   energy/cell sorts the Over Events optimisation literature uses to keep

@@ -137,7 +137,7 @@ def scenario_from_artifact(artifact, bench: str = DEFAULT_BENCH,
 
     ``bench`` must expose ``serial_s``/``parallel_s`` metrics (the
     ``pool_speedup_*`` family); ``nworkers`` is the worker count that
-    bench ran with (the registry pins 2).  The model error comes from
+    bench ran with (2 in the committed artifacts).  The model error comes from
     recalibrating :mod:`repro.perfmodel` against the artifact's kernel
     profiles — the same recalibration ``repro bench recalibrate`` runs.
     """
@@ -251,8 +251,14 @@ def plan_capacity(scenario: CapacityScenario, *,
     mode: invert the model at the scenario's own measured pooled latency
     — it should land back on the benched worker count within the model
     error.  With an SLO it sizes workers per job, and with ``rate`` a
-    whole fleet via Little's law.
+    whole fleet via Little's law, so a ``rate`` needs an SLO.
     """
+    if rate is not None:
+        if latency_slo is None:
+            raise ValueError("a traffic rate needs a latency SLO: "
+                             "Little's law sizes the fleet at the SLO")
+        if rate <= 0:
+            raise ValueError("rate must be positive")
     t1, f, err = (
         scenario.serial_s, scenario.serial_fraction, scenario.model_error
     )
@@ -304,8 +310,6 @@ def plan_capacity(scenario: CapacityScenario, *,
         )
     fleet = None
     if feasible and rate is not None:
-        if rate <= 0:
-            raise ValueError("rate must be positive")
         fleet = max(1, math.ceil(w * rate * latency_slo))
     return CapacityPlan(
         mode="slo",

@@ -3,11 +3,12 @@
 The analytic models in :mod:`repro.perfmodel` charge each event type a
 fixed ALU-operation budget (:class:`~repro.perfmodel.costs.ModelConstants`:
 ``collision_alu_ops``, ``facet_alu_ops``, …).  Those budgets were
-estimated by reading the kernels; the benchmark registry now *measures*
-the kernels, so the loop can be closed: fit the per-operation cost that
-best explains the measured per-kernel wall-clocks, report how far each
-kernel sits from the model's relative cost structure, and emit a
-refitted :class:`ModelConstants` whose ratios match the measurement.
+estimated by reading the kernels; the committed ``BENCH_<n>.json``
+artifacts carry *measured* per-kernel profiles, so the loop can be
+closed: fit the per-operation cost that best explains the measured
+per-kernel wall-clocks, report how far each kernel sits from the
+model's relative cost structure, and emit a refitted
+:class:`ModelConstants` whose ratios match the measurement.
 
 This is the glowing-octo-tyiron workflow ("compare actual behavior of a
 customer system with the expected"): the fit residuals say where the

@@ -375,10 +375,6 @@ class ContinuousEnergyProvider(XsProvider):
     def birth_bins_batch(self, mi: int, e: np.ndarray) -> dict:
         return {"scatter_bin": kernel_xs.union_bins(self.grids[mi], e)}
 
-    def union_points(self, mi: int) -> int:
-        """Union-grid size for material ``mi`` (bench/telemetry surface)."""
-        return int(self.grids[mi].energy.shape[0])
-
     def nbytes(self) -> int:
         return sum(grid.nbytes() for grid in self.grids)
 

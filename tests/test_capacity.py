@@ -3,6 +3,7 @@ closing half), including the acceptance loop: the plan must reproduce
 the benched worker count from only a committed ``BENCH_*.json``."""
 
 import math
+from pathlib import Path
 
 import pytest
 
@@ -17,7 +18,7 @@ from repro.perfmodel.capacity import (
     required_workers,
 )
 
-ARTIFACT = "results/BENCH_4.json"
+ARTIFACT = str(Path(__file__).resolve().parents[1] / "results" / "BENCH_4.json")
 
 
 def _latency(t1, f, workers):
@@ -195,3 +196,29 @@ def test_cli_capacity_plan_missing_artifact(capsys):
     rc = main(["capacity", "plan", "no_such_bench.json"])
     assert rc == 2
     assert "error:" in capsys.readouterr().err
+
+
+
+def _assert_one_line_error(capsys, argv, needle):
+    from repro.cli import main
+
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and needle in captured.err
+    assert len(captured.err.splitlines()) == 1
+
+
+@pytest.mark.parametrize("rate", ["4", "-3"])
+def test_cli_capacity_plan_rate_without_slo_is_refused(capsys, rate):
+    _assert_one_line_error(
+        capsys, ["capacity", "plan", ARTIFACT, "--rate", rate], "SLO"
+    )
+
+
+@pytest.mark.parametrize("rate", ["-3", "0"])
+def test_cli_capacity_plan_non_positive_rate_is_refused(capsys, rate):
+    _assert_one_line_error(
+        capsys, ["capacity", "plan", ARTIFACT, "--slo", "1", "--rate", rate],
+        "rate must be positive",
+    )

@@ -346,9 +346,9 @@ def test_run_and_ensemble_run_define_shared_options_identically():
     ["ensemble", "run", "--problem", "csp3", "--replicas", "0"],
     ["run", "--seed=-1"],
     ["run", "--problem", "csp3", "--seed=18446744073709551616"],
-    ["bench", "compare", "missing.json", "not_json.json"],
-    ["bench", "compare", "not_json.json", "not_bench.json"],
-    ["bench", "compare", "not_bench.json", "not_json.json"],
+    ["capacity", "plan", "missing.json"],
+    ["capacity", "plan", "not_json.json"],
+    ["capacity", "plan", "not_bench.json"],
     ["bench", "recalibrate", "missing.json"],
     ["bench", "recalibrate", "not_bench.json"],
     ["bench", "recalibrate", BENCH_5, "--bench", "nope"],
@@ -360,13 +360,14 @@ def test_refused_input_is_one_line_error(argv, capsys, tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
     (tmp_path / "not_json.json").write_text("nope\n")
     (tmp_path / "not_bench.json").write_text("{}\n")
-    assert main(argv + ([] if argv[0] == "bench" else ["--nx", "8"])) == 2
+    reads_artifact = argv[0] in ("bench", "capacity")
+    assert main(argv + ([] if reads_artifact else ["--nx", "8"])) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
     err_lines = captured.err.strip().splitlines()
     assert len(err_lines) == 1 and err_lines[0].startswith("error: ")
     artifacts = [a for a in argv if a.endswith(".json")]
-    if artifacts and (argv[0] == "bench" or "--serve-metrics" in argv):
+    if artifacts and (reads_artifact or "--serve-metrics" in argv):
         assert artifacts[0] in err_lines[0]  # the unreadable file is named
 
 

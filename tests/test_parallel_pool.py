@@ -257,23 +257,3 @@ def test_merge_disjoint_concatenates():
     assert a.facets == 3
     assert np.array_equal(a.collisions_per_particle, [1, 2, 7])
     assert np.array_equal(a.facets_per_particle, [0, 1, 3])
-
-
-# ---------------------------------------------------------------------------
-# Bench harness: the measured-speedup path
-# ---------------------------------------------------------------------------
-
-def test_measured_speedup_record():
-    from repro.bench import measured_speedup
-
-    rec = measured_speedup(
-        "csp", nworkers=2, nx=32, nparticles=30,
-        schedule=ScheduleKind.DYNAMIC, chunk=5,
-    )
-    assert rec.serial_s > 0 and rec.parallel_s > 0
-    assert rec.speedup == rec.serial_s / rec.parallel_s
-    assert rec.parallel_efficiency == rec.speedup / 2
-    assert rec.measured_imbalance >= 1.0
-    assert rec.modelled_imbalance >= 1.0
-    with pytest.raises(KeyError):
-        measured_speedup("nope", nworkers=2)

@@ -429,23 +429,3 @@ def test_cli_degraded_mode_surfaced(capsys):
     out = capsys.readouterr().out
     assert "DEGRADED MODE" in out
     assert "drained" in out
-
-
-# ---------------------------------------------------------------------------
-# Recovery-overhead measurement (bench layer)
-# ---------------------------------------------------------------------------
-
-def test_measured_recovery_overhead_record():
-    from repro.bench import measured_recovery_overhead
-
-    rec = measured_recovery_overhead(
-        "csp", nworkers=2, nx=32, nparticles=NPARTICLES, chunk=6
-    )
-    assert rec.clean_s > 0 and rec.faulted_s > 0
-    assert rec.respawns >= 1
-    assert rec.states_identical
-    assert rec.overhead == rec.faulted_s / rec.clean_s - 1.0
-    with pytest.raises(ValueError):
-        measured_recovery_overhead("csp", nworkers=1)
-    with pytest.raises(KeyError):
-        measured_recovery_overhead("nope")
