@@ -16,8 +16,9 @@ with per-kernel call/wall-clock accounting:
         ▼
     Workspace  — named preallocated buffers (no per-pass allocations)
 
-``python -m repro.kernels --check`` audits that no ``*_vec`` physics
-implementation exists outside this package.
+``python -m repro.kernels --check`` runs the source audit — one table of
+rules, ``repro.kernels.audit.RULES``, that keeps the package at one path —
+and two runtime allocation probes.
 """
 
 from repro.kernels import batch, xs

@@ -10,7 +10,9 @@ from repro.cli import build_parser, main
 from repro.core import Scheme, Simulation
 from repro.ensemble import population_fingerprint
 
-BENCH_5 = str(Path(__file__).resolve().parents[1] / "results" / "BENCH_5.json")
+RESULTS = Path(__file__).resolve().parents[1] / "results"
+BENCH_4 = str(RESULTS / "BENCH_4.json")
+BENCH_5 = str(RESULTS / "BENCH_5.json")
 
 
 def test_parser_requires_command():
@@ -187,7 +189,7 @@ def test_run_serve_metrics_serves_while_running(capsys):
 def test_run_serve_metrics_with_drift_baseline(capsys):
     rc = main([
         "run", "--problem", "csp", "--nx", "16", "--particles", "24",
-        "--serve-metrics", "0", "--drift-baseline", "results/BENCH_4.json",
+        "--serve-metrics", "0", "--drift-baseline", BENCH_4,
     ])
     assert rc == 0
     out = capsys.readouterr().out

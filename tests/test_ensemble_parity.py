@@ -52,7 +52,8 @@ from repro.ensemble import (
     validate_members,
 )
 from repro.kernels import EVENT_KERNELS
-from repro.kernels.audit import audit_facet_transient, audit_single_path
+from repro.kernels.audit import audit as audit_single_path
+from repro.kernels.audit import audit_facet_transient
 from repro.mesh.tally import EnergyDepositionTally
 from repro.parallel import FaultPlan, KillWorker
 from repro.particles.source import SourceRegion
@@ -976,7 +977,7 @@ def test_single_path_audit_flags_a_second_pool_launch(tmp_path):
 
 
 def test_arena_audit_flags_a_per_index_walk_in_volume(tmp_path):
-    from repro.kernels.audit import audit_particle_construction
+    from repro.kernels.audit import audit as audit_particle_construction
 
     for pkg in ("core", "parallel", "volume"):
         (tmp_path / pkg).mkdir()
@@ -992,7 +993,7 @@ def test_particle_audit_flags_a_scalar_stream(tmp_path):
     """Children are an arena block born from the vectorised streams: a
     scalar one-particle stream in a hot package is the per-child bank
     coming back, whichever package it appears in."""
-    from repro.kernels.audit import audit_particle_construction
+    from repro.kernels.audit import audit as audit_particle_construction
 
     for pkg in ("core", "parallel", "volume"):
         (tmp_path / pkg).mkdir()

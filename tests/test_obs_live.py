@@ -6,6 +6,7 @@ import json
 import time
 import urllib.error
 import urllib.request
+from pathlib import Path
 
 import pytest
 
@@ -32,6 +33,8 @@ from repro.obs import (
     validate_telemetry,
 )
 from repro.obs.server import PROMETHEUS_CONTENT_TYPE
+
+BENCH_4 = str(Path(__file__).resolve().parents[1] / "results" / "BENCH_4.json")
 
 
 def _get(url):
@@ -232,9 +235,7 @@ def test_drift_watchdog_emits_transition_events():
 def test_drift_band_from_committed_artifact():
     from repro.bench import load_bench_artifact
 
-    band = drift_band_from_artifact(load_bench_artifact(
-        "results/BENCH_4.json"
-    ))
+    band = drift_band_from_artifact(load_bench_artifact(BENCH_4))
     assert band.expected_events_per_s > 0
     assert band.rel_band >= 0.35
     assert band.source.startswith("bench:")
@@ -246,7 +247,7 @@ def test_drift_band_from_committed_artifact():
 def test_drift_band_from_artifact_rejects_unknown_bench():
     from repro.bench import load_bench_artifact
 
-    artifact = load_bench_artifact("results/BENCH_4.json")
+    artifact = load_bench_artifact(BENCH_4)
     with pytest.raises(ValueError, match="unknown bench"):
         drift_band_from_artifact(artifact, bench="nope")
 

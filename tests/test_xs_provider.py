@@ -23,7 +23,7 @@ from hypothesis import strategies as st
 from repro.core import Scheme, Simulation, csp_problem, scatter_problem, stream_problem
 from repro.core.validation import energy_balance_error, population_accounted
 from repro.ensemble.engine import population_fingerprint
-from repro.kernels.audit import audit_xs_table_access
+from repro.kernels.audit import audit as audit_xs_table_access
 from repro.kernels.xs import ce_lookup, linear_walk_probes, search_bins, union_bins
 from repro.xs.ce import (
     CEMaterial,
