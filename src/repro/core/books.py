@@ -165,11 +165,9 @@ class ReplicaBooks:
         Zero-argument callable building one empty tally over the run's
         mesh (2-D or 3-D) — the totals tally, whose shape the replicas'
         stacked tally takes too.
-    tally:
-        An existing totals tally to accumulate into; fresh when omitted.
     """
 
-    def __init__(self, members, rep, tally_factory, tally=None):
+    def __init__(self, members, rep, tally_factory):
         self.members = tuple(members)
         self.nreplicas = len(self.members)
         if self.nreplicas < 1:
@@ -195,7 +193,7 @@ class ReplicaBooks:
         self.facet_pp = np.zeros(self.rep.size, dtype=np.int64)
         #: Run totals.  With one replica these *are* that replica's books.
         self.totals = Counters(nparticles=self.rep.size)
-        self.tally = tally if tally is not None else tally_factory()
+        self.tally = tally_factory()
         if self.nreplicas == 1:
             self.counters = [self.totals]
             self.tallies = [self.tally]
@@ -469,8 +467,8 @@ class ReplicaBooks:
                         getattr(totals, fname) + getattr(rc, fname),
                     )
             # numpy reduces a non-inner axis element by element, replica
-            # after replica: into a fresh totals tally (every fused caller
-            # lets the books build it) that is bitwise the merge loop.
+            # after replica: into the books' fresh totals tally that is
+            # bitwise the merge loop.
             stack = self.stack
             self.tally.deposition += stack.deposition.sum(axis=0)
             self.tally.flush_counts += stack.flush_counts.sum(axis=0)

@@ -165,9 +165,8 @@ class CensusStepper:
     passes its own); a run given none is one replica of ``config`` —
     there is no other path."""
 
-    def __init__(self, config: SimulationConfig, *, arena=None, tally=None,
-                 trace=None, recorder=None, books=None, provider=None,
-                 probe=None):
+    def __init__(self, config: SimulationConfig, *, arena=None, trace=None,
+                 recorder=None, books=None, provider=None, probe=None):
         self.config = config
         self.rec = NULL_RECORDER if recorder is None else recorder
         #: Live-plane publisher (repro.obs.live); NULL_PROBE when off.
@@ -200,7 +199,7 @@ class CensusStepper:
         #: and the run totals (``counters`` / ``tally`` below).
         self.books = books or ReplicaBooks(
             (config,), np.zeros(len(arena), dtype=np.int64),
-            config.build_tally, tally,
+            config.build_tally,
         )
         self.counters = self.books.totals
         self.tally = self.books.tally
@@ -400,8 +399,8 @@ class CensusStepper:
 
 
 def run_stepped(config: SimulationConfig, plan=Scheme.OVER_PARTICLES, *,
-                arena=None, tally=None, trace=None, recorder=None,
-                books=None, provider=None, probe=None):
+                arena=None, trace=None, recorder=None, books=None,
+                provider=None, probe=None):
     """Run the unified census stepper — the one transport driver, in two
     dimensions or three.
 
@@ -410,8 +409,7 @@ def run_stepped(config: SimulationConfig, plan=Scheme.OVER_PARTICLES, *,
 
     ``arena`` is a pre-sampled population advanced in place (pool shard
     views, scheme-equivalence tests; sampled from the config's source
-    when omitted), ``tally`` an existing tally to accumulate into,
-    ``trace`` a list receiving the Over Particles event trace
+    when omitted), ``trace`` a list receiving the Over Particles event trace
     ``(history_index, event_kind, flat_cell)`` for :mod:`repro.simexec`,
     ``recorder`` / ``probe`` the purely observational telemetry hooks.
     ``books`` (:class:`~repro.core.books.ReplicaBooks`) fuses R replicas
@@ -425,8 +423,8 @@ def run_stepped(config: SimulationConfig, plan=Scheme.OVER_PARTICLES, *,
     if trace is not None and plan is not Scheme.OVER_PARTICLES:
         raise ValueError("trace records only a Scheme.OVER_PARTICLES run")
     stepper = CensusStepper(
-        config, arena=arena, tally=tally, trace=trace, recorder=recorder,
-        books=books, provider=provider, probe=probe,
+        config, arena=arena, trace=trace, recorder=recorder, books=books,
+        provider=provider, probe=probe,
     )
     stepper.run(plan)
     return TransportResult(

@@ -156,27 +156,13 @@ def run_ensemble(
     base = members[0]
     validate_scheme_options(scheme)
     label = scheme_label(scheme)
-    if live is not None:
-        live.update_run(
-            problem=getattr(base, "name", "") or "",
-            nparticles=int(sum(m.nparticles for m in members)),
-            ntimesteps=int(base.ntimesteps),
-            scheme=label.value,
-            nworkers=int(nworkers),
-            replicas=nrep,
-            mode="ensemble",
-        )
-    # Build the cross-section backend once for the whole ensemble
-    # (materials are a uniform field — validate_members enforces it).
-    from repro.xs.provider import XsMode
+    from repro.parallel.pool import PoolOptions, run_sharded, start_run
 
-    provider = base.resolved_provider()
-    if provider.mode is XsMode.MULTIGROUP:
-        run_members = tuple(
-            m.with_(materials=provider.materials) for m in members
-        )
-    else:
-        run_members = members
+    # One backend for the whole ensemble: materials are a uniform field
+    # (validate_members enforces it).
+    run_members, provider = start_run(
+        members, scheme, nworkers, live, replicas=nrep, mode="ensemble"
+    )
     mesh = base.build_mesh()
     with rec.span("ensemble_source", replicas=nrep):
         member_arenas = [
@@ -193,8 +179,6 @@ def run_ensemble(
         nworkers=nworkers,
     ):
         if nworkers > 1 and nrep > 1:
-            from repro.parallel.pool import PoolOptions, run_sharded
-
             bounds = (0, *np.cumsum([len(a) for a in member_arenas]).tolist())
             options = PoolOptions(
                 nworkers=nworkers,

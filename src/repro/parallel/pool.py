@@ -16,9 +16,13 @@ particle loop.  :func:`run_pool` and a pooled
   shards and idle workers pull the next one (``schedule(dynamic, chunk)``);
 * shards are cut on units: histories of one replica, or whole replicas
   (a shard never splits a replica of an ensemble);
-* each worker accumulates a **private** :class:`EnergyDepositionTally` and
-  private :class:`Counters` per shard, reduced by the parent in shard-id
-  order — the §VI-F tally-privatisation pattern, for real this time.
+* every shard runs the one shard body (:func:`_run_shard`) into its own
+  **private** :class:`EnergyDepositionTally` and :class:`Counters`, and
+  ships them as one payload — from a worker, from the ``nworkers == 1``
+  in-process path and from the degraded drain alike;
+* :func:`_reduce` is the one fold: it merges the payloads in shard-id
+  order — the §VI-F tally-privatisation pattern, for real this time — so
+  every worker count gives the same bits.
 
 Zero-copy shard hand-off.  The parent samples the population into one
 :class:`~repro.particles.arena.ParticleArena` and re-homes it into a
@@ -88,7 +92,7 @@ from repro.parallel.schedule import ScheduleKind
 from repro.particles.source import sample_source
 
 __all__ = ["PoolOptions", "WorkerReport", "PoolRunInfo", "run_pool",
-           "run_sharded"]
+           "run_sharded", "start_run"]
 
 #: Sentinel worker id for shards the parent drained in-process
 #: (degraded mode); shows up as its own :class:`WorkerReport`.
@@ -101,10 +105,6 @@ _STALL_WINDOW_S = 5.0
 
 #: Parent watchdog polling granularity (seconds).
 _POLL_S = 0.05
-
-#: A worker slot's work tally before (or without) any shard.
-_IDLE = {"histories": 0, "final": 0, "events": 0, "chunks": 0,
-         "busy_s": 0.0, "total_s": 0.0}
 
 
 @dataclass(frozen=True)
@@ -330,72 +330,65 @@ class PoolRunInfo:
 # Shard execution (runs inside workers; in-process when nworkers == 1)
 # ---------------------------------------------------------------------------
 
-def _run_ranges(members, bounds, scheme, population, ranges, recorder=None,
-                probe=None):
+def _run_shard(members, bounds, scheme, population, lo, hi, recorder=None,
+               probe=None):
     """The one shard body (worker, in-process path and degraded drain):
-    run the replica set over each ``(lo, hi)`` unit range.
+    run the replica set over the ``[lo, hi)`` unit range and return the
+    shard's payload.
 
     Replica ``r`` of ``members`` owns rows ``[bounds[r], bounds[r + 1])``
     of ``population``; a unit is a history when there is one replica and
-    a whole replica otherwise, so an ensemble range covers whole replicas
-    by construction.  Each range runs as a *copy* of its zero-copy view
+    a whole replica otherwise, so an ensemble shard covers whole replicas
+    by construction.  The shard runs as a *copy* of its zero-copy view
     (the population is never mutated, so a retry re-executes from
-    identical bytes) through the census stepper with
-    :class:`~repro.core.books.ReplicaBooks` over its replicas, into one
-    private tally (an ensemble range's own tally is merged into it) and
-    counter set, in range order.  Returns what the reduction needs, with
-    each replica's ``(counters, tally)`` for an ensemble.  ``recorder``
-    and ``probe`` (committed per range) never alter the physics, and
-    ``scheme`` may be any :class:`Scheme` (``AUTO`` compacts per range)
-    or a picklable ``decide(step, stepper)`` plan — switching
-    is physics-bit-identical per history, so retries stay reproducible.
+    identical bytes) through the census stepper with its own
+    :class:`~repro.core.books.ReplicaBooks`, which build the shard's
+    private tally and counters.  The payload carries those, the final
+    arena and each replica's ``(counters, tally)``; :func:`_reduce` folds
+    the payloads.  ``recorder`` and ``probe`` never alter the physics,
+    and ``scheme`` may be any :class:`Scheme` (``AUTO`` compacts per
+    shard) or a picklable ``decide(step, stepper)`` plan — switching is
+    physics-bit-identical per history, so retries stay reproducible.
     """
     from repro.core.books import ReplicaBooks
     from repro.core.stepper import run_stepped
 
-    base = members[0]
     fused = len(members) > 1
-    tally = base.build_tally()
-    counters = Counters()
-    arenas = []
-    books = {}
-    busy = 0.0
-    histories = 0
-    for lo, hi in ranges:
-        r0, r1, a, b = (
-            (lo, hi, bounds[lo], bounds[hi]) if fused else (0, 1, lo, hi)
-        )
-        view = population.view(a, b).copy()
-        range_books = ReplicaBooks(
-            members[r0:r1],
-            view.replica_id - r0 if fused else np.zeros(b - a, np.int64),
-            base.build_tally, None if fused else tally,
-        )
-        r = run_stepped(
-            base, scheme, arena=view, books=range_books, recorder=recorder,
-            probe=probe,
-        )
-        if probe is not None and probe.enabled:
-            probe.commit_shard(r.counters, b - a)
-        if fused:  # replica tallies never alias the shard's running tally
-            tally.merge(range_books.tally)
-            books.update(zip(
-                range(r0, r1), zip(range_books.counters, range_books.tallies)
-            ))
-        arenas.append(r.arena)
-        counters.merge_disjoint(r.counters)
-        busy += r.wallclock_s
-        histories += b - a
-    arenas[0].extend(*arenas[1:])
+    r0, r1, a, b = (lo, hi, bounds[lo], bounds[hi]) if fused else (0, 1, lo, hi)
+    view = population.view(a, b).copy()
+    books = ReplicaBooks(
+        members[r0:r1],
+        view.replica_id - r0 if fused else np.zeros(b - a, np.int64),
+        members[0].build_tally,
+    )
+    r = run_stepped(
+        members[0], scheme, arena=view, books=books, recorder=recorder,
+        probe=probe,
+    )
+    if probe is not None and probe.enabled:
+        probe.commit_shard(r.counters, b - a)
     return {
-        "tally": tally,
-        "counters": counters,
-        "arena": arenas[0],
-        "books": books,
-        "busy_s": busy,
-        "histories": histories,
-        "chunks": len(ranges),
+        "tally": r.tally,
+        "counters": r.counters,
+        "arena": r.arena,
+        "books": dict(zip(range(r0, r1), zip(books.counters, books.tallies))),
+        "busy_s": r.wallclock_s,
+        "histories": b - a,
     }
+
+
+def _run_here(members, bounds, scheme, population, shard, worker_id, rec,
+              probe):
+    """Run one shard in this process (the ``nworkers == 1`` path and the
+    degraded drain): the shard body's payload, tagged with ``worker_id``
+    and its wall-clock."""
+    t0 = time.perf_counter()
+    out = _run_shard(
+        members, bounds, scheme, population, *shard,
+        recorder=rec if rec.enabled else None, probe=probe,
+    )
+    out.update(worker_id=worker_id, total_s=time.perf_counter() - t0)
+    return out
 
 
 def _beat(heartbeats, worker_id, stop, interval, spiller=None):
@@ -428,7 +421,7 @@ def _worker_main(worker_id, incarnation, members, bounds, scheme,
     zero-copy ``arena_cls`` view (a few dozen bytes crossed the process
     boundary, not a pickled particle list); every shard task addresses a
     ``[lo, hi)`` unit range of it.  The attached bytes are never written —
-    :func:`_run_ranges` copies each slice before running — so a retried
+    :func:`_run_shard` copies its slice before running — so a retried
     shard, on this worker or a respawned one, re-reads identical state.
 
     Must stay importable at module level for ``spawn``.  Consults the
@@ -507,8 +500,8 @@ def _worker_main(worker_id, incarnation, members, bounds, scheme,
                 injected = plan.raise_for(shard_id, attempt)
                 if injected is not None:
                     raise FaultInjected(injected.message)
-                out = _run_ranges(
-                    members, bounds, scheme, population, [(lo, hi)],
+                out = _run_shard(
+                    members, bounds, scheme, population, lo, hi,
                     recorder=wrec, probe=probe,
                 )
             except Exception:
@@ -549,7 +542,7 @@ def _pick_context(options: PoolOptions):
 
 def _build_shards(members, bounds, options):
     """The unit-of-recovery work list: a ``(lo, hi)`` unit range (see
-    :func:`_run_ranges`) per shard id.
+    :func:`_run_shard`) per shard id.
 
     STATIC shards are the per-worker contiguous blocks (empty ones
     dropped); DYNAMIC shards are the chunk queue entries.
@@ -567,7 +560,7 @@ class _Slot:
     """Parent-side ledger for one worker slot across incarnations."""
 
     __slots__ = ("worker_id", "proc", "incarnation", "queue", "current",
-                 "spawn_t", "lifetime_s", "dead")
+                 "spawn_t", "lifetime_s", "dead", "hb_age")
 
     def __init__(self, worker_id, task_queue):
         self.worker_id = worker_id
@@ -579,23 +572,27 @@ class _Slot:
         self.spawn_t = 0.0
         self.lifetime_s = 0.0
         self.dead = False
+        #: Heartbeat age when the dispatch loop finished.
+        self.hb_age = 0.0
 
     @property
     def live(self):
         return self.proc is not None and not self.dead
 
 
-class _Ledger:
-    """The recovery ledger :func:`_reduce` folds into :class:`PoolRunInfo`:
-    worker slots, final heartbeat ages, retries, rebalances, respawns,
-    lost workers, the degraded drain and per-shard attempts.  Empty for
-    the in-process path; :class:`_Dispatcher` keeps it for a pooled run.
+class _Dispatcher:
+    """The watchdog loop: dispatch shards, detect failures, recover.
+
+    One instance per :func:`run_sharded` call with ``nworkers > 1``.  The
+    public surface is :meth:`run`, returning per-shard payloads; its
+    worker slots and :meth:`ledger` go into :class:`PoolRunInfo` through
+    :func:`_reduce`.
     """
 
-    def __init__(self, nshards):
+    def __init__(self, members, bounds, scheme, population, shards, options,
+                 ctx, recorder=None, live=None):
         self.slots: list[_Slot] = []
-        self.final_heartbeat_ages: dict[int, float] = {}
-        self.attempts = [0] * nshards
+        self.attempts = [0] * len(shards)
         self.retries = 0
         self.rebalances = 0
         self.respawns = 0
@@ -603,20 +600,6 @@ class _Ledger:
         self.drained = 0
         self.degraded = False
         self.degraded_reason = ""
-
-
-class _Dispatcher(_Ledger):
-    """The watchdog loop: dispatch shards, detect failures, recover.
-
-    One instance per :func:`run_sharded` call with ``nworkers > 1``.  The
-    public surface is :meth:`run`, returning per-shard payloads; the
-    recovery ledger it keeps is folded into :class:`PoolRunInfo` by
-    :func:`_reduce`.
-    """
-
-    def __init__(self, members, bounds, scheme, population, shards, options,
-                 ctx, recorder=None, live=None):
-        super().__init__(len(shards))
         self.members = members
         self.bounds = bounds
         self.scheme = scheme
@@ -652,7 +635,10 @@ class _Dispatcher(_Ledger):
         self.board = (
             LiveBoard.allocate(ctx, self.nslots) if live is not None else None
         )
-        self._parent_probe = None
+        #: The degraded drain's probe, so drained shards feed the plane.
+        self._parent_probe = (
+            live.probe(PARENT_WORKER_ID) if live is not None else None
+        )
         #: Flight-recorder directory.  Owned (created + removed here)
         #: when the options leave it unset; an explicit directory is
         #: created if needed and left behind for post-mortems.
@@ -685,10 +671,8 @@ class _Dispatcher(_Ledger):
                 self._spawn(slot)
             self._watch()
             now = time.monotonic()
-            self.final_heartbeat_ages = {
-                slot.worker_id: max(0.0, now - self.heartbeats[slot.worker_id])
-                for slot in self.slots
-            }
+            for slot in self.slots:
+                slot.hb_age = max(0.0, now - self.heartbeats[slot.worker_id])
             # Final live sample: sub-second runs may never hit the
             # periodic cadence, but the snapshot should still report the
             # completed totals off the board.
@@ -795,15 +779,19 @@ class _Dispatcher(_Ledger):
                     **self.board.read(slot.worker_id),
                 )
         if self.live is not None:
-            self.live.update_recovery(
-                retries=self.retries,
-                rebalances=self.rebalances,
-                respawns=self.respawns,
-                workers_lost=self.workers_lost,
-                degraded=self.degraded,
-                degraded_reason=self.degraded_reason,
-                shards_drained_in_process=self.drained,
-            )
+            self.live.update_recovery(**self.ledger())
+
+    def ledger(self) -> dict:
+        """The start method and the recovery ledger, as
+        :class:`PoolRunInfo` fields."""
+        return dict(
+            start_method=self.ctx.get_start_method(),
+            retries=self.retries, rebalances=self.rebalances,
+            respawns=self.respawns, workers_lost=self.workers_lost,
+            degraded=self.degraded, degraded_reason=self.degraded_reason,
+            shards_drained_in_process=self.drained,
+            shard_attempts=tuple(self.attempts),
+        )
 
     def _drain_messages(self):
         """Pump the result queue; returns True when progress was made."""
@@ -971,16 +959,6 @@ class _Dispatcher(_Ledger):
             reason=reason.splitlines()[0],
         )
 
-    def _live_probe(self):
-        """The parent's own live probe (lazily built), used by the
-        degraded in-process drain so drained shards still feed the
-        plane."""
-        if self.live is None:
-            return None
-        if self._parent_probe is None:
-            self._parent_probe = self.live.probe(PARENT_WORKER_ID)
-        return self._parent_probe
-
     def _retry(self, sid, reason):
         self.attempts[sid] += 1
         if self.attempts[sid] > self.options.max_retries:
@@ -1020,19 +998,11 @@ class _Dispatcher(_Ledger):
             self.rec.event(
                 "drain_in_process", shard=sid, attempt=self.attempts[sid],
             )
-            t0 = time.perf_counter()
-            out = _run_ranges(
+            self.results[sid] = _run_here(
                 self.members, self.bounds, self.scheme, self.population,
-                [self.shards[sid]],
-                recorder=self.rec if self.rec.enabled else None,
-                probe=self._live_probe(),
+                self.shards[sid], PARENT_WORKER_ID, self.rec,
+                self._parent_probe,
             )
-            out.update(
-                type="result", worker_id=PARENT_WORKER_ID,
-                incarnation=0, shard=sid, attempt=self.attempts[sid],
-                total_s=time.perf_counter() - t0,
-            )
-            self.results[sid] = out
             self.pending.discard(sid)
             self.drained += 1
             self._feed()
@@ -1074,61 +1044,58 @@ class _Dispatcher(_Ledger):
             self.flight_dir = None
 
 
-def _reduce(members, scheme, options, results, ledger, t0, start_method,
+def _reduce(members, scheme, options, results, slots, ledger, t0,
             recorder=None):
-    """The one reduce of every pooled run: fold per-shard payloads into a
-    :class:`TransportResult` (``pool`` carries the worker reports and the
-    recovery ``ledger``) and ``books[r]``, replica ``r``'s ``(counters,
-    tally)`` — the run totals themselves for one replica.
+    """The one fold of every pooled run: merge the per-shard payloads
+    ``results[0..n)`` into a :class:`TransportResult` and ``books[r]``,
+    replica ``r``'s ``(counters, tally)`` — the run totals themselves for
+    one replica.
 
-    Reduction runs in **shard-id order**, so the floating-point
+    The fold runs in **shard-id order**, so the floating-point
     accumulation order — and therefore the reduced tally, bit for bit —
-    is independent of which worker ran which shard, of retries, and of
-    degraded drains; worker telemetry is merged into ``recorder`` in the
-    same order.  Kept module-level so tests can instrument it.
+    is independent of the worker count, of which worker ran which shard,
+    of retries and of degraded drains; worker telemetry is merged into
+    ``recorder`` in the same order.  ``pool`` reports each worker id as a
+    group-by of the same payloads, with the lifetime, incarnations and
+    final heartbeat age of its ``slots`` entry (a pooled run's), and
+    takes its other fields from ``ledger``.  Kept module-level so tests
+    can instrument it.
     """
     from repro.core.simulation import TransportResult
     from repro.core.stepper import scheme_label
 
     rec = NULL_RECORDER if recorder is None else recorder
+    rows = [results[sid] for sid in range(len(results))]
     tally = members[0].build_tally()
     merged = Counters()
     books = {}
-    per_worker: dict[int, dict] = {}
-    ordered = [results[sid] for sid in range(len(results))]
-    for r in ordered:
+    for r in rows:
         if rec.enabled and "telemetry" in r:
             rec.merge_payload(r["telemetry"])
         tally.merge(r["tally"])
         merged.merge_disjoint(r["counters"])
         books.update(r["books"])
-        w = per_worker.setdefault(r["worker_id"], dict(_IDLE))
-        w["histories"] += r["histories"]
-        w["final"] += len(r["arena"])
-        w["events"] += r["counters"].total_events
-        w["chunks"] += r["chunks"]
-        w["busy_s"] += r["busy_s"]
-        w["total_s"] += r.get("total_s", 0.0)
 
     reports = []
-    slot_by_id = {s.worker_id: s for s in ledger.slots}
-    for wid in sorted(set(per_worker) | set(slot_by_id)):
-        w = per_worker.get(wid, _IDLE)
+    slot_by_id = {s.worker_id: s for s in slots}
+    for wid in sorted({r["worker_id"] for r in rows} | set(slot_by_id)):
+        mine = [r for r in rows if r["worker_id"] == wid]
         slot = slot_by_id.get(wid)
         reports.append(WorkerReport(
             worker_id=wid,
-            histories=w["histories"],
-            final_histories=w["final"],
-            events=w["events"],
-            chunks=w["chunks"],
-            busy_s=w["busy_s"],
-            total_s=slot.lifetime_s if slot is not None else w["total_s"],
+            histories=sum(r["histories"] for r in mine),
+            final_histories=sum(len(r["arena"]) for r in mine),
+            events=sum(r["counters"].total_events for r in mine),
+            chunks=len(mine),
+            busy_s=sum((r["busy_s"] for r in mine), 0.0),
+            total_s=(slot.lifetime_s if slot is not None
+                     else sum(r["total_s"] for r in mine)),
             incarnations=slot.incarnation + 1 if slot is not None else 1,
-            last_heartbeat_age_s=ledger.final_heartbeat_ages.get(wid, 0.0),
+            last_heartbeat_age_s=slot.hb_age if slot is not None else 0.0,
         ))
 
-    all_arena = ordered[0]["arena"]
-    all_arena.extend(*(r["arena"] for r in ordered[1:]))
+    all_arena = rows[0]["arena"]
+    all_arena.extend(*(r["arena"] for r in rows[1:]))
     if len(members) == 1:
         # ---- deterministic population order, independent of nworkers ------
         # Primaries carry ids 0..n-1 (birth order); secondaries/clones
@@ -1146,19 +1113,8 @@ def _reduce(members, scheme, options, results, ledger, t0, start_method,
     merged.arena_nbytes = all_arena.nbytes()
 
     info = PoolRunInfo(
-        nworkers=options.nworkers,
-        schedule=options.schedule,
-        chunk=options.chunk,
-        start_method=start_method,
-        workers=tuple(reports),
-        retries=ledger.retries,
-        rebalances=ledger.rebalances,
-        respawns=ledger.respawns,
-        workers_lost=ledger.workers_lost,
-        degraded=ledger.degraded,
-        degraded_reason=ledger.degraded_reason,
-        shards_drained_in_process=ledger.drained,
-        shard_attempts=tuple(ledger.attempts),
+        nworkers=options.nworkers, schedule=options.schedule,
+        chunk=options.chunk, workers=tuple(reports), **ledger,
     )
     result = TransportResult(
         config=members[0],
@@ -1181,49 +1137,46 @@ def run_sharded(members, bounds, scheme, population, options, t0,
     ``members`` holds one config per replica (a plain run passes
     ``(config,)``), replica ``r`` owns rows ``[bounds[r], bounds[r + 1])``
     of ``population``, and the result's wall-clock counts from ``t0``.
-    ``nworkers == 1`` runs every shard in this process as one payload;
-    more hand the shards to the fault-tolerant workers.  Either way
-    :func:`_reduce` folds the payloads (under ``dispatch`` and ``reduce``
-    spans) and its ``(result, books)`` is returned.
+    Every shard ships one payload: ``nworkers == 1`` runs the shards one
+    after another in this process, more hand them to the fault-tolerant
+    workers.  Either way :func:`_reduce` folds the payloads (under
+    ``dispatch`` and ``reduce`` spans) and its ``(result, books)`` is
+    returned.
     """
     rec = NULL_RECORDER if recorder is None else recorder
     shards = _build_shards(members, bounds, options)
-    ledger, start_method, shared_pop = _Ledger(1), "inline", None
+    shared_pop = dispatcher = None
     try:
         with rec.span(
             "dispatch", nworkers=options.nworkers, nshards=len(shards)
         ):
             if options.nworkers == 1:
-                # In-process reference path: every shard in one payload,
-                # reduced as one shard with an empty ledger.
-                t_shard = time.perf_counter()
-                out = _run_ranges(
-                    members, bounds, scheme, population, shards,
-                    recorder=rec if rec.enabled else None,
-                    probe=live.probe(0) if live is not None else None,
+                probe = live.probe(0) if live is not None else None
+                results = [_run_here(members, bounds, scheme, population, s, 0,
+                                     rec, probe) for s in shards]
+                slots = ()
+                ledger = dict(
+                    start_method="inline", shard_attempts=(0,) * len(shards)
                 )
-                out.update(worker_id=0, total_s=time.perf_counter() - t_shard)
-                results = {0: out}
             else:
                 # Re-home the population into shared memory: workers
                 # attach zero-copy views instead of unpickling it.
                 shared_pop = population.to_shared()
-                ctx = _pick_context(options)
-                start_method = ctx.get_start_method()
-                ledger = _Dispatcher(
+                dispatcher = _Dispatcher(
                     members, bounds, scheme, shared_pop, shards, options,
-                    ctx, recorder=rec, live=live,
+                    _pick_context(options), recorder=rec, live=live,
                 )
-                results = ledger.run()
+                results = dispatcher.run()
+                slots, ledger = dispatcher.slots, dispatcher.ledger()
         with rec.span("reduce", nshards=len(results)):
             return _reduce(
-                members, scheme, options, results, ledger, t0, start_method,
+                members, scheme, options, results, slots, ledger, t0,
                 recorder=rec,
             )
     finally:
         # Belt and braces for the reduction path: no worker may outlive
         # this call, even if _reduce (or anything above) raised.
-        for slot in ledger.slots:
+        for slot in dispatcher.slots if dispatcher is not None else ():
             if slot.proc is not None and slot.proc.is_alive():
                 slot.proc.terminate()
                 slot.proc.join(5.0)
@@ -1231,6 +1184,35 @@ def run_sharded(members, bounds, scheme, population, options, t0,
         # every worker is gone.
         if shared_pop is not None:
             shared_pop.close(unlink=True)
+
+
+def start_run(members, scheme, nworkers, live, **meta):
+    """The prologue of :func:`run_pool` and
+    :func:`repro.ensemble.run_ensemble`: build the cross-section backend
+    once and pin resolved multigroup tables onto ``members`` (workers
+    would otherwise rebuild them per shard; the CE library is
+    deterministic and cached per process, so workers rebuild
+    bit-identical grids from the config's own fields), then publish the
+    run to the ``live`` plane, if any, with ``meta``.  Returns the run
+    members and the backend.
+    """
+    from repro.core.stepper import scheme_label
+    from repro.xs.provider import XsMode
+
+    base = members[0]
+    provider = base.resolved_provider()
+    if provider.mode is XsMode.MULTIGROUP:
+        members = tuple(m.with_(materials=provider.materials) for m in members)
+    if live is not None:
+        live.update_run(
+            problem=getattr(base, "name", "") or "",
+            nparticles=int(sum(m.nparticles for m in members)),
+            ntimesteps=int(base.ntimesteps),
+            scheme=scheme_label(scheme).value,
+            nworkers=int(nworkers),
+            **meta,
+        )
+    return members, provider
 
 
 def run_pool(
@@ -1262,32 +1244,13 @@ def run_pool(
     worker is lost.  Like the recorder, the plane never alters the
     physics.
     """
-    from repro.core.stepper import scheme_label
-    from repro.xs.provider import XsMode
-
     if options is None:
         options = PoolOptions(nworkers=1)
     rec = NULL_RECORDER if recorder is None else recorder
     t0 = time.perf_counter()
-    if live is not None:
-        live.update_run(
-            problem=getattr(config, "name", "") or "",
-            nparticles=int(config.nparticles),
-            ntimesteps=int(config.ntimesteps),
-            scheme=scheme_label(scheme).value,
-            nworkers=int(options.nworkers),
-            mode="pool",
-        )
-
-    # Build the cross-section backend once.  Multigroup ships the resolved
-    # tables with the config (workers would otherwise rebuild them per
-    # shard); the CE library is deterministic and cached per process, so
-    # workers rebuild bit-identical grids from the config's own fields.
-    provider = config.resolved_provider()
-    if provider.mode is XsMode.MULTIGROUP:
-        run_config = config.with_(materials=provider.materials)
-    else:
-        run_config = config
+    (run_config,), provider = start_run(
+        (config,), scheme, options.nworkers, live, mode="pool"
+    )
     mesh = config.build_mesh()
     with rec.span("source_sampling", nparticles=config.nparticles):
         population = sample_source(

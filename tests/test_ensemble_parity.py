@@ -221,11 +221,11 @@ def test_pooled_ensemble_reports_its_pool():
 
 
 def test_in_process_multi_range_matches_pooled_shards():
-    """The one shard body run in-process over several replica ranges
-    accumulates into one running tally; since each worker shard starts
-    from an empty tally (``0 + x`` keeps the bits), the in-process result
-    equals the pooled run over the same ranges bit for bit — tally,
-    counters, population in shard order and every replica's books."""
+    """In-process, every replica range is a shard that runs the one shard
+    body and ships its own payload, as a worker's shard does, and the one
+    reduce folds them in shard-id order; so the in-process result equals
+    the pooled run over the same ranges bit for bit — tally, counters,
+    population in shard order and every replica's books."""
     from repro.parallel.pool import PoolOptions, run_sharded
     from repro.parallel.schedule import ScheduleKind
     from repro.particles.arena import EnsembleArena
@@ -249,6 +249,7 @@ def test_in_process_multi_range_matches_pooled_shards():
     pooled = run_ensemble(spec, Scheme.OVER_EVENTS, nworkers=NREPLICAS)
     assert inline.pool.start_method == "inline"
     assert inline.pool.workers[0].chunks == NREPLICAS
+    assert len(inline.pool.shard_attempts) == NREPLICAS
     assert len(pooled.pool.shard_attempts) == NREPLICAS
     assert np.array_equal(inline.tally.deposition, pooled.tally.deposition)
     assert np.array_equal(inline.tally.flush_counts, pooled.tally.flush_counts)

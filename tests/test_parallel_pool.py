@@ -139,13 +139,16 @@ def test_worker_reports_account_for_everything(runs, name, scheme, schedule):
         assert all(w.chunks <= 1 for w in info.workers)
     else:
         assert info.chunks_dispatched() == (36 + 4) // 5  # ceil(36 / 5)
+    assert len(info.shard_attempts) == info.chunks_dispatched()
     assert info.event_imbalance() >= 1.0
     assert info.busy_imbalance() >= 1.0
 
 
 def test_worker_count_does_not_change_result_order():
     """nworkers=1 and nworkers=4 are bit-comparable element by element —
-    the acceptance shape of `repro run --workers N`."""
+    the acceptance shape of `repro run --workers N`.  Cut into the same
+    shards, the in-process run and the pool give the same bits: every
+    shard ships one payload and one reduce folds them."""
     cfg = csp_problem(nx=32, nparticles=30)
     sim = Simulation(cfg)
     one = sim.run(Scheme.OVER_PARTICLES, nworkers=1)
@@ -159,6 +162,18 @@ def test_worker_count_does_not_change_result_order():
             getattr(one.arena, f), getattr(four.arena, f)
         ), f
     assert np.allclose(one.tally.deposition, four.tally.deposition, rtol=1e-10)
+
+    sim = Simulation(scatter_problem(nx=32, nparticles=400))
+    one, two = (
+        sim.run(Scheme.OVER_EVENTS, nworkers=n,
+                schedule=ScheduleKind.DYNAMIC, chunk=8)
+        for n in (1, 2)
+    )
+    assert np.array_equal(one.tally.deposition, two.tally.deposition)
+    assert np.array_equal(one.tally.flush_counts, two.tally.flush_counts)
+    assert one.counters.snapshot() == two.counters.snapshot()
+    for r in (one, two):
+        assert len(r.pool.shard_attempts) == r.pool.chunks_dispatched() == 50
 
 
 def _fission_cfg(**kw):

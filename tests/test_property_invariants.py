@@ -308,8 +308,8 @@ def _partitioned_counters(cuts, scheme):
     ranges = [(lo, hi) for lo, hi in zip(bounds, bounds[1:]) if hi > lo]
     merged = Counters()
     for lo, hi in ranges:
-        shard = pool_mod._run_ranges(
-            (run_config,), (0, _FAULT_N), scheme, population, [(lo, hi)]
+        shard = pool_mod._run_shard(
+            (run_config,), (0, _FAULT_N), scheme, population, lo, hi
         )
         merged.merge_disjoint(shard["counters"])
     return merged
