@@ -589,7 +589,7 @@ def _cmd_ensemble_run(args: argparse.Namespace) -> int:
         )
 
     def report(ens, recorder) -> int:
-        c, n = ens.counters, ens.nworkers
+        c, n = ens.counters, ens.pool.nworkers
         print(f"ensemble: {ens.nreplicas} replicas x {base.nparticles} "
               f"histories ({base.name}, {_mesh_label(ens.tally)} mesh, "
               f"{ens.scheme.value}, {n} worker{'s' if n != 1 else ''})")

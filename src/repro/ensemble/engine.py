@@ -4,19 +4,20 @@
 :class:`~repro.particles.arena.EnsembleArena` (an
 :class:`~repro.particles.arena.EnsembleArena3` in 3-D; replica-major, each
 history keeping the exact ``(seed, particle_id)`` RNG key it would have
-standalone) and hands it, with the members'
-:class:`~repro.core.books.ReplicaBooks`, to the same census stepper
-every plain run uses — any scheme or scheduler, across
-``replicas × histories`` lanes — and returns both the fused totals and
-per-replica results whose counters, tallies and population fingerprints
-are bit-identical to N standalone serial runs.
-
-With ``nworkers > 1`` the ensemble is a pool run through
-:func:`repro.parallel.pool.run_sharded` — a plain pooled run's launch,
-shard body and reduce — sharded by *replica blocks* (a shard never
-splits a replica): workers attach the fused arena by its
-``(shm_name, n_total)`` handle and take ``(shard_id, attempt, lo, hi)``
-tasks over replica indices, under the pool's watchdog, retry and drain.
+standalone) and launches it through
+:func:`repro.parallel.pool.run_sharded`, the one launch of every fused
+run: a plain pooled run's shard body, dispatcher and reduce, sharded by
+*replica blocks* (a shard never splits a replica; one replica shards by
+histories, as a plain run does).  Each shard runs the census stepper
+every plain run uses, with its replicas'
+:class:`~repro.core.books.ReplicaBooks` — any scheme or scheduler, across
+``replicas × histories`` lanes.  ``nworkers=1`` runs one STATIC shard
+over the whole fused arena in this process; more hand
+``(shard_id, attempt, lo, hi)`` tasks to workers that attach the fused
+arena by its ``(shm_name, n_total)`` handle, under the pool's watchdog,
+retry and drain.  The result holds both the fused totals and per-replica
+results whose counters, tallies and population fingerprints are
+bit-identical to N standalone serial runs.
 """
 
 from __future__ import annotations
@@ -27,14 +28,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.core.books import ReplicaBooks
 from repro.core.config import Scheme, SimulationConfig
 from repro.core.counters import Counters
-from repro.core.stepper import (
-    run_stepped,
-    scheme_label,
-    validate_scheme_options,
-)
+from repro.core.stepper import scheme_label, validate_scheme_options
 from repro.ensemble.spec import EnsembleSpec, validate_members
 from repro.mesh.tally import EnergyDepositionTally
 from repro.obs.spans import NULL_RECORDER
@@ -87,11 +83,10 @@ class EnsembleResult:
     tally: EnergyDepositionTally
     arena: EnsembleArena
     wallclock_s: float
-    nworkers: int = 1
     #: The pool's per-worker reports and recovery ledger
-    #: (:class:`~repro.parallel.pool.PoolRunInfo`) when the ensemble ran
-    #: on worker processes; ``None`` in-process.
-    pool: "PoolRunInfo | None" = None
+    #: (:class:`~repro.parallel.pool.PoolRunInfo`); at ``nworkers=1`` the
+    #: inline one (``start_method == "inline"``, one shard).
+    pool: "PoolRunInfo"
 
     @property
     def nreplicas(self) -> int:
@@ -132,16 +127,17 @@ def run_ensemble(
         ``Scheme.AUTO`` or a ``decide(step, stepper)`` plan,
         exactly as in ``Simulation.run``.
     nworkers:
-        ``1`` runs fused in-process; ``> 1`` is a pool run
-        (:func:`repro.parallel.pool.run_sharded`) sharding the fused
-        arena by replica blocks across the fault-tolerant workers.  A
-        one-replica ensemble is a single block and runs in-process.
+        Pool size for :func:`repro.parallel.pool.run_sharded`, which
+        shards the fused arena by replica blocks: ``1`` runs one shard
+        over the whole arena in this process, ``> 1`` spreads the blocks
+        across the fault-tolerant workers.  Below 1 is refused.
     max_retries / shard_timeout / max_worker_respawns / fault_plan:
-        Pool recovery knobs (as in ``Simulation.run``); ignored
-        in-process.
+        Pool recovery knobs (as in ``Simulation.run``), validated at any
+        ``nworkers``: at ``nworkers=1`` a non-empty ``fault_plan`` is
+        refused, as it is for ``Simulation.run``.
     recorder:
         Optional :class:`repro.obs.Recorder`; receives the fused span
-        tree (a pool run's ``dispatch`` / ``reduce`` spans and every
+        tree (the pool's ``dispatch`` / ``reduce`` spans and every
         worker's shipped spans included) plus one ``ensemble_replica``
         event per member carrying its per-replica counter attribution.
     live:
@@ -153,17 +149,23 @@ def run_ensemble(
     rec = NULL_RECORDER if recorder is None else recorder
     members = _expand(spec_or_members)
     nrep = len(members)
-    base = members[0]
     validate_scheme_options(scheme)
     label = scheme_label(scheme)
     from repro.parallel.pool import PoolOptions, run_sharded, start_run
 
+    options = PoolOptions(
+        nworkers=nworkers,
+        max_retries=max_retries,
+        shard_timeout=shard_timeout,
+        max_worker_respawns=max_worker_respawns,
+        fault_plan=fault_plan,
+    )
     # One backend for the whole ensemble: materials are a uniform field
     # (validate_members enforces it).
     run_members, provider = start_run(
         members, scheme, nworkers, live, replicas=nrep, mode="ensemble"
     )
-    mesh = base.build_mesh()
+    mesh = members[0].build_mesh()
     with rec.span("ensemble_source", replicas=nrep):
         member_arenas = [
             sample_source(
@@ -174,36 +176,15 @@ def run_ensemble(
         ]
     fused = FUSED_ARENA[type(member_arenas[0])].fuse(member_arenas)
 
+    bounds = (0, *np.cumsum([len(a) for a in member_arenas]).tolist())
     with rec.span(
         "ensemble_run", replicas=nrep, scheme=label.name,
         nworkers=nworkers,
     ):
-        if nworkers > 1 and nrep > 1:
-            bounds = (0, *np.cumsum([len(a) for a in member_arenas]).tolist())
-            options = PoolOptions(
-                nworkers=nworkers,
-                max_retries=max_retries,
-                shard_timeout=shard_timeout,
-                max_worker_respawns=max_worker_respawns,
-                fault_plan=fault_plan,
-            )
-            result, books = run_sharded(
-                run_members, bounds, scheme, fused, options, t0,
-                recorder=rec, live=live,
-            )
-        else:
-            fused_books = ReplicaBooks(
-                run_members, fused.replica_id, base.build_tally
-            )
-            probe = live.probe(0) if live is not None else None
-            result = run_stepped(
-                base, scheme, arena=fused, books=fused_books,
-                recorder=rec if rec.enabled else None, provider=provider,
-                probe=probe,
-            )
-            if probe is not None and probe.enabled:
-                probe.commit_shard(result.counters, len(fused))
-            books = zip(fused_books.counters, fused_books.tallies)
+        result, books = run_sharded(
+            run_members, bounds, scheme, fused, options, t0,
+            recorder=rec, live=live,
+        )
 
     # The arena's replica_id column travels with every history (children
     # inherit it), so each replica's population is one selection.
@@ -240,7 +221,6 @@ def run_ensemble(
         tally=result.tally,
         arena=final,
         wallclock_s=time.perf_counter() - t0,
-        nworkers=nworkers,
         pool=result.pool,
     )
 

@@ -186,6 +186,21 @@ class _PromWriter:
         return "\n".join(lines) + "\n"
 
 
+def _recovery_series(out, prefix, ledger) -> None:
+    """The pool recovery ledger as ``{prefix}_<field>`` series: a counter
+    per integer field of
+    :meth:`~repro.parallel.pool.PoolRunInfo.recovery_defaults`, then the
+    ``degraded`` gauge.  Shared by both Prometheus renderers."""
+    from repro.parallel.pool import PoolRunInfo
+
+    for key, default in PoolRunInfo.recovery_defaults().items():
+        if type(default) is int:  # the counts; bool is not one
+            out.counter(f"{prefix}_{key}", ledger.get(key, 0),
+                        f"Pool recovery ledger: {key}")
+    out.gauge(f"{prefix}_degraded", 1.0 if ledger.get("degraded") else 0.0,
+              "1 when the pool fell back to in-process draining")
+
+
 def to_prometheus(telemetry) -> str:
     """The scalar sections in Prometheus text exposition format.
 
@@ -248,12 +263,7 @@ def to_prometheus(telemetry) -> str:
                     "Dead histories parked by census compactions")
     pool = telemetry.pool
     if pool is not None:
-        for key in ("retries", "rebalances", "respawns", "workers_lost",
-                    "shards_drained_in_process"):
-            out.counter(f"repro_pool_{key}", pool.get(key, 0),
-                        f"Pool recovery ledger: {key}")
-        out.gauge("repro_pool_degraded", 1.0 if pool.get("degraded") else 0.0,
-                  "1 when the pool fell back to in-process draining")
+        _recovery_series(out, "repro_pool", pool)
         for w in pool.get("workers", ()):
             labels = {"worker": str(w["worker_id"])}
             out.gauge("repro_worker_busy_seconds", w["busy_s"],

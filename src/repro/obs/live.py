@@ -369,15 +369,9 @@ class LiveAggregator:
         self._t0 = time.monotonic()
         self._run = dict(run or {})
         self._workers: dict[int, dict] = {}
-        self._recovery = {
-            "retries": 0,
-            "rebalances": 0,
-            "respawns": 0,
-            "workers_lost": 0,
-            "degraded": False,
-            "degraded_reason": "",
-            "shards_drained_in_process": 0,
-        }
+        from repro.parallel.pool import PoolRunInfo
+
+        self._recovery = PoolRunInfo.recovery_defaults()
         self.drift = drift
         self._rec = NULL_RECORDER if recorder is None else recorder
         self._drifting = False
@@ -556,11 +550,10 @@ class LiveAggregator:
         """The snapshot in Prometheus text exposition format — the PR 6
         discipline: monotonic series are ``_total`` counters, point-in-
         time values are gauges."""
-        from repro.obs.export import _PromWriter
+        from repro.obs.export import _PromWriter, _recovery_series
 
         snap = self.snapshot()
         agg = snap["aggregate"]
-        rec = snap["recovery"]
         out = _PromWriter()
         out.gauge("repro_live_up", 0.0 if snap["run"]["done"] else 1.0,
                   "1 while the run is still stepping")
@@ -598,13 +591,7 @@ class LiveAggregator:
                       "Per-worker heartbeat age at last sample", labels)
             out.gauge("repro_live_worker_incarnation", w["incarnation"],
                       "Processes that occupied the slot so far", labels)
-        for key in ("retries", "rebalances", "respawns", "workers_lost",
-                    "shards_drained_in_process"):
-            out.counter(f"repro_live_pool_{key}", rec[key],
-                        f"Pool recovery ledger: {key}")
-        out.gauge("repro_live_pool_degraded",
-                  1.0 if rec["degraded"] else 0.0,
-                  "1 when the pool fell back to in-process draining")
+        _recovery_series(out, "repro_live_pool", snap["recovery"])
         drift = snap["drift"]
         if drift is not None:
             out.gauge("repro_live_drift_ratio", drift["ratio"],

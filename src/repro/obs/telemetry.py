@@ -20,7 +20,9 @@ Serialisation is canonical — sorted keys, fixed separators — so
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+import typing
+from dataclasses import dataclass, field, fields, is_dataclass
+from enum import Enum
 from pathlib import Path
 
 from repro.obs.spans import Recorder
@@ -125,38 +127,20 @@ def load_telemetry(path) -> RunTelemetry:
 # Building an artifact from a run
 # ---------------------------------------------------------------------------
 
+def _plain(value):
+    """A pool-section value as JSON data: a dataclass as the dict of its
+    fields, a tuple as a list, an enum as its value."""
+    if is_dataclass(value):
+        return {f.name: _plain(getattr(value, f.name)) for f in fields(value)}
+    if isinstance(value, tuple):
+        return [_plain(v) for v in value]
+    return value.value if isinstance(value, Enum) else value
+
+
 def _pool_section(pool) -> dict | None:
-    """Serialise a :class:`~repro.parallel.pool.PoolRunInfo`."""
-    if pool is None:
-        return None
-    return {
-        "nworkers": pool.nworkers,
-        "schedule": pool.schedule.value,
-        "chunk": pool.chunk,
-        "start_method": pool.start_method,
-        "retries": pool.retries,
-        "rebalances": getattr(pool, "rebalances", 0),
-        "respawns": pool.respawns,
-        "workers_lost": pool.workers_lost,
-        "degraded": pool.degraded,
-        "degraded_reason": pool.degraded_reason,
-        "shards_drained_in_process": pool.shards_drained_in_process,
-        "shard_attempts": list(pool.shard_attempts),
-        "workers": [
-            {
-                "worker_id": w.worker_id,
-                "histories": w.histories,
-                "final_histories": w.final_histories,
-                "events": w.events,
-                "chunks": w.chunks,
-                "busy_s": w.busy_s,
-                "total_s": w.total_s,
-                "incarnations": w.incarnations,
-                "last_heartbeat_age_s": w.last_heartbeat_age_s,
-            }
-            for w in pool.workers
-        ],
-    }
+    """Serialise a :class:`~repro.parallel.pool.PoolRunInfo`: every field
+    of it and of its :class:`~repro.parallel.pool.WorkerReport` rows."""
+    return None if pool is None else _plain(pool)
 
 
 def build_run_telemetry(result, recorder: Recorder | None = None):
@@ -233,31 +217,48 @@ _SPAN_FIELDS = {"id": int, "parent": int, "name": str, "t0": _NUM,
 _EVENT_FIELDS = {"t": _NUM, "name": str, "attrs": dict, "source": dict}
 
 
-def _check_rows(rows, fields, label, problems, limit=5):
+def _check_row(row, types, label, problems) -> int:
+    """Check one object against ``{key: type}``; returns how many
+    problems it added."""
+    if not isinstance(row, dict):
+        problems.append(f"{label} is not an object")
+        return 1
+    before = len(problems)
+    for key, typ in types.items():
+        if key not in row:
+            problems.append(f"{label}.{key} is missing")
+        elif not isinstance(row[key], typ) or isinstance(
+            row[key], bool
+        ) and typ is not bool:
+            problems.append(
+                f"{label}.{key} has wrong type {type(row[key]).__name__}"
+            )
+    return len(problems) - before
+
+
+def _check_rows(rows, types, label, problems, limit=5):
     if not isinstance(rows, list):
         problems.append(f"{label} must be a list")
         return
     bad = 0
     for i, row in enumerate(rows):
-        if not isinstance(row, dict):
-            problems.append(f"{label}[{i}] is not an object")
-            bad += 1
-        else:
-            for key, typ in fields.items():
-                if key not in row:
-                    problems.append(f"{label}[{i}] missing {key!r}")
-                    bad += 1
-                elif not isinstance(row[key], typ) or isinstance(
-                    row[key], bool
-                ) and typ is not bool:
-                    problems.append(
-                        f"{label}[{i}].{key} has wrong type "
-                        f"{type(row[key]).__name__}"
-                    )
-                    bad += 1
+        bad += _check_row(row, types, f"{label}[{i}]", problems)
         if bad >= limit:
             problems.append(f"{label}: further problems suppressed")
             return
+
+
+def _json_types(cls) -> dict:
+    """``{field: JSON type}`` of a pool-section dataclass, read off its
+    annotations: a tuple is a list, an enum its string value."""
+    types = {}
+    for name, hint in typing.get_type_hints(cls).items():
+        if typing.get_origin(hint) is tuple:
+            hint = list
+        elif isinstance(hint, type) and issubclass(hint, Enum):
+            hint = str
+        types[name] = _NUM if hint is float else hint
+    return types
 
 
 def validate_telemetry(d: dict) -> None:
@@ -308,13 +309,12 @@ def validate_telemetry(d: dict) -> None:
         if not isinstance(pool, dict):
             problems.append("'pool' must be an object or null")
         else:
-            for key in ("nworkers", "retries", "respawns", "workers_lost"):
-                if not isinstance(pool.get(key), int):
-                    problems.append(f"pool.{key} must be an integer")
-            if not isinstance(pool.get("shard_attempts"), list):
-                problems.append("pool.shard_attempts must be a list")
-            if not isinstance(pool.get("workers"), list):
-                problems.append("pool.workers must be a list")
+            from repro.parallel.pool import PoolRunInfo, WorkerReport
+
+            _check_row(pool, _json_types(PoolRunInfo), "pool", problems)
+            if isinstance(pool.get("workers"), list):
+                _check_rows(pool["workers"], _json_types(WorkerReport),
+                            "pool.workers", problems)
 
     _check_rows(d.get("spans"), _SPAN_FIELDS, "spans", problems)
     _check_rows(d.get("events"), _EVENT_FIELDS, "events", problems)

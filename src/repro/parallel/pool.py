@@ -5,9 +5,9 @@ machinery; this module runs it for real.  A replica set (one config per
 replica, a plain run being ``(config,)``) is sharded across
 ``multiprocessing`` worker processes and each shard runs the census
 stepper with its replicas' books — the Python analogue of the paper's §VI
-particle loop.  :func:`run_pool` and a pooled
-:func:`repro.ensemble.run_ensemble` both launch through
-:func:`run_sharded`: one shard body, one dispatcher, one reduce.
+particle loop.  :func:`run_pool` and :func:`repro.ensemble.run_ensemble`
+at any worker count both launch through :func:`run_sharded`: one shard
+body, one dispatcher, one reduce.
 
 * ``ScheduleKind.STATIC`` carves the population into ``nworkers``
   contiguous blocks (OpenMP's default static schedule); each block is one
@@ -62,11 +62,11 @@ evolves bit-identically no matter which worker runs it, which chunk it
 arrives in, *or how many times its shard is retried*.  Consequently a run
 that lost and re-executed shards produces the *same final particle states*
 as an undisturbed run, and private tallies reduced in shard-id order make
-the tally independent of worker scheduling too.  A plain run's merged
-population is returned sorted by ``particle_id`` (primaries first, in
-birth order), an order independent of the worker count, so ``nworkers=4``
-and ``nworkers=1`` results compare bit-for-bit; an ensemble's is the
-shards' populations in shard order.
+the tally independent of worker scheduling too.  :func:`_reduce` leaves
+the merged population in shard order, which is what an ensemble returns;
+:func:`run_pool`, the one launch that promises an order independent of
+the worker count, sorts it by ``particle_id`` (primaries first, in birth
+order), so ``nworkers=4`` and ``nworkers=1`` results compare bit-for-bit.
 """
 
 from __future__ import annotations
@@ -79,7 +79,7 @@ import tempfile
 import threading
 import time
 import traceback
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -272,7 +272,10 @@ class PoolRunInfo:
 
     Besides the per-slot reports this carries the recovery ledger: how
     many shards were retried, how many workers were lost and respawned,
-    and whether the pool had to degrade to in-process draining.
+    and whether the pool had to degrade to in-process draining.  The
+    fields of this class and of :class:`WorkerReport` are the one list of
+    the pool section: the telemetry artifact, its schema check, the live
+    plane and both Prometheus renderers read them from here.
     """
 
     nworkers: int
@@ -296,6 +299,14 @@ class PoolRunInfo:
     shards_drained_in_process: int = 0
     #: Retry attempts charged per shard id (0 = succeeded first try).
     shard_attempts: tuple[int, ...] = ()
+
+    @classmethod
+    def recovery_defaults(cls) -> dict:
+        """The scalar recovery-ledger fields and their defaults, in
+        declaration order: what the live plane tracks; the integer ones
+        are the Prometheus recovery counters."""
+        return {f.name: f.default for f in fields(cls)
+                if isinstance(f.default, (int, str))}
 
     def _imbalance(self, values: np.ndarray) -> float:
         mean = values.mean() if values.size else 0.0
@@ -597,7 +608,7 @@ class _Dispatcher:
         self.rebalances = 0
         self.respawns = 0
         self.workers_lost = 0
-        self.drained = 0
+        self.shards_drained_in_process = 0
         self.degraded = False
         self.degraded_reason = ""
         self.members = members
@@ -740,9 +751,20 @@ class _Dispatcher:
                 if reason is not None:
                     self._recover_worker(slot, reason)
             self._maybe_rebalance(now)
-            if self.pending and not any(s.live for s in self.slots):
+            # The one drain rule for lost workers: a pending shard that no
+            # live slot can take (STATIC: its owner slot is retired;
+            # DYNAMIC: no slot is live) runs here, in the parent.
+            alive = [s.live for s in self.slots]
+            orphaned = sorted(
+                sid for sid in self.pending
+                if not (alive[sid] if self.static else any(alive))
+            )
+            if orphaned:
                 self._drain_in_process(
-                    set(self.pending), "no live workers remain"
+                    orphaned,
+                    f"no live worker can take shard(s) "
+                    f"{', '.join(map(str, orphaned))}; respawn budget "
+                    f"({opts.max_worker_respawns}) spent",
                 )
             elif (self.pending
                   and now - self.last_progress > _STALL_WINDOW_S
@@ -783,13 +805,12 @@ class _Dispatcher:
 
     def ledger(self) -> dict:
         """The start method and the recovery ledger, as
-        :class:`PoolRunInfo` fields."""
+        :class:`PoolRunInfo` fields (the scalar ones are attributes of
+        the same names)."""
+        scalars = PoolRunInfo.recovery_defaults()
         return dict(
+            {key: getattr(self, key) for key in scalars},
             start_method=self.ctx.get_start_method(),
-            retries=self.retries, rebalances=self.rebalances,
-            respawns=self.respawns, workers_lost=self.workers_lost,
-            degraded=self.degraded, degraded_reason=self.degraded_reason,
-            shards_drained_in_process=self.drained,
             shard_attempts=tuple(self.attempts),
         )
 
@@ -919,17 +940,6 @@ class _Dispatcher:
             slot.dead = True
         if lost is not None and lost[0] in self.pending:
             self._retry(lost[0], reason)
-        if slot.dead and self.static:
-            stranded = {
-                sid for sid in self.pending
-                if sid == slot.worker_id  # STATIC shard id == owner slot
-            }
-            if stranded:
-                self._drain_in_process(
-                    stranded,
-                    f"{reason}; respawn budget "
-                    f"({self.options.max_worker_respawns}) exhausted",
-                )
 
     def _merge_flight(self, slot, reason):
         """Merge a lost worker's flight-recorder dump into the parent
@@ -963,7 +973,7 @@ class _Dispatcher:
         self.attempts[sid] += 1
         if self.attempts[sid] > self.options.max_retries:
             self._drain_in_process(
-                {sid},
+                [sid],
                 f"shard {sid} exhausted its {self.options.max_retries} "
                 f"retries ({reason.splitlines()[0]})",
             )
@@ -981,7 +991,9 @@ class _Dispatcher:
         target.put((sid, attempt, lo, hi))
 
     def _drain_in_process(self, sids, reason):
-        """Degraded mode: the parent runs stranded shards itself.
+        """Degraded mode: the parent runs ``sids`` itself — a shard past
+        its retries (:meth:`_retry`) or one no live slot can take
+        (:meth:`_watch`).
 
         Fault injection does not apply here — the drain is the recovery
         of last resort and must complete (a *genuine* persistent error
@@ -992,7 +1004,7 @@ class _Dispatcher:
         self.degraded = True
         if not self.degraded_reason:
             self.degraded_reason = reason
-        for sid in sorted(sids):
+        for sid in sids:
             if sid not in self.pending:
                 continue
             self.rec.event(
@@ -1004,7 +1016,7 @@ class _Dispatcher:
                 self._parent_probe,
             )
             self.pending.discard(sid)
-            self.drained += 1
+            self.shards_drained_in_process += 1
             self._feed()
         self.last_progress = time.monotonic()
 
@@ -1055,11 +1067,12 @@ def _reduce(members, scheme, options, results, slots, ledger, t0,
     accumulation order — and therefore the reduced tally, bit for bit —
     is independent of the worker count, of which worker ran which shard,
     of retries and of degraded drains; worker telemetry is merged into
-    ``recorder`` in the same order.  ``pool`` reports each worker id as a
-    group-by of the same payloads, with the lifetime, incarnations and
-    final heartbeat age of its ``slots`` entry (a pooled run's), and
-    takes its other fields from ``ledger``.  Kept module-level so tests
-    can instrument it.
+    ``recorder`` in the same order.  The merged population stays in
+    shard order; :func:`run_pool` sorts a plain run's by ``particle_id``.
+    ``pool`` reports each worker id as a group-by of the same payloads,
+    with the lifetime, incarnations and final heartbeat age of its
+    ``slots`` entry (a pooled run's), and takes its other fields from
+    ``ledger``.  Kept module-level so tests can instrument it.
     """
     from repro.core.simulation import TransportResult
     from repro.core.stepper import scheme_label
@@ -1097,13 +1110,6 @@ def _reduce(members, scheme, options, results, slots, ledger, t0,
     all_arena = rows[0]["arena"]
     all_arena.extend(*(r["arena"] for r in rows[1:]))
     if len(members) == 1:
-        # ---- deterministic population order, independent of nworkers ------
-        # Primaries carry ids 0..n-1 (birth order); secondaries/clones
-        # carry hashed ids.  Sorting by id therefore yields the same
-        # ordering for any worker count, schedule, and recovery history.
-        order = all_arena.sort_by("particle_id")
-        merged.collisions_per_particle = merged.collisions_per_particle[order]
-        merged.facets_per_particle = merged.facets_per_particle[order]
         books = {0: (merged, tally)}
     merged.nparticles = len(all_arena)
     # Recomputed from the reduced flush histogram — identical to the value
@@ -1131,8 +1137,8 @@ def _reduce(members, scheme, options, results, slots, ledger, t0,
 def run_sharded(members, bounds, scheme, population, options, t0,
                 recorder=None, live=None):
     """Run a sampled replica set on the pool — the one launch of every
-    pooled run, plain (:func:`run_pool`) or ensemble
-    (:func:`repro.ensemble.run_ensemble`).
+    pooled run (:func:`run_pool`) and of every fused ensemble
+    (:func:`repro.ensemble.run_ensemble`, at any worker count).
 
     ``members`` holds one config per replica (a plain run passes
     ``(config,)``), replica ``r`` owns rows ``[bounds[r], bounds[r + 1])``
@@ -1262,7 +1268,15 @@ def run_pool(
         (run_config,), (0, config.nparticles), scheme, population, options,
         t0, recorder=rec, live=live,
     )
+    # Primaries carry ids 0..n-1 (birth order) and secondaries/clones
+    # hashed ids, so sorting by id orders the population the same for
+    # any worker count, schedule and recovery history.
+    c = result.counters
+    order = result.arena.sort_by("particle_id")
+    c.collisions_per_particle = c.collisions_per_particle[order]
+    c.facets_per_particle = c.facets_per_particle[order]
     result.config = config
+    result.wallclock_s = time.perf_counter() - t0
     if live is not None:
         live.mark_done()
     return result

@@ -357,6 +357,8 @@ def test_run_and_ensemble_run_define_shared_options_identically():
     ["run", "--drift-baseline", "not_json.json"],
     ["run", "--serve-metrics", "0", "--drift-baseline", "not_json.json"],
     ["run", "--serve-metrics", "0", "--drift-baseline", "not_bench.json"],
+    ["ensemble", "run", "--workers", "0"],
+    ["ensemble", "run", "--workers", "-3"],
 ])
 def test_refused_input_is_one_line_error(argv, capsys, tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)

@@ -203,8 +203,8 @@ def test_pooled_kill_retry_matches_clean_pooled():
 def test_pooled_ensemble_reports_its_pool():
     """A pooled ensemble is a pool run: its result carries the shared
     reduce's ``PoolRunInfo`` — worker reports and the recovery ledger of
-    a mid-shard kill — while an in-process ensemble, like a serial
-    ``Simulation.run``, carries none."""
+    a mid-shard kill — and an in-process ensemble, like
+    ``Simulation.run(nworkers=1)``, carries the inline one."""
     spec = _spec("csp")
     faulted = run_ensemble(
         spec, Scheme.OVER_EVENTS, nworkers=2,
@@ -217,7 +217,30 @@ def test_pooled_ensemble_reports_its_pool():
     assert sum(w.histories for w in pool.workers) == NREPLICAS * NPARTICLES
     assert sum(w.final_histories for w in pool.workers) == len(faulted.arena)
     _assert_replica_parity(faulted, run_ensemble_looped(spec, Scheme.OVER_EVENTS))
-    assert run_ensemble(spec, Scheme.OVER_EVENTS).pool is None
+    inline = run_ensemble(spec, Scheme.OVER_EVENTS).pool
+    assert inline.start_method == "inline" and inline.nworkers == 1
+    assert len(inline.shard_attempts) == 1
+
+
+def test_one_replica_pooled_ensemble_is_a_pooled_run():
+    """``run_ensemble`` launches through ``run_sharded`` at every replica
+    and worker count: one replica on two workers is the pooled plain run,
+    history shards and all."""
+    cfg = csp_problem(nx=NX, nparticles=NPARTICLES, ntimesteps=TIMESTEPS)
+    ens = run_ensemble(EnsembleSpec(cfg, 1), Scheme.OVER_EVENTS, nworkers=2)
+    plain = Simulation(cfg).run(Scheme.OVER_EVENTS, nworkers=2)
+    assert ens.pool.nworkers == 2 and len(ens.pool.shard_attempts) == 2
+    assert ens.replicas[0].fingerprint() == population_fingerprint(
+        plain.arena
+    )
+    assert np.array_equal(ens.tally.deposition, plain.tally.deposition)
+    assert ens.counters.snapshot() == plain.counters.snapshot()
+
+
+@pytest.mark.parametrize("nworkers", [0, -3])
+def test_ensemble_refuses_fewer_than_one_worker(nworkers):
+    with pytest.raises(ValueError, match="at least one worker"):
+        run_ensemble(_spec("stream"), Scheme.OVER_EVENTS, nworkers=nworkers)
 
 
 def test_in_process_multi_range_matches_pooled_shards():

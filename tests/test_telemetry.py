@@ -304,6 +304,39 @@ def test_pooled_ensemble_telemetry_keeps_worker_spans():
     assert telemetry.worker_span_count() == len(worker)
 
 
+def _pool_field_paths():
+    from dataclasses import fields
+
+    from repro.parallel.pool import PoolRunInfo, WorkerReport
+
+    return [f.name for f in fields(PoolRunInfo)] + [
+        f"workers[0].{f.name}" for f in fields(WorkerReport)
+    ]
+
+
+@pytest.mark.parametrize("fmt", ["summary", "prometheus"])
+@pytest.mark.parametrize("path", _pool_field_paths())
+def test_report_names_a_missing_pool_field(pooled_telemetry, path, fmt,
+                                           tmp_path, capsys):
+    """Every ``PoolRunInfo`` and ``WorkerReport`` field is checked: an
+    artifact missing one is a one-line error naming it, never a
+    ``KeyError`` from the renderer."""
+    from repro.cli import main
+
+    d = json.loads(pooled_telemetry.to_json())
+    section, _, key = ("pool." + path).rpartition(".")
+    owner = d["pool"]["workers"][0] if "[" in section else d["pool"]
+    del owner[key]
+    artifact = tmp_path / "t.json"
+    artifact.write_text(json.dumps(d))
+    assert main(["report", str(artifact), "--format", fmt]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    err_lines = captured.err.strip().splitlines()
+    assert len(err_lines) == 1 and err_lines[0].startswith("error: ")
+    assert f"pool.{path} is missing" in err_lines[0]
+
+
 def test_cli_run_telemetry_and_report(tmp_path, capsys):
     from repro.cli import main
 
