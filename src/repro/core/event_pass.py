@@ -61,12 +61,20 @@ import numpy as np
 from repro.core.counters import EventPassStats
 from repro.kernels import EVENT_KERNELS, PASS_KERNELS
 from repro.kernels.batch import EventKind, sample_mean_free_paths, split_counts
+from repro.kernels.operands import INTS, ZERO
 from repro.particles.source import EMISSION
 from repro.physics.fission import sample_secondary_energy, secondary_id
 from repro.physics.importance import clone_id
 from repro.rng.stream import VectorParticleRNG
 
 __all__ = ["PassContext", "WorkingSet"]
+
+
+#: Per event kind, in :data:`EVENT_KERNELS` order: the kind, its kernel
+#: role, the workspace name of its mask, and its code as a 0-d array — a
+#: ufunc takes that for less per call than the int.
+_KINDS = tuple((kind, role, "mask_" + kind.name, INTS[kind])
+               for kind, role in EVENT_KERNELS.items())
 
 
 def _unprofiled(kernel, nitems, *args):
@@ -226,7 +234,8 @@ class WorkingSet:
         zeroed: the rest hold zero."""
         deposit = self.arena.deposit_buffer
         hot = self.sink.flush(reps, n, cells, deposit[idx])
-        deposit[idx[hot]] = 0.0
+        if hot.size:
+            deposit[idx[hot]] = 0.0
 
     # ------------------------------------------------------------------
     def event_pass(self, active: np.ndarray, book_pass=None) -> None:
@@ -264,9 +273,9 @@ class WorkingSet:
         )
         masks = {}
         n_event = {}
-        for kind in EVENT_KERNELS:
-            mask = ws.bool_("mask_" + kind.name, n)
-            np.equal(event, int(kind), out=mask)
+        for kind, _, name, code in _KINDS:
+            mask = ws.bool_(name, n)
+            np.equal(event, code, out=mask)
             np.logical_and(mask, active, out=mask)
             masks[kind] = mask
             n_event[kind] = int(np.count_nonzero(mask))
@@ -280,12 +289,13 @@ class WorkingSet:
             book_pass(stats)
         counts = self.sink.record_pass(event, active, n_event, stats)
         rows = slice(self.lo, self.lo + n)
-        ctx.books.coll_pp[rows] += masks[EventKind.COLLISION]
-        ctx.books.facet_pp[rows] += masks[EventKind.FACET]
+        coll, facet = ctx.books.coll_pp[rows], ctx.books.facet_pp[rows]
+        np.add(coll, masks[EventKind.COLLISION], out=coll)
+        np.add(facet, masks[EventKind.FACET], out=facet)
         # One handler per event kind, via the shared mapping.
-        for kind, kernel_name in EVENT_KERNELS.items():
+        for kind, role, *_ in _KINDS:
             if n_event[kind]:
-                self.handlers[kernel_name](
+                self.handlers[role](
                     masks[kind], counts[kind], dist, m.sigma_a, m.sigma_f,
                     m.sigma_t,
                 )
@@ -307,10 +317,12 @@ class WorkingSet:
         d = dist.d_collision[c]
         sp = dist.speed[c]
         omega = self.omega
-        for p, o in zip(self.pos, omega):
-            p[c] = p[c] + o[c] * d
-        a.dt_to_census[c] = np.maximum(0.0, a.dt_to_census[c] - d / sp)
-        # Fancy-index gathers are copies already.
+        # Fancy-index gathers are copies already; the kernel and the
+        # extensions below read these, and none writes them.
+        omega_c, sigma_t_c, mat_c = _at(omega, c), sigma_t[c], self.mat_idx[c]
+        for p, o in zip(self.pos, omega_c):
+            p[c] = p[c] + o * d
+        a.dt_to_census[c] = np.maximum(ZERO, a.dt_to_census[c] - d / sp)
         weight_before = a.weight[c]
         counters_at_event = self.rng.counters[c]
         u_angle, u_turn, u_mfp = self.rng.next_uniform(c, 3)
@@ -318,11 +330,11 @@ class WorkingSet:
         e_new, w_new, *o_new, mfp_new, dep, term, below = ctx.run["collide"](
             c.size,
             a.energy[c],
-            a.weight[c],
-            *_at(omega, c),
+            weight_before,
+            *omega_c,
             sigma_a[c],
-            sigma_t[c],
-            prov.mat_a[self.mat_idx[c]],
+            sigma_t_c,
+            prov.mat_a[mat_c],
             u_angle,
             u_turn,
             u_mfp,
@@ -340,7 +352,9 @@ class WorkingSet:
             self.trace(EventKind.COLLISION, c + self.lo, *_at(self.cells, c))
 
         # ---- fission banking (multiplying media extension) -------------
-        fissile_here = prov.mat_fissile[self.mat_idx[c]] & (sigma_t[c] > 0.0)
+        fissile_here = prov.mat_fissile[mat_c] & (sigma_t_c > ZERO)
+        # Their last read: released before the refresh, the handler's peak.
+        del omega_c, sigma_t_c, mat_c
         if fissile_here.any():
             sel = c[fissile_here]
             u_fission = self.rng.next_uniform(sel)
@@ -502,18 +516,18 @@ class WorkingSet:
         # Gathered once: the flush, kernel, trace and ratios read these.
         cells_f, omega_f = _at(self.cells, f), _at(self.omega, f)
         d, ax = dist.d_facet[f], dist.axis[f]
-        for i, (p, o) in enumerate(zip(self.pos, omega_f)):
+        for p, o, face, i in zip(self.pos, omega_f, dist.face, INTS):
             new = p[f]
             new += o * d
             # Snap onto the facet plane: rounding never strands a lane.
-            hit = (ax == i).nonzero()[0]
-            new[hit] = dist.face[i][f[hit]]
+            hit = np.equal(ax, i).nonzero()[0]
+            new[hit] = face[f[hit]]
             p[f] = new
         for field, spend, rate in ((a.dt_to_census, np.divide, dist.speed),
                                    (a.mfp_to_collision, np.multiply, sigma_t)):
             new = field[f]
             new -= spend(d, rate[f])
-            field[f] = np.maximum(0.0, new, out=new)
+            field[f] = np.maximum(ZERO, new, out=new)
         del new, d  # each copy is released once scattered: a lower peak
         # Performed unconditionally at every facet.
         self.flush(f, rf, n, cells_f)
@@ -551,11 +565,13 @@ class WorkingSet:
             cells_x = [c[crossing] for c in cells_x]
             if imap is not None:
                 cells_f = [c[crossing] for c in cells_f]
-        # Load the destination cell's density — the random read.
-        a.local_density[crossed] = ctx.mesh.density_at_vec(*cells_x)
+        # Load the destination cell's density — the random read — by the
+        # flat index the material and importance maps read too.
+        flat_x = ctx.mesh.flat_index(*cells_x)
+        a.local_density[crossed] = ctx.mesh.density.take(flat_x)
         sink.charge("density_reads", n)
         if crossed.size and ctx.provider.nmaterials > 1:
-            new_mat = ctx.material_map.take(ctx.mesh.flat_index(*cells_x))
+            new_mat = ctx.material_map.take(flat_x)
             changed = crossed[new_mat != self.mat_idx[crossed]]
             self.mat_idx[crossed] = new_mat
             if changed.size:
@@ -566,7 +582,7 @@ class WorkingSet:
         # ---- importance splitting / roulette (VR extension) ------------
         if imap is None or not crossed.size:
             return
-        ratios = (imap.take(ctx.mesh.flat_index(*cells_x))
+        ratios = (imap.take(flat_x)
                   / imap.take(ctx.mesh.flat_index(*cells_f)))
         changed_r = ratios != 1.0
         sel = crossed[changed_r]

@@ -149,6 +149,12 @@ RULES = (
          "the pass books its collisions, facet crossings and census events "
          "and the per-lane work counts once; a handler's write counts them "
          "twice"),
+    Rule("forbidden", ("clip(...)", "broadcast_shapes(...)"),
+         ("kernels/", "core/", "rng/", "mesh/"), (),
+         "a numpy function behind a Python wrapper costs several µs a call "
+         "on the pass path, where a narrow window's ufunc costs under one: "
+         "write np.minimum(np.maximum(x, lo), hi) or "
+         "np.broadcast(...).shape"),
 )
 
 _LOOPS = (ast.For, ast.AsyncFor, ast.While, ast.ListComp, ast.SetComp,

@@ -30,9 +30,11 @@ reference would not.
 from __future__ import annotations
 
 from enum import IntEnum
+from functools import lru_cache
 
 import numpy as np
 
+from repro.kernels.operands import HALF, INTS, MINUS_ONE, ONE, TWO, ZERO
 from repro.mesh.boundary import BoundaryCondition
 
 __all__ = [
@@ -92,6 +94,22 @@ MAX_SPLIT = 20
 #: Below this pole margin the 3-D rotation uses the polar-axis special case.
 _POLE_EPS = 1.0e-10
 
+# The constants only these kernels use, as 0-d arrays for the reason
+# :mod:`repro.kernels.operands` gives; the shared ones come from there.
+_TINY = np.array(1.0e-300)
+_EPS = np.array(PARALLEL_EPS)
+_SPEED_FACTOR = np.array(_TWO_EV_OVER_MASS)
+_ONE_INT8 = np.array(1, dtype=np.int8)
+
+
+@lru_cache(maxsize=64)
+def _cell_count(ncells: int) -> np.ndarray:
+    """A mesh axis's cell count as a read-only 0-d ``uint64`` (see
+    :func:`cross_facet`); every caller shares it."""
+    count = np.array(ncells, dtype=np.uint64)
+    count.flags.writeable = False
+    return count
+
 
 class EventKind(IntEnum):
     """The three events of the tracking loop, ordered by tie-break priority."""
@@ -109,7 +127,7 @@ def speed_from_energy(energy_ev: np.ndarray, out: np.ndarray | None = None) -> n
     """Neutron speed [m/s] from kinetic energy [eV]: ``v = sqrt(2E/m)``."""
     if out is None:
         return np.sqrt(_TWO_EV_OVER_MASS * energy_ev)
-    np.multiply(_TWO_EV_OVER_MASS, energy_ev, out=out)
+    np.multiply(_SPEED_FACTOR, energy_ev, out=out)
     return np.sqrt(out, out=out)
 
 
@@ -127,7 +145,7 @@ def distance_to_collision(
     if out is None:
         out = np.empty_like(mfp_remaining)
     out.fill(HUGE_DISTANCE)
-    ok = np.greater(sigma_t, 0.0, out=scratch)
+    ok = np.greater(sigma_t, ZERO, out=scratch)
     return np.divide(mfp_remaining, sigma_t, out=out, where=ok)
 
 
@@ -136,7 +154,9 @@ def _first_min(arrays, lowest, index, mask):
     may alias ``arrays[0]``) and its position into ``index``; ties pick
     the first array, as the scalar ``<=`` ladders do."""
     first, second, *rest = arrays
-    np.less(second, first, out=index, casting="unsafe")
+    # Through the bool buffer: a ufunc writing bools into int64 takes a
+    # casting path that costs more than the copy.
+    index[...] = np.less(second, first, out=mask)
     np.minimum(first, second, out=lowest)
     for i, a in enumerate(rest, 2):
         np.less(a, lowest, out=mask)
@@ -169,7 +189,7 @@ def nearest_facet(pos, omega, face, dist=None, axis=None, tmp=None, mask=None):
     for p, o, f, d in zip(pos, omega, face, dist):
         np.subtract(f, p, out=tmp)
         np.abs(o, out=d)
-        np.greater(d, PARALLEL_EPS, out=mask)
+        np.greater(d, _EPS, out=mask)
         d.fill(HUGE_DISTANCE)
         np.divide(tmp, o, out=d, where=mask)
     return _first_min(dist, dist[0], axis, mask)
@@ -235,6 +255,14 @@ class Distances:
         self.face = face
 
 
+#: Per number of axes, the workspace names of the per-axis buffers of
+#: :func:`distances`: the facet planes and the facet distances.
+_AXIS_BUFFERS = {
+    ndim: tuple(tuple(kind + a for a in "xyz"[:ndim]) for kind in ("face_", "dist_"))
+    for ndim in (2, 3)
+}
+
+
 def distances(ws, energy, mfp_to_collision, sigma_t, *geometry) -> Distances:
     """Composite kernel: all three distance budgets for a population slice,
     in any dimension.
@@ -252,10 +280,9 @@ def distances(ws, energy, mfp_to_collision, sigma_t, *geometry) -> Distances:
     """
     *axes, dt_to_census = geometry
     ndim = len(axes) // 4
-    pos, omega, cells, deltas = (
-        axes[i * ndim:(i + 1) * ndim] for i in range(4)
-    )
-    names = "xyz"[:ndim]
+    pos, omega = axes[:ndim], axes[ndim:2 * ndim]
+    cells, deltas = axes[2 * ndim:3 * ndim], axes[3 * ndim:]
+    face_names, dist_names = _AXIS_BUFFERS[ndim]
     n = energy.shape[0]
     speed = speed_from_energy(energy, out=ws.f64("speed", n))
     mask = ws.bool_("dist_mask", n)
@@ -264,13 +291,13 @@ def distances(ws, energy, mfp_to_collision, sigma_t, *geometry) -> Distances:
     )
     ahead = ws.i64("cell_tmp", n)
     face = []
-    for name, o, cell, delta in zip(names, omega, cells, deltas):
-        np.greater(o, 0.0, out=mask)
+    for name, o, cell, delta in zip(face_names, omega, cells, deltas):
+        np.greater(o, ZERO, out=mask)
         np.add(cell, mask, out=ahead)
-        face.append(np.multiply(ahead, delta, out=ws.f64("face_" + name, n)))
+        face.append(np.multiply(ahead, delta, out=ws.f64(name, n)))
     d_facet, axis = nearest_facet(
         pos, omega, face,
-        dist=[ws.f64("dist_" + name, n) for name in names],
+        dist=[ws.f64(name, n) for name in dist_names],
         axis=ws.i64("axis", n),
         tmp=ws.f64("facet_tmp", n),
         mask=mask,
@@ -291,14 +318,16 @@ def elastic_scatter_kinematics(
     The degenerate backscatter point ``A = 1, μ = −1`` (zero outgoing
     speed) returns ``mu_lab = 0``.
     """
-    denom_sq = a_ratio * a_ratio + 2.0 * a_ratio * mu_cm + 1.0
-    e_frac = denom_sq / ((a_ratio + 1.0) * (a_ratio + 1.0))
-    degenerate = (denom_sq <= 0.0) | (e_frac < 1.0e-300)
-    safe = np.where(degenerate, 1.0, denom_sq)
-    mu_lab = (1.0 + a_ratio * mu_cm) / np.sqrt(safe)
-    mu_lab = np.clip(np.where(degenerate, 0.0, mu_lab), -1.0, 1.0)
-    sin_lab = np.sqrt(1.0 - mu_lab * mu_lab)
-    e_frac = np.where(degenerate, 0.0, e_frac)
+    denom_sq = a_ratio * a_ratio + TWO * a_ratio * mu_cm + ONE
+    e_frac = denom_sq / ((a_ratio + ONE) * (a_ratio + ONE))
+    degenerate = (denom_sq <= ZERO) | (e_frac < _TINY)
+    safe = np.where(degenerate, ONE, denom_sq)
+    mu_lab = (ONE + a_ratio * mu_cm) / np.sqrt(safe)
+    # ``np.clip(mu_lab, -1, 1)`` is this, without its Python wrapper.
+    mu_lab = np.minimum(
+        np.maximum(np.where(degenerate, ZERO, mu_lab), MINUS_ONE), ONE)
+    sin_lab = np.sqrt(ONE - mu_lab * mu_lab)
+    e_frac = np.where(degenerate, ZERO, e_frac)
     return e_frac, mu_lab, sin_lab
 
 
@@ -322,7 +351,7 @@ def apply_cutoffs(
 def _turn_in_plane(omega, mu_lab, sin_lab, u_turn):
     """2-D: turn by the lab deflection, its sense (±) drawn by ``u_turn``."""
     omega_x, omega_y = omega
-    sense = np.where(u_turn < 0.5, 1.0, -1.0)
+    sense = np.where(u_turn < HALF, ONE, MINUS_ONE)
     return (omega_x * mu_lab - omega_y * sin_lab * sense,
             omega_y * mu_lab + omega_x * sin_lab * sense)
 
@@ -353,24 +382,26 @@ def collide(energy, weight, *args, defer_weight_cutoff: bool = False):
     """
     (*omega, sigma_a, sigma_t, a_ratio, u_angle, u_turn, u_mfp,
      energy_cutoff_ev, weight_cutoff) = args
-    p_absorb = np.where(sigma_t > 0.0, sigma_a / np.where(sigma_t > 0.0, sigma_t, 1.0), 0.0)
+    material = sigma_t > ZERO
+    p_absorb = np.where(material, sigma_a / np.where(material, sigma_t, ONE),
+                        ZERO)
     deposit = weight * energy * p_absorb
-    weight = weight * (1.0 - p_absorb)
+    weight = weight * (ONE - p_absorb)
 
-    mu_cm = 2.0 * u_angle - 1.0
+    mu_cm = TWO * u_angle - ONE
     e_frac, mu_lab, sin_lab = elastic_scatter_kinematics(mu_cm, a_ratio)
     new_energy = energy * e_frac
     deposit = deposit + weight * (energy - new_energy)
     new_omega = COLLISION_TURNS[len(omega)](omega, mu_lab, sin_lab, u_turn)
 
-    mfp = -np.log(1.0 - u_mfp)
+    mfp = -np.log(ONE - u_mfp)
 
     terminated, below_weight = apply_cutoffs(
         new_energy, weight, energy_cutoff_ev, weight_cutoff,
         defer_weight_cutoff,
     )
-    deposit = deposit + np.where(terminated, weight * new_energy, 0.0)
-    weight = np.where(terminated, 0.0, weight)
+    deposit = deposit + np.where(terminated, weight * new_energy, ZERO)
+    weight = np.where(terminated, ZERO, weight)
 
     return new_energy, weight, *new_omega, mfp, deposit, terminated, below_weight
 
@@ -393,20 +424,27 @@ def cross_facet(*args) -> tuple[np.ndarray, ...]:
     cells, omegas = args[:ndim], args[ndim:2 * ndim]
     axis, mesh, bc = (*args[2 * ndim:], BoundaryCondition.REFLECTIVE)[:3]
     vacuum = bc is BoundaryCondition.VACUUM
-    at_boundary = np.zeros(axis.shape, dtype=bool)
+    at_boundary = None
     new_cells, new_omegas = [], []
     for i, (cell, omega, ncells) in enumerate(zip(cells, omegas, mesh.shape)):
-        hit = axis == i
-        # ±1 toward the facet; the cell ahead is off the mesh at -1 (as
-        # uint64, past any count) or at ncells.
-        forward = np.greater(omega, 0.0).view(np.int8)
-        step = (forward + forward - np.int8(1)).astype(cell.dtype)
-        bnd = ((cell + step).view(np.uint64) >= np.uint64(ncells)) & hit
-        step *= np.greater(hit, bnd, out=hit)  # hit and not at the boundary
-        new_cells.append(np.add(cell, step, out=step))
+        hit = np.equal(axis, INTS[i])
+        # ±1 toward the facet on the hit axis, 0 off it, in int8 from the
+        # bool views; the cell ahead is off the mesh at -1 (as uint64, past
+        # any count) or at ncells, and off the hit axis it is the lane's
+        # own cell, on the mesh.
+        forward = np.greater(omega, ZERO).view(np.int8)
+        step = np.subtract(np.add(forward, forward), _ONE_INT8)
+        np.multiply(step, hit.view(np.int8), out=step)
+        ahead = np.add(cell, step)
+        bnd = np.greater_equal(ahead.view(np.uint64), _cell_count(ncells))
+        np.copyto(ahead, cell, where=bnd)  # hit and at the boundary: stay
+        new_cells.append(ahead)
         new_omegas.append(omega if vacuum else np.negative(
             omega, out=omega.copy(), where=bnd))
-        at_boundary |= bnd
+        if at_boundary is None:
+            at_boundary = bnd
+        else:
+            at_boundary |= bnd
     none = np.zeros(axis.shape, dtype=bool)
     reflected, escaped = (none, at_boundary) if vacuum else (at_boundary, none)
     return (*new_cells, *new_omegas, reflected, escaped)
@@ -464,8 +502,7 @@ def fission_yield(
 def split_counts(ratio: np.ndarray, u: np.ndarray) -> np.ndarray:
     """Unbiased split multiplicity per importance-increasing crossing:
     ``floor(r + u)`` clamped to ``[1, MAX_SPLIT]``; 1 where ``r <= 1``."""
-    n = np.floor(ratio + u)
-    n = np.clip(n, 1, MAX_SPLIT)
+    n = np.minimum(np.maximum(np.floor(ratio + u), 1), MAX_SPLIT)
     return np.where(ratio <= 1.0, 1, n).astype(np.int64)
 
 

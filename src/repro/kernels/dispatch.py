@@ -16,8 +16,8 @@ dimension means adding entries here, with no if/elif ladders anywhere.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
+from time import perf_counter
 
 from repro.kernels import batch
 from repro.kernels import xs as kxs
@@ -112,18 +112,20 @@ class KernelDispatch:
     def run(self, name: str, nitems: int, *args, **kwargs):
         """Invoke kernel ``name`` on ``nitems`` lanes and time it."""
         fn = self.table[name]
-        t0 = time.perf_counter()
+        t0 = perf_counter()
         out = fn(*args, **kwargs)
-        elapsed = time.perf_counter() - t0
-        stat = self.stats.get(name)
-        if stat is None:
+        elapsed = perf_counter() - t0
+        try:
+            stat = self.stats[name]
+        except KeyError:
             stat = self.stats[name] = KernelStat()
+        nitems = int(nitems)
         stat.calls += 1
-        stat.items += int(nitems)
+        stat.items += nitems
         stat.seconds += elapsed
         if self.recorder is not None:
             self.recorder.add_complete(
-                "kernel:" + name, t0, elapsed, items=int(nitems)
+                "kernel:" + name, t0, elapsed, items=nitems
             )
         return out
 

@@ -31,6 +31,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.kernels.operands import ONE_I, ZERO_I
+
 __all__ = [
     "search_bins",
     "union_bins",
@@ -50,8 +52,11 @@ def search_bins(table, e: np.ndarray) -> np.ndarray:
     search; out-of-grid energies clamp to the first/last bin identically.
     """
     e = np.asarray(e, dtype=np.float64)
-    bins = np.searchsorted(table.energy, e, side="right") - 1
-    return np.clip(bins, 0, table.energy.shape[0] - 2)
+    bins = np.searchsorted(table.energy, e, side="right")
+    bins -= ONE_I
+    # ``np.clip``'s own definition, in place, without its Python wrapper.
+    np.maximum(bins, ZERO_I, out=bins)
+    return np.minimum(bins, table.energy.shape[0] - 2, out=bins)
 
 
 def union_bins(grid, e: np.ndarray) -> np.ndarray:
@@ -88,10 +93,11 @@ def union_bins(grid, e: np.ndarray) -> np.ndarray:
 
 def interpolate_at_bins(table, e: np.ndarray, bins: np.ndarray) -> np.ndarray:
     """Linearly interpolate table values at ``e`` within known ``bins``."""
+    above = bins + ONE_I
     e0 = table.energy[bins]
-    e1 = table.energy[bins + 1]
+    e1 = table.energy[above]
     v0 = table.value[bins]
-    v1 = table.value[bins + 1]
+    v1 = table.value[above]
     t = (e - e0) / (e1 - e0)
     return v0 + t * (v1 - v0)
 
@@ -200,6 +206,8 @@ def linear_walk_probes(
     probe zero times.  ``bins`` is the target from :func:`search_bins`.
     """
     nbins = table.energy.shape[0] - 1
-    start = np.clip(cached_bins, 0, nbins - 1)
-    probes = np.abs(bins - start)
-    return np.where(clamped_mask(table, e), 0, probes)
+    # ``np.clip``'s own definition, without its Python wrapper.
+    start = np.maximum(cached_bins, ZERO_I)
+    np.minimum(start, nbins - 1, out=start)
+    probes = np.abs(np.subtract(bins, start, out=start), out=start)
+    return np.where(clamped_mask(table, e), ZERO_I, probes)

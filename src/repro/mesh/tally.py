@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.kernels.operands import ONE_I, ZERO
 from repro.mesh.structured import flat_cell
 
 __all__ = ["EnergyDepositionTally", "PrivatizedTally", "flat_view"]
@@ -117,10 +118,11 @@ class EnergyDepositionTally:
         cell = flat_cell(self.shape, cells)
         # ``np.not_equal(...).nonzero()`` finds them at a fraction of
         # ``np.flatnonzero``'s cost per lane.
-        hot = np.not_equal(energy, 0.0).nonzero()[0]
-        np.add.at(flat_view(self.deposition), cell[hot], energy[hot])
-        np.add.at(flat_view(self.flush_counts), cell, 1)
-        self.flushes += int(len(cells[0]))
+        hot = np.not_equal(energy, ZERO).nonzero()[0]
+        if hot.size:
+            np.add.at(flat_view(self.deposition), cell[hot], energy[hot])
+        np.add.at(flat_view(self.flush_counts), cell, ONE_I)
+        self.flushes += len(cells[0])
         return hot
 
     def merge(self, other: "EnergyDepositionTally") -> None:

@@ -350,9 +350,13 @@ def _run_shard(members, bounds, scheme, population, lo, hi, recorder=None,
     Replica ``r`` of ``members`` owns rows ``[bounds[r], bounds[r + 1])``
     of ``population``; a unit is a history when there is one replica and
     a whole replica otherwise, so an ensemble shard covers whole replicas
-    by construction.  The shard runs as a *copy* of its zero-copy view
-    (the population is never mutated, so a retry re-executes from
-    identical bytes) through the census stepper with its own
+    by construction.  A shared-memory population (a worker's, or the
+    degraded drain's) is never mutated, so a retry re-executes from
+    identical bytes: the shard runs a *copy* of its zero-copy view.  A
+    private population (the ``nworkers == 1`` path, where nothing retries
+    and the caller never reads the population again) is advanced in place,
+    through the view, which writes no row outside ``[a, b)``.  Either runs
+    through the census stepper with its own
     :class:`~repro.core.books.ReplicaBooks`, which build the shard's
     private tally and counters.  The payload carries those, the final
     arena and each replica's ``(counters, tally)``; :func:`_reduce` folds
@@ -366,7 +370,9 @@ def _run_shard(members, bounds, scheme, population, lo, hi, recorder=None,
 
     fused = len(members) > 1
     r0, r1, a, b = (lo, hi, bounds[lo], bounds[hi]) if fused else (0, 1, lo, hi)
-    view = population.view(a, b).copy()
+    view = population.view(a, b)
+    if population.shm_name is not None:
+        view = view.copy()
     books = ReplicaBooks(
         members[r0:r1],
         view.replica_id - r0 if fused else np.zeros(b - a, np.int64),
@@ -1148,6 +1154,11 @@ def run_sharded(members, bounds, scheme, population, options, t0,
     workers.  Either way :func:`_reduce` folds the payloads (under
     ``dispatch`` and ``reduce`` spans) and its ``(result, books)`` is
     returned.
+
+    A private ``population`` is consumed at ``nworkers == 1``: each shard
+    advances its rows in place, so the caller must not read it again.  At
+    ``nworkers > 1`` the shards run copies of a shared-memory re-homing
+    and ``population`` is left as it was.
     """
     rec = NULL_RECORDER if recorder is None else recorder
     shards = _build_shards(members, bounds, options)

@@ -25,6 +25,8 @@ one call; the order the rows are *used* in is the draw order.
 
 from __future__ import annotations
 
+from functools import lru_cache
+
 import numpy as np
 
 from repro.rng.threefry import THREEFRY_DEFAULT_ROUNDS, threefry2x64_vec
@@ -36,6 +38,24 @@ _INV_2_53 = 1.0 / 9007199254740992.0
 
 #: Most counters one Threefry call covers; wider draws run in lane blocks.
 _BLOCK_COUNTERS = 1 << 14
+
+# The per-draw constants as 0-d arrays: a ufunc takes them for less per
+# call than scalars, with the same bits.  A draw's counter is the pair
+# ``(c + j, 0)``.
+_SHIFT = np.array(11, dtype=np.uint64)
+_SCALE = np.array(_INV_2_53)
+_COUNTER_HI = np.array(0, dtype=np.uint64)
+
+
+@lru_cache(maxsize=64)
+def _draw_offsets(k: int) -> tuple[np.ndarray, np.ndarray]:
+    """The counter offsets ``0 … k-1`` of a ``k``-draw call as a
+    ``(k, 1)`` column, and ``k`` as a 0-d ``uint64``; both read-only,
+    and every call shares them."""
+    offsets = np.arange(k, dtype=np.uint64)[:, None]
+    tick = np.array(k, dtype=np.uint64)
+    offsets.flags.writeable = tick.flags.writeable = False
+    return offsets, tick
 
 
 def uniform_from_bits(bits: int | np.ndarray) -> float | np.ndarray:
@@ -67,7 +87,7 @@ class VectorParticleRNG:
     ):
         self.particle_ids = np.asarray(particle_ids, dtype=np.uint64).copy()
         if np.ndim(seed) == 0:
-            self.seed = np.uint64(int(seed) & 0xFFFFFFFFFFFFFFFF)
+            self.seed = np.array(int(seed) & 0xFFFFFFFFFFFFFFFF, dtype=np.uint64)
         else:
             # Per-lane seeds (ensemble fusion): key word 0 varies by lane so
             # each replica's stream is bit-identical to a standalone run
@@ -97,23 +117,24 @@ class VectorParticleRNG:
         """
         sel = slice(None) if mask is None else np.asarray(mask)
         ids, ctrs = self.particle_ids[sel], self.counters[sel]
-        seed = self.seed[sel] if np.ndim(self.seed) else self.seed
+        per_lane = self.seed.ndim != 0
+        seed = self.seed[sel] if per_lane else self.seed
         n = ids.shape[0]
         out = np.empty((k, n))
         # Lane blocks of at most _BLOCK_COUNTERS counters keep one cipher
         # call's state buffers in cache.
         width = max(1, _BLOCK_COUNTERS // k)
-        offsets = np.arange(k, dtype=np.uint64)[:, None]
+        offsets, tick = _draw_offsets(k)
         for s in range(0, n, width):
             lanes = slice(s, s + width)
             bits, _ = threefry2x64_vec(
-                ctrs[lanes] + offsets, np.uint64(0),
-                seed[lanes] if np.ndim(seed) else seed, ids[lanes],
+                ctrs[lanes] + offsets, _COUNTER_HI,
+                seed[lanes] if per_lane else seed, ids[lanes],
                 self.rounds,
             )
             # uniform_from_bits, in place.
-            np.right_shift(bits, np.uint64(11), out=bits)
-            np.multiply(bits, _INV_2_53, out=out[:, lanes])
+            np.right_shift(bits, _SHIFT, out=bits)
+            np.multiply(bits, _SCALE, out=out[:, lanes])
         # One counter write-back; uint64 array addition wraps.
-        self.counters[sel] = ctrs + np.uint64(k)
+        self.counters[sel] = ctrs + tick
         return out[0] if k == 1 else out

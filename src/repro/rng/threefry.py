@@ -41,9 +41,14 @@ SKEIN_KS_PARITY64 = 0x1BD11BDAA9FC1A22
 #: Rotation schedule for the 2x64 variant (repeats with period 8).
 ROTATION_2X64 = (16, 42, 12, 31, 16, 32, 24, 21)
 
-_PARITY = np.uint64(SKEIN_KS_PARITY64)
-_ROT = tuple(np.uint64(r) for r in ROTATION_2X64)
-_ROT_INV = tuple(np.uint64(64 - r) for r in ROTATION_2X64)
+# The cipher's constants as 0-d ``uint64`` arrays: a ufunc takes a 0-d
+# operand for less per call than a ``np.uint64`` scalar, with the same bits.
+_PARITY = np.array(SKEIN_KS_PARITY64, dtype=np.uint64)
+_ROT = tuple(np.array(r, dtype=np.uint64) for r in ROTATION_2X64)
+_ROT_INV = tuple(np.array(64 - r, dtype=np.uint64) for r in ROTATION_2X64)
+#: Injection ``s`` (1 … 8 over at most 32 rounds) adds ``s`` to the second
+#: word.
+_INJECT = tuple(np.array(s, dtype=np.uint64) for s in range(9))
 
 
 def threefry2x64_vec(
@@ -68,18 +73,16 @@ def threefry2x64_vec(
     c1 = np.asarray(c1, dtype=np.uint64)
     k0 = np.asarray(k0, dtype=np.uint64)
     k1 = np.asarray(k1, dtype=np.uint64)
-    shape = np.broadcast_shapes(c0.shape, c1.shape, k0.shape, k1.shape)
+    shape = np.broadcast(c0, c1, k0, k1).shape
     x0 = np.add(c0, k0, out=np.empty(shape, np.uint64))
     x1 = np.add(c1, k1, out=np.empty(shape, np.uint64))
     tmp = np.empty(shape, np.uint64)
-
-    def ks2():
-        """The third key word, parity ^ k0 ^ k1, rebuilt in ``tmp``."""
-        if k0.ndim == 0 or k1.ndim == 0:
-            lone, other = (k0, k1) if k0.ndim == 0 else (k1, k0)
-            return np.bitwise_xor(other, lone ^ _PARITY, out=tmp)
-        np.bitwise_xor(k0, k1, out=tmp)
-        return np.bitwise_xor(tmp, _PARITY, out=tmp)
+    if k0.ndim and k1.ndim:
+        lone = None
+    else:
+        # One key word is 0-d: fold the parity into it once, as a 0-d.
+        lone, other = (k0, k1) if k0.ndim == 0 else (k1, k0)
+        lone = np.bitwise_xor(lone, _PARITY, out=np.empty((), np.uint64))
 
     for i in range(rounds):
         r = i % 8
@@ -91,8 +94,17 @@ def threefry2x64_vec(
         if i % 4 == 3:
             inject = i // 4 + 1
             for x, j in ((x0, inject % 3), (x1, (inject + 1) % 3)):
-                np.add(x, ks2() if j == 2 else (k0, k1)[j], out=x)
+                if j < 2:
+                    np.add(x, (k0, k1)[j], out=x)
+                    continue
+                # The third key word, parity ^ k0 ^ k1, rebuilt in ``tmp``.
+                if lone is not None:
+                    np.bitwise_xor(other, lone, out=tmp)
+                else:
+                    np.bitwise_xor(k0, k1, out=tmp)
+                    np.bitwise_xor(tmp, _PARITY, out=tmp)
+                np.add(x, tmp, out=x)
             # (x1 + ks) + inject: wrapping addition is associative.
-            np.add(x1, np.uint64(inject), out=x1)
+            np.add(x1, _INJECT[inject], out=x1)
 
     return x0, x1

@@ -29,12 +29,13 @@ arrays again.
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from dataclasses import dataclass
 from enum import Enum
+from typing import NamedTuple
 
 import numpy as np
 
 from repro.kernels import xs as kernel_xs
+from repro.kernels.workspace import Workspace
 from repro.xs.ce import build_union_grid, default_ce_materials
 from repro.xs.lookup import LookupStats
 from repro.xs.macroscopic import AVOGADRO, BARNS_TO_M2
@@ -64,8 +65,7 @@ class XsMode(str, Enum):
         return cls(str(value))
 
 
-@dataclass(frozen=True)
-class MicroLookup:
+class MicroLookup(NamedTuple):
     """One batch lookup's results for a single material.
 
     Attributes
@@ -89,8 +89,7 @@ class MicroLookup:
     searches: tuple
 
 
-@dataclass(frozen=True)
-class MacroXs:
+class MacroXs(NamedTuple):
     """Macroscopic cross sections per lane, in 1/m."""
 
     sigma_s: np.ndarray
@@ -174,26 +173,26 @@ class XsProvider(ABC):
 
         Both schemes call exactly this sequence (same ops, same order, same
         workspace buffer names) — it is part of the OP ≡ OE fingerprint
-        contract, so providers share one implementation.  ``ws`` may be
-        ``None`` to allocate fresh buffers (protocol-level callers).
+        contract, so providers share one implementation.  Protocol-level
+        callers hand in a fresh ``Workspace`` for fresh buffers.
         """
-        molar = _buf(ws, "molar", n)
-        np.take(self.mat_molar, mat_idx, out=molar)
-        numdens = _buf(ws, "numdens", n)
-        np.multiply(density, 1.0e3, out=numdens)
+        molar = ws.f64("molar", n)
+        self.mat_molar.take(mat_idx, out=molar)
+        numdens = ws.f64("numdens", n)
+        np.multiply(density, _KG_TO_G, out=numdens)
         np.divide(numdens, molar, out=numdens)
-        np.multiply(numdens, AVOGADRO, out=numdens)
-        sigma_s = _buf(ws, "sigma_s", n)
+        np.multiply(numdens, _AVOGADRO, out=numdens)
+        sigma_s = ws.f64("sigma_s", n)
         np.multiply(numdens, micro_s, out=sigma_s)
-        np.multiply(sigma_s, BARNS_TO_M2, out=sigma_s)
-        sigma_f = _buf(ws, "sigma_f", n)
+        np.multiply(sigma_s, _BARNS_TO_M2, out=sigma_s)
+        sigma_f = ws.f64("sigma_f", n)
         np.multiply(numdens, micro_f, out=sigma_f)
-        np.multiply(sigma_f, BARNS_TO_M2, out=sigma_f)
-        sigma_a = _buf(ws, "sigma_a", n)
+        np.multiply(sigma_f, _BARNS_TO_M2, out=sigma_f)
+        sigma_a = ws.f64("sigma_a", n)
         np.multiply(numdens, micro_c, out=sigma_a)
-        np.multiply(sigma_a, BARNS_TO_M2, out=sigma_a)
+        np.multiply(sigma_a, _BARNS_TO_M2, out=sigma_a)
         np.add(sigma_a, sigma_f, out=sigma_a)
-        sigma_t = _buf(ws, "sigma_t", n)
+        sigma_t = ws.f64("sigma_t", n)
         np.add(sigma_s, sigma_a, out=sigma_t)
         return MacroXs(sigma_s=sigma_s, sigma_a=sigma_a, sigma_f=sigma_f,
                        sigma_t=sigma_t)
@@ -240,7 +239,7 @@ class XsProvider(ABC):
                         kernel_xs.bisection_probes(grid, energy[sel]).sum()
                     )
         return self.macroscopic_into(
-            None, n, mat_idx, micro_s, micro_c, micro_f, density
+            Workspace(), n, mat_idx, micro_s, micro_c, micro_f, density
         )
 
     def nbytes(self) -> int:
@@ -248,10 +247,11 @@ class XsProvider(ABC):
         return 0
 
 
-def _buf(ws, name: str, n: int) -> np.ndarray:
-    if ws is not None:
-        return ws.f64(name, n)
-    return np.empty(n, dtype=np.float64)
+# The unit factors of :meth:`XsProvider.macroscopic_into` as 0-d arrays:
+# a ufunc takes them for less per call than Python floats, same bits.
+_KG_TO_G = np.array(1.0e3)
+_AVOGADRO = np.array(AVOGADRO)
+_BARNS_TO_M2 = np.array(BARNS_TO_M2)
 
 
 def _material_meta(provider: XsProvider, materials) -> None:

@@ -144,6 +144,17 @@ PLANTED = {
                     self.arena.cells[f] = n
             ''',
     },
+    "clip(...)": {
+        "kernels/xs.py": '''
+            bins = np.clip(bins, 0, n - 2)  # !
+            start = cached.clip(0, n - 1)  # !
+            lo = energy.take(lo, mode="clip")
+            ''',
+        "rng/threefry.py": "shape = np.broadcast_shapes(a, b)  # !\n"
+                           "shape = np.broadcast(a, b).shape\n",
+        "mesh/tally.py": "from numpy import clip\nx = clip(x, 0, 1)  # !\n",
+        "xs/ce.py": "bins = np.clip(bins, 0, n - 1)\n",
+    },
 }
 
 

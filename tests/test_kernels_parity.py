@@ -182,8 +182,9 @@ def _edge_lanes(ndim):
     direction component on every axis; exact nearest-facet ties between
     each pair of adjacent axes (same cell index, offset and direction on
     both, so both axes do literally the same arithmetic) and across all
-    axes; every corner cell flying outward, inward and along each facet;
-    Σt = 0."""
+    axes; every corner cell flying outward, inward and along each facet,
+    and with −0.0 on every axis (+0.0 is the along-facet rows' off-axis
+    component); Σt = 0."""
     rows = []
     for ax in range(ndim):
         for w in _EDGE_OMEGAS:
@@ -206,6 +207,7 @@ def _edge_lanes(ndim):
             omega = [0.0] * ndim
             omega[ax] = outward[ax]
             rows.append((cell, [0.5] * ndim, omega, 0.0))
+        rows.append((cell, [0.5] * ndim, [-0.0] * ndim, 2.5))
     return rows
 
 
@@ -271,6 +273,37 @@ def test_geometry_kernels_edge_lanes(ndim, width):
                     assert got[i] == want, (lanes[i], bc, ax)
                     # −0.0 == 0.0: a reflection must flip the sign bit too.
                     assert np.signbit(got[i]) == np.signbit(want)
+
+
+def test_workspace_views_count_and_alias_like_fresh_slices():
+    """A hand-out from the cached view counts as the fresh slice it
+    replaces: across grows, shrinks and re-grows of one name, interleaved
+    with a second name, ``allocations`` and ``reuses`` follow the
+    get-or-grow rule; a view after a growth aliases the new buffer, and
+    two names never alias."""
+    ws = Workspace()
+    capacity, last = {}, {}
+    allocations = reuses = 0
+    for name, n in [("a", 64), ("a", 64), ("b", 64), ("a", 100), ("a", 100),
+                    ("b", 100), ("a", 32), ("a", 32), ("b", 32), ("a", 128),
+                    ("a", 129), ("a", 64), ("b", 64), ("a", 0), ("a", 64)]:
+        view = (ws.f64 if name == "a" else ws.i64)(name, n)
+        grew = capacity.get(name, -1) < n
+        if grew:
+            capacity[name] = max(n, 2 * capacity.get(name, n // 2))
+            allocations += 1
+        else:
+            reuses += 1
+        assert (ws.allocations, ws.reuses) == (allocations, reuses)
+        assert view.shape == (n,)
+        assert view.dtype == (np.float64 if name == "a" else np.int64)
+        if n and name in last:
+            assert np.shares_memory(view, last[name]) != grew, (name, n)
+        other = last.get("b" if name == "a" else "a")
+        assert other is None or not n or not np.shares_memory(view, other)
+        if n:
+            last[name] = view
+    assert capacity == {"a": 256, "b": 128}
 
 
 @pytest.mark.parametrize("ndim", (2, 3))

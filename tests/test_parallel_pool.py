@@ -215,6 +215,51 @@ def test_fission_population_growth_parity(schedule):
     assert energy_balance_error(pooled) < 1e-10
 
 
+@pytest.mark.parametrize("case", ["children join", "AUTO compacts"])
+def test_inline_shard_writes_only_its_rows(case):
+    """Without workers a shard advances its rows of the caller's private
+    population in place, through a view — no copy — and writes no row
+    outside them, when children join the arena and when AUTO compacts it.
+    Its payload is the payload of the same shard run on a copy."""
+    from repro.obs.spans import Recorder
+    from repro.parallel.pool import _run_shard, start_run
+    from repro.particles.source import sample_source
+
+    if case == "children join":
+        cfg, scheme = _fission_cfg(), Scheme.OVER_PARTICLES
+    else:
+        cfg = scatter_problem(nx=16, nparticles=60, ntimesteps=6)
+        scheme = Scheme.AUTO
+    (member,), provider = start_run((cfg,), scheme, 1, None, mode="pool")
+    population = sample_source(cfg.build_mesh(), cfg.source, cfg.nparticles,
+                               cfg.seed, cfg.dt, provider=provider)
+    bounds, lo, hi = (0, cfg.nparticles), 10, cfg.nparticles - 10
+    before = population.copy()
+    reference = _run_shard((member,), bounds, scheme, population.copy(),
+                           lo, hi)
+    rec = Recorder()
+    out = _run_shard((member,), bounds, scheme, population, lo, hi,
+                     recorder=rec)
+    if case == "children join":
+        assert out["counters"].secondaries_banked > 0
+    else:
+        assert any(e.name == "compaction" for e in rec.events)
+    fields = [name for name, _ in type(population).FIELDS]
+    for name in fields:
+        now, was = getattr(population, name), getattr(before, name)
+        assert now[:lo].tobytes() == was[:lo].tobytes(), name
+        assert now[hi:].tobytes() == was[hi:].tobytes(), name
+    # Advanced in place: the shard's own rows moved on.
+    assert not np.array_equal(population.rng_counter[lo:hi],
+                              before.rng_counter[lo:hi])
+    for name in fields:
+        assert (getattr(out["arena"], name).tobytes()
+                == getattr(reference["arena"], name).tobytes()), name
+    assert out["counters"].snapshot() == reference["counters"].snapshot()
+    assert out["tally"].deposition.tobytes() == \
+        reference["tally"].deposition.tobytes()
+
+
 def test_multi_timestep_parity():
     cfg = scatter_problem(nx=32, nparticles=25, ntimesteps=3)
     sim = Simulation(cfg)

@@ -1,5 +1,6 @@
 """Threefry cipher: known-answer vectors, scalar/vector parity, statistics."""
 
+import itertools
 import tracemalloc
 
 import numpy as np
@@ -102,6 +103,47 @@ def test_vectorised_scalar_keys_over_array_counters():
     v0, v1 = threefry2x64_vec(c0, np.uint64(9), np.uint64(1), np.uint64(2))
     for i, c in enumerate(c0):
         assert threefry2x64((int(c), 9), (1, 2)) == (int(v0[i]), int(v1[i]))
+
+
+#: Per operand (c0, c1, k0, k1), a (2, 3) grid of words with 2**64 - 1 and
+#: its neighbours in it; an operand's form takes its corner, its first row
+#: or the whole grid.
+_GRIDS = [np.array(rows, dtype=np.uint64) for rows in (
+    [[2**64 - 1, 0, 7], [2**64 - 2, 1, 2**63]],
+    [[2**64 - 1, 5, 0], [3, 2**64 - 1, 2**32]],
+    [[11, 2**64 - 1, 0], [2**64 - 1, 9, 1]],
+    [[0, 2**63 - 1, 2**64 - 1], [4, 2**64 - 1, 8]],
+)]
+_FORMS = {
+    "scalar": lambda g: np.uint64(g[0, 0]),
+    "0-d": lambda g: np.array(g[0, 0], dtype=np.uint64),
+    "(m,)": lambda g: g[0].copy(),
+    "(k, m)": lambda g: g.copy(),
+}
+
+
+def _word(form, grid, a, b):
+    """The word of lane ``(a, b)`` of an operand of ``form``."""
+    if form in ("scalar", "0-d"):
+        return int(grid[0, 0])
+    return int(grid[0, b] if form == "(m,)" else grid[a, b])
+
+
+@pytest.mark.parametrize("forms", itertools.product(_FORMS, repeat=4),
+                         ids="/".join)
+def test_every_operand_form_matches_the_scalar_oracle(forms):
+    """Scalar, 0-d, ``(m,)`` and ``(k, m)`` operands, in every mix over
+    ``(c0, c1, k0, k1)``, broadcast to one result whose every lane is the
+    scalar cipher of that lane's words — counters at 2**64 - 1 included."""
+    args = [_FORMS[f](g) for f, g in zip(forms, _GRIDS)]
+    x0, x1 = threefry2x64_vec(*args)
+    shape = np.broadcast(*args).shape
+    assert x0.shape == x1.shape == shape
+    for a, b in np.ndindex(2, 3):
+        c0, c1, k0, k1 = (_word(f, g, a, b) for f, g in zip(forms, _GRIDS))
+        lane = (a, b)[2 - len(shape):]
+        assert (int(x0[lane]), int(x1[lane])) == threefry2x64((c0, c1),
+                                                              (k0, k1))
 
 
 def test_vectorised_allocates_only_its_state():
