@@ -14,7 +14,10 @@ The package layers, bottom to top (see README.md / DESIGN.md):
   :mod:`repro.perfmodel`, :mod:`repro.simexec`;
 * comparators & analysis — :mod:`repro.comparisons`,
   :mod:`repro.analysis`, :mod:`repro.coupling`;
-* harnesses — :mod:`repro.bench`, :mod:`repro.cli`.
+* harnesses — :mod:`repro.bench` (the figure suite's workloads and
+  tables), :mod:`repro.cli`.  Timing is ``perf/``'s; its committed
+  ``results/PERF_<n>.json`` is the one measurement the library reads
+  back (:func:`repro.perfmodel.load_perf_workload`).
 
 The conveniences most users want are importable from here::
 

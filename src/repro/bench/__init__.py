@@ -6,20 +6,14 @@ and caches them per process, so every figure bench prices the *same*
 measured algorithm.  :mod:`repro.bench.reporting` renders the rows/series
 each figure reports.
 
-:mod:`repro.bench.artifact` loads and validates the committed
-``results/BENCH_<n>.json`` artifacts, which the machine-model
-recalibration, the capacity planner and the live drift band read.  The
-timed bench tier that wrote them is retired: ``perf/`` (``BENCHMARK.json``)
-is the one ruler for where the time goes, and the artifacts' exact facts
-are pinned by ``tests/test_bench_facts.py``.
+No timing lives here: ``perf/`` (``BENCHMARK.json``) is the one ruler
+for where the time goes, and its committed output
+``results/PERF_<n>.json`` is what the library reads back
+(:func:`repro.perfmodel.load_perf_workload`).  The retired bench tier's
+``results/BENCH_1..6.json`` stay as history; ``tests/test_bench_facts.py``
+pins ``BENCH_6.json``'s exact facts.
 """
 
-from repro.bench.artifact import (
-    BenchArtifact,
-    BenchSchemaError,
-    load_bench_artifact,
-    validate_bench_artifact,
-)
 from repro.bench.runner import (
     DEVICE_BASELINES,
     PAPER_SCALE,
@@ -31,10 +25,6 @@ from repro.bench.runner import (
 from repro.bench.reporting import format_table, format_series, print_header
 
 __all__ = [
-    "BenchArtifact",
-    "BenchSchemaError",
-    "load_bench_artifact",
-    "validate_bench_artifact",
     "DEVICE_BASELINES",
     "PAPER_SCALE",
     "measured_workload",

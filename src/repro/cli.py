@@ -6,8 +6,8 @@
     python -m repro run --problem csp3 --nx 24 --scheme auto --timesteps 3
     python -m repro ensemble run --problem csp --replicas 8 --compare-looped
     python -m repro report t.json
-    python -m repro capacity plan results/BENCH_4.json --slo 0.5 --rate 10
-    python -m repro bench recalibrate results/BENCH_6.json
+    python -m repro run --serve-metrics 0 --drift-baseline results/PERF_1.json
+    python -m repro bench recalibrate results/PERF_1.json
     python -m repro predict --problem csp --machine p100
     python -m repro characterise --problem stream
     python -m repro figures
@@ -16,11 +16,11 @@
 (``--problem csp3``); ``ensemble run`` fuses replica runs into one
 dispatch; the two share one option set.  ``report`` renders a
 :class:`~repro.obs.telemetry.RunTelemetry` artifact written by
-``--telemetry``; ``capacity plan`` and ``bench recalibrate`` read a
-committed ``BENCH_<n>.json``; ``predict`` prices a paper-scale run on a
-modelled device; ``characterise`` prints the workload statistics;
-``figures`` prints the cross-architecture tables (full suite:
-``benchmarks/``).
+``--telemetry``; ``bench recalibrate`` and ``--drift-baseline`` read a
+committed ``perf/`` result, ``results/PERF_<n>.json``; ``predict`` prices
+a paper-scale run on a modelled device; ``characterise`` prints the
+workload statistics; ``figures`` prints the cross-architecture tables
+(full suite: ``benchmarks/``).
 """
 
 from __future__ import annotations
@@ -42,6 +42,10 @@ from repro.core import (
 from repro.machine import ALL_MACHINES, CPUS, GPUS
 from repro.mesh.boundary import BoundaryCondition
 from repro.parallel import FaultPlan, ScheduleKind, simulate_parallel_for
+from repro.perfmodel import (
+    load_perf_workload,
+    recalibrate_from_artifact,
+)
 from repro.xs.provider import XsMode
 
 __all__ = ["main", "build_parser"]
@@ -183,9 +187,12 @@ def build_parser() -> argparse.ArgumentParser:
         help="print the per-kernel call/wall-clock profile of the run",
     )
     run.add_argument(
-        "--drift-baseline", metavar="BENCH_JSON",
-        help="a BENCH_*.json artifact whose measured events/s arms the "
-        "perf-drift watchdog on the live plane",
+        "--drift-baseline", metavar="PERF_JSON",
+        help="a perf/ result (results/PERF_<n>.json) whose csp_oe_mg "
+        "events/s median and quartiles arm the perf-drift watchdog on the "
+        "live plane; the band only means something for a run shaped like "
+        "csp_oe_mg: --problem csp --nx 256 --particles 11000 --timesteps 2 "
+        "--scheme over_events",
     )
     run.add_argument(
         "--flight-dir", metavar="DIR",
@@ -246,53 +253,18 @@ def build_parser() -> argparse.ArgumentParser:
 
     bench = sub.add_parser(
         "bench",
-        help="read the committed BENCH_<n>.json perf artifacts",
+        help="read the committed perf/ result, results/PERF_<n>.json",
     )
     bench_sub = bench.add_subparsers(dest="bench_command", required=True)
 
     bench_recal = bench_sub.add_parser(
         "recalibrate",
-        help="refit machine-model event costs from an artifact's "
-        "kernel timings",
+        help="refit machine-model event costs from the kernel drills of a "
+        "perf/ result",
     )
     bench_recal.set_defaults(func=_cmd_bench_recalibrate)
-    bench_recal.add_argument("artifact", help="a BENCH_*.json artifact")
     bench_recal.add_argument(
-        "--bench", default=None,
-        help="which bench's kernel profile to fit (default: first with one)",
-    )
-
-    capacity = sub.add_parser(
-        "capacity",
-        help="size workers/fleets from the calibrated scaling model",
-    )
-    cap_sub = capacity.add_subparsers(dest="capacity_command", required=True)
-    cap_plan = cap_sub.add_parser(
-        "plan",
-        help="plan worker counts for a latency SLO (or reproduce the "
-        "benched worker count) from a BENCH_*.json artifact",
-    )
-    cap_plan.set_defaults(func=_cmd_capacity_plan)
-    cap_plan.add_argument("artifact", help="a BENCH_*.json artifact")
-    cap_plan.add_argument(
-        "--bench", default=None,
-        help="the pool_speedup_* bench supplying the serial/pooled "
-        "latencies (default: pool_speedup_csp)",
-    )
-    cap_plan.add_argument(
-        "--workers", type=int, default=2,
-        help="worker count the bench's pooled measurement ran with",
-    )
-    cap_plan.add_argument(
-        "--slo", type=float, default=None, metavar="SECONDS",
-        help="latency SLO to size for; omit to reproduce the benched "
-        "worker count from the measured pooled latency",
-    )
-    cap_plan.add_argument(
-        "--rate", type=float, default=None, metavar="JOBS_PER_S",
-        help="traffic rate — sizes the whole fleet via Little's law "
-        "(needs --slo)",
-    )
+        "artifact", help="a perf/ result, e.g. results/PERF_1.json")
 
     predict = sub.add_parser(
         "predict", help="price a paper-scale run on a modelled device"
@@ -335,27 +307,6 @@ def _error(exc) -> int:
     return 2
 
 
-def _load_bench(path):
-    """``load_bench_artifact(path)``; a file that is missing, not JSON or
-    not a bench artifact raises a ``ValueError`` that names it."""
-    import json
-
-    from repro.bench import load_bench_artifact
-    from repro.bench.artifact import BenchSchemaError
-
-    try:
-        return load_bench_artifact(path)
-    except OSError as exc:
-        reason = exc.strerror or exc
-    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
-        reason = f"not JSON ({exc})"
-    except BenchSchemaError as exc:
-        more = len(exc.problems) - 1
-        reason = (f"not a bench artifact: {exc.problems[0]}"
-                  + (f" (+{more} more)" if more > 0 else ""))
-    raise ValueError(f"{path}: {reason}")
-
-
 def _mesh_label(tally) -> str:
     """``48x48`` or ``12x12x12``: the mesh shape, read off the tally."""
     return "x".join(str(n) for n in tally.shape)
@@ -379,7 +330,7 @@ def _start_live_plane(args, recorder=None):
     drift = None
     baseline = getattr(args, "drift_baseline", None)
     if baseline:
-        drift = drift_band_from_artifact(_load_bench(baseline))
+        drift = drift_band_from_artifact(load_perf_workload(baseline))
     live = LiveAggregator(drift=drift, recorder=recorder)
     server = MetricsServer(live, port=port)
     server.start()
@@ -689,36 +640,12 @@ def _cmd_report(args: argparse.Namespace) -> int:
 
 
 def _cmd_bench_recalibrate(args: argparse.Namespace) -> int:
-    from repro.perfmodel import recalibrate_from_artifact
-
     try:
-        report = recalibrate_from_artifact(_load_bench(args.artifact),
-                                           bench=args.bench)
+        report = recalibrate_from_artifact(load_perf_workload(args.artifact))
     except ValueError as exc:
         return _error(exc)
-    except KeyError as exc:  # no such bench in the artifact
-        return _error(f"{args.artifact}: {exc.args[0]}")
     print(report.format())
     return 0
-
-
-def _cmd_capacity_plan(args: argparse.Namespace) -> int:
-    from repro.perfmodel import plan_capacity, scenario_from_artifact
-    from repro.perfmodel.capacity import DEFAULT_BENCH
-
-    try:
-        artifact = _load_bench(args.artifact)
-        scenario = scenario_from_artifact(
-            artifact,
-            bench=args.bench or DEFAULT_BENCH,
-            nworkers=args.workers,
-        )
-        plan = plan_capacity(scenario, latency_slo=args.slo, rate=args.rate)
-    except ValueError as exc:
-        return _error(exc)
-    print(scenario.format())
-    print(plan.format())
-    return 0 if plan.feasible else 1
 
 
 def _cmd_predict(args: argparse.Namespace) -> int:

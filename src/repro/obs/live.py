@@ -68,7 +68,7 @@ __all__ = [
 ]
 
 LIVE_SCHEMA_NAME = "repro.live_snapshot"
-LIVE_SCHEMA_VERSION = 1
+LIVE_SCHEMA_VERSION = 2
 
 #: Doubles per worker row on the shared stats board.
 STAT_STRIDE = 8
@@ -220,16 +220,12 @@ class DriftBand:
 
     The watchdog flags the run when the live aggregate event rate leaves
     ``expected_events_per_s * (1 ± rel_band)``.  Built from a committed
-    ``BENCH_*.json`` artifact (measured baseline) and, when the artifact
-    supports calibration, cross-checked against the recalibrated
-    machine-model prediction (:attr:`model_events_per_s`).
+    ``perf/`` result (:func:`drift_band_from_artifact`).
     """
 
-    __slots__ = ("expected_events_per_s", "rel_band", "model_events_per_s",
-                 "source")
+    __slots__ = ("expected_events_per_s", "rel_band", "source")
 
     def __init__(self, expected_events_per_s: float, rel_band: float,
-                 model_events_per_s: float | None = None,
                  source: str = "manual"):
         if expected_events_per_s <= 0:
             raise ValueError("expected_events_per_s must be positive")
@@ -237,9 +233,6 @@ class DriftBand:
             raise ValueError("rel_band must be positive")
         self.expected_events_per_s = float(expected_events_per_s)
         self.rel_band = float(rel_band)
-        self.model_events_per_s = (
-            float(model_events_per_s) if model_events_per_s else None
-        )
         self.source = source
 
     def classify(self, events_per_s: float) -> tuple[bool, float]:
@@ -251,78 +244,26 @@ class DriftBand:
         return {
             "expected_events_per_s": self.expected_events_per_s,
             "rel_band": self.rel_band,
-            "model_events_per_s": self.model_events_per_s,
             "source": self.source,
         }
 
 
-#: Transport event kernels whose processed items define "events" for the
-#: drift baseline (the same trio Counters.total_events sums).
-_EVENT_KERNELS = ("collide", "cross_facet", "census")
-
-
-def drift_band_from_artifact(artifact, bench: str | None = None,
+def drift_band_from_artifact(metrics: dict,
                              min_band: float = 0.35) -> DriftBand:
-    """Build a :class:`DriftBand` from a ``BENCH_*.json`` artifact.
-
-    Uses the named transport bench (default: the first bench with a
-    kernel profile): expected events/s is total event-kernel items over
-    the median wall-clock, and the band is the wider of the bench's own
-    measured noise (IQR/median of the timing) and ``min_band``.  When
-    the artifact supports machine-model recalibration, the calibrated
-    model's predicted rate is attached for cross-checking and the
-    calibration error widens the band — closing ROADMAP item 5's loop
-    from committed baselines back into the live run.
+    """Build a :class:`DriftBand` from the ``PERF_WORKLOAD`` metrics of a
+    committed ``perf/`` result (``repro.perfmodel.load_perf_workload``):
+    the expected rate is the median ``events_per_s`` and the band the
+    wider of its quartile spread over that median and ``min_band``.  The
+    band only means something for a run shaped like that workload.
     """
-    candidates = [
-        name for name in artifact.bench_names()
-        if artifact.benches[name].get("kernel_profile")
-    ]
-    if bench is None:
-        if not candidates:
-            raise ValueError(
-                "artifact has no bench with a kernel profile to derive an "
-                "events/s baseline from"
-            )
-        bench = candidates[0]
-    if bench not in artifact.benches:
-        raise ValueError(
-            f"unknown bench {bench!r}; available: "
-            f"{', '.join(artifact.bench_names())}"
-        )
-    b = artifact.benches[bench]
-    profile = b.get("kernel_profile") or {}
-    events = sum(
-        profile[k][1] for k in _EVENT_KERNELS if k in profile
-    )
-    if events <= 0:
-        raise ValueError(
-            f"bench {bench!r} has no event-kernel items in its profile"
-        )
-    wall = b.get("wallclock_s") or {}
-    median = float(wall.get("median", 0.0))
-    if median <= 0:
-        raise ValueError(f"bench {bench!r} has no usable wallclock median")
-    noise = float(wall.get("iqr", 0.0)) / median
-    band = max(min_band, noise)
-    model_rate = None
-    try:
-        from repro.perfmodel import recalibrate_from_artifact
+    from repro.perfmodel.recalibrate import PERF_WORKLOAD
 
-        report = recalibrate_from_artifact(artifact)
-        predicted_s = sum(
-            f.predicted_s for f in report.fits if f.kernel in _EVENT_KERNELS
-        )
-        if predicted_s > 0:
-            model_rate = events / predicted_s
-        band = max(band, report.mean_abs_rel_error)
-    except (ValueError, KeyError):
-        pass
+    rate = metrics["events_per_s"]
+    value = float(rate["value"])
     return DriftBand(
-        expected_events_per_s=events / median,
-        rel_band=band,
-        model_events_per_s=model_rate,
-        source=f"bench:{bench}",
+        expected_events_per_s=value,
+        rel_band=max(min_band, (rate["q3"] - rate["q1"]) / value),
+        source=f"perf:{PERF_WORKLOAD}",
     )
 
 
@@ -455,7 +396,7 @@ class LiveAggregator:
 
     # -- views ----------------------------------------------------------
     def snapshot(self) -> dict:
-        """The versioned LiveSnapshot dict (``repro.live_snapshot`` v1):
+        """The versioned LiveSnapshot dict (``repro.live_snapshot`` v2):
         run meta, aggregate and per-worker views, the recovery ledger,
         and the drift watchdog state."""
         now = time.monotonic()

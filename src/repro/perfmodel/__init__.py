@@ -32,27 +32,21 @@ from repro.perfmodel.cpu_model import (
 from repro.perfmodel.gpu_model import GPUOptions, GPUPrediction, predict_gpu
 from repro.perfmodel.efficiency import parallel_efficiency, speedup
 from repro.perfmodel.recalibrate import (
+    PERF_WORKLOAD,
     CalibrationReport,
     KernelFit,
+    load_perf_workload,
     recalibrate_constants,
     recalibrate_from_artifact,
-)
-from repro.perfmodel.capacity import (
-    CapacityPlan,
-    CapacityScenario,
-    plan_capacity,
-    scenario_from_artifact,
 )
 
 __all__ = [
     "CalibrationReport",
     "KernelFit",
+    "PERF_WORKLOAD",
+    "load_perf_workload",
     "recalibrate_constants",
     "recalibrate_from_artifact",
-    "CapacityPlan",
-    "CapacityScenario",
-    "plan_capacity",
-    "scenario_from_artifact",
     "Workload",
     "ModelConstants",
     "DEFAULT_CONSTANTS",

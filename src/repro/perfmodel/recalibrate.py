@@ -3,17 +3,18 @@
 The analytic models in :mod:`repro.perfmodel` charge each event type a
 fixed ALU-operation budget (:class:`~repro.perfmodel.costs.ModelConstants`:
 ``collision_alu_ops``, ``facet_alu_ops``, …).  Those budgets were
-estimated by reading the kernels; the committed ``BENCH_<n>.json``
-artifacts carry *measured* per-kernel profiles, so the loop can be
-closed: fit the per-operation cost that best explains the measured
-per-kernel wall-clocks, report how far each kernel sits from the
-model's relative cost structure, and emit a refitted
-:class:`ModelConstants` whose ratios match the measurement.
+estimated by reading the kernels; the committed ``perf/`` result
+(``results/PERF_<n>.json``, read by :func:`load_perf_workload`) carries
+*measured* per-kernel drill timings, so the loop can be closed: fit the
+per-operation cost that best explains the measured per-kernel
+wall-clocks, report how far each kernel sits from the model's relative
+cost structure, and emit a refitted :class:`ModelConstants` whose
+ratios match the measurement.
 
 This is the glowing-octo-tyiron workflow ("compare actual behavior of a
 customer system with the expected"): the fit residuals say where the
 model's cost structure disagrees with the host, and the refitted
-constants feed the same prediction pipeline for capacity planning.
+constants feed the same prediction pipeline.
 
 The fit is a one-parameter least squares.  With measured kernel rows
 ``(calls, items, seconds)`` and model budgets ``ops_k``, minimise
@@ -27,6 +28,8 @@ host's effective seconds-per-modelled-op.  Per-kernel relative error of
 
 from __future__ import annotations
 
+import json
+import math
 from dataclasses import dataclass, replace
 
 from repro.perfmodel.costs import DEFAULT_CONSTANTS, ModelConstants
@@ -35,9 +38,32 @@ __all__ = [
     "KERNEL_COST_FIELDS",
     "KernelFit",
     "CalibrationReport",
+    "PERF_WORKLOAD",
+    "load_perf_workload",
     "recalibrate_constants",
     "recalibrate_from_artifact",
 ]
+
+#: The ``perf/`` drill timing each fitted kernel, every one at
+#: :data:`DRILL_ITEMS` items a call (``perf/drills.py``).  ``xs_lookup``
+#: is left out: ``xs.mg_lookup`` times every reaction's search from a
+#: cold bin, not the one kernel call ``lookup_alu_ops`` prices.
+DRILL_METRICS = {
+    "collide": "kernels.collide.ns_per_item_b16384",
+    "cross_facet": "kernels.cross_facet.ns_per_item_b16384",
+    "distances": "kernels.distances.ns_per_item_b16384",
+}
+DRILL_ITEMS = 16384
+
+#: Every metric the library reads back from a ``perf/`` result, with the
+#: fields it reads: the drift watchdog's rate and the drills above.
+READ_METRICS = {
+    "events_per_s": ("value", "q1", "q3"),
+    **{name: ("value",) for name in DRILL_METRICS.values()},
+}
+
+#: The workload whose metrics both readers use.
+PERF_WORKLOAD = "csp_oe_mg"
 
 #: Measured kernel name → the ModelConstants field charging that work.
 #: ``select_events`` has no dedicated constant (its compare/select work
@@ -119,6 +145,11 @@ class CalibrationReport:
                 "unmapped kernels (no model constant): "
                 + ", ".join(self.skipped)
             )
+        unfitted = sorted(set(KERNEL_COST_FIELDS)
+                          - {f.kernel for f in self.fits})
+        if unfitted:
+            lines.append("not fitted (no measurement): "
+                         + ", ".join(unfitted))
         return "\n".join(lines) + "\n"
 
 
@@ -177,26 +208,69 @@ def recalibrate_constants(
     )
 
 
-def recalibrate_from_artifact(
-    artifact, bench: str | None = None,
-    constants: ModelConstants = DEFAULT_CONSTANTS,
-) -> CalibrationReport:
-    """Recalibrate from a :class:`~repro.bench.artifact.BenchArtifact`.
+def load_perf_workload(path, workload: str = PERF_WORKLOAD) -> dict:
+    """One workload's metrics from a ``perf/run.py`` ``results.json``
+    (committed as ``results/PERF_<n>.json``): its end-to-end and per-layer
+    rows in one mapping, ``name -> {"value": ..., "q1": ..., ...}``.
 
-    Uses ``bench``'s kernel profile, or the first bench carrying one
-    when not named — ``repro bench recalibrate BENCH_1.json`` is the CLI
-    face of this hook.
+    Raises a one-line ``ValueError`` naming ``path`` when the file is
+    missing or unreadable, is not JSON, has no ``workloads`` mapping (a
+    retired ``BENCH_<n>.json`` lands here), lacks ``workload``, records a
+    failed run of it, or lacks a field of :data:`READ_METRICS` or holds
+    one that is not a finite number (or a ``value`` not above 0).
     """
-    candidates = (
-        [bench] if bench is not None else artifact.bench_names()
-    )
-    for name in candidates:
-        section = artifact.benches.get(name)
-        if section is None:
-            raise KeyError(f"artifact has no bench {name!r}")
-        profile = section.get("kernel_profile")
-        if profile:
-            return recalibrate_constants(profile, constants)
-    raise ValueError(
-        "artifact carries no kernel profile to recalibrate from"
-    )
+    def refuse(reason) -> ValueError:
+        return ValueError(f"{path}: {reason}")
+
+    try:
+        with open(path, encoding="utf-8") as fh:
+            doc = json.load(fh)
+    except OSError as exc:
+        raise refuse(exc.strerror or exc) from None
+    except ValueError as exc:  # JSONDecodeError, UnicodeDecodeError
+        raise refuse(f"not JSON ({exc})") from None
+    workloads = doc.get("workloads") if isinstance(doc, dict) else None
+    if not isinstance(workloads, dict):
+        raise refuse("no 'workloads' mapping: not a perf/run.py results file")
+    section = workloads.get(workload)
+    if not isinstance(section, dict):
+        raise refuse(f"unknown workload {workload!r}; present: "
+                     f"{', '.join(sorted(workloads))}")
+    metrics = {}
+    for part in ("end_to_end", "per_layer"):
+        run = section.get(part)
+        run = run if isinstance(run, dict) else {}
+        if run.get("failed") != 0:
+            raise refuse(f"{workload}: {part}.failed is "
+                         f"{run.get('failed')!r}, not 0")
+        metrics.update(run.get("metrics") or {})
+    for name, fields in READ_METRICS.items():
+        row = metrics.get(name)
+        if not isinstance(row, dict) or any(f not in row for f in fields):
+            raise refuse(f"{workload}: no metric {name} "
+                         f"({', '.join(fields)})")
+        for field in fields:
+            x = row[field]
+            if not (type(x) in (int, float) and math.isfinite(x)
+                    and (field != "value" or x > 0)):
+                raise refuse(f"{workload}: {name}.{field} is {x!r}, not a "
+                             f"finite number{' above 0' * (field == 'value')}")
+    return metrics
+
+
+def recalibrate_from_artifact(
+    metrics: dict, constants: ModelConstants = DEFAULT_CONSTANTS,
+) -> CalibrationReport:
+    """Recalibrate from one workload's :func:`load_perf_workload` metrics:
+    each kernel of :data:`DRILL_METRICS` is one row of
+    :data:`DRILL_ITEMS` items at the drill's measured ns per item —
+    ``repro bench recalibrate results/PERF_1.json`` is the CLI face of
+    this hook.  ``census`` and ``xs_lookup`` have no per-kernel drill, so
+    they are not fitted.
+    """
+    profile = {
+        kernel: (1, DRILL_ITEMS,
+                 metrics[name]["value"] * DRILL_ITEMS * 1e-9)
+        for kernel, name in DRILL_METRICS.items()
+    }
+    return recalibrate_constants(profile, constants)

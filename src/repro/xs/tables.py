@@ -18,8 +18,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.kernels import xs as _kernel_xs
-
 __all__ = [
     "CrossSectionTable",
     "make_capture_table",
@@ -91,10 +89,6 @@ class CrossSectionTable:
         v1 = self.value[bin_index + 1]
         t = (e - e0) / (e1 - e0)
         return float(v0 + t * (v1 - v0))
-
-    def interpolate_at_bin_vec(self, e: np.ndarray, bins: np.ndarray) -> np.ndarray:
-        """Deprecated wrapper over the batch kernel."""
-        return _kernel_xs.interpolate_at_bins(self, e, bins)
 
     def nbytes(self) -> int:
         """Approximate memory footprint of the table in bytes."""

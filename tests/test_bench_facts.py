@@ -19,22 +19,23 @@ test_serial_run_serves_while_stepping`` and ``states_identical`` by
 ``tests/test_pool_faults.py::test_kill_one_worker_mid_run_bit_identical``.
 """
 
+import json
 from pathlib import Path
 
 import pytest
 
-from repro.bench import load_bench_artifact
 from repro.bench.runner import MEASUREMENT_NX, MEASUREMENT_PARTICLES
 from repro.core import Scheme, Simulation, csp_problem
 from repro.particles.arena import ParticleArena, shard_handle_nbytes
 
-BASELINE = load_bench_artifact(
-    Path(__file__).resolve().parents[1] / "results" / "BENCH_6.json"
+BASELINE = json.loads(
+    (Path(__file__).resolve().parents[1] / "results" / "BENCH_6.json")
+    .read_text()
 )
 
 
 def _median(bench: str, metric: str) -> float:
-    return BASELINE.benches[bench]["metrics"][metric]["median"]
+    return BASELINE["benches"][bench]["metrics"][metric]["median"]
 
 
 @pytest.fixture(scope="module")

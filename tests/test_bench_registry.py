@@ -1,127 +1,81 @@
-"""The BENCH_<n>.json artifact schema, the figure-table formatters, the
-Prometheus exporter and the machine-model recalibration.
+"""The claims of the retired ``BENCH_<n>.json`` history, the figure-table
+formatters, the Prometheus exporter and the machine-model recalibration
+from the committed ``perf/`` result ``results/PERF_1.json``.
 
-The timed bench tier that wrote the artifacts is retired; these are the
-tests of what still reads them (the committed ``results/BENCH_*.json``)
-and of the bench/exporter fixes that rode along with the registry.  The
-artifacts' deterministic facts are pinned in ``tests/test_bench_facts.py``.
+The timed bench tier that wrote the ``BENCH_*.json`` files is retired and
+nothing in the library reads them; their deterministic facts are pinned
+in ``tests/test_bench_facts.py``.
 """
 
-import copy
 import json
 import math
 from pathlib import Path
 
 import pytest
 
-from repro.bench import (
-    BenchSchemaError,
-    format_series,
-    format_table,
-    load_bench_artifact,
-    measured_workload,
-    validate_bench_artifact,
-)
+from repro.bench import format_series, format_table, measured_workload
 from repro.bench.runner import MEASUREMENT_NX, MEASUREMENT_PARTICLES
 from repro.core import Scheme, Simulation, csp_problem
 from repro.obs import Recorder, build_run_telemetry, to_prometheus
 from repro.perfmodel import (
     DEFAULT_CONSTANTS,
+    load_perf_workload,
     recalibrate_constants,
     recalibrate_from_artifact,
 )
+from repro.perfmodel.recalibrate import DRILL_METRICS
 
 BASELINE = Path(__file__).resolve().parents[1] / "results" / "BENCH_6.json"
+PERF_1 = BASELINE.with_name("PERF_1.json")
 
 
 # ---------------------------------------------------------------------------
-# Artifact round-trip and schema
+# The committed history
 # ---------------------------------------------------------------------------
 
-def test_artifact_roundtrip_and_byte_stability():
-    text = BASELINE.read_text()
-    raw = json.loads(text)
-    loaded = load_bench_artifact(BASELINE)  # schema-validates
-    assert loaded.meta == raw["meta"] and loaded.benches == raw["benches"]
-    assert loaded.bench_names() == sorted(raw["benches"])
-    # The committed artifact is canonical JSON: sorted keys, fixed
-    # separators, one trailing newline.
-    assert text == json.dumps(raw, sort_keys=True,
-                              separators=(",", ":")) + "\n"
-
-    oe = loaded.benches["oe_transport_csp"]
-    assert oe["kernel_profile"], "transport bench must carry the profile"
-    assert oe["repeats"] == 3
-    assert oe["metrics"]["kernel_calls"]["iqr"] == 0.0  # deterministic
-    assert loaded.meta["git"]["sha"]
-    assert loaded.meta["host"]["python"]
-
-
-def test_artifact_schema_rejects_tampering():
-    d = json.loads(BASELINE.read_text())
-    validate_bench_artifact(d)
-
-    bad = copy.deepcopy(d)
-    bad["schema"]["version"] = 99
-    with pytest.raises(BenchSchemaError, match="newer than this reader"):
-        validate_bench_artifact(bad)
-
-    bad = copy.deepcopy(d)
-    bad["benches"]["arena_footprint_csp"]["wallclock_s"]["samples"] = []
-    with pytest.raises(BenchSchemaError, match="non-empty"):
-        validate_bench_artifact(bad)
-
-    bad = copy.deepcopy(d)
-    bad["benches"]["arena_footprint_csp"]["metrics"]["arena_nbytes"][
-        "direction"] = "sideways"
-    with pytest.raises(BenchSchemaError, match="direction"):
-        validate_bench_artifact(bad)
-
-    bad = copy.deepcopy(d)
-    del bad["meta"]["host"]
-    with pytest.raises(BenchSchemaError, match="meta.host"):
-        validate_bench_artifact(bad)
+def _history(n: int) -> dict:
+    return json.loads(BASELINE.with_name(f"BENCH_{n}.json").read_text())
 
 
 def test_committed_baseline_validates():
-    # The trajectory's history stays loadable and keeps its claims...
-    first = load_bench_artifact(BASELINE.with_name("BENCH_1.json"))
-    assert first.meta["sequence"] == 1
-    assert first.meta["tier"] == "quick"
-    assert first.meta["claims"]["shard_payload_reduction"] > 100
-    second = load_bench_artifact(BASELINE.with_name("BENCH_2.json"))
-    assert second.meta["sequence"] == 2
-    assert second.meta["claims"]["ensemble_parity"] == 1.0
-    third = load_bench_artifact(BASELINE.with_name("BENCH_3.json"))
-    assert third.meta["sequence"] == 3
-    assert third.meta["claims"]["adaptive_parity"] == 1.0
-    fourth = load_bench_artifact(BASELINE.with_name("BENCH_4.json"))
-    assert fourth.meta["sequence"] == 4
-    assert fourth.meta["claims"]["ensemble_parity"] == 1.0
-    assert fourth.meta["claims"]["adaptive_efficiency"] >= 0.95
-    assert fourth.meta["claims"]["ce_parity"] == 1.0
-    fifth = load_bench_artifact(BASELINE.with_name("BENCH_5.json"))
-    assert fifth.meta["sequence"] == 5
+    # The trajectory's history keeps its claims...
+    first = _history(1)
+    assert first["meta"]["sequence"] == 1
+    assert first["meta"]["tier"] == "quick"
+    assert first["meta"]["claims"]["shard_payload_reduction"] > 100
+    second = _history(2)
+    assert second["meta"]["sequence"] == 2
+    assert second["meta"]["claims"]["ensemble_parity"] == 1.0
+    third = _history(3)
+    assert third["meta"]["sequence"] == 3
+    assert third["meta"]["claims"]["adaptive_parity"] == 1.0
+    fourth = _history(4)
+    assert fourth["meta"]["sequence"] == 4
+    assert fourth["meta"]["claims"]["ensemble_parity"] == 1.0
+    assert fourth["meta"]["claims"]["adaptive_efficiency"] >= 0.95
+    assert fourth["meta"]["claims"]["ce_parity"] == 1.0
+    fifth = _history(5)
+    assert fifth["meta"]["sequence"] == 5
     # ...and the current baseline covers the whole quick tier, with the
     # algorithm facts of the one before it (the kernels got faster, not
     # different).
-    current = load_bench_artifact(BASELINE.with_name("BENCH_6.json"))
-    assert current.meta["sequence"] == 6
-    assert current.meta["tier"] == "quick"
+    current = _history(6)
+    assert current["meta"]["sequence"] == 6
+    assert current["meta"]["tier"] == "quick"
     for bench in ("oe_transport_csp", "op_transport_csp"):
         for fact in ("kernel_calls", "kernel_items", "xs_lookups"):
-            assert (current.benches[bench]["metrics"][fact]["median"]
-                    == fifth.benches[bench]["metrics"][fact]["median"])
-        assert current.benches[bench]["metrics"][
+            assert (current["benches"][bench]["metrics"][fact]["median"]
+                    == fifth["benches"][bench]["metrics"][fact]["median"])
+        assert current["benches"][bench]["metrics"][
             "workspace_allocations"]["median"] == 24
-    assert current.meta["claims"]["ensemble_parity"] == 1.0
-    assert current.meta["claims"]["ensemble_speedup_csp_vs_looped"] > 5
-    assert current.meta["claims"]["adaptive_parity"] == 1.0
-    assert current.meta["claims"]["ce_parity"] == 1.0
-    assert 0 < current.meta["claims"]["ce_oe_op_ratio"] < 1.0
-    assert current.meta["claims"]["live_parity"] == 1.0
-    assert current.meta["claims"]["live_endpoint_ok"] == 1.0
-    assert set(current.benches) == {
+    assert current["meta"]["claims"]["ensemble_parity"] == 1.0
+    assert current["meta"]["claims"]["ensemble_speedup_csp_vs_looped"] > 5
+    assert current["meta"]["claims"]["adaptive_parity"] == 1.0
+    assert current["meta"]["claims"]["ce_parity"] == 1.0
+    assert 0 < current["meta"]["claims"]["ce_oe_op_ratio"] < 1.0
+    assert current["meta"]["claims"]["live_parity"] == 1.0
+    assert current["meta"]["claims"]["live_endpoint_ok"] == 1.0
+    assert set(current["benches"]) == {
         "oe_transport_csp", "op_transport_csp", "pool_speedup_csp",
         "shard_handoff", "recovery_overhead_csp", "ensemble_throughput_csp",
         "adaptive_crossover_csp", "ce_lookup_csp", "live_overhead_csp",
@@ -259,11 +213,17 @@ def test_recalibrate_constants_from_measured_profile():
 
 
 def test_recalibrate_from_artifact_and_empty_profile():
-    artifact = load_bench_artifact(BASELINE)
-    report = recalibrate_from_artifact(artifact)
-    assert report.fits
-    with pytest.raises(KeyError):
-        recalibrate_from_artifact(artifact, bench="nope")
+    metrics = load_perf_workload(PERF_1)
+    report = recalibrate_from_artifact(metrics)
+    # One row per drill, each 16 384 items at the drill's ns per item.
+    assert {f.kernel for f in report.fits} == {
+        "collide", "cross_facet", "distances"}
+    for fit in report.fits:
+        assert fit.items == 16384
+        assert fit.measured_s == pytest.approx(
+            metrics[DRILL_METRICS[fit.kernel]]["value"] * 16384e-9)
+    assert ("not fitted (no measurement): census, xs_lookup"
+            in report.format())
     with pytest.raises(ValueError, match="no mapped"):
         recalibrate_constants({"select_events": [1, 1, 0.5]})
 
@@ -275,13 +235,9 @@ def test_recalibrate_from_artifact_and_empty_profile():
 def test_cli_bench_end_to_end(capsys):
     from repro.cli import main
 
-    assert main(["bench", "recalibrate", str(BASELINE)]) == 0
+    assert main(["bench", "recalibrate", str(PERF_1)]) == 0
     out = capsys.readouterr().out
     assert "fitted cost" in out
     assert out == recalibrate_from_artifact(
-        load_bench_artifact(BASELINE)
+        load_perf_workload(PERF_1)
     ).format() + "\n"
-
-    assert main(["bench", "recalibrate", str(BASELINE),
-                 "--bench", "nope"]) == 2
-    assert capsys.readouterr().err.startswith("error: ")

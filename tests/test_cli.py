@@ -1,6 +1,7 @@
 """Command-line interface."""
 
 import argparse
+import json
 from pathlib import Path
 
 import pytest
@@ -12,7 +13,7 @@ from repro.ensemble import population_fingerprint
 
 RESULTS = Path(__file__).resolve().parents[1] / "results"
 BENCH_4 = str(RESULTS / "BENCH_4.json")
-BENCH_5 = str(RESULTS / "BENCH_5.json")
+PERF_1 = str(RESULTS / "PERF_1.json")
 
 
 def test_parser_requires_command():
@@ -189,11 +190,14 @@ def test_run_serve_metrics_serves_while_running(capsys):
 def test_run_serve_metrics_with_drift_baseline(capsys):
     rc = main([
         "run", "--problem", "csp", "--nx", "16", "--particles", "24",
-        "--serve-metrics", "0", "--drift-baseline", BENCH_4,
+        "--serve-metrics", "0", "--drift-baseline", PERF_1,
     ])
     assert rc == 0
     out = capsys.readouterr().out
-    assert "drift watchdog: expecting" in out
+    rate = json.loads(Path(PERF_1).read_text())["workloads"]["csp_oe_mg"][
+        "end_to_end"]["metrics"]["events_per_s"]["value"]
+    assert (f"drift watchdog: expecting {rate:,.0f} events/s ±35% "
+            "(perf:csp_oe_mg)") in out
 
 
 def test_run_serve_metrics_bad_drift_baseline(capsys):
@@ -348,12 +352,12 @@ def test_run_and_ensemble_run_define_shared_options_identically():
     ["ensemble", "run", "--problem", "csp3", "--replicas", "0"],
     ["run", "--seed=-1"],
     ["run", "--problem", "csp3", "--seed=18446744073709551616"],
-    ["capacity", "plan", "missing.json"],
-    ["capacity", "plan", "not_json.json"],
-    ["capacity", "plan", "not_bench.json"],
+    ["run", "--chunk", "2"],
+    ["ensemble", "run", "--particles", "0"],
+    ["ensemble", "run", "--replicas", "2", "--seed=18446744073709551615"],
     ["bench", "recalibrate", "missing.json"],
     ["bench", "recalibrate", "not_bench.json"],
-    ["bench", "recalibrate", BENCH_5, "--bench", "nope"],
+    ["bench", "recalibrate", "not_json.json"],
     ["run", "--drift-baseline", "not_json.json"],
     ["run", "--serve-metrics", "0", "--drift-baseline", "not_json.json"],
     ["run", "--serve-metrics", "0", "--drift-baseline", "not_bench.json"],
@@ -364,7 +368,7 @@ def test_refused_input_is_one_line_error(argv, capsys, tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
     (tmp_path / "not_json.json").write_text("nope\n")
     (tmp_path / "not_bench.json").write_text("{}\n")
-    reads_artifact = argv[0] in ("bench", "capacity")
+    reads_artifact = argv[0] == "bench"
     assert main(argv + ([] if reads_artifact else ["--nx", "8"])) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
@@ -373,6 +377,75 @@ def test_refused_input_is_one_line_error(argv, capsys, tmp_path, monkeypatch):
     artifacts = [a for a in argv if a.endswith(".json")]
     if artifacts and (reads_artifact or "--serve-metrics" in argv):
         assert artifacts[0] in err_lines[0]  # the unreadable file is named
+
+
+def _write(path, text):
+    path.write_text(text)
+    return str(path)
+
+
+def _perf_1_with(tmp_path, edit):
+    """A copy of PERF_1 with ``edit`` applied to its csp_oe_mg section."""
+    doc = json.loads(Path(PERF_1).read_text())
+    edit(doc["workloads"]["csp_oe_mg"])
+    path = tmp_path / "perf.json"
+    path.write_text(json.dumps(doc))
+    return str(path)
+
+
+def _fail(section):
+    section["end_to_end"]["failed"] = 1
+
+
+def _drop_rate(section):
+    del section["end_to_end"]["metrics"]["events_per_s"]
+
+
+def _zero_rate(section):
+    section["end_to_end"]["metrics"]["events_per_s"]["value"] = 0
+
+
+def _null_quartile(section):
+    section["end_to_end"]["metrics"]["events_per_s"]["q1"] = None
+
+
+#: Each file the perf/ reader refuses, written under ``tmp_path``.
+BAD_PERF_FILES = {
+    "missing": lambda tmp: str(tmp / "missing.json"),
+    "not_json": lambda tmp: _write(tmp / "not_json.json", "nope\n"),
+    "bench_artifact": lambda tmp: BENCH_4,
+    "empty_object": lambda tmp: _write(tmp / "empty.json", "{}\n"),
+    "failed_run": lambda tmp: _perf_1_with(tmp, _fail),
+    "no_events_per_s": lambda tmp: _perf_1_with(tmp, _drop_rate),
+    "bad_value": lambda tmp: _perf_1_with(tmp, _zero_rate),
+    "null_quartile": lambda tmp: _perf_1_with(tmp, _null_quartile),
+}
+#: The two commands that read a perf/ result.
+PERF_READERS = {
+    "recalibrate": lambda path: ["bench", "recalibrate", path],
+    "drift": lambda path: ["run", "--nx", "8", "--particles", "4",
+                           "--serve-metrics", "0", "--drift-baseline", path],
+}
+
+
+@pytest.mark.parametrize("reader", PERF_READERS)
+@pytest.mark.parametrize("case", BAD_PERF_FILES)
+def test_bad_perf_result_is_one_line_refusal(reader, case, capsys, tmp_path,
+                                             monkeypatch):
+    """Both readers of a perf/ result refuse a bad one with exit 2 and
+    one stderr line naming the file, before any transport runs."""
+    def no_transport(*args, **kwargs):
+        raise AssertionError("transport ran before the refusal")
+
+    monkeypatch.setattr(Simulation, "run", no_transport)
+    path = BAD_PERF_FILES[case](tmp_path)
+    assert main(PERF_READERS[reader](path)) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    err_lines = captured.err.splitlines()
+    assert len(err_lines) == 1, captured.err
+    assert err_lines[0].startswith(f"error: {path}:")
+    assert "Traceback" not in captured.err
 
 
 @pytest.mark.parametrize("scheme", ["over_particles", "over_events", "auto"])

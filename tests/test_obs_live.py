@@ -33,8 +33,9 @@ from repro.obs import (
     validate_telemetry,
 )
 from repro.obs.server import PROMETHEUS_CONTENT_TYPE
+from repro.perfmodel import load_perf_workload
 
-BENCH_4 = str(Path(__file__).resolve().parents[1] / "results" / "BENCH_4.json")
+PERF_1 = str(Path(__file__).resolve().parents[1] / "results" / "PERF_1.json")
 
 
 def _get(url):
@@ -233,23 +234,25 @@ def test_drift_watchdog_emits_transition_events():
 
 
 def test_drift_band_from_committed_artifact():
-    from repro.bench import load_bench_artifact
+    metrics = load_perf_workload(PERF_1)
+    rate = metrics["events_per_s"]
+    band = drift_band_from_artifact(metrics)
+    assert band.expected_events_per_s == rate["value"]
+    assert band.rel_band == max(0.35,
+                                (rate["q3"] - rate["q1"]) / rate["value"])
+    assert band.source == "perf:csp_oe_mg"
+    assert band.to_dict() == {"expected_events_per_s": rate["value"],
+                              "rel_band": band.rel_band,
+                              "source": "perf:csp_oe_mg"}
+    # A wide quartile spread widens the band past the floor.
+    wide = drift_band_from_artifact(
+        {"events_per_s": {"value": 100.0, "q1": 60.0, "q3": 140.0}})
+    assert wide.rel_band == 0.8
 
-    band = drift_band_from_artifact(load_bench_artifact(BENCH_4))
-    assert band.expected_events_per_s > 0
-    assert band.rel_band >= 0.35
-    assert band.source.startswith("bench:")
-    # BENCH_4 carries kernel profiles, so the recalibrated model's
-    # cross-check rate must be attached.
-    assert band.model_events_per_s is not None
 
-
-def test_drift_band_from_artifact_rejects_unknown_bench():
-    from repro.bench import load_bench_artifact
-
-    artifact = load_bench_artifact(BENCH_4)
-    with pytest.raises(ValueError, match="unknown bench"):
-        drift_band_from_artifact(artifact, bench="nope")
+def test_drift_band_from_artifact_rejects_unknown_workload():
+    with pytest.raises(ValueError, match="unknown workload 'nope'"):
+        load_perf_workload(PERF_1, "nope")
 
 
 # ---------------------------------------------------------------------------

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.kernels.xs import interpolate_at_bins
 from repro.xs.tables import (
     CrossSectionTable,
     DEFAULT_NENTRIES,
@@ -67,7 +68,7 @@ def test_interpolation_vec_matches_scalar():
     e = rng.uniform(t.energy[0], t.energy[-1], 100)
     bins = np.searchsorted(t.energy, e, side="right") - 1
     bins = np.clip(bins, 0, len(t) - 2)
-    vec = t.interpolate_at_bin_vec(e, bins)
+    vec = interpolate_at_bins(t, e, bins)
     for i in range(100):
         assert vec[i] == t.interpolate_at_bin(float(e[i]), int(bins[i]))
 
